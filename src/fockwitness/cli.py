@@ -6,7 +6,7 @@ Exit codes are the machine-readable failure channel:
     1  verification failure (a verify suite failed, or engine=both deviated)
     2  configuration error (bad flags, unknown figure id, ...)
     3  the requested state is annihilated by its engineering operation
-    4  a series failed to converge
+    4  a series failed to converge (the analytic engine sums none)
     5  an indeterminate determinant-ratio witness
 
 All stdout records are single-line CSV. Floats print in their shortest

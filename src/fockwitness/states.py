@@ -5,12 +5,16 @@ Two photon-number engineering operations act on a base state:
 * add-then-subtract: a^p a'^q  (add q photons, then subtract p)
 * subtract-then-add: a'^q a^p  (subtract p photons, then add q)
 
-For a thermal state both operations preserve diagonality in the Fock basis,
-and every normalized moment <a'^m a^n> reduces to a ratio of generalized
-hypergeometric values at x = rbar / (1 + rbar). For the even coherent state
-(|alpha> + |-alpha>, normalized) the moments come from an explicit double
-sum over two normal-ordering contractions; a compact equivalent through
-two-index Hermite polynomials is kept alongside for cross-validation.
+Every normalized moment <a'^m a^n> of either family comes from one finite
+contraction: O' a'^m a^n O is normal-ordered into terms c a'^M a^N with
+exact integer c (cached per operation and (m, n)), and each term takes the
+bare state's normally ordered moment, delta_MN M! rbar^M for the thermal
+state and a four-term coherent-state contraction for the even coherent
+state (|alpha> + |-alpha>, normalized). Thermal moments are thus ratios of
+integer polynomials in rbar. Thermal photon-number probabilities are the
+bare geometric weights times an integer polynomial in the Fock level, which
+makes the thermal Husimi Q a Gaussian times a finite polynomial. No
+infinite series is summed.
 
 Every normalized quantity divides by the state's own unnormalized (0,0)
 expectation, so normalization is exact by construction and is cross-checked
@@ -22,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from . import specfun
@@ -134,218 +139,138 @@ class StateSpec:
 
 
 # ---------------------------------------------------------------------------
-# Thermal family
+# Moments: one normal-ordering contraction for both families
 # ---------------------------------------------------------------------------
 
-def _thermal_x(rbar: float) -> float:
-    return rbar / (1.0 + rbar)
-
-
-def _past_unnormalized_diag(rbar: float, p: int, q: int, n: int, rel_tol: float) -> float:
-    """Unnormalized <a'^n a^n> of a^p a'^q applied to a thermal state.
-
-    Equals (1+rbar)^-1 sum_r x^r (r+q)!^2 / (r! (r+q-p-n)!), evaluated through
-    the two-branch 2F1 closed form depending on the sign of q - p - n.
-    """
-    x = _thermal_x(rbar)
-    if q - p - n >= 0:
-        pref = specfun.factorial_ratio([q, q], [q - p - n]) / (1.0 + rbar)
-        series = specfun.hypergeometric_pfq([1 + q, 1 + q], [q - p - n + 1], x, rel_tol)
-        return pref * series
-    k = p - q + n
-    pref = specfun.factorial_ratio([p + n, p + n], [k]) * x ** k / (1.0 + rbar)
-    series = specfun.hypergeometric_pfq([1 + p + n, 1 + p + n], [k + 1], x, rel_tol)
-    return pref * series
-
-
-def _psat_unnormalized_diag(rbar: float, p: int, q: int, n: int, rel_tol: float) -> float:
-    """Unnormalized <a'^n a^n> of a'^q a^p applied to a thermal state.
-
-    Equals (1+rbar)^-1 sum_r x^r r! (r-p+q)!^2 / ((r-p)!^2 (r-p+q-n)!),
-    through the two-branch 3F2 closed form depending on q >= n vs q < n.
-    """
-    x = _thermal_x(rbar)
-    if q >= n:
-        pref = specfun.factorial_ratio([q, q, p], [q - n]) * x ** p / (1.0 + rbar)
-        series = specfun.hypergeometric_pfq([1 + q, 1 + q, 1 + p], [1, q - n + 1], x, rel_tol)
-        return pref * series
-    k = p - q + n
-    pref = specfun.factorial_ratio([n, n, k], [n - q, n - q]) * x ** k / (1.0 + rbar)
-    series = specfun.hypergeometric_pfq([1 + n, 1 + n, 1 + k], [n - q + 1, n - q + 1], x, rel_tol)
-    return pref * series
-
-
-def _thermal_unnormalized_diag(rbar: float, op: EngineeringOp, n: int, rel_tol: float) -> float:
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        return _psat_unnormalized_diag(rbar, op.p, op.q, n, rel_tol)
-    # bare is the p = q = 0 case of add-then-subtract
-    return _past_unnormalized_diag(rbar, op.p, op.q, n, rel_tol)
-
-
-def normalization_past_thermal(rbar: float, p: int, q: int, rel_tol: float = 1e-15) -> float:
-    """Normalization constant of the add-then-subtract thermal state.
-
-    The q < p branch of the printed two-case closed form requires an extra
-    x^(p-q) factor for trace(sigma) = 1; the corrected branch is used here.
-    """
-    if rbar < 0:
-        raise ValueError("mean photon number must be >= 0")
-    inv = _past_unnormalized_diag(rbar, p, q, 0, rel_tol)
-    if not inv > DEGENERATE_NORM_FLOOR:
-        raise DegenerateState(f"a^{p} a'^{q} annihilates the thermal state with rbar={rbar}")
-    return 1.0 / inv
-
-
-def normalization_psat_thermal(rbar: float, p: int, q: int, rel_tol: float = 1e-15) -> float:
-    """Normalization constant of the subtract-then-add thermal state."""
-    if rbar < 0:
-        raise ValueError("mean photon number must be >= 0")
-    inv = _psat_unnormalized_diag(rbar, p, q, 0, rel_tol)
-    if not inv > DEGENERATE_NORM_FLOOR:
-        raise DegenerateState(f"a^{p} on a thermal state with rbar={rbar} gives the zero state")
-    return 1.0 / inv
-
-
-def moment_thermal(spec: StateSpec, m: int, n: int, rel_tol: float = 1e-15) -> float:
-    """Normalized <a'^m a^n> for a thermal-family spec (0 unless m = n)."""
-    if spec.family != FAMILY_THERMAL:
-        raise ValueError("moment_thermal expects a thermal spec")
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be non-negative")
-    if m != n:
-        return 0.0
+def _thermal_xy(spec: StateSpec) -> tuple[float, float]:
+    """(x, y) = (rbar, 1) / (1 + rbar): the bare weight of Fock level k is y x^k."""
     rbar = spec.mean_photon_number
-    norm = _thermal_unnormalized_diag(rbar, spec.op, 0, rel_tol)
-    if not norm > DEGENERATE_NORM_FLOOR:
-        raise DegenerateState(f"{spec.canonical()} is annihilated")
-    return _thermal_unnormalized_diag(rbar, spec.op, n, rel_tol) / norm
+    return rbar / (1.0 + rbar), 1.0 / (1.0 + rbar)
 
 
-# ---------------------------------------------------------------------------
-# Even coherent family
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """Exact terms (M, N, c) of O' a'^m a^n O = sum c a'^M a^N, for O = op.
+
+    Both orders sandwich one core, a'^A (a^q a'^B a^C a'^q) a^A: A = p,
+    B = m, C = n for subtract-then-add, and A = 0, B = m + p, C = n + p for
+    add-then-subtract (bare is its p = q = 0 case). Normal-ordering a^C a'^q
+    and then a^q a'^(B+q-r) leaves terms with M - N = m - n (Blasiak et al.,
+    "Combinatorics and boson normal ordering", Am. J. Phys. 75, 639, 2007).
+    """
+    p, q = op.p, op.q
+    if op.order == ORDER_SUBTRACT_THEN_ADD:
+        outer, b, c = p, m, n
+    else:
+        outer, b, c = 0, m + p, n + p
+    terms: dict[tuple[int, int], int] = {}
+    for inner in specfun.normal_order_product(c, q):
+        for left in specfun.normal_order_product(q, b + inner.dagger_power):
+            key = (outer + left.dagger_power, left.plain_power + inner.plain_power + outer)
+            terms[key] = terms.get(key, 0) + left.coefficient * inner.coefficient
+    return tuple((dag, plain, coeff) for (dag, plain), coeff in sorted(terms.items()))
+
 
 def _ecs_pair_factor(alpha: complex, dagger_pow: int, plain_pow: int) -> complex:
     """<psi| a'^M a^N |psi> for unnormalized |psi> = |alpha> + |-alpha>.
 
-    Four coherent-state contractions: the diagonal ones give a parity factor
-    in M + N, the cross ones are weighted by <alpha|-alpha> = exp(-2|alpha|^2).
+    The four coherent-state contractions cancel for mixed parity of M and N
+    and otherwise give conj(alpha)^M alpha^N times 2 (1 + e) (both even) or
+    2 (1 - e) (both odd), e = <alpha|-alpha> = exp(-2|alpha|^2); 1 - e goes
+    through expm1 so that it keeps full precision at small |alpha|.
     """
-    e2 = math.exp(-2.0 * abs(alpha) ** 2)
-    ac = alpha.conjugate()
-    s_m = -1.0 if dagger_pow % 2 else 1.0
-    s_n = -1.0 if plain_pow % 2 else 1.0
-    return ac ** dagger_pow * alpha ** plain_pow * ((1.0 + s_m * s_n) + (s_m + s_n) * e2)
-
-
-def _ecs_unnormalized_moment(alpha: complex, op: EngineeringOp, m: int, n: int) -> complex:
-    """Unnormalized <a'^m a^n> for an engineered even coherent state.
-
-    Double sum over the two normal-ordering contractions of the sandwiched
-    ladder string; this is the authoritative route (the compact Hermite form
-    is a cross-check, see moment_ecs_hermite).
-    """
-    alpha = complex(alpha)
-    p, q = op.p, op.q
-    if (m + n) % 2:
-        # every contraction carries dagger + plain power congruent to m + n
+    if (dagger_pow + plain_pow) % 2:
         return 0j
-    total = 0j
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        # <psi| a'^p a^q a'^m a^n a'^q a^p |psi>; the outer a^p pairs pull
-        # alpha^p out on each side, the rest is reordered in two passes.
-        for r in range(min(n, q) + 1):
-            cr = math.factorial(r) * math.comb(n, r) * math.comb(q, r)
-            for s in range(min(q, m + q - r) + 1):
-                cs = math.factorial(s) * math.comb(q, s) * math.comb(m + q - r, s)
-                total += cr * cs * _ecs_pair_factor(
-                    alpha, m + q + p - r - s, n + q + p - r - s
-                )
-        return total
-    # bare falls through as the p = q = 0 case of add-then-subtract
-    for r in range(min(n + p, q) + 1):
-        cr = math.factorial(r) * math.comb(n + p, r) * math.comb(q, r)
-        for s in range(min(q, m + p + q - r) + 1):
-            cs = math.factorial(s) * math.comb(q, s) * math.comb(m + p + q - r, s)
-            total += cr * cs * _ecs_pair_factor(
-                alpha, m + p + q - r - s, n + p + q - r - s
-            )
-    return total
+    a2 = abs(alpha) ** 2
+    if dagger_pow % 2:
+        weight = -2.0 * math.expm1(-2.0 * a2)
+    else:
+        weight = 2.0 + 2.0 * math.exp(-2.0 * a2)
+    return alpha.conjugate() ** dagger_pow * alpha ** plain_pow * weight
 
 
-def _ecs_unnormalized_moment_hermite(alpha: complex, op: EngineeringOp, m: int, n: int) -> complex:
-    """Compact closed form of the same expectation via H_{m,n} polynomials.
+@lru_cache(maxsize=None)
+def _lowest_power(op: EngineeringOp) -> int:
+    """k0, the lowest power of rbar in a thermal norm: the lowest bare Fock
+    level the operation does not annihilate."""
+    return min(dag for dag, _, _ in _contraction_table(op, 0, 0))
 
-    Faithful to the compact printed forms, which drop the overall parity
-    factor in m + n (harmless after normalization) and, for subtract-then-add
-    with odd p, miss a (-1)^p on the exchange term (not harmless; the double
-    sum is authoritative there). Retained for cross-validation only.
+
+def _unnormalized_moment(spec: StateSpec, m: int, n: int) -> complex:
+    """<a'^m a^n> in the engineered state before normalization.
+
+    Contracts the cached table with the bare state's normally ordered
+    moments: _ecs_pair_factor for the even cat, delta_MN M! rbar^M for
+    thermal. A thermal value is in units of rbar^k0 (1 + rbar)^(p+q): with
+    rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
+    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is.
     """
-    alpha = complex(alpha)
-    ac = alpha.conjugate()
-    p, q = op.p, op.q
-    e2 = math.exp(-2.0 * abs(alpha) ** 2)
-    sign_q = -1.0 if q % 2 else 1.0
-    total = 0j
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        for r in range(min(n, q) + 1):
-            cr = math.factorial(r) * math.comb(n, r) * math.comb(q, r)
-            h_direct = specfun.hermite2(m + q - r, q, ac, -alpha)
-            h_exch = specfun.hermite2(m + q - r, q, -ac, -alpha)
-            total += cr * alpha ** (n - r) * sign_q * (h_direct + e2 * h_exch)
-        return abs(alpha) ** (2 * q) * total
-    for r in range(min(n + p, q) + 1):
-        cr = math.factorial(r) * math.comb(n + p, r) * math.comb(q, r)
-        h_direct = specfun.hermite2(m + p + q - r, q, ac, -alpha)
-        h_exch = specfun.hermite2(m + p + q - r, q, -ac, -alpha)
-        total += cr * alpha ** (n + p - r) * sign_q * (h_direct + e2 * h_exch)
-    return total
+    table = _contraction_table(spec.op, m, n)
+    if spec.family == FAMILY_THERMAL:
+        x, y = _thermal_xy(spec)
+        k0 = _lowest_power(spec.op)
+        top = spec.op.p + spec.op.q
+        return sum(c * math.factorial(dag) * x ** (dag - k0) * y ** (top - dag)
+                   for dag, plain, c in table if dag == plain)
+    alpha = spec.amplitude
+    return sum(c * _ecs_pair_factor(alpha, dag, plain) for dag, plain, c in table)
 
 
-def _ecs_norm(alpha: complex, op: EngineeringOp) -> float:
-    norm = _ecs_unnormalized_moment(alpha, op, 0, 0).real
+def _norm(spec: StateSpec) -> float:
+    """The (0,0) entry, in the units of _unnormalized_moment.
+
+    A thermal state is annihilated exactly when rbar = 0 and its norm has no
+    constant term (k0 > 0), never because a float underflowed. A cat norm at
+    or below DEGENERATE_NORM_FLOOR counts as annihilated.
+    """
+    if spec.family == FAMILY_THERMAL:
+        if _lowest_power(spec.op) and spec.mean_photon_number == 0:
+            raise DegenerateState(f"{spec.canonical()} is annihilated")
+        return float(_unnormalized_moment(spec, 0, 0))
+    norm = _unnormalized_moment(spec, 0, 0).real
     if not norm > DEGENERATE_NORM_FLOOR:
-        raise DegenerateState(
-            f"engineered even coherent state with alpha={alpha} is annihilated"
-        )
+        raise DegenerateState(f"{spec.canonical()} is annihilated")
     return norm
+
+
+def moment(spec: StateSpec, m: int, n: int) -> complex:
+    """Normalized <a'^m a^n> for any spec: its contraction over the (0,0) entry."""
+    if m < 0 or n < 0:
+        raise ValueError("moment orders must be non-negative")
+    norm = _norm(spec)
+    return complex(_unnormalized_moment(spec, m, n) / norm)
+
+
+def moment_thermal(spec: StateSpec, m: int, n: int) -> float:
+    """Normalized <a'^m a^n> for a thermal-family spec (0 unless m = n)."""
+    if spec.family != FAMILY_THERMAL:
+        raise ValueError("moment_thermal expects a thermal spec")
+    return moment(spec, m, n).real
 
 
 def moment_ecs(spec: StateSpec, m: int, n: int) -> complex:
     """Normalized <a'^m a^n> for an even-coherent-family spec."""
     if spec.family != FAMILY_EVEN_COHERENT:
         raise ValueError("moment_ecs expects an even_coherent spec")
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be non-negative")
-    alpha = spec.amplitude
-    norm = _ecs_norm(alpha, spec.op)
-    if (m + n) % 2:
-        return 0j
-    return _ecs_unnormalized_moment(alpha, spec.op, m, n) / norm
+    return moment(spec, m, n)
 
 
-def moment_ecs_hermite(spec: StateSpec, m: int, n: int) -> complex:
-    """Cross-check route for moment_ecs through the compact Hermite form.
-
-    Agrees with moment_ecs for even m + n except for subtract-then-add with
-    odd p, where the compact form's exchange term carries the wrong sign.
-    """
-    if spec.family != FAMILY_EVEN_COHERENT:
-        raise ValueError("moment_ecs_hermite expects an even_coherent spec")
-    alpha = spec.amplitude
-    norm = _ecs_unnormalized_moment_hermite(alpha, spec.op, 0, 0).real
-    if not abs(norm) > DEGENERATE_NORM_FLOOR:
-        raise DegenerateState(
-            f"engineered even coherent state with alpha={alpha} is annihilated"
-        )
-    return _ecs_unnormalized_moment_hermite(alpha, spec.op, m, n) / norm
+def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
+    spec = StateSpec.thermal(rbar, op)
+    x, y = _thermal_xy(spec)
+    norm = _norm(spec) * x ** _lowest_power(op)
+    # inf where the constant is beyond the float range (tiny rbar, k0 > 0)
+    return y ** (op.p + op.q) / norm if norm else math.inf
 
 
-def moment(spec: StateSpec, m: int, n: int) -> complex:
-    """Normalized <a'^m a^n> for any spec (family dispatch)."""
-    if spec.family == FAMILY_THERMAL:
-        return complex(moment_thermal(spec, m, n))
-    return moment_ecs(spec, m, n)
+def normalization_past_thermal(rbar: float, p: int, q: int) -> float:
+    """Normalization constant of the add-then-subtract thermal state."""
+    return _normalization_thermal(rbar, EngineeringOp.pas(p, q))
+
+
+def normalization_psat_thermal(rbar: float, p: int, q: int) -> float:
+    """Normalization constant of the subtract-then-add thermal state."""
+    return _normalization_thermal(rbar, EngineeringOp.psa(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -361,34 +286,36 @@ def photon_prob(spec: StateSpec, m: int) -> float:
     return _photon_prob_ecs(spec, m)
 
 
-def _photon_prob_thermal(spec: StateSpec, m: int) -> float:
-    rbar = spec.mean_photon_number
-    op = spec.op
+def _fock_weight(op: EngineeringOp, m: int) -> int:
+    """|<m| O |k>|^2 for k = m + p - q: an integer polynomial in m of degree p + q.
+
+    It is 0 where O cannot reach level m, which is what the reciprocal
+    factorials of negative integers say in the closed forms.
+    """
     p, q = op.p, op.q
-    x = _thermal_x(rbar)
-    k = m + p - q  # index of the bare Fock weight that lands on level m
     if op.order == ORDER_SUBTRACT_THEN_ADD:
-        norm = normalization_psat_thermal(rbar, p, q)
-        if k < 0 or m - q < 0:
-            return 0.0
-        ratio = specfun.factorial_ratio([k, m], [m - q, m - q])
-    else:
-        norm = normalization_past_thermal(rbar, p, q)
-        if k < 0:
-            return 0.0
-        ratio = specfun.factorial_ratio([m + p, m + p], [k, m])
-    if x == 0.0:
-        weight = 1.0 if k == 0 else 0.0
-    else:
-        weight = x ** k
-    return norm / (1.0 + rbar) * weight * ratio
+        # a^p: k!/(m-q)!, then a'^q: m!/(m-q)!
+        return math.perm(m + p - q, p) * math.perm(m, q) if m >= q else 0
+    # a'^q: (m+p)!/k!, then a^p: (m+p)!/m!
+    return math.perm(m + p, p) * math.perm(m + p, q)
+
+
+def _photon_prob_thermal(spec: StateSpec, m: int) -> float:
+    norm = _norm(spec)
+    weight = _fock_weight(spec.op, m)
+    if not weight:
+        return 0.0
+    p, q = spec.op.p, spec.op.q
+    x, y = _thermal_xy(spec)
+    # the bare weight of level k = m + p - q is y x^k
+    return x ** (m + p - q - _lowest_power(spec.op)) * weight * y ** (1 + p + q) / norm
 
 
 def _photon_prob_ecs(spec: StateSpec, m: int) -> float:
     alpha = spec.amplitude
     op = spec.op
     p, q = op.p, op.q
-    norm = _ecs_norm(alpha, op)
+    norm = _norm(spec)
     k = m + p - q
     if k < 0 or k % 2:
         return 0.0
@@ -428,51 +355,48 @@ def _photon_prob_ecs(spec: StateSpec, m: int) -> float:
 # Husimi Q function
 # ---------------------------------------------------------------------------
 
-def husimi(spec: StateSpec, beta: complex, rel_tol: float = 1e-15) -> float:
+def husimi(spec: StateSpec, beta: complex) -> float:
     """Husimi Q(beta) = <beta| sigma |beta> / pi for the engineered state."""
     beta = complex(beta)
     if spec.family == FAMILY_THERMAL:
-        return _husimi_thermal(spec, beta, rel_tol)
+        return _husimi_thermal(spec, beta)
     return _husimi_ecs(spec, beta)
 
 
-def _husimi_thermal(spec: StateSpec, beta: complex, rel_tol: float) -> float:
-    rbar = spec.mean_photon_number
+@lru_cache(maxsize=None)
+def _newton_coeffs(op: EngineeringOp) -> tuple[tuple[int, float], ...]:
+    """(j, D^j W(0) / j!) for the nonzero forward differences of W = _fock_weight.
+
+    W has degree p + q, so sum_m W(m) z^m / m! = e^z sum_j D^j W(0) z^j / j!
+    terminates: the thermal Husimi pFq sums have upper parameters exceeding
+    the lower ones by integers (Kummer's transformation, DLMF 13.2, 18.5).
+    """
+    degree = op.p + op.q
+    w = [_fock_weight(op, m) for m in range(degree + 1)]
+    coeffs = []
+    for j in range(degree + 1):
+        delta = sum((-1) ** (j - i) * math.comb(j, i) * w[i] for i in range(j + 1))
+        if delta:
+            coeffs.append((j, delta / math.factorial(j)))
+    return tuple(coeffs)
+
+
+def _husimi_thermal(spec: StateSpec, beta: complex) -> float:
+    # Q = e^(-|beta|^2) / pi * sum_m P_m |beta|^(2m) / m! with P_m from
+    # _photon_prob_thermal; the sum is e^(x|beta|^2) times a polynomial
+    norm = _norm(spec)
     p, q = spec.op.p, spec.op.q
-    x = _thermal_x(rbar)
+    x, y = _thermal_xy(spec)
     b2 = abs(beta) ** 2
-    z = x * b2
-    if spec.op.order == ORDER_SUBTRACT_THEN_ADD:
-        norm = normalization_psat_thermal(rbar, p, q, rel_tol)
-        series = specfun.hypergeometric_pfq([1 + p], [1], z, rel_tol)
-        value = (
-            norm
-            * math.exp(-b2)
-            * x ** p
-            * b2 ** q
-            * math.factorial(p)
-            / (math.pi * (1.0 + rbar))
-            * series
-        )
-        return value
-    norm = normalization_past_thermal(rbar, p, q, rel_tol)
-    if q >= p:
-        pref = specfun.factorial_ratio([q, q], [q - p, q - p]) * b2 ** (q - p)
-        series = specfun.hypergeometric_pfq(
-            [1 + q, 1 + q], [1 + q - p, 1 + q - p], z, rel_tol
-        )
-    else:
-        # the p > q branch needs an x^(p-q) factor for consistency with the
-        # underlying Fock sum (checked against the oracle)
-        pref = specfun.factorial_ratio([p, p], [p - q]) * x ** (p - q)
-        series = specfun.hypergeometric_pfq([1 + p, 1 + p], [1, p - q + 1], z, rel_tol)
-    return norm * math.exp(-b2) * pref / (math.pi * (1.0 + rbar)) * series
+    shift = p - q - _lowest_power(spec.op)
+    series = sum(c * x ** (j + shift) * b2 ** j for j, c in _newton_coeffs(spec.op))
+    return math.exp(-b2 * y) * y ** (1 + p + q) * series / (math.pi * norm)
 
 
 def _husimi_ecs(spec: StateSpec, beta: complex) -> float:
     alpha = spec.amplitude
     p, q = spec.op.p, spec.op.q
-    norm = _ecs_norm(alpha, spec.op)
+    norm = _norm(spec)
     bc = beta.conjugate()
     gauss = math.exp(-abs(alpha) ** 2 - abs(beta) ** 2)
     if spec.op.order == ORDER_SUBTRACT_THEN_ADD:

@@ -3,6 +3,9 @@ import sys
 
 import pytest
 
+from fockwitness import cli, states
+from fockwitness.errors import NonConvergent
+
 PKG = [sys.executable, "-m", "fockwitness"]
 
 
@@ -37,12 +40,27 @@ class TestMomentCommand:
         )
         assert proc.returncode == 3
 
-    def test_nonconvergent_exit_code(self):
+    def test_nonconvergent_exit_code(self, monkeypatch, capsys):
+        # the analytic engine sums no infinite series; the mapping stays
+        def raise_nonconvergent(spec, m, n):
+            raise NonConvergent("series budget exhausted")
+
+        monkeypatch.setattr(states, "moment", raise_nonconvergent)
+        code = cli.main([
+            "moment", "--family", "thermal", "--op", "pas", "--p", "1", "--q", "1",
+            "--rbar", "1", "--m", "1", "--n", "1",
+        ])
+        assert code == 4
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_huge_rbar_is_finite(self):
         proc = run_cli(
             "moment", "--family", "thermal", "--op", "pas", "--p", "1", "--q", "1",
             "--rbar", "1e15", "--m", "1", "--n", "1",
         )
-        assert proc.returncode == 4
+        assert proc.returncode == 0
+        r = 1e15
+        assert float(proc.stdout.split(",")[2]) == pytest.approx(2 * r * (3 * r + 2) / (2 * r + 1), rel=1e-12)
 
     def test_missing_orders_is_config_error(self):
         proc = run_cli("moment", "--family", "thermal", "--rbar", "1")

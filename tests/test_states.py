@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fockwitness import oracle, states
+from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState
 from fockwitness.specfun import log_factorial
 from fockwitness.states import (
@@ -11,7 +12,6 @@ from fockwitness.states import (
     StateSpec,
     husimi,
     moment_ecs,
-    moment_ecs_hermite,
     moment_thermal,
     normalization_past_thermal,
     normalization_psat_thermal,
@@ -42,6 +42,33 @@ def direct_psat_norm(rbar, p, q, terms=500):
         ) + log_factorial(r) + log_factorial(r - p + q) - 2 * log_factorial(r - p)
         total += math.exp(log_w)
     return (1.0 + rbar) / total
+
+
+def direct_thermal_moment(rbar, op, n):
+    """Independent <a'^n a^n>: literal log-space Fock sum of the engineered
+    weights (no contraction, no closed form)."""
+    x = rbar / (1.0 + rbar)
+    p, q = op.p, op.q
+    logs = {}
+    for r in range(int(80 * (1.0 + rbar)) + 200):  # bare level r
+        if op.order == states.ORDER_SUBTRACT_THEN_ADD:
+            if r < p:
+                continue
+            level = r - p + q
+            log_w = log_factorial(r) + log_factorial(level) - 2 * log_factorial(r - p)
+        else:
+            level = r + q - p
+            if level < 0:
+                continue
+            log_w = 2 * log_factorial(r + q) - log_factorial(r) - log_factorial(level)
+        if level >= n:  # <a'^n a^n> on level m is m! / (m - n)!
+            logs[level] = (r * math.log(x) + log_w, log_factorial(level) - log_factorial(level - n))
+        else:
+            logs[level] = (r * math.log(x) + log_w, -math.inf)
+    peak = max(log_w for log_w, _ in logs.values())
+    norm = sum(math.exp(log_w - peak) for log_w, _ in logs.values())
+    total = sum(math.exp(log_w - peak + log_f) for log_w, log_f in logs.values())
+    return total / norm
 
 
 class TestEngineeringOp:
@@ -127,8 +154,33 @@ class TestThermalMoments:
         assert moment_thermal(spec, 0, 3) == 0.0
 
     def test_degenerate_moment(self):
-        with pytest.raises(DegenerateState):
-            moment_thermal(StateSpec.thermal(0.0, EngineeringOp.psa(1, 1)), 1, 1)
+        for q in range(4):
+            with pytest.raises(DegenerateState):
+                moment_thermal(StateSpec.thermal(0.0, EngineeringOp.psa(1, q)), 1, 1)
+
+    def test_tiny_rbar_is_not_annihilation(self):
+        # the PSA(2,1) norm, ~2 rbar^2, is below the float range here; the
+        # state tends to the one-photon Fock state
+        spec = StateSpec.thermal(1e-170, EngineeringOp.psa(2, 1))
+        assert moment_thermal(spec, 1, 1) == 1.0
+
+    def test_vacuum_survives_net_addition(self):
+        spec = StateSpec.thermal(0.0, EngineeringOp.pas(1, 2))  # the state is |1>
+        assert moment_thermal(spec, 1, 1) == 1.0
+        for beta in (0.0, 0.7, 1.5 - 2j):
+            b2 = abs(beta) ** 2
+            assert husimi(spec, beta) == pytest.approx(b2 * math.exp(-b2) / math.pi, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("rbar", [0.01, 0.3, 2.7, 50.0])
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(4))
+    def test_against_direct_fock_sum(self, rbar, p, q):
+        for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
+            spec = StateSpec.thermal(rbar, op)
+            for n in range(5):
+                assert moment_thermal(spec, n, n) == pytest.approx(
+                    direct_thermal_moment(rbar, op, n), rel=1e-10
+                )
 
     @pytest.mark.parametrize("rbar", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -198,26 +250,31 @@ class TestEcsMoments:
             EngineeringOp.pas(1, 2),
             EngineeringOp.psa(2, 1),
             EngineeringOp.psa(2, 2),
+            EngineeringOp.psa(1, 1),
+            EngineeringOp.psa(3, 1),
         ],
     )
     def test_hermite_route_agrees(self, op):
+        """The contraction route against the oracle, including odd subtraction
+        orders, where the compact two-index Hermite form used to differ."""
         spec = StateSpec.even_coherent(0.9, op)
+        state = oracle.build_truncated(spec, 1e-15)
         for m in range(4):
             for n in range(4):
                 if (m + n) % 2:
                     continue
-                direct = moment_ecs(spec, m, n)
-                compact = moment_ecs_hermite(spec, m, n)
-                assert compact == pytest.approx(direct, rel=1e-10)
+                assert moment_ecs(spec, m, n) == pytest.approx(
+                    oracle.oracle_moment(state, m, n), rel=1e-10
+                )
 
-    @pytest.mark.parametrize("op", [EngineeringOp.psa(1, 1), EngineeringOp.psa(3, 1)])
-    def test_hermite_route_known_deviation_odd_subtraction(self, op):
-        # the compact closed form misses a sign on the exchange term for
-        # subtract-then-add with odd p; the double sum is authoritative
-        spec = StateSpec.even_coherent(0.8, op)
-        direct = moment_ecs(spec, 1, 1)
-        compact = moment_ecs_hermite(spec, 1, 1)
-        assert abs(direct - compact) > 1e-3 * abs(direct)
+    def test_small_amplitude_means(self):
+        # 1 - exp(-2|alpha|^2) must not cancel at small |alpha|
+        alpha = 1e-5
+        a2 = alpha ** 2
+        bare = moment_ecs(StateSpec.even_coherent(alpha), 1, 1).real
+        subtracted = moment_ecs(StateSpec.even_coherent(alpha, EngineeringOp.psa(1, 0)), 1, 1).real
+        assert bare == pytest.approx(a2 * math.tanh(a2), rel=1e-12)
+        assert subtracted == pytest.approx(a2 / math.tanh(a2), rel=1e-12)
 
 
 class TestPhotonProb:
@@ -282,11 +339,22 @@ class TestHusimi:
             StateSpec.thermal(2.0, EngineeringOp.psa(2, 1)),
             StateSpec.even_coherent(2.0, EngineeringOp.pas(2, 4)),
             StateSpec.even_coherent(1.2, EngineeringOp.psa(1, 2)),
+            # the four engineered thermal panels of fig7
+            StateSpec.thermal(2.0, EngineeringOp.pas(2, 4)),
+            StateSpec.thermal(2.0, EngineeringOp.psa(2, 4)),
+            StateSpec.thermal(4.0, EngineeringOp.pas(4, 2)),
+            StateSpec.thermal(4.0, EngineeringOp.psa(4, 2)),
         ],
     )
     def test_matches_oracle(self, spec):
-        state = oracle.build_truncated(spec, 1e-15, min_cutoff=64)
-        for beta in (0.3, -1.1 + 0.4j, 2.0j, 1.0 + 0.5j):
+        betas = [0.3, -1.1 + 0.4j, 2.0j, 1.0 + 0.5j]
+        if spec.family == states.FAMILY_THERMAL:
+            # out to the corner of the figure window
+            corner = BETA_WINDOW[1]
+            betas += [-3.0 + 2.0j, complex(corner, -corner), complex(corner, corner)]
+        reach = max(abs(beta) for beta in betas)
+        state = oracle.build_truncated(spec, 1e-15, min_cutoff=max(64, int(8 * reach ** 2) + 8))
+        for beta in betas:
             assert husimi(spec, beta) == pytest.approx(
                 oracle.oracle_husimi(state, beta), rel=1e-9
             )
