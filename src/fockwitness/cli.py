@@ -259,9 +259,9 @@ def _parse_variant_labels(text: str) -> list[EngineeringOp]:
             raise ConfigError(f"variant label {label!r} must look like PAS(1:1)")
         try:
             p, q = int(p_text), int(q_text)
+            ops.append(EngineeringOp.pas(p, q) if tag == "PAS" else EngineeringOp.psa(p, q))
         except ValueError as exc:
             raise ConfigError(f"variant label {label!r}: {exc}") from exc
-        ops.append(EngineeringOp.pas(p, q) if tag == "PAS" else EngineeringOp.psa(p, q))
     if not ops:
         raise ConfigError("no variants given")
     return ops
@@ -290,15 +290,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         param_range["max"] = args.param_max
     if args.steps is not None:
         param_range["steps"] = args.steps
-    table = sweep_report.sweep(
-        witness,
-        order,
-        variants,
-        family,
-        param_range=param_range or None,
-        engine=args.engine or "analytic",
-        include_bare=args.include_bare,
-    )
+    try:
+        table = sweep_report.sweep(
+            witness,
+            order,
+            variants,
+            family,
+            param_range=param_range or None,
+            engine=args.engine or "analytic",
+            include_bare=args.include_bare,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     text = sweep_report.sweep_table_csv(table)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -312,12 +315,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     if args.figure_id not in sweep_report.FIGURE_IDS:
         raise ConfigError(f"unknown figure id {args.figure_id!r}")
-    pack = sweep_report.figure_pack(
-        args.figure_id,
-        steps=args.steps,
-        grid_steps=args.grid_steps,
-        engine=args.engine or "analytic",
-    )
+    try:
+        pack = sweep_report.figure_pack(
+            args.figure_id,
+            steps=args.steps,
+            grid_steps=args.grid_steps,
+            engine=args.engine or "analytic",
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = args.out or "."
     manifest = sweep_report.write_figure_pack(pack, out_dir)
     for name, path in manifest:

@@ -150,26 +150,6 @@ def hypergeometric_pfq(
     )
 
 
-def hermite2(m: int, n: int, x: complex, y: complex) -> complex:
-    """Two-index Hermite polynomial H_{m,n}(x, y).
-
-    H_{m,n}(x, y) = sum_k (-1)^k k! C(m,k) C(n,k) x^(m-k) y^(n-k),
-    the convention under which coherent-state matrix elements of ordered
-    ladder strings close (validated against the brute-force oracle).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("hermite2: negative index")
-    x = complex(x)
-    y = complex(y)
-    total = 0j
-    for k in range(min(m, n) + 1):
-        coeff = math.factorial(k) * math.comb(m, k) * math.comb(n, k)
-        if k % 2:
-            coeff = -coeff
-        total += coeff * x ** (m - k) * y ** (n - k)
-    return total
-
-
 @dataclass(frozen=True)
 class NormalOrderTerm:
     """One normally ordered term c * a'^dagger_power a^plain_power."""

@@ -11,10 +11,12 @@ exact integer c (cached per operation and (m, n)), and each term takes the
 bare state's normally ordered moment, delta_MN M! rbar^M for the thermal
 state and a four-term coherent-state contraction for the even coherent
 state (|alpha> + |-alpha>, normalized). Thermal moments are thus ratios of
-integer polynomials in rbar. Thermal photon-number probabilities are the
-bare geometric weights times an integer polynomial in the Fock level, which
-makes the thermal Husimi Q a Gaussian times a finite polynomial. No
-infinite series is summed.
+integer polynomials in rbar. Both orders send Fock level k = m + p - q to a
+multiple of |m>, so the photon-number probability p_m of either family is
+the bare state's weight of level k times one integer polynomial W(m); this
+makes the thermal Husimi Q a Gaussian times a finite polynomial. The cat
+Husimi Q sums the coherent-state matrix elements of O over its normal form.
+No infinite series is summed.
 
 Every normalized quantity divides by the state's own unnormalized (0,0)
 expectation, so normalization is exact by construction and is cross-checked
@@ -113,11 +115,13 @@ class StateSpec:
         if self.family == FAMILY_THERMAL:
             if self.mean_photon_number is None or self.amplitude is not None:
                 raise ValueError("thermal family takes mean_photon_number only")
-            if self.mean_photon_number < 0:
-                raise ValueError("mean photon number must be >= 0")
+            if not (math.isfinite(self.mean_photon_number) and self.mean_photon_number >= 0):
+                raise ValueError("mean photon number must be finite and >= 0")
         elif self.family == FAMILY_EVEN_COHERENT:
             if self.amplitude is None or self.mean_photon_number is not None:
                 raise ValueError("even_coherent family takes amplitude only")
+            if not cmath.isfinite(self.amplitude):
+                raise ValueError("amplitude must be finite")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -277,20 +281,13 @@ def normalization_psat_thermal(rbar: float, p: int, q: int) -> float:
 # Photon-number probabilities
 # ---------------------------------------------------------------------------
 
-def photon_prob(spec: StateSpec, m: int) -> float:
-    """Probability of detecting m photons in the engineered state."""
-    if m < 0:
-        raise ValueError("photon number must be non-negative")
-    if spec.family == FAMILY_THERMAL:
-        return _photon_prob_thermal(spec, m)
-    return _photon_prob_ecs(spec, m)
-
-
 def _fock_weight(op: EngineeringOp, m: int) -> int:
-    """|<m| O |k>|^2 for k = m + p - q: an integer polynomial in m of degree p + q.
+    """W(m) = |<m| O |k>|^2 for k = m + p - q: an integer polynomial in m of degree p + q.
 
-    It is 0 where O cannot reach level m, which is what the reciprocal
-    factorials of negative integers say in the closed forms.
+    Each order sends Fock level k to sqrt(W(m)) |m> and nothing else, so the
+    photon-number distribution of either family is the bare weight of level
+    k times W(m). W is 0 where O cannot reach level m, which is what the
+    reciprocal factorials of negative integers say in the closed forms.
     """
     p, q = op.p, op.q
     if op.order == ORDER_SUBTRACT_THEN_ADD:
@@ -300,55 +297,32 @@ def _fock_weight(op: EngineeringOp, m: int) -> int:
     return math.perm(m + p, p) * math.perm(m + p, q)
 
 
-def _photon_prob_thermal(spec: StateSpec, m: int) -> float:
+def photon_prob(spec: StateSpec, m: int) -> float:
+    """Probability of detecting m photons in the engineered state.
+
+    The bare weight of level k = m + p - q times W(m) = _fock_weight, over
+    the norm: y x^k for the thermal state, 4 e^(-|alpha|^2) |alpha|^(2k) / k!
+    on even k (0 on odd k) for the unnormalized even cat. A bare weight that
+    underflows makes the probability 0, however large W(m) is.
+    """
+    if m < 0:
+        raise ValueError("photon number must be non-negative")
     norm = _norm(spec)
     weight = _fock_weight(spec.op, m)
     if not weight:
         return 0.0
     p, q = spec.op.p, spec.op.q
-    x, y = _thermal_xy(spec)
-    # the bare weight of level k = m + p - q is y x^k
-    return x ** (m + p - q - _lowest_power(spec.op)) * weight * y ** (1 + p + q) / norm
-
-
-def _photon_prob_ecs(spec: StateSpec, m: int) -> float:
-    alpha = spec.amplitude
-    op = spec.op
-    p, q = op.p, op.q
-    norm = _norm(spec)
     k = m + p - q
-    if k < 0 or k % 2:
+    if spec.family == FAMILY_THERMAL:
+        x, y = _thermal_xy(spec)
+        # y x^k in the units of _norm
+        bare = x ** (k - _lowest_power(spec.op))
+        return bare * weight * y ** (1 + p + q) / norm if bare else 0.0
+    a2 = abs(spec.amplitude) ** 2
+    if k % 2 or (k and not a2):
         return 0.0
-    a2 = abs(alpha) ** 2
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        if m - q < 0:
-            return 0.0
-        # |<m| a'^q (alpha^p |alpha> + (-alpha)^p |-alpha>)|^2, log-stable in m
-        log_mag = specfun.log_factorial(m) - 2.0 * specfun.log_factorial(m - q)
-    else:
-        # sum over contractions of a^p a'^q; all contributions are positive
-        logs = []
-        for r in range(min(p, q) + 1):
-            if m - q + r < 0:
-                continue
-            coeff = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-            logs.append(
-                math.log(coeff)
-                + 0.5 * specfun.log_factorial(m)
-                - specfun.log_factorial(m - q + r)
-            )
-        if not logs:
-            return 0.0
-        peak = max(logs)
-        log_mag = 2.0 * (peak + math.log(sum(math.exp(v - peak) for v in logs)))
-    if a2 == 0.0:
-        log_alpha_term = 0.0 if k == 0 else -math.inf
-    else:
-        log_alpha_term = k * math.log(a2)
-    log_p = -a2 + log_alpha_term + log_mag
-    if log_p == -math.inf:
-        return 0.0
-    return 4.0 * math.exp(log_p) / norm
+    log_power = k * math.log(a2) if k else 0.0
+    return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +357,7 @@ def _newton_coeffs(op: EngineeringOp) -> tuple[tuple[int, float], ...]:
 
 def _husimi_thermal(spec: StateSpec, beta: complex) -> float:
     # Q = e^(-|beta|^2) / pi * sum_m P_m |beta|^(2m) / m! with P_m from
-    # _photon_prob_thermal; the sum is e^(x|beta|^2) times a polynomial
+    # photon_prob; the sum is e^(x|beta|^2) times a polynomial
     norm = _norm(spec)
     p, q = spec.op.p, spec.op.q
     x, y = _thermal_xy(spec)
@@ -393,30 +367,32 @@ def _husimi_thermal(spec: StateSpec, beta: complex) -> float:
     return math.exp(-b2 * y) * y ** (1 + p + q) * series / (math.pi * norm)
 
 
+@lru_cache(maxsize=None)
+def _operator_terms(op: EngineeringOp) -> tuple[tuple[int, int, int], ...]:
+    """Normal form of O itself as terms (M, N, c): O = sum c a'^M a^N.
+
+    Subtract-then-add a'^q a^p is already normally ordered; add-then-subtract
+    a^p a'^q (bare is its p = q = 0 case) expands by normal_order_product.
+    """
+    if op.order == ORDER_SUBTRACT_THEN_ADD:
+        return ((op.q, op.p, 1),)
+    return tuple((t.dagger_power, t.plain_power, t.coefficient)
+                 for t in specfun.normal_order_product(op.p, op.q))
+
+
 def _husimi_ecs(spec: StateSpec, beta: complex) -> float:
+    # <beta| a'^M a^N |+-alpha> = conj(beta)^M (+-alpha)^N <beta|+-alpha>, and
+    # <beta|+-alpha> = exp(+-alpha conj(beta) - h) has real part
+    # -|beta -+ alpha|^2 / 2 <= 0, so neither overlap can overflow
     alpha = spec.amplitude
-    p, q = spec.op.p, spec.op.q
     norm = _norm(spec)
     bc = beta.conjugate()
-    gauss = math.exp(-abs(alpha) ** 2 - abs(beta) ** 2)
-    if spec.op.order == ORDER_SUBTRACT_THEN_ADD:
-        exch_sign = -1.0 if p % 2 else 1.0
-        amp = cmath.exp(alpha * bc) + exch_sign * cmath.exp(-alpha * bc)
-        value = abs(beta) ** (2 * q) * abs(alpha) ** (2 * p) * gauss * abs(amp) ** 2
-        return value / (math.pi * norm)
-    # add-then-subtract (and bare): explicit contraction sum, the exchange
-    # sign (-1)^(p-r) stays inside the r-sum
-    amp = 0j
-    for r in range(min(p, q) + 1):
-        coeff = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-        exch_sign = -1.0 if (p - r) % 2 else 1.0
-        amp += (
-            coeff
-            * bc ** (q - r)
-            * alpha ** (p - r)
-            * (cmath.exp(alpha * bc) + exch_sign * cmath.exp(-alpha * bc))
-        )
-    return gauss * abs(amp) ** 2 / (math.pi * norm)
+    h = 0.5 * (abs(alpha) ** 2 + abs(beta) ** 2)
+    plus = cmath.exp(alpha * bc - h)
+    minus = cmath.exp(-alpha * bc - h)
+    amp = sum(c * bc ** dag * alpha ** plain * (plus - minus if plain % 2 else plus + minus)
+              for dag, plain, c in _operator_terms(spec.op))
+    return abs(amp) ** 2 / (math.pi * norm)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,9 @@ def sweep(
         lo = float(param_range.get("min", lo))
         hi = float(param_range.get("max", hi))
         steps = int(param_range.get("steps", steps))
-    if lo < 0 or hi <= lo:
-        raise ValueError("parameter range must be non-negative and increasing")
+    # NaN fails every comparison, so non-finite bounds fail this check too
+    if not 0 <= lo < hi < math.inf:
+        raise ValueError("parameter range must be finite, non-negative and increasing")
     values = _grid(lo, hi, steps)
 
     ops = list(variants)

@@ -109,6 +109,15 @@ class TestWitnessCommand:
         proc = run_cli("witness", "--name", "sorcery", "--family", "thermal", "--rbar", "1")
         assert proc.returncode == 2
 
+    def test_klyshko_at_huge_photon_number(self):
+        proc = run_cli(
+            "witness", "--name", "klyshko", "--m", str(10 ** 200), "--family", "thermal",
+            "--op", "pas", "--p", "1", "--q", "1", "--rbar", "1",
+        )
+        assert proc.returncode == 0
+        name, order, value, flag = proc.stdout.strip().split(",")
+        assert (name, order, value, flag) == ("klyshko", str(10 ** 200), "0.0", "false")
+
     def test_husimi_zero_record(self):
         proc = run_cli(
             "witness", "--name", "husimi-zero", "--family", "thermal",
@@ -169,6 +178,35 @@ class TestSweepCommand:
             "sweep", "--name", "hoa", "--family", "thermal", "--variants", "XYZ(1:1)",
         )
         assert proc.returncode == 2
+
+
+_MOMENT = ("moment", "--m", "1", "--n", "1")
+_SWEEP = ("sweep", "--name", "mandel", "--family", "thermal")
+
+
+class TestNumericDomain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _MOMENT + ("--family", "thermal", "--rbar", "nan"),
+            _MOMENT + ("--family", "thermal", "--rbar", "inf"),
+            _MOMENT + ("--family", "ecs", "--alpha", "nan"),
+            _MOMENT + ("--family", "ecs", "--alpha", "inf"),
+            _SWEEP + ("--param-min", "nan"),
+            _SWEEP + ("--param-max", "inf"),
+            _SWEEP + ("--steps", "1"),
+            _SWEEP + ("--param-min", "5", "--param-max", "1"),
+            _SWEEP + ("--variants", "PAS(9:1)"),
+            ("figure", "fig1", "--steps", "1"),
+            ("figure", "fig7", "--grid-steps", "1"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_is_config_error(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerifyCommand:

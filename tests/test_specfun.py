@@ -171,26 +171,6 @@ class TestHypergeometric:
         assert mine == pytest.approx(reference, rel=1e-11)
 
 
-class TestHermite2:
-    @pytest.mark.parametrize("x,y", [(0.5, 2.0), (1 + 1j, 2 - 0.5j), (-1.5, 0.25)])
-    def test_first_order(self, x, y):
-        assert specfun.hermite2(1, 1, x, y) == pytest.approx(x * y - 1)
-
-    @pytest.mark.parametrize("m", range(5))
-    def test_single_index_reduces_to_power(self, m):
-        x, y = 1.3 - 0.2j, 0.7j
-        assert specfun.hermite2(m, 0, x, y) == pytest.approx(x ** m)
-        assert specfun.hermite2(0, m, x, y) == pytest.approx(y ** m)
-
-    def test_second_order_value(self):
-        assert specfun.hermite2(2, 2, 1, 1) == pytest.approx(-1.0)
-
-    @pytest.mark.parametrize("m,n", [(2, 3), (4, 1), (3, 3), (5, 2)])
-    def test_index_swap_symmetry(self, m, n):
-        x, y = 0.8 + 0.3j, -1.1 + 0.6j
-        assert specfun.hermite2(m, n, x, y) == pytest.approx(specfun.hermite2(n, m, y, x))
-
-
 class TestNormalOrdering:
     def test_single_commutator(self):
         terms = {(t.dagger_power, t.plain_power): t.coefficient

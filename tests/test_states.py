@@ -99,6 +99,15 @@ class TestStateSpec:
         with pytest.raises(ValueError):
             StateSpec("even_coherent", mean_photon_number=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateSpec.thermal(bad)
+        with pytest.raises(ValueError, match="finite"):
+            StateSpec.even_coherent(bad)
+        with pytest.raises(ValueError, match="finite"):
+            StateSpec.even_coherent(complex(1.0, bad))
+
     def test_canonical_strings(self):
         assert StateSpec.thermal(1.0, EngineeringOp.pas(2, 1)).canonical() == "thermal(rbar=1.0)|PAS(2,1)"
         assert StateSpec.even_coherent(1 + 0.5j).canonical() == "ecs(alpha=1.0+0.5j)|bare"
@@ -295,6 +304,8 @@ class TestPhotonProb:
             StateSpec.thermal(2.0, EngineeringOp.psa(1, 2)),
             StateSpec.even_coherent(1.4, EngineeringOp.pas(1, 2)),
             StateSpec.even_coherent(0.6, EngineeringOp.psa(2, 1)),
+            StateSpec.even_coherent(0.9 + 0.4j, EngineeringOp.pas(3, 1)),
+            StateSpec.even_coherent(1.3),
         ],
     )
     def test_matches_oracle_distribution(self, spec):
@@ -314,6 +325,18 @@ class TestPhotonProb:
     def test_sums_to_one(self, spec):
         total = sum(photon_prob(spec, m) for m in range(200))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec.thermal(1.0, EngineeringOp.pas(1, 1)),
+            StateSpec.even_coherent(1.0, EngineeringOp.pas(1, 1)),
+            StateSpec.even_coherent(1.0, EngineeringOp.psa(1, 1)),
+        ],
+    )
+    def test_huge_photon_number_is_zero(self, spec):
+        # W(m) is beyond the float range there, the bare weight underflows
+        assert photon_prob(spec, 10 ** 200) == 0.0
 
 
 class TestHusimi:
@@ -339,6 +362,8 @@ class TestHusimi:
             StateSpec.thermal(2.0, EngineeringOp.psa(2, 1)),
             StateSpec.even_coherent(2.0, EngineeringOp.pas(2, 4)),
             StateSpec.even_coherent(1.2, EngineeringOp.psa(1, 2)),
+            StateSpec.even_coherent(0.9 + 0.4j, EngineeringOp.pas(3, 1)),
+            StateSpec.even_coherent(1.5 - 0.5j),
             # the four engineered thermal panels of fig7
             StateSpec.thermal(2.0, EngineeringOp.pas(2, 4)),
             StateSpec.thermal(2.0, EngineeringOp.psa(2, 4)),
@@ -358,6 +383,16 @@ class TestHusimi:
             assert husimi(spec, beta) == pytest.approx(
                 oracle.oracle_husimi(state, beta), rel=1e-9
             )
+
+    def test_bare_cat_at_large_amplitude(self):
+        # |<199|200>|^2 = e^-1, the |-200> overlap is e^-79601, norm 2
+        value = husimi(StateSpec.even_coherent(200.0), 199.0)
+        assert value == pytest.approx(math.exp(-1.0) / (2 * math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("op", [EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1)])
+    def test_engineered_cat_at_large_amplitude_is_finite(self, op):
+        value = husimi(StateSpec.even_coherent(200.0, op), 199.0 + 0.5j)
+        assert math.isfinite(value) and value >= 0.0
 
     @pytest.mark.parametrize(
         "spec,radius",
