@@ -15,9 +15,11 @@ The package has three layers:
 from .errors import (
     CutoffExceeded,
     DegenerateState,
+    EmptyWindow,
     FockwitnessError,
     NonConvergent,
     OddOrder,
+    OutOfRange,
     PoleInDenominatorParams,
     SingularDenominator,
     ZeroMeanPhoton,
@@ -30,11 +32,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CutoffExceeded",
     "DegenerateState",
+    "EmptyWindow",
     "EngineeringOp",
     "FockwitnessError",
     "MomentTable",
     "NonConvergent",
     "OddOrder",
+    "OutOfRange",
     "PoleInDenominatorParams",
     "ScanGrid",
     "SingularDenominator",

@@ -3,11 +3,15 @@
 Exit codes are the machine-readable failure channel:
 
     0  success
-    1  verification failure (a verify suite failed, or engine=both deviated)
-    2  configuration error (bad flags, unknown figure id, ...)
+    1  verification failure (a verify suite failed, or engine=both deviated
+       beyond --tol; sweep and figure still write their CSVs)
+    2  configuration error: bad flags, unknown figure id, an odd order for
+       hos, a Husimi window on which Q is 0 everywhere, an oracle basis
+       beyond its hard cutoff, or a value beyond the float range
     3  the requested state is annihilated by its engineering operation
     4  a series failed to converge (the analytic engine sums none)
-    5  an indeterminate determinant-ratio witness
+    5  an indeterminate or undefined witness (vanishing determinant-ratio
+       denominator, Mandel function of a zero-mean state)
 
 All stdout records are single-line CSV. Floats print in their shortest
 round-trip form (17 significant digits at most).
@@ -22,9 +26,14 @@ from . import sweep_report, verify
 from . import states as states_mod
 from . import witnesses as witnesses_mod
 from .errors import (
+    CutoffExceeded,
     DegenerateState,
+    EmptyWindow,
     NonConvergent,
+    OddOrder,
+    OutOfRange,
     SingularDenominator,
+    ZeroMeanPhoton,
 )
 from .states import EngineeringOp, StateSpec
 
@@ -71,14 +80,46 @@ _CONFIG_KEYS = {
 }
 
 
+# --tol where none is given: the analytic/oracle deviation allowed under --engine both
+DEFAULT_TOL = 1e-8
+
+
 class ConfigError(Exception):
     pass
+
+
+# The one map from exception to exit code and stderr prefix; main() looks
+# each raised exception's classes up here, most specific first.
+_EXIT_CODES = {
+    ConfigError: (EXIT_CONFIG, "configuration error"),
+    OddOrder: (EXIT_CONFIG, "configuration error"),
+    EmptyWindow: (EXIT_CONFIG, "configuration error"),
+    CutoffExceeded: (EXIT_CONFIG, "oracle basis too large"),
+    OutOfRange: (EXIT_CONFIG, "out of float range"),
+    DegenerateState: (EXIT_DEGENERATE, "degenerate state"),
+    NonConvergent: (EXIT_NONCONVERGENT, "series did not converge"),
+    SingularDenominator: (EXIT_SINGULAR, "indeterminate witness"),
+    ZeroMeanPhoton: (EXIT_SINGULAR, "undefined witness"),
+}
 
 
 def _fmt(x: float) -> str:
     if x == 0:
         return "0"
     return repr(float(x))
+
+
+def _tolerance(args: argparse.Namespace) -> float:
+    return DEFAULT_TOL if args.tol is None else args.tol
+
+
+def _check_deviations(deviations: dict[str, float], tol: float) -> int:
+    """EXIT_VERIFY_FAILED, naming each deviation above tol on stderr, or EXIT_OK."""
+    # a NaN deviation fails too
+    failed = {name: dev for name, dev in deviations.items() if not dev <= tol}
+    for name, dev in failed.items():
+        print(f"analytic/oracle deviation exceeds tolerance {tol!r}: {name} {dev!r}", file=sys.stderr)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def _read_config_file(path: str) -> dict:
@@ -183,7 +224,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         reference = oracle_mod.oracle_moment(state, args.m, args.n)
         if value is None:
             value = reference
-        elif abs(value - reference) / max(abs(reference), 1e-30) > (args.tol or 1e-8):
+        elif abs(value - reference) / max(abs(reference), 1e-30) > _tolerance(args):
             print(f"{args.m},{args.n},{_fmt(value.real)},{_fmt(value.imag)}")
             print(
                 f"analytic/oracle deviation exceeds tolerance: {value!r} vs {reference!r}",
@@ -221,7 +262,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     result = run("analytic" if engine in ("analytic", "both") else "oracle")
     if engine == "both":
         reference = run("oracle")
-        tol = args.tol or 1e-8
+        tol = _tolerance(args)
         dev = abs(result.value - reference.value)
         if dev / max(abs(reference.value), 1e-30) > tol and dev > tol:
             _print_witness(result)
@@ -309,7 +350,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(args.out)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return _check_deviations(table.metadata.get("max_deviation", {}), _tolerance(args))
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -328,7 +369,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     manifest = sweep_report.write_figure_pack(pack, out_dir)
     for name, path in manifest:
         print(f"{name},{path}")
-    return EXIT_OK
+    # per series for a sweep panel, one number for a Husimi grid
+    deviations = {}
+    for name, panel in pack.panels:
+        dev = panel.metadata.get("max_deviation", {})
+        if isinstance(dev, dict):
+            deviations.update({f"{args.figure_id}_{name} {label}": v for label, v in dev.items()})
+        else:
+            deviations[f"{args.figure_id}_{name}"] = dev
+    return _check_deviations(deviations, _tolerance(args))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -397,18 +446,10 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateState as exc:
-        print(f"degenerate state: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NonConvergent as exc:
-        print(f"series did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
-    except SingularDenominator as exc:
-        print(f"indeterminate witness: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

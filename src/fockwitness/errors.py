@@ -31,3 +31,11 @@ class SingularDenominator(FockwitnessError):
 
 class CutoffExceeded(FockwitnessError):
     """A truncated-basis computation would exceed the configured hard limit."""
+
+
+class EmptyWindow(FockwitnessError):
+    """A Husimi scan window holds no part of the state: Q is 0 at every point."""
+
+
+class OutOfRange(FockwitnessError):
+    """A requested value lies beyond the float range."""

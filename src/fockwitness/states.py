@@ -31,8 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from . import specfun
-from .errors import DegenerateState
+from .errors import DegenerateState, OutOfRange
 
 # Engineering orders beyond this are rejected at construction time.
 MAX_ENGINEERING_ORDER = 8
@@ -225,24 +227,38 @@ def _norm(spec: StateSpec) -> float:
 
     A thermal state is annihilated exactly when rbar = 0 and its norm has no
     constant term (k0 > 0), never because a float underflowed. A cat norm at
-    or below DEGENERATE_NORM_FLOOR counts as annihilated.
+    or below DEGENERATE_NORM_FLOOR counts as annihilated; a cat whose
+    |alpha|^2 overflows (|alpha| > ~1.3e154) raises OutOfRange.
     """
     if spec.family == FAMILY_THERMAL:
         if _lowest_power(spec.op) and spec.mean_photon_number == 0:
             raise DegenerateState(f"{spec.canonical()} is annihilated")
         return float(_unnormalized_moment(spec, 0, 0))
-    norm = _unnormalized_moment(spec, 0, 0).real
+    try:
+        norm = _unnormalized_moment(spec, 0, 0).real
+    except OverflowError:
+        raise OutOfRange(f"|alpha|^2 of {spec.canonical()} exceeds the float range") from None
     if not norm > DEGENERATE_NORM_FLOOR:
         raise DegenerateState(f"{spec.canonical()} is annihilated")
     return norm
 
 
 def moment(spec: StateSpec, m: int, n: int) -> complex:
-    """Normalized <a'^m a^n> for any spec: its contraction over the (0,0) entry."""
+    """Normalized <a'^m a^n> for any spec: its contraction over the (0,0) entry.
+
+    A value beyond the float range (e.g. <a'^2 a^2> of thermal PAS(2,2) at
+    rbar = 1e200, about 3e401) raises OutOfRange.
+    """
     if m < 0 or n < 0:
         raise ValueError("moment orders must be non-negative")
     norm = _norm(spec)
-    return complex(_unnormalized_moment(spec, m, n) / norm)
+    try:
+        value = complex(_unnormalized_moment(spec, m, n) / norm)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise OutOfRange(f"<a'^{m} a^{n}> of {spec.canonical()} exceeds the float range")
+    return value
 
 
 def moment_thermal(spec: StateSpec, m: int, n: int) -> float:
@@ -303,7 +319,9 @@ def photon_prob(spec: StateSpec, m: int) -> float:
     The bare weight of level k = m + p - q times W(m) = _fock_weight, over
     the norm: y x^k for the thermal state, 4 e^(-|alpha|^2) |alpha|^(2k) / k!
     on even k (0 on odd k) for the unnormalized even cat. A bare weight that
-    underflows makes the probability 0, however large W(m) is.
+    underflows makes the probability 0, however large W(m) is; a thermal
+    W(m) beyond the float range that it does not cancel (rbar > ~1e16 and
+    m > ~1e19) raises OutOfRange.
     """
     if m < 0:
         raise ValueError("photon number must be non-negative")
@@ -315,9 +333,18 @@ def photon_prob(spec: StateSpec, m: int) -> float:
     k = m + p - q
     if spec.family == FAMILY_THERMAL:
         x, y = _thermal_xy(spec)
-        # y x^k in the units of _norm
-        bare = x ** (k - _lowest_power(spec.op))
-        return bare * weight * y ** (1 + p + q) / norm if bare else 0.0
+        rbar = spec.mean_photon_number
+        # y x^k in the units of _norm; from rbar = 1 on, x^k goes through
+        # log1p(1/rbar), since x itself rounds to 1.0 past rbar ~ 1e16 and
+        # would hide that x^k underflows
+        power = k - _lowest_power(spec.op)
+        bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
+        if not bare:
+            return 0.0
+        try:
+            return bare * weight * y ** (1 + p + q) / norm
+        except OverflowError:
+            raise OutOfRange(f"W({m}) of {spec.canonical()} exceeds the float range") from None
     a2 = abs(spec.amplitude) ** 2
     if k % 2 or (k and not a2):
         return 0.0
@@ -329,12 +356,28 @@ def photon_prob(spec: StateSpec, m: int) -> float:
 # Husimi Q function
 # ---------------------------------------------------------------------------
 
-def husimi(spec: StateSpec, beta: complex) -> float:
-    """Husimi Q(beta) = <beta| sigma |beta> / pi for the engineered state."""
-    beta = complex(beta)
-    if spec.family == FAMILY_THERMAL:
-        return _husimi_thermal(spec, beta)
-    return _husimi_ecs(spec, beta)
+def husimi(spec: StateSpec, beta):
+    """Husimi Q(beta) = <beta| sigma |beta> / pi for the engineered state.
+
+    beta is a complex scalar or an array of any shape. The norm is computed
+    once per call and the closed form is evaluated over the whole array, so
+    a grid costs one call: a scalar gives a float, an array an ndarray of
+    the same shape. Thermal Q is e^(-y|beta|^2) times a finite polynomial in
+    |beta|^2; the cat Q sums the coherent-state matrix elements of the
+    operation's normal form. Where |beta|^(2(p+q)) leaves the float range
+    (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange.
+    """
+    beta = np.asarray(beta, dtype=complex)
+    norm = _norm(spec)
+    # a power of |beta| that leaves the float range shows up as inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == FAMILY_THERMAL:
+            q = _husimi_thermal(spec, beta, norm)
+        else:
+            q = _husimi_ecs(spec, beta, norm)
+    if not np.isfinite(q).all():
+        raise OutOfRange(f"Husimi Q of {spec.canonical()} leaves the float range at large |beta|")
+    return float(q) if beta.ndim == 0 else q
 
 
 @lru_cache(maxsize=None)
@@ -355,16 +398,15 @@ def _newton_coeffs(op: EngineeringOp) -> tuple[tuple[int, float], ...]:
     return tuple(coeffs)
 
 
-def _husimi_thermal(spec: StateSpec, beta: complex) -> float:
+def _husimi_thermal(spec: StateSpec, beta: np.ndarray, norm: float) -> np.ndarray:
     # Q = e^(-|beta|^2) / pi * sum_m P_m |beta|^(2m) / m! with P_m from
     # photon_prob; the sum is e^(x|beta|^2) times a polynomial
-    norm = _norm(spec)
     p, q = spec.op.p, spec.op.q
     x, y = _thermal_xy(spec)
-    b2 = abs(beta) ** 2
+    b2 = np.abs(beta) ** 2
     shift = p - q - _lowest_power(spec.op)
     series = sum(c * x ** (j + shift) * b2 ** j for j, c in _newton_coeffs(spec.op))
-    return math.exp(-b2 * y) * y ** (1 + p + q) * series / (math.pi * norm)
+    return np.exp(-b2 * y) * y ** (1 + p + q) * series / (math.pi * norm)
 
 
 @lru_cache(maxsize=None)
@@ -380,19 +422,18 @@ def _operator_terms(op: EngineeringOp) -> tuple[tuple[int, int, int], ...]:
                  for t in specfun.normal_order_product(op.p, op.q))
 
 
-def _husimi_ecs(spec: StateSpec, beta: complex) -> float:
+def _husimi_ecs(spec: StateSpec, beta: np.ndarray, norm: float) -> np.ndarray:
     # <beta| a'^M a^N |+-alpha> = conj(beta)^M (+-alpha)^N <beta|+-alpha>, and
     # <beta|+-alpha> = exp(+-alpha conj(beta) - h) has real part
     # -|beta -+ alpha|^2 / 2 <= 0, so neither overlap can overflow
     alpha = spec.amplitude
-    norm = _norm(spec)
-    bc = beta.conjugate()
-    h = 0.5 * (abs(alpha) ** 2 + abs(beta) ** 2)
-    plus = cmath.exp(alpha * bc - h)
-    minus = cmath.exp(-alpha * bc - h)
+    bc = np.conj(beta)
+    h = 0.5 * (abs(alpha) ** 2 + np.abs(beta) ** 2)
+    plus = np.exp(alpha * bc - h)
+    minus = np.exp(-alpha * bc - h)
     amp = sum(c * bc ** dag * alpha ** plain * (plus - minus if plain % 2 else plus + minus)
               for dag, plain, c in _operator_terms(spec.op))
-    return abs(amp) ** 2 / (math.pi * norm)
+    return np.abs(amp) ** 2 / (math.pi * norm)
 
 
 # ---------------------------------------------------------------------------

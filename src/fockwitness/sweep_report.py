@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import oracle as oracle_mod
 from . import states as states_mod
 from . import witnesses as witnesses_mod
@@ -180,30 +182,30 @@ def husimi_grid(
     steps: int = HUSIMI_STEPS,
     engine: str = "analytic",
 ) -> HusimiGrid:
-    """Husimi Q on a square grid; rows scan Im(beta), columns Re(beta)."""
+    """Husimi Q on a square grid; rows scan Im(beta), columns Re(beta).
+
+    The analytic engine evaluates the whole grid in one states.husimi call
+    on the meshgrid beta[i, j] = axis[j] + i axis[i]. The oracle (engine
+    "oracle", and the second route of "both") works point by point on one
+    truncated basis large enough for the window corner.
+    """
     axis = _grid(window[0], window[1], steps)
-    state = None
     if engine in ("oracle", "both"):
         corner = max(abs(window[0]), abs(window[1]))
         state = oracle_mod.build_truncated(spec, min_cutoff=int(8 * corner ** 2) + 8)
-    rows = []
-    max_dev = 0.0
-    for im in axis:
-        row = []
-        for re in axis:
-            beta = complex(re, im)
-            if engine == "oracle":
-                q = oracle_mod.oracle_husimi(state, beta)
-            else:
-                q = states_mod.husimi(spec, beta)
-                if engine == "both":
-                    q_o = oracle_mod.oracle_husimi(state, beta)
-                    max_dev = max(max_dev, abs(q - q_o) / max(abs(q_o), 1.0))
-            row.append(q)
-        rows.append(row)
+        reference = [[oracle_mod.oracle_husimi(state, complex(re, im)) for re in axis] for im in axis]
+    if engine == "oracle":
+        rows = reference
+    else:
+        points = np.array(axis)
+        rows = states_mod.husimi(spec, points[None, :] + 1j * points[:, None]).tolist()
     metadata = {"spec": spec.canonical(), "engine": engine}
     if engine == "both":
-        metadata["max_deviation"] = max_dev
+        metadata["max_deviation"] = max(
+            abs(q - q_o) / max(abs(q_o), 1.0)
+            for row, row_o in zip(rows, reference)
+            for q, q_o in zip(row, row_o)
+        )
     return HusimiGrid(label, list(axis), list(axis), rows, metadata)
 
 
@@ -295,12 +297,12 @@ def sweep_table_csv(table: SweepTable) -> str:
 
 
 def husimi_grid_csv(grid: HusimiGrid) -> str:
+    # each axis value is formatted once per grid, not once per cell
+    res = [format_float(re) for re in grid.re_values]
     lines = ["re,im,q_value"]
-    for i, im in enumerate(grid.im_values):
-        for j, re in enumerate(grid.re_values):
-            lines.append(
-                ",".join([format_float(re), format_float(im), format_float(grid.q_values[i][j])])
-            )
+    for im, row in zip(grid.im_values, grid.q_values):
+        tail = f",{format_float(im)},"
+        lines.extend(re + tail + format_float(q) for re, q in zip(res, row))
     return "\n".join(lines) + "\n"
 
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle as oracle_mod
 from . import states as states_mod
-from .errors import OddOrder, SingularDenominator, ZeroMeanPhoton
+from .errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
 from .specfun import binomial, double_factorial, quadrature_power_coeffs, stirling2
 from .states import MomentTable, StateSpec
 
@@ -214,23 +216,47 @@ class ScanGrid:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid bounds must be well ordered")
 
-    def points(self):
-        """Row-major grid points (imaginary part varies slowest)."""
+    def axes(self) -> tuple[list[float], list[float]]:
+        """(re values, im values): re_min + j d_re and im_min + i d_im."""
         d_re = (self.re_max - self.re_min) / (self.steps - 1)
         d_im = (self.im_max - self.im_min) / (self.steps - 1)
-        for i in range(self.steps):
-            im = self.im_min + i * d_im
-            for j in range(self.steps):
-                yield complex(self.re_min + j * d_re, im)
+        return ([self.re_min + j * d_re for j in range(self.steps)],
+                [self.im_min + i * d_im for i in range(self.steps)])
+
+    def points(self):
+        """Row-major grid points (imaginary part varies slowest)."""
+        re_axis, im_axis = self.axes()
+        for im in im_axis:
+            for re in re_axis:
+                yield complex(re, im)
 
 
-def _husimi_grid_values(spec, grid, engine, tail_tol):
+def _husimi_grid_values(spec, grid, engine, tail_tol) -> np.ndarray:
+    """Q at grid.points(), in their row-major order."""
     if engine == "analytic":
-        return [states_mod.husimi(spec, beta) for beta in grid.points()]
+        re_axis, im_axis = map(np.array, grid.axes())
+        return states_mod.husimi(spec, re_axis[None, :] + 1j * im_axis[:, None]).ravel()
     corner = max(abs(grid.re_min), abs(grid.re_max)) ** 2
     corner += max(abs(grid.im_min), abs(grid.im_max)) ** 2
     state = oracle_mod.build_truncated(spec, tail_tol, min_cutoff=int(4 * corner) + 8)
-    return [oracle_mod.oracle_husimi(state, beta) for beta in grid.points()]
+    return np.array([oracle_mod.oracle_husimi(state, beta) for beta in grid.points()])
+
+
+def _relative_husimi(spec, grid, engine, tail_tol) -> np.ndarray:
+    """Q over its grid maximum, row-major.
+
+    Raises EmptyWindow where Q is 0 at every point (a cat whose amplitude
+    puts it outside the window): no point can then be told from a zero.
+    """
+    values = _husimi_grid_values(spec, grid, engine, tail_tol)
+    q_max = values.max()
+    if not q_max > 0.0:
+        raise EmptyWindow(
+            f"Husimi Q of {spec.canonical()} is 0 on the whole window "
+            f"Re(beta) in [{grid.re_min!r}, {grid.re_max!r}], "
+            f"Im(beta) in [{grid.im_min!r}, {grid.im_max!r}]"
+        )
+    return values / q_max
 
 
 def husimi_zero_scan(
@@ -244,17 +270,11 @@ def husimi_zero_scan(
 
     The threshold is relative to the grid maximum because Q magnitudes vary
     by orders of magnitude between states. Deterministic row-major order.
+    A window on which Q is 0 everywhere raises EmptyWindow.
     """
     grid = grid or ScanGrid()
-    values = _husimi_grid_values(spec, grid, engine, tail_tol)
-    q_max = max(values)
-    if q_max <= 0.0:
-        return list(grid.points())
-    return [
-        beta
-        for beta, q in zip(grid.points(), values)
-        if q < zero_threshold * q_max
-    ]
+    relative = _relative_husimi(spec, grid, engine, tail_tol)
+    return [beta for beta, r in zip(grid.points(), relative) if r < zero_threshold]
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +318,7 @@ def evaluate_witness(
         value = klyshko(spec, order, engine, tail_tol)
         return WitnessResult(witness, order, value, value < 0.0, engine)
     if witness == "husimi_zero":
-        used = grid or ScanGrid()
-        values = _husimi_grid_values(spec, used, engine, tail_tol)
-        q_max = max(values)
-        rel_min = min(values) / q_max if q_max > 0 else 0.0
-        nonclassical = q_max <= 0.0 or rel_min < zero_threshold
-        return WitnessResult("husimi_zero", 0, rel_min, nonclassical, engine)
+        # the husimi_zero_scan rule: some point lies below the threshold
+        rel_min = float(_relative_husimi(spec, grid or ScanGrid(), engine, tail_tol).min())
+        return WitnessResult("husimi_zero", 0, rel_min, rel_min < zero_threshold, engine)
     raise ValueError(f"unknown witness {witness!r}")

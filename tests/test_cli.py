@@ -209,6 +209,70 @@ class TestNumericDomain:
         assert "Traceback" not in proc.stderr
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (("witness", "--name", "hos", "--l", "3", "--family", "thermal", "--rbar", "1"),
+             2, "configuration error: hos is defined for even order only"),
+            (("witness", "--name", "mandel", "--family", "thermal", "--rbar", "0"),
+             5, "undefined witness:"),
+            (("witness", "--name", "mandel", "--engine", "oracle", "--family", "thermal", "--rbar", "500"),
+             2, "oracle basis too large:"),
+            (("moment", "--m", "2", "--n", "2", "--family", "thermal", "--op", "pas",
+              "--p", "2", "--q", "2", "--rbar", "1e200"),
+             2, "out of float range:"),
+            (_MOMENT + ("--family", "ecs", "--alpha", "1e200"), 2, "out of float range:"),
+            (("witness", "--name", "husimi-zero", "--family", "ecs", "--alpha", "200"),
+             2, "configuration error: Husimi Q of ecs(alpha=200.0)|bare is 0 on the whole window"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_typed_error_exit_code(self, argv, code, prefix):
+        proc = run_cli(*argv)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_klyshko_underflow_hidden_by_rounded_x(self):
+        proc = run_cli(
+            "witness", "--name", "klyshko", "--m", str(10 ** 30), "--family", "thermal",
+            "--op", "pas", "--p", "8", "--q", "8", "--rbar", "1e16",
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"klyshko,{10 ** 30},0.0,false"
+        assert proc.stderr == ""
+
+
+class TestBothEngineTolerance:
+    def test_figure_deviation_above_tol_fails_but_writes(self, tmp_path):
+        proc = run_cli("figure", "fig7", "--grid-steps", "5", "--engine", "both",
+                       "--tol", "1e-30", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "analytic/oracle deviation exceeds tolerance 1e-30: fig7_a " in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig7_{c}.csv" for c in "abcde"]
+        assert len(proc.stdout.strip().splitlines()) == 5
+
+    def test_sweep_deviation_above_tol_fails_but_writes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        proc = run_cli(*_SWEEP, "--steps", "3", "--engine", "both", "--tol", "1e-30", "--out", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "exceeds tolerance 1e-30: PAS(1,1) " in proc.stderr
+        assert out.read_text().startswith("param,PAS(1,1),PAS(1,1)@oracle,")
+
+    @pytest.mark.parametrize("argv", [
+        ("figure", "fig8", "--grid-steps", "3", "--engine", "both"),
+        _SWEEP + ("--steps", "3", "--engine", "both"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_default_tol_passes(self, argv, tmp_path):
+        proc = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self):
         proc = run_cli("verify", "--suite", "determinism")

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from fockwitness import oracle, states
 from fockwitness.sweep_report import BETA_WINDOW
-from fockwitness.errors import DegenerateState
+from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.specfun import log_factorial
 from fockwitness.states import (
     EngineeringOp,
@@ -337,6 +339,113 @@ class TestPhotonProb:
     def test_huge_photon_number_is_zero(self, spec):
         # W(m) is beyond the float range there, the bare weight underflows
         assert photon_prob(spec, 10 ** 200) == 0.0
+
+
+    @pytest.mark.parametrize("rbar, m", [(1e6, 10 ** 8), (50.0, 150), (3.0, 40)])
+    def test_large_rbar_power_is_accurate(self, rbar, m):
+        # bare thermal p_m = (1 - x) x^m at 50 digits; x^m from the rounded
+        # x = rbar/(1+rbar) is off by ~m * 1e-16 relative
+        with mpmath.workdps(50):
+            r = mpmath.mpf(rbar)
+            expected = float((1 / (1 + r)) * (r / (1 + r)) ** m)
+        assert photon_prob(StateSpec.thermal(rbar), m) == pytest.approx(expected, rel=1e-13)
+
+    def test_underflow_hidden_by_rounded_x_is_zero(self):
+        # x rounds to 1.0 at rbar = 1e16, but x^m = e^(-m/rbar) = e^(-1e14)
+        spec = StateSpec.thermal(1e16, EngineeringOp.pas(8, 8))
+        assert photon_prob(spec, 10 ** 30) == 0.0
+
+    def test_weight_beyond_float_range_is_typed(self):
+        # x^m = e^(-100) does not cancel W(m) ~ m^16 ~ 1e320
+        spec = StateSpec.thermal(1e18, EngineeringOp.pas(8, 8))
+        with pytest.raises(OutOfRange):
+            photon_prob(spec, 10 ** 20)
+
+
+class TestOutOfRange:
+    def test_thermal_moment_beyond_float_range(self):
+        # <a'^2 a^2> of PAS(2,2) at rbar = 1e200 is about 3e401
+        with pytest.raises(OutOfRange):
+            states.moment(StateSpec.thermal(1e200, EngineeringOp.pas(2, 2)), 2, 2)
+
+    def test_cat_moment_beyond_float_range(self):
+        with pytest.raises(OutOfRange):
+            states.moment(StateSpec.even_coherent(1e100), 2, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: states.moment(spec, 1, 1),
+        lambda spec: photon_prob(spec, 2),
+        lambda spec: husimi(spec, 0j),
+    ])
+    def test_cat_norm_beyond_float_range(self, call):
+        with pytest.raises(OutOfRange):
+            call(StateSpec.even_coherent(1e200))
+
+
+    @pytest.mark.parametrize("spec, beta", [
+        (StateSpec.thermal(2.0, EngineeringOp.pas(8, 8)), 1e10),
+        (StateSpec.even_coherent(2.0, EngineeringOp.pas(8, 8)), 1e200),
+    ])
+    def test_husimi_power_of_beta_beyond_float_range(self, spec, beta):
+        # |beta|^32 overflows where the Gaussian has underflowed: inf * 0
+        with pytest.raises(OutOfRange):
+            husimi(spec, np.array([0.5, beta]))
+        assert husimi(StateSpec.thermal(2.0), beta) == 0.0
+
+
+def _engineered(order):
+    if order == "bare":
+        return [EngineeringOp.bare()]
+    make = EngineeringOp.pas if order == "pas" else EngineeringOp.psa
+    return [make(p, q) for p in range(5) for q in range(5)]
+
+
+# the corners of the figure window and points inside it
+_ARRAY_BETAS = np.array([
+    [complex(-4, -4), complex(4, -4), complex(-4, 4), complex(4, 4)],
+    [0j, 0.3 + 0j, -1.1 + 0.4j, 2.5 - 3.5j],
+])
+
+
+class TestHusimiArray:
+    @pytest.mark.parametrize("order", ["bare", "pas", "psa"])
+    @pytest.mark.parametrize("family", ["thermal", "ecs"])
+    def test_array_equals_scalar_calls(self, family, order):
+        for op in _engineered(order):
+            if family == "thermal":
+                specs = [StateSpec.thermal(rbar, op) for rbar in (0.3, 2.0, 4.0)]
+            else:
+                specs = [StateSpec.even_coherent(a, op) for a in (1.2, 0.9 + 0.4j, 2.0 - 1.5j)]
+            for spec in specs:
+                values = husimi(spec, _ARRAY_BETAS)
+                for beta, value in zip(_ARRAY_BETAS.ravel(), values.ravel()):
+                    scalar = husimi(spec, complex(beta))
+                    assert abs(value - scalar) <= 1e-14 * abs(scalar), (spec, beta)
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.thermal(2.0, EngineeringOp.psa(2, 4)),
+        StateSpec.even_coherent(2.0, EngineeringOp.pas(4, 2)),
+    ])
+    def test_shape_follows_input(self, spec):
+        for shape in ((3,), (2, 3), (2, 0), (1, 2, 2)):
+            betas = np.full(shape, 0.5 - 1.0j)
+            values = husimi(spec, betas)
+            assert isinstance(values, np.ndarray) and values.shape == shape
+            assert values.dtype == np.float64
+        for beta in (0.5 - 1.0j, np.complex128(0.5 - 1.0j), np.array(0.5 - 1.0j), 2, 0.5):
+            assert type(husimi(spec, beta)) is float
+
+    def test_array_call_computes_the_norm_once(self, monkeypatch):
+        calls = []
+        original = states._norm
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(states, "_norm", counting)
+        husimi(StateSpec.even_coherent(1.5, EngineeringOp.pas(2, 1)), np.zeros((11, 11), complex))
+        assert len(calls) == 1
 
 
 class TestHusimi:

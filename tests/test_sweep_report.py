@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fockwitness import sweep_report
+from fockwitness import states, sweep_report
 from fockwitness.states import EngineeringOp, StateSpec
 from fockwitness.sweep_report import (
     FIGURE_IDS,
@@ -141,6 +141,24 @@ class TestFigurePacks:
         )
         assert grid.metadata["max_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("figure_id", ["fig7", "fig8"])
+    def test_grid_equals_point_by_point_loop(self, figure_id):
+        # every panel of the pack against one scalar states.husimi call per point
+        pack = figure_pack(figure_id, grid_steps=9)
+        make = StateSpec.thermal if figure_id == "fig7" else StateSpec.even_coherent
+        for letter, grid in pack.panels:
+            op, value = _HUSIMI_PANEL_STATES[letter]
+            spec = make(value, op)
+            assert grid.metadata["spec"] == spec.canonical()
+            assert grid.re_values == grid.im_values == [-4.0 + i * 1.0 for i in range(9)]
+            assert type(grid.q_values) is list
+            assert all(type(row) is list and len(row) == 9 for row in grid.q_values)
+            assert all(type(q) is float for row in grid.q_values for q in row)
+            for im, row in zip(grid.im_values, grid.q_values):
+                for re, q in zip(grid.re_values, row):
+                    expected = states.husimi(spec, complex(re, im))
+                    assert abs(q - expected) <= 1e-14 * expected, (figure_id, letter, re, im)
+
     def test_indeterminate_grid_point_becomes_gap(self):
         # the determinant witness is 0/0 at the vacuum limit of the even cat
         table = sweep(
@@ -153,6 +171,16 @@ class TestFigurePacks:
         values = table.series["PAS(1,1)"]
         assert math.isnan(values[0])
         assert not math.isnan(values[-1])
+
+
+# Husimi panel letter -> (operation, parameter), as the reference figures caption them
+_HUSIMI_PANEL_STATES = {
+    "a": (EngineeringOp.pas(2, 4), 2.0),
+    "b": (EngineeringOp.psa(2, 4), 2.0),
+    "c": (EngineeringOp.pas(4, 2), 4.0),
+    "d": (EngineeringOp.psa(4, 2), 4.0),
+    "e": (EngineeringOp.bare(), 2.0),
+}
 
 
 class TestCsv:
@@ -177,6 +205,16 @@ class TestCsv:
         assert lines[1] == "0.0,0.0,0.1"
         assert lines[2] == "1.0,0.0,0.2"
         assert lines[3] == "0.0,1.0,0.3"
+
+    def test_husimi_csv_equals_per_cell_formatting(self):
+        grid = husimi_grid(StateSpec.even_coherent(2.0, EngineeringOp.psa(4, 2)), "PSA(4,2)", steps=7)
+        grid.q_values[1][2] = float("nan")
+        expected = "re,im,q_value\n" + "".join(
+            f"{format_float(re)},{format_float(im)},{format_float(grid.q_values[i][j])}\n"
+            for i, im in enumerate(grid.im_values)
+            for j, re in enumerate(grid.re_values)
+        )
+        assert husimi_grid_csv(grid) == expected
 
     def test_write_figure_pack(self, tmp_path):
         pack = figure_pack("fig11", steps=3)

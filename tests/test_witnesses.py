@@ -1,7 +1,7 @@
 import pytest
 
-from fockwitness import oracle, witnesses
-from fockwitness.errors import OddOrder, SingularDenominator, ZeroMeanPhoton
+from fockwitness import oracle, states, witnesses
+from fockwitness.errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
 from fockwitness.witnesses import (
     ScanGrid,
@@ -252,6 +252,24 @@ class TestHusimiZeroScan:
             ScanGrid(steps=1)
         with pytest.raises(ValueError):
             ScanGrid(re_min=2.0, re_max=-2.0)
+
+    def test_analytic_values_follow_points(self):
+        grid = ScanGrid(-1.3, 2.1, -0.7, 3.3, steps=7)
+        spec = StateSpec.even_coherent(1.1 - 0.4j, EngineeringOp.pas(2, 1))
+        values = witnesses._husimi_grid_values(spec, grid, "analytic", oracle.DEFAULT_TAIL_TOL)
+        expected = [states.husimi(spec, beta) for beta in grid.points()]
+        assert len(values) == len(expected) == 49
+        for value, reference in zip(values, expected):
+            assert abs(value - reference) <= 1e-14 * reference
+
+    @pytest.mark.parametrize("alpha", [32.0, 200.0])
+    def test_empty_window_is_not_nonclassical(self, alpha):
+        # the state lies outside the window: Q is 0.0 at every grid point
+        spec = StateSpec.even_coherent(alpha)
+        with pytest.raises(EmptyWindow, match=r"window Re\(beta\) in \[-4.0, 4.0\]"):
+            husimi_zero_scan(spec)
+        with pytest.raises(EmptyWindow):
+            evaluate_witness(spec, "husimi_zero")
 
     def test_row_major_order(self):
         grid = ScanGrid(-1.0, 1.0, -1.0, 1.0, steps=3)
