@@ -5,9 +5,10 @@ Exit codes are the machine-readable failure channel:
     0  success
     1  verification failure (a verify suite failed, or engine=both deviated
        beyond --tol; sweep and figure still write their CSVs)
-    2  configuration error: bad flags, unknown figure id, an odd order for
-       hos, a Husimi window on which Q is 0 everywhere, an oracle basis
-       beyond its hard cutoff, or a value beyond the float range
+    2  configuration error: bad flags or config values, an unknown figure
+       id, a witness order out of its range (odd for hos), a Husimi window
+       on which Q is 0 everywhere, an oracle basis beyond its hard cutoff,
+       or a value beyond the float range
     3  the requested state is annihilated by its engineering operation
     4  a series failed to converge (the analytic engine sums none)
     5  an indeterminate or undefined witness (vanishing determinant-ratio
@@ -20,6 +21,7 @@ round-trip form (17 significant digits at most).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import sweep_report, verify
@@ -56,28 +58,7 @@ _WITNESS_NAMES = {
     "husimi_zero": "husimi_zero",
 }
 
-_CONFIG_KEYS = {
-    "family": str,
-    "op": str,
-    "p": int,
-    "q": int,
-    "rbar": float,
-    "alpha_re": float,
-    "alpha_im": float,
-    "engine": str,
-    "out": str,
-    "tol": float,
-    "steps": int,
-    "grid_steps": int,
-    "name": str,
-    "variant": str,
-    "l": int,
-    "m": int,
-    "n": int,
-    "param_min": float,
-    "param_max": float,
-    "variants": str,
-}
+_FAMILIES = {"thermal": states_mod.FAMILY_THERMAL, "ecs": states_mod.FAMILY_EVEN_COHERENT}
 
 
 # --tol where none is given: the analytic/oracle deviation allowed under --engine both
@@ -92,6 +73,7 @@ class ConfigError(Exception):
 # each raised exception's classes up here, most specific first.
 _EXIT_CODES = {
     ConfigError: (EXIT_CONFIG, "configuration error"),
+    ValueError: (EXIT_CONFIG, "configuration error"),
     OddOrder: (EXIT_CONFIG, "configuration error"),
     EmptyWindow: (EXIT_CONFIG, "configuration error"),
     CutoffExceeded: (EXIT_CONFIG, "oracle basis too large"),
@@ -122,7 +104,20 @@ def _check_deviations(deviations: dict[str, float], tol: float) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def _read_config_file(path: str) -> dict:
+def _config_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """dest -> its value flag, over every command: the keys a config file may set."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action
+        for command in commands.choices.values()
+        for action in command._actions
+        if isinstance(action, argparse._StoreAction) and action.option_strings
+        and action.dest != "config"
+    }
+
+
+def _read_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:
+    """key=value lines, each value converted and checked by its flag's type and choices."""
     values = {}
     try:
         with open(path) as fh:
@@ -132,22 +127,26 @@ def _read_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"config line {line!r} is not key=value")
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in _CONFIG_KEYS:
+                key, _, text = line.partition("=")
+                key, text = key.strip().replace("-", "_"), text.strip()
+                if key not in flags:
                     raise ConfigError(f"unknown config key {key!r}")
-                values[key] = _CONFIG_KEYS[key](value.strip())
+                action = flags[key]
+                value = action.type(text) if action.type else text
+                if action.choices is not None and value not in action.choices:
+                    choices = ", ".join(action.choices)
+                    raise ConfigError(f"config value {key}={text!r} is not one of: {choices}")
+                values[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Precedence: explicit flags > config file values > defaults."""
     if not getattr(args, "config", None):
         return
-    file_values = _read_config_file(args.config)
-    for key, value in file_values.items():
+    for key, value in _read_config_file(args.config, _config_flags(parser)).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -170,40 +169,50 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_op(args: argparse.Namespace) -> EngineeringOp:
-    order = args.op or "none"
     p = args.p or 0
     q = args.q or 0
-    try:
-        if order == "none":
-            if p or q:
-                raise ConfigError("--op none is incompatible with --p/--q")
-            return EngineeringOp.bare()
-        if order == "pas":
-            return EngineeringOp.pas(p, q)
-        return EngineeringOp.psa(p, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.op in (None, "none"):
+        if p or q:
+            raise ConfigError("--op none is incompatible with --p/--q")
+        return EngineeringOp.bare()
+    return (EngineeringOp.pas if args.op == "pas" else EngineeringOp.psa)(p, q)
 
 
 def _build_spec(args: argparse.Namespace) -> StateSpec:
     if args.family is None:
         raise ConfigError("--family is required")
     op = _build_op(args)
-    try:
-        if args.family == "thermal":
-            if args.rbar is None:
-                raise ConfigError("thermal family requires --rbar")
-            if args.alpha_re is not None or args.alpha_im is not None:
-                raise ConfigError("thermal family takes no --alpha")
-            return StateSpec.thermal(args.rbar, op)
-        if args.alpha_re is None and args.alpha_im is None:
+    alpha_given = args.alpha_re is not None or args.alpha_im is not None
+    if args.family == "thermal":
+        if args.rbar is None:
+            raise ConfigError("thermal family requires --rbar")
+        if alpha_given:
+            raise ConfigError("thermal family takes no --alpha")
+        value = args.rbar
+    else:
+        if not alpha_given:
             raise ConfigError("ecs family requires --alpha-re (or --alpha)")
         if args.rbar is not None:
             raise ConfigError("ecs family takes no --rbar")
-        alpha = complex(args.alpha_re or 0.0, args.alpha_im or 0.0)
-        return StateSpec.even_coherent(alpha, op)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        value = complex(args.alpha_re or 0.0, args.alpha_im or 0.0)
+    return StateSpec.of(_FAMILIES[args.family], value, op)
+
+
+def _witness_order(args: argparse.Namespace) -> tuple[str, int]:
+    """The witness --name selects, and its order: --m for klyshko, --l
+    (default 2) for the moment witnesses, 0 for agarwal_tara and husimi_zero."""
+    if args.name is None:
+        raise ConfigError(f"{args.command} requires --name")
+    witness = _WITNESS_NAMES.get(args.name.lower())
+    if witness is None:
+        raise ConfigError(f"unknown witness name {args.name!r}")
+    if witness == "klyshko":
+        if args.m is None:
+            raise ConfigError("klyshko requires --m")
+        return witness, args.m
+    if witness in ("agarwal_tara", "husimi_zero"):
+        return witness, 0
+    return witness, 2 if args.l is None else args.l
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
@@ -236,22 +245,9 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    if args.name is None:
-        raise ConfigError("witness requires --name")
-    key = args.name.lower()
-    if key not in _WITNESS_NAMES:
-        raise ConfigError(f"unknown witness name {args.name!r}")
-    witness = _WITNESS_NAMES[key]
+    witness, order = _witness_order(args)
     spec = _build_spec(args)
     engine = args.engine or "analytic"
-    if witness == "klyshko":
-        if args.m is None:
-            raise ConfigError("klyshko requires --m")
-        order = args.m
-    elif witness in ("mandel", "hoa", "hosps", "hos"):
-        order = args.l if args.l is not None else 2
-    else:
-        order = 0
     variant = args.variant or witnesses_mod.VARIANT_NUMBER_MOMENTS
 
     def run(engine_name: str) -> witnesses_mod.WitnessResult:
@@ -260,20 +256,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         )
 
     result = run("analytic" if engine in ("analytic", "both") else "oracle")
+    # the sweep and figure rule: relative above magnitude 1, absolute below
+    deviations = {}
     if engine == "both":
-        reference = run("oracle")
-        tol = _tolerance(args)
-        dev = abs(result.value - reference.value)
-        if dev / max(abs(reference.value), 1e-30) > tol and dev > tol:
-            _print_witness(result)
-            print(
-                f"analytic/oracle deviation exceeds tolerance: "
-                f"{result.value!r} vs {reference.value!r}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY_FAILED
+        reference = run("oracle").value
+        deviations[result.witness] = abs(result.value - reference) / max(abs(reference), 1.0)
     _print_witness(result)
-    return EXIT_OK
+    return _check_deviations(deviations, _tolerance(args))
 
 
 def _print_witness(result: witnesses_mod.WitnessResult) -> None:
@@ -281,49 +270,17 @@ def _print_witness(result: witnesses_mod.WitnessResult) -> None:
     print(f"{result.witness},{result.order},{repr(float(result.value))},{flag}")
 
 
-def _parse_variant_labels(text: str) -> list[EngineeringOp]:
-    ops = []
-    for raw in text.split(","):
-        label = raw.strip()
-        if not label:
-            continue
-        if label == "bare":
-            ops.append(EngineeringOp.bare())
-            continue
-        tag = label[:3].upper()
-        if tag not in ("PAS", "PSA") or not label[3:].startswith("("):
-            raise ConfigError(f"cannot parse variant label {label!r}")
-        body = label[4:].rstrip(")")
-        try:
-            p_text, q_text = body.split(";") if ";" in body else body.split(":")
-        except ValueError:
-            raise ConfigError(f"variant label {label!r} must look like PAS(1:1)")
-        try:
-            p, q = int(p_text), int(q_text)
-            ops.append(EngineeringOp.pas(p, q) if tag == "PAS" else EngineeringOp.psa(p, q))
-        except ValueError as exc:
-            raise ConfigError(f"variant label {label!r}: {exc}") from exc
-    if not ops:
-        raise ConfigError("no variants given")
-    return ops
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.name is None:
-        raise ConfigError("sweep requires --name")
-    key = args.name.lower()
-    if key not in _WITNESS_NAMES:
-        raise ConfigError(f"unknown witness name {args.name!r}")
-    witness = _WITNESS_NAMES[key]
+    witness, order = _witness_order(args)
     if witness == "husimi_zero":
         raise ConfigError("husimi-zero has no scalar sweep; use the figure packs")
     if args.family is None:
         raise ConfigError("sweep requires --family")
-    family = states_mod.FAMILY_THERMAL if args.family == "thermal" else states_mod.FAMILY_EVEN_COHERENT
-    order = args.m if witness == "klyshko" else (args.l if args.l is not None else 2)
-    if order is None:
-        raise ConfigError("klyshko sweep requires --m")
-    variants = _parse_variant_labels(args.variants or "PAS(1:1),PSA(1:1)")
+    # split at the commas outside parentheses: PAS(1,1) as well as PAS(1:1)
+    labels = re.split(r",(?![^(]*\))", args.variants or "PAS(1:1),PSA(1:1)")
+    variants = [EngineeringOp.from_label(label.strip()) for label in labels if label.strip()]
+    if not variants:
+        raise ConfigError("no variants given")
     param_range = {}
     if args.param_min is not None:
         param_range["min"] = args.param_min
@@ -331,18 +288,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         param_range["max"] = args.param_max
     if args.steps is not None:
         param_range["steps"] = args.steps
-    try:
-        table = sweep_report.sweep(
-            witness,
-            order,
-            variants,
-            family,
-            param_range=param_range or None,
-            engine=args.engine or "analytic",
-            include_bare=args.include_bare,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = sweep_report.sweep(
+        witness,
+        order,
+        variants,
+        _FAMILIES[args.family],
+        param_range=param_range or None,
+        engine=args.engine or "analytic",
+        include_bare=args.include_bare,
+    )
     text = sweep_report.sweep_table_csv(table)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -354,17 +308,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.figure_id not in sweep_report.FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {args.figure_id!r}")
-    try:
-        pack = sweep_report.figure_pack(
-            args.figure_id,
-            steps=args.steps,
-            grid_steps=args.grid_steps,
-            engine=args.engine or "analytic",
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pack = sweep_report.figure_pack(
+        args.figure_id,
+        steps=args.steps,
+        grid_steps=args.grid_steps,
+        engine=args.engine or "analytic",
+    )
     out_dir = args.out or "."
     manifest = sweep_report.write_figure_pack(pack, out_dir)
     for name, path in manifest:
@@ -381,11 +330,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suites = args.suite or None
-    try:
-        results = verify.run_suites(suites, tol=args.tol, report=print)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = verify.run_suites(args.suite or None, tol=args.tol, report=print)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -418,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", choices=("thermal", "ecs"))
     p_sweep.add_argument("--l", type=int)
     p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--variants", help="comma list like PAS(1:1),PSA(2:1),bare")
+    p_sweep.add_argument("--variants", help="comma list like PAS(1,1),PSA(2:1),bare")
     p_sweep.add_argument("--include-bare", action="store_true")
     p_sweep.add_argument("--param-min", dest="param_min", type=float)
     p_sweep.add_argument("--param-max", dest="param_max", type=float)
@@ -444,7 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)

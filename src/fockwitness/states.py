@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -48,6 +49,10 @@ ORDER_SUBTRACT_THEN_ADD = "subtract_then_add"
 
 FAMILY_THERMAL = "thermal"
 FAMILY_EVEN_COHERENT = "even_coherent"
+
+# the grammar EngineeringOp.label() and StateSpec.canonical() print, read back
+_LABEL = re.compile(r"(PAS|PSA)\(([0-9]+)[,:;]([0-9]+)\)", re.IGNORECASE)
+_CANONICAL = re.compile(r"(thermal\(rbar|ecs\(alpha)=([^|]*)\)\|(.*)")
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,22 @@ class EngineeringOp:
         tag = "PAS" if self.order == ORDER_ADD_THEN_SUBTRACT else "PSA"
         return f"{tag}({self.p},{self.q})"
 
+    @classmethod
+    def from_label(cls, label: str) -> "EngineeringOp":
+        """Inverse of label(): 'bare' or PAS(p,q) / PSA(p,q).
+
+        The separator may also be ':' or ';', and the tag may be in any case.
+        """
+        if label == "bare":
+            return cls.bare()
+        match = _LABEL.fullmatch(label)
+        if match is None:
+            raise ValueError(
+                f"cannot parse variant label {label!r}: expected bare, PAS(p,q) or PSA(p,q)"
+            )
+        tag, p, q = match.groups()
+        return (cls.pas if tag.upper() == "PAS" else cls.psa)(int(p), int(q))
+
 
 def _fmt_real(x: float) -> str:
     return repr(float(x))
@@ -134,6 +155,27 @@ class StateSpec:
     @classmethod
     def even_coherent(cls, alpha: complex, op: EngineeringOp | None = None) -> "StateSpec":
         return cls(FAMILY_EVEN_COHERENT, amplitude=complex(alpha), op=op or EngineeringOp.bare())
+
+    @classmethod
+    def of(cls, family: str, value, op: EngineeringOp | None = None) -> "StateSpec":
+        """The spec of either family from its one parameter: rbar or alpha."""
+        if family == FAMILY_THERMAL:
+            return cls.thermal(value, op)
+        if family == FAMILY_EVEN_COHERENT:
+            return cls.even_coherent(value, op)
+        raise ValueError(f"unknown family {family!r}")
+
+    @classmethod
+    def from_canonical(cls, text: str) -> "StateSpec":
+        """Inverse of canonical(), e.g. 'thermal(rbar=1.0)|PAS(2,1)'."""
+        match = _CANONICAL.fullmatch(text)
+        if match is None:
+            raise ValueError(f"cannot parse canonical spec {text!r}")
+        head, value, label = match.groups()
+        op = EngineeringOp.from_label(label)
+        if head.startswith("thermal"):
+            return cls.thermal(float(value), op)
+        return cls.even_coherent(complex(value), op)
 
     def canonical(self) -> str:
         """Deterministic string identity, used in fixture records."""
@@ -444,7 +486,7 @@ class MomentTable:
     """Memoized normalized moments <a'^m a^n> for one state spec.
 
     Immutable from the caller's point of view: entries are computed once and
-    cached; the table can be shared read-only after populate().
+    cached on first request.
     """
 
     def __init__(self, spec: StateSpec, source: Callable[[int, int], complex],
@@ -463,14 +505,3 @@ class MomentTable:
         if key not in self._cache:
             self._cache[key] = complex(self._source(m, n))
         return self._cache[key]
-
-    def mean_photon(self) -> float:
-        return self.get(1, 1).real
-
-    def populate(self, max_m: int, max_n: int | None = None) -> None:
-        """Eagerly fill the cache up to (max_m, max_n) before sharing."""
-        if max_n is None:
-            max_n = max_m
-        for m in range(max_m + 1):
-            for n in range(max_n + 1):
-                self.get(m, n)

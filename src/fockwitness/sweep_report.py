@@ -87,12 +87,6 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * h for i in range(steps)]
 
 
-def _spec_for(family: str, op: EngineeringOp, value: float) -> StateSpec:
-    if family == states_mod.FAMILY_THERMAL:
-        return StateSpec.thermal(value, op)
-    return StateSpec.even_coherent(value, op)
-
-
 def _parameter_name(family: str) -> str:
     return "rbar" if family == states_mod.FAMILY_THERMAL else "alpha"
 
@@ -145,7 +139,7 @@ def sweep(
             out = []
             for value in values:
                 try:
-                    out.append(_witness_value(_spec_for(family, op, value), witness_id, order, eng))
+                    out.append(_witness_value(StateSpec.of(family, value, op), witness_id, order, eng))
                 except (DegenerateState, SingularDenominator):
                     out.append(math.nan)
             series[label] = out
@@ -184,29 +178,25 @@ def husimi_grid(
 ) -> HusimiGrid:
     """Husimi Q on a square grid; rows scan Im(beta), columns Re(beta).
 
-    The analytic engine evaluates the whole grid in one states.husimi call
-    on the meshgrid beta[i, j] = axis[j] + i axis[i]. The oracle (engine
-    "oracle", and the second route of "both") works point by point on one
-    truncated basis large enough for the window corner.
+    The values come from the husimi-zero scan's grid route on the same
+    window: one states.husimi call for the analytic engine, and point by
+    point on one truncated basis for the oracle (engine "oracle", and the
+    second route of "both").
     """
-    axis = _grid(window[0], window[1], steps)
-    if engine in ("oracle", "both"):
-        corner = max(abs(window[0]), abs(window[1]))
-        state = oracle_mod.build_truncated(spec, min_cutoff=int(8 * corner ** 2) + 8)
-        reference = [[oracle_mod.oracle_husimi(state, complex(re, im)) for re in axis] for im in axis]
-    if engine == "oracle":
-        rows = reference
-    else:
-        points = np.array(axis)
-        rows = states_mod.husimi(spec, points[None, :] + 1j * points[:, None]).tolist()
+    grid = witnesses_mod.ScanGrid(window[0], window[1], window[0], window[1], steps)
+    engines = ("analytic", "oracle") if engine == "both" else (engine,)
+    values = [
+        witnesses_mod._husimi_grid_values(spec, grid, name, oracle_mod.DEFAULT_TAIL_TOL)
+        .reshape(steps, steps)
+        for name in engines
+    ]
     metadata = {"spec": spec.canonical(), "engine": engine}
     if engine == "both":
-        metadata["max_deviation"] = max(
-            abs(q - q_o) / max(abs(q_o), 1.0)
-            for row, row_o in zip(rows, reference)
-            for q, q_o in zip(row, row_o)
+        q, q_oracle = values
+        metadata["max_deviation"] = float(
+            np.max(np.abs(q - q_oracle) / np.maximum(np.abs(q_oracle), 1.0))
         )
-    return HusimiGrid(label, list(axis), list(axis), rows, metadata)
+    return HusimiGrid(label, *grid.axes(), values[0].tolist(), metadata)
 
 
 def figure_pack(
@@ -247,20 +237,16 @@ def figure_pack(
         return FigurePack(figure_id, panels)
 
     if index in (7, 8):
-        if family == states_mod.FAMILY_THERMAL:
-            make_spec = lambda op, v: StateSpec.thermal(v, op)
-        else:
-            make_spec = lambda op, v: StateSpec.even_coherent(v, op)
         panels = []
         letters = iter("abcde")
         for p, q, value in _HUSIMI_PANELS:
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
-                spec = make_spec(op, value)
+                spec = StateSpec.of(family, value, op)
                 panels.append(
                     (next(letters), husimi_grid(spec, op.label(), steps=husimi_steps, engine=engine))
                 )
         bare_value = _HUSIMI_PANELS[0][2]
-        spec = make_spec(EngineeringOp.bare(), bare_value)
+        spec = StateSpec.of(family, bare_value)
         panels.append((next(letters), husimi_grid(spec, "bare", steps=husimi_steps, engine=engine)))
         return FigurePack(figure_id, panels)
 

@@ -237,10 +237,7 @@ def suite_hos(points: int = 40) -> SuiteResult:
         for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
                 for value in values:
-                    if family == states_mod.FAMILY_THERMAL:
-                        spec = StateSpec.thermal(value, op)
-                    else:
-                        spec = StateSpec.even_coherent(value, op)
+                    spec = StateSpec.of(family, value, op)
                     s = witnesses_mod.hos(MomentTable.analytic(spec), l)
                     checks += 1
                     most_negative = min(most_negative, s)
@@ -454,21 +451,6 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: str):
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
 
-def _parse_canonical(canonical: str) -> StateSpec:
-    base, op_label = canonical.split("|")
-    if op_label == "bare":
-        op = EngineeringOp.bare()
-    else:
-        tag, rest = op_label.split("(")
-        p, q = (int(v) for v in rest[:-1].split(","))
-        op = EngineeringOp.pas(p, q) if tag == "PAS" else EngineeringOp.psa(p, q)
-    if base.startswith("thermal(rbar="):
-        return StateSpec.thermal(float(base[13:-1]), op)
-    if base.startswith("ecs(alpha="):
-        return StateSpec.even_coherent(complex(base[10:-1]), op)
-    raise ValueError(f"cannot parse canonical spec {canonical!r}")
-
-
 def load_packaged_fixtures():
     text = resources.files("fockwitness").joinpath("data/fixtures.txt").read_text()
     return oracle_mod.parse_fixtures(text)
@@ -487,7 +469,7 @@ def suite_fixtures(tol: float = EXACT_FIXTURE_TOL) -> SuiteResult:
         if dev > tol:
             notes.append(f"{label}: dev {dev:.3e}")
     for record in load_packaged_fixtures():
-        spec = _parse_canonical(record.canonical)
+        spec = StateSpec.from_canonical(record.canonical)
         for engine in ("analytic", "oracle"):
             value = float(_frozen_quantity(spec, record.quantity, engine))
             dev = abs(value - record.value) / max(abs(record.value), 1e-30)

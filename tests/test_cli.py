@@ -173,6 +173,14 @@ class TestSweepCommand:
         assert lines[0] == "param,PAS(1,1),PSA(1,1)"
         assert len(lines) == 4
 
+    def test_header_labels_accepted(self):
+        colon = subprocess.run(PKG + [*_SWEEP, "--steps", "3", "--variants", "PAS(1:1),PSA(1:1)"],
+                               capture_output=True)
+        comma = subprocess.run(PKG + [*_SWEEP, "--steps", "3", "--variants", "PAS(1,1),PSA(1,1)"],
+                               capture_output=True)
+        assert comma.returncode == 0, comma.stderr
+        assert comma.stdout == colon.stdout
+
     def test_bad_variant_label(self):
         proc = run_cli(
             "sweep", "--name", "hoa", "--family", "thermal", "--variants", "XYZ(1:1)",
@@ -197,6 +205,10 @@ class TestNumericDomain:
             _SWEEP + ("--steps", "1"),
             _SWEEP + ("--param-min", "5", "--param-max", "1"),
             _SWEEP + ("--variants", "PAS(9:1)"),
+            ("witness", "--name", "mandel", "--l", "1", "--family", "thermal", "--rbar", "1"),
+            ("witness", "--name", "hoa", "--l", "0", "--family", "thermal", "--rbar", "1"),
+            ("witness", "--name", "hos", "--l", "0", "--family", "thermal", "--rbar", "1"),
+            ("witness", "--name", "klyshko", "--m", "-1", "--family", "thermal", "--rbar", "1"),
             ("figure", "fig1", "--steps", "1"),
             ("figure", "fig7", "--grid-steps", "1"),
         ],
@@ -263,6 +275,13 @@ class TestBothEngineTolerance:
         assert "exceeds tolerance 1e-30: PAS(1,1) " in proc.stderr
         assert out.read_text().startswith("param,PAS(1,1),PAS(1,1)@oracle,")
 
+    def test_witness_deviation_above_tol_fails(self):
+        proc = run_cli("witness", "--name", "mandel", "--family", "thermal", "--op", "pas",
+                       "--p", "1", "--q", "1", "--rbar", "1", "--engine", "both", "--tol", "1e-30")
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("mandel,2,")
+        assert proc.stderr.startswith("analytic/oracle deviation exceeds tolerance 1e-30: mandel ")
+
     @pytest.mark.parametrize("argv", [
         ("figure", "fig8", "--grid-steps", "3", "--engine", "both"),
         _SWEEP + ("--steps", "3", "--engine", "both"),
@@ -313,3 +332,36 @@ class TestConfigFile:
         cfg.write_text("wormhole=1\n")
         proc = run_cli("moment", "--family", "thermal", "--rbar", "1", "--m", "0", "--n", "0", "--config", str(cfg))
         assert proc.returncode == 2
+
+    def test_op_value_takes_flag_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        argv = ("moment", "--family", "thermal", "--rbar", "1", "--m", "1", "--n", "1", "--config", str(cfg))
+        cfg.write_text("op=pas\np=1\nq=1\n")
+        proc = run_cli(*argv)
+        assert proc.returncode == 0
+        assert float(proc.stdout.split(",")[2]) == pytest.approx(10 / 3, rel=1e-12)
+        # the --op choices are lower case: PAS is rejected, not read as psa
+        cfg.write_text("op=PAS\np=1\nq=1\n")
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("family=thermall\nalpha_re=1\n", _MOMENT),
+            ("p=abc\n", _MOMENT + ("--family", "thermal", "--rbar", "1")),
+            ("engine=foo\n", _MOMENT + ("--family", "thermal", "--rbar", "1")),
+            ("variant=bogus\n", ("witness", "--name", "a3", "--family", "thermal", "--rbar", "1")),
+        ],
+        ids=lambda v: v.strip().replace("\n", " ") if isinstance(v, str) else " ".join(v),
+    )
+    def test_bad_value_is_config_error(self, tmp_path, text, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        proc = run_cli(*argv, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -89,6 +89,21 @@ class TestEngineeringOp:
         with pytest.raises(ValueError):
             EngineeringOp("sideways", 0, 0)
 
+    def test_from_label_inverts_label(self):
+        ops = [EngineeringOp.bare()] + [
+            make(p, q) for make in (EngineeringOp.pas, EngineeringOp.psa)
+            for p in range(9) for q in range(9)
+        ]
+        for op in ops:
+            label = op.label()
+            for text in (label, label.replace(",", ":"), label.replace(",", ";"), label.lower()):
+                assert EngineeringOp.from_label(text) == op
+
+    @pytest.mark.parametrize("label", ["XYZ(1:1)", "PAS(9:1)", "PAS(1)", "PAS(1,1"])
+    def test_from_label_rejects(self, label):
+        with pytest.raises(ValueError):
+            EngineeringOp.from_label(label)
+
 
 class TestStateSpec:
     def test_thermal_requires_rbar(self):
@@ -109,6 +124,13 @@ class TestStateSpec:
             StateSpec.even_coherent(bad)
         with pytest.raises(ValueError, match="finite"):
             StateSpec.even_coherent(complex(1.0, bad))
+
+    def test_of_selects_family(self):
+        op = EngineeringOp.psa(1, 2)
+        assert StateSpec.of(states.FAMILY_THERMAL, 1.5, op) == StateSpec.thermal(1.5, op)
+        assert StateSpec.of(states.FAMILY_EVEN_COHERENT, 0.5j, op) == StateSpec.even_coherent(0.5j, op)
+        with pytest.raises(ValueError, match="unknown family"):
+            StateSpec.of("ecs", 1.0)
 
     def test_canonical_strings(self):
         assert StateSpec.thermal(1.0, EngineeringOp.pas(2, 1)).canonical() == "thermal(rbar=1.0)|PAS(2,1)"
@@ -543,11 +565,6 @@ class TestMomentTable:
         table.get(2, 2)
         table.get(2, 2)
         assert calls == [(2, 2)]
-
-    def test_populate_fills_block(self):
-        table = MomentTable.analytic(StateSpec.even_coherent(0.7))
-        table.populate(2)
-        assert set(table._cache) >= {(m, n) for m in range(3) for n in range(3)}
 
     def test_provenance_labels(self):
         spec = StateSpec.thermal(1.0)

@@ -12,12 +12,12 @@ def test_parse_canonical_round_trip():
         StateSpec.even_coherent(1 + 0.5j),
     ]
     for spec in specs:
-        assert verify._parse_canonical(spec.canonical()) == spec
+        assert StateSpec.from_canonical(spec.canonical()) == spec
 
 
 def test_packaged_fixture_canonicals_parse():
     for record in verify.load_packaged_fixtures():
-        spec = verify._parse_canonical(record.canonical)
+        spec = StateSpec.from_canonical(record.canonical)
         assert spec.canonical() == record.canonical
 
 
