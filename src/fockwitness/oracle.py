@@ -29,6 +29,10 @@ from .states import (
 )
 
 DEFAULT_TAIL_TOL = 1e-12
+# A moment <a'^n a^n> beyond the cutoff is the photon-number tail weighted
+# by about k^n. evaluate_witness passes the n its witness reads; a table for
+# an unnamed reader holds up to A3's <a'^4 a^4>, the highest the figures read.
+DEFAULT_MOMENT_ORDER = 4
 DEFAULT_MAX_CUTOFF = 4096
 _INITIAL_CUTOFF = 32
 _NORM_FLOOR = 1e-300
@@ -359,8 +363,28 @@ def moment_table_from_state(state: TruncatedState, spec: StateSpec | None = None
     return MomentTable(spec, lambda m, n: oracle_moment(state, m, n), provenance="oracle")
 
 
-def oracle_moment_table(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL) -> MomentTable:
+def _moment_tail(state: TruncatedState, structural_zeros: int, order: int) -> float:
+    """_tail_estimate of sum_k p_k k^order, relative to that sum where it
+    exceeds 1 (absolute below, as the witness comparisons are)."""
+    weighted = state.probabilities() * np.arange(state.cutoff, dtype=float) ** order
+    return _tail_estimate(weighted, structural_zeros) / max(1.0, float(np.sum(weighted)))
+
+
+def oracle_moment_table(
+    spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = DEFAULT_MOMENT_ORDER
+) -> MomentTable:
+    """Oracle moments on a basis that holds the tails of the moments read,
+    up to <a'^order a^order>, not only the probability mass: build_truncated
+    stops when the mass near the top of the basis is below tail_tol, and the
+    cutoff then doubles until the tail weighted by k^order is below it too."""
     state = build_truncated(spec, tail_tol)
+    while _moment_tail(state, spec.op.p, order) >= tail_tol:
+        if state.cutoff >= max_cutoff():
+            raise CutoffExceeded(
+                f"{spec.canonical()} moments need more than {state.cutoff} Fock levels "
+                f"for tail tolerance {tail_tol}"
+            )
+        state = build_truncated(spec, tail_tol, min_cutoff=2 * state.cutoff)
     return moment_table_from_state(state, spec)
 
 

@@ -21,15 +21,24 @@ No infinite series is summed.
 Every normalized quantity divides by the state's own unnormalized (0,0)
 expectation, so normalization is exact by construction and is cross-checked
 against the brute-force oracle in the test suite.
+
+A spec may also hold a 1-d array of parameters: one operation over a grid
+of states. The moment, norm and photon-probability bodies are generic
+arithmetic, so such a grid spec goes through the same code as one state and
+gives an ndarray; numpy is used only where the operand is an array, so a
+single state stays on Python-float arithmetic. A per-point guard that
+raises for one state (DegenerateState where the operation annihilates it)
+gives NaN at those points of a grid instead.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -114,6 +123,52 @@ class EngineeringOp:
         return (cls.pas if tag.upper() == "PAS" else cls.psa)(int(p), int(q))
 
 
+def _math(x):
+    """numpy for an array operand, math for a number: one state stays on
+    Python-float arithmetic."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _finite(x):
+    """Whether x is finite: a bool, or a bool array over a grid."""
+    return np.isfinite(x) if isinstance(x, np.ndarray) else cmath.isfinite(x)
+
+
+def _all(condition) -> bool:
+    """A condition on a parameter, held at every point of a grid."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else condition
+
+
+def _quiet(x):
+    """numpy's overflow and invalid warnings off for an array operand, whose
+    overflow gives inf or nan for the caller to test; nothing to switch for
+    a number, which raises OverflowError instead."""
+    if isinstance(x, np.ndarray):
+        return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
+
+
+def _parameter(value, kind):
+    """value as a `kind` number, or a 1-d array as a read-only `kind` array:
+    the parameter of one state or of a grid of states."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value.astype(kind)
+        value.flags.writeable = False
+        return value
+    return kind(value)
+
+
+def _guarded(where, error: Callable[[], Exception], value: Callable[[], object]):
+    """A per-point guard: for one state, raise error() if `where` holds and
+    return value() otherwise; over a grid, value() with NaN where it holds."""
+    if not isinstance(where, np.ndarray):
+        if where:
+            raise error()
+        return value()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(where, math.nan, value())
+
+
 def _fmt_real(x: float) -> str:
     return repr(float(x))
 
@@ -127,7 +182,12 @@ def _fmt_complex(z: complex) -> str:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Single input handle for every computation: family, parameter, operation."""
+    """Single input handle for every computation: family, parameter, operation.
+
+    The parameter is a number, or a 1-d array for a grid spec: the states of
+    one operation over a parameter grid, which the moment layer evaluates in
+    one array call (see MomentTable).
+    """
 
     family: str
     mean_photon_number: float | None = None
@@ -138,27 +198,31 @@ class StateSpec:
         if self.family == FAMILY_THERMAL:
             if self.mean_photon_number is None or self.amplitude is not None:
                 raise ValueError("thermal family takes mean_photon_number only")
-            if not (math.isfinite(self.mean_photon_number) and self.mean_photon_number >= 0):
+            rbar = self.mean_photon_number
+            if not _all(_finite(rbar) & (rbar >= 0)):
                 raise ValueError("mean photon number must be finite and >= 0")
         elif self.family == FAMILY_EVEN_COHERENT:
             if self.amplitude is None or self.mean_photon_number is not None:
                 raise ValueError("even_coherent family takes amplitude only")
-            if not cmath.isfinite(self.amplitude):
+            if not _all(_finite(self.amplitude)):
                 raise ValueError("amplitude must be finite")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
     @classmethod
     def thermal(cls, rbar: float, op: EngineeringOp | None = None) -> "StateSpec":
-        return cls(FAMILY_THERMAL, mean_photon_number=float(rbar), op=op or EngineeringOp.bare())
+        return cls(FAMILY_THERMAL, mean_photon_number=_parameter(rbar, float),
+                   op=op or EngineeringOp.bare())
 
     @classmethod
     def even_coherent(cls, alpha: complex, op: EngineeringOp | None = None) -> "StateSpec":
-        return cls(FAMILY_EVEN_COHERENT, amplitude=complex(alpha), op=op or EngineeringOp.bare())
+        return cls(FAMILY_EVEN_COHERENT, amplitude=_parameter(alpha, complex),
+                   op=op or EngineeringOp.bare())
 
     @classmethod
     def of(cls, family: str, value, op: EngineeringOp | None = None) -> "StateSpec":
-        """The spec of either family from its one parameter: rbar or alpha."""
+        """The spec of either family from its one parameter: rbar or alpha
+        (a 1-d array of them for a grid spec)."""
         if family == FAMILY_THERMAL:
             return cls.thermal(value, op)
         if family == FAMILY_EVEN_COHERENT:
@@ -176,6 +240,17 @@ class StateSpec:
         if head.startswith("thermal"):
             return cls.thermal(float(value), op)
         return cls.even_coherent(complex(value), op)
+
+    # Derived once per spec and kept on it: every entry of a MomentTable and
+    # every photon_prob divides by the norm, and every cat contraction term
+    # takes the pair weights, so a table computes each once.
+    @cached_property
+    def _norm(self):
+        return _norm(self)
+
+    @cached_property
+    def _pair_weights(self):
+        return _ecs_pair_weights(self.amplitude)
 
     def canonical(self) -> str:
         """Deterministic string identity, used in fixture records."""
@@ -219,22 +294,25 @@ def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, in
     return tuple((dag, plain, coeff) for (dag, plain), coeff in sorted(terms.items()))
 
 
-def _ecs_pair_factor(alpha: complex, dagger_pow: int, plain_pow: int) -> complex:
+def _ecs_pair_weights(alpha) -> tuple[float, float]:
+    """2 (1 + e) and 2 (1 - e), e = <alpha|-alpha> = exp(-2|alpha|^2): the
+    weights of the even and odd terms in _ecs_pair_factor. 1 - e goes through
+    expm1, so that it keeps full precision at small |alpha|."""
+    a2 = abs(alpha) ** 2
+    lib = _math(a2)
+    return 2.0 + 2.0 * lib.exp(-2.0 * a2), -2.0 * lib.expm1(-2.0 * a2)
+
+
+def _ecs_pair_factor(alpha: complex, weights, dagger_pow: int, plain_pow: int) -> complex:
     """<psi| a'^M a^N |psi> for unnormalized |psi> = |alpha> + |-alpha>.
 
     The four coherent-state contractions cancel for mixed parity of M and N
-    and otherwise give conj(alpha)^M alpha^N times 2 (1 + e) (both even) or
-    2 (1 - e) (both odd), e = <alpha|-alpha> = exp(-2|alpha|^2); 1 - e goes
-    through expm1 so that it keeps full precision at small |alpha|.
+    and otherwise give conj(alpha)^M alpha^N times the weight of M's parity
+    (_ecs_pair_weights, computed once per spec).
     """
     if (dagger_pow + plain_pow) % 2:
         return 0j
-    a2 = abs(alpha) ** 2
-    if dagger_pow % 2:
-        weight = -2.0 * math.expm1(-2.0 * a2)
-    else:
-        weight = 2.0 + 2.0 * math.exp(-2.0 * a2)
-    return alpha.conjugate() ** dagger_pow * alpha ** plain_pow * weight
+    return alpha.conjugate() ** dagger_pow * alpha ** plain_pow * weights[dagger_pow % 2]
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +329,8 @@ def _unnormalized_moment(spec: StateSpec, m: int, n: int) -> complex:
     moments: _ecs_pair_factor for the even cat, delta_MN M! rbar^M for
     thermal. A thermal value is in units of rbar^k0 (1 + rbar)^(p+q): with
     rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
-    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is.
+    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is. The
+    arithmetic is generic, so a grid spec gives an array.
     """
     table = _contraction_table(spec.op, m, n)
     if spec.family == FAMILY_THERMAL:
@@ -260,8 +339,17 @@ def _unnormalized_moment(spec: StateSpec, m: int, n: int) -> complex:
         top = spec.op.p + spec.op.q
         return sum(c * math.factorial(dag) * x ** (dag - k0) * y ** (top - dag)
                    for dag, plain, c in table if dag == plain)
-    alpha = spec.amplitude
-    return sum(c * _ecs_pair_factor(alpha, dag, plain) for dag, plain, c in table)
+    alpha, weights = spec.amplitude, spec._pair_weights
+    return sum(c * _ecs_pair_factor(alpha, weights, dag, plain) for dag, plain, c in table)
+
+
+def _first(spec: StateSpec, where) -> StateSpec:
+    """The state of a grid spec at the first point where `where` holds; one
+    state is its own first point. Errors over a grid name this state."""
+    if not isinstance(where, np.ndarray):
+        return spec
+    value = spec.mean_photon_number if spec.family == FAMILY_THERMAL else spec.amplitude
+    return StateSpec.of(spec.family, value[int(np.argmax(where))], spec.op)
 
 
 def _norm(spec: StateSpec) -> float:
@@ -270,37 +358,55 @@ def _norm(spec: StateSpec) -> float:
     A thermal state is annihilated exactly when rbar = 0 and its norm has no
     constant term (k0 > 0), never because a float underflowed. A cat norm at
     or below DEGENERATE_NORM_FLOOR counts as annihilated; a cat whose
-    |alpha|^2 overflows (|alpha| > ~1.3e154) raises OutOfRange.
+    |alpha|^2 overflows (|alpha| > ~1.3e154) raises OutOfRange. An annihilated
+    state raises DegenerateState; over a grid its norm is NaN instead.
     """
     if spec.family == FAMILY_THERMAL:
-        if _lowest_power(spec.op) and spec.mean_photon_number == 0:
-            raise DegenerateState(f"{spec.canonical()} is annihilated")
-        return float(_unnormalized_moment(spec, 0, 0))
-    try:
-        norm = _unnormalized_moment(spec, 0, 0).real
-    except OverflowError:
-        raise OutOfRange(f"|alpha|^2 of {spec.canonical()} exceeds the float range") from None
-    if not norm > DEGENERATE_NORM_FLOOR:
-        raise DegenerateState(f"{spec.canonical()} is annihilated")
-    return norm
+        norm = _unnormalized_moment(spec, 0, 0)
+        annihilated = _lowest_power(spec.op) and spec.mean_photon_number == 0
+    else:
+        with _quiet(spec.amplitude):
+            try:
+                norm = _unnormalized_moment(spec, 0, 0).real
+            except OverflowError:
+                norm = math.inf
+        finite = _finite(norm)
+        if not _all(finite):
+            raise OutOfRange(f"|alpha|^2 of {_first(spec, np.logical_not(finite)).canonical()} "
+                             "exceeds the float range")
+        annihilated = norm <= DEGENERATE_NORM_FLOOR
+    return _guarded(
+        annihilated, lambda: DegenerateState(f"{spec.canonical()} is annihilated"), lambda: norm
+    )
 
 
 def moment(spec: StateSpec, m: int, n: int) -> complex:
     """Normalized <a'^m a^n> for any spec: its contraction over the (0,0) entry.
 
-    A value beyond the float range (e.g. <a'^2 a^2> of thermal PAS(2,2) at
+    Over a grid spec, an ndarray with NaN at the annihilated points. A value
+    beyond the float range (e.g. <a'^2 a^2> of thermal PAS(2,2) at
     rbar = 1e200, about 3e401) raises OutOfRange.
     """
     if m < 0 or n < 0:
         raise ValueError("moment orders must be non-negative")
-    norm = _norm(spec)
-    try:
-        value = complex(_unnormalized_moment(spec, m, n) / norm)
-    except OverflowError:
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise OutOfRange(f"<a'^{m} a^{n}> of {spec.canonical()} exceeds the float range")
-    return value
+    norm = spec._norm
+    with _quiet(norm):
+        try:
+            unnormalized = _unnormalized_moment(spec, m, n)
+        except OverflowError:
+            unnormalized = math.inf
+        # the parts divided apart, as Python divides a complex by a float:
+        # numpy's complex division multiplies by a reciprocal, a last-bit
+        # change that cancellations in the witnesses amplify
+        value = unnormalized.real / norm + unnormalized.imag / norm * 1j
+    # a NaN gap of a grid (norm != norm) stays a gap; any other value that
+    # is not finite is out of range
+    ok = _finite(value) | (norm != norm)
+    if _all(ok):
+        return value
+    raise OutOfRange(
+        f"<a'^{m} a^{n}> of {_first(spec, np.logical_not(ok)).canonical()} exceeds the float range"
+    )
 
 
 def moment_thermal(spec: StateSpec, m: int, n: int) -> float:
@@ -320,7 +426,7 @@ def moment_ecs(spec: StateSpec, m: int, n: int) -> complex:
 def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
     spec = StateSpec.thermal(rbar, op)
     x, y = _thermal_xy(spec)
-    norm = _norm(spec) * x ** _lowest_power(op)
+    norm = spec._norm * x ** _lowest_power(op)
     # inf where the constant is beyond the float range (tiny rbar, k0 > 0)
     return y ** (op.p + op.q) / norm if norm else math.inf
 
@@ -363,14 +469,17 @@ def photon_prob(spec: StateSpec, m: int) -> float:
     on even k (0 on odd k) for the unnormalized even cat. A bare weight that
     underflows makes the probability 0, however large W(m) is; a thermal
     W(m) beyond the float range that it does not cancel (rbar > ~1e16 and
-    m > ~1e19) raises OutOfRange.
+    m > ~1e19) raises OutOfRange. Over a grid spec, an ndarray with NaN at the
+    annihilated points.
     """
     if m < 0:
         raise ValueError("photon number must be non-negative")
-    norm = _norm(spec)
+    norm = spec._norm
+    # 0 for one state; over a grid, zeros that keep the NaN gaps
+    zero = 0.0 * norm
     weight = _fock_weight(spec.op, m)
     if not weight:
-        return 0.0
+        return zero
     p, q = spec.op.p, spec.op.q
     k = m + p - q
     if spec.family == FAMILY_THERMAL:
@@ -380,18 +489,31 @@ def photon_prob(spec: StateSpec, m: int) -> float:
         # log1p(1/rbar), since x itself rounds to 1.0 past rbar ~ 1e16 and
         # would hide that x^k underflows
         power = k - _lowest_power(spec.op)
-        bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
-        if not bare:
-            return 0.0
+        if isinstance(rbar, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bare = np.where(rbar < 1.0, x ** power, np.exp(-power * np.log1p(1.0 / rbar)))
+        else:
+            bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
+            if not bare:
+                return 0.0
         try:
             return bare * weight * y ** (1 + p + q) / norm
         except OverflowError:
             raise OutOfRange(f"W({m}) of {spec.canonical()} exceeds the float range") from None
     a2 = abs(spec.amplitude) ** 2
-    if k % 2 or (k and not a2):
+    if k % 2:
+        return zero
+    if not k:
+        log_power = 0.0
+    elif isinstance(a2, np.ndarray):
+        # -inf at alpha = 0, where the weight of level k > 0 is 0
+        with np.errstate(divide="ignore"):
+            log_power = k * np.log(a2)
+    elif a2:
+        log_power = k * math.log(a2)
+    else:
         return 0.0
-    log_power = k * math.log(a2) if k else 0.0
-    return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
+    return 4.0 * _math(a2).exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +532,7 @@ def husimi(spec: StateSpec, beta):
     (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange.
     """
     beta = np.asarray(beta, dtype=complex)
-    norm = _norm(spec)
+    norm = spec._norm
     # a power of |beta| that leaves the float range shows up as inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.family == FAMILY_THERMAL:
@@ -485,6 +607,11 @@ def _husimi_ecs(spec: StateSpec, beta: np.ndarray, norm: float) -> np.ndarray:
 class MomentTable:
     """Memoized normalized moments <a'^m a^n> for one state spec.
 
+    For a grid spec (one operation over an array of parameters) the analytic
+    table is one table for the whole grid: get(m, n) is an ndarray over the
+    grid, NaN where the operation annihilates the state, so a witness body
+    run on it gives the whole series at once.
+
     Immutable from the caller's point of view: entries are computed once and
     cached on first request.
     """
@@ -498,10 +625,10 @@ class MomentTable:
 
     @classmethod
     def analytic(cls, spec: StateSpec) -> "MomentTable":
-        return cls(spec, lambda m, n: complex(moment(spec, m, n)), provenance="analytic")
+        return cls(spec, lambda m, n: moment(spec, m, n), provenance="analytic")
 
     def get(self, m: int, n: int) -> complex:
         key = (m, n)
         if key not in self._cache:
-            self._cache[key] = complex(self._source(m, n))
+            self._cache[key] = self._source(m, n)
         return self._cache[key]

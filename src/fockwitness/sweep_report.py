@@ -2,8 +2,11 @@
 
 A sweep scans one witness across a parameter grid (mean photon number for
 thermal states, amplitude for even coherent states) for a list of state
-variants and collects one value series per variant. Figure packs bundle the
-exact (l, p, q) combinations of the reference plots:
+variants and collects one value series per variant. The analytic engine
+computes each series in one call on a grid spec, so there is one moment
+table per (variant, grid); the guards that raise for one state are masks
+there, and their points are NaN gaps. Figure packs bundle the exact
+(l, p, q) combinations of the reference plots:
 
     fig1 / fig2    Mandel function vs parameter        (thermal / even cat)
     fig3 / fig4    higher-order antibunching
@@ -91,9 +94,39 @@ def _parameter_name(family: str) -> str:
     return "rbar" if family == states_mod.FAMILY_THERMAL else "alpha"
 
 
-def _witness_value(spec: StateSpec, witness_id: str, order: int, engine: str) -> float:
-    result = witnesses_mod.evaluate_witness(spec, witness_id, order=order, engine=engine)
-    return result.value
+def _analytic_series(family: str, op: EngineeringOp, grid: list[float], witness_id: str,
+                     order: int):
+    """The witness over the whole grid in one call on a grid spec, and its
+    NaN gaps by cause.
+
+    The norm is NaN exactly where the state is annihilated (DegenerateState);
+    every other NaN is an indeterminate agarwal_tara point (SingularDenominator),
+    the one witness guard that masks.
+    """
+    spec = StateSpec.of(family, np.array(grid), op)
+    values = witnesses_mod.evaluate_witness(spec, witness_id, order=order).value
+    gaps = np.isnan(values)
+    annihilated = gaps & np.isnan(spec._norm)
+    causes = {DegenerateState: annihilated, SingularDenominator: gaps & ~annihilated}
+    counts = {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
+    return values.tolist(), counts
+
+
+def _oracle_series(family: str, op: EngineeringOp, grid: list[float], witness_id: str,
+                   order: int):
+    """The witness point by point on the truncated-Fock oracle, the independent
+    second route: a DegenerateState or SingularDenominator is a NaN gap."""
+    values, counts = [], {}
+    for value in grid:
+        spec = StateSpec.of(family, value, op)
+        try:
+            result = witnesses_mod.evaluate_witness(spec, witness_id, order=order, engine="oracle")
+        except (DegenerateState, SingularDenominator) as exc:
+            values.append(math.nan)
+            counts[type(exc).__name__] = counts.get(type(exc).__name__, 0) + 1
+        else:
+            values.append(result.value)
+    return values, counts
 
 
 def sweep(
@@ -110,9 +143,11 @@ def sweep(
     param_range is {"min": .., "max": .., "steps": ..}; defaults follow the
     plotted windows. engine may be "analytic", "oracle", or "both"; "both"
     emits a paired `label@oracle` series per variant and records the maximum
-    analytic/oracle relative deviation in the metadata. A DegenerateState or
-    an indeterminate determinant witness at a single grid point records a
-    NaN gap, not a failure.
+    analytic/oracle relative deviation in the metadata. The analytic engine
+    evaluates each variant as one grid spec, one moment table for the whole
+    grid; the oracle goes point by point. A DegenerateState or an
+    indeterminate determinant witness at a grid point records a NaN gap, not
+    a failure; metadata["nan_gaps"] counts them per series and cause.
     """
     if engine not in ("analytic", "oracle", "both"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -131,18 +166,15 @@ def sweep(
     if include_bare and not any(op.order == states_mod.ORDER_NONE for op in ops):
         ops.append(EngineeringOp.bare())
 
-    engines = ("analytic", "oracle") if engine == "both" else (engine,)
     series: dict[str, list[float]] = {}
+    gaps: dict[str, dict[str, int]] = {}
+    first = _oracle_series if engine == "oracle" else _analytic_series
     for op in ops:
-        for eng in engines:
-            label = op.label() if eng == engines[0] else f"{op.label()}@oracle"
-            out = []
-            for value in values:
-                try:
-                    out.append(_witness_value(StateSpec.of(family, value, op), witness_id, order, eng))
-                except (DegenerateState, SingularDenominator):
-                    out.append(math.nan)
-            series[label] = out
+        label = op.label()
+        series[label], gaps[label] = first(family, op, values, witness_id, order)
+        if engine == "both":
+            label = f"{label}@oracle"
+            series[label], gaps[label] = _oracle_series(family, op, values, witness_id, order)
 
     metadata = {
         "witness": witness_id,
@@ -150,6 +182,7 @@ def sweep(
         "family": family,
         "engine": engine,
         "variants": [op.label() for op in ops],
+        "nan_gaps": gaps,
     }
     if engine == "both":
         # relative above magnitude 1, absolute below (witness values near the
@@ -215,9 +248,9 @@ def figure_pack(
         raise ValueError(f"unknown figure id {figure_id!r}")
     index = int(figure_id[3:])
     family = states_mod.FAMILY_THERMAL if index % 2 else states_mod.FAMILY_EVEN_COHERENT
-    sweep_steps = steps or SWEEP_STEPS
-    husimi_steps = grid_steps or HUSIMI_STEPS
-    prange = None if steps is None else {"steps": sweep_steps}
+    # a given 0 is checked like any other count, not read as "default"
+    husimi_steps = HUSIMI_STEPS if grid_steps is None else grid_steps
+    prange = None if steps is None else {"steps": steps}
 
     if index in (1, 2, 3, 4, 5, 6, 9, 10):
         witness_id = {1: "mandel", 3: "hoa", 5: "hosps", 9: "hos"}[index if index % 2 else index - 1]

@@ -447,7 +447,7 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: str):
         l = int(quantity[6:-1])
         if engine == "analytic":
             return witnesses_mod.hosps(MomentTable.analytic(spec), l)
-        return witnesses_mod.hosps(oracle_mod.oracle_moment_table(spec), l)
+        return witnesses_mod.hosps(oracle_mod.oracle_moment_table(spec, order=l), l)
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
 

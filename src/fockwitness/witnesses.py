@@ -13,11 +13,19 @@ value flags nonclassicality:
 
 The seventh, husimi_zero_scan, looks for zeros of the Husimi Q function on a
 grid; a nonempty zero set is the flag.
+
+The six scalar witnesses also take a grid spec (states.StateSpec over an
+array of parameters): their bodies are generic arithmetic on the moment
+table, so one call gives the whole series as an ndarray. A guard that raises
+for one state gives NaN at its points of a grid: DegenerateState (from the
+norm) and SingularDenominator (agarwal_tara). ZeroMeanPhoton still fails the
+whole grid, and OutOfRange and OddOrder still raise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -68,7 +76,8 @@ def mandel_q(table: MomentTable, l: int = 2) -> float:
     if l < 2:
         raise ValueError("mandel_q requires l >= 2")
     mean = _mean_photon(table)
-    if mean == 0.0:
+    # a zero-mean state anywhere on a grid fails the whole series
+    if np.any(mean == 0.0):
         raise ZeroMeanPhoton("mandel_q is undefined for a zero-mean-photon state")
     return _central_number_moment(table, l) / mean - 1.0
 
@@ -152,6 +161,8 @@ def agarwal_tara(
     m is the 3x3 Hankel matrix of factorial moments m_k = <a'^k a^k>. The
     default variant takes mu_k = <(a'a)^k>; the power_of_mean variant takes
     mu_k = m_1^k, which makes mu rank one and det(mu) = 0 for every state.
+    Where the denominator vanishes against the moments' scale the witness
+    is indeterminate: SingularDenominator for one state, NaN on a grid.
     """
     if variant not in (VARIANT_NUMBER_MOMENTS, VARIANT_POWER_OF_MEAN):
         raise ValueError(f"unknown agarwal_tara variant {variant!r}")
@@ -163,12 +174,13 @@ def agarwal_tara(
     det_m = _hankel3_det(m)
     det_mu = _hankel3_det(mu)
     denominator = det_mu - det_m
-    scale = max(1.0, abs(det_m), max(abs(v) for v in m) ** 3)
-    if abs(denominator) < epsilon * scale:
-        raise SingularDenominator(
-            "agarwal_tara denominator vanishes (witness indeterminate)"
-        )
-    return det_m / denominator
+    # elementwise over a grid
+    scale = reduce(np.maximum, [1.0, abs(det_m), reduce(np.maximum, map(abs, m)) ** 3])
+    return states_mod._guarded(
+        abs(denominator) < epsilon * scale,
+        lambda: SingularDenominator("agarwal_tara denominator vanishes (witness indeterminate)"),
+        lambda: det_m / denominator,
+    )
 
 
 def _hankel3_det(moments) -> float:
@@ -281,12 +293,22 @@ def husimi_zero_scan(
 # Uniform entry point
 # ---------------------------------------------------------------------------
 
-def _table_for(spec: StateSpec, engine: str, tail_tol: float) -> MomentTable:
+def _table_for(spec: StateSpec, engine: str, tail_tol: float, order: int) -> MomentTable:
+    """The witness's moment table; an oracle basis holds the tails of the
+    moments up to <a'^order a^order>."""
     if engine == "analytic":
         return MomentTable.analytic(spec)
     if engine == "oracle":
-        return oracle_mod.oracle_moment_table(spec, tail_tol)
+        return oracle_mod.oracle_moment_table(spec, tail_tol, order)
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def _moment_order(witness: str, order: int) -> int:
+    """The largest n of the <a'^n a^n> the witness reads, or that bounds what
+    it reads: hos(l) reads total order l, so l/2; A3 reads m_4."""
+    if witness == "agarwal_tara":
+        return 4
+    return order // 2 if witness == "hos" else order
 
 
 def evaluate_witness(
@@ -299,9 +321,13 @@ def evaluate_witness(
     zero_threshold: float = 1e-6,
     tail_tol: float = oracle_mod.DEFAULT_TAIL_TOL,
 ) -> WitnessResult:
-    """Evaluate one witness for one state and wrap the outcome."""
+    """Evaluate one witness for one state and wrap the outcome.
+
+    For a grid spec on the analytic engine, value and nonclassical are
+    arrays over the grid (husimi_zero takes one state only).
+    """
     if witness in ("mandel", "hoa", "hosps", "hos", "agarwal_tara"):
-        table = _table_for(spec, engine, tail_tol)
+        table = _table_for(spec, engine, tail_tol, _moment_order(witness, order))
         if witness == "mandel":
             value = mandel_q(table, order)
         elif witness == "hoa":

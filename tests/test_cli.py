@@ -211,6 +211,8 @@ class TestNumericDomain:
             ("witness", "--name", "klyshko", "--m", "-1", "--family", "thermal", "--rbar", "1"),
             ("figure", "fig1", "--steps", "1"),
             ("figure", "fig7", "--grid-steps", "1"),
+            ("figure", "fig1", "--steps", "0"),
+            ("figure", "fig7", "--grid-steps", "0"),
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -231,12 +233,22 @@ class TestExitCodes:
              5, "undefined witness:"),
             (("witness", "--name", "mandel", "--engine", "oracle", "--family", "thermal", "--rbar", "500"),
              2, "oracle basis too large:"),
+            # the basis must hold the k^2-weighted tail of <a'^2 a^2>, not only the mass
+            (("witness", "--name", "hoa", "--engine", "oracle", "--family", "thermal", "--rbar", "120"),
+             2, "oracle basis too large: thermal(rbar=120.0)|bare moments need more than 4096 Fock levels"),
             (("moment", "--m", "2", "--n", "2", "--family", "thermal", "--op", "pas",
               "--p", "2", "--q", "2", "--rbar", "1e200"),
              2, "out of float range:"),
             (_MOMENT + ("--family", "ecs", "--alpha", "1e200"), 2, "out of float range:"),
             (("witness", "--name", "husimi-zero", "--family", "ecs", "--alpha", "200"),
              2, "configuration error: Husimi Q of ecs(alpha=200.0)|bare is 0 on the whole window"),
+            # a zero mean at one grid point fails the whole sweep, not a NaN gap
+            (("sweep", "--name", "mandel", "--family", "thermal", "--variants", "bare",
+              "--param-min", "0", "--steps", "5"),
+             5, "undefined witness:"),
+            (("sweep", "--name", "hoa", "--family", "thermal", "--variants", "PAS(2,2)",
+              "--param-max", "1e200", "--steps", "3"),
+             2, "out of float range: <a'^2 a^2> of thermal(rbar=5e+199)|PAS(2,2)"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
     )
@@ -246,6 +258,19 @@ class TestExitCodes:
         assert proc.stderr.startswith(prefix), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_oracle_basis_weighs_the_tail_by_the_order_read(self):
+        # hoa l = 2 reads up to <a'^2 a^2>; a k^4-weighted tail would not fit
+        proc = run_cli("witness", "--name", "hoa", "--engine", "oracle", "--family", "thermal",
+                       "--rbar", "100")
+        assert proc.returncode == 0, proc.stderr
+        name, order, value, flag = proc.stdout.strip().split(",")
+        assert (name, order, flag) == ("hoa", "2", "false")
+        assert float(value) == pytest.approx(100.0 ** 2, rel=1e-12)
+        proc = run_cli("witness", "--name", "hoa", "--l", "4", "--engine", "oracle",
+                       "--family", "thermal", "--rbar", "100")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("oracle basis too large:"), proc.stderr
 
     def test_klyshko_underflow_hidden_by_rounded_x(self):
         proc = run_cli(

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from fockwitness import states, sweep_report
+from fockwitness import states, sweep_report, witnesses
+from fockwitness.errors import DegenerateState, OutOfRange, SingularDenominator, ZeroMeanPhoton
 from fockwitness.states import EngineeringOp, StateSpec
 from fockwitness.sweep_report import (
     FIGURE_IDS,
@@ -79,6 +81,74 @@ class TestSweep:
         assert table.parameter_values[-1] == pytest.approx(3.0)
 
 
+# every witness a sweep takes, with its order: l, or m for klyshko
+_SWEEPABLE = [("mandel", 2), ("mandel", 3), ("mandel", 4), ("hoa", 2), ("hosps", 2),
+              ("hos", 2), ("hos", 4), ("hos", 6), ("agarwal_tara", 0), ("klyshko", 1)]
+_SMALL_OPS = [EngineeringOp.bare()] + [
+    make(p, q) for make in (EngineeringOp.pas, EngineeringOp.psa)
+    for p in range(3) for q in range(3) if p or q
+]
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("family, hi", [("thermal", 3.0), ("even_coherent", 2.0)])
+    @pytest.mark.parametrize("witness, order", _SWEEPABLE)
+    def test_sweep_equals_point_by_point_loop(self, witness, order, family, hi):
+        # ranges from 0 hold annihilated states and indeterminate A3 points
+        prange = {"min": 0.0, "max": hi, "steps": 13}
+        for op in _SMALL_OPS:
+            expected, counts, zero_mean = [], {}, False
+            for value in sweep_report._grid(0.0, hi, 13):
+                try:
+                    result = witnesses.evaluate_witness(StateSpec.of(family, value, op), witness, order)
+                except (DegenerateState, SingularDenominator) as exc:
+                    expected.append(math.nan)
+                    counts[type(exc).__name__] = counts.get(type(exc).__name__, 0) + 1
+                except ZeroMeanPhoton:
+                    zero_mean = True
+                else:
+                    expected.append(result.value)
+            if zero_mean:
+                with pytest.raises(ZeroMeanPhoton):
+                    sweep(witness, order, [op], family, param_range=prange)
+                continue
+            table = sweep(witness, order, [op], family, param_range=prange)
+            values = table.series[op.label()]
+            assert table.metadata["nan_gaps"] == {op.label(): counts}, op
+            assert all(type(v) is float for v in values)
+            for got, want in zip(values, expected):
+                if math.isnan(want):
+                    assert math.isnan(got), (op, got)
+                else:
+                    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (op, got, want)
+
+    def test_zero_mean_fails_the_whole_sweep(self):
+        with pytest.raises(ZeroMeanPhoton):
+            sweep("mandel", 2, [EngineeringOp.bare()], "thermal",
+                  param_range={"min": 0.0, "max": 1.0, "steps": 5})
+
+    def test_out_of_range_propagates(self):
+        with pytest.raises(OutOfRange, match="rbar=1e\\+200"):
+            sweep("hoa", 2, [EngineeringOp.pas(2, 2)], "thermal",
+                  param_range={"min": 0.0, "max": 1e200, "steps": 2})
+
+    def test_odd_order_still_raises(self):
+        with pytest.raises(witnesses.OddOrder):
+            sweep("hos", 3, [EngineeringOp.bare()], "thermal", param_range={"steps": 3})
+
+    def test_grid_moments_match_scalar_moments(self):
+        grid = [0.0, 0.3, 1.7]
+        for family in ("thermal", "even_coherent"):
+            spec = StateSpec.of(family, np.array(grid), EngineeringOp.psa(2, 1))
+            table = states.MomentTable.analytic(spec)
+            for m, n in ((0, 0), (1, 1), (4, 4), (2, 0), (3, 1)):
+                values = table.get(m, n)
+                assert values.shape == (3,) and math.isnan(values[0].real)
+                for value, point in zip(values[1:], grid[1:]):
+                    want = states.moment(StateSpec.of(family, point, EngineeringOp.psa(2, 1)), m, n)
+                    assert abs(value - want) <= 1e-14 * max(abs(want), 1.0)
+
+
 class TestFigurePacks:
     def test_ids(self):
         assert FIGURE_IDS == tuple(f"fig{i}" for i in range(1, 13))
@@ -131,6 +201,14 @@ class TestFigurePacks:
             for _, panel in pack.panels:
                 for label, dev in panel.metadata["max_deviation"].items():
                     assert dev <= 1e-8, (figure_id, label, dev)
+
+    @pytest.mark.parametrize("figure_id", ["fig1", "fig3", "fig5", "fig9", "fig11"])
+    def test_both_engine_gate_at_default_resolution(self, figure_id):
+        # the oracle basis must hold the weighted tails of the moments each panel reads
+        pack = figure_pack(figure_id, engine="both")
+        for name, panel in pack.panels:
+            for label, dev in panel.metadata["max_deviation"].items():
+                assert dev <= 1e-8, (figure_id, name, label, dev)
 
     def test_husimi_both_engine_regression_gate(self):
         grid = husimi_grid(
