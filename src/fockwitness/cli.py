@@ -104,19 +104,18 @@ def _check_deviations(deviations: dict[str, float], tol: float) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def _config_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """dest -> its value flag, over every command: the keys a config file may set."""
+def _config_flags(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """dest -> its value flag in the invoked command: the keys its config file may set."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         action.dest: action
-        for command in commands.choices.values()
-        for action in command._actions
+        for action in commands.choices[command]._actions
         if isinstance(action, argparse._StoreAction) and action.option_strings
         and action.dest != "config"
     }
 
 
-def _read_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:
+def _read_config_file(path: str, command: str, flags: dict[str, argparse.Action]) -> dict:
     """key=value lines, each value converted and checked by its flag's type and choices."""
     values = {}
     try:
@@ -130,9 +129,14 @@ def _read_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:
                 key, _, text = line.partition("=")
                 key, text = key.strip().replace("-", "_"), text.strip()
                 if key not in flags:
-                    raise ConfigError(f"unknown config key {key!r}")
+                    raise ConfigError(f"unknown config key {key!r} for {command}")
                 action = flags[key]
-                value = action.type(text) if action.type else text
+                try:
+                    value = action.type(text) if action.type else text
+                except ValueError:
+                    raise ConfigError(
+                        f"config value {key}={text!r} is not a valid {action.type.__name__}"
+                    ) from None
                 if action.choices is not None and value not in action.choices:
                     choices = ", ".join(action.choices)
                     raise ConfigError(f"config value {key}={text!r} is not one of: {choices}")
@@ -146,7 +150,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     """Precedence: explicit flags > config file values > defaults."""
     if not getattr(args, "config", None):
         return
-    for key, value in _read_config_file(args.config, _config_flags(parser)).items():
+    flags = _config_flags(parser, args.command)
+    for key, value in _read_config_file(args.config, args.command, flags).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 

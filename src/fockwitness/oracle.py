@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,49 +104,36 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
         return out
     log_alpha = np.log(complex(alpha))
     k = np.arange(dim)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(dim)])
-    out = np.exp(k * log_alpha - 0.5 * log_fact - 0.5 * abs(alpha) ** 2)
+    return np.exp(k * log_alpha - 0.5 * _log_factorials(dim) - 0.5 * abs(alpha) ** 2)
+
+
+@lru_cache(maxsize=None)
+def _falling(count: int, times: int) -> np.ndarray:
+    """(k + times)! / k! for k = 0 .. count - 1, as a read-only float array."""
+    k = np.arange(count, dtype=float)
+    out = np.prod(k[:, None] + np.arange(1.0, times + 1.0), axis=1)
+    out.flags.writeable = False
     return out
 
 
-def _apply_creation_vec(v: np.ndarray, times: int) -> np.ndarray:
-    out = v
-    for _ in range(times):
-        shifted = np.zeros_like(out)
-        k = np.arange(len(out) - 1)
-        shifted[1:] = out[:-1] * np.sqrt(k + 1.0)
-        out = shifted
-    return out
-
-
-def _apply_annihilation_vec(v: np.ndarray, times: int) -> np.ndarray:
-    out = v
-    for _ in range(times):
-        lowered = np.zeros_like(out)
-        k = np.arange(1, len(out))
-        lowered[:-1] = out[1:] * np.sqrt(k.astype(float))
-        out = lowered
-    return out
-
-
-def _apply_creation_diag(w: np.ndarray, times: int) -> np.ndarray:
-    # a' rho a' on a diagonal rho: weight at k moves to k+1 scaled by (k+1)
-    out = w
-    for _ in range(times):
-        shifted = np.zeros_like(out)
-        k = np.arange(len(out) - 1)
-        shifted[1:] = out[:-1] * (k + 1.0)
-        out = shifted
-    return out
-
-
-def _apply_annihilation_diag(w: np.ndarray, times: int) -> np.ndarray:
-    out = w
-    for _ in range(times):
-        lowered = np.zeros_like(out)
-        k = np.arange(1, len(out))
-        lowered[:-1] = out[1:] * k.astype(float)
-        out = lowered
+def _ladder(data: np.ndarray, times: int, *, creation: bool, diagonal: bool) -> np.ndarray:
+    """a'^times (creation) or a^times applied to a vector, in one slice and
+    scale: a'^t |k> = sqrt((k+t)!/k!) |k+t>. On diagonal weights the same
+    shift carries the full falling factorial, as a'^t rho a^t (creation) or
+    a^t rho a'^t does to a diagonal rho."""
+    if not times:
+        return data
+    out = np.zeros_like(data)
+    count = len(data) - times
+    if count <= 0:
+        return out
+    scale = _falling(count, times)
+    if not diagonal:
+        scale = np.sqrt(scale)
+    if creation:
+        out[times:] = data[:count] * scale
+    else:
+        out[:count] = data[times:] * scale
     return out
 
 
@@ -172,11 +160,11 @@ def _bare_components(spec: StateSpec, dim: int) -> np.ndarray:
 
 def _engineer(components: np.ndarray, spec: StateSpec, diagonal: bool) -> np.ndarray:
     p, q = spec.op.p, spec.op.q
-    up = _apply_creation_diag if diagonal else _apply_creation_vec
-    down = _apply_annihilation_diag if diagonal else _apply_annihilation_vec
     if spec.op.order == ORDER_SUBTRACT_THEN_ADD:
-        return up(down(components, p), q)
-    return down(up(components, q), p)
+        lowered = _ladder(components, p, creation=False, diagonal=diagonal)
+        return _ladder(lowered, q, creation=True, diagonal=diagonal)
+    raised = _ladder(components, q, creation=True, diagonal=diagonal)
+    return _ladder(raised, p, creation=False, diagonal=diagonal)
 
 
 def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> float:
@@ -280,21 +268,42 @@ def oracle_moment(state: TruncatedState, m: int, n: int) -> complex:
             f"moment order {m}+{n} too close to cutoff {state.cutoff}"
         )
     if state.kind == KIND_VECTOR:
-        left = _apply_annihilation_vec(state.data, m)
-        right = _apply_annihilation_vec(state.data, n)
+        left = _ladder(state.data, m, creation=False, diagonal=False)
+        right = _ladder(state.data, n, creation=False, diagonal=False)
         return complex(np.vdot(left, right))
     if state.kind == KIND_DIAGONAL:
         if m != n:
             return 0j
-        k = np.arange(state.cutoff, dtype=float)
-        falling = np.ones_like(k)
-        for i in range(n):
-            falling *= np.clip(k - i, 0.0, None)
-        return complex(np.sum(state.data * falling))
+        return complex(np.dot(state.data[n:], _falling(state.cutoff - n, n)))
     dim = state.cutoff
     a = annihilation_matrix(dim)
     op = np.linalg.matrix_power(a, m).conj().T @ np.linalg.matrix_power(a, n)
     return complex(np.trace(state.data @ op))
+
+
+def oracle_moment_block(state: TruncatedState, order: int) -> np.ndarray:
+    """<a'^m a^n> for m, n = 0 .. order, as an (order+1) x (order+1) array.
+
+    A pure state stacks its lowered vectors a^k psi and takes one product of
+    them; a diagonal state has only the m = n entries, one falling-factorial
+    dot each, and the matrix representation goes entry by entry, both
+    through oracle_moment. The cutoff guard is oracle_moment's for the
+    largest entry.
+    """
+    if order < 0:
+        raise ValueError("moment orders must be non-negative")
+    if 2 * order >= state.cutoff / 2:
+        raise CutoffExceeded(
+            f"moment order {order}+{order} too close to cutoff {state.cutoff}"
+        )
+    size = order + 1
+    if state.kind == KIND_VECTOR:
+        lowered = np.array([_ladder(state.data, k, creation=False, diagonal=False)
+                            for k in range(size)])
+        return lowered.conj() @ lowered.T
+    if state.kind == KIND_DIAGONAL:
+        return np.diag([oracle_moment(state, n, n) for n in range(size)])
+    return np.array([[oracle_moment(state, m, n) for n in range(size)] for m in range(size)])
 
 
 def oracle_photon_prob(state: TruncatedState, m: int) -> float:
@@ -337,9 +346,21 @@ def oracle_poissonian_central_moment(mean: float, l: int) -> float:
     # after the (k - mean)^l weight
     top = int(mean + 40.0 * math.sqrt(mean) + 60.0 + 2 * l)
     k = np.arange(top + 1, dtype=float)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(top + 1)])
-    log_pmf = k * math.log(mean) - mean - log_fact
-    return float(np.sum(np.exp(log_pmf) * (k - mean) ** l))
+    log_pmf = k * math.log(mean) - mean - _log_factorials(top + 1)
+    return float(np.dot(np.exp(log_pmf), (k - mean) ** l))
+
+
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(i + 1) for i in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log k! for k = 0 .. count - 1, sliced from one cached table whose
+    size is count rounded up to a power of two."""
+    return _log_factorial_table(1 << max(count - 1, 1).bit_length())[:count]
 
 
 def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> TruncatedState:

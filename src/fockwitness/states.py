@@ -252,6 +252,11 @@ class StateSpec:
     def _pair_weights(self):
         return _ecs_pair_weights(self.amplitude)
 
+    @property
+    def parameter(self):
+        """rbar or alpha: a number, or the array of a grid spec."""
+        return self.mean_photon_number if self.family == FAMILY_THERMAL else self.amplitude
+
     def canonical(self) -> str:
         """Deterministic string identity, used in fixture records."""
         if self.family == FAMILY_THERMAL:
@@ -348,8 +353,7 @@ def _first(spec: StateSpec, where) -> StateSpec:
     state is its own first point. Errors over a grid name this state."""
     if not isinstance(where, np.ndarray):
         return spec
-    value = spec.mean_photon_number if spec.family == FAMILY_THERMAL else spec.amplitude
-    return StateSpec.of(spec.family, value[int(np.argmax(where))], spec.op)
+    return StateSpec.of(spec.family, spec.parameter[int(np.argmax(where))], spec.op)
 
 
 def _norm(spec: StateSpec) -> float:
@@ -461,7 +465,7 @@ def _fock_weight(op: EngineeringOp, m: int) -> int:
     return math.perm(m + p, p) * math.perm(m + p, q)
 
 
-def photon_prob(spec: StateSpec, m: int) -> float:
+def photon_prob(spec: StateSpec, m):
     """Probability of detecting m photons in the engineered state.
 
     The bare weight of level k = m + p - q times W(m) = _fock_weight, over
@@ -471,17 +475,31 @@ def photon_prob(spec: StateSpec, m: int) -> float:
     W(m) beyond the float range that it does not cancel (rbar > ~1e16 and
     m > ~1e19) raises OutOfRange. Over a grid spec, an ndarray with NaN at the
     annihilated points.
+
+    m may also be a 1-d integer array, for one state (a grid spec with an
+    array m raises ValueError): one call gives p_m over it as an ndarray.
+    Each level is evaluated as the scalar call evaluates it, W(m) in exact
+    integers (converted to floats once) and the powers in Python floats, so
+    each element equals the scalar call's value bit for bit; only a thermal
+    W(m) beyond the float range raises OutOfRange over an array even where
+    its bare weight underflows.
     """
-    if m < 0:
+    array = isinstance(m, np.ndarray)
+    if array and (isinstance(spec.parameter, np.ndarray) or m.ndim != 1 or m.dtype.kind not in "iu"):
+        raise ValueError("an array of photon numbers must be 1-d integers, for one state")
+    if not _all(m >= 0):
         raise ValueError("photon number must be non-negative")
     norm = spec._norm
     # 0 for one state; over a grid, zeros that keep the NaN gaps
     zero = 0.0 * norm
-    weight = _fock_weight(spec.op, m)
-    if not weight:
-        return zero
     p, q = spec.op.p, spec.op.q
     k = m + p - q
+    if array:
+        weight = [_fock_weight(spec.op, int(i)) for i in m]
+    else:
+        weight = _fock_weight(spec.op, m)
+        if not weight:
+            return zero
     if spec.family == FAMILY_THERMAL:
         x, y = _thermal_xy(spec)
         rbar = spec.mean_photon_number
@@ -493,27 +511,44 @@ def photon_prob(spec: StateSpec, m: int) -> float:
             with np.errstate(divide="ignore", invalid="ignore"):
                 bare = np.where(rbar < 1.0, x ** power, np.exp(-power * np.log1p(1.0 / rbar)))
         else:
-            bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
-            if not bare:
-                return 0.0
+            def level(j: int) -> float:
+                return x ** j if rbar < 1.0 else math.exp(-j * math.log1p(1.0 / rbar))
+
+            if array:
+                # per level in Python floats (numpy's pow and exp may round
+                # the last bit differently); an unreached level weighs 0
+                bare = np.array([level(j) if w else 0.0 for j, w in zip(power.tolist(), weight)])
+            else:
+                bare = level(power)
+                if not bare:
+                    return 0.0
         try:
+            # W in exact integers, converted to floats once
+            weight = np.array(weight, dtype=float) if array else weight
             return bare * weight * y ** (1 + p + q) / norm
         except OverflowError:
-            raise OutOfRange(f"W({m}) of {spec.canonical()} exceeds the float range") from None
+            raise OutOfRange(
+                f"W({'m' if array else m}) of {spec.canonical()} exceeds the float range"
+            ) from None
     a2 = abs(spec.amplitude) ** 2
-    if k % 2:
-        return zero
-    if not k:
-        log_power = 0.0
-    elif isinstance(a2, np.ndarray):
+    if isinstance(a2, np.ndarray):
+        if k % 2:
+            return zero
         # -inf at alpha = 0, where the weight of level k > 0 is 0
         with np.errstate(divide="ignore"):
-            log_power = k * np.log(a2)
-    elif a2:
-        log_power = k * math.log(a2)
-    else:
-        return 0.0
-    return 4.0 * _math(a2).exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
+            log_power = k * np.log(a2) if k else 0.0
+        return 4.0 * np.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
+
+    def level(j: int, w: int) -> float:
+        # one even level j = k reached with W(m) = w; 0 on odd levels
+        if j % 2 or not w or (j and not a2):
+            return 0.0
+        log_power = j * math.log(a2) if j else 0.0
+        return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(j) + math.log(w)) / norm
+
+    if array:
+        return np.array([level(j, w) for j, w in zip(k.tolist(), weight)])
+    return level(k, weight)
 
 
 # ---------------------------------------------------------------------------

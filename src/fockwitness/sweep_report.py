@@ -248,7 +248,12 @@ def figure_pack(
         raise ValueError(f"unknown figure id {figure_id!r}")
     index = int(figure_id[3:])
     family = states_mod.FAMILY_THERMAL if index % 2 else states_mod.FAMILY_EVEN_COHERENT
-    # a given 0 is checked like any other count, not read as "default"
+    # a given 0 is checked like any other count, not read as "default", and
+    # both counts are checked whichever the figure reads
+    if steps is not None and steps < 2:
+        raise ValueError("a sweep needs at least 2 steps")
+    if grid_steps is not None and grid_steps < 2:
+        raise ValueError("grid needs at least 2 steps per axis")
     husimi_steps = HUSIMI_STEPS if grid_steps is None else grid_steps
     prange = None if steps is None else {"steps": steps}
 

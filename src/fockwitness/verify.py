@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
+
+import numpy as np
 
 from . import oracle as oracle_mod
 from . import states as states_mod
@@ -63,6 +66,28 @@ class SuiteResult:
         return f"{status} {self.name}: {self.checks} checks, max deviation {self.max_deviation:.3e}"
 
 
+class _Tally:
+    """The checks of one suite: their count, the worst deviation, and one
+    note per failed check. A NaN deviation fails its check; the worst
+    deviation is taken over the others."""
+
+    def __init__(self):
+        self.checks = 0
+        self.worst = 0.0
+        self.notes: list[str] = []
+
+    def add(self, dev, limit, note) -> None:
+        """One check per element of dev, failed unless dev <= limit there;
+        note(i, dev_i) describes failed element i."""
+        dev = np.asarray(dev, dtype=float).ravel()
+        self.checks += dev.size
+        self.worst = float(np.fmax.reduce(dev, initial=self.worst))
+        self.notes.extend(note(i, dev[i]) for i in np.flatnonzero(~(dev <= limit)))
+
+    def result(self, name: str) -> SuiteResult:
+        return SuiteResult(name, not self.notes, self.worst, self.checks, self.notes[:10])
+
+
 def _engineering_ops(max_order: int = 3) -> list[EngineeringOp]:
     ops = [EngineeringOp.bare()]
     for p in range(max_order + 1):
@@ -72,40 +97,44 @@ def _engineering_ops(max_order: int = 3) -> list[EngineeringOp]:
     return ops
 
 
-def _grid_specs(max_order: int = 3):
+def _grid_series(max_order: int = 3):
+    """(op, family, values): the spec grid, one grid spec per (op, family)."""
     for op in _engineering_ops(max_order):
-        for rbar in RBAR_GRID:
-            yield StateSpec.thermal(rbar, op)
-        for alpha in ALPHA_GRID:
-            yield StateSpec.even_coherent(alpha, op)
+        yield op, states_mod.FAMILY_THERMAL, RBAR_GRID
+        yield op, states_mod.FAMILY_EVEN_COHERENT, ALPHA_GRID
 
 
-def _rel_dev(analytic: complex, reference: complex) -> float:
-    return abs(analytic - reference) / max(abs(reference), 1e-30)
+@lru_cache(maxsize=None)
+def _oracle_state(spec: StateSpec) -> oracle_mod.TruncatedState:
+    """The spec's oracle state at ORACLE_TAIL_TOL, built once per run and
+    shared by every suite; its arrays are read-only."""
+    state = oracle_mod.build_truncated(spec, ORACLE_TAIL_TOL)
+    state.data.flags.writeable = False
+    return state
+
+
+def _rel_dev(analytic, reference):
+    return np.abs(analytic - reference) / np.maximum(np.abs(reference), 1e-30)
 
 
 def suite_moments(tol: float = MOMENT_TOL) -> SuiteResult:
-    """Analytic moments against oracle moments over the full spec grid."""
-    worst = 0.0
-    checks = 0
-    notes = []
-    for spec in _grid_specs():
-        state = oracle_mod.build_truncated(spec, ORACLE_TAIL_TOL)
-        if spec.family == states_mod.FAMILY_THERMAL:
-            pairs = [(n, n) for n in range(6)]
-        else:
-            pairs = [(n, n) for n in range(6)]
+    """Analytic moments against oracle moments over the full spec grid.
+
+    Each (op, family) is one grid spec on the analytic side, and each state
+    one block of oracle moments <a'^m a^n>, m, n <= 5.
+    """
+    tally = _Tally()
+    for op, family, values in _grid_series():
+        specs = [StateSpec.of(family, value, op) for value in values]
+        blocks = np.array([oracle_mod.oracle_moment_block(_oracle_state(s), 5) for s in specs])
+        grid = StateSpec.of(family, np.array(values), op)
+        pairs = [(n, n) for n in range(6)]
+        if family == states_mod.FAMILY_EVEN_COHERENT:
             pairs += [(m, n) for m in range(5) for n in range(5) if m != n]
         for m, n in pairs:
-            reference = oracle_mod.oracle_moment(state, m, n)
-            analytic = states_mod.moment(spec, m, n)
-            dev = _rel_dev(analytic, reference)
-            checks += 1
-            if dev > worst:
-                worst = dev
-            if dev > tol:
-                notes.append(f"{spec.canonical()} moment({m},{n}): dev {dev:.3e}")
-    return SuiteResult("moments", worst <= tol and not notes, worst, checks, notes[:10])
+            tally.add(_rel_dev(states_mod.moment(grid, m, n), blocks[:, m, n]), tol,
+                      lambda i, dev: f"{specs[i].canonical()} moment({m},{n}): dev {dev:.3e}")
+    return tally.result("moments")
 
 
 _WITNESS_OPS = (
@@ -128,13 +157,14 @@ def _witness_specs():
 
 
 def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_TOL) -> SuiteResult:
-    """Every witness from analytic moments against the same witness from oracle moments."""
-    worst = 0.0
-    checks = 0
-    notes = []
+    """Every witness from analytic moments against the same witness from oracle moments.
+
+    The analytic side stays on one scalar MomentTable per state, so that
+    verify covers that route as well as the grid specs of the other suites.
+    """
+    tally = _Tally()
 
     def compare(label, analytic_fn, oracle_fn):
-        nonlocal worst, checks
         try:
             a = analytic_fn()
             a_err = None
@@ -145,10 +175,10 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
             o_err = None
         except SingularDenominator:
             o, o_err = None, "singular"
-        checks += 1
         if a_err or o_err:
+            tally.checks += 1
             if a_err != o_err:
-                notes.append(f"{label}: {a_err} vs {o_err}")
+                tally.notes.append(f"{label}: {a_err} vs {o_err}")
             return
         dev = abs(a - o)
         if abs(o) >= 1.0:
@@ -156,14 +186,11 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
             limit = tol
         else:
             limit = max(abs_tol, tol * abs(o))
-        if dev > worst:
-            worst = dev
-        if dev > limit:
-            notes.append(f"{label}: dev {dev:.3e}")
+        tally.add(dev, limit, lambda i, dev: f"{label}: dev {dev:.3e}")
 
     for spec in _witness_specs():
         analytic = MomentTable.analytic(spec)
-        oracle_state = oracle_mod.build_truncated(spec, ORACLE_TAIL_TOL)
+        oracle_state = _oracle_state(spec)
         oracle_table = oracle_mod.moment_table_from_state(oracle_state, spec)
         name = spec.canonical()
         for l in (2, 3):
@@ -192,58 +219,57 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         compare(f"{name} husimi({beta})",
                 lambda: states_mod.husimi(spec, beta),
                 lambda: oracle_mod.oracle_husimi(oracle_state, beta))
-    return SuiteResult("witnesses", not notes, worst, checks, notes[:10])
+    return tally.result("witnesses")
 
 
 def suite_normalization() -> SuiteResult:
     """Traces, probability sums, and parity zeros."""
-    worst = 0.0
-    checks = 0
-    notes = []
-    for spec in _grid_specs(max_order=3):
-        state = oracle_mod.build_truncated(spec, ORACLE_TAIL_TOL)
-        trace = float(state.probabilities().sum())
-        dev = abs(trace - 1.0)
-        worst = max(worst, dev)
-        checks += 1
-        if dev > NORMALIZATION_TOL:
-            notes.append(f"{spec.canonical()} oracle trace: dev {dev:.3e}")
-        total = sum(states_mod.photon_prob(spec, m) for m in range(state.cutoff))
-        dev = abs(total - 1.0)
-        worst = max(worst, dev)
-        checks += 1
-        if dev > PROB_SUM_TOL:
-            notes.append(f"{spec.canonical()} sum p_m: dev {dev:.3e}")
-        if spec.family == states_mod.FAMILY_EVEN_COHERENT:
+    tally = _Tally()
+    for op, family, values in _grid_series():
+        for value in values:
+            spec = StateSpec.of(family, value, op)
+            state = _oracle_state(spec)
+            name = spec.canonical()
+            trace = float(state.probabilities().sum())
+            tally.add(abs(trace - 1.0), NORMALIZATION_TOL,
+                      lambda i, dev: f"{name} oracle trace: dev {dev:.3e}")
+            total = float(states_mod.photon_prob(spec, np.arange(state.cutoff)).sum())
+            tally.add(abs(total - 1.0), PROB_SUM_TOL,
+                      lambda i, dev: f"{name} sum p_m: dev {dev:.3e}")
+        if family == states_mod.FAMILY_EVEN_COHERENT:
+            grid = StateSpec.of(family, np.array(values), op)
             for m, n in ((1, 0), (2, 1), (3, 2), (3, 0)):
-                value = abs(states_mod.moment(spec, m, n))
-                worst = max(worst, value)
-                checks += 1
-                if value > PARITY_TOL:
-                    notes.append(f"{spec.canonical()} parity moment({m},{n}): {value:.3e}")
-    return SuiteResult("normalization", not notes, worst, checks, notes[:10])
+                tally.add(
+                    np.abs(states_mod.moment(grid, m, n)), PARITY_TOL,
+                    lambda i, value: f"{StateSpec.of(family, values[i], op).canonical()} "
+                                     f"parity moment({m},{n}): {value:.3e}",
+                )
+    return tally.result("normalization")
+
+
+def _window(window, points: int) -> np.ndarray:
+    return np.array([window[0] + i * (window[1] - window[0]) / (points - 1) for i in range(points)])
 
 
 def suite_hos(points: int = 40) -> SuiteResult:
-    """Hong-Mandel squeezing stays non-negative over the plotted windows."""
-    most_negative = 0.0
-    checks = 0
-    notes = []
+    """Hong-Mandel squeezing stays non-negative over the plotted windows.
+
+    Each scanned series is one grid spec. A NaN fails its check; the printed
+    deviation is the most negative value.
+    """
+    tally = _Tally()
     for family, window in (
         (states_mod.FAMILY_THERMAL, sweep_report.RBAR_WINDOW),
         (states_mod.FAMILY_EVEN_COHERENT, sweep_report.ALPHA_WINDOW),
     ):
-        values = [window[0] + i * (window[1] - window[0]) / (points - 1) for i in range(points)]
+        values = _window(window, points)
         for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
-                for value in values:
-                    spec = StateSpec.of(family, value, op)
-                    s = witnesses_mod.hos(MomentTable.analytic(spec), l)
-                    checks += 1
-                    most_negative = min(most_negative, s)
-                    if s < -SIGN_MAGNITUDE:
-                        notes.append(f"{spec.canonical()} hos({l}) = {s:.3e}")
-    return SuiteResult("hos", not notes, abs(most_negative), checks, notes[:10])
+                s = witnesses_mod.hos(MomentTable.analytic(StateSpec.of(family, values, op)), l)
+                tally.add(-s, SIGN_MAGNITUDE,
+                          lambda i, dev: f"{StateSpec.of(family, values[i], op).canonical()} "
+                                         f"hos({l}) = {-dev:.3e}")
+    return tally.result("hos")
 
 
 def suite_signs(points: int = 60) -> SuiteResult:
@@ -253,27 +279,26 @@ def suite_signs(points: int = 60) -> SuiteResult:
     somewhere on the window while the add-then-subtract (1,1) curve never
     does; Husimi of subtract-then-add thermal states with q > p vanishes at
     the origin; A3 of both (2,1) thermal variants never goes negative.
+    Each scanned series is one grid spec; a point where the state is
+    annihilated (NaN norm) fails its check, while a singular A3 denominator
+    is skipped.
     """
     notes = []
     checks = 0
-    rbar_values = [
-        sweep_report.RBAR_WINDOW[0]
-        + i * (sweep_report.RBAR_WINDOW[1] - sweep_report.RBAR_WINDOW[0]) / (points - 1)
-        for i in range(points)
-    ]
+    rbar_values = _window(sweep_report.RBAR_WINDOW, points)
 
-    psat_min = math.inf
-    past_min = math.inf
-    for rbar in rbar_values:
-        psat = witnesses_mod.mandel_q(
-            MomentTable.analytic(StateSpec.thermal(rbar, EngineeringOp.psa(1, 1))), 2
+    minima = {}
+    for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
+        series = witnesses_mod.mandel_q(
+            MomentTable.analytic(StateSpec.thermal(rbar_values, op)), 2
         )
-        past = witnesses_mod.mandel_q(
-            MomentTable.analytic(StateSpec.thermal(rbar, EngineeringOp.pas(1, 1))), 2
-        )
-        psat_min = min(psat_min, psat)
-        past_min = min(past_min, past)
-        checks += 2
+        checks += points
+        # NaN only where the norm is (an annihilated state)
+        for i in np.flatnonzero(np.isnan(series)):
+            notes.append(f"mandel(2) {op.label()} rbar={rbar_values[i]:.3f}: nan")
+        minima[op.order] = float(np.fmin.reduce(series, initial=math.inf))
+    psat_min = minima[states_mod.ORDER_SUBTRACT_THEN_ADD]
+    past_min = minima[states_mod.ORDER_ADD_THEN_SUBTRACT]
     if not psat_min < -SIGN_MAGNITUDE:
         notes.append(f"mandel(2) PSA(1,1) thermal never negative (min {psat_min:.3e})")
     if past_min < -SIGN_MAGNITUDE:
@@ -287,42 +312,40 @@ def suite_signs(points: int = 60) -> SuiteResult:
             notes.append(f"{spec.canonical()} husimi(0) = {q0!r}, expected exact 0")
 
     for op in (EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1)):
-        for rbar in rbar_values:
-            checks += 1
-            try:
-                a3 = witnesses_mod.agarwal_tara(
-                    MomentTable.analytic(StateSpec.thermal(rbar, op))
-                )
-            except SingularDenominator:
-                continue
-            if a3 < -SIGN_MAGNITUDE:
-                # Known irreproducible reference claim for the subtract-then-add
-                # variant: the state tends to the one-photon Fock state as
-                # rbar -> 0 and the determinant witness genuinely detects it
-                # (negative A3 for rbar below about 1.045, confirmed in exact
-                # rational arithmetic). Reported honestly as a failure.
-                notes.append(
-                    f"a3 {op.label()} rbar={rbar:.3f}: {a3:.3e} "
-                    "(genuine negativity; the state tends to the one-photon "
-                    "Fock state, which this witness detects)"
-                )
-                break
+        table = MomentTable.analytic(StateSpec.thermal(rbar_values, op))
+        # <1> is NaN exactly where the norm is; any other NaN is a singular
+        # denominator, skipped as it compares False below
+        for i in np.flatnonzero(np.isnan(table.get(0, 0).real)):
+            notes.append(f"a3 {op.label()} rbar={rbar_values[i]:.3f}: annihilated (NaN norm)")
+        a3 = witnesses_mod.agarwal_tara(table)
+        negative = np.flatnonzero(a3 < -SIGN_MAGNITUDE)
+        if not negative.size:
+            checks += points
+            continue
+        # the scan stops at the first negative value
+        first = int(negative[0])
+        checks += first + 1
+        # Known irreproducible reference claim for the subtract-then-add
+        # variant: the state tends to the one-photon Fock state as
+        # rbar -> 0 and the determinant witness genuinely detects it
+        # (negative A3 for rbar below about 1.045, confirmed in exact
+        # rational arithmetic). Reported honestly as a failure.
+        notes.append(
+            f"a3 {op.label()} rbar={rbar_values[first]:.3f}: {a3[first]:.3e} "
+            "(genuine negativity; the state tends to the one-photon "
+            "Fock state, which this witness detects)"
+        )
     return SuiteResult("signs", not notes, 0.0, checks, notes[:10])
 
 
-def _oracle_central_number_moment(state, l: int) -> float:
-    probs = state.probabilities()
-    k = list(range(len(probs)))
-    mean = sum(pk * kk for pk, kk in zip(probs, k))
-    return sum(pk * (kk - mean) ** l for pk, kk in zip(probs, k))
-
-
 def _oracle_hosps_direct(state, l: int) -> float:
+    """The oracle's l-th central number moment minus that of the same-mean
+    Poisson distribution."""
     probs = state.probabilities()
-    mean = sum(pk * kk for kk, pk in enumerate(probs))
-    return _oracle_central_number_moment(state, l) - oracle_mod.oracle_poissonian_central_moment(
-        mean, l
-    )
+    k = np.arange(len(probs), dtype=float)
+    mean = float(np.dot(probs, k))
+    central = float(np.dot(probs, (k - mean) ** l))
+    return central - oracle_mod.oracle_poissonian_central_moment(mean, l)
 
 
 def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
@@ -330,29 +353,26 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
 
     The direct reference is the oracle's central number moment minus the
     same-mean Poissonian central moment. The shipped hosps() must match it;
-    the printed-sign variant is logged with its correction factor.
+    the printed-sign variant is logged with its correction factor. Each
+    (op, family) is one grid spec on the analytic side.
     """
-    worst = 0.0
-    checks = 0
-    notes = []
+    tally = _Tally()
     printed_matches_even = True
     printed_flips_odd = True
-    for spec in _grid_specs(max_order=3):
-        state = oracle_mod.build_truncated(spec, ORACLE_TAIL_TOL)
-        table = MomentTable.analytic(spec)
+    for op, family, values in _grid_series():
+        specs = [StateSpec.of(family, value, op) for value in values]
+        oracle_states = [_oracle_state(s) for s in specs]
+        table = MomentTable.analytic(StateSpec.of(family, np.array(values), op))
         for l in (2, 3, 4):
-            reference = _oracle_hosps_direct(state, l)
+            reference = np.array([_oracle_hosps_direct(state, l) for state in oracle_states])
             value = witnesses_mod.hosps(table, l)
-            dev = abs(value - reference) / max(abs(reference), 1e-30)
-            if abs(reference) < 1.0:
-                dev = min(dev, abs(value - reference))
-            checks += 1
-            worst = max(worst, dev)
-            if dev > max(tol, WITNESS_ABS_TOL):
-                notes.append(f"{spec.canonical()} hosps({l}): dev {dev:.3e}")
+            dev = _rel_dev(value, reference)
+            dev = np.where(np.abs(reference) < 1.0, np.minimum(dev, np.abs(value - reference)), dev)
+            tally.add(dev, max(tol, WITNESS_ABS_TOL),
+                      lambda i, dev: f"{specs[i].canonical()} hosps({l}): dev {dev:.3e}")
             printed = witnesses_mod.hosps_printed_form(table, l)
             expected = value if l % 2 == 0 else -value
-            if abs(printed - expected) > max(1e-9, 1e-9 * abs(expected)):
+            if not np.all(np.abs(printed - expected) <= np.maximum(1e-9, 1e-9 * np.abs(expected))):
                 if l % 2 == 0:
                     printed_matches_even = False
                 else:
@@ -361,7 +381,7 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
         notes_extra = "printed-sign variant = (-1)^l * direct definition; direct used"
     else:
         notes_extra = "printed-sign variant relation UNEXPECTED; direct definition used"
-    result = SuiteResult("hosps_gate", not notes, worst, checks, notes[:10])
+    result = tally.result("hosps_gate")
     result.notes.append(notes_extra)
     return result
 
@@ -373,41 +393,28 @@ def suite_coherent(tol: float = COHERENT_BASELINE_TOL) -> SuiteResult:
     to zero; the power-of-mean A3 variant has both determinants vanish and
     must report an indeterminate (singular) witness.
     """
-    worst = 0.0
-    checks = 0
-    notes = []
+    tally = _Tally()
     for amp in (0.5, 1.0, 2.0):
         state = oracle_mod.coherent_truncated(amp, ORACLE_TAIL_TOL)
         table = oracle_mod.moment_table_from_state(state)
+        values = []
         for l in (2, 3, 4):
-            for label, value in (
-                (f"hoa({l})", witnesses_mod.hoa(table, l)),
-                (f"hosps({l})", witnesses_mod.hosps(table, l)),
-            ):
-                checks += 1
-                worst = max(worst, abs(value))
-                if abs(value) > tol:
-                    notes.append(f"coherent |{amp}| {label}: {value:.3e}")
-        s2 = witnesses_mod.hos(table, 2)
-        checks += 1
-        worst = max(worst, abs(s2))
-        if abs(s2) > tol:
-            notes.append(f"coherent |{amp}| hos(2): {s2:.3e}")
-        checks += 1
-        value = witnesses_mod.agarwal_tara(table)
-        worst = max(worst, abs(value))
-        if abs(value) > tol:
-            notes.append(f"coherent |{amp}| agarwal_tara: {value:.3e}")
-        checks += 1
+            values += [(f"hoa({l})", witnesses_mod.hoa(table, l)),
+                       (f"hosps({l})", witnesses_mod.hosps(table, l))]
+        values += [("hos(2)", witnesses_mod.hos(table, 2)),
+                   ("agarwal_tara", witnesses_mod.agarwal_tara(table))]
+        for label, value in values:
+            tally.add(abs(value), tol, lambda i, dev: f"coherent |{amp}| {label}: {value:.3e}")
+        tally.checks += 1
         try:
             witnesses_mod.agarwal_tara(table, witnesses_mod.VARIANT_POWER_OF_MEAN)
-            notes.append(
+            tally.notes.append(
                 f"coherent |{amp}| agarwal_tara(power_of_mean) did not report "
                 "a singular denominator"
             )
         except SingularDenominator:
             pass
-    return SuiteResult("coherent", not notes, worst, checks, notes[:10])
+    return tally.result("coherent")
 
 
 # exact rational / closed-form values, pinned at EXACT_FIXTURE_TOL
@@ -458,28 +465,17 @@ def load_packaged_fixtures():
 
 def suite_fixtures(tol: float = EXACT_FIXTURE_TOL) -> SuiteResult:
     """Exact derived values plus the frozen oracle fixture file."""
-    worst = 0.0
-    checks = 0
-    notes = []
+    tally = _Tally()
     for label, compute, expected in _exact_fixtures():
-        value = float(compute())
-        dev = abs(value - expected) / max(abs(expected), 1e-30)
-        checks += 1
-        worst = max(worst, dev)
-        if dev > tol:
-            notes.append(f"{label}: dev {dev:.3e}")
+        tally.add(_rel_dev(float(compute()), expected), tol,
+                  lambda i, dev: f"{label}: dev {dev:.3e}")
     for record in load_packaged_fixtures():
         spec = StateSpec.from_canonical(record.canonical)
         for engine in ("analytic", "oracle"):
             value = float(_frozen_quantity(spec, record.quantity, engine))
-            dev = abs(value - record.value) / max(abs(record.value), 1e-30)
-            checks += 1
-            worst = max(worst, dev)
-            if dev > WITNESS_REL_TOL:
-                notes.append(
-                    f"{record.canonical} {record.quantity} [{engine}]: dev {dev:.3e}"
-                )
-    return SuiteResult("fixtures", not notes, worst, checks, notes[:10])
+            tally.add(_rel_dev(value, record.value), WITNESS_REL_TOL,
+                      lambda i, dev: f"{record.canonical} {record.quantity} [{engine}]: dev {dev:.3e}")
+    return tally.result("fixtures")
 
 
 def suite_determinism() -> SuiteResult:

@@ -213,6 +213,10 @@ class TestNumericDomain:
             ("figure", "fig7", "--grid-steps", "1"),
             ("figure", "fig1", "--steps", "0"),
             ("figure", "fig7", "--grid-steps", "0"),
+            # the step flag the figure does not read is checked too
+            ("figure", "fig1", "--grid-steps", "0", "--steps", "3"),
+            ("figure", "fig7", "--steps", "0", "--grid-steps", "3"),
+            ("figure", "fig11", "--grid-steps", "1", "--steps", "3"),
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -390,3 +394,47 @@ class TestConfigFile:
         assert proc.stderr.startswith("configuration error"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+class TestConfigKeys:
+    def test_bad_value_names_its_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=abc\n")
+        proc = run_cli("witness", "--name", "mandel", "--family", "thermal", "--rbar", "1",
+                       "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: config value p='abc' "), proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("text, argv", [
+        ("steps=3\n", ("witness", "--name", "mandel", "--family", "thermal", "--rbar", "1")),
+        ("grid_steps=5\n", ("moment", "--family", "thermal", "--rbar", "1", "--m", "1", "--n", "1")),
+        ("rbar=1\n", ("figure", "fig1", "--steps", "3")),
+        ("engine=oracle\n", ("verify", "--suite", "determinism")),
+    ], ids=lambda v: v.strip() if isinstance(v, str) else v[0])
+    def test_key_of_another_command_is_unknown(self, tmp_path, text, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        # rejected while reading the file, before a figure writes anything
+        proc = run_cli(*argv, "--config", str(cfg))
+        key = text.split("=")[0]
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"configuration error: unknown config key {key!r} for {argv[0]}"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_key_of_the_invoked_command_is_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=3\n")
+        proc = run_cli("figure", "fig1", "--config", str(cfg), "--out", str(tmp_path))
+        assert proc.returncode == 0
+        rows = (tmp_path / "fig1_a.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3
+
+
+class TestFigureStepFlags:
+    @pytest.mark.parametrize("figure_id", ["fig1", "fig7"])
+    def test_valid_value_on_the_unread_flag_is_accepted(self, tmp_path, figure_id):
+        # as CI passes --steps 9 --grid-steps 5 to every pack
+        proc = run_cli("figure", figure_id, "--steps", "3", "--grid-steps", "3", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr

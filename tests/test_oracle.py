@@ -5,7 +5,7 @@ import pytest
 
 from fockwitness import oracle
 from fockwitness.errors import CutoffExceeded, DegenerateState
-from fockwitness.states import EngineeringOp, StateSpec
+from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
 
 
 def test_ladder_commutator_on_interior():
@@ -204,3 +204,47 @@ class TestFixtures:
         records = load_packaged_fixtures()
         assert len(records) >= 8
         assert all(rec.cutoff >= 32 for rec in records)
+
+
+_LADDER_SPECS = [
+    StateSpec.of(family, value, op)
+    for family, value in ((FAMILY_THERMAL, 0.5), (FAMILY_THERMAL, 2.0),
+                          (FAMILY_EVEN_COHERENT, 0.7), (FAMILY_EVEN_COHERENT, 1.2 + 0.3j))
+    for op in (EngineeringOp.bare(), EngineeringOp.pas(1, 2), EngineeringOp.psa(1, 2),
+               EngineeringOp.pas(3, 1), EngineeringOp.psa(3, 1), EngineeringOp.pas(2, 2))
+]
+
+
+def _matrix_twin(spec, state):
+    matrix = oracle.build_truncated(spec, 1e-15, representation="matrix", min_cutoff=state.cutoff)
+    assert matrix.cutoff == state.cutoff
+    return matrix
+
+
+@pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda s: s.canonical())
+def test_ladders_agree_with_matrix_route(spec):
+    state = oracle.build_truncated(spec, 1e-15)
+    rho = _matrix_twin(spec, state).data
+    assert np.allclose(state.density_matrix(), rho, rtol=0.0, atol=1e-14 * np.abs(rho).max())
+
+
+@pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda s: s.canonical())
+def test_moment_block_agrees_with_matrix_route(spec):
+    state = oracle.build_truncated(spec, 1e-15)
+    matrix = _matrix_twin(spec, state)
+    order = 5
+    block = oracle.oracle_moment_block(state, order)
+    assert block.shape == (order + 1, order + 1)
+    for m in range(order + 1):
+        for n in range(order + 1):
+            reference = oracle.oracle_moment(matrix, m, n)
+            for value in (block[m, n], oracle.oracle_moment(state, m, n)):
+                assert abs(value - reference) <= 1e-14 * abs(reference), (m, n)
+
+
+def test_moment_block_keeps_the_cutoff_guard():
+    state = oracle.build_truncated(StateSpec.thermal(0.5))
+    assert state.cutoff == 32
+    oracle.oracle_moment_block(state, 7)
+    with pytest.raises(CutoffExceeded):
+        oracle.oracle_moment_block(state, 8)

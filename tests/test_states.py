@@ -384,6 +384,51 @@ class TestPhotonProb:
             photon_prob(spec, 10 ** 20)
 
 
+def _pas_psa_up_to(order):
+    for p in range(order + 1):
+        for q in range(order + 1):
+            yield EngineeringOp.pas(p, q)
+            yield EngineeringOp.psa(p, q)
+
+
+class TestPhotonProbArray:
+    @pytest.mark.parametrize("family, values", [
+        ("thermal", (0.0, 0.1, 1.0, 5.0, 1e-300, 1e20)),
+        ("ecs", (0.0, 0.3, 1.2, 0.9 + 0.4j, 5.0)),
+    ])
+    def test_array_equals_scalar_loop(self, family, values):
+        m = np.arange(300)
+        for op in _pas_psa_up_to(3):
+            for value in values:
+                spec = StateSpec.of(states.FAMILY_THERMAL if family == "thermal"
+                                    else states.FAMILY_EVEN_COHERENT, value, op)
+                try:
+                    loop = np.array([photon_prob(spec, int(i)) for i in m])
+                except DegenerateState:
+                    continue
+                array = photon_prob(spec, m)
+                assert array.shape == m.shape and array.dtype == np.float64
+                np.testing.assert_array_max_ulp(array, loop, maxulp=1)
+
+    def test_sums_over_the_oracle_cutoff(self):
+        spec = StateSpec.even_coherent(1.8, EngineeringOp.psa(2, 2))
+        state = oracle.build_truncated(spec, 1e-15)
+        total = photon_prob(spec, np.arange(state.cutoff)).sum()
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_spec_with_array_m_is_rejected(self):
+        spec = StateSpec.thermal(np.array([0.5, 1.0]), EngineeringOp.pas(1, 1))
+        with pytest.raises(ValueError):
+            photon_prob(spec, np.arange(4))
+        # a grid spec with one m stays a series over the grid
+        assert photon_prob(spec, 2).shape == (2,)
+
+    @pytest.mark.parametrize("m", [np.array([1.0, 2.0]), np.arange(4).reshape(2, 2), np.array([0, -1])])
+    def test_array_m_must_be_non_negative_1d_integers(self, m):
+        with pytest.raises(ValueError):
+            photon_prob(StateSpec.thermal(1.0), m)
+
+
 class TestOutOfRange:
     def test_thermal_moment_beyond_float_range(self):
         # <a'^2 a^2> of PAS(2,2) at rbar = 1e200 is about 3e401
