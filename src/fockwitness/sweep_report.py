@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -73,7 +74,7 @@ class HusimiGrid:
     label: str
     re_values: list[float]
     im_values: list[float]
-    q_values: list[list[float]]  # q_values[i][j] at beta = re[j] + i*im[i]
+    q_values: list[list[float]]  # q_values[i][j] at beta = re[j] + 1j*im[i]
     metadata: dict = field(default_factory=dict)
 
 
@@ -304,30 +305,40 @@ def figure_pack(
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    """Shortest representation that round-trips, 17 significant digits max."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
+def format_floats(values) -> list[str]:
+    """repr(float(x)) of every value, in row-major order.
+
+    Python's float repr is the shortest string that round-trips (17
+    significant digits at most). Values are keyed by their bit patterns, so
+    repr runs once per distinct pattern and equal patterns share one string;
+    0.0 and -0.0 stay apart, and every NaN prints "nan".
+    """
+    bits = np.asarray(values, dtype=np.float64).ravel().view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    # the inverse's shape differs across numpy versions; flat is what we index by
+    return strings[inverse.ravel()].tolist()
 
 
 def sweep_table_csv(table: SweepTable) -> str:
     labels = list(table.series)
-    lines = [",".join(["param"] + labels)]
-    for i, value in enumerate(table.parameter_values):
-        row = [format_float(value)] + [format_float(table.series[k][i]) for k in labels]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = [table.parameter_values] + [table.series[k] for k in labels]
+    # one cell list in row-major order, cut into rows of len(columns)
+    cells = format_floats(np.transpose(columns))
+    rows = map(",".join, zip(*[iter(cells)] * len(columns)))
+    return "\n".join([",".join(["param"] + labels), *rows]) + "\n"
 
 
 def husimi_grid_csv(grid: HusimiGrid) -> str:
-    # each axis value is formatted once per grid, not once per cell
-    res = [format_float(re) for re in grid.re_values]
-    lines = ["re,im,q_value"]
-    for im, row in zip(grid.im_values, grid.q_values):
-        tail = f",{format_float(im)},"
-        lines.extend(re + tail + format_float(q) for re, q in zip(res, row))
-    return "\n".join(lines) + "\n"
+    res = format_floats(grid.re_values)
+    qs = format_floats(grid.q_values)
+    width = len(res)
+    # joined one grid row at a time, so no list of per-cell lines is held
+    rows = ["re,im,q_value"]
+    for i, im in enumerate(format_floats(grid.im_values)):
+        cells = zip(res, repeat(f",{im},"), qs[i * width:(i + 1) * width])
+        rows.append("\n".join(map("".join, cells)))
+    return "\n".join(rows) + "\n"
 
 
 def panel_csv(panel) -> str:

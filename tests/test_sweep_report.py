@@ -11,7 +11,7 @@ from fockwitness.sweep_report import (
     HusimiGrid,
     SweepTable,
     figure_pack,
-    format_float,
+    format_floats,
     husimi_grid,
     husimi_grid_csv,
     sweep,
@@ -261,11 +261,43 @@ _HUSIMI_PANEL_STATES = {
 }
 
 
+# 0.0 and -0.0 are equal as floats and apart as bits, so a value-keyed dedup
+# (np.unique on floats, a set, a dict) prints one as the other; a numpy
+# float64 and an int ride along
+_EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                1e16, 1e-05, 1.0, math.nextafter(1.0, 2.0), np.float64(0.1), 3, -0.0, 0.0, 2.5)
+
+
+def _per_cell(*values) -> str:
+    return ",".join(repr(float(x)) for x in values)
+
+
 class TestCsv:
-    def test_format_float(self):
-        assert format_float(0.00390625) == "0.00390625"
-        assert format_float(10 / 3) == "3.3333333333333335"
-        assert format_float(float("nan")) == "nan"
+    def test_format_floats(self):
+        assert format_floats([0.00390625, 10 / 3, float("nan")]) == [
+            "0.00390625", "3.3333333333333335", "nan"
+        ]
+        assert format_floats([]) == []
+
+    def test_format_floats_equals_repr_on_edge_values(self):
+        values = _EDGE_VALUES + (-math.nan,)
+        assert format_floats(values) == [repr(float(x)) for x in values]
+
+    def test_sweep_csv_edge_values(self):
+        column = list(_EDGE_VALUES)
+        table = SweepTable("rbar", column, {"A": column[::-1], "B": column})
+        lines = sweep_table_csv(table).splitlines()
+        assert lines == ["param,A,B"] + [
+            _per_cell(*cells) for cells in zip(column, column[::-1], column)
+        ]
+
+    def test_husimi_csv_edge_values(self):
+        axis = [0.0, -0.0, 1e16, 1e-05]
+        q = [list(_EDGE_VALUES[i:i + 4]) for i in range(0, 16, 4)]
+        lines = husimi_grid_csv(HusimiGrid("edge", axis, axis, q)).splitlines()
+        assert lines == ["re,im,q_value"] + [
+            _per_cell(re, im, q[i][j]) for i, im in enumerate(axis) for j, re in enumerate(axis)
+        ]
 
     def test_sweep_csv_shape(self):
         table = SweepTable("rbar", [0.5, 1.0], {"PAS(1,1)": [1.0, 2.0], "bare": [0.0, 0.5]})
@@ -288,11 +320,24 @@ class TestCsv:
         grid = husimi_grid(StateSpec.even_coherent(2.0, EngineeringOp.psa(4, 2)), "PSA(4,2)", steps=7)
         grid.q_values[1][2] = float("nan")
         expected = "re,im,q_value\n" + "".join(
-            f"{format_float(re)},{format_float(im)},{format_float(grid.q_values[i][j])}\n"
+            _per_cell(re, im, grid.q_values[i][j]) + "\n"
             for i, im in enumerate(grid.im_values)
             for j, re in enumerate(grid.re_values)
         )
         assert husimi_grid_csv(grid) == expected
+
+    def test_sweep_csv_equals_per_cell_formatting(self):
+        table = sweep("mandel", 2, [EngineeringOp.psa(1, 1), EngineeringOp.psa(2, 1)], "thermal",
+                      param_range={"min": 0.0, "max": 2.0, "steps": 9})
+        assert math.isnan(table.series["PSA(1,1)"][0])  # annihilated at rbar = 0
+        table.series["PSA(2,1)"][3] = -0.0
+        labels = list(table.series)
+        expected = ",".join(["param"] + labels) + "\n" + "".join(
+            _per_cell(value, *(table.series[k][i] for k in labels)) + "\n"
+            for i, value in enumerate(table.parameter_values)
+        )
+        assert sweep_table_csv(table) == expected
+        assert ",-0.0\n" in expected and ",nan," in expected
 
     def test_write_figure_pack(self, tmp_path):
         pack = figure_pack("fig11", steps=3)
