@@ -8,6 +8,8 @@
 # for any classical mixture of coherent states.
 # ------------------------------------------------------------------
 
+import numpy as np
+
 from fockwitness.states import EngineeringOp, StateSpec, photon_prob
 from fockwitness.witnesses import klyshko
 
@@ -32,6 +34,9 @@ print("\nthe net one-photon loss flips the cat's support from even to odd")
 print("levels, so every even-m triple has empty outer probabilities around")
 print("a filled middle one: maximal convexity violation, B(m) < 0.")
 
-# the distribution itself stays normalized whatever the engineering does
-total = sum(photon_prob(engineered, m) for m in range(80))
-print("\nsum over p_m for the engineered cat:", total)
+# the distribution itself stays normalized whatever the engineering does;
+# one call over an array of photon numbers gives p_0 .. p_79 at once, each
+# element equal to the single-m call's value
+probs = photon_prob(engineered, np.arange(80))
+assert probs.tolist() == [photon_prob(engineered, m) for m in range(80)]
+print("\nsum over p_m for the engineered cat:", sum(probs.tolist()))

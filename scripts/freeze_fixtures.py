@@ -45,9 +45,9 @@ def main() -> None:
         (StateSpec.even_coherent(2.0, EngineeringOp.pas(2, 4)),
          "husimi((1+0j))", lambda st: oracle_husimi(st, 1 + 0j)),
         (StateSpec.thermal(1.0, EngineeringOp.psa(1, 1)),
-         "hosps(2)", lambda st: hosps_direct(st, 2)),
+         "hosps(2)", lambda st: hosps_direct(st, (2,))[0]),
         (StateSpec.thermal(0.5, EngineeringOp.pas(1, 2)),
-         "hosps(3)", lambda st: hosps_direct(st, 3)),
+         "hosps(3)", lambda st: hosps_direct(st, (3,))[0]),
     ]
     records = [
         stable_oracle_value(evaluate, spec, quantity, tail_tol=TAIL_TOL)

@@ -69,6 +69,16 @@ class ConfigError(Exception):
     pass
 
 
+class _StoreOnce(argparse._StoreAction):
+    """A value flag that may be given once: a repeat raises ConfigError
+    instead of silently replacing the first value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ConfigError(f"{self.option_strings[0]} may be given only once")
+        super().__call__(parser, namespace, values, option_string)
+
+
 # The one map from exception to exit code and stderr prefix; main() looks
 # each raised exception's classes up here, most specific first.
 _EXIT_CODES = {
@@ -368,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", choices=("thermal", "ecs"))
     p_sweep.add_argument("--l", type=int)
     p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--variants", help="comma list like PAS(1,1),PSA(2:1),bare")
+    p_sweep.add_argument("--variants", action=_StoreOnce,
+                         help="comma list like PAS(1,1),PSA(2:1),bare")
     p_sweep.add_argument("--include-bare", action="store_true")
     p_sweep.add_argument("--param-min", dest="param_min", type=float)
     p_sweep.add_argument("--param-max", dest="param_max", type=float)
@@ -392,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _merge_config(args, parser)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

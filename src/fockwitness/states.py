@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -283,20 +284,28 @@ def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, in
     Both orders sandwich one core, a'^A (a^q a'^B a^C a'^q) a^A: A = p,
     B = m, C = n for subtract-then-add, and A = 0, B = m + p, C = n + p for
     add-then-subtract (bare is its p = q = 0 case). Normal-ordering a^C a'^q
-    and then a^q a'^(B+q-r) leaves terms with M - N = m - n (Blasiak et al.,
+    with r contractions, a^k a'^l = sum_r r! C(k,r) C(l,r) a'^(l-r) a^(k-r),
+    and then a^q a'^(B+q-r) with s more leaves, for t = r + s, the single sum
+
+        c_t = sum_{r+s=t} r! C(C,r) C(q,r) s! C(q,s) C(B+q-r,s)
+
+    on a'^(A+B+q-t) a^(A+q+C-t), so M - N = m - n (Blasiak et al.,
     "Combinatorics and boson normal ordering", Am. J. Phys. 75, 639, 2007).
+    Terms with c_t = 0 are dropped; M ascends.
     """
     p, q = op.p, op.q
     if op.order == ORDER_SUBTRACT_THEN_ADD:
         outer, b, c = p, m, n
     else:
         outer, b, c = 0, m + p, n + p
-    terms: dict[tuple[int, int], int] = {}
-    for inner in specfun.normal_order_product(c, q):
-        for left in specfun.normal_order_product(q, b + inner.dagger_power):
-            key = (outer + left.dagger_power, left.plain_power + inner.plain_power + outer)
-            terms[key] = terms.get(key, 0) + left.coefficient * inner.coefficient
-    return tuple((dag, plain, coeff) for (dag, plain), coeff in sorted(terms.items()))
+    terms = []
+    # r! C(C,r) = C!/(C-r)! and s! C(q,s) = q!/(q-s)!; t falls as M rises
+    for t in range(min(c, q) + q, -1, -1):
+        coeff = sum(math.perm(c, r) * math.comb(q, r) * math.perm(q, t - r) * math.comb(b + q - r, t - r)
+                    for r in range(max(0, t - q), min(c, q, t) + 1))
+        if coeff:
+            terms.append((outer + b + q - t, outer + q + c - t, coeff))
+    return tuple(terms)
 
 
 def _ecs_pair_weights(alpha) -> tuple[float, float]:
@@ -449,20 +458,41 @@ def normalization_psat_thermal(rbar: float, p: int, q: int) -> float:
 # Photon-number probabilities
 # ---------------------------------------------------------------------------
 
-def _fock_weight(op: EngineeringOp, m: int) -> int:
+def _falling(n, r: int):
+    """n (n-1) ... (n-r+1), over an integer or an integer array."""
+    return math.prod(n - i for i in range(r))
+
+
+def _fock_weight(op: EngineeringOp, m):
     """W(m) = |<m| O |k>|^2 for k = m + p - q: an integer polynomial in m of degree p + q.
 
     Each order sends Fock level k to sqrt(W(m)) |m> and nothing else, so the
     photon-number distribution of either family is the bare weight of level
     k times W(m). W is 0 where O cannot reach level m, which is what the
     reciprocal factorials of negative integers say in the closed forms.
+    m may be an integer array (see photon_prob for its int64 bound).
     """
     p, q = op.p, op.q
     if op.order == ORDER_SUBTRACT_THEN_ADD:
-        # a^p: k!/(m-q)!, then a'^q: m!/(m-q)!
-        return math.perm(m + p - q, p) * math.perm(m, q) if m >= q else 0
+        # a^p: k!/(m-q)!, then a'^q: m!/(m-q)!, whose factor m - m is 0 below m = q
+        return _falling(m, q) * _falling(m + p - q, p)
     # a'^q: (m+p)!/k!, then a^p: (m+p)!/m!
-    return math.perm(m + p, p) * math.perm(m + p, q)
+    return _falling(m + p, p) * _falling(m + p, q)
+
+
+def _fock_weights(op: EngineeringOp, m: np.ndarray):
+    """W over a 1-d array of levels: an int64 array where W(max m) < 2^63,
+    else a list of Python ints.
+
+    W grows with m, and where W > 0 every factor is at least 1, so no
+    partial product exceeds W(max m) and none overflows below the bound; an
+    unreached level (m < q, subtracting first) has a 0 factor and the others
+    at most p + q in size.
+    """
+    top = int(m.max(initial=0))
+    if top + op.p < 2 ** 63 and _fock_weight(op, top) < 2 ** 63:
+        return np.broadcast_to(_fock_weight(op, m.astype(np.int64)), m.shape)
+    return [_fock_weight(op, i) for i in m.tolist()]
 
 
 def photon_prob(spec: StateSpec, m):
@@ -478,11 +508,13 @@ def photon_prob(spec: StateSpec, m):
 
     m may also be a 1-d integer array, for one state (a grid spec with an
     array m raises ValueError): one call gives p_m over it as an ndarray.
-    Each level is evaluated as the scalar call evaluates it, W(m) in exact
-    integers (converted to floats once) and the powers in Python floats, so
-    each element equals the scalar call's value bit for bit; only a thermal
-    W(m) beyond the float range raises OutOfRange over an array even where
-    its bare weight underflows.
+    W(m) is one int64 array operation where W(max m) < 2^63 (exact, as
+    every product stays below that bound) and exact Python integers above
+    it; the levels W = 0 masks out are never raised to a power, and the
+    powers are Python-float calls, as numpy's pow and exp may round the last
+    bit differently. So each element equals the scalar call's value bit for
+    bit; only a thermal W(m) beyond the float range raises OutOfRange over
+    an array even where its bare weight underflows.
     """
     array = isinstance(m, np.ndarray)
     if array and (isinstance(spec.parameter, np.ndarray) or m.ndim != 1 or m.dtype.kind not in "iu"):
@@ -495,9 +527,11 @@ def photon_prob(spec: StateSpec, m):
     p, q = spec.op.p, spec.op.q
     k = m + p - q
     if array:
-        weight = [_fock_weight(spec.op, int(i)) for i in m]
+        weight = _fock_weights(spec.op, m)
+        reached = np.asarray(weight) > 0
     else:
-        weight = _fock_weight(spec.op, m)
+        # in Python ints, which a numpy integer m would otherwise overflow
+        weight = _fock_weight(spec.op, operator.index(m))
         if not weight:
             return zero
     if spec.family == FAMILY_THERMAL:
@@ -510,21 +544,21 @@ def photon_prob(spec: StateSpec, m):
         if isinstance(rbar, np.ndarray):
             with np.errstate(divide="ignore", invalid="ignore"):
                 bare = np.where(rbar < 1.0, x ** power, np.exp(-power * np.log1p(1.0 / rbar)))
-        else:
-            def level(j: int) -> float:
-                return x ** j if rbar < 1.0 else math.exp(-j * math.log1p(1.0 / rbar))
-
-            if array:
-                # per level in Python floats (numpy's pow and exp may round
-                # the last bit differently); an unreached level weighs 0
-                bare = np.array([level(j) if w else 0.0 for j, w in zip(power.tolist(), weight)])
+        elif array:
+            # an unreached level takes x^0 and weighs 0
+            powers = np.where(reached, power, 0).tolist()
+            if rbar < 1.0:
+                bare = np.array([x ** j for j in powers])
             else:
-                bare = level(power)
-                if not bare:
-                    return 0.0
+                log_x = math.log1p(1.0 / rbar)
+                bare = np.array([math.exp(-j * log_x) for j in powers])
+        else:
+            bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
+            if not bare:
+                return 0.0
         try:
             # W in exact integers, converted to floats once
-            weight = np.array(weight, dtype=float) if array else weight
+            weight = np.asarray(weight, dtype=float) if array else weight
             return bare * weight * y ** (1 + p + q) / norm
         except OverflowError:
             raise OutOfRange(
@@ -540,15 +574,19 @@ def photon_prob(spec: StateSpec, m):
         return 4.0 * np.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
 
     def level(j: int, w: int) -> float:
-        # one even level j = k reached with W(m) = w; 0 on odd levels
-        if j % 2 or not w or (j and not a2):
-            return 0.0
+        # one even level j = k reached with W(m) = w > 0
         log_power = j * math.log(a2) if j else 0.0
         return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(j) + math.log(w)) / norm
 
-    if array:
-        return np.array([level(j, w) for j, w in zip(k.tolist(), weight)])
-    return level(k, weight)
+    if not array:
+        return 0.0 if k % 2 or (k and not a2) else level(k, weight)
+    # the even levels reached, and none above level 0 where alpha = 0
+    live = np.flatnonzero(reached & (k % 2 == 0) & ((k == 0) | bool(a2)))
+    ks = k.tolist()
+    ws = weight.tolist() if isinstance(weight, np.ndarray) else weight
+    probs = np.zeros(m.shape)
+    probs[live] = [level(ks[i], ws[i]) for i in live.tolist()]
+    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,14 @@ class _Tally:
     def add(self, dev, limit, note) -> None:
         """One check per element of dev, failed unless dev <= limit there;
         note(i, dev_i) describes failed element i."""
+        if isinstance(dev, float):
+            # one check, as the array route below takes it, without numpy
+            self.checks += 1
+            if dev > self.worst:
+                self.worst = float(dev)
+            if not dev <= limit:
+                self.notes.append(note(0, dev))
+            return
         dev = np.asarray(dev, dtype=float).ravel()
         self.checks += dev.size
         self.worst = float(np.fmax.reduce(dev, initial=self.worst))
@@ -210,11 +218,12 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         compare(f"{name} agarwal_tara",
                 lambda: witnesses_mod.agarwal_tara(analytic),
                 lambda: witnesses_mod.agarwal_tara(oracle_table))
+        # the oracle side reads the run's shared state
         for m in (0, 2, 4):
             compare(f"{name} klyshko({m})",
                     lambda m=m: witnesses_mod.klyshko(spec, m, engine="analytic"),
-                    lambda m=m: witnesses_mod.klyshko(spec, m, engine="oracle",
-                                                     tail_tol=ORACLE_TAIL_TOL))
+                    lambda m=m: witnesses_mod.klyshko_from_probs(
+                        m, *(oracle_mod.oracle_photon_prob(oracle_state, j) for j in (m, m + 1, m + 2))))
         beta = 0.4 + 0.3j
         compare(f"{name} husimi({beta})",
                 lambda: states_mod.husimi(spec, beta),
@@ -338,14 +347,15 @@ def suite_signs(points: int = 60) -> SuiteResult:
     return SuiteResult("signs", not notes, 0.0, checks, notes[:10])
 
 
-def _oracle_hosps_direct(state, l: int) -> float:
-    """The oracle's l-th central number moment minus that of the same-mean
-    Poisson distribution."""
+def _oracle_hosps_direct(state, orders) -> list[float]:
+    """For each l of orders, the oracle's l-th central number moment minus
+    that of the same-mean Poisson distribution; the distribution and its
+    mean are read once."""
     probs = state.probabilities()
     k = np.arange(len(probs), dtype=float)
     mean = float(np.dot(probs, k))
-    central = float(np.dot(probs, (k - mean) ** l))
-    return central - oracle_mod.oracle_poissonian_central_moment(mean, l)
+    return [float(np.dot(probs, (k - mean) ** l)) - oracle_mod.oracle_poissonian_central_moment(mean, l)
+            for l in orders]
 
 
 def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
@@ -361,10 +371,11 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
     printed_flips_odd = True
     for op, family, values in _grid_series():
         specs = [StateSpec.of(family, value, op) for value in values]
-        oracle_states = [_oracle_state(s) for s in specs]
+        # one row per order l = 2, 3, 4, one column per state
+        references = np.array([_oracle_hosps_direct(_oracle_state(s), (2, 3, 4))
+                               for s in specs]).T
         table = MomentTable.analytic(StateSpec.of(family, np.array(values), op))
-        for l in (2, 3, 4):
-            reference = np.array([_oracle_hosps_direct(state, l) for state in oracle_states])
+        for l, reference in zip((2, 3, 4), references):
             value = witnesses_mod.hosps(table, l)
             dev = _rel_dev(value, reference)
             dev = np.where(np.abs(reference) < 1.0, np.minimum(dev, np.abs(value - reference)), dev)

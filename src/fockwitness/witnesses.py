@@ -116,12 +116,14 @@ def hosps_printed_form(table: MomentTable, l: int = 2) -> float:
 
 def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> float:
     mean = _mean_photon(table)
+    # mean^j and d_f = <a'^f a^f> - mean^f, each computed once
+    powers = [mean ** j for j in range(l + 1)]
+    d = [None] + [table.get(f, f).real - powers[f] for f in range(1, l + 1)]
     total = 0.0
     for e in range(l + 1):
         sign = (-1) ** (l - e) if flip_with_l else (-1) ** e
         for f in range(1, e + 1):
-            d_f = table.get(f, f).real - mean ** f
-            total += stirling2(e, f) * binomial(l, e) * sign * d_f * mean ** (l - e)
+            total += stirling2(e, f) * binomial(l, e) * sign * d[f] * powers[l - e]
     return total
 
 
@@ -208,7 +210,11 @@ def klyshko(
     """Klyshko indicator B(m) = (m+2) p_m p_{m+2} - (m+1) p_{m+1}^2."""
     if m < 0:
         raise ValueError("photon number must be non-negative")
-    p_m, p_m1, p_m2 = _photon_probs(spec, (m, m + 1, m + 2), engine, tail_tol)
+    return klyshko_from_probs(m, *_photon_probs(spec, (m, m + 1, m + 2), engine, tail_tol))
+
+
+def klyshko_from_probs(m: int, p_m: float, p_m1: float, p_m2: float) -> float:
+    """B(m) from the probabilities p_m, p_{m+1}, p_{m+2} of any distribution."""
     return (m + 2) * p_m * p_m2 - (m + 1) * p_m1 ** 2
 
 

@@ -187,6 +187,15 @@ class TestSweepCommand:
         )
         assert proc.returncode == 2
 
+    # --variant is the prefix argparse expands to --variants
+    @pytest.mark.parametrize("flag", ["--variants", "--variant"])
+    def test_repeated_variants_flag_is_rejected(self, flag, capsys):
+        code = cli.main([*_SWEEP, "--steps", "2", flag, "PSA(1,1)", flag, "PAS(2,1)"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--variants" in captured.err
+
 
 _MOMENT = ("moment", "--m", "1", "--n", "1")
 _SWEEP = ("sweep", "--name", "mandel", "--family", "thermal")

@@ -7,7 +7,7 @@ import pytest
 from fockwitness import oracle, states
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
-from fockwitness.specfun import log_factorial
+from fockwitness.specfun import log_factorial, normal_order_product
 from fockwitness.states import (
     EngineeringOp,
     MomentTable,
@@ -310,6 +310,29 @@ class TestEcsMoments:
         assert subtracted == pytest.approx(a2 / math.tanh(a2), rel=1e-12)
 
 
+class TestContractionTable:
+    @staticmethod
+    def _composed(op, m, n):
+        """The table as two normal_order_product expansions composed: a^C a'^q
+        first, then a^q a'^(B+q-r), summed per (M, N) and sorted."""
+        if op.order == states.ORDER_SUBTRACT_THEN_ADD:
+            outer, b, c = op.p, m, n
+        else:
+            outer, b, c = 0, m + op.p, n + op.p
+        terms = {}
+        for inner in normal_order_product(c, op.q):
+            for left in normal_order_product(op.q, b + inner.dagger_power):
+                key = (outer + left.dagger_power, outer + left.plain_power + inner.plain_power)
+                terms[key] = terms.get(key, 0) + left.coefficient * inner.coefficient
+        return tuple((dag, plain, coeff) for (dag, plain), coeff in sorted(terms.items()))
+
+    def test_closed_form_equals_the_two_expansion_composition(self):
+        for op in [EngineeringOp.bare(), *_pas_psa_up_to(8)]:
+            for m in range(9):
+                for n in range(9):
+                    assert states._contraction_table(op, m, n) == self._composed(op, m, n), (op, m, n)
+
+
 class TestPhotonProb:
     def test_bare_thermal_geometric(self):
         spec = StateSpec.thermal(1.0)
@@ -391,6 +414,11 @@ def _pas_psa_up_to(order):
             yield EngineeringOp.psa(p, q)
 
 
+def _assert_bit_equal(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
 class TestPhotonProbArray:
     @pytest.mark.parametrize("family, values", [
         ("thermal", (0.0, 0.1, 1.0, 5.0, 1e-300, 1e20)),
@@ -406,9 +434,56 @@ class TestPhotonProbArray:
                     loop = np.array([photon_prob(spec, int(i)) for i in m])
                 except DegenerateState:
                     continue
-                array = photon_prob(spec, m)
-                assert array.shape == m.shape and array.dtype == np.float64
-                np.testing.assert_array_max_ulp(array, loop, maxulp=1)
+                _assert_bit_equal(photon_prob(spec, m), loop)
+
+    @staticmethod
+    def _int64_bound(op):
+        """The largest m with W(m) < 2^63 (W grows with m), None where W is constant."""
+        if states._fock_weight(op, 2 ** 64) < 2 ** 63:
+            return None
+        low, high = 0, 2 ** 64
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if states._fock_weight(op, mid) < 2 ** 63 else (low, mid)
+        return low
+
+    @pytest.mark.parametrize("family, values", [
+        ("thermal", (0.5, 1e6, 1e20)),
+        ("ecs", (1.2, 30.0)),
+    ])
+    def test_array_equals_scalar_loop_across_the_int64_bound(self, family, values):
+        # m up to 3,000 crosses the bound for the high orders; each op also
+        # takes the two arrays that end just below and just above it
+        spread = np.array([*range(18), 100, 999, 1000, 2999, 3000])
+        for op in [EngineeringOp.bare(), *_pas_psa_up_to(8)]:
+            arrays = [spread]
+            bound = self._int64_bound(op)
+            if bound is not None:
+                arrays += [np.array([0, bound - 1, bound], dtype=np.uint64),
+                           np.array([1, bound, bound + 1], dtype=np.uint64)]
+                # int64 products below the bound, Python ints above it
+                assert isinstance(states._fock_weights(op, arrays[1]), np.ndarray)
+                assert isinstance(states._fock_weights(op, arrays[2]), list)
+            for value in values:
+                spec = StateSpec.of(states.FAMILY_THERMAL if family == "thermal"
+                                    else states.FAMILY_EVEN_COHERENT, value, op)
+                for m in arrays:
+                    loop = np.array([photon_prob(spec, i) for i in m.tolist()])
+                    _assert_bit_equal(photon_prob(spec, m), loop)
+
+    def test_numpy_integer_m_keeps_exact_weights(self):
+        # W(20) of PAS(8,8) is about 2.3e22, beyond int64
+        for spec in (StateSpec.thermal(1e6, EngineeringOp.pas(8, 8)),
+                     StateSpec.even_coherent(4.0, EngineeringOp.psa(8, 8))):
+            assert photon_prob(spec, np.int64(20)) == photon_prob(spec, 20) > 0.0
+
+    @pytest.mark.parametrize("rbar", [0.5, 1e20])
+    def test_weight_beyond_the_float_range_raises_over_an_array(self, rbar):
+        # W(2^64 - 1) of PAS(8,8) exceeds 2^1024, beyond the float range; over
+        # an array this raises even where the bare weight underflows
+        spec = StateSpec.thermal(rbar, EngineeringOp.pas(8, 8))
+        with pytest.raises(OutOfRange):
+            photon_prob(spec, np.array([0, 5, 2 ** 64 - 1], dtype=np.uint64))
 
     def test_sums_over_the_oracle_cutoff(self):
         spec = StateSpec.even_coherent(1.8, EngineeringOp.psa(2, 2))

@@ -78,6 +78,8 @@ def test_oracle_states_are_built_once_and_read_only(monkeypatch):
         verify.suite_moments()
         verify.suite_normalization()
         verify.suite_hosps_gate()
+        # klyshko's oracle side reads the same states
+        verify.suite_witnesses()
         specs = [StateSpec.of(family, value, op)
                  for op, family, values in verify._grid_series() for value in values]
         assert len(calls) == len(set(specs)) == 297
