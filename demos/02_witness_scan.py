@@ -9,13 +9,13 @@
 # add-then-subtract one never does.
 # ------------------------------------------------------------------
 
-from fockwitness.states import EngineeringOp
+from fockwitness.states import FAMILY_THERMAL, EngineeringOp
 from fockwitness.sweep_report import sweep, sweep_table_csv
 
 variants = [EngineeringOp.pas(1, 1), EngineeringOp.psa(1, 1)]
 
 mandel = sweep(
-    "mandel", 2, variants, "thermal",
+    "mandel", 2, variants, FAMILY_THERMAL,
     param_range={"min": 0.05, "max": 3.0, "steps": 13},
 )
 
@@ -32,7 +32,7 @@ print("Fock state for small rbar) and crosses zero; the PAS curve never dips.")
 
 # the same scan through the brute-force engine, as a regression check
 paired = sweep(
-    "hoa", 2, [EngineeringOp.psa(1, 1)], "thermal",
+    "hoa", 2, [EngineeringOp.psa(1, 1)], FAMILY_THERMAL,
     param_range={"min": 0.1, "max": 2.0, "steps": 5},
     engine="both",
 )

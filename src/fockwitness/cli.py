@@ -58,9 +58,6 @@ _WITNESS_NAMES = {
     "husimi_zero": "husimi_zero",
 }
 
-_FAMILIES = {"thermal": states_mod.FAMILY_THERMAL, "ecs": states_mod.FAMILY_EVEN_COHERENT}
-
-
 # --tol where none is given: the analytic/oracle deviation allowed under --engine both
 DEFAULT_TOL = 1e-8
 
@@ -71,12 +68,20 @@ class ConfigError(Exception):
 
 class _StoreOnce(argparse._StoreAction):
     """A value flag that may be given once: a repeat raises ConfigError
-    instead of silently replacing the first value."""
+    instead of silently replacing the first value. The option strings of
+    one flag (--alpha, --alpha-re) count as one."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if getattr(namespace, self.dest) is not None:
-            raise ConfigError(f"{self.option_strings[0]} may be given only once")
+            raise ConfigError(f"{option_string} may be given only once")
         super().__call__(parser, namespace, values, option_string)
+
+
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """An argument parser whose value flags are _StoreOnce."""
+    parser = argparse.ArgumentParser(**kwargs)
+    parser.register("action", None, _StoreOnce)
+    return parser
 
 
 # The one map from exception to exit code and stderr prefix; main() looks
@@ -167,7 +172,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=("thermal", "ecs"))
+    parser.add_argument("--family", choices=states_mod.FAMILIES)
     parser.add_argument("--op", choices=("none", "pas", "psa"))
     parser.add_argument("--p", type=int)
     parser.add_argument("--q", type=int)
@@ -196,21 +201,19 @@ def _build_op(args: argparse.Namespace) -> EngineeringOp:
 def _build_spec(args: argparse.Namespace) -> StateSpec:
     if args.family is None:
         raise ConfigError("--family is required")
+    family = states_mod.FAMILIES[args.family]
     op = _build_op(args)
+    # every family parameter from its flags: the family's own is required, others refused
     alpha_given = args.alpha_re is not None or args.alpha_im is not None
-    if args.family == "thermal":
-        if args.rbar is None:
-            raise ConfigError("thermal family requires --rbar")
-        if alpha_given:
-            raise ConfigError("thermal family takes no --alpha")
-        value = args.rbar
-    else:
-        if not alpha_given:
-            raise ConfigError("ecs family requires --alpha-re (or --alpha)")
-        if args.rbar is not None:
-            raise ConfigError("ecs family takes no --rbar")
-        value = complex(args.alpha_re or 0.0, args.alpha_im or 0.0)
-    return StateSpec.of(_FAMILIES[args.family], value, op)
+    values = {"rbar": args.rbar,
+              "alpha": complex(args.alpha_re or 0.0, args.alpha_im or 0.0) if alpha_given else None}
+    value = values.pop(family.parameter)
+    if value is None:
+        raise ConfigError(f"{family.name} family requires --{family.parameter}")
+    for name, other in values.items():
+        if other is not None:
+            raise ConfigError(f"{family.name} family takes no --{name}")
+    return StateSpec.of(family, value, op)
 
 
 def _witness_order(args: argparse.Namespace) -> tuple[str, int]:
@@ -307,7 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         witness,
         order,
         variants,
-        _FAMILIES[args.family],
+        states_mod.FAMILIES[args.family],
         param_range=param_range or None,
         engine=args.engine or "analytic",
         include_bare=args.include_bare,
@@ -350,11 +353,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _parser(
         prog="fockwitness",
         description="Nonclassicality witnesses for photon-engineered thermal and even coherent states",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     p_moment = sub.add_parser("moment", help="print one normalized moment <a'^m a^n>")
     _add_state_flags(p_moment)
@@ -375,11 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="scan a witness over a parameter range")
     _add_shared_flags(p_sweep)
     p_sweep.add_argument("--name")
-    p_sweep.add_argument("--family", choices=("thermal", "ecs"))
+    p_sweep.add_argument("--family", choices=states_mod.FAMILIES)
     p_sweep.add_argument("--l", type=int)
     p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--variants", action=_StoreOnce,
-                         help="comma list like PAS(1,1),PSA(2:1),bare")
+    p_sweep.add_argument("--variants", help="comma list like PAS(1,1),PSA(2:1),bare")
     p_sweep.add_argument("--include-bare", action="store_true")
     p_sweep.add_argument("--param-min", dest="param_min", type=float)
     p_sweep.add_argument("--param-max", dest="param_max", type=float)

@@ -2,13 +2,14 @@
 
 Every state is built numerically from first principles (geometric weights or
 coherent amplitudes, then explicit ladder-operator application) and every
-quantity is read off the truncated representation. Nothing here shares code
-with the closed-form routes in `states`, so agreement between the two is a
-real check.
+quantity is read off the truncated representation. The bare-state builders
+are the oracle's own, looked up by family record, of which it reads only the
+`diagonal` flag: nothing here shares code with the closed-form routes in
+`states`, so agreement between the two is a real check.
 
-Thermal states stay diagonal through both engineering operations, so the
-default representation is a weight vector (O(D) instead of O(D^2)); a full
-density-matrix path is retained for cross-checks.
+A Fock-diagonal family (thermal) stays diagonal through both engineering
+operations, so its default representation is a weight vector (O(D) instead
+of O(D^2)); a full density-matrix path is retained for cross-checks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import CutoffExceeded, DegenerateState
 from .states import (
+    FAMILY_EVEN_COHERENT,
     FAMILY_THERMAL,
     ORDER_SUBTRACT_THEN_ADD,
     MomentTable,
@@ -137,25 +139,27 @@ def _ladder(data: np.ndarray, times: int, *, creation: bool, diagonal: bool) -> 
     return out
 
 
-def _bare_components(spec: StateSpec, dim: int) -> np.ndarray:
-    """Bare-state representation before engineering: weights or amplitudes."""
-    if spec.family == FAMILY_THERMAL:
-        rbar = spec.mean_photon_number
-        x = rbar / (1.0 + rbar)
-        k = np.arange(dim)
-        if x == 0.0:
-            w = np.zeros(dim)
-            w[0] = 1.0
-            return w
-        return np.exp(k * math.log(x)) / (1.0 + rbar)
-    alpha = spec.amplitude
+def _thermal_weights(rbar: float, dim: int) -> np.ndarray:
+    x = rbar / (1.0 + rbar)
+    k = np.arange(dim)
+    if x == 0.0:
+        w = np.zeros(dim)
+        w[0] = 1.0
+        return w
+    return np.exp(k * math.log(x)) / (1.0 + rbar)
+
+
+def _even_cat_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     # |alpha> + |-alpha> keeps only even Fock levels; build the even slots
     # from the coherent amplitudes and zero the odd ones exactly, so parity
     # zeros survive the ladder algebra as exact zeros
-    amps = coherent_amplitudes(alpha, dim)
-    out = 2.0 * amps
+    out = 2.0 * coherent_amplitudes(alpha, dim)
     out[1::2] = 0.0
     return out
+
+
+# (parameter, dim) -> the bare state's weights or amplitudes, per family record
+_BARE_COMPONENTS = {FAMILY_THERMAL: _thermal_weights, FAMILY_EVEN_COHERENT: _even_cat_amplitudes}
 
 
 def _engineer(components: np.ndarray, spec: StateSpec, diagonal: bool) -> np.ndarray:
@@ -219,30 +223,21 @@ def build_truncated(
 
 
 def _build_auto_at_cutoff(spec: StateSpec, dim: int) -> TruncatedState:
-    diagonal = spec.family == FAMILY_THERMAL
-    components = _bare_components(spec, dim)
-    engineered = _engineer(components, spec, diagonal)
-    if diagonal:
-        total = float(np.sum(engineered))
-        if not total > _NORM_FLOOR:
-            raise DegenerateState(f"{spec.canonical()} is annihilated")
-        probs = engineered / total
-        tail = _tail_estimate(probs, structural_zeros=spec.op.p)
-        return TruncatedState(dim, KIND_DIAGONAL, probs, tail)
-    nrm = float(np.linalg.norm(engineered))
-    if not nrm > _NORM_FLOOR:
+    """Diagonal weights for a Fock-diagonal family, a pure vector otherwise."""
+    diagonal = spec.family.diagonal
+    engineered = _engineer(_BARE_COMPONENTS[spec.family](spec.parameter, dim), spec, diagonal)
+    # weights divide by their sum, the trace; amplitudes by their norm, its root
+    total = float(np.sum(engineered) if diagonal else np.linalg.norm(engineered))
+    if not total > _NORM_FLOOR:
         raise DegenerateState(f"{spec.canonical()} is annihilated")
-    vec = engineered / nrm
-    tail = _tail_estimate(np.abs(vec) ** 2, structural_zeros=spec.op.p)
-    return TruncatedState(dim, KIND_VECTOR, vec, tail)
+    data = engineered / total
+    tail = _tail_estimate(data if diagonal else np.abs(data) ** 2, structural_zeros=spec.op.p)
+    return TruncatedState(dim, KIND_DIAGONAL if diagonal else KIND_VECTOR, data, tail)
 
 
 def _build_matrix_at_cutoff(spec: StateSpec, dim: int) -> TruncatedState:
-    if spec.family == FAMILY_THERMAL:
-        rho = np.diag(_bare_components(spec, dim).astype(complex))
-    else:
-        psi = _bare_components(spec, dim)
-        rho = np.outer(psi, psi.conj())
+    psi = _BARE_COMPONENTS[spec.family](spec.parameter, dim)
+    rho = np.diag(psi.astype(complex)) if spec.family.diagonal else np.outer(psi, psi.conj())
     a = annihilation_matrix(dim)
     ad = creation_matrix(dim)
     p, q = spec.op.p, spec.op.q

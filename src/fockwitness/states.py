@@ -18,6 +18,12 @@ makes the thermal Husimi Q a Gaussian times a finite polynomial. The cat
 Husimi Q sums the coherent-state matrix elements of O over its normal form.
 No infinite series is summed.
 
+Each family is one Family record, FAMILY_THERMAL or FAMILY_EVEN_COHERENT
+(FAMILIES, by name), which holds every fact that differs between families;
+no other code tests a family's name. The brute-force oracle keeps its own
+bare-state builders and reads only a record's `diagonal` flag, so that it
+stays an independent check.
+
 Every normalized quantity divides by the state's own unnormalized (0,0)
 expectation, so normalization is exact by construction and is cross-checked
 against the brute-force oracle in the test suite.
@@ -57,12 +63,9 @@ ORDER_NONE = "none"
 ORDER_ADD_THEN_SUBTRACT = "add_then_subtract"
 ORDER_SUBTRACT_THEN_ADD = "subtract_then_add"
 
-FAMILY_THERMAL = "thermal"
-FAMILY_EVEN_COHERENT = "even_coherent"
-
 # the grammar EngineeringOp.label() and StateSpec.canonical() print, read back
 _LABEL = re.compile(r"(PAS|PSA)\(([0-9]+)[,:;]([0-9]+)\)", re.IGNORECASE)
-_CANONICAL = re.compile(r"(thermal\(rbar|ecs\(alpha)=([^|]*)\)\|(.*)")
+_CANONICAL = re.compile(r"(\w+)\((\w+)=([^|]*)\)\|(.*)")
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,6 @@ class EngineeringOp:
         return (cls.pas if tag.upper() == "PAS" else cls.psa)(int(p), int(q))
 
 
-def _math(x):
-    """numpy for an array operand, math for a number: one state stays on
-    Python-float arithmetic."""
-    return np if isinstance(x, np.ndarray) else math
-
-
 def _finite(x):
     """Whether x is finite: a bool, or a bool array over a grid."""
     return np.isfinite(x) if isinstance(x, np.ndarray) else cmath.isfinite(x)
@@ -170,112 +167,108 @@ def _guarded(where, error: Callable[[], Exception], value: Callable[[], object])
         return np.where(where, math.nan, value())
 
 
-def _fmt_real(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_complex(z: complex) -> str:
+def _fmt(z) -> str:
+    """Shortest round-trip text of a parameter; a real one prints as its float repr."""
     z = complex(z)
     if z.imag == 0:
         return repr(z.real)
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
 
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One state family: every fact that differs from one family to another.
+
+    Records compare and hash by identity. Each body takes the spec, whose
+    `_constants` keep what `constants` derives from its parameter.
+    """
+
+    name: str  # the CLI --family choice and the head of canonical()
+    parameter: str  # the name of the family's one parameter
+    kind: type  # float or complex
+    valid: Callable  # the parameter's domain: a bool, or a bool array over a grid
+    domain: str  # the ValueError text outside it
+    window: tuple[float, float]  # the plotted sweep window
+    diagonal: bool  # Fock-diagonal, as both engineering orders keep it
+    constants: Callable  # parameter -> what the bodies read, once per spec
+    contraction: Callable  # (spec, terms of a _contraction_table) -> _unnormalized_moment
+    annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated
+    level_weight: Callable  # (spec, k, W(m)) -> photon_prob times the norm
+    husimi: Callable  # (spec, beta) -> husimi times pi and the norm
+
+    def __repr__(self) -> str:
+        return f"<family {self.name}>"
+
+    def __reduce__(self):
+        # a copied or unpickled record is the record itself
+        return _family, (self.name,)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Single input handle for every computation: family, parameter, operation.
 
-    The parameter is a number, or a 1-d array for a grid spec: the states of
-    one operation over a parameter grid, which the moment layer evaluates in
-    one array call (see MomentTable).
+    The family is a Family record. The parameter is its one parameter (rbar
+    or alpha) as the family's kind: a number, or a 1-d array for a grid spec:
+    the states of one operation over a parameter grid, which the moment
+    layer evaluates in one array call (see MomentTable).
     """
 
-    family: str
-    mean_photon_number: float | None = None
-    amplitude: complex | None = None
+    family: Family
+    parameter: object
     op: EngineeringOp = EngineeringOp.bare()
 
     def __post_init__(self):
-        if self.family == FAMILY_THERMAL:
-            if self.mean_photon_number is None or self.amplitude is not None:
-                raise ValueError("thermal family takes mean_photon_number only")
-            rbar = self.mean_photon_number
-            if not _all(_finite(rbar) & (rbar >= 0)):
-                raise ValueError("mean photon number must be finite and >= 0")
-        elif self.family == FAMILY_EVEN_COHERENT:
-            if self.amplitude is None or self.mean_photon_number is not None:
-                raise ValueError("even_coherent family takes amplitude only")
-            if not _all(_finite(self.amplitude)):
-                raise ValueError("amplitude must be finite")
-        else:
+        if not isinstance(self.family, Family):
             raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "parameter", _parameter(self.parameter, self.family.kind))
+        if not _all(self.family.valid(self.parameter)):
+            raise ValueError(self.family.domain)
 
     @classmethod
     def thermal(cls, rbar: float, op: EngineeringOp | None = None) -> "StateSpec":
-        return cls(FAMILY_THERMAL, mean_photon_number=_parameter(rbar, float),
-                   op=op or EngineeringOp.bare())
+        return cls.of(FAMILY_THERMAL, rbar, op)
 
     @classmethod
     def even_coherent(cls, alpha: complex, op: EngineeringOp | None = None) -> "StateSpec":
-        return cls(FAMILY_EVEN_COHERENT, amplitude=_parameter(alpha, complex),
-                   op=op or EngineeringOp.bare())
+        return cls.of(FAMILY_EVEN_COHERENT, alpha, op)
 
     @classmethod
-    def of(cls, family: str, value, op: EngineeringOp | None = None) -> "StateSpec":
-        """The spec of either family from its one parameter: rbar or alpha
-        (a 1-d array of them for a grid spec)."""
-        if family == FAMILY_THERMAL:
-            return cls.thermal(value, op)
-        if family == FAMILY_EVEN_COHERENT:
-            return cls.even_coherent(value, op)
-        raise ValueError(f"unknown family {family!r}")
+    def of(cls, family: Family, value, op: EngineeringOp | None = None) -> "StateSpec":
+        """The spec of a family from its one parameter (a 1-d array of them
+        for a grid spec); ValueError for anything but a Family record."""
+        return cls(family, value, op or EngineeringOp.bare())
 
     @classmethod
     def from_canonical(cls, text: str) -> "StateSpec":
         """Inverse of canonical(), e.g. 'thermal(rbar=1.0)|PAS(2,1)'."""
         match = _CANONICAL.fullmatch(text)
-        if match is None:
+        family = match and FAMILIES.get(match[1])
+        if family is None or match[2] != family.parameter:
             raise ValueError(f"cannot parse canonical spec {text!r}")
-        head, value, label = match.groups()
-        op = EngineeringOp.from_label(label)
-        if head.startswith("thermal"):
-            return cls.thermal(float(value), op)
-        return cls.even_coherent(complex(value), op)
+        op = EngineeringOp.from_label(match[4])
+        return cls.of(family, family.kind(match[3]), op)
 
     # Derived once per spec and kept on it: every entry of a MomentTable and
-    # every photon_prob divides by the norm, and every cat contraction term
-    # takes the pair weights, so a table computes each once.
+    # every photon_prob divides by the norm, and every contraction term reads
+    # the family's constants, so a table computes each once.
     @cached_property
     def _norm(self):
         return _norm(self)
 
     @cached_property
-    def _pair_weights(self):
-        return _ecs_pair_weights(self.amplitude)
-
-    @property
-    def parameter(self):
-        """rbar or alpha: a number, or the array of a grid spec."""
-        return self.mean_photon_number if self.family == FAMILY_THERMAL else self.amplitude
+    def _constants(self):
+        return self.family.constants(self.parameter)
 
     def canonical(self) -> str:
         """Deterministic string identity, used in fixture records."""
-        if self.family == FAMILY_THERMAL:
-            base = f"thermal(rbar={_fmt_real(self.mean_photon_number)})"
-        else:
-            base = f"ecs(alpha={_fmt_complex(self.amplitude)})"
-        return f"{base}|{self.op.label()}"
+        family = self.family
+        return f"{family.name}({family.parameter}={_fmt(self.parameter)})|{self.op.label()}"
 
 
 # ---------------------------------------------------------------------------
 # Moments: one normal-ordering contraction for both families
 # ---------------------------------------------------------------------------
-
-def _thermal_xy(spec: StateSpec) -> tuple[float, float]:
-    """(x, y) = (rbar, 1) / (1 + rbar): the bare weight of Fock level k is y x^k."""
-    rbar = spec.mean_photon_number
-    return rbar / (1.0 + rbar), 1.0 / (1.0 + rbar)
-
 
 @lru_cache(maxsize=None)
 def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
@@ -313,7 +306,8 @@ def _ecs_pair_weights(alpha) -> tuple[float, float]:
     weights of the even and odd terms in _ecs_pair_factor. 1 - e goes through
     expm1, so that it keeps full precision at small |alpha|."""
     a2 = abs(alpha) ** 2
-    lib = _math(a2)
+    # numpy over a grid; one state stays on Python-float arithmetic
+    lib = np if isinstance(a2, np.ndarray) else math
     return 2.0 + 2.0 * lib.exp(-2.0 * a2), -2.0 * lib.expm1(-2.0 * a2)
 
 
@@ -336,25 +330,26 @@ def _lowest_power(op: EngineeringOp) -> int:
     return min(dag for dag, _, _ in _contraction_table(op, 0, 0))
 
 
-def _unnormalized_moment(spec: StateSpec, m: int, n: int) -> complex:
-    """<a'^m a^n> in the engineered state before normalization.
+def _thermal_contraction(spec: StateSpec, table) -> float:
+    """delta_MN M! rbar^M per term, in units of rbar^k0 (1 + rbar)^(p+q):
+    with rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
+    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is."""
+    x, y = spec._constants
+    k0 = _lowest_power(spec.op)
+    top = spec.op.p + spec.op.q
+    return sum(c * math.factorial(dag) * x ** (dag - k0) * y ** (top - dag)
+               for dag, plain, c in table if dag == plain)
 
-    Contracts the cached table with the bare state's normally ordered
-    moments: _ecs_pair_factor for the even cat, delta_MN M! rbar^M for
-    thermal. A thermal value is in units of rbar^k0 (1 + rbar)^(p+q): with
-    rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
-    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is. The
-    arithmetic is generic, so a grid spec gives an array.
-    """
-    table = _contraction_table(spec.op, m, n)
-    if spec.family == FAMILY_THERMAL:
-        x, y = _thermal_xy(spec)
-        k0 = _lowest_power(spec.op)
-        top = spec.op.p + spec.op.q
-        return sum(c * math.factorial(dag) * x ** (dag - k0) * y ** (top - dag)
-                   for dag, plain, c in table if dag == plain)
-    alpha, weights = spec.amplitude, spec._pair_weights
+
+def _ecs_contraction(spec: StateSpec, table) -> complex:
+    alpha, weights = spec.parameter, spec._constants
     return sum(c * _ecs_pair_factor(alpha, weights, dag, plain) for dag, plain, c in table)
+
+
+def _unnormalized_moment(spec: StateSpec, m: int, n: int) -> complex:
+    """<a'^m a^n> before normalization: the family's contraction of the
+    cached table, an array over a grid spec."""
+    return spec.family.contraction(spec, _contraction_table(spec.op, m, n))
 
 
 def _first(spec: StateSpec, where) -> StateSpec:
@@ -368,28 +363,22 @@ def _first(spec: StateSpec, where) -> StateSpec:
 def _norm(spec: StateSpec) -> float:
     """The (0,0) entry, in the units of _unnormalized_moment.
 
-    A thermal state is annihilated exactly when rbar = 0 and its norm has no
-    constant term (k0 > 0), never because a float underflowed. A cat norm at
-    or below DEGENERATE_NORM_FLOOR counts as annihilated; a cat whose
-    |alpha|^2 overflows (|alpha| > ~1.3e154) raises OutOfRange. An annihilated
-    state raises DegenerateState; over a grid its norm is NaN instead.
+    Where the family's `annihilated` holds, DegenerateState; over a grid the
+    norm is NaN at those points instead. A norm beyond the float range (a
+    cat whose |alpha|^2 overflows, |alpha| > ~1.3e154) raises OutOfRange.
     """
-    if spec.family == FAMILY_THERMAL:
-        norm = _unnormalized_moment(spec, 0, 0)
-        annihilated = _lowest_power(spec.op) and spec.mean_photon_number == 0
-    else:
-        with _quiet(spec.amplitude):
-            try:
-                norm = _unnormalized_moment(spec, 0, 0).real
-            except OverflowError:
-                norm = math.inf
-        finite = _finite(norm)
-        if not _all(finite):
-            raise OutOfRange(f"|alpha|^2 of {_first(spec, np.logical_not(finite)).canonical()} "
-                             "exceeds the float range")
-        annihilated = norm <= DEGENERATE_NORM_FLOOR
+    with _quiet(spec.parameter):
+        try:
+            norm = _unnormalized_moment(spec, 0, 0).real
+        except OverflowError:
+            norm = math.inf
+    finite = _finite(norm)
+    if not _all(finite):
+        first = _first(spec, np.logical_not(finite)).canonical()
+        raise OutOfRange(f"|{spec.family.parameter}|^2 of {first} exceeds the float range")
     return _guarded(
-        annihilated, lambda: DegenerateState(f"{spec.canonical()} is annihilated"), lambda: norm
+        spec.family.annihilated(spec, norm),
+        lambda: DegenerateState(f"{spec.canonical()} is annihilated"), lambda: norm,
     )
 
 
@@ -422,23 +411,9 @@ def moment(spec: StateSpec, m: int, n: int) -> complex:
     )
 
 
-def moment_thermal(spec: StateSpec, m: int, n: int) -> float:
-    """Normalized <a'^m a^n> for a thermal-family spec (0 unless m = n)."""
-    if spec.family != FAMILY_THERMAL:
-        raise ValueError("moment_thermal expects a thermal spec")
-    return moment(spec, m, n).real
-
-
-def moment_ecs(spec: StateSpec, m: int, n: int) -> complex:
-    """Normalized <a'^m a^n> for an even-coherent-family spec."""
-    if spec.family != FAMILY_EVEN_COHERENT:
-        raise ValueError("moment_ecs expects an even_coherent spec")
-    return moment(spec, m, n)
-
-
 def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
     spec = StateSpec.thermal(rbar, op)
-    x, y = _thermal_xy(spec)
+    x, y = spec._constants
     norm = spec._norm * x ** _lowest_power(op)
     # inf where the constant is beyond the float range (tiny rbar, k0 > 0)
     return y ** (op.p + op.q) / norm if norm else math.inf
@@ -498,13 +473,12 @@ def _fock_weights(op: EngineeringOp, m: np.ndarray):
 def photon_prob(spec: StateSpec, m):
     """Probability of detecting m photons in the engineered state.
 
-    The bare weight of level k = m + p - q times W(m) = _fock_weight, over
-    the norm: y x^k for the thermal state, 4 e^(-|alpha|^2) |alpha|^(2k) / k!
-    on even k (0 on odd k) for the unnormalized even cat. A bare weight that
-    underflows makes the probability 0, however large W(m) is; a thermal
-    W(m) beyond the float range that it does not cancel (rbar > ~1e16 and
-    m > ~1e19) raises OutOfRange. Over a grid spec, an ndarray with NaN at the
-    annihilated points.
+    The family's `level_weight`, the bare weight of level k = m + p - q times
+    W(m) = _fock_weight, over the norm. A bare weight that underflows makes
+    the probability 0, however large W(m) is; a W(m) beyond the float range
+    that it does not cancel (thermal, rbar > ~1e16 and m > ~1e19) raises
+    OutOfRange. Over a grid spec, an ndarray with NaN at the annihilated
+    points.
 
     m may also be a 1-d integer array, for one state (a grid spec with an
     array m raises ValueError): one call gives p_m over it as an ndarray.
@@ -522,69 +496,75 @@ def photon_prob(spec: StateSpec, m):
     if not _all(m >= 0):
         raise ValueError("photon number must be non-negative")
     norm = spec._norm
-    # 0 for one state; over a grid, zeros that keep the NaN gaps
-    zero = 0.0 * norm
-    p, q = spec.op.p, spec.op.q
-    k = m + p - q
+    k = m + spec.op.p - spec.op.q
     if array:
         weight = _fock_weights(spec.op, m)
-        reached = np.asarray(weight) > 0
     else:
         # in Python ints, which a numpy integer m would otherwise overflow
         weight = _fock_weight(spec.op, operator.index(m))
         if not weight:
-            return zero
-    if spec.family == FAMILY_THERMAL:
-        x, y = _thermal_xy(spec)
-        rbar = spec.mean_photon_number
-        # y x^k in the units of _norm; from rbar = 1 on, x^k goes through
-        # log1p(1/rbar), since x itself rounds to 1.0 past rbar ~ 1e16 and
-        # would hide that x^k underflows
-        power = k - _lowest_power(spec.op)
-        if isinstance(rbar, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bare = np.where(rbar < 1.0, x ** power, np.exp(-power * np.log1p(1.0 / rbar)))
-        elif array:
-            # an unreached level takes x^0 and weighs 0
-            powers = np.where(reached, power, 0).tolist()
-            if rbar < 1.0:
-                bare = np.array([x ** j for j in powers])
-            else:
-                log_x = math.log1p(1.0 / rbar)
-                bare = np.array([math.exp(-j * log_x) for j in powers])
+            # 0 for one state; over a grid, zeros that keep the NaN gaps
+            return 0.0 * norm
+    try:
+        return spec.family.level_weight(spec, k, weight) / norm
+    except OverflowError:
+        raise OutOfRange(
+            f"W({'m' if array else m}) of {spec.canonical()} exceeds the float range"
+        ) from None
+
+
+def _thermal_level_weight(spec: StateSpec, k, weight):
+    """y x^k W(m), for the bare weight y x^k of level k."""
+    x, y = spec._constants
+    rbar = spec.parameter
+    # y x^k in the units of _norm; from rbar = 1 on, x^k goes through
+    # log1p(1/rbar), since x itself rounds to 1.0 past rbar ~ 1e16 and
+    # would hide that x^k underflows
+    power = k - _lowest_power(spec.op)
+    if isinstance(rbar, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bare = np.where(rbar < 1.0, x ** power, np.exp(-power * np.log1p(1.0 / rbar)))
+    elif isinstance(k, np.ndarray):
+        # an unreached level takes x^0 and weighs 0
+        powers = np.where(np.asarray(weight) > 0, power, 0).tolist()
+        if rbar < 1.0:
+            bare = np.array([x ** j for j in powers])
         else:
-            bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
-            if not bare:
-                return 0.0
-        try:
-            # W in exact integers, converted to floats once
-            weight = np.asarray(weight, dtype=float) if array else weight
-            return bare * weight * y ** (1 + p + q) / norm
-        except OverflowError:
-            raise OutOfRange(
-                f"W({'m' if array else m}) of {spec.canonical()} exceeds the float range"
-            ) from None
-    a2 = abs(spec.amplitude) ** 2
+            log_x = math.log1p(1.0 / rbar)
+            bare = np.array([math.exp(-j * log_x) for j in powers])
+        # W in exact integers, converted to floats once
+        weight = np.asarray(weight, dtype=float)
+    else:
+        bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
+        if not bare:
+            return 0.0
+    return bare * weight * y ** (1 + spec.op.p + spec.op.q)
+
+
+def _ecs_level_weight(spec: StateSpec, k, weight):
+    """4 e^(-|alpha|^2) |alpha|^(2k) / k! W(m) on even k, 0 on odd k: the
+    weight of level k in the unnormalized even cat, times W(m)."""
+    a2 = abs(spec.parameter) ** 2
     if isinstance(a2, np.ndarray):
         if k % 2:
-            return zero
+            return 0.0
         # -inf at alpha = 0, where the weight of level k > 0 is 0
         with np.errstate(divide="ignore"):
             log_power = k * np.log(a2) if k else 0.0
-        return 4.0 * np.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight)) / norm
+        return 4.0 * np.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight))
 
     def level(j: int, w: int) -> float:
         # one even level j = k reached with W(m) = w > 0
         log_power = j * math.log(a2) if j else 0.0
-        return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(j) + math.log(w)) / norm
+        return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(j) + math.log(w))
 
-    if not array:
+    if not isinstance(k, np.ndarray):
         return 0.0 if k % 2 or (k and not a2) else level(k, weight)
     # the even levels reached, and none above level 0 where alpha = 0
-    live = np.flatnonzero(reached & (k % 2 == 0) & ((k == 0) | bool(a2)))
+    live = np.flatnonzero((np.asarray(weight) > 0) & (k % 2 == 0) & ((k == 0) | bool(a2)))
     ks = k.tolist()
     ws = weight.tolist() if isinstance(weight, np.ndarray) else weight
-    probs = np.zeros(m.shape)
+    probs = np.zeros(k.shape)
     probs[live] = [level(ks[i], ws[i]) for i in live.tolist()]
     return probs
 
@@ -597,21 +577,16 @@ def husimi(spec: StateSpec, beta):
     """Husimi Q(beta) = <beta| sigma |beta> / pi for the engineered state.
 
     beta is a complex scalar or an array of any shape. The norm is computed
-    once per call and the closed form is evaluated over the whole array, so
-    a grid costs one call: a scalar gives a float, an array an ndarray of
-    the same shape. Thermal Q is e^(-y|beta|^2) times a finite polynomial in
-    |beta|^2; the cat Q sums the coherent-state matrix elements of the
-    operation's normal form. Where |beta|^(2(p+q)) leaves the float range
+    once per call and the family's closed form is evaluated over the whole
+    array, so a grid costs one call: a scalar gives a float, an array an
+    ndarray of the same shape. Where |beta|^(2(p+q)) leaves the float range
     (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange.
     """
     beta = np.asarray(beta, dtype=complex)
     norm = spec._norm
     # a power of |beta| that leaves the float range shows up as inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.family == FAMILY_THERMAL:
-            q = _husimi_thermal(spec, beta, norm)
-        else:
-            q = _husimi_ecs(spec, beta, norm)
+        q = spec.family.husimi(spec, beta) / (math.pi * norm)
     if not np.isfinite(q).all():
         raise OutOfRange(f"Husimi Q of {spec.canonical()} leaves the float range at large |beta|")
     return float(q) if beta.ndim == 0 else q
@@ -635,15 +610,15 @@ def _newton_coeffs(op: EngineeringOp) -> tuple[tuple[int, float], ...]:
     return tuple(coeffs)
 
 
-def _husimi_thermal(spec: StateSpec, beta: np.ndarray, norm: float) -> np.ndarray:
+def _husimi_thermal(spec: StateSpec, beta: np.ndarray) -> np.ndarray:
     # Q = e^(-|beta|^2) / pi * sum_m P_m |beta|^(2m) / m! with P_m from
     # photon_prob; the sum is e^(x|beta|^2) times a polynomial
     p, q = spec.op.p, spec.op.q
-    x, y = _thermal_xy(spec)
+    x, y = spec._constants
     b2 = np.abs(beta) ** 2
     shift = p - q - _lowest_power(spec.op)
     series = sum(c * x ** (j + shift) * b2 ** j for j, c in _newton_coeffs(spec.op))
-    return np.exp(-b2 * y) * y ** (1 + p + q) * series / (math.pi * norm)
+    return np.exp(-b2 * y) * y ** (1 + p + q) * series
 
 
 @lru_cache(maxsize=None)
@@ -659,18 +634,52 @@ def _operator_terms(op: EngineeringOp) -> tuple[tuple[int, int, int], ...]:
                  for t in specfun.normal_order_product(op.p, op.q))
 
 
-def _husimi_ecs(spec: StateSpec, beta: np.ndarray, norm: float) -> np.ndarray:
+def _husimi_ecs(spec: StateSpec, beta: np.ndarray) -> np.ndarray:
     # <beta| a'^M a^N |+-alpha> = conj(beta)^M (+-alpha)^N <beta|+-alpha>, and
     # <beta|+-alpha> = exp(+-alpha conj(beta) - h) has real part
     # -|beta -+ alpha|^2 / 2 <= 0, so neither overlap can overflow
-    alpha = spec.amplitude
+    alpha = spec.parameter
     bc = np.conj(beta)
     h = 0.5 * (abs(alpha) ** 2 + np.abs(beta) ** 2)
     plus = np.exp(alpha * bc - h)
     minus = np.exp(-alpha * bc - h)
     amp = sum(c * bc ** dag * alpha ** plain * (plus - minus if plain % 2 else plus + minus)
               for dag, plain, c in _operator_terms(spec.op))
-    return np.abs(amp) ** 2 / (math.pi * norm)
+    return np.abs(amp) ** 2
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+# sweep windows reconstructed from the plots' visual ranges (not ground truth)
+FAMILY_THERMAL = Family(
+    name="thermal", parameter="rbar", kind=float,
+    valid=lambda rbar: _finite(rbar) & (rbar >= 0),
+    domain="mean photon number must be finite and >= 0",
+    window=(0.01, 5.0), diagonal=True, contraction=_thermal_contraction,
+    # (x, y) = (rbar, 1) / (1 + rbar): the bare weight of Fock level k is y x^k
+    constants=lambda rbar: (rbar / (1.0 + rbar), 1.0 / (1.0 + rbar)),
+    # exactly where rbar = 0 and the norm has no constant term (k0 > 0),
+    # never because a float underflowed
+    annihilated=lambda spec, norm: _lowest_power(spec.op) and spec.parameter == 0,
+    level_weight=_thermal_level_weight, husimi=_husimi_thermal,
+)
+
+# |alpha> + |-alpha>, normalized
+FAMILY_EVEN_COHERENT = Family(
+    name="ecs", parameter="alpha", kind=complex,
+    valid=_finite, domain="amplitude must be finite",
+    window=(0.01, 3.0), diagonal=False, constants=_ecs_pair_weights, contraction=_ecs_contraction,
+    annihilated=lambda spec, norm: norm <= DEGENERATE_NORM_FLOOR,
+    level_weight=_ecs_level_weight, husimi=_husimi_ecs,
+)
+
+FAMILIES = {family.name: family for family in (FAMILY_THERMAL, FAMILY_EVEN_COHERENT)}
+
+
+def _family(name: str) -> Family:
+    return FAMILIES[name]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@ from . import witnesses as witnesses_mod
 from .errors import DegenerateState, SingularDenominator
 from .states import EngineeringOp, StateSpec
 
-# Defaults reconstructed from the plots' visual ranges (not ground truth).
-RBAR_WINDOW = (0.01, 5.0)
-ALPHA_WINDOW = (0.01, 3.0)
+# Reconstructed from the plots' visual ranges (not ground truth).
 BETA_WINDOW = (-4.0, 4.0)
 SWEEP_STEPS = 200
 HUSIMI_STEPS = 121
@@ -91,12 +89,8 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * h for i in range(steps)]
 
 
-def _parameter_name(family: str) -> str:
-    return "rbar" if family == states_mod.FAMILY_THERMAL else "alpha"
-
-
-def _analytic_series(family: str, op: EngineeringOp, grid: list[float], witness_id: str,
-                     order: int):
+def _analytic_series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
+                     witness_id: str, order: int):
     """The witness over the whole grid in one call on a grid spec, and its
     NaN gaps by cause.
 
@@ -113,8 +107,8 @@ def _analytic_series(family: str, op: EngineeringOp, grid: list[float], witness_
     return values.tolist(), counts
 
 
-def _oracle_series(family: str, op: EngineeringOp, grid: list[float], witness_id: str,
-                   order: int):
+def _oracle_series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
+                   witness_id: str, order: int):
     """The witness point by point on the truncated-Fock oracle, the independent
     second route: a DegenerateState or SingularDenominator is a NaN gap."""
     values, counts = [], {}
@@ -134,7 +128,7 @@ def sweep(
     witness_id: str,
     order: int,
     variants: list[EngineeringOp],
-    family: str,
+    family: states_mod.Family,
     param_range: dict | None = None,
     engine: str = "analytic",
     include_bare: bool = False,
@@ -142,7 +136,7 @@ def sweep(
     """Scan one witness over a parameter grid for several state variants.
 
     param_range is {"min": .., "max": .., "steps": ..}; defaults follow the
-    plotted windows. engine may be "analytic", "oracle", or "both"; "both"
+    family's plotted window. engine may be "analytic", "oracle", or "both"; "both"
     emits a paired `label@oracle` series per variant and records the maximum
     analytic/oracle relative deviation in the metadata. The analytic engine
     evaluates each variant as one grid spec, one moment table for the whole
@@ -152,7 +146,9 @@ def sweep(
     """
     if engine not in ("analytic", "oracle", "both"):
         raise ValueError(f"unknown engine {engine!r}")
-    lo, hi = RBAR_WINDOW if family == states_mod.FAMILY_THERMAL else ALPHA_WINDOW
+    if not isinstance(family, states_mod.Family):
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = family.window
     steps = SWEEP_STEPS
     if param_range:
         lo = float(param_range.get("min", lo))
@@ -180,7 +176,7 @@ def sweep(
     metadata = {
         "witness": witness_id,
         "order": order,
-        "family": family,
+        "family": family.name,
         "engine": engine,
         "variants": [op.label() for op in ops],
         "nan_gaps": gaps,
@@ -200,7 +196,7 @@ def sweep(
                 default=0.0,
             )
         metadata["max_deviation"] = deviations
-    return SweepTable(_parameter_name(family), values, series, metadata)
+    return SweepTable(family.parameter, values, series, metadata)
 
 
 def husimi_grid(

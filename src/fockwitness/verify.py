@@ -137,7 +137,7 @@ def suite_moments(tol: float = MOMENT_TOL) -> SuiteResult:
         blocks = np.array([oracle_mod.oracle_moment_block(_oracle_state(s), 5) for s in specs])
         grid = StateSpec.of(family, np.array(values), op)
         pairs = [(n, n) for n in range(6)]
-        if family == states_mod.FAMILY_EVEN_COHERENT:
+        if not family.diagonal:
             pairs += [(m, n) for m in range(5) for n in range(5) if m != n]
         for m, n in pairs:
             tally.add(_rel_dev(states_mod.moment(grid, m, n), blocks[:, m, n]), tol,
@@ -245,7 +245,7 @@ def suite_normalization() -> SuiteResult:
             total = float(states_mod.photon_prob(spec, np.arange(state.cutoff)).sum())
             tally.add(abs(total - 1.0), PROB_SUM_TOL,
                       lambda i, dev: f"{name} sum p_m: dev {dev:.3e}")
-        if family == states_mod.FAMILY_EVEN_COHERENT:
+        if not family.diagonal:
             grid = StateSpec.of(family, np.array(values), op)
             for m, n in ((1, 0), (2, 1), (3, 2), (3, 0)):
                 tally.add(
@@ -267,11 +267,8 @@ def suite_hos(points: int = 40) -> SuiteResult:
     deviation is the most negative value.
     """
     tally = _Tally()
-    for family, window in (
-        (states_mod.FAMILY_THERMAL, sweep_report.RBAR_WINDOW),
-        (states_mod.FAMILY_EVEN_COHERENT, sweep_report.ALPHA_WINDOW),
-    ):
-        values = _window(window, points)
+    for family in states_mod.FAMILIES.values():
+        values = _window(family.window, points)
         for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
                 s = witnesses_mod.hos(MomentTable.analytic(StateSpec.of(family, values, op)), l)
@@ -294,7 +291,7 @@ def suite_signs(points: int = 60) -> SuiteResult:
     """
     notes = []
     checks = 0
-    rbar_values = _window(sweep_report.RBAR_WINDOW, points)
+    rbar_values = _window(states_mod.FAMILY_THERMAL.window, points)
 
     minima = {}
     for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
@@ -434,8 +431,8 @@ def _exact_fixtures():
     psat11 = StateSpec.thermal(1.0, EngineeringOp.psa(1, 1))
     bare = StateSpec.thermal(1.0)
     return (
-        ("moment(1,1) PAS thermal", lambda: states_mod.moment_thermal(past11, 1, 1), 10.0 / 3.0),
-        ("moment(1,1) PSA thermal", lambda: states_mod.moment_thermal(psat11, 1, 1), 13.0 / 3.0),
+        ("moment(1,1) PAS thermal", lambda: states_mod.moment(past11, 1, 1).real, 10.0 / 3.0),
+        ("moment(1,1) PSA thermal", lambda: states_mod.moment(psat11, 1, 1).real, 13.0 / 3.0),
         ("mandel(2) PSA thermal", lambda: witnesses_mod.mandel_q(MomentTable.analytic(psat11), 2), 17.0 / 39.0),
         ("hoa(2) PSA thermal", lambda: witnesses_mod.hoa(MomentTable.analytic(psat11), 2), 17.0 / 9.0),
         ("a3 bare thermal", lambda: witnesses_mod.agarwal_tara(MomentTable.analytic(bare)), 1.0 / 7.0),

@@ -345,6 +345,41 @@ class TestVerifyCommand:
         assert proc.returncode == 2
 
 
+class TestRepeatedFlags:
+    """Every value flag of every command may be given once; a repeat exits 2
+    and names the flag, however the command would have read it."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("moment", "--family", "thermal", "--family", "ecs", "--alpha", "1", "--m", "1", "--n", "1"),
+         "--family"),
+        (_MOMENT + ("--family", "thermal", "--rbar", "1", "--m", "2"), "--m"),
+        (("witness", "--name", "hoa", "--family", "thermal", "--rbar", "1", "--rbar", "2"), "--rbar"),
+        (("witness", "--name", "hoa", "--family", "ecs", "--alpha", "1", "--alpha-re", "2"),
+         "--alpha-re"),
+        (_SWEEP + ("--steps", "2", "--steps", "3"), "--steps"),
+        (("figure", "fig1", "--steps", "2", "--steps", "3"), "--steps"),
+        (("verify", "--suite", "determinism", "--tol", "1", "--tol", "2"), "--tol"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_repeat_is_config_error(self, argv, flag, capsys, monkeypatch, tmp_path):
+        # a figure that ran anyway would write into the working directory
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {flag} may be given only once\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_config_fills_a_flag_given_once(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rbar=2\n")
+        # the command line's --rbar wins and the config value is no repeat
+        assert cli.main(_MOMENT + ("--family", "thermal", "--rbar", "1", "--config", str(cfg))) == 0
+        given = capsys.readouterr().out
+        assert cli.main(_MOMENT + ("--family", "thermal", "--rbar", "1")) == 0
+        assert given == capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,7 @@ import pytest
 
 from fockwitness import states, sweep_report, witnesses
 from fockwitness.errors import DegenerateState, OutOfRange, SingularDenominator, ZeroMeanPhoton
-from fockwitness.states import EngineeringOp, StateSpec
+from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
 from fockwitness.sweep_report import (
     FIGURE_IDS,
     HusimiGrid,
@@ -26,7 +26,7 @@ class TestSweep:
             "mandel",
             2,
             [EngineeringOp.pas(1, 1), EngineeringOp.psa(1, 1)],
-            "thermal",
+            FAMILY_THERMAL,
             param_range={"min": 0.01, "max": 5.0, "steps": 60},
         )
         assert min(table.series["PSA(1,1)"]) < -1e-10
@@ -37,7 +37,7 @@ class TestSweep:
             "hoa",
             2,
             [EngineeringOp.pas(1, 1)],
-            "thermal",
+            FAMILY_THERMAL,
             param_range={"steps": 5},
             include_bare=True,
         )
@@ -48,7 +48,7 @@ class TestSweep:
             "mandel",
             2,
             [EngineeringOp.psa(1, 1)],
-            "thermal",
+            FAMILY_THERMAL,
             param_range={"min": 0.0, "max": 1.0, "steps": 3},
         )
         values = table.series["PSA(1,1)"]
@@ -60,7 +60,7 @@ class TestSweep:
             "hoa",
             2,
             [EngineeringOp.pas(1, 1)],
-            "thermal",
+            FAMILY_THERMAL,
             param_range={"min": 0.5, "max": 1.5, "steps": 2},
             engine="both",
         )
@@ -70,11 +70,11 @@ class TestSweep:
 
     def test_bad_engine(self):
         with pytest.raises(ValueError):
-            sweep("hoa", 2, [EngineeringOp.bare()], "thermal", engine="quantum")
+            sweep("hoa", 2, [EngineeringOp.bare()], FAMILY_THERMAL, engine="quantum")
 
     def test_ecs_parameter_name(self):
         table = sweep(
-            "hoa", 2, [EngineeringOp.pas(1, 1)], "even_coherent", param_range={"steps": 3}
+            "hoa", 2, [EngineeringOp.pas(1, 1)], FAMILY_EVEN_COHERENT, param_range={"steps": 3}
         )
         assert table.parameter_name == "alpha"
         assert table.parameter_values[0] == pytest.approx(0.01)
@@ -91,7 +91,8 @@ _SMALL_OPS = [EngineeringOp.bare()] + [
 
 
 class TestArrayPath:
-    @pytest.mark.parametrize("family, hi", [("thermal", 3.0), ("even_coherent", 2.0)])
+    @pytest.mark.parametrize("family, hi", [(FAMILY_THERMAL, 3.0), (FAMILY_EVEN_COHERENT, 2.0)],
+                             ids=["thermal-3.0", "even_coherent-2.0"])
     @pytest.mark.parametrize("witness, order", _SWEEPABLE)
     def test_sweep_equals_point_by_point_loop(self, witness, order, family, hi):
         # ranges from 0 hold annihilated states and indeterminate A3 points
@@ -124,21 +125,21 @@ class TestArrayPath:
 
     def test_zero_mean_fails_the_whole_sweep(self):
         with pytest.raises(ZeroMeanPhoton):
-            sweep("mandel", 2, [EngineeringOp.bare()], "thermal",
+            sweep("mandel", 2, [EngineeringOp.bare()], FAMILY_THERMAL,
                   param_range={"min": 0.0, "max": 1.0, "steps": 5})
 
     def test_out_of_range_propagates(self):
         with pytest.raises(OutOfRange, match="rbar=1e\\+200"):
-            sweep("hoa", 2, [EngineeringOp.pas(2, 2)], "thermal",
+            sweep("hoa", 2, [EngineeringOp.pas(2, 2)], FAMILY_THERMAL,
                   param_range={"min": 0.0, "max": 1e200, "steps": 2})
 
     def test_odd_order_still_raises(self):
         with pytest.raises(witnesses.OddOrder):
-            sweep("hos", 3, [EngineeringOp.bare()], "thermal", param_range={"steps": 3})
+            sweep("hos", 3, [EngineeringOp.bare()], FAMILY_THERMAL, param_range={"steps": 3})
 
     def test_grid_moments_match_scalar_moments(self):
         grid = [0.0, 0.3, 1.7]
-        for family in ("thermal", "even_coherent"):
+        for family in (FAMILY_THERMAL, FAMILY_EVEN_COHERENT):
             spec = StateSpec.of(family, np.array(grid), EngineeringOp.psa(2, 1))
             table = states.MomentTable.analytic(spec)
             for m, n in ((0, 0), (1, 1), (4, 4), (2, 0), (3, 1)):
@@ -243,7 +244,7 @@ class TestFigurePacks:
             "agarwal_tara",
             0,
             [EngineeringOp.pas(1, 1)],
-            "even_coherent",
+            FAMILY_EVEN_COHERENT,
             param_range={"min": 0.01, "max": 2.0, "steps": 3},
         )
         values = table.series["PAS(1,1)"]
@@ -327,7 +328,7 @@ class TestCsv:
         assert husimi_grid_csv(grid) == expected
 
     def test_sweep_csv_equals_per_cell_formatting(self):
-        table = sweep("mandel", 2, [EngineeringOp.psa(1, 1), EngineeringOp.psa(2, 1)], "thermal",
+        table = sweep("mandel", 2, [EngineeringOp.psa(1, 1), EngineeringOp.psa(2, 1)], FAMILY_THERMAL,
                       param_range={"min": 0.0, "max": 2.0, "steps": 9})
         assert math.isnan(table.series["PSA(1,1)"][0])  # annihilated at rbar = 0
         table.series["PSA(2,1)"][3] = -0.0
