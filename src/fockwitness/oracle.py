@@ -329,20 +329,31 @@ def oracle_husimi(state: TruncatedState, beta: complex) -> float:
     return float((bra.conj() @ state.data @ bra).real / math.pi)
 
 
-def oracle_poissonian_central_moment(mean: float, l: int) -> float:
-    """l-th central moment of a Poisson distribution, by truncated summation."""
+def oracle_poissonian_central_moment(mean: float, l):
+    """l-th central moment of a Poisson distribution, by truncated summation.
+
+    l may also be a sequence of orders: the pmf is built once, over the
+    support of the largest, and each order sums over its own support, so
+    that each value equals the one-order call's bit for bit; a list comes
+    back, one value per order.
+    """
+    scalar = np.ndim(l) == 0
+    orders = [l] if scalar else list(l)
     if mean < 0:
         raise ValueError("mean must be non-negative")
-    if l < 1:
+    if min(orders, default=1) < 1:
         raise ValueError("order must be at least 1")
     if mean == 0.0:
-        return 0.0
-    # support wide enough that the neglected tail is far below 1e-14 even
-    # after the (k - mean)^l weight
-    top = int(mean + 40.0 * math.sqrt(mean) + 60.0 + 2 * l)
-    k = np.arange(top + 1, dtype=float)
-    log_pmf = k * math.log(mean) - mean - _log_factorials(top + 1)
-    return float(np.dot(np.exp(log_pmf), (k - mean) ** l))
+        values = [0.0] * len(orders)
+    else:
+        # support wide enough that the neglected tail is far below 1e-14 even
+        # after the (k - mean)^l weight
+        tops = [int(mean + 40.0 * math.sqrt(mean) + 60.0 + 2 * order) for order in orders]
+        k = np.arange(max(tops, default=0) + 1, dtype=float)
+        pmf = np.exp(k * math.log(mean) - mean - _log_factorials(len(k)))
+        values = [float(np.dot(pmf[:top + 1], (k[:top + 1] - mean) ** order))
+                  for top, order in zip(tops, orders)]
+    return values[0] if scalar else values
 
 
 @lru_cache(maxsize=None)

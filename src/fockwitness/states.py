@@ -28,6 +28,13 @@ Every normalized quantity divides by the state's own unnormalized (0,0)
 expectation, so normalization is exact by construction and is cross-checked
 against the brute-force oracle in the test suite.
 
+A set of pairs (m, n) is one contraction call (moment with two order
+arrays; MomentTable fills the pairs its witness reads that way): the family
+body takes each power of the parameter once and, over a grid, gathers the
+cached terms of every pair into padded arrays, summed one term slice at a
+time. Each pair's terms are summed in table order, so each value is the one
+a call for that pair alone gives, bit for bit.
+
 A spec may also hold a 1-d array of parameters: one operation over a grid
 of states. The moment, norm and photon-probability bodies are generic
 arithmetic, so such a grid spec goes through the same code as one state and
@@ -40,13 +47,13 @@ gives NaN at those points of a grid instead.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +65,10 @@ MAX_ENGINEERING_ORDER = 8
 
 # Unnormalized norms at or below this are treated as an annihilated state.
 DEGENERATE_NORM_FLOOR = 1e-300
+
+# the normal float range
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
 ORDER_NONE = "none"
 ORDER_ADD_THEN_SUBTRACT = "add_then_subtract"
@@ -137,15 +148,6 @@ def _all(condition) -> bool:
     return bool(condition.all()) if isinstance(condition, np.ndarray) else condition
 
 
-def _quiet(x):
-    """numpy's overflow and invalid warnings off for an array operand, whose
-    overflow gives inf or nan for the caller to test; nothing to switch for
-    a number, which raises OverflowError instead."""
-    if isinstance(x, np.ndarray):
-        return np.errstate(over="ignore", invalid="ignore")
-    return contextlib.nullcontext()
-
-
 def _parameter(value, kind):
     """value as a `kind` number, or a 1-d array as a read-only `kind` array:
     the parameter of one state or of a grid of states."""
@@ -191,7 +193,7 @@ class Family:
     window: tuple[float, float]  # the plotted sweep window
     diagonal: bool  # Fock-diagonal, as both engineering orders keep it
     constants: Callable  # parameter -> what the bodies read, once per spec
-    contraction: Callable  # (spec, terms of a _contraction_table) -> _unnormalized_moment
+    contraction: Callable  # (spec, pairs) -> each pair's unnormalized <a'^m a^n>: a list, or (P, G) over a grid
     annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated
     level_weight: Callable  # (spec, k, W(m)) -> photon_prob times the norm
     husimi: Callable  # (spec, beta) -> husimi times pi and the norm
@@ -303,24 +305,12 @@ def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, in
 
 def _ecs_pair_weights(alpha) -> tuple[float, float]:
     """2 (1 + e) and 2 (1 - e), e = <alpha|-alpha> = exp(-2|alpha|^2): the
-    weights of the even and odd terms in _ecs_pair_factor. 1 - e goes through
-    expm1, so that it keeps full precision at small |alpha|."""
+    weights of the even-M and odd-M terms of _ecs_contraction. 1 - e goes
+    through expm1, so that it keeps full precision at small |alpha|."""
     a2 = abs(alpha) ** 2
     # numpy over a grid; one state stays on Python-float arithmetic
     lib = np if isinstance(a2, np.ndarray) else math
     return 2.0 + 2.0 * lib.exp(-2.0 * a2), -2.0 * lib.expm1(-2.0 * a2)
-
-
-def _ecs_pair_factor(alpha: complex, weights, dagger_pow: int, plain_pow: int) -> complex:
-    """<psi| a'^M a^N |psi> for unnormalized |psi> = |alpha> + |-alpha>.
-
-    The four coherent-state contractions cancel for mixed parity of M and N
-    and otherwise give conj(alpha)^M alpha^N times the weight of M's parity
-    (_ecs_pair_weights, computed once per spec).
-    """
-    if (dagger_pow + plain_pow) % 2:
-        return 0j
-    return alpha.conjugate() ** dagger_pow * alpha ** plain_pow * weights[dagger_pow % 2]
 
 
 @lru_cache(maxsize=None)
@@ -330,26 +320,180 @@ def _lowest_power(op: EngineeringOp) -> int:
     return min(dag for dag, _, _ in _contraction_table(op, 0, 0))
 
 
-def _thermal_contraction(spec: StateSpec, table) -> float:
+def _same_parity(m: int, n: int) -> bool:
+    return (m - n) % 2 == 0
+
+
+def _tables(op: EngineeringOp, pairs, keep: Callable) -> list:
+    """Each pair's _contraction_table where keep(m, n) holds, else no terms.
+    Every term of a table has M - N = m - n, so a family that drops terms by
+    the parity or the difference of M and N drops whole tables."""
+    return [_contraction_table(op, m, n) if keep(m, n) else () for m, n in pairs]
+
+
+class _Terms(NamedTuple):
+    """The terms of a pair set, padded and term-major: entry [t, i] of each
+    (T, P) array is term t of pair i. M and N count from the lowest of the
+    set: dags and plains are their ranges, and a pair with fewer terms
+    points one past the end of each, with weight 0."""
+
+    dags: range
+    plains: range
+    dag: np.ndarray  # M - dags.start
+    plain: np.ndarray  # N - plains.start
+    weight: np.ndarray  # the exact weight as a float, inf past the float range
+    exact: list  # the exact weights, term-major
+    log_top: float  # the logarithm of the largest, 0 with no terms
+
+
+def _padded(op: EngineeringOp, pairs, keep: Callable, weigh: Callable) -> _Terms:
+    """The _tables terms (M, N, c) of a pair set as _Terms, with the exact
+    weights weigh(Ms, cs)."""
+    tables = _tables(op, pairs, keep)
+    terms = [term for table in tables for term in table]
+    dags, plains = ((range(min(powers), max(powers) + 1) if powers else range(0))
+                    for powers in ([term[0] for term in terms], [term[1] for term in terms]))
+    pad = (dags.stop, plains.stop, 0)
+    depth = max(map(len, tables), default=0)
+    rows = [table[t] if t < len(table) else pad for t in range(depth) for table in tables]
+    dag, plain, coeff = zip(*rows) if rows else ((), (), ())
+    exact = weigh(dag, coeff)
+    try:
+        weight = np.array(exact, dtype=float)
+    except OverflowError:
+        weight = np.array([_float(w) for w in exact])
+    shape = (depth, len(pairs))
+    return _Terms(dags, plains, (np.array(dag, dtype=np.intp) - dags.start).reshape(shape),
+                  (np.array(plain, dtype=np.intp) - plains.start).reshape(shape), weight.reshape(shape),
+                  exact, math.log(max(exact, default=1)))
+
+
+def _float(weight: int) -> float:
+    try:
+        return float(weight)
+    except OverflowError:
+        return math.inf
+
+
+def _thermal_weights(dags, cs) -> list:
+    return [c * math.factorial(dag) for dag, c in zip(dags, cs)]
+
+
+def _log(value) -> float:
+    return math.log(value) if value > 0 else -math.inf
+
+
+# exp(-690) and exp(690) are normal floats, the latter 2e11 times below the largest
+_LOG_RANGE = 690.0
+
+
+def _thermal_term(x: float, y: float, a: int, b: int, w: int) -> float:
+    """w x^a y^b for one state: the product, in that order, where w, each
+    power and the product are normal floats, else the exponential of its
+    logarithm (inf past the float range)."""
+    try:
+        xa, yb = x ** a, y ** b
+        value = w * xa * yb
+        if xa >= _TINY and _TINY <= yb <= _HUGE and _TINY <= value <= _HUGE:
+            return value
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(w) + (a * _log(x) if a else 0.0) + b * math.log(y))
+    except OverflowError:
+        return math.inf
+
+
+def _thermal_contraction(spec: StateSpec, pairs):
     """delta_MN M! rbar^M per term, in units of rbar^k0 (1 + rbar)^(p+q):
     with rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
-    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is."""
+    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is.
+
+    A term is the product (c M!) x^a y^b, in that order. Where c M!, a
+    power or the product leaves the normal float range (c M! past 170!, x^a
+    underflowing at small rbar), the term is instead the exponential of its
+    logarithm, which is 0 or inf only where the term itself is out of range.
+    Over a grid the powers of x and y are taken once per M, and one bound on
+    the logarithms of all terms skips that test where no term can leave the
+    range.
+    """
     x, y = spec._constants
-    k0 = _lowest_power(spec.op)
-    top = spec.op.p + spec.op.q
-    return sum(c * math.factorial(dag) * x ** (dag - k0) * y ** (top - dag)
-               for dag, plain, c in table if dag == plain)
+    k0, top = _lowest_power(spec.op), spec.op.p + spec.op.q
+    if not isinstance(x, np.ndarray):
+        return [sum(_thermal_term(x, y, dag - k0, top - dag, c * math.factorial(dag)) for dag, _, c in table)
+                for table in _tables(spec.op, pairs, operator.eq)]
+    terms = _padded(spec.op, pairs, operator.eq, _thermal_weights)
+    a = [dag - k0 for dag in terms.dags]
+    b = [top - dag for dag in terms.dags]
+    # |log w x^a y^b| is at most this at every term and point, as
+    # w <= exp(log_top) and x, y <= 1
+    reach = max(a, default=0) * -_log(x.min()) + max(map(abs, b), default=0) * -_log(y.min())
+    direct = reach + terms.log_top < _LOG_RANGE
+    # the last row is the padding's, 0
+    xs = np.array([x ** i for i in a] + [0.0 * x])
+    ys = np.array([y ** j for j in b] + [0.0 * x])
+    if not direct:
+        slot = (xs >= _TINY) & (ys >= _TINY) & (ys <= _HUGE)
+        log_x, log_y = np.log(x), np.log(y)
+        # y > 0, so 0 * log y is the 0 of x^0 at every point
+        logs = np.array([(i * log_x if i else 0.0 * log_y) + j * log_y for i, j in zip(a, b)]
+                        + [0.0 * log_y])
+        log_weight = np.array([_log(w) for w in terms.exact]).reshape(terms.weight.shape)[..., None]
+    weight = terms.weight[..., None]
+    total = np.zeros((len(pairs), len(x)))
+    # in place, one (P, G) term at a time; w x^a is x^a w, bit for bit
+    for t in range(len(weight)):
+        at = terms.dag[t]
+        term = xs.take(at, 0)
+        term *= weight[t]
+        term *= ys.take(at, 0)
+        if not direct:
+            redo = (weight[t] > 0) & ~(slot.take(at, 0) & (term >= _TINY) & (term <= _HUGE))
+            term = np.where(redo, np.exp(log_weight[t] + logs.take(at, 0)), term)
+        total += term
+    return total
 
 
-def _ecs_contraction(spec: StateSpec, table) -> complex:
+def _ecs_weights(dags, cs):
+    return cs
+
+
+def _ecs_contraction(spec: StateSpec, pairs):
+    """<psi| a'^M a^N |psi> per term, for unnormalized |psi> = |alpha> + |-alpha>.
+
+    The four coherent-state contractions cancel for mixed parity of M and N
+    and otherwise give conj(alpha)^M alpha^N times the weight of M's parity
+    (_ecs_pair_weights). Each term is c (conj(alpha)^M alpha^N w), in that
+    order. For one state the terms stay on Python complex numbers, as
+    numpy's complex multiply may round the last bit differently; over a grid
+    the powers are taken once per M and N.
+    """
     alpha, weights = spec.parameter, spec._constants
-    return sum(c * _ecs_pair_factor(alpha, weights, dag, plain) for dag, plain, c in table)
-
-
-def _unnormalized_moment(spec: StateSpec, m: int, n: int) -> complex:
-    """<a'^m a^n> before normalization: the family's contraction of the
-    cached table, an array over a grid spec."""
-    return spec.family.contraction(spec, _contraction_table(spec.op, m, n))
+    conj = alpha.conjugate()
+    if not isinstance(alpha, np.ndarray):
+        values = []
+        for table in _tables(spec.op, pairs, _same_parity):
+            try:
+                values.append(sum(c * (conj ** dag * alpha ** plain * weights[dag % 2]) for dag, plain, c in table))
+            except OverflowError:  # a power or c past the float range
+                values.append(math.inf)
+        return values
+    terms = _padded(spec.op, pairs, _same_parity, _ecs_weights)
+    # the last rows are the padding's, 0
+    conj = np.array([conj ** dag for dag in terms.dags] + [0j * alpha])
+    power = np.array([alpha ** plain for plain in terms.plains] + [0j * alpha])
+    parity = np.array([weights[dag % 2] for dag in terms.dags] + [weights[0]])
+    weight = terms.weight[..., None]
+    total = np.zeros((len(pairs), len(alpha)), dtype=complex)
+    # in place, one (P, G) term at a time; c z is z c, bit for bit
+    for t in range(len(weight)):
+        i = terms.dag[t]
+        term = conj.take(i, 0)
+        term *= power.take(terms.plain[t], 0)
+        term *= parity.take(i, 0)
+        term *= weight[t]
+        total += term
+    return total
 
 
 def _first(spec: StateSpec, where) -> StateSpec:
@@ -360,18 +504,30 @@ def _first(spec: StateSpec, where) -> StateSpec:
     return StateSpec.of(spec.family, spec.parameter[int(np.argmax(where))], spec.op)
 
 
-def _norm(spec: StateSpec) -> float:
-    """The (0,0) entry, in the units of _unnormalized_moment.
+def _contract(spec: StateSpec, pairs):
+    """The family's contraction of the pairs: a list of numbers for one
+    state, a (P, G) array over a grid, computed with numpy's overflow
+    warnings off. A value past the float range is inf or nan, for the
+    caller to test, as is every value where the constants overflow (a cat
+    whose |alpha|^2 does, |alpha| > ~1.3e154)."""
+    if not isinstance(spec.parameter, np.ndarray):
+        try:
+            return spec.family.contraction(spec, pairs)
+        except OverflowError:
+            return [math.inf] * len(pairs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return spec.family.contraction(spec, pairs)
+
+
+def _norm(spec: StateSpec, entry=None) -> float:
+    """The (0,0) entry, in the units of the family's contraction: `entry`,
+    where the caller has contracted it already.
 
     Where the family's `annihilated` holds, DegenerateState; over a grid the
-    norm is NaN at those points instead. A norm beyond the float range (a
-    cat whose |alpha|^2 overflows, |alpha| > ~1.3e154) raises OutOfRange.
+    norm is NaN at those points instead. A norm beyond the float range
+    raises OutOfRange.
     """
-    with _quiet(spec.parameter):
-        try:
-            norm = _unnormalized_moment(spec, 0, 0).real
-        except OverflowError:
-            norm = math.inf
+    norm = (_contract(spec, ((0, 0),))[0] if entry is None else entry).real
     finite = _finite(norm)
     if not _all(finite):
         first = _first(spec, np.logical_not(finite)).canonical()
@@ -382,33 +538,59 @@ def _norm(spec: StateSpec) -> float:
     )
 
 
-def moment(spec: StateSpec, m: int, n: int) -> complex:
+def _pair_set(m, n) -> tuple[tuple[int, int], ...]:
+    """The pairs (m, n) of two ints or of two equal-length 1-d integer arrays."""
+    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
+        m, n = np.asarray(m), np.asarray(n)
+        if m.ndim != 1 or m.shape != n.shape or m.dtype.kind not in "iu" or n.dtype.kind not in "iu":
+            raise ValueError("moment orders must be two ints or two equal-length 1-d integer arrays")
+        m, n = m.tolist(), n.tolist()
+    else:
+        m, n = [m], [n]
+    if min(m + n, default=0) < 0:
+        raise ValueError("moment orders must be non-negative")
+    return tuple(zip(m, n))
+
+
+def moment(spec: StateSpec, m, n):
     """Normalized <a'^m a^n> for any spec: its contraction over the (0,0) entry.
 
-    Over a grid spec, an ndarray with NaN at the annihilated points. A value
-    beyond the float range (e.g. <a'^2 a^2> of thermal PAS(2,2) at
-    rbar = 1e200, about 3e401) raises OutOfRange.
+    m and n are ints, or equal-length 1-d integer arrays of a pair set
+    (m[i], n[i]), all evaluated in one contraction call. Ints give a
+    complex for one state and an ndarray over a grid spec, with NaN at the
+    annihilated points; arrays give the values stacked on axis 0, (P,) for
+    one state and (P, G) over a grid. Each value is the same, bit for bit,
+    whichever way it is asked for. A value beyond the float range (e.g.
+    <a'^2 a^2> of thermal PAS(2,2) at rbar = 1e200, about 3e401) raises
+    OutOfRange, naming the first such pair and state.
     """
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be non-negative")
-    norm = spec._norm
-    with _quiet(norm):
-        try:
-            unnormalized = _unnormalized_moment(spec, m, n)
-        except OverflowError:
-            unnormalized = math.inf
+    pairs = _pair_set(m, n)
+    if "_norm" in vars(spec):
+        norm, unnormalized = spec._norm, _contract(spec, pairs)
+    else:
+        # a spec's first moment call contracts its norm, the (0,0) entry, with
+        # its pairs, and keeps it as the cached property would
+        unnormalized = _contract(spec, ((0, 0),) + pairs)
+        norm = vars(spec).setdefault("_norm", _norm(spec, unnormalized[0]))
+        unnormalized = unnormalized[1:]
+    unnormalized = np.asarray(unnormalized)
+    with np.errstate(over="ignore", invalid="ignore"):
         # the parts divided apart, as Python divides a complex by a float:
         # numpy's complex division multiplies by a reciprocal, a last-bit
-        # change that cancellations in the witnesses amplify
-        value = unnormalized.real / norm + unnormalized.imag / norm * 1j
+        # change that cancellations in the witnesses amplify; the real part
+        # is added in place, as addition commutes bit for bit
+        value = unnormalized.imag / norm * 1j
+        value += unnormalized.real / norm
     # a NaN gap of a grid (norm != norm) stays a gap; any other value that
     # is not finite is out of range
-    ok = _finite(value) | (norm != norm)
-    if _all(ok):
+    ok = np.isfinite(value) | (norm != norm)
+    if not ok.all():
+        i = int(np.argmax(~ok.reshape(len(pairs), -1).all(axis=1)))
+        raise OutOfRange(f"<a'^{pairs[i][0]} a^{pairs[i][1]}> of "
+                         f"{_first(spec, ~ok[i]).canonical()} exceeds the float range")
+    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
         return value
-    raise OutOfRange(
-        f"<a'^{m} a^{n}> of {_first(spec, np.logical_not(ok)).canonical()} exceeds the float range"
-    )
+    return value[0] if isinstance(spec.parameter, np.ndarray) else complex(value[0])
 
 
 def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
@@ -689,28 +871,45 @@ def _family(name: str) -> Family:
 class MomentTable:
     """Memoized normalized moments <a'^m a^n> for one state spec.
 
+    A table made with a `source(m, n)` computes each entry on its first
+    request. An analytic table instead holds the pairs its reader needs
+    (witnesses._moment_pairs): the first get fills all of them with one
+    `moment` call over the pair arrays, and a get of any other pair makes
+    the same call with that one pair.
+
     For a grid spec (one operation over an array of parameters) the analytic
     table is one table for the whole grid: get(m, n) is an ndarray over the
     grid, NaN where the operation annihilates the state, so a witness body
-    run on it gives the whole series at once.
+    run on it gives the whole series at once. For one state an entry is a
+    complex, as the int call of `moment` gives it.
 
     Immutable from the caller's point of view: entries are computed once and
     cached on first request.
     """
 
-    def __init__(self, spec: StateSpec, source: Callable[[int, int], complex],
-                 provenance: str = "analytic"):
+    def __init__(self, spec: StateSpec, source: Callable[[int, int], complex] | None,
+                 provenance: str = "analytic", pairs=()):
         self.spec = spec
         self.provenance = provenance
         self._source = source
+        self._pairs = tuple(pairs)
         self._cache: dict[tuple[int, int], complex] = {}
 
     @classmethod
-    def analytic(cls, spec: StateSpec) -> "MomentTable":
-        return cls(spec, lambda m, n: moment(spec, m, n), provenance="analytic")
+    def analytic(cls, spec: StateSpec, pairs=()) -> "MomentTable":
+        return cls(spec, None, "analytic", pairs)
 
     def get(self, m: int, n: int) -> complex:
         key = (m, n)
         if key not in self._cache:
-            self._cache[key] = self._source(m, n)
+            if self._source is not None:
+                self._cache[key] = self._source(m, n)
+            else:
+                self._fill(self._pairs if key in self._pairs else (key,))
         return self._cache[key]
+
+    def _fill(self, pairs) -> None:
+        ms, ns = (np.array(orders, dtype=np.intp) for orders in zip(*pairs))
+        # the module's moment, as looked up at call time
+        values = moment(self.spec, ms, ns)
+        self._cache.update(zip(pairs, values.tolist() if values.ndim == 1 else values))

@@ -125,23 +125,36 @@ def _rel_dev(analytic, reference):
     return np.abs(analytic - reference) / np.maximum(np.abs(reference), 1e-30)
 
 
+def _table(spec: StateSpec, *reads) -> MomentTable:
+    """The analytic table of spec, filled with the pairs that the given
+    (witness, order) reads take."""
+    pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
+    return MomentTable.analytic(spec, sorted(pairs))
+
+
 def suite_moments(tol: float = MOMENT_TOL) -> SuiteResult:
     """Analytic moments against oracle moments over the full spec grid.
 
-    Each (op, family) is one grid spec on the analytic side, and each state
-    one block of oracle moments <a'^m a^n>, m, n <= 5.
+    Each (op, family) is one grid spec on the analytic side, all its pairs
+    one moment call, and each state one block of oracle moments
+    <a'^m a^n>, m, n <= 5.
     """
     tally = _Tally()
     for op, family, values in _grid_series():
         specs = [StateSpec.of(family, value, op) for value in values]
         blocks = np.array([oracle_mod.oracle_moment_block(_oracle_state(s), 5) for s in specs])
-        grid = StateSpec.of(family, np.array(values), op)
         pairs = [(n, n) for n in range(6)]
         if not family.diagonal:
             pairs += [(m, n) for m in range(5) for n in range(5) if m != n]
-        for m, n in pairs:
-            tally.add(_rel_dev(states_mod.moment(grid, m, n), blocks[:, m, n]), tol,
-                      lambda i, dev: f"{specs[i].canonical()} moment({m},{n}): dev {dev:.3e}")
+        ms, ns = np.array(pairs).T
+        # one row per pair, one column per state
+        analytic = states_mod.moment(StateSpec.of(family, np.array(values), op), ms, ns)
+
+        def note(i, dev):
+            pair, state = divmod(i, len(specs))
+            return f"{specs[state].canonical()} moment({ms[pair]},{ns[pair]}): dev {dev:.3e}"
+
+        tally.add(_rel_dev(analytic, blocks[:, ms, ns].T), tol, note)
     return tally.result("moments")
 
 
@@ -197,7 +210,8 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         tally.add(dev, limit, lambda i, dev: f"{label}: dev {dev:.3e}")
 
     for spec in _witness_specs():
-        analytic = MomentTable.analytic(spec)
+        analytic = _table(spec, *((w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)),
+                          ("hos", 2), ("hos", 4), ("agarwal_tara", 0))
         oracle_state = _oracle_state(spec)
         oracle_table = oracle_mod.moment_table_from_state(oracle_state, spec)
         name = spec.canonical()
@@ -246,13 +260,15 @@ def suite_normalization() -> SuiteResult:
             tally.add(abs(total - 1.0), PROB_SUM_TOL,
                       lambda i, dev: f"{name} sum p_m: dev {dev:.3e}")
         if not family.diagonal:
-            grid = StateSpec.of(family, np.array(values), op)
-            for m, n in ((1, 0), (2, 1), (3, 2), (3, 0)):
-                tally.add(
-                    np.abs(states_mod.moment(grid, m, n)), PARITY_TOL,
-                    lambda i, value: f"{StateSpec.of(family, values[i], op).canonical()} "
-                                     f"parity moment({m},{n}): {value:.3e}",
-                )
+            ms, ns = np.array(((1, 0), (2, 1), (3, 2), (3, 0))).T
+
+            def note(i, value):
+                pair, state = divmod(i, len(values))
+                return (f"{StateSpec.of(family, values[state], op).canonical()} "
+                        f"parity moment({ms[pair]},{ns[pair]}): {value:.3e}")
+
+            tally.add(np.abs(states_mod.moment(StateSpec.of(family, np.array(values), op), ms, ns)),
+                      PARITY_TOL, note)
     return tally.result("normalization")
 
 
@@ -271,7 +287,7 @@ def suite_hos(points: int = 40) -> SuiteResult:
         values = _window(family.window, points)
         for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
-                s = witnesses_mod.hos(MomentTable.analytic(StateSpec.of(family, values, op)), l)
+                s = witnesses_mod.hos(_table(StateSpec.of(family, values, op), ("hos", l)), l)
                 tally.add(-s, SIGN_MAGNITUDE,
                           lambda i, dev: f"{StateSpec.of(family, values[i], op).canonical()} "
                                          f"hos({l}) = {-dev:.3e}")
@@ -295,9 +311,7 @@ def suite_signs(points: int = 60) -> SuiteResult:
 
     minima = {}
     for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
-        series = witnesses_mod.mandel_q(
-            MomentTable.analytic(StateSpec.thermal(rbar_values, op)), 2
-        )
+        series = witnesses_mod.mandel_q(_table(StateSpec.thermal(rbar_values, op), ("mandel", 2)), 2)
         checks += points
         # NaN only where the norm is (an annihilated state)
         for i in np.flatnonzero(np.isnan(series)):
@@ -318,7 +332,7 @@ def suite_signs(points: int = 60) -> SuiteResult:
             notes.append(f"{spec.canonical()} husimi(0) = {q0!r}, expected exact 0")
 
     for op in (EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1)):
-        table = MomentTable.analytic(StateSpec.thermal(rbar_values, op))
+        table = _table(StateSpec.thermal(rbar_values, op), ("agarwal_tara", 0))
         # <1> is NaN exactly where the norm is; any other NaN is a singular
         # denominator, skipped as it compares False below
         for i in np.flatnonzero(np.isnan(table.get(0, 0).real)):
@@ -351,8 +365,8 @@ def _oracle_hosps_direct(state, orders) -> list[float]:
     probs = state.probabilities()
     k = np.arange(len(probs), dtype=float)
     mean = float(np.dot(probs, k))
-    return [float(np.dot(probs, (k - mean) ** l)) - oracle_mod.oracle_poissonian_central_moment(mean, l)
-            for l in orders]
+    poisson = oracle_mod.oracle_poissonian_central_moment(mean, orders)
+    return [float(np.dot(probs, (k - mean) ** l)) - reference for l, reference in zip(orders, poisson)]
 
 
 def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
@@ -371,7 +385,7 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
         # one row per order l = 2, 3, 4, one column per state
         references = np.array([_oracle_hosps_direct(_oracle_state(s), (2, 3, 4))
                                for s in specs]).T
-        table = MomentTable.analytic(StateSpec.of(family, np.array(values), op))
+        table = _table(StateSpec.of(family, np.array(values), op), *(("hosps", l) for l in (2, 3, 4)))
         for l, reference in zip((2, 3, 4), references):
             value = witnesses_mod.hosps(table, l)
             dev = _rel_dev(value, reference)
@@ -433,9 +447,10 @@ def _exact_fixtures():
     return (
         ("moment(1,1) PAS thermal", lambda: states_mod.moment(past11, 1, 1).real, 10.0 / 3.0),
         ("moment(1,1) PSA thermal", lambda: states_mod.moment(psat11, 1, 1).real, 13.0 / 3.0),
-        ("mandel(2) PSA thermal", lambda: witnesses_mod.mandel_q(MomentTable.analytic(psat11), 2), 17.0 / 39.0),
-        ("hoa(2) PSA thermal", lambda: witnesses_mod.hoa(MomentTable.analytic(psat11), 2), 17.0 / 9.0),
-        ("a3 bare thermal", lambda: witnesses_mod.agarwal_tara(MomentTable.analytic(bare)), 1.0 / 7.0),
+        ("mandel(2) PSA thermal",
+         lambda: witnesses_mod.mandel_q(_table(psat11, ("mandel", 2)), 2), 17.0 / 39.0),
+        ("hoa(2) PSA thermal", lambda: witnesses_mod.hoa(_table(psat11, ("hoa", 2)), 2), 17.0 / 9.0),
+        ("a3 bare thermal", lambda: witnesses_mod.agarwal_tara(_table(bare, ("agarwal_tara", 0))), 1.0 / 7.0),
         ("klyshko(2) bare thermal", lambda: witnesses_mod.klyshko(bare, 2), 1.0 / 256.0),
         ("husimi(0) bare thermal", lambda: states_mod.husimi(bare, 0j), 1.0 / (2.0 * math.pi)),
     )
@@ -461,7 +476,7 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: str):
     if quantity.startswith("hosps("):
         l = int(quantity[6:-1])
         if engine == "analytic":
-            return witnesses_mod.hosps(MomentTable.analytic(spec), l)
+            return witnesses_mod.hosps(_table(spec, ("hosps", l)), l)
         return witnesses_mod.hosps(oracle_mod.oracle_moment_table(spec, order=l), l)
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 

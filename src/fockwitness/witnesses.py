@@ -299,22 +299,34 @@ def husimi_zero_scan(
 # Uniform entry point
 # ---------------------------------------------------------------------------
 
-def _table_for(spec: StateSpec, engine: str, tail_tol: float, order: int) -> MomentTable:
-    """The witness's moment table; an oracle basis holds the tails of the
-    moments up to <a'^order a^order>."""
-    if engine == "analytic":
-        return MomentTable.analytic(spec)
-    if engine == "oracle":
-        return oracle_mod.oracle_moment_table(spec, tail_tol, order)
-    raise ValueError(f"unknown engine {engine!r}")
+def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
+    this order: <a'^n a^n> for n <= l for mandel(l) (its <(a'a)^r>), n = 1
+    and l for hoa(l), 1 <= n <= l for hosps(l) and n <= 4 for A3 (either
+    variant); every normal-ordered term of (a + a')^k, k <= l, for hos(l)."""
+    if witness == "hos":
+        return tuple(sorted({pair for k in range(order + 1) for pair in quadrature_power_coeffs(k)}))
+    if witness == "hoa":
+        return ((1, 1), (order, order))
+    first, last = (1, order) if witness == "hosps" else (0, 4 if witness == "agarwal_tara" else order)
+    return tuple((n, n) for n in range(first, last + 1))
 
 
 def _moment_order(witness: str, order: int) -> int:
-    """The largest n of the <a'^n a^n> the witness reads, or that bounds what
-    it reads: hos(l) reads total order l, so l/2; A3 reads m_4."""
-    if witness == "agarwal_tara":
-        return 4
-    return order // 2 if witness == "hos" else order
+    """The largest (m + n) // 2 over the pairs the witness reads: the n of
+    the <a'^n a^n> whose tail the oracle basis must hold (l/2 for hos(l))."""
+    return max(((m + n) // 2 for m, n in _moment_pairs(witness, order)), default=0)
+
+
+def _table_for(spec: StateSpec, engine: str, tail_tol: float, witness: str, order: int) -> MomentTable:
+    """The witness's moment table: an analytic table holds the pairs it
+    reads, and an oracle basis holds the tails of the moments up to
+    <a'^k a^k>, k = _moment_order."""
+    if engine == "analytic":
+        return MomentTable.analytic(spec, _moment_pairs(witness, order))
+    if engine == "oracle":
+        return oracle_mod.oracle_moment_table(spec, tail_tol, _moment_order(witness, order))
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def evaluate_witness(
@@ -333,7 +345,7 @@ def evaluate_witness(
     arrays over the grid (husimi_zero takes one state only).
     """
     if witness in ("mandel", "hoa", "hosps", "hos", "agarwal_tara"):
-        table = _table_for(spec, engine, tail_tol, _moment_order(witness, order))
+        table = _table_for(spec, engine, tail_tol, witness, order)
         if witness == "mandel":
             value = mandel_q(table, order)
         elif witness == "hoa":

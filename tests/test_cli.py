@@ -62,6 +62,16 @@ class TestMomentCommand:
         r = 1e15
         assert float(proc.stdout.split(",")[2]) == pytest.approx(2 * r * (3 * r + 2) / (2 * r + 1), rel=1e-12)
 
+    @pytest.mark.parametrize("order, expected", [(170, 7.2574156153080247e-34), (171, 1.2410180702176722e-33)])
+    def test_thermal_high_order_moment(self, order, expected):
+        # order! rbar^order: the float of 171! overflows and 0.01^170
+        # underflows, but neither the moment nor its logarithm does
+        proc = run_cli("moment", "--family", "thermal", "--rbar", "0.01", "--m", str(order), "--n", str(order))
+        assert proc.returncode == 0, proc.stderr
+        m, n, re, im = proc.stdout.strip().split(",")
+        assert (m, n, im) == (str(order), str(order), "0")
+        assert float(re) == pytest.approx(expected, rel=1e-11)
+
     def test_missing_orders_is_config_error(self):
         proc = run_cli("moment", "--family", "thermal", "--rbar", "1")
         assert proc.returncode == 2

@@ -164,6 +164,23 @@ class TestPoissonCentralMoments:
 
     def test_zero_mean(self):
         assert oracle.oracle_poissonian_central_moment(0.0, 5) == 0.0
+        assert oracle.oracle_poissonian_central_moment(0.0, (2, 3)) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mean", [0.013, 0.37, 1.0, 2.9, 7.5, 31.0, 140.0])
+    def test_orders_at_once_equal_one_order_calls(self, mean):
+        # one pmf over the support of the largest order; each order sums over
+        # its own, whose top grows by 2 per order, so each value is the one
+        # an order-by-order call gives, bit for bit
+        orders = (2, 3, 4, 6)
+        values = oracle.oracle_poissonian_central_moment(mean, orders)
+        assert values == [oracle.oracle_poissonian_central_moment(mean, l) for l in orders]
+        assert all(type(value) is float for value in values)
+        assert oracle.oracle_poissonian_central_moment(mean, np.int64(3)) == values[1]
+
+    def test_orders_are_checked(self):
+        with pytest.raises(ValueError):
+            oracle.oracle_poissonian_central_moment(1.0, (2, 0))
+        assert oracle.oracle_poissonian_central_moment(1.0, ()) == []
 
 
 class TestCoherentBaseline:

@@ -692,3 +692,215 @@ class TestMomentTable:
         spec = StateSpec.thermal(1.0)
         assert MomentTable.analytic(spec).provenance == "analytic"
         assert oracle.oracle_moment_table(spec).provenance == "oracle"
+
+
+# ---------------------------------------------------------------------------
+# Moments over pair sets
+# ---------------------------------------------------------------------------
+
+def reference_contraction(spec, m, n):
+    """Independent per-pair term sum: the pair's contraction table term by
+    term, each term with its own powers, as a sum from 0 in table order:
+    c M! x^(M-k0) y^(p+q-M) on the M = N terms of a thermal state, and
+    c (conj(alpha)^M alpha^N w) of an even cat, with w the even or odd pair
+    weight and 0j for mixed parity. A number for one state, an array over a
+    grid."""
+    op, value = spec.op, spec.parameter
+    table = states._contraction_table(op, m, n)
+    if spec.family is states.FAMILY_THERMAL:
+        x, y = value / (1.0 + value), 1.0 / (1.0 + value)
+        k0 = min(dag for dag, _, _ in states._contraction_table(op, 0, 0))
+        top = op.p + op.q
+        return sum(c * math.factorial(dag) * x ** (dag - k0) * y ** (top - dag)
+                   for dag, plain, c in table if dag == plain)
+    a2 = abs(value) ** 2
+    lib = np if isinstance(a2, np.ndarray) else math
+    weights = (2.0 + 2.0 * lib.exp(-2.0 * a2), -2.0 * lib.expm1(-2.0 * a2))
+    return sum(c * (0j if (dag + plain) % 2 else value.conjugate() ** dag * value ** plain * weights[dag % 2])
+               for dag, plain, c in table)
+
+
+def reference_moment(spec, m, n):
+    """reference_contraction over the (0,0) entry, NaN where the state is
+    annihilated: a thermal state at rbar = 0 whose operation removes the
+    vacuum, a cat whose norm is at most DEGENERATE_NORM_FLOOR."""
+    with np.errstate(all="ignore"):
+        norm = reference_contraction(spec, 0, 0).real
+        if spec.family is states.FAMILY_THERMAL:
+            k0 = min(dag for dag, _, _ in states._contraction_table(spec.op, 0, 0))
+            annihilated = (spec.parameter == 0) & (k0 > 0)
+        else:
+            annihilated = norm <= states.DEGENERATE_NORM_FLOOR
+        norm = np.where(annihilated, math.nan, norm) if isinstance(norm, np.ndarray) else norm
+        value = reference_contraction(spec, m, n)
+        return value.real / norm + value.imag / norm * 1j
+
+
+def _assert_same_bits(actual, expected):
+    """Equal complex values bit for bit, NaN included, and the same type."""
+    assert type(actual) is type(expected)
+    actual, expected = np.atleast_1d(actual).astype(complex), np.atleast_1d(expected).astype(complex)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+PAIRS = [(m, n) for m in range(6) for n in range(6)]
+PAIR_MS, PAIR_NS = np.array(PAIRS).T
+BLOCK_GRIDS = [
+    (states.FAMILY_THERMAL, np.array([0.0, 0.01, 0.37, 1.0, 2.5, 5.0])),
+    (states.FAMILY_EVEN_COHERENT, np.array([0.0, 0.05, 0.3 + 0.2j, -0.7j, 1.2, 2.0 - 1.1j])),
+]
+
+
+class TestMomentBlocks:
+    @pytest.mark.parametrize("family, values", BLOCK_GRIDS, ids=["thermal", "ecs"])
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), *_pas_psa_up_to(3)], ids=EngineeringOp.label)
+    def test_grid_block_equals_reference_and_int_calls(self, family, values, op):
+        block = moment(StateSpec.of(family, values, op), PAIR_MS, PAIR_NS)
+        assert block.shape == (len(PAIRS), len(values)) and block.dtype == complex
+        # a spec whose norm is cached, and a fresh spec per pair
+        cached = StateSpec.of(family, values, op)
+        cached._norm
+        for i, (m, n) in enumerate(PAIRS):
+            expected = reference_moment(StateSpec.of(family, values, op), m, n)
+            _assert_same_bits(block[i], expected)
+            _assert_same_bits(moment(cached, m, n), expected)
+            _assert_same_bits(moment(StateSpec.of(family, values, op), m, n), expected)
+
+    @pytest.mark.parametrize("family, values", BLOCK_GRIDS, ids=["thermal", "ecs"])
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), *_pas_psa_up_to(3)], ids=EngineeringOp.label)
+    def test_one_state_block_equals_reference_and_int_calls(self, family, values, op):
+        # one cat state stays on Python complex products, as the reference does
+        for value in values[1:]:
+            spec = StateSpec.of(family, value, op)
+            if np.isnan(reference_moment(spec, 0, 0)):
+                with pytest.raises(DegenerateState):
+                    moment(spec, PAIR_MS, PAIR_NS)
+                continue
+            block = moment(spec, PAIR_MS, PAIR_NS)
+            assert block.shape == (len(PAIRS),) and block.dtype == complex
+            for i, (m, n) in enumerate(PAIRS):
+                expected = reference_moment(spec, m, n)
+                _assert_same_bits(complex(block[i]), expected)
+                _assert_same_bits(moment(spec, m, n), expected)
+                _assert_same_bits(moment(StateSpec.of(family, value, op), m, n), expected)
+
+    @pytest.mark.parametrize("spec, gaps", [
+        (StateSpec.thermal(np.array([0.0, 0.5, 0.0, 2.0]), EngineeringOp.psa(1, 2)), [0, 2]),
+        (StateSpec.even_coherent(np.array([1.0, 0.0, 0.4j]), EngineeringOp.psa(1, 0)), [1]),
+    ])
+    def test_nan_gaps_at_annihilated_points(self, spec, gaps):
+        block = moment(spec, PAIR_MS, PAIR_NS)
+        assert np.isnan(block[:, gaps]).all()
+        live = [i for i in range(len(spec.parameter)) if i not in gaps]
+        assert np.isfinite(block[:, live]).all()
+        for i in live:
+            one = moment(StateSpec.of(spec.family, spec.parameter[i], spec.op), PAIR_MS, PAIR_NS)
+            np.testing.assert_allclose(block[:, i], one, rtol=1e-14, atol=1e-300)
+
+    def test_out_of_range_names_the_first_pair_and_state(self):
+        op = EngineeringOp.pas(2, 2)
+        # <a'a> is about 2.4 rbar, <a'^2 a^2> about 3e401 at rbar = 1e200
+        grid = StateSpec.thermal(np.array([1.0, 1e200, 1e300]), op)
+        with pytest.raises(OutOfRange, match=r"^<a'\^2 a\^2> of thermal\(rbar=1e\+200\)\|PAS\(2,2\) "):
+            moment(grid, np.array([1, 2, 3]), np.array([1, 2, 3]))
+        one = StateSpec.thermal(1e200, op)
+        with pytest.raises(OutOfRange, match=r"^<a'\^3 a\^3> of thermal\(rbar=1e\+200\)\|PAS\(2,2\) "):
+            moment(one, np.array([1, 3, 2]), np.array([1, 3, 2]))
+        # <a'^2> = alpha^2 = 1e200 is in range, <a'^3 a> = 1e400 is not
+        with pytest.raises(OutOfRange, match=r"^<a'\^3 a\^1> of ecs\(alpha=1e\+100\)\|bare "):
+            moment(StateSpec.even_coherent(1e100), np.array([0, 2, 3, 2]), np.array([0, 0, 1, 2]))
+
+    @pytest.mark.parametrize("ms, ns", [
+        (np.array([1, -1]), np.array([1, 1])),  # negative
+        (np.array([1, 2]), np.array([1])),  # ragged
+        (np.array([1.0, 2.0]), np.array([1, 2])),  # not integers
+        (np.array([True]), np.array([1])),
+        (np.array([[1, 2]]), np.array([[1, 2]])),  # 2-d
+        (1, np.array([1])),
+    ])
+    def test_bad_order_arrays_are_value_errors(self, ms, ns):
+        with pytest.raises(ValueError):
+            moment(StateSpec.thermal(1.0), ms, ns)
+
+    def test_int_and_array_calls_return_their_types(self):
+        spec = StateSpec.even_coherent(0.7 - 0.2j, EngineeringOp.psa(1, 2))
+        assert type(moment(spec, 2, 1)) is complex
+        assert isinstance(moment(spec, np.array([2]), np.array([1])), np.ndarray)
+        grid = StateSpec.thermal(np.array([0.5, 1.0]))
+        assert moment(grid, 1, 1).shape == (2,)
+        assert moment(grid, np.array([], dtype=int), np.array([], dtype=int)).shape == (0, 2)
+
+
+class TestHighOrderThermal:
+    """c M! past 170! and x^M underflowing at small rbar: each such term is
+    taken from its logarithm, against the contraction at 50 digits."""
+
+    @staticmethod
+    def _exact(op, rbar, order):
+        with mpmath.workdps(50):
+            r = mpmath.mpf(rbar)
+
+            def contraction(m, n):
+                return mpmath.fsum(c * mpmath.factorial(dag) * r ** dag
+                                   for dag, plain, c in states._contraction_table(op, m, n) if dag == plain)
+
+            return float(contraction(order, order) / contraction(0, 0))
+
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), EngineeringOp.pas(1, 1)], ids=EngineeringOp.label)
+    @pytest.mark.parametrize("rbar, order", [(0.01, 170), (0.01, 171), (0.01, 200), (0.001, 250)])
+    def test_one_state_against_mpmath(self, op, rbar, order):
+        value = moment(StateSpec.thermal(rbar, op), order, order)
+        assert value.imag == 0.0
+        assert value.real == pytest.approx(self._exact(op, rbar, order), rel=1e-11)
+
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), EngineeringOp.pas(1, 1)], ids=EngineeringOp.label)
+    def test_grid_against_mpmath(self, op):
+        rbars = np.array([0.001, 0.01, 0.5])
+        block = moment(StateSpec.thermal(rbars, op), np.array([1, 170]), np.array([1, 170]))
+        for i, rbar in enumerate(rbars):
+            assert block[1, i].real == pytest.approx(self._exact(op, rbar, 170), rel=1e-11)
+            assert block[0, i] == moment(StateSpec.thermal(rbar, op), 1, 1)
+
+    def test_past_the_float_range_still_raises(self):
+        # 171! rbar^171 with rbar = 1 is about 1.2e309
+        with pytest.raises(OutOfRange):
+            moment(StateSpec.thermal(1.0), 171, 171)
+        with pytest.raises(OutOfRange):
+            moment(StateSpec.thermal(np.array([0.01, 1.0])), 171, 171)
+
+
+class TestMomentTableFill:
+    def _counting(self, monkeypatch):
+        calls = []
+        original = states.moment
+
+        def counting(spec, m, n):
+            calls.append((np.size(m), np.ndim(spec.parameter)))
+            return original(spec, m, n)
+
+        monkeypatch.setattr(states, "moment", counting)
+        return calls
+
+    def test_one_call_fills_the_pairs(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        spec = StateSpec.thermal(np.array([0.5, 1.0, 2.0]), EngineeringOp.psa(2, 1))
+        pairs = [(0, 0), (1, 1), (2, 2), (3, 3)]
+        table = MomentTable.analytic(spec, pairs)
+        for m, n in pairs:
+            expected = moment(StateSpec.of(spec.family, spec.parameter, spec.op), m, n)
+            np.testing.assert_array_equal(table.get(m, n), expected)
+        assert calls == [(len(pairs), 1)]
+        # another pair: the same call with that one pair
+        del calls[:]
+        table.get(4, 4)
+        table.get(4, 4)
+        assert calls == [(1, 1)]
+
+    def test_one_state_entries_are_complex(self):
+        spec = StateSpec.even_coherent(0.8 + 0.1j, EngineeringOp.pas(1, 2))
+        table = MomentTable.analytic(spec, [(0, 0), (2, 1), (1, 1)])
+        for m, n in [(2, 1), (1, 1), (3, 0)]:
+            value = table.get(m, n)
+            assert type(value) is complex
+            _assert_same_bits(value, reference_moment(spec, m, n))

@@ -138,10 +138,10 @@ def test_a_nan_value_fails_its_suite(monkeypatch, suite, owner, name):
 def test_an_annihilated_point_fails_the_signs_suite(monkeypatch):
     original = states._norm
 
-    def nan_at_first_point(spec):
+    def nan_at_first_point(spec, entry=None):
         # every grid spec's norm is NaN at its first point, as where the
         # operation annihilates the state
-        norm = original(spec)
+        norm = original(spec, entry)
         return _nan_at(norm, 0) if np.ndim(norm) else norm
 
     monkeypatch.setattr(states, "_norm", nan_at_first_point)

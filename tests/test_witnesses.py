@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from fockwitness import oracle, states, witnesses
+from fockwitness import oracle, states, sweep_report, witnesses
 from fockwitness.errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
 from fockwitness.witnesses import (
@@ -304,3 +305,63 @@ class TestEvaluateWitness:
     def test_unknown_witness(self):
         with pytest.raises(ValueError):
             evaluate_witness(BARE_THERMAL, "parity")
+
+
+# (witness, order) as the CLI default, the figure panels and verify read them
+_READS = sorted(
+    {(witness, order) for witness, panels in sweep_report._PANEL_COMBOS.items() for order, _, _ in panels}
+    | {(witness, 2) for witness in ("mandel", "hoa", "hosps", "hos")}
+    | {("mandel", 3), ("hoa", 3), ("hosps", 3), ("agarwal_tara", 0)}
+)
+
+
+class TestMomentPairs:
+    class _Recording(MomentTable):
+        """A table that raises on any pair its witness does not list."""
+
+        def __init__(self, spec, witness, order):
+            allowed = set(witnesses._moment_pairs(witness, order))
+
+            def source(m, n):
+                if (m, n) not in allowed:
+                    raise AssertionError(f"{witness}({order}) read ({m}, {n}), not in {sorted(allowed)}")
+                return states.moment(spec, m, n)
+
+            super().__init__(spec, source)
+
+    @pytest.mark.parametrize("witness, order", _READS)
+    @pytest.mark.parametrize("spec", [
+        StateSpec.thermal(0.8, EngineeringOp.psa(2, 1)),
+        StateSpec.even_coherent(1.1 + 0.3j, EngineeringOp.pas(1, 2)),
+        StateSpec.thermal(np.array([0.3, 1.0, 2.5]), EngineeringOp.pas(1, 1)),
+    ], ids=["thermal", "ecs", "grid"])
+    def test_each_witness_reads_only_its_pairs(self, spec, witness, order):
+        table = self._Recording(spec, witness, order)
+        if witness == "agarwal_tara":
+            for variant in (witnesses.VARIANT_NUMBER_MOMENTS, witnesses.VARIANT_POWER_OF_MEAN):
+                agarwal_tara(table, variant)
+            return
+        {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
+        if witness == "hosps":
+            hosps_printed_form(table, order)
+
+    @pytest.mark.parametrize("witness, order", _READS)
+    def test_the_oracle_tail_order_is_unchanged(self, witness, order):
+        # the n of <a'^n a^n> whose tail the oracle basis holds
+        expected = {"agarwal_tara": 4, "hos": order // 2}.get(witness, order)
+        assert witnesses._moment_order(witness, order) == expected
+
+    @pytest.mark.parametrize("witness, order", _READS)
+    def test_a_grid_table_is_one_moment_call(self, monkeypatch, witness, order):
+        calls = []
+        original = states.moment
+
+        def counting(spec, m, n):
+            calls.append(np.size(m))
+            return original(spec, m, n)
+
+        monkeypatch.setattr(states, "moment", counting)
+        spec = StateSpec.even_coherent(np.array([0.4, 0.9, 1.7]), EngineeringOp.psa(1, 2))
+        result = evaluate_witness(spec, witness, order)
+        assert result.value.shape == (3,)
+        assert calls == [len(witnesses._moment_pairs(witness, order))]
