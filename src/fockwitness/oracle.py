@@ -8,8 +8,8 @@ are the oracle's own, looked up by family record, of which it reads only the
 `states`, so agreement between the two is a real check.
 
 A Fock-diagonal family (thermal) stays diagonal through both engineering
-operations, so its default representation is a weight vector (O(D) instead
-of O(D^2)); a full density-matrix path is retained for cross-checks.
+operations, so it is held as a weight vector (O(D) instead of O(D^2)), and
+any other family as a pure state vector.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ _NORM_FLOOR = 1e-300
 
 KIND_VECTOR = "vector"
 KIND_DIAGONAL = "diagonal"
-KIND_MATRIX = "matrix"
 
 
 def max_cutoff() -> int:
@@ -61,7 +60,7 @@ def max_cutoff() -> int:
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Finite Fock-basis state: pure vector, diagonal weights, or full matrix."""
+    """Finite Fock-basis state: pure vector or diagonal weights."""
 
     cutoff: int
     kind: str
@@ -72,25 +71,7 @@ class TruncatedState:
         """Photon-number distribution p_0 .. p_{D-1}."""
         if self.kind == KIND_VECTOR:
             return np.abs(self.data) ** 2
-        if self.kind == KIND_DIAGONAL:
-            return self.data.real.copy()
-        return np.clip(np.diag(self.data).real, 0.0, None)
-
-    def density_matrix(self) -> np.ndarray:
-        """Dense D x D density matrix (for cross-checks)."""
-        if self.kind == KIND_VECTOR:
-            return np.outer(self.data, self.data.conj())
-        if self.kind == KIND_DIAGONAL:
-            return np.diag(self.data.astype(complex))
-        return self.data.copy()
-
-
-def annihilation_matrix(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def creation_matrix(dim: int) -> np.ndarray:
-    return annihilation_matrix(dim).conj().T
+        return self.data.real.copy()
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -191,7 +172,6 @@ def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> float:
 def build_truncated(
     spec: StateSpec,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    representation: str = "auto",
     min_cutoff: int = 0,
 ) -> TruncatedState:
     """Build the engineered state numerically, growing the cutoff as needed.
@@ -201,17 +181,12 @@ def build_truncated(
     a^p second, the other order is reversed. min_cutoff forces a larger
     starting basis (Husimi evaluations need |beta|^2 well inside the cutoff).
     """
-    if representation not in ("auto", "matrix"):
-        raise ValueError("representation must be 'auto' or 'matrix'")
     limit = max_cutoff()
     dim = min(_INITIAL_CUTOFF, limit)
     while dim < min(min_cutoff, limit):
         dim = min(2 * dim, limit)
     while True:
-        if representation == "matrix":
-            state = _build_matrix_at_cutoff(spec, dim)
-        else:
-            state = _build_auto_at_cutoff(spec, dim)
+        state = _build_auto_at_cutoff(spec, dim)
         if state.tail_mass < tail_tol:
             return state
         if dim >= limit:
@@ -235,25 +210,6 @@ def _build_auto_at_cutoff(spec: StateSpec, dim: int) -> TruncatedState:
     return TruncatedState(dim, KIND_DIAGONAL if diagonal else KIND_VECTOR, data, tail)
 
 
-def _build_matrix_at_cutoff(spec: StateSpec, dim: int) -> TruncatedState:
-    psi = _BARE_COMPONENTS[spec.family](spec.parameter, dim)
-    rho = np.diag(psi.astype(complex)) if spec.family.diagonal else np.outer(psi, psi.conj())
-    a = annihilation_matrix(dim)
-    ad = creation_matrix(dim)
-    p, q = spec.op.p, spec.op.q
-    if spec.op.order == ORDER_SUBTRACT_THEN_ADD:
-        op = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
-    else:
-        op = np.linalg.matrix_power(a, p) @ np.linalg.matrix_power(ad, q)
-    rho = op @ rho @ op.conj().T
-    trace = float(np.trace(rho).real)
-    if not trace > _NORM_FLOOR:
-        raise DegenerateState(f"{spec.canonical()} is annihilated")
-    rho /= trace
-    tail = _tail_estimate(np.clip(np.diag(rho).real, 0.0, None), structural_zeros=spec.op.p)
-    return TruncatedState(dim, KIND_MATRIX, rho, tail)
-
-
 def oracle_moment(state: TruncatedState, m: int, n: int) -> complex:
     """<a'^m a^n> from the truncated representation via ladder products."""
     if m < 0 or n < 0:
@@ -266,14 +222,9 @@ def oracle_moment(state: TruncatedState, m: int, n: int) -> complex:
         left = _ladder(state.data, m, creation=False, diagonal=False)
         right = _ladder(state.data, n, creation=False, diagonal=False)
         return complex(np.vdot(left, right))
-    if state.kind == KIND_DIAGONAL:
-        if m != n:
-            return 0j
-        return complex(np.dot(state.data[n:], _falling(state.cutoff - n, n)))
-    dim = state.cutoff
-    a = annihilation_matrix(dim)
-    op = np.linalg.matrix_power(a, m).conj().T @ np.linalg.matrix_power(a, n)
-    return complex(np.trace(state.data @ op))
+    if m != n:
+        return 0j
+    return complex(np.dot(state.data[n:], _falling(state.cutoff - n, n)))
 
 
 def oracle_moment_block(state: TruncatedState, order: int) -> np.ndarray:
@@ -281,9 +232,8 @@ def oracle_moment_block(state: TruncatedState, order: int) -> np.ndarray:
 
     A pure state stacks its lowered vectors a^k psi and takes one product of
     them; a diagonal state has only the m = n entries, one falling-factorial
-    dot each, and the matrix representation goes entry by entry, both
-    through oracle_moment. The cutoff guard is oracle_moment's for the
-    largest entry.
+    dot each through oracle_moment. The cutoff guard is oracle_moment's for
+    the largest entry.
     """
     if order < 0:
         raise ValueError("moment orders must be non-negative")
@@ -296,9 +246,7 @@ def oracle_moment_block(state: TruncatedState, order: int) -> np.ndarray:
         lowered = np.array([_ladder(state.data, k, creation=False, diagonal=False)
                             for k in range(size)])
         return lowered.conj() @ lowered.T
-    if state.kind == KIND_DIAGONAL:
-        return np.diag([oracle_moment(state, n, n) for n in range(size)])
-    return np.array([[oracle_moment(state, m, n) for n in range(size)] for m in range(size)])
+    return np.diag([oracle_moment(state, n, n) for n in range(size)])
 
 
 def oracle_photon_prob(state: TruncatedState, m: int) -> float:
@@ -324,9 +272,7 @@ def oracle_husimi(state: TruncatedState, beta: complex) -> float:
     bra = coherent_amplitudes(beta, state.cutoff)
     if state.kind == KIND_VECTOR:
         return float(abs(np.vdot(bra, state.data)) ** 2 / math.pi)
-    if state.kind == KIND_DIAGONAL:
-        return float(np.sum(state.data * np.abs(bra) ** 2) / math.pi)
-    return float((bra.conj() @ state.data @ bra).real / math.pi)
+    return float(np.sum(state.data * np.abs(bra) ** 2) / math.pi)
 
 
 def oracle_poissonian_central_moment(mean: float, l):

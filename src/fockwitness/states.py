@@ -30,18 +30,20 @@ against the brute-force oracle in the test suite.
 
 A set of pairs (m, n) is one contraction call (moment with two order
 arrays; MomentTable fills the pairs its witness reads that way): the family
-body takes each power of the parameter once and, over a grid, gathers the
-cached terms of every pair into padded arrays, summed one term slice at a
-time. Each pair's terms are summed in table order, so each value is the one
-a call for that pair alone gives, bit for bit.
+body takes each power of the parameter once, gathers the cached terms of
+every pair into padded arrays and sums them one term slice at a time. Each
+pair's terms are summed in table order, so each value is the one a call for
+that pair alone gives, bit for bit.
 
 A spec may also hold a 1-d array of parameters: one operation over a grid
-of states. The moment, norm and photon-probability bodies are generic
-arithmetic, so such a grid spec goes through the same code as one state and
-gives an ndarray; numpy is used only where the operand is an array, so a
-single state stays on Python-float arithmetic. A per-point guard that
-raises for one state (DegenerateState where the operation annihilates it)
-gives NaN at those points of a grid instead.
+of states. Inside this module one state is a grid of one point: the family
+bodies, the contraction, the norm and the photon-number probabilities
+compute on parameter arrays only, so a state gives the same value, bit for
+bit, as its column of any grid. The public functions unwrap a one-state
+result at their boundary (_unwrap): a Python number, or an array without
+the grid axis. Where the operation annihilates a state the norm is NaN:
+over a grid the values are NaN at those points, and one state raises
+DegenerateState instead.
 """
 
 from __future__ import annotations
@@ -158,15 +160,17 @@ def _parameter(value, kind):
     return kind(value)
 
 
-def _guarded(where, error: Callable[[], Exception], value: Callable[[], object]):
-    """A per-point guard: for one state, raise error() if `where` holds and
-    return value() otherwise; over a grid, value() with NaN where it holds."""
-    if not isinstance(where, np.ndarray):
-        if where:
-            raise error()
-        return value()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(where, math.nan, value())
+def _unwrap(spec: "StateSpec", value, kind: type):
+    """A result over spec's grid (its last axis) as a public function
+    returns it: as is for a grid spec; for one state the values of its one
+    point, a `kind` number where no axis is left, or DegenerateState where
+    the operation annihilates the state (its norm is NaN)."""
+    if isinstance(spec.parameter, np.ndarray):
+        return value
+    if math.isnan(spec._norm[0]):
+        raise DegenerateState(f"{spec.canonical()} is annihilated")
+    value = value[..., 0]
+    return kind(value) if value.ndim == 0 else value
 
 
 def _fmt(z) -> str:
@@ -182,7 +186,11 @@ class Family:
     """One state family: every fact that differs from one family to another.
 
     Records compare and hash by identity. Each body takes the spec, whose
-    `_constants` keep what `constants` derives from its parameter.
+    `_points` hold its parameters as a 1-d array (one point for one state)
+    and whose `_constants` keep what `constants` derives from them. Every
+    body but `husimi` computes over those points: a contraction gives one
+    row per pair and a level weight one row per photon number, with one
+    column per point.
     """
 
     name: str  # the CLI --family choice and the head of canonical()
@@ -192,11 +200,11 @@ class Family:
     domain: str  # the ValueError text outside it
     window: tuple[float, float]  # the plotted sweep window
     diagonal: bool  # Fock-diagonal, as both engineering orders keep it
-    constants: Callable  # parameter -> what the bodies read, once per spec
-    contraction: Callable  # (spec, pairs) -> each pair's unnormalized <a'^m a^n>: a list, or (P, G) over a grid
-    annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated
-    level_weight: Callable  # (spec, k, W(m)) -> photon_prob times the norm
-    husimi: Callable  # (spec, beta) -> husimi times pi and the norm
+    constants: Callable  # parameters -> what the bodies read, once per spec over its points
+    contraction: Callable  # (spec, pairs) -> each pair's unnormalized <a'^m a^n>, (P, G)
+    annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated, (G,)
+    level_weight: Callable  # (spec, photon numbers m, their W(m)) -> photon_prob times the norm, (M, G)
+    husimi: Callable  # (one-state spec, beta) -> husimi times pi and the norm
 
     def __repr__(self) -> str:
         return f"<family {self.name}>"
@@ -255,12 +263,17 @@ class StateSpec:
     # every photon_prob divides by the norm, and every contraction term reads
     # the family's constants, so a table computes each once.
     @cached_property
+    def _points(self) -> np.ndarray:
+        """The parameters as a 1-d array: a grid of one for one state."""
+        return np.atleast_1d(self.parameter)
+
+    @cached_property
     def _norm(self):
         return _norm(self)
 
     @cached_property
     def _constants(self):
-        return self.family.constants(self.parameter)
+        return self.family.constants(self._points)
 
     def canonical(self) -> str:
         """Deterministic string identity, used in fixture records."""
@@ -303,14 +316,15 @@ def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, in
     return tuple(terms)
 
 
-def _ecs_pair_weights(alpha) -> tuple[float, float]:
+def _ecs_pair_weights(alpha) -> tuple[np.ndarray, np.ndarray]:
     """2 (1 + e) and 2 (1 - e), e = <alpha|-alpha> = exp(-2|alpha|^2): the
     weights of the even-M and odd-M terms of _ecs_contraction. 1 - e goes
-    through expm1, so that it keeps full precision at small |alpha|."""
+    through expm1, so that it keeps full precision at small |alpha|. Where
+    |alpha|^2 leaves the float range (|alpha| > ~1.3e154) both are inf, so
+    that the norm is out of range there."""
     a2 = abs(alpha) ** 2
-    # numpy over a grid; one state stays on Python-float arithmetic
-    lib = np if isinstance(a2, np.ndarray) else math
-    return 2.0 + 2.0 * lib.exp(-2.0 * a2), -2.0 * lib.expm1(-2.0 * a2)
+    weights = 2.0 + 2.0 * np.exp(-2.0 * a2), -2.0 * np.expm1(-2.0 * a2)
+    return tuple(np.where(a2 < math.inf, weight, math.inf) for weight in weights)
 
 
 @lru_cache(maxsize=None)
@@ -342,13 +356,15 @@ class _Terms(NamedTuple):
     dag: np.ndarray  # M - dags.start
     plain: np.ndarray  # N - plains.start
     weight: np.ndarray  # the exact weight as a float, inf past the float range
-    exact: list  # the exact weights, term-major
+    exact: tuple  # the exact weights, term-major
     log_top: float  # the logarithm of the largest, 0 with no terms
 
 
-def _padded(op: EngineeringOp, pairs, keep: Callable, weigh: Callable) -> _Terms:
+@lru_cache(maxsize=None)
+def _padded(op: EngineeringOp, pairs: tuple, keep: Callable, weigh: Callable) -> _Terms:
     """The _tables terms (M, N, c) of a pair set as _Terms, with the exact
-    weights weigh(Ms, cs)."""
+    weights weigh(Ms, cs); cached, as every state of a family and operation
+    that reads the same pairs shares them, so its arrays are read-only."""
     tables = _tables(op, pairs, keep)
     terms = [term for table in tables for term in table]
     dags, plains = ((range(min(powers), max(powers) + 1) if powers else range(0))
@@ -363,9 +379,11 @@ def _padded(op: EngineeringOp, pairs, keep: Callable, weigh: Callable) -> _Terms
     except OverflowError:
         weight = np.array([_float(w) for w in exact])
     shape = (depth, len(pairs))
-    return _Terms(dags, plains, (np.array(dag, dtype=np.intp) - dags.start).reshape(shape),
-                  (np.array(plain, dtype=np.intp) - plains.start).reshape(shape), weight.reshape(shape),
-                  exact, math.log(max(exact, default=1)))
+    arrays = [(np.array(dag, dtype=np.intp) - dags.start).reshape(shape),
+              (np.array(plain, dtype=np.intp) - plains.start).reshape(shape), weight.reshape(shape)]
+    for array in arrays:
+        array.flags.writeable = False
+    return _Terms(dags, plains, *arrays, tuple(exact), math.log(max(exact, default=1)))
 
 
 def _float(weight: int) -> float:
@@ -387,24 +405,7 @@ def _log(value) -> float:
 _LOG_RANGE = 690.0
 
 
-def _thermal_term(x: float, y: float, a: int, b: int, w: int) -> float:
-    """w x^a y^b for one state: the product, in that order, where w, each
-    power and the product are normal floats, else the exponential of its
-    logarithm (inf past the float range)."""
-    try:
-        xa, yb = x ** a, y ** b
-        value = w * xa * yb
-        if xa >= _TINY and _TINY <= yb <= _HUGE and _TINY <= value <= _HUGE:
-            return value
-    except OverflowError:
-        pass
-    try:
-        return math.exp(math.log(w) + (a * _log(x) if a else 0.0) + b * math.log(y))
-    except OverflowError:
-        return math.inf
-
-
-def _thermal_contraction(spec: StateSpec, pairs):
+def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
     """delta_MN M! rbar^M per term, in units of rbar^k0 (1 + rbar)^(p+q):
     with rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
     M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is.
@@ -413,15 +414,12 @@ def _thermal_contraction(spec: StateSpec, pairs):
     power or the product leaves the normal float range (c M! past 170!, x^a
     underflowing at small rbar), the term is instead the exponential of its
     logarithm, which is 0 or inf only where the term itself is out of range.
-    Over a grid the powers of x and y are taken once per M, and one bound on
-    the logarithms of all terms skips that test where no term can leave the
+    The powers of x and y are taken once per M, and one bound on the
+    logarithms of all terms skips that test where no term can leave the
     range.
     """
     x, y = spec._constants
     k0, top = _lowest_power(spec.op), spec.op.p + spec.op.q
-    if not isinstance(x, np.ndarray):
-        return [sum(_thermal_term(x, y, dag - k0, top - dag, c * math.factorial(dag)) for dag, _, c in table)
-                for table in _tables(spec.op, pairs, operator.eq)]
     terms = _padded(spec.op, pairs, operator.eq, _thermal_weights)
     a = [dag - k0 for dag in terms.dags]
     b = [top - dag for dag in terms.dags]
@@ -458,26 +456,18 @@ def _ecs_weights(dags, cs):
     return cs
 
 
-def _ecs_contraction(spec: StateSpec, pairs):
+def _ecs_contraction(spec: StateSpec, pairs) -> np.ndarray:
     """<psi| a'^M a^N |psi> per term, for unnormalized |psi> = |alpha> + |-alpha>.
 
     The four coherent-state contractions cancel for mixed parity of M and N
     and otherwise give conj(alpha)^M alpha^N times the weight of M's parity
     (_ecs_pair_weights). Each term is c (conj(alpha)^M alpha^N w), in that
-    order. For one state the terms stay on Python complex numbers, as
-    numpy's complex multiply may round the last bit differently; over a grid
-    the powers are taken once per M and N.
+    order, with the powers taken once per M and N. <a'^n a^n> is real, but
+    a complex product may leave a last-bit imaginary part in conj(alpha)^M
+    alpha^M, so the m = n rows are made real.
     """
-    alpha, weights = spec.parameter, spec._constants
+    alpha, weights = spec._points, spec._constants
     conj = alpha.conjugate()
-    if not isinstance(alpha, np.ndarray):
-        values = []
-        for table in _tables(spec.op, pairs, _same_parity):
-            try:
-                values.append(sum(c * (conj ** dag * alpha ** plain * weights[dag % 2]) for dag, plain, c in table))
-            except OverflowError:  # a power or c past the float range
-                values.append(math.inf)
-        return values
     terms = _padded(spec.op, pairs, _same_parity, _ecs_weights)
     # the last rows are the padding's, 0
     conj = np.array([conj ** dag for dag in terms.dags] + [0j * alpha])
@@ -493,49 +483,41 @@ def _ecs_contraction(spec: StateSpec, pairs):
         term *= parity.take(i, 0)
         term *= weight[t]
         total += term
+    total.imag[[m == n for m, n in pairs]] = 0.0
     return total
 
 
 def _first(spec: StateSpec, where) -> StateSpec:
-    """The state of a grid spec at the first point where `where` holds; one
-    state is its own first point. Errors over a grid name this state."""
-    if not isinstance(where, np.ndarray):
-        return spec
-    return StateSpec.of(spec.family, spec.parameter[int(np.argmax(where))], spec.op)
+    """The state at the first point of spec's grid where `where` holds, for
+    errors to name."""
+    return StateSpec.of(spec.family, spec._points[int(np.argmax(where))], spec.op)
 
 
-def _contract(spec: StateSpec, pairs):
-    """The family's contraction of the pairs: a list of numbers for one
-    state, a (P, G) array over a grid, computed with numpy's overflow
-    warnings off. A value past the float range is inf or nan, for the
-    caller to test, as is every value where the constants overflow (a cat
-    whose |alpha|^2 does, |alpha| > ~1.3e154)."""
-    if not isinstance(spec.parameter, np.ndarray):
-        try:
-            return spec.family.contraction(spec, pairs)
-        except OverflowError:
-            return [math.inf] * len(pairs)
+def _contract(spec: StateSpec, pairs) -> np.ndarray:
+    """The family's contraction of the pairs, (P, G), computed with numpy's
+    overflow warnings off. A value past the float range is inf or nan, for
+    the caller to test."""
+    # numpy multiplies a one-element complex array without the fused
+    # multiply-add it uses on longer ones, so one pair of one state is
+    # contracted twice, to round as in every other pair set and grid
+    rows = pairs if len(pairs) * len(spec._points) > 1 else pairs * 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return spec.family.contraction(spec, pairs)
+        return spec.family.contraction(spec, rows)[:len(pairs)]
 
 
-def _norm(spec: StateSpec, entry=None) -> float:
-    """The (0,0) entry, in the units of the family's contraction: `entry`,
-    where the caller has contracted it already.
+def _norm(spec: StateSpec, entry=None) -> np.ndarray:
+    """The (0,0) entry over the grid, (G,), in the units of the family's
+    contraction: `entry`, where the caller has contracted it already.
 
-    Where the family's `annihilated` holds, DegenerateState; over a grid the
-    norm is NaN at those points instead. A norm beyond the float range
-    raises OutOfRange.
+    NaN where the family's `annihilated` holds. A norm beyond the float
+    range raises OutOfRange, naming the first such state.
     """
     norm = (_contract(spec, ((0, 0),))[0] if entry is None else entry).real
-    finite = _finite(norm)
-    if not _all(finite):
-        first = _first(spec, np.logical_not(finite)).canonical()
+    finite = np.isfinite(norm)
+    if not finite.all():
+        first = _first(spec, ~finite).canonical()
         raise OutOfRange(f"|{spec.family.parameter}|^2 of {first} exceeds the float range")
-    return _guarded(
-        spec.family.annihilated(spec, norm),
-        lambda: DegenerateState(f"{spec.canonical()} is annihilated"), lambda: norm,
-    )
+    return np.where(spec.family.annihilated(spec, norm), math.nan, norm)
 
 
 def _pair_set(m, n) -> tuple[tuple[int, int], ...]:
@@ -560,9 +542,10 @@ def moment(spec: StateSpec, m, n):
     complex for one state and an ndarray over a grid spec, with NaN at the
     annihilated points; arrays give the values stacked on axis 0, (P,) for
     one state and (P, G) over a grid. Each value is the same, bit for bit,
-    whichever way it is asked for. A value beyond the float range (e.g.
-    <a'^2 a^2> of thermal PAS(2,2) at rbar = 1e200, about 3e401) raises
-    OutOfRange, naming the first such pair and state.
+    whichever way it is asked for, and a state's value is its column of any
+    grid. A value beyond the float range (e.g. <a'^2 a^2> of thermal
+    PAS(2,2) at rbar = 1e200, about 3e401) raises OutOfRange, naming the
+    first such pair and state.
     """
     pairs = _pair_set(m, n)
     if "_norm" in vars(spec):
@@ -573,7 +556,6 @@ def moment(spec: StateSpec, m, n):
         unnormalized = _contract(spec, ((0, 0),) + pairs)
         norm = vars(spec).setdefault("_norm", _norm(spec, unnormalized[0]))
         unnormalized = unnormalized[1:]
-    unnormalized = np.asarray(unnormalized)
     with np.errstate(over="ignore", invalid="ignore"):
         # the parts divided apart, as Python divides a complex by a float:
         # numpy's complex division multiplies by a reciprocal, a last-bit
@@ -585,12 +567,12 @@ def moment(spec: StateSpec, m, n):
     # is not finite is out of range
     ok = np.isfinite(value) | (norm != norm)
     if not ok.all():
-        i = int(np.argmax(~ok.reshape(len(pairs), -1).all(axis=1)))
+        i = int(np.argmax(~ok.all(axis=1)))
         raise OutOfRange(f"<a'^{pairs[i][0]} a^{pairs[i][1]}> of "
                          f"{_first(spec, ~ok[i]).canonical()} exceeds the float range")
-    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
-        return value
-    return value[0] if isinstance(spec.parameter, np.ndarray) else complex(value[0])
+    if not (isinstance(m, np.ndarray) or isinstance(n, np.ndarray)):
+        value = value[0]
+    return _unwrap(spec, value, complex)
 
 
 def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
@@ -598,7 +580,8 @@ def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
     x, y = spec._constants
     norm = spec._norm * x ** _lowest_power(op)
     # inf where the constant is beyond the float range (tiny rbar, k0 > 0)
-    return y ** (op.p + op.q) / norm if norm else math.inf
+    with np.errstate(divide="ignore"):
+        return _unwrap(spec, y ** (op.p + op.q) / norm, float)
 
 
 def normalization_past_thermal(rbar: float, p: int, q: int) -> float:
@@ -615,26 +598,26 @@ def normalization_psat_thermal(rbar: float, p: int, q: int) -> float:
 # Photon-number probabilities
 # ---------------------------------------------------------------------------
 
-def _falling(n, r: int):
-    """n (n-1) ... (n-r+1), over an integer or an integer array."""
-    return math.prod(n - i for i in range(r))
+@lru_cache(maxsize=None)
+def _weight_shifts(op: EngineeringOp) -> tuple[int, ...]:
+    """The shifts s of W(m) = prod over s of (m + s): see _fock_weight."""
+    p, q = op.p, op.q
+    if op.order == ORDER_SUBTRACT_THEN_ADD:
+        # a^p: k!/(m-q)!, then a'^q: m!/(m-q)!, whose factor m - m is 0 below m = q
+        return tuple(-i for i in range(q)) + tuple(p - q - i for i in range(p))
+    # a'^q: (m+p)!/k!, then a^p: (m+p)!/m!
+    return tuple(p - i for i in range(p)) + tuple(p - i for i in range(q))
 
 
-def _fock_weight(op: EngineeringOp, m):
+def _fock_weight(op: EngineeringOp, m: int) -> int:
     """W(m) = |<m| O |k>|^2 for k = m + p - q: an integer polynomial in m of degree p + q.
 
     Each order sends Fock level k to sqrt(W(m)) |m> and nothing else, so the
     photon-number distribution of either family is the bare weight of level
     k times W(m). W is 0 where O cannot reach level m, which is what the
     reciprocal factorials of negative integers say in the closed forms.
-    m may be an integer array (see photon_prob for its int64 bound).
     """
-    p, q = op.p, op.q
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        # a^p: k!/(m-q)!, then a'^q: m!/(m-q)!, whose factor m - m is 0 below m = q
-        return _falling(m, q) * _falling(m + p - q, p)
-    # a'^q: (m+p)!/k!, then a^p: (m+p)!/m!
-    return _falling(m + p, p) * _falling(m + p, q)
+    return math.prod(m + s for s in _weight_shifts(op))
 
 
 def _fock_weights(op: EngineeringOp, m: np.ndarray):
@@ -648,107 +631,117 @@ def _fock_weights(op: EngineeringOp, m: np.ndarray):
     """
     top = int(m.max(initial=0))
     if top + op.p < 2 ** 63 and _fock_weight(op, top) < 2 ** 63:
-        return np.broadcast_to(_fock_weight(op, m.astype(np.int64)), m.shape)
+        factors = m.astype(np.int64)[:, None] + np.array(_weight_shifts(op), dtype=np.int64)
+        return factors.prod(axis=1)
     return [_fock_weight(op, i) for i in m.tolist()]
 
 
 def photon_prob(spec: StateSpec, m):
     """Probability of detecting m photons in the engineered state.
 
-    The family's `level_weight`, the bare weight of level k = m + p - q times
-    W(m) = _fock_weight, over the norm. A bare weight that underflows makes
-    the probability 0, however large W(m) is; a W(m) beyond the float range
-    that it does not cancel (thermal, rbar > ~1e16 and m > ~1e19) raises
-    OutOfRange. Over a grid spec, an ndarray with NaN at the annihilated
-    points.
+    One body over the photon numbers and the grid: the family's
+    `level_weight`, the bare weight of level k = m + p - q times
+    W(m) = _fock_weight, over the norm. m is an int or a 1-d integer array
+    (of an integer dtype, or Python ints in an object array past its
+    range). An int gives a float for one state and an ndarray over a grid
+    spec; an array gives p_m stacked on axis 0, (M,) for one state and
+    (M, G) over a grid. NaN at the annihilated points of a grid. Each value
+    is the same, bit for bit, whichever way it is asked for, and a state's
+    values are its column of any grid.
 
-    m may also be a 1-d integer array, for one state (a grid spec with an
-    array m raises ValueError): one call gives p_m over it as an ndarray.
     W(m) is one int64 array operation where W(max m) < 2^63 (exact, as
     every product stays below that bound) and exact Python integers above
-    it; the levels W = 0 masks out are never raised to a power, and the
-    powers are Python-float calls, as numpy's pow and exp may round the last
-    bit differently. So each element equals the scalar call's value bit for
-    bit; only a thermal W(m) beyond the float range raises OutOfRange over
-    an array even where its bare weight underflows.
+    it, so m may be any int; no array is sized by m. Where the bare weight
+    underflows at every photon number and point asked for, the
+    probabilities are 0 however large W(m) is; otherwise a W(m) beyond the
+    float range (thermal, rbar > ~1e16 and m > ~1e19) raises OutOfRange.
     """
     array = isinstance(m, np.ndarray)
-    if array and (isinstance(spec.parameter, np.ndarray) or m.ndim != 1 or m.dtype.kind not in "iu"):
-        raise ValueError("an array of photon numbers must be 1-d integers, for one state")
-    if not _all(m >= 0):
+    # an int past uint64 makes an array of Python ints
+    levels = m if array else np.array([operator.index(m)])
+    if levels.ndim != 1 or not (levels.dtype.kind in "iu" or all(type(i) is int for i in levels.tolist())):
+        raise ValueError("an array of photon numbers must be 1-d integers")
+    if not (levels >= 0).all():
         raise ValueError("photon number must be non-negative")
     norm = spec._norm
-    k = m + spec.op.p - spec.op.q
-    if array:
-        weight = _fock_weights(spec.op, m)
-    else:
-        # in Python ints, which a numpy integer m would otherwise overflow
-        weight = _fock_weight(spec.op, operator.index(m))
-        if not weight:
-            # 0 for one state; over a grid, zeros that keep the NaN gaps
-            return 0.0 * norm
     try:
-        return spec.family.level_weight(spec, k, weight) / norm
+        weight = spec.family.level_weight(spec, levels, _fock_weights(spec.op, levels))
     except OverflowError:
         raise OutOfRange(
             f"W({'m' if array else m}) of {spec.canonical()} exceeds the float range"
         ) from None
+    probs = weight / norm
+    return _unwrap(spec, probs if array else probs[0], float)
 
 
-def _thermal_level_weight(spec: StateSpec, k, weight):
-    """y x^k W(m), for the bare weight y x^k of level k."""
+def _thermal_level_weight(spec: StateSpec, m: np.ndarray, weight) -> np.ndarray:
+    """y x^k W(m), for the bare weight y x^k of level k = m + p - q."""
     x, y = spec._constants
-    rbar = spec.parameter
+    rbar = spec._points
+    # an unreached level (W = 0) takes x^0 and weighs 0; the power and x are
+    # both whole (M, G) arrays, as numpy picks its power loop by the
+    # operands' strides and these round differently
+    shift = spec.op.p - spec.op.q - _lowest_power(spec.op)
+    zeros = np.zeros((len(m), len(rbar)))
+    power = np.where(np.asarray(weight) > 0, m.astype(float) + shift, 0.0)[:, None] + zeros
     # y x^k in the units of _norm; from rbar = 1 on, x^k goes through
     # log1p(1/rbar), since x itself rounds to 1.0 past rbar ~ 1e16 and
     # would hide that x^k underflows
-    power = k - _lowest_power(spec.op)
-    if isinstance(rbar, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bare = np.where(rbar < 1.0, x ** power, np.exp(-power * np.log1p(1.0 / rbar)))
-    elif isinstance(k, np.ndarray):
-        # an unreached level takes x^0 and weighs 0
-        powers = np.where(np.asarray(weight) > 0, power, 0).tolist()
-        if rbar < 1.0:
-            bare = np.array([x ** j for j in powers])
-        else:
-            log_x = math.log1p(1.0 / rbar)
-            bare = np.array([math.exp(-j * log_x) for j in powers])
-        # W in exact integers, converted to floats once
-        weight = np.asarray(weight, dtype=float)
-    else:
-        bare = x ** power if rbar < 1.0 else math.exp(-power * math.log1p(1.0 / rbar))
-        if not bare:
-            return 0.0
-    return bare * weight * y ** (1 + spec.op.p + spec.op.q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bare = np.where(rbar < 1.0, np.power(x + zeros, power), np.exp(-power * np.log1p(1.0 / rbar)))
+    if not bare.any():
+        # before W(m) meets a float, which it may not fit
+        return bare
+    # W in exact integers, converted to floats once
+    return bare * np.asarray(weight, dtype=float)[:, None] * y ** (1 + spec.op.p + spec.op.q)
 
 
-def _ecs_level_weight(spec: StateSpec, k, weight):
+def _ecs_level_weight(spec: StateSpec, m: np.ndarray, weight) -> np.ndarray:
     """4 e^(-|alpha|^2) |alpha|^(2k) / k! W(m) on even k, 0 on odd k: the
-    weight of level k in the unnormalized even cat, times W(m)."""
-    a2 = abs(spec.parameter) ** 2
-    if isinstance(a2, np.ndarray):
-        if k % 2:
-            return 0.0
-        # -inf at alpha = 0, where the weight of level k > 0 is 0
-        with np.errstate(divide="ignore"):
-            log_power = k * np.log(a2) if k else 0.0
-        return 4.0 * np.exp(log_power - a2 - specfun.log_factorial(k) + math.log(weight))
+    weight of level k = m + p - q in the unnormalized even cat, times W(m)."""
+    # k is even where m and p + q have one parity; log W(m) from the exact
+    # integers, which may leave the float range
+    even = (m % 2 == (spec.op.p + spec.op.q) % 2).tolist()
+    log_weight = np.array([_log(w) if e else -math.inf for e, w in zip(even, weight)])
+    # an odd or unreached level takes k = 0 and weighs 0
+    k = np.where(log_weight > -math.inf, m.astype(float) + (spec.op.p - spec.op.q), 0.0)
+    return 4.0 * np.exp(_log_poisson(k[:, None], abs(spec._points) ** 2) + log_weight[:, None])
 
-    def level(j: int, w: int) -> float:
-        # one even level j = k reached with W(m) = w > 0
-        log_power = j * math.log(a2) if j else 0.0
-        return 4.0 * math.exp(log_power - a2 - specfun.log_factorial(j) + math.log(w))
 
-    if not isinstance(k, np.ndarray):
-        return 0.0 if k % 2 or (k and not a2) else level(k, weight)
-    # the even levels reached, and none above level 0 where alpha = 0
-    live = np.flatnonzero((np.asarray(weight) > 0) & (k % 2 == 0) & ((k == 0) | bool(a2)))
-    ks = k.tolist()
-    ws = weight.tolist() if isinstance(weight, np.ndarray) else weight
-    probs = np.zeros(k.shape)
-    probs[live] = [level(ks[i], ws[i]) for i in live.tolist()]
-    return probs
+# stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) for k < 16 (k = 0 unused)
+_STIRLERR = np.array([0.0] + [math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+                              for k in range(1, 16)])
+
+
+def _log_poisson(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log(e^-lam lam^k / k!) for float arrays k, lam >= 0 (broadcast).
+
+    Loader's saddle-point form, -stirlerr(k) - bd0(k, lam) - log(2 pi k)/2
+    with bd0 = k log(k/lam) + lam - k (C. Loader, "Fast and Accurate
+    Computation of Binomial Probabilities", 2000): near k = lam, where
+    k log lam - lam - log k! cancels in doubles, bd0 is a series in
+    v = (k - lam)/(k + lam) whose terms do not cancel, so the result keeps
+    full precision however large k and lam are.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = k - lam
+        v = d / (k + lam)
+        # sum over j >= 1 of v^(2j) / (2j + 1), by Horner; |v| < 0.1 where it is read
+        v2 = v * v
+        tail = v2 / 17.0
+        for j in range(7, 0, -1):
+            tail += 1.0 / (2 * j + 1)
+            tail *= v2
+        bd0 = np.where(np.abs(v) < 0.1, (d + 2.0 * k * tail) * v, k * np.log(k / lam) + lam - k)
+        # the Stirling series past the table, with its first five terms
+        kk = k * k
+        stirlerr = np.where(
+            k < len(_STIRLERR), _STIRLERR[np.minimum(k, len(_STIRLERR) - 1).astype(int)],
+            (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k,
+        )
+        log_p = -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * k)
+    # e^-lam at k = 0, where the form has 0 log 0
+    return np.where(k == 0, -lam, log_p)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +749,7 @@ def _ecs_level_weight(spec: StateSpec, k, weight):
 # ---------------------------------------------------------------------------
 
 def husimi(spec: StateSpec, beta):
-    """Husimi Q(beta) = <beta| sigma |beta> / pi for the engineered state.
+    """Husimi Q(beta) = <beta| sigma |beta> / pi for one engineered state.
 
     beta is a complex scalar or an array of any shape. The norm is computed
     once per call and the family's closed form is evaluated over the whole
@@ -765,7 +758,7 @@ def husimi(spec: StateSpec, beta):
     (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange.
     """
     beta = np.asarray(beta, dtype=complex)
-    norm = spec._norm
+    norm = _unwrap(spec, spec._norm, float)
     # a power of |beta| that leaves the float range shows up as inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         q = spec.family.husimi(spec, beta) / (math.pi * norm)
@@ -796,7 +789,8 @@ def _husimi_thermal(spec: StateSpec, beta: np.ndarray) -> np.ndarray:
     # Q = e^(-|beta|^2) / pi * sum_m P_m |beta|^(2m) / m! with P_m from
     # photon_prob; the sum is e^(x|beta|^2) times a polynomial
     p, q = spec.op.p, spec.op.q
-    x, y = spec._constants
+    # the one state's constants as numbers: here the grid is the beta array
+    x, y = spec.family.constants(spec.parameter)
     b2 = np.abs(beta) ** 2
     shift = p - q - _lowest_power(spec.op)
     series = sum(c * x ** (j + shift) * b2 ** j for j, c in _newton_coeffs(spec.op))
@@ -844,7 +838,7 @@ FAMILY_THERMAL = Family(
     constants=lambda rbar: (rbar / (1.0 + rbar), 1.0 / (1.0 + rbar)),
     # exactly where rbar = 0 and the norm has no constant term (k0 > 0),
     # never because a float underflowed
-    annihilated=lambda spec, norm: _lowest_power(spec.op) and spec.parameter == 0,
+    annihilated=lambda spec, norm: (_lowest_power(spec.op) > 0) & (spec._points == 0),
     level_weight=_thermal_level_weight, husimi=_husimi_thermal,
 )
 

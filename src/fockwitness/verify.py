@@ -180,8 +180,10 @@ def _witness_specs():
 def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_TOL) -> SuiteResult:
     """Every witness from analytic moments against the same witness from oracle moments.
 
-    The analytic side stays on one scalar MomentTable per state, so that
-    verify covers that route as well as the grid specs of the other suites.
+    The analytic side builds one MomentTable per state. A state is a grid of
+    one inside `states`, so its moments are those of the other suites' grid
+    specs; its table's entries are Python numbers, so this suite covers the
+    witnesses' own one-state arithmetic.
     """
     tally = _Tally()
 
@@ -232,10 +234,12 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         compare(f"{name} agarwal_tara",
                 lambda: witnesses_mod.agarwal_tara(analytic),
                 lambda: witnesses_mod.agarwal_tara(oracle_table))
-        # the oracle side reads the run's shared state
+        # p_0 .. p_6 from one photon_prob call; the oracle side reads the
+        # run's shared state
+        probs = states_mod.photon_prob(spec, np.arange(7)).tolist()
         for m in (0, 2, 4):
             compare(f"{name} klyshko({m})",
-                    lambda m=m: witnesses_mod.klyshko(spec, m, engine="analytic"),
+                    lambda m=m: witnesses_mod.klyshko_from_probs(m, *probs[m:m + 3]),
                     lambda m=m: witnesses_mod.klyshko_from_probs(
                         m, *(oracle_mod.oracle_photon_prob(oracle_state, j) for j in (m, m + 1, m + 2))))
         beta = 0.4 + 0.3j
@@ -246,29 +250,34 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
 
 
 def suite_normalization() -> SuiteResult:
-    """Traces, probability sums, and parity zeros."""
+    """Traces, probability sums, and parity zeros.
+
+    Each (op, family) is one grid spec on the analytic side: one
+    photon_prob call gives p_m of every state up to the largest oracle
+    cutoff, each state summing its own up to its cutoff, and one moment
+    call the parity zeros.
+    """
     tally = _Tally()
     for op, family, values in _grid_series():
-        for value in values:
-            spec = StateSpec.of(family, value, op)
-            state = _oracle_state(spec)
-            name = spec.canonical()
-            trace = float(state.probabilities().sum())
-            tally.add(abs(trace - 1.0), NORMALIZATION_TOL,
-                      lambda i, dev: f"{name} oracle trace: dev {dev:.3e}")
-            total = float(states_mod.photon_prob(spec, np.arange(state.cutoff)).sum())
-            tally.add(abs(total - 1.0), PROB_SUM_TOL,
-                      lambda i, dev: f"{name} sum p_m: dev {dev:.3e}")
+        specs = [StateSpec.of(family, value, op) for value in values]
+        grid = StateSpec.of(family, np.array(values), op)
+        oracle_states = [_oracle_state(spec) for spec in specs]
+        traces = np.array([state.probabilities().sum() for state in oracle_states])
+        tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL,
+                  lambda i, dev: f"{specs[i].canonical()} oracle trace: dev {dev:.3e}")
+        cutoffs = np.array([state.cutoff for state in oracle_states])
+        probs = states_mod.photon_prob(grid, np.arange(cutoffs.max()))
+        totals = np.where(np.arange(len(probs))[:, None] < cutoffs, probs, 0.0).sum(axis=0)
+        tally.add(np.abs(totals - 1.0), PROB_SUM_TOL,
+                  lambda i, dev: f"{specs[i].canonical()} sum p_m: dev {dev:.3e}")
         if not family.diagonal:
             ms, ns = np.array(((1, 0), (2, 1), (3, 2), (3, 0))).T
 
             def note(i, value):
                 pair, state = divmod(i, len(values))
-                return (f"{StateSpec.of(family, values[state], op).canonical()} "
-                        f"parity moment({ms[pair]},{ns[pair]}): {value:.3e}")
+                return f"{specs[state].canonical()} parity moment({ms[pair]},{ns[pair]}): {value:.3e}"
 
-            tally.add(np.abs(states_mod.moment(StateSpec.of(family, np.array(values), op), ms, ns)),
-                      PARITY_TOL, note)
+            tally.add(np.abs(states_mod.moment(grid, ms, ns)), PARITY_TOL, note)
     return tally.result("normalization")
 
 
@@ -348,8 +357,10 @@ def suite_signs(points: int = 60) -> SuiteResult:
         # Known irreproducible reference claim for the subtract-then-add
         # variant: the state tends to the one-photon Fock state as
         # rbar -> 0 and the determinant witness genuinely detects it
-        # (negative A3 for rbar below about 1.045, confirmed in exact
-        # rational arithmetic). Reported honestly as a failure.
+        # (negative A3 for rbar below about 1.045; the closed form and the
+        # crossing are pinned by tests/test_acceptance.py::
+        # test_criterion_3d_a3_sign_structure_subtract_heavy). Reported
+        # honestly as a failure.
         notes.append(
             f"a3 {op.label()} rbar={rbar_values[first]:.3f}: {a3[first]:.3e} "
             "(genuine negativity; the state tends to the one-photon "

@@ -24,8 +24,10 @@ whole grid, and OutOfRange and OddOrder still raise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -178,11 +180,22 @@ def agarwal_tara(
     denominator = det_mu - det_m
     # elementwise over a grid
     scale = reduce(np.maximum, [1.0, abs(det_m), reduce(np.maximum, map(abs, m)) ** 3])
-    return states_mod._guarded(
+    return _guarded(
         abs(denominator) < epsilon * scale,
         lambda: SingularDenominator("agarwal_tara denominator vanishes (witness indeterminate)"),
         lambda: det_m / denominator,
     )
+
+
+def _guarded(where, error: Callable[[], Exception], value: Callable[[], object]):
+    """A per-point guard: for one state, raise error() if `where` holds and
+    return value() otherwise; over a grid, value() with NaN where it holds."""
+    if not isinstance(where, np.ndarray):
+        if where:
+            raise error()
+        return value()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(where, math.nan, value())
 
 
 def _hankel3_det(moments) -> float:
@@ -196,7 +209,9 @@ def _hankel3_det(moments) -> float:
 
 def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> list[float]:
     if engine == "analytic":
-        return [states_mod.photon_prob(spec, m) for m in numbers]
+        # one call over the levels; a row per level, Python floats for one state
+        probs = states_mod.photon_prob(spec, np.array(numbers))
+        return list(probs) if probs.ndim > 1 else probs.tolist()
     state = oracle_mod.build_truncated(spec, tail_tol)
     return [oracle_mod.oracle_photon_prob(state, m) for m in numbers]
 

@@ -280,6 +280,8 @@ class TestExitCodes:
         assert proc.returncode == code
         assert proc.stderr.startswith(prefix), proc.stderr
         assert "Traceback" not in proc.stderr
+        # the subprocess is out of reach of the pytest warning filter
+        assert "Warning" not in proc.stderr, proc.stderr
         assert proc.stdout == ""
 
     def test_oracle_basis_weighs_the_tail_by_the_order_read(self):
@@ -287,6 +289,7 @@ class TestExitCodes:
         proc = run_cli("witness", "--name", "hoa", "--engine", "oracle", "--family", "thermal",
                        "--rbar", "100")
         assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
         name, order, value, flag = proc.stdout.strip().split(",")
         assert (name, order, flag) == ("hoa", "2", "false")
         assert float(value) == pytest.approx(100.0 ** 2, rel=1e-12)
@@ -294,6 +297,7 @@ class TestExitCodes:
                        "--family", "thermal", "--rbar", "100")
         assert proc.returncode == 2
         assert proc.stderr.startswith("oracle basis too large:"), proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
 
     def test_klyshko_underflow_hidden_by_rounded_x(self):
         proc = run_cli(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense
 from fockwitness import oracle
 from fockwitness.errors import CutoffExceeded, DegenerateState
 from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
@@ -10,8 +11,8 @@ from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, Engineering
 
 def test_ladder_commutator_on_interior():
     dim = 40
-    a = oracle.annihilation_matrix(dim)
-    ad = oracle.creation_matrix(dim)
+    a = dense.annihilation_matrix(dim)
+    ad = dense.creation_matrix(dim)
     comm = a @ ad - ad @ a
     # both products are diagonal, so the commutator is exactly diagonal; the
     # diagonal itself carries only sqrt(k)*sqrt(k) rounding (about 1 ulp)
@@ -57,16 +58,14 @@ def test_past_matches_literal_weight_sequence(rbar, p, q):
 def test_pure_and_matrix_paths_agree_for_ecs():
     spec = StateSpec.even_coherent(1.3, EngineeringOp.pas(2, 1))
     vec_state = oracle.build_truncated(spec, 1e-13)
-    mat_state = oracle.build_truncated(spec, 1e-13, representation="matrix")
-    dim = min(vec_state.cutoff, mat_state.cutoff)
-    rho_vec = vec_state.density_matrix()[:dim, :dim]
-    rho_mat = mat_state.density_matrix()[:dim, :dim]
+    rho_vec = dense.of_state(vec_state)
+    rho_mat = dense.density_matrix(spec, vec_state.cutoff)
     assert np.allclose(rho_vec, rho_mat, atol=1e-12)
 
 
 def test_matrix_path_is_hermitian_positive():
     spec = StateSpec.even_coherent(1.1, EngineeringOp.psa(1, 2))
-    rho = oracle.build_truncated(spec, 1e-13, representation="matrix").data
+    rho = dense.density_matrix(spec, oracle.build_truncated(spec, 1e-13).cutoff)
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
     eigenvalues = np.linalg.eigvalsh(rho)
     assert eigenvalues.min() > -1e-10
@@ -76,11 +75,8 @@ def test_matrix_path_is_hermitian_positive():
 def test_diagonal_and_matrix_paths_agree_for_thermal():
     spec = StateSpec.thermal(0.8, EngineeringOp.psa(1, 2))
     diag_state = oracle.build_truncated(spec, 1e-13)
-    mat_state = oracle.build_truncated(spec, 1e-13, representation="matrix")
-    dim = min(diag_state.cutoff, mat_state.cutoff)
-    assert np.allclose(
-        diag_state.probabilities()[:dim], mat_state.probabilities()[:dim], atol=1e-12
-    )
+    rho = dense.density_matrix(spec, diag_state.cutoff)
+    assert np.allclose(diag_state.probabilities(), dense.probabilities(rho), atol=1e-12)
 
 
 def test_degenerate_states_raise():
@@ -233,28 +229,27 @@ _LADDER_SPECS = [
 
 
 def _matrix_twin(spec, state):
-    matrix = oracle.build_truncated(spec, 1e-15, representation="matrix", min_cutoff=state.cutoff)
-    assert matrix.cutoff == state.cutoff
-    return matrix
+    """The dense reference of the oracle state, at its cutoff."""
+    return dense.density_matrix(spec, state.cutoff)
 
 
 @pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda s: s.canonical())
 def test_ladders_agree_with_matrix_route(spec):
     state = oracle.build_truncated(spec, 1e-15)
-    rho = _matrix_twin(spec, state).data
-    assert np.allclose(state.density_matrix(), rho, rtol=0.0, atol=1e-14 * np.abs(rho).max())
+    rho = _matrix_twin(spec, state)
+    assert np.allclose(dense.of_state(state), rho, rtol=0.0, atol=1e-14 * np.abs(rho).max())
 
 
 @pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda s: s.canonical())
 def test_moment_block_agrees_with_matrix_route(spec):
     state = oracle.build_truncated(spec, 1e-15)
-    matrix = _matrix_twin(spec, state)
+    rho = _matrix_twin(spec, state)
     order = 5
     block = oracle.oracle_moment_block(state, order)
     assert block.shape == (order + 1, order + 1)
     for m in range(order + 1):
         for n in range(order + 1):
-            reference = oracle.oracle_moment(matrix, m, n)
+            reference = dense.moment(rho, m, n)
             for value in (block[m, n], oracle.oracle_moment(state, m, n)):
                 assert abs(value - reference) <= 1e-14 * abs(reference), (m, n)
 

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fockwitness import oracle, states
+from fockwitness import oracle, states, sweep_report
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.specfun import log_factorial, normal_order_product
@@ -493,12 +493,24 @@ class TestPhotonProbArray:
         total = photon_prob(spec, np.arange(state.cutoff)).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_grid_spec_with_array_m_is_rejected(self):
-        spec = StateSpec.thermal(np.array([0.5, 1.0]), EngineeringOp.pas(1, 1))
-        with pytest.raises(ValueError):
-            photon_prob(spec, np.arange(4))
-        # a grid spec with one m stays a series over the grid
-        assert photon_prob(spec, 2).shape == (2,)
+    def test_grid_spec_with_array_m_gives_the_column_block(self):
+        m = np.arange(60)
+        for spec in (StateSpec.thermal(np.array([0.0, 0.5, 1.0, 3e4]), EngineeringOp.pas(1, 1)),
+                     StateSpec.thermal(np.array([0.0, 0.3, 2.0]), EngineeringOp.psa(2, 1)),
+                     StateSpec.even_coherent(np.array([0.0, 0.4, 1.1 - 0.5j, 6.0]), EngineeringOp.psa(1, 2))):
+            block = photon_prob(spec, m)
+            assert block.shape == (len(m), len(spec.parameter)) and block.dtype == np.float64
+            for i, value in enumerate(spec.parameter):
+                one = StateSpec.of(spec.family, value, spec.op)
+                try:
+                    column = photon_prob(one, m)
+                except DegenerateState:
+                    # NaN over the grid where one state raises
+                    assert np.isnan(block[:, i]).all()
+                    continue
+                _assert_bit_equal(block[:, i].copy(), column)
+            # a grid spec with one m stays a series over the grid
+            _assert_bit_equal(photon_prob(spec, 2), block[2].copy())
 
     @pytest.mark.parametrize("m", [np.array([1.0, 2.0]), np.arange(4).reshape(2, 2), np.array([0, -1])])
     def test_array_m_must_be_non_negative_1d_integers(self, m):
@@ -703,8 +715,8 @@ def reference_contraction(spec, m, n):
     term, each term with its own powers, as a sum from 0 in table order:
     c M! x^(M-k0) y^(p+q-M) on the M = N terms of a thermal state, and
     c (conj(alpha)^M alpha^N w) of an even cat, with w the even or odd pair
-    weight and 0j for mixed parity. A number for one state, an array over a
-    grid."""
+    weight and 0j for mixed parity; an m = n value is real, as <a'^n a^n>
+    is. A number for one state, an array over a grid."""
     op, value = spec.op, spec.parameter
     table = states._contraction_table(op, m, n)
     if spec.family is states.FAMILY_THERMAL:
@@ -716,8 +728,9 @@ def reference_contraction(spec, m, n):
     a2 = abs(value) ** 2
     lib = np if isinstance(a2, np.ndarray) else math
     weights = (2.0 + 2.0 * lib.exp(-2.0 * a2), -2.0 * lib.expm1(-2.0 * a2))
-    return sum(c * (0j if (dag + plain) % 2 else value.conjugate() ** dag * value ** plain * weights[dag % 2])
-               for dag, plain, c in table)
+    total = sum(c * (0j if (dag + plain) % 2 else value.conjugate() ** dag * value ** plain * weights[dag % 2])
+                for dag, plain, c in table)
+    return total.real + 0j if m == n else total
 
 
 def reference_moment(spec, m, n):
@@ -734,6 +747,11 @@ def reference_moment(spec, m, n):
         norm = np.where(annihilated, math.nan, norm) if isinstance(norm, np.ndarray) else norm
         value = reference_contraction(spec, m, n)
         return value.real / norm + value.imag / norm * 1j
+
+
+def reference_one(spec, m, n):
+    """reference_moment of one state, evaluated on its grid of one."""
+    return complex(reference_moment(StateSpec.of(spec.family, np.array([spec.parameter]), spec.op), m, n)[0])
 
 
 def _assert_same_bits(actual, expected):
@@ -770,17 +788,17 @@ class TestMomentBlocks:
     @pytest.mark.parametrize("family, values", BLOCK_GRIDS, ids=["thermal", "ecs"])
     @pytest.mark.parametrize("op", [EngineeringOp.bare(), *_pas_psa_up_to(3)], ids=EngineeringOp.label)
     def test_one_state_block_equals_reference_and_int_calls(self, family, values, op):
-        # one cat state stays on Python complex products, as the reference does
+        # one state is a grid of one, and so is its reference
         for value in values[1:]:
             spec = StateSpec.of(family, value, op)
-            if np.isnan(reference_moment(spec, 0, 0)):
+            if np.isnan(reference_one(spec, 0, 0)):
                 with pytest.raises(DegenerateState):
                     moment(spec, PAIR_MS, PAIR_NS)
                 continue
             block = moment(spec, PAIR_MS, PAIR_NS)
             assert block.shape == (len(PAIRS),) and block.dtype == complex
             for i, (m, n) in enumerate(PAIRS):
-                expected = reference_moment(spec, m, n)
+                expected = reference_one(spec, m, n)
                 _assert_same_bits(complex(block[i]), expected)
                 _assert_same_bits(moment(spec, m, n), expected)
                 _assert_same_bits(moment(StateSpec.of(family, value, op), m, n), expected)
@@ -903,4 +921,119 @@ class TestMomentTableFill:
         for m, n in [(2, 1), (1, 1), (3, 0)]:
             value = table.get(m, n)
             assert type(value) is complex
-            _assert_same_bits(value, reference_moment(spec, m, n))
+            _assert_same_bits(value, reference_one(spec, m, n))
+
+
+# ---------------------------------------------------------------------------
+# A state is its column of any grid
+# ---------------------------------------------------------------------------
+
+def _sweep_grid(family, scale=1.0):
+    """The 200-point grid a sweep of the family takes, times scale."""
+    lo, hi = family.window
+    return np.array(sweep_report._grid(lo, hi, 200)) * scale
+
+
+COLUMN_GRIDS = [
+    (states.FAMILY_THERMAL, _sweep_grid(states.FAMILY_THERMAL)),
+    (states.FAMILY_EVEN_COHERENT, _sweep_grid(states.FAMILY_EVEN_COHERENT)),
+    (states.FAMILY_EVEN_COHERENT, _sweep_grid(states.FAMILY_EVEN_COHERENT, 0.8 - 0.6j)),
+]
+COLUMN_POINTS = (0, 100, 199)
+COLUMN_LEVELS = np.arange(40)
+
+
+class TestGridColumns:
+    """moment and photon_prob of a state equal, bit for bit, its column of a
+    200-point sweep grid and of grids of one and two points."""
+
+    @pytest.mark.parametrize("family, values", COLUMN_GRIDS, ids=["thermal", "ecs", "ecs-complex"])
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), *_pas_psa_up_to(3)], ids=EngineeringOp.label)
+    def test_moments(self, family, values, op):
+        block = moment(StateSpec.of(family, values, op), PAIR_MS, PAIR_NS)
+        for i in COLUMN_POINTS:
+            one = moment(StateSpec.of(family, values[i], op), PAIR_MS, PAIR_NS)
+            _assert_same_bits(one, block[:, i].copy())
+            for m, n in ((0, 0), (2, 2), (3, 1)):
+                _assert_same_bits(moment(StateSpec.of(family, values[i], op), m, n),
+                                  complex(block[PAIRS.index((m, n)), i]))
+        for points in ([0], [100], [199], [0, 199], [99, 100]):
+            small = moment(StateSpec.of(family, values[points], op), PAIR_MS, PAIR_NS)
+            _assert_same_bits(small, block[:, points].copy())
+
+    @pytest.mark.parametrize("family, values", COLUMN_GRIDS, ids=["thermal", "ecs", "ecs-complex"])
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), *_pas_psa_up_to(3)], ids=EngineeringOp.label)
+    def test_photon_probs(self, family, values, op):
+        block = photon_prob(StateSpec.of(family, values, op), COLUMN_LEVELS)
+        for i in COLUMN_POINTS:
+            one = StateSpec.of(family, values[i], op)
+            _assert_bit_equal(photon_prob(one, COLUMN_LEVELS), block[:, i].copy())
+            for m in (0, 1, 2, 7):
+                assert photon_prob(one, m) == block[m, i]
+            _assert_bit_equal(photon_prob(StateSpec.of(family, values, op), 7), block[7].copy())
+        for points in ([0], [100], [199], [0, 199], [99, 100]):
+            small = photon_prob(StateSpec.of(family, values[points], op), COLUMN_LEVELS)
+            _assert_bit_equal(small, block[:, points].copy())
+
+
+# ---------------------------------------------------------------------------
+# Even-cat photon-number probabilities at large amplitude
+# ---------------------------------------------------------------------------
+
+def _cat_photon_prob_exact(op, alpha, m):
+    """p_m of the engineered even cat at 50 digits: 4 e^(-a2) a2^k / k! W(m)
+    over the norm, the (0,0) contraction, for k = m + p - q and a2 = alpha^2
+    (alpha real)."""
+    with mpmath.workdps(50):
+        a2 = mpmath.mpf(alpha) ** 2
+        e = mpmath.exp(-2 * a2)
+        weights = (2 * (1 + e), 2 * (1 - e))
+        norm = mpmath.fsum(c * a2 ** dag * weights[dag % 2]
+                           for dag, plain, c in states._contraction_table(op, 0, 0))
+        k = m + op.p - op.q
+        weight = states._fock_weight(op, m)
+        if k % 2 or not weight:
+            return 0.0
+        log_p = k * mpmath.log(a2) - a2 - mpmath.loggamma(k + 1) + mpmath.log(4 * weight) - mpmath.log(norm)
+        return float(mpmath.exp(log_p))
+
+
+CAT_OPS = [EngineeringOp.bare(), EngineeringOp.psa(1, 1)]
+LARGE_ALPHAS = (30.0, 1e3, 1e5, 1e6, 1e7, 1e8)
+
+
+def _around_the_peak(alpha):
+    a2, spread = int(alpha * alpha), int(3 * alpha)
+    return (a2 - spread, a2, a2 + spread)
+
+
+class TestCatPhotonProbLargeAmplitude:
+    """Loader's saddle-point form of the Poisson weight keeps full precision
+    where k is near |alpha|^2, however large."""
+
+    @pytest.mark.parametrize("op", CAT_OPS, ids=EngineeringOp.label)
+    @pytest.mark.parametrize("alpha", [0.3, 1.2, 3.0])
+    def test_small_amplitudes_against_mpmath(self, op, alpha):
+        spec = StateSpec.even_coherent(alpha, op)
+        probs = photon_prob(spec, np.arange(41))
+        for m in range(41):
+            expected = _cat_photon_prob_exact(op, alpha, m)
+            assert probs[m] == pytest.approx(expected, rel=1e-12, abs=0.0), m
+            assert photon_prob(spec, m) == probs[m]
+
+    @pytest.mark.parametrize("op", CAT_OPS, ids=EngineeringOp.label)
+    @pytest.mark.parametrize("alpha", LARGE_ALPHAS)
+    def test_large_amplitudes_against_mpmath(self, op, alpha):
+        spec = StateSpec.even_coherent(alpha, op)
+        for m in _around_the_peak(alpha):
+            assert photon_prob(spec, m) == pytest.approx(_cat_photon_prob_exact(op, alpha, m), rel=1e-12), m
+
+    @pytest.mark.parametrize("op", CAT_OPS, ids=EngineeringOp.label)
+    def test_no_probability_exceeds_one(self, op):
+        grid = StateSpec.even_coherent(np.array(LARGE_ALPHAS), op)
+        for alpha in LARGE_ALPHAS:
+            m = np.array(_around_the_peak(alpha))
+            one = photon_prob(StateSpec.even_coherent(alpha, op), m)
+            block = photon_prob(grid, m)
+            assert (one <= 1.0).all() and (block <= 1.0).all()
+            assert (one > 0.0).all()

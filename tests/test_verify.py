@@ -142,7 +142,7 @@ def test_an_annihilated_point_fails_the_signs_suite(monkeypatch):
         # every grid spec's norm is NaN at its first point, as where the
         # operation annihilates the state
         norm = original(spec, entry)
-        return _nan_at(norm, 0) if np.ndim(norm) else norm
+        return _nan_at(norm, 0) if np.ndim(spec.parameter) else norm
 
     monkeypatch.setattr(states, "_norm", nan_at_first_point)
     result = verify.suite_signs()

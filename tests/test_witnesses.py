@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense
 from fockwitness import oracle, states, sweep_report, witnesses
 from fockwitness.errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
@@ -160,11 +161,11 @@ class TestHos:
         # central moments of the eigenvalue distribution
         import numpy as np
 
-        state = oracle.build_truncated(spec, 1e-15, representation="matrix")
-        dim = state.cutoff
-        x_op = (oracle.annihilation_matrix(dim) + oracle.creation_matrix(dim)) / np.sqrt(2)
+        dim = oracle.build_truncated(spec, 1e-15).cutoff
+        rho = dense.density_matrix(spec, dim)
+        x_op = (dense.annihilation_matrix(dim) + dense.creation_matrix(dim)) / np.sqrt(2)
         eigenvalues, eigenvectors = np.linalg.eigh(x_op)
-        probs = np.real(np.einsum("ij,jk,ki->i", eigenvectors.conj().T, state.data, eigenvectors))
+        probs = np.real(np.einsum("ij,jk,ki->i", eigenvectors.conj().T, rho, eigenvectors))
         mean = float(np.sum(probs * eigenvalues))
         central = float(np.sum(probs * (eigenvalues - mean) ** l))
         reference = 1.0
