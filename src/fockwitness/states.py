@@ -483,7 +483,7 @@ def _ecs_contraction(spec: StateSpec, pairs) -> np.ndarray:
         term *= parity.take(i, 0)
         term *= weight[t]
         total += term
-    total.imag[[m == n for m, n in pairs]] = 0.0
+    total.imag[[i for i, (m, n) in enumerate(pairs) if m == n]] = 0.0
     return total
 
 
