@@ -497,9 +497,9 @@ def _contract(spec: StateSpec, pairs) -> np.ndarray:
     """The family's contraction of the pairs, (P, G), computed with numpy's
     overflow warnings off. A value past the float range is inf or nan, for
     the caller to test."""
-    # numpy multiplies a one-element complex array without the fused
-    # multiply-add it uses on longer ones, so one pair of one state is
-    # contracted twice, to round as in every other pair set and grid
+    # numpy's in-place complex multiply of a one-element array skips the
+    # fused multiply-add it uses on longer ones, so one pair of one state
+    # is contracted twice, to round as in every other pair set and grid
     rows = pairs if len(pairs) * len(spec._points) > 1 else pairs * 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return spec.family.contraction(spec, rows)[:len(pairs)]
