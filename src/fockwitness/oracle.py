@@ -180,7 +180,10 @@ def build_truncated(
     the basis falls below tail_tol; add-then-subtract applies a'^q first and
     a^p second, the other order is reversed. min_cutoff forces a larger
     starting basis (Husimi evaluations need |beta|^2 well inside the cutoff).
+    A grid spec raises ValueError: truncated_states builds one per point.
     """
+    if isinstance(spec.parameter, np.ndarray):
+        raise ValueError(f"build_truncated takes one state, not a grid spec of {len(spec.parameter)} points")
     limit = max_cutoff()
     dim = min(_INITIAL_CUTOFF, limit)
     while dim < min(min_cutoff, limit):
@@ -331,9 +334,18 @@ def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> Tr
         dim = min(2 * dim, limit)
 
 
-def moment_table_from_state(state: TruncatedState, spec: StateSpec | None = None) -> MomentTable:
-    """Moment cache backed by the truncated state (provenance 'oracle')."""
-    return MomentTable(spec, lambda m, n: oracle_moment(state, m, n), provenance="oracle")
+def moment_table_from_state(state, spec: StateSpec | None = None) -> MomentTable:
+    """Moment cache backed by a truncated state (provenance 'oracle'), whose
+    entries are complex numbers; or by a list of states, one per point of a
+    grid, whose entries are arrays over them, NaN where a state is None (an
+    annihilated point)."""
+    if isinstance(state, TruncatedState):
+        return MomentTable(spec, lambda m, n: oracle_moment(state, m, n), provenance="oracle")
+
+    def source(m, n):
+        return np.array([math.nan if s is None else oracle_moment(s, m, n) for s in state], dtype=complex)
+
+    return MomentTable(spec, source, provenance="oracle")
 
 
 def _moment_tail(state: TruncatedState, structural_zeros: int, order: int) -> float:
@@ -343,22 +355,52 @@ def _moment_tail(state: TruncatedState, structural_zeros: int, order: int) -> fl
     return _tail_estimate(weighted, structural_zeros) / max(1.0, float(np.sum(weighted)))
 
 
+def truncated_states(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int | None = None) -> list:
+    """The truncated state of each point of spec, at its own cutoff: one for
+    one state, one per point of a grid spec. With an order, each cutoff then
+    doubles until the tail weighted by k^order is below tail_tol too. A point
+    of a grid where the state is annihilated (DegenerateState) is None; for
+    one state the error propagates, as CutoffExceeded does on either."""
+    def build(point: StateSpec) -> TruncatedState:
+        state = build_truncated(point, tail_tol)
+        while order is not None and _moment_tail(state, point.op.p, order) >= tail_tol:
+            if state.cutoff >= max_cutoff():
+                raise CutoffExceeded(
+                    f"{point.canonical()} moments need more than {state.cutoff} Fock levels "
+                    f"for tail tolerance {tail_tol}"
+                )
+            state = build_truncated(point, tail_tol, min_cutoff=2 * state.cutoff)
+        return state
+
+    if not isinstance(spec.parameter, np.ndarray):
+        return [build(spec)]
+    states = []
+    for value in spec.parameter:
+        try:
+            states.append(build(StateSpec.of(spec.family, value, spec.op)))
+        except DegenerateState:
+            states.append(None)
+    return states
+
+
+def oracle_photon_probs(states: list, numbers) -> np.ndarray:
+    """p_m of each state for m in numbers, one row per m and one column per
+    state; NaN in the column of a None (annihilated) state."""
+    return np.array([[math.nan if s is None else oracle_photon_prob(s, m) for s in states]
+                     for m in numbers])
+
+
 def oracle_moment_table(
     spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = DEFAULT_MOMENT_ORDER
 ) -> MomentTable:
     """Oracle moments on a basis that holds the tails of the moments read,
     up to <a'^order a^order>, not only the probability mass: build_truncated
     stops when the mass near the top of the basis is below tail_tol, and the
-    cutoff then doubles until the tail weighted by k^order is below it too."""
-    state = build_truncated(spec, tail_tol)
-    while _moment_tail(state, spec.op.p, order) >= tail_tol:
-        if state.cutoff >= max_cutoff():
-            raise CutoffExceeded(
-                f"{spec.canonical()} moments need more than {state.cutoff} Fock levels "
-                f"for tail tolerance {tail_tol}"
-            )
-        state = build_truncated(spec, tail_tol, min_cutoff=2 * state.cutoff)
-    return moment_table_from_state(state, spec)
+    cutoff then doubles until the tail weighted by k^order is below it too.
+    Over a grid spec each entry is an array, NaN at the annihilated points.
+    """
+    states = truncated_states(spec, tail_tol, order)
+    return moment_table_from_state(states if isinstance(spec.parameter, np.ndarray) else states[0], spec)
 
 
 # ---------------------------------------------------------------------------

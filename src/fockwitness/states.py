@@ -755,8 +755,11 @@ def husimi(spec: StateSpec, beta):
     once per call and the family's closed form is evaluated over the whole
     array, so a grid costs one call: a scalar gives a float, an array an
     ndarray of the same shape. Where |beta|^(2(p+q)) leaves the float range
-    (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange.
+    (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange. A grid spec
+    raises ValueError.
     """
+    if isinstance(spec.parameter, np.ndarray):
+        raise ValueError(f"Husimi Q takes one state, not a grid spec of {len(spec.parameter)} points")
     beta = np.asarray(beta, dtype=complex)
     norm = _unwrap(spec, spec._norm, float)
     # a power of |beta| that leaves the float range shows up as inf or nan

@@ -2,9 +2,9 @@
 
 A sweep scans one witness across a parameter grid (mean photon number for
 thermal states, amplitude for even coherent states) for a list of state
-variants and collects one value series per variant. The analytic engine
-computes each series in one call on a grid spec, so there is one moment
-table per (variant, grid); the guards that raise for one state are masks
+variants and collects one value series per variant. Each engine computes
+each series in one call on a grid spec, so there is one moment table per
+(variant, grid); the guards that raise for one state are masks
 there, and their points are NaN gaps. Figure packs bundle the exact
 (l, p, q) combinations of the reference plots:
 
@@ -89,39 +89,30 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * h for i in range(steps)]
 
 
-def _analytic_series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
-                     witness_id: str, order: int):
-    """The witness over the whole grid in one call on a grid spec, and its
-    NaN gaps by cause.
+def _series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
+            witness_id: str, order: int, engine: str):
+    """The witness over the whole grid in one call on a grid spec, on either
+    engine, and its NaN gaps by cause.
 
-    The norm is NaN exactly where the state is annihilated (DegenerateState);
-    every other NaN is an indeterminate agarwal_tara point (SingularDenominator),
-    the one witness guard that masks.
+    A gap at an annihilated state, where every table entry is NaN, is a
+    DegenerateState: the analytic norm is NaN there, and the oracle's
+    build of the point raises it. Every other gap is an indeterminate
+    agarwal_tara point (SingularDenominator), the one witness guard that
+    masks.
     """
     spec = StateSpec.of(family, np.array(grid), op)
-    values = witnesses_mod.evaluate_witness(spec, witness_id, order=order).value
+    values = witnesses_mod.evaluate_witness(spec, witness_id, order=order, engine=engine).value
     gaps = np.isnan(values)
-    annihilated = gaps & np.isnan(spec._norm)
+    if engine == "analytic":
+        annihilated = gaps & np.isnan(spec._norm)
+    else:
+        # the gaps' points built again; the annihilated are None
+        annihilated = gaps.copy()
+        rebuilt = oracle_mod.truncated_states(StateSpec.of(family, spec.parameter[gaps], op))
+        annihilated[gaps] = [state is None for state in rebuilt]
     causes = {DegenerateState: annihilated, SingularDenominator: gaps & ~annihilated}
     counts = {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
     return values.tolist(), counts
-
-
-def _oracle_series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
-                   witness_id: str, order: int):
-    """The witness point by point on the truncated-Fock oracle, the independent
-    second route: a DegenerateState or SingularDenominator is a NaN gap."""
-    values, counts = [], {}
-    for value in grid:
-        spec = StateSpec.of(family, value, op)
-        try:
-            result = witnesses_mod.evaluate_witness(spec, witness_id, order=order, engine="oracle")
-        except (DegenerateState, SingularDenominator) as exc:
-            values.append(math.nan)
-            counts[type(exc).__name__] = counts.get(type(exc).__name__, 0) + 1
-        else:
-            values.append(result.value)
-    return values, counts
 
 
 def sweep(
@@ -138,9 +129,9 @@ def sweep(
     param_range is {"min": .., "max": .., "steps": ..}; defaults follow the
     family's plotted window. engine may be "analytic", "oracle", or "both"; "both"
     emits a paired `label@oracle` series per variant and records the maximum
-    analytic/oracle relative deviation in the metadata. The analytic engine
+    analytic/oracle relative deviation in the metadata. Either engine
     evaluates each variant as one grid spec, one moment table for the whole
-    grid; the oracle goes point by point. A DegenerateState or an
+    grid (on the oracle, one truncated state per point). A DegenerateState or an
     indeterminate determinant witness at a grid point records a NaN gap, not
     a failure; metadata["nan_gaps"] counts them per series and cause.
     """
@@ -165,13 +156,13 @@ def sweep(
 
     series: dict[str, list[float]] = {}
     gaps: dict[str, dict[str, int]] = {}
-    first = _oracle_series if engine == "oracle" else _analytic_series
+    first = "oracle" if engine == "oracle" else "analytic"
     for op in ops:
         label = op.label()
-        series[label], gaps[label] = first(family, op, values, witness_id, order)
+        series[label], gaps[label] = _series(family, op, values, witness_id, order, first)
         if engine == "both":
             label = f"{label}@oracle"
-            series[label], gaps[label] = _oracle_series(family, op, values, witness_id, order)
+            series[label], gaps[label] = _series(family, op, values, witness_id, order, "oracle")
 
     metadata = {
         "witness": witness_id,

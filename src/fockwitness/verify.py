@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from importlib import resources
 
 import numpy as np
@@ -20,7 +21,6 @@ from . import oracle as oracle_mod
 from . import states as states_mod
 from . import sweep_report
 from . import witnesses as witnesses_mod
-from .errors import SingularDenominator
 from .states import EngineeringOp, MomentTable, StateSpec
 
 MOMENT_TOL = 1e-8
@@ -79,14 +79,6 @@ class _Tally:
     def add(self, dev, limit, note) -> None:
         """One check per element of dev, failed unless dev <= limit there;
         note(i, dev_i) describes failed element i."""
-        if isinstance(dev, float):
-            # one check, as the array route below takes it, without numpy
-            self.checks += 1
-            if dev > self.worst:
-                self.worst = float(dev)
-            if not dev <= limit:
-                self.notes.append(note(0, dev))
-            return
         dev = np.asarray(dev, dtype=float).ravel()
         self.checks += dev.size
         self.worst = float(np.fmax.reduce(dev, initial=self.worst))
@@ -169,83 +161,50 @@ _WITNESS_OPS = (
 )
 
 
-def _witness_specs():
-    for op in _WITNESS_OPS:
-        for rbar in (0.5, 1.0, 2.0):
-            yield StateSpec.thermal(rbar, op)
-        for alpha in (0.7, 1.2, 2.0):
-            yield StateSpec.even_coherent(alpha, op)
+_WITNESS_VALUES = ((states_mod.FAMILY_THERMAL, (0.5, 1.0, 2.0)),
+                   (states_mod.FAMILY_EVEN_COHERENT, (0.7, 1.2, 2.0)))
 
 
 def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_TOL) -> SuiteResult:
     """Every witness from analytic moments against the same witness from oracle moments.
 
-    The analytic side builds one MomentTable per state. A state is a grid of
-    one inside `states`, so its moments are those of the other suites' grid
-    specs; its table's entries are Python numbers, so this suite covers the
-    witnesses' own one-state arithmetic.
+    Each (op, family) is one grid spec: one analytic table, and one oracle
+    table over the run's shared oracle states of its points. A witness that
+    is NaN (indeterminate) on both engines is one passing check; NaN on one
+    engine only fails its check.
     """
     tally = _Tally()
-
-    def compare(label, analytic_fn, oracle_fn):
-        try:
-            a = analytic_fn()
-            a_err = None
-        except SingularDenominator:
-            a, a_err = None, "singular"
-        try:
-            o = oracle_fn()
-            o_err = None
-        except SingularDenominator:
-            o, o_err = None, "singular"
-        if a_err or o_err:
-            tally.checks += 1
-            if a_err != o_err:
-                tally.notes.append(f"{label}: {a_err} vs {o_err}")
-            return
-        dev = abs(a - o)
-        if abs(o) >= 1.0:
-            dev /= abs(o)
-            limit = tol
-        else:
-            limit = max(abs_tol, tol * abs(o))
-        tally.add(dev, limit, lambda i, dev: f"{label}: dev {dev:.3e}")
-
-    for spec in _witness_specs():
-        analytic = _table(spec, *((w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)),
+    for op, (family, values) in product(_WITNESS_OPS, _WITNESS_VALUES):
+        specs = [StateSpec.of(family, value, op) for value in values]
+        grid = StateSpec.of(family, np.array(values), op)
+        analytic = _table(grid, *((w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)),
                           ("hos", 2), ("hos", 4), ("agarwal_tara", 0))
-        oracle_state = _oracle_state(spec)
-        oracle_table = oracle_mod.moment_table_from_state(oracle_state, spec)
-        name = spec.canonical()
-        for l in (2, 3):
-            compare(f"{name} mandel({l})",
-                    lambda l=l: witnesses_mod.mandel_q(analytic, l),
-                    lambda l=l: witnesses_mod.mandel_q(oracle_table, l))
-            compare(f"{name} hoa({l})",
-                    lambda l=l: witnesses_mod.hoa(analytic, l),
-                    lambda l=l: witnesses_mod.hoa(oracle_table, l))
-            compare(f"{name} hosps({l})",
-                    lambda l=l: witnesses_mod.hosps(analytic, l),
-                    lambda l=l: witnesses_mod.hosps(oracle_table, l))
-        for l in (2, 4):
-            compare(f"{name} hos({l})",
-                    lambda l=l: witnesses_mod.hos(analytic, l),
-                    lambda l=l: witnesses_mod.hos(oracle_table, l))
-        compare(f"{name} agarwal_tara",
-                lambda: witnesses_mod.agarwal_tara(analytic),
-                lambda: witnesses_mod.agarwal_tara(oracle_table))
-        # p_0 .. p_6 from one photon_prob call; the oracle side reads the
-        # run's shared state
-        probs = states_mod.photon_prob(spec, np.arange(7)).tolist()
-        for m in (0, 2, 4):
-            compare(f"{name} klyshko({m})",
-                    lambda m=m: witnesses_mod.klyshko_from_probs(m, *probs[m:m + 3]),
-                    lambda m=m: witnesses_mod.klyshko_from_probs(
-                        m, *(oracle_mod.oracle_photon_prob(oracle_state, j) for j in (m, m + 1, m + 2))))
+        oracle_states = [_oracle_state(spec) for spec in specs]
+        tables = (analytic, oracle_mod.moment_table_from_state(oracle_states, grid))
+        # (label, analytic values, oracle values), each over the states
+        rows = [(f"{name}({l})", *(witness(table, l) for table in tables)) for l in (2, 3)
+                for name, witness in (("mandel", witnesses_mod.mandel_q), ("hoa", witnesses_mod.hoa),
+                                      ("hosps", witnesses_mod.hosps))]
+        rows += [(f"hos({l})", *(witnesses_mod.hos(table, l) for table in tables)) for l in (2, 4)]
+        rows.append(("agarwal_tara", *map(witnesses_mod.agarwal_tara, tables)))
+        # p_0 .. p_6 of every state from one photon_prob call, and from the
+        # shared oracle states
+        probs = (states_mod.photon_prob(grid, np.arange(7)),
+                 oracle_mod.oracle_photon_probs(oracle_states, range(7)))
+        rows += [(f"klyshko({m})", *(witnesses_mod.klyshko_from_probs(m, *p[m:m + 3]) for p in probs))
+                 for m in (0, 2, 4)]
+        # Husimi Q takes one state
         beta = 0.4 + 0.3j
-        compare(f"{name} husimi({beta})",
-                lambda: states_mod.husimi(spec, beta),
-                lambda: oracle_mod.oracle_husimi(oracle_state, beta))
+        rows.append((f"husimi({beta})", [states_mod.husimi(spec, beta) for spec in specs],
+                     [oracle_mod.oracle_husimi(state, beta) for state in oracle_states]))
+        labels, a, o = zip(*rows)
+        a, o = np.array(a), np.array(o)
+        dev = np.abs(a - o) / np.maximum(np.abs(o), 1.0)
+        # a witness indeterminate on both engines agrees
+        dev[np.isnan(a) & np.isnan(o)] = 0.0
+        limit = np.where(np.abs(o) >= 1.0, tol, np.fmax(abs_tol, tol * np.abs(o)))
+        tally.add(dev, limit.ravel(), lambda i, dev: f"{specs[i % len(specs)].canonical()} "
+                                                     f"{labels[i // len(specs)]}: dev {dev:.3e}")
     return tally.result("witnesses")
 
 
@@ -281,10 +240,6 @@ def suite_normalization() -> SuiteResult:
     return tally.result("normalization")
 
 
-def _window(window, points: int) -> np.ndarray:
-    return np.array([window[0] + i * (window[1] - window[0]) / (points - 1) for i in range(points)])
-
-
 def suite_hos(points: int = 40) -> SuiteResult:
     """Hong-Mandel squeezing stays non-negative over the plotted windows.
 
@@ -293,7 +248,7 @@ def suite_hos(points: int = 40) -> SuiteResult:
     """
     tally = _Tally()
     for family in states_mod.FAMILIES.values():
-        values = _window(family.window, points)
+        values = np.array(sweep_report._grid(*family.window, points))
         for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
                 s = witnesses_mod.hos(_table(StateSpec.of(family, values, op), ("hos", l)), l)
@@ -316,7 +271,7 @@ def suite_signs(points: int = 60) -> SuiteResult:
     """
     notes = []
     checks = 0
-    rbar_values = _window(states_mod.FAMILY_THERMAL.window, points)
+    rbar_values = np.array(sweep_report._grid(*states_mod.FAMILY_THERMAL.window, points))
 
     minima = {}
     for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
@@ -427,26 +382,22 @@ def suite_coherent(tol: float = COHERENT_BASELINE_TOL) -> SuiteResult:
     must report an indeterminate (singular) witness.
     """
     tally = _Tally()
-    for amp in (0.5, 1.0, 2.0):
-        state = oracle_mod.coherent_truncated(amp, ORACLE_TAIL_TOL)
-        table = oracle_mod.moment_table_from_state(state)
-        values = []
-        for l in (2, 3, 4):
-            values += [(f"hoa({l})", witnesses_mod.hoa(table, l)),
-                       (f"hosps({l})", witnesses_mod.hosps(table, l))]
-        values += [("hos(2)", witnesses_mod.hos(table, 2)),
-                   ("agarwal_tara", witnesses_mod.agarwal_tara(table))]
-        for label, value in values:
-            tally.add(abs(value), tol, lambda i, dev: f"coherent |{amp}| {label}: {value:.3e}")
-        tally.checks += 1
-        try:
-            witnesses_mod.agarwal_tara(table, witnesses_mod.VARIANT_POWER_OF_MEAN)
-            tally.notes.append(
-                f"coherent |{amp}| agarwal_tara(power_of_mean) did not report "
-                "a singular denominator"
-            )
-        except SingularDenominator:
-            pass
+    amps = (0.5, 1.0, 2.0)
+    table = oracle_mod.moment_table_from_state(
+        [oracle_mod.coherent_truncated(amp, ORACLE_TAIL_TOL) for amp in amps])
+    values = []
+    for l in (2, 3, 4):
+        values += [(f"hoa({l})", witnesses_mod.hoa(table, l)),
+                   (f"hosps({l})", witnesses_mod.hosps(table, l))]
+    values += [("hos(2)", witnesses_mod.hos(table, 2)),
+               ("agarwal_tara", witnesses_mod.agarwal_tara(table))]
+    for label, value in values:
+        tally.add(abs(value), tol, lambda i, dev: f"coherent |{amps[i]}| {label}: {value[i]:.3e}")
+    # NaN where indeterminate
+    singular = np.isnan(witnesses_mod.agarwal_tara(table, witnesses_mod.VARIANT_POWER_OF_MEAN))
+    tally.checks += len(amps)
+    tally.notes.extend(f"coherent |{amps[i]}| agarwal_tara(power_of_mean) did not report "
+                       "a singular denominator" for i in np.flatnonzero(~singular))
     return tally.result("coherent")
 
 

@@ -15,11 +15,15 @@ The seventh, husimi_zero_scan, looks for zeros of the Husimi Q function on a
 grid; a nonempty zero set is the flag.
 
 The six scalar witnesses also take a grid spec (states.StateSpec over an
-array of parameters): their bodies are generic arithmetic on the moment
-table, so one call gives the whole series as an ndarray. A guard that raises
-for one state gives NaN at its points of a grid: DegenerateState (from the
-norm) and SingularDenominator (agarwal_tara). ZeroMeanPhoton still fails the
-whole grid, and OutOfRange and OddOrder still raise.
+array of parameters), on either engine, and then return the whole series as
+an ndarray. One state is a grid of one: every body computes on 1-d arrays
+over the table's states (a one-state table's entries become one-element
+arrays), so a state's value equals its column of any grid bit for bit, and
+each public function converts its result once, at return. A guard that
+raises for one state gives NaN at its points of a grid: DegenerateState
+(an annihilated state, whose moments are all NaN) and SingularDenominator
+(agarwal_tara). ZeroMeanPhoton still fails the whole grid, and OutOfRange
+and OddOrder still raise.
 """
 
 from __future__ import annotations
@@ -55,16 +59,36 @@ class WitnessResult:
     provenance: str
 
 
-def _mean_photon(table: MomentTable) -> float:
-    return table.get(1, 1).real
+def _entry(table: MomentTable, m: int, n: int) -> np.ndarray:
+    """<a'^m a^n> over the table's states as a 1-d array: a one-state
+    table's entry is a grid of one."""
+    return np.atleast_1d(table.get(m, n))
 
 
-def _number_moment(table: MomentTable, r: int) -> float:
+def _unwrap(values: np.ndarray, like, indeterminate: Callable[[], Exception] | None = None):
+    """A body's values as a public witness returns them: the array over a
+    grid, where `like` (a table entry, or the spec's parameter) is an array;
+    for one state its one value as a float, or indeterminate() raised where
+    that value is NaN. Every moment witness reads <a'a>, so the tables pass
+    that entry."""
+    if isinstance(like, np.ndarray):
+        return values
+    value = float(values[0])
+    if indeterminate is not None and math.isnan(value):
+        raise indeterminate()
+    return value
+
+
+def _mean_photon(table: MomentTable) -> np.ndarray:
+    return _entry(table, 1, 1).real
+
+
+def _number_moment(table: MomentTable, r: int) -> np.ndarray:
     """<(a'a)^r> from normally ordered moments via Stirling conversion."""
-    return sum(stirling2(r, n) * table.get(n, n).real for n in range(r + 1))
+    return sum(stirling2(r, n) * _entry(table, n, n).real for n in range(r + 1))
 
 
-def _central_number_moment(table: MomentTable, l: int) -> float:
+def _central_number_moment(table: MomentTable, l: int) -> np.ndarray:
     """<(a'a - <a'a>)^l> by binomial expansion."""
     mean = _mean_photon(table)
     total = 0.0
@@ -73,7 +97,7 @@ def _central_number_moment(table: MomentTable, l: int) -> float:
     return total
 
 
-def mandel_q(table: MomentTable, l: int = 2) -> float:
+def mandel_q(table: MomentTable, l: int = 2):
     """Mandel function of order l; negative flags sub-Poissonian statistics."""
     if l < 2:
         raise ValueError("mandel_q requires l >= 2")
@@ -81,17 +105,17 @@ def mandel_q(table: MomentTable, l: int = 2) -> float:
     # a zero-mean state anywhere on a grid fails the whole series
     if np.any(mean == 0.0):
         raise ZeroMeanPhoton("mandel_q is undefined for a zero-mean-photon state")
-    return _central_number_moment(table, l) / mean - 1.0
+    return _unwrap(_central_number_moment(table, l) / mean - 1.0, table.get(1, 1))
 
 
-def hoa(table: MomentTable, l: int = 2) -> float:
+def hoa(table: MomentTable, l: int = 2):
     """Higher-order antibunching d^(l-1) = <a'^l a^l> - <a'a>^l."""
     if l < 2:
         raise ValueError("hoa requires l >= 2")
-    return table.get(l, l).real - _mean_photon(table) ** l
+    return _unwrap(_entry(table, l, l).real - _mean_photon(table) ** l, table.get(1, 1))
 
 
-def hosps(table: MomentTable, l: int = 2) -> float:
+def hosps(table: MomentTable, l: int = 2):
     """Higher-order sub-Poissonian statistics D^(l-1).
 
     Combinatorial form of <(dn)^l> minus the same-mean Poissonian central
@@ -101,10 +125,10 @@ def hosps(table: MomentTable, l: int = 2) -> float:
     """
     if l < 2:
         raise ValueError("hosps requires l >= 2")
-    return _hosps_sum(table, l, flip_with_l=True)
+    return _unwrap(_hosps_sum(table, l, flip_with_l=True), table.get(1, 1))
 
 
-def hosps_printed_form(table: MomentTable, l: int = 2) -> float:
+def hosps_printed_form(table: MomentTable, l: int = 2):
     """Variant of hosps with the (-1)^e sign; equals (-1)^l * hosps.
 
     Kept for the definition gate: the two agree for even l and differ by an
@@ -113,14 +137,14 @@ def hosps_printed_form(table: MomentTable, l: int = 2) -> float:
     """
     if l < 2:
         raise ValueError("hosps requires l >= 2")
-    return _hosps_sum(table, l, flip_with_l=False)
+    return _unwrap(_hosps_sum(table, l, flip_with_l=False), table.get(1, 1))
 
 
-def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> float:
+def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> np.ndarray:
     mean = _mean_photon(table)
     # mean^j and d_f = <a'^f a^f> - mean^f, each computed once
     powers = [mean ** j for j in range(l + 1)]
-    d = [None] + [table.get(f, f).real - powers[f] for f in range(1, l + 1)]
+    d = [None] + [_entry(table, f, f).real - powers[f] for f in range(1, l + 1)]
     total = 0.0
     for e in range(l + 1):
         sign = (-1) ** (l - e) if flip_with_l else (-1) ** e
@@ -129,7 +153,7 @@ def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> float:
     return total
 
 
-def hos(table: MomentTable, l: int = 2) -> float:
+def hos(table: MomentTable, l: int = 2):
     """Hong-Mandel squeezing S^(l) of the quadrature X = (a + a')/sqrt(2).
 
     S^(l) = [<(dX)^l> - (1/2)_(l/2)] / (1/2)_(l/2) with (1/2)_(l/2) equal to
@@ -141,10 +165,10 @@ def hos(table: MomentTable, l: int = 2) -> float:
     if l % 2:
         raise OddOrder("hos is defined for even order only")
 
-    def quad_moment(k: int) -> float:
+    def quad_moment(k: int) -> np.ndarray:
         total = 0j
         for (j, kk), coeff in quadrature_power_coeffs(k).items():
-            total += coeff * table.get(j, kk)
+            total += coeff * _entry(table, j, kk)
         return (total / 2 ** (k / 2.0)).real
 
     mean_x = quad_moment(1)
@@ -152,14 +176,14 @@ def hos(table: MomentTable, l: int = 2) -> float:
     for k in range(l + 1):
         central += binomial(l, k) * (-mean_x) ** (l - k) * quad_moment(k)
     reference = double_factorial(l - 1) / 2 ** (l / 2.0)
-    return (central - reference) / reference
+    return _unwrap((central - reference) / reference, table.get(1, 1))
 
 
 def agarwal_tara(
     table: MomentTable,
     variant: str = VARIANT_NUMBER_MOMENTS,
     epsilon: float = SINGULAR_EPSILON,
-) -> float:
+):
     """Determinant-ratio witness A3 = det(m) / (det(mu) - det(m)).
 
     m is the 3x3 Hankel matrix of factorial moments m_k = <a'^k a^k>. The
@@ -170,7 +194,7 @@ def agarwal_tara(
     """
     if variant not in (VARIANT_NUMBER_MOMENTS, VARIANT_POWER_OF_MEAN):
         raise ValueError(f"unknown agarwal_tara variant {variant!r}")
-    m = [1.0] + [table.get(k, k).real for k in range(1, 5)]
+    m = [1.0] + [_entry(table, k, k).real for k in range(1, 5)]
     if variant == VARIANT_NUMBER_MOMENTS:
         mu = [1.0] + [_number_moment(table, k) for k in range(1, 5)]
     else:
@@ -178,27 +202,15 @@ def agarwal_tara(
     det_m = _hankel3_det(m)
     det_mu = _hankel3_det(mu)
     denominator = det_mu - det_m
-    # elementwise over a grid
+    # elementwise over the states
     scale = reduce(np.maximum, [1.0, abs(det_m), reduce(np.maximum, map(abs, m)) ** 3])
-    return _guarded(
-        abs(denominator) < epsilon * scale,
-        lambda: SingularDenominator("agarwal_tara denominator vanishes (witness indeterminate)"),
-        lambda: det_m / denominator,
-    )
-
-
-def _guarded(where, error: Callable[[], Exception], value: Callable[[], object]):
-    """A per-point guard: for one state, raise error() if `where` holds and
-    return value() otherwise; over a grid, value() with NaN where it holds."""
-    if not isinstance(where, np.ndarray):
-        if where:
-            raise error()
-        return value()
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(where, math.nan, value())
+        value = np.where(abs(denominator) < epsilon * scale, math.nan, det_m / denominator)
+    return _unwrap(value, table.get(1, 1), lambda: SingularDenominator(
+        "agarwal_tara denominator vanishes (witness indeterminate)"))
 
 
-def _hankel3_det(moments) -> float:
+def _hankel3_det(moments) -> np.ndarray:
     rows = [[moments[i + j] for j in range(3)] for i in range(3)]
     return (
         rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
@@ -207,13 +219,12 @@ def _hankel3_det(moments) -> float:
     )
 
 
-def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> list[float]:
+def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.ndarray:
+    """p_m for m in numbers over spec's states, one row per m: a column
+    per point of a grid spec, one column for one state."""
     if engine == "analytic":
-        # one call over the levels; a row per level, Python floats for one state
-        probs = states_mod.photon_prob(spec, np.array(numbers))
-        return list(probs) if probs.ndim > 1 else probs.tolist()
-    state = oracle_mod.build_truncated(spec, tail_tol)
-    return [oracle_mod.oracle_photon_prob(state, m) for m in numbers]
+        return states_mod.photon_prob(spec, np.array(numbers)).reshape(len(numbers), -1)
+    return oracle_mod.oracle_photon_probs(oracle_mod.truncated_states(spec, tail_tol), numbers)
 
 
 def klyshko(
@@ -221,11 +232,12 @@ def klyshko(
     m: int,
     engine: str = "analytic",
     tail_tol: float = oracle_mod.DEFAULT_TAIL_TOL,
-) -> float:
+):
     """Klyshko indicator B(m) = (m+2) p_m p_{m+2} - (m+1) p_{m+1}^2."""
     if m < 0:
         raise ValueError("photon number must be non-negative")
-    return klyshko_from_probs(m, *_photon_probs(spec, (m, m + 1, m + 2), engine, tail_tol))
+    probs = _photon_probs(spec, (m, m + 1, m + 2), engine, tail_tol)
+    return _unwrap(klyshko_from_probs(m, *probs), spec.parameter)
 
 
 def klyshko_from_probs(m: int, p_m: float, p_m1: float, p_m2: float) -> float:
@@ -356,28 +368,20 @@ def evaluate_witness(
 ) -> WitnessResult:
     """Evaluate one witness for one state and wrap the outcome.
 
-    For a grid spec on the analytic engine, value and nonclassical are
-    arrays over the grid (husimi_zero takes one state only).
+    For a grid spec, value and nonclassical are arrays over the grid, NaN
+    and False at its gaps (husimi_zero takes one state only).
     """
-    if witness in ("mandel", "hoa", "hosps", "hos", "agarwal_tara"):
-        table = _table_for(spec, engine, tail_tol, witness, order)
-        if witness == "mandel":
-            value = mandel_q(table, order)
-        elif witness == "hoa":
-            value = hoa(table, order)
-        elif witness == "hosps":
-            value = hosps(table, order)
-        elif witness == "hos":
-            value = hos(table, order)
-        else:
-            value = agarwal_tara(table, variant)
-            order = 0
-        return WitnessResult(witness, order, value, value < 0.0, engine)
-    if witness == "klyshko":
-        value = klyshko(spec, order, engine, tail_tol)
-        return WitnessResult(witness, order, value, value < 0.0, engine)
     if witness == "husimi_zero":
         # the husimi_zero_scan rule: some point lies below the threshold
         rel_min = float(_relative_husimi(spec, grid or ScanGrid(), engine, tail_tol).min())
         return WitnessResult("husimi_zero", 0, rel_min, rel_min < zero_threshold, engine)
-    raise ValueError(f"unknown witness {witness!r}")
+    if witness == "klyshko":
+        value = klyshko(spec, order, engine, tail_tol)
+    elif witness == "agarwal_tara":
+        value, order = agarwal_tara(_table_for(spec, engine, tail_tol, witness, order), variant), 0
+    elif witness in ("mandel", "hoa", "hosps", "hos"):
+        table = _table_for(spec, engine, tail_tol, witness, order)
+        value = {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
+    else:
+        raise ValueError(f"unknown witness {witness!r}")
+    return WitnessResult(witness, order, value, value < 0.0, engine)

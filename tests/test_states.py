@@ -591,6 +591,11 @@ class TestHusimiArray:
         for beta in (0.5 - 1.0j, np.complex128(0.5 - 1.0j), np.array(0.5 - 1.0j), 2, 0.5):
             assert type(husimi(spec, beta)) is float
 
+    def test_grid_spec_is_rejected(self):
+        grid = StateSpec.thermal(np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="one state"):
+            husimi(grid, 0.3)
+
     def test_array_call_computes_the_norm_once(self, monkeypatch):
         calls = []
         original = states._norm

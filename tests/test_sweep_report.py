@@ -90,38 +90,78 @@ _SMALL_OPS = [EngineeringOp.bare()] + [
 ]
 
 
+# the oracle cases take every other operation, to keep their run time down
+_ORACLE_OPS = _SMALL_OPS[::2]
+
+
+def _point_by_point(witness, order, family, op, grid, engine):
+    """evaluate_witness at each point: its values (NaN where it raises
+    DegenerateState or SingularDenominator), the gap counts by cause, and
+    whether some point raised ZeroMeanPhoton."""
+    values, counts, zero_mean = [], {}, False
+    for value in grid:
+        try:
+            result = witnesses.evaluate_witness(StateSpec.of(family, value, op), witness, order, engine=engine)
+        except (DegenerateState, SingularDenominator) as exc:
+            values.append(math.nan)
+            counts[type(exc).__name__] = counts.get(type(exc).__name__, 0) + 1
+        except ZeroMeanPhoton:
+            zero_mean = True
+        else:
+            values.append(result.value)
+    return values, counts, zero_mean
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values, or NaN in both."""
+    return len(got) == len(want) and all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+
+
+_RANGES = pytest.mark.parametrize("family, hi", [(FAMILY_THERMAL, 3.0), (FAMILY_EVEN_COHERENT, 2.0)],
+                                  ids=["thermal-3.0", "even_coherent-2.0"])
+
+
 class TestArrayPath:
-    @pytest.mark.parametrize("family, hi", [(FAMILY_THERMAL, 3.0), (FAMILY_EVEN_COHERENT, 2.0)],
-                             ids=["thermal-3.0", "even_coherent-2.0"])
-    @pytest.mark.parametrize("witness, order", _SWEEPABLE)
-    def test_sweep_equals_point_by_point_loop(self, witness, order, family, hi):
+    @staticmethod
+    def _check_against_point_by_point(witness, order, family, hi, engine, ops):
         # ranges from 0 hold annihilated states and indeterminate A3 points
         prange = {"min": 0.0, "max": hi, "steps": 13}
-        for op in _SMALL_OPS:
-            expected, counts, zero_mean = [], {}, False
-            for value in sweep_report._grid(0.0, hi, 13):
-                try:
-                    result = witnesses.evaluate_witness(StateSpec.of(family, value, op), witness, order)
-                except (DegenerateState, SingularDenominator) as exc:
-                    expected.append(math.nan)
-                    counts[type(exc).__name__] = counts.get(type(exc).__name__, 0) + 1
-                except ZeroMeanPhoton:
-                    zero_mean = True
-                else:
-                    expected.append(result.value)
+        for op in ops:
+            expected, counts, zero_mean = _point_by_point(
+                witness, order, family, op, sweep_report._grid(0.0, hi, 13), engine)
             if zero_mean:
                 with pytest.raises(ZeroMeanPhoton):
-                    sweep(witness, order, [op], family, param_range=prange)
+                    sweep(witness, order, [op], family, param_range=prange, engine=engine)
                 continue
-            table = sweep(witness, order, [op], family, param_range=prange)
+            table = sweep(witness, order, [op], family, param_range=prange, engine=engine)
             values = table.series[op.label()]
             assert table.metadata["nan_gaps"] == {op.label(): counts}, op
             assert all(type(v) is float for v in values)
-            for got, want in zip(values, expected):
-                if math.isnan(want):
-                    assert math.isnan(got), (op, got)
-                else:
-                    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (op, got, want)
+            assert _same_bits(values, expected), (op, values, expected)
+
+    @_RANGES
+    @pytest.mark.parametrize("witness, order", _SWEEPABLE)
+    def test_sweep_equals_point_by_point_loop(self, witness, order, family, hi):
+        self._check_against_point_by_point(witness, order, family, hi, "analytic", _SMALL_OPS)
+
+    @_RANGES
+    @pytest.mark.parametrize("witness, order", _SWEEPABLE)
+    def test_oracle_sweep_equals_point_by_point_loop(self, witness, order, family, hi):
+        self._check_against_point_by_point(witness, order, family, hi, "oracle", _ORACLE_OPS)
+
+    # the panels whose cells differed from one-state witness values in their
+    # last digits while the two took different arithmetic
+    @pytest.mark.parametrize("witness, order, family, op", [
+        ("hoa", 3, FAMILY_THERMAL, EngineeringOp.pas(1, 2)),
+        ("hosps", 4, FAMILY_THERMAL, EngineeringOp.pas(2, 1)),
+        ("hoa", 2, FAMILY_EVEN_COHERENT, EngineeringOp.pas(1, 1)),
+    ], ids=["hoa3-thermal-PAS(1,2)", "hosps4-thermal-PAS(2,1)", "hoa2-ecs-PAS(1,1)"])
+    def test_sweep_equals_point_by_point_loop_at_default_size(self, witness, order, family, op):
+        table = sweep(witness, order, [op], family)
+        expected, counts, _ = _point_by_point(witness, order, family, op, table.parameter_values, "analytic")
+        assert len(expected) == sweep_report.SWEEP_STEPS
+        assert table.metadata["nan_gaps"] == {op.label(): counts}
+        assert _same_bits(table.series[op.label()], expected)
 
     def test_zero_mean_fails_the_whole_sweep(self):
         with pytest.raises(ZeroMeanPhoton):

@@ -41,6 +41,12 @@ def test_overtight_tolerance_fails_fixtures():
     assert not results[0].passed
 
 
+def test_overtight_tolerance_fails_witnesses():
+    result = verify.run_suites(["witnesses"], tol=1e-16, report=None)[0]
+    assert not result.passed
+    assert result.checks == SUITE_SHAPE["witnesses"][1]
+
+
 # outcome and check count of every suite: a restructuring that drops checks
 # shows here
 SUITE_SHAPE = {
@@ -164,3 +170,24 @@ def test_a_singular_a3_point_stays_skipped(monkeypatch):
     assert result.checks == SUITE_SHAPE["signs"][1] + 1
     assert [note[:20] for note in result.notes] == ["a3 PSA(2,1) rbar=0.0"]
     assert "nan" not in result.notes[0] and "annihilated" not in result.notes[0]
+
+
+@pytest.mark.parametrize("provenances, passed", [
+    (("analytic",), False),
+    (("analytic", "oracle"), True),
+], ids=["analytic-only", "both-engines"])
+def test_an_indeterminate_a3_passes_only_on_both_engines(monkeypatch, provenances, passed):
+    original = witnesses.agarwal_tara
+
+    def nan_at_second_state(table, *args, **kwargs):
+        # NaN, as where the denominator vanishes, at the second state of
+        # every table of the given engines
+        value = original(table, *args, **kwargs)
+        return _nan_at(value, 1) if table.provenance in provenances else value
+
+    monkeypatch.setattr(witnesses, "agarwal_tara", nan_at_second_state)
+    result = verify.suite_witnesses()
+    assert result.passed is passed
+    assert result.checks == SUITE_SHAPE["witnesses"][1]
+    if not passed:
+        assert result.notes and all("agarwal_tara: dev nan" in note for note in result.notes), result.notes

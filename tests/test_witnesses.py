@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import dense
 from fockwitness import oracle, states, sweep_report, witnesses
-from fockwitness.errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
+from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
 from fockwitness.witnesses import (
     ScanGrid,
@@ -294,6 +296,31 @@ class TestEvaluateWitness:
         result = evaluate_witness(PSAT11, "hoa", order=2, engine="oracle")
         assert result.provenance == "oracle"
         assert result.value == pytest.approx(17 / 9, rel=1e-8)
+
+    # grids holding an annihilated state (thermal PAS(2,1) at rbar = 0) and
+    # indeterminate A3 points (the even cat near the vacuum)
+    @pytest.mark.parametrize("witness, order, spec", [
+        ("hoa", 3, StateSpec.thermal(np.array([0.0, 0.4, 1.7]), EngineeringOp.pas(2, 1))),
+        ("klyshko", 1, StateSpec.thermal(np.array([0.0, 0.4, 1.7]), EngineeringOp.pas(2, 1))),
+        ("agarwal_tara", 0, StateSpec.even_coherent(np.array([0.0, 0.01, 1.3]), EngineeringOp.pas(1, 1))),
+    ], ids=["hoa", "klyshko", "agarwal_tara"])
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_grid_spec_equals_one_state_calls(self, witness, order, spec, engine):
+        values = evaluate_witness(spec, witness, order, engine=engine).value
+        assert isinstance(values, np.ndarray) and np.isnan(values).any()
+        for point, got in zip(spec.parameter, values):
+            one = StateSpec.of(spec.family, point, spec.op)
+            try:
+                want = evaluate_witness(one, witness, order, engine=engine).value
+            except (DegenerateState, SingularDenominator):
+                assert math.isnan(got)
+            else:
+                assert type(want) is float and got == want
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_husimi_zero_takes_one_state(self, engine):
+        with pytest.raises(ValueError, match="one state"):
+            evaluate_witness(StateSpec.thermal(np.array([0.5, 1.0])), "husimi_zero", engine=engine)
 
     def test_husimi_zero_result(self):
         grid = ScanGrid(-1.5, 1.5, -1.5, 1.5, steps=15)
