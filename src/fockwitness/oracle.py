@@ -10,6 +10,9 @@ are the oracle's own, looked up by family record, of which it reads only the
 A Fock-diagonal family (thermal) stays diagonal through both engineering
 operations, so it is held as a weight vector (O(D) instead of O(D^2)), and
 any other family as a pure state vector.
+
+Every basis grows in one loop (_grow). Each quantity is one body over arrays,
+whose one-element case is the scalar call; over_states stacks it over states.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,18 +30,17 @@ from .states import (
     FAMILY_EVEN_COHERENT,
     FAMILY_THERMAL,
     ORDER_SUBTRACT_THEN_ADD,
+    EngineeringOp,
     MomentTable,
     StateSpec,
 )
 
 DEFAULT_TAIL_TOL = 1e-12
-# A moment <a'^n a^n> beyond the cutoff is the photon-number tail weighted
-# by about k^n. evaluate_witness passes the n its witness reads; a table for
-# an unnamed reader holds up to A3's <a'^4 a^4>, the highest the figures read.
-DEFAULT_MOMENT_ORDER = 4
 DEFAULT_MAX_CUTOFF = 4096
 _INITIAL_CUTOFF = 32
 _NORM_FLOOR = 1e-300
+# Husimi points per chunk times the cutoff: a few MB of amplitudes
+_HUSIMI_CHUNK = 1 << 17
 
 KIND_VECTOR = "vector"
 KIND_DIAGONAL = "diagonal"
@@ -74,20 +76,20 @@ class TruncatedState:
         return self.data.real.copy()
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Exact truncated amplitudes <k|alpha> = e^{-|a|^2/2} alpha^k / sqrt(k!).
-
-    Computed in log form so large |alpha| and large k never overflow on the
-    way to small final values.
-    """
-    alpha = complex(alpha)
-    out = np.zeros(dim, dtype=complex)
-    if alpha == 0:
-        out[0] = 1.0
-        return out
-    log_alpha = np.log(complex(alpha))
-    k = np.arange(dim)
-    return np.exp(k * log_alpha - 0.5 * _log_factorials(dim) - 0.5 * abs(alpha) ** 2)
+def coherent_amplitudes(z, dim: int) -> np.ndarray:
+    """Exact truncated amplitudes <k|z> = e^{-|z|^2/2} z^k / sqrt(k!), k < dim,
+    on a last axis added to the shape of z: moduli from their logarithms,
+    exact where e^{-|z|^2/2} alone underflows (a cat at |z| = 40), and
+    phases (z/|z|)^k from a cumulative product."""
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    # |z| where z != 0; at z = 0 the phases vanish above k = 0
+    modulus = np.where(r > 0, r, 1.0)
+    phases = np.empty(z.shape + (dim,), dtype=complex)
+    phases[..., 0] = 1.0
+    phases[..., 1:] = (z / modulus)[..., None]
+    log_moduli = np.log(modulus)[..., None] * np.arange(dim) - 0.5 * _log_factorials(dim)
+    return np.exp(log_moduli - 0.5 * (r * r)[..., None]) * np.cumprod(phases, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +122,20 @@ def _ladder(data: np.ndarray, times: int, *, creation: bool, diagonal: bool) -> 
     return out
 
 
+@lru_cache(maxsize=None)
+def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(index, scale) such that row k of data[index] * scale is
+    _ladder(data, k, creation=False), the same products, for k <= top < dim."""
+    index = np.minimum(np.arange(top + 1)[:, None] + np.arange(dim), dim - 1)
+    scale = np.zeros((top + 1, dim))
+    for k in range(top + 1):
+        scale[k, :dim - k] = _falling(dim - k, k)
+    if not diagonal:
+        scale = np.sqrt(scale)
+    index.flags.writeable = scale.flags.writeable = False
+    return index, scale
+
+
 def _thermal_weights(rbar: float, dim: int) -> np.ndarray:
     x = rbar / (1.0 + rbar)
     k = np.arange(dim)
@@ -143,9 +159,9 @@ def _even_cat_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 _BARE_COMPONENTS = {FAMILY_THERMAL: _thermal_weights, FAMILY_EVEN_COHERENT: _even_cat_amplitudes}
 
 
-def _engineer(components: np.ndarray, spec: StateSpec, diagonal: bool) -> np.ndarray:
-    p, q = spec.op.p, spec.op.q
-    if spec.op.order == ORDER_SUBTRACT_THEN_ADD:
+def _engineer(components: np.ndarray, op: EngineeringOp, diagonal: bool) -> np.ndarray:
+    p, q = op.p, op.q
+    if op.order == ORDER_SUBTRACT_THEN_ADD:
         lowered = _ladder(components, p, creation=False, diagonal=diagonal)
         return _ladder(lowered, q, creation=True, diagonal=diagonal)
     raised = _ladder(components, q, creation=True, diagonal=diagonal)
@@ -169,113 +185,166 @@ def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> float:
     return float(np.sum(probs[lo:dim - skip]))
 
 
-def build_truncated(
-    spec: StateSpec,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    min_cutoff: int = 0,
-) -> TruncatedState:
-    """Build the engineered state numerically, growing the cutoff as needed.
+def _moment_tail(probs: np.ndarray, structural_zeros: int, order: int) -> float:
+    """_tail_estimate of sum_k p_k k^order, relative to that sum where it
+    exceeds 1 (absolute below, as the witness comparisons are)."""
+    weighted = probs * np.arange(len(probs), dtype=float) ** order
+    return _tail_estimate(weighted, structural_zeros) / max(1.0, float(np.sum(weighted)))
 
-    The cutoff doubles until the estimated probability mass near the top of
-    the basis falls below tail_tol; add-then-subtract applies a'^q first and
-    a^p second, the other order is reversed. min_cutoff forces a larger
-    starting basis (Husimi evaluations need |beta|^2 well inside the cutoff).
-    A grid spec raises ValueError: truncated_states builds one per point.
-    """
-    if isinstance(spec.parameter, np.ndarray):
-        raise ValueError(f"build_truncated takes one state, not a grid spec of {len(spec.parameter)} points")
+
+def _grow(name: str, bare, op: EngineeringOp, diagonal: bool, tail_tol: float,
+          min_cutoff: int = 0, order: int = 0) -> TruncatedState:
+    """The one cutoff-doubling loop behind every oracle state: op engineers
+    bare(dim), the bare weights (diagonal) or amplitudes on dim levels. It
+    starts where it reaches min_cutoff and oracle_moment's guard admits
+    every <a'^m a^n> with (m + n) // 2 <= order, and stops where the mass
+    near the top of the basis, and that mass weighted by k^order, are below
+    tail_tol. A norm below _NORM_FLOOR is an annihilated state only where
+    the bare state's own mass is held; otherwise it is underflow."""
     limit = max_cutoff()
     dim = min(_INITIAL_CUTOFF, limit)
-    while dim < min(min_cutoff, limit):
+    # m + n <= 2 order + 1 must stay below dim / 2
+    while dim < min(max(min_cutoff, 4 * order + 3), limit):
         dim = min(2 * dim, limit)
     while True:
-        state = _build_auto_at_cutoff(spec, dim)
-        if state.tail_mass < tail_tol:
-            return state
+        components = bare(dim)
+        engineered = _engineer(components, op, diagonal)
+        # weights divide by their sum, the trace; amplitudes by their norm, its root
+        total = float(np.sum(engineered) if diagonal else np.linalg.norm(engineered))
+        if total > _NORM_FLOOR:
+            data = engineered / total
+            probs = data if diagonal else np.abs(data) ** 2
+            tail = _tail_estimate(probs, structural_zeros=op.p)
+            if tail < tail_tol and (not order or _moment_tail(probs, op.p, order) < tail_tol):
+                return TruncatedState(dim, KIND_DIAGONAL if diagonal else KIND_VECTOR, data, tail)
+        else:
+            bare_probs = components if diagonal else np.abs(components) ** 2
+            if _tail_estimate(bare_probs) < tail_tol * np.sum(bare_probs):
+                raise DegenerateState(f"{name} is annihilated")
         if dim >= limit:
-            raise CutoffExceeded(
-                f"{spec.canonical()} needs more than {limit} Fock levels "
-                f"for tail tolerance {tail_tol}"
-            )
+            subject = f"{name} moments need" if order else f"{name} needs"
+            raise CutoffExceeded(f"{subject} more than {limit} Fock levels for tail tolerance {tail_tol}")
         dim = min(2 * dim, limit)
 
 
-def _build_auto_at_cutoff(spec: StateSpec, dim: int) -> TruncatedState:
-    """Diagonal weights for a Fock-diagonal family, a pure vector otherwise."""
-    diagonal = spec.family.diagonal
-    engineered = _engineer(_BARE_COMPONENTS[spec.family](spec.parameter, dim), spec, diagonal)
-    # weights divide by their sum, the trace; amplitudes by their norm, its root
-    total = float(np.sum(engineered) if diagonal else np.linalg.norm(engineered))
-    if not total > _NORM_FLOOR:
-        raise DegenerateState(f"{spec.canonical()} is annihilated")
-    data = engineered / total
-    tail = _tail_estimate(data if diagonal else np.abs(data) ** 2, structural_zeros=spec.op.p)
-    return TruncatedState(dim, KIND_DIAGONAL if diagonal else KIND_VECTOR, data, tail)
+def _grow_spec(spec: StateSpec, tail_tol: float, min_cutoff: int = 0, order: int = 0) -> TruncatedState:
+    return _grow(spec.canonical(), partial(_BARE_COMPONENTS[spec.family], spec.parameter), spec.op,
+                 spec.family.diagonal, tail_tol, min_cutoff, order)
 
 
-def oracle_moment(state: TruncatedState, m: int, n: int) -> complex:
-    """<a'^m a^n> from the truncated representation via ladder products."""
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be non-negative")
-    if m + n >= state.cutoff / 2:
-        raise CutoffExceeded(
-            f"moment order {m}+{n} too close to cutoff {state.cutoff}"
-        )
-    if state.kind == KIND_VECTOR:
-        left = _ladder(state.data, m, creation=False, diagonal=False)
-        right = _ladder(state.data, n, creation=False, diagonal=False)
-        return complex(np.vdot(left, right))
-    if m != n:
-        return 0j
-    return complex(np.dot(state.data[n:], _falling(state.cutoff - n, n)))
+def build_truncated(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL,
+                    min_cutoff: int = 0) -> TruncatedState:
+    """Build the engineered state numerically, growing the cutoff (_grow)
+    until the mass near the top of the basis is below tail_tol, from at
+    least min_cutoff (Husimi evaluations need |beta|^2 well inside it).
+    add-then-subtract applies a'^q first and a^p second, the other order is
+    reversed. A grid spec raises ValueError: truncated_states builds one
+    per point."""
+    if isinstance(spec.parameter, np.ndarray):
+        raise ValueError(f"build_truncated takes one state, not a grid spec of {len(spec.parameter)} points")
+    return _grow_spec(spec, tail_tol, min_cutoff)
 
 
-def oracle_moment_block(state: TruncatedState, order: int) -> np.ndarray:
-    """<a'^m a^n> for m, n = 0 .. order, as an (order+1) x (order+1) array.
+def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> TruncatedState:
+    """Plain coherent state |alpha> in the truncated basis (baseline states)."""
+    alpha = complex(alpha)
+    return _grow(f"coherent state |{alpha}>", partial(coherent_amplitudes, alpha), EngineeringOp.bare(),
+                 False, tail_tol)
 
-    A pure state stacks its lowered vectors a^k psi and takes one product of
-    them; a diagonal state has only the m = n entries, one falling-factorial
-    dot each through oracle_moment. The cutoff guard is oracle_moment's for
-    the largest entry.
+
+def truncated_states(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0):
+    """The state of a one-state spec, or a list over a grid spec's points
+    with None where a state is annihilated, each grown by _grow for moments
+    of that order. For one state DegenerateState propagates, as
+    CutoffExceeded does on either."""
+    if not isinstance(spec.parameter, np.ndarray):
+        return _grow_spec(spec, tail_tol, order=order)
+    states = []
+    for value in spec.parameter:
+        try:
+            states.append(_grow_spec(StateSpec.of(spec.family, value, spec.op), tail_tol, order=order))
+        except DegenerateState:
+            states.append(None)
+    return states
+
+
+def over_states(states, quantity, rows: int, dtype=float) -> np.ndarray:
+    """quantity(state), `rows` values, of one state, or stacked as columns
+    over a list of states, NaN where a state is None (annihilated)."""
+    if isinstance(states, TruncatedState):
+        return quantity(states)
+    out = np.full((rows, len(states)), math.nan, dtype=dtype)
+    for i, state in enumerate(states):
+        if state is not None:
+            out[:, i] = quantity(state)
+    return out
+
+
+def oracle_moment(state: TruncatedState, m, n):
+    """<a'^m a^n> from the truncated representation via ladder products.
+
+    m and n are ints, which give a complex, or equal-length 1-d integer
+    arrays of pairs (m[i], n[i]), as states.moment takes them. Each value
+    sums one elementwise product of lowered vectors a^k psi (on a diagonal
+    state, the diagonal of a^k rho a'^k itself). A pair with m + n at or
+    above half the cutoff raises CutoffExceeded.
     """
-    if order < 0:
+    ms, ns = np.atleast_1d(m, n)
+    if min(ms.min(initial=0), ns.min(initial=0)) < 0:
         raise ValueError("moment orders must be non-negative")
-    if 2 * order >= state.cutoff / 2:
-        raise CutoffExceeded(
-            f"moment order {order}+{order} too close to cutoff {state.cutoff}"
-        )
-    size = order + 1
-    if state.kind == KIND_VECTOR:
-        lowered = np.array([_ladder(state.data, k, creation=False, diagonal=False)
-                            for k in range(size)])
-        return lowered.conj() @ lowered.T
-    return np.diag([oracle_moment(state, n, n) for n in range(size)])
+    too_close = ms + ns >= state.cutoff / 2
+    if too_close.any():
+        i = int(np.argmax(too_close))
+        raise CutoffExceeded(f"moment order {ms[i]}+{ns[i]} too close to cutoff {state.cutoff}")
+    diagonal = state.kind == KIND_DIAGONAL
+    index, scale = _lowering(state.cutoff, int(max(ms.max(initial=0), ns.max(initial=0))), diagonal)
+    lowered = state.data[index] * scale
+    if diagonal:
+        # only m = n survives on a diagonal state
+        values = np.where(ms == ns, np.sum(lowered[ns], axis=-1), 0.0).astype(complex)
+    else:
+        values = np.sum(lowered[ms].conj() * lowered[ns], axis=-1)
+    return complex(values[0]) if np.ndim(m) == np.ndim(n) == 0 else values
 
 
-def oracle_photon_prob(state: TruncatedState, m: int) -> float:
-    """p_m = <m| sigma |m>; 0 with a warning beyond the cutoff."""
-    if m < 0:
+def oracle_photon_prob(state: TruncatedState, m):
+    """p_m = <m| sigma |m> for an int m or a 1-d array of them; 0 with a
+    warning beyond the cutoff."""
+    numbers = np.atleast_1d(m)
+    if numbers.min(initial=0) < 0:
         raise ValueError("photon number must be non-negative")
-    if m >= state.cutoff:
-        warnings.warn(
-            f"photon number {m} is beyond the cutoff {state.cutoff}; returning 0",
-            stacklevel=2,
-        )
-        return 0.0
-    return float(state.probabilities()[m])
+    beyond = numbers >= state.cutoff
+    if beyond.any():
+        warnings.warn(f"photon number {numbers[beyond][0]} is beyond the cutoff {state.cutoff}; returning 0",
+                      stacklevel=2)
+    values = np.where(beyond, 0.0, state.probabilities()[np.minimum(numbers, state.cutoff - 1)])
+    return float(values[0]) if np.ndim(m) == 0 else values
 
 
-def oracle_husimi(state: TruncatedState, beta: complex) -> float:
-    """Q(beta) = <beta| sigma |beta> / pi from the truncated state."""
-    beta = complex(beta)
-    if abs(beta) ** 2 >= state.cutoff / 4:
-        raise CutoffExceeded(
-            f"|beta|^2 = {abs(beta) ** 2:.3f} is not well inside cutoff {state.cutoff}"
-        )
-    bra = coherent_amplitudes(beta, state.cutoff)
-    if state.kind == KIND_VECTOR:
-        return float(abs(np.vdot(bra, state.data)) ** 2 / math.pi)
-    return float(np.sum(state.data * np.abs(bra) ** 2) / math.pi)
+def oracle_husimi(state: TruncatedState, beta):
+    """Q(beta) = <beta| sigma |beta> / pi from the truncated state.
+
+    beta is one complex amplitude, which gives a float, or an array of any
+    shape. Every |beta|^2 must lie below a quarter of the cutoff, or
+    CutoffExceeded names the largest. The bras are coherent_amplitudes, and
+    a diagonal state's weights e^{-|beta|^2} |beta|^{2k} / k! their squared
+    moduli, so neither underflows where e^{-|beta|^2} does.
+    """
+    beta = np.asarray(beta, dtype=complex)
+    r2 = np.abs(beta) ** 2
+    if np.any(r2 >= state.cutoff / 4):
+        raise CutoffExceeded(f"|beta|^2 = {r2.max():.3f} is not well inside cutoff {state.cutoff}")
+
+    def q(z):
+        # one sum over the levels per point, the same in any chunk
+        bras = coherent_amplitudes(z, state.cutoff)
+        if state.kind == KIND_DIAGONAL:
+            return np.sum(np.abs(bras) ** 2 * state.data, axis=-1)
+        return np.abs(np.sum(bras.conj() * state.data, axis=-1)) ** 2
+
+    chunks = np.array_split(beta.ravel(), 1 + beta.size * state.cutoff // _HUSIMI_CHUNK)
+    values = np.concatenate([q(z) for z in chunks]).reshape(beta.shape) / math.pi
+    return float(values) if beta.ndim == 0 else values
 
 
 def oracle_poissonian_central_moment(mean: float, l):
@@ -318,89 +387,29 @@ def _log_factorials(count: int) -> np.ndarray:
     return _log_factorial_table(1 << max(count - 1, 1).bit_length())[:count]
 
 
-def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> TruncatedState:
-    """Plain coherent state |alpha> in the truncated basis (baseline states)."""
-    limit = max_cutoff()
-    dim = min(_INITIAL_CUTOFF, limit)
-    while True:
-        vec = coherent_amplitudes(alpha, dim)
-        nrm = float(np.linalg.norm(vec))
-        vec = vec / nrm
-        tail = _tail_estimate(np.abs(vec) ** 2)
-        if tail < tail_tol:
-            return TruncatedState(dim, KIND_VECTOR, vec, tail)
-        if dim >= limit:
-            raise CutoffExceeded(f"coherent state |{alpha}| needs more than {limit} levels")
-        dim = min(2 * dim, limit)
+def moment_table_from_state(states, spec: StateSpec | None = None, pairs=()) -> MomentTable:
+    """Moment cache (provenance 'oracle') over a list of truncated states,
+    filled by one oracle_moment call per state: an entry is an array over
+    them, NaN where a state is None (annihilated); over one state, a complex."""
+    def fill(ms, ns):
+        # the module's oracle_moment, as looked up at call time
+        return over_states(states, lambda state: oracle_moment(state, ms, ns), len(ms), complex)
+
+    return MomentTable(spec, fill, "oracle", pairs)
 
 
-def moment_table_from_state(state, spec: StateSpec | None = None) -> MomentTable:
-    """Moment cache backed by a truncated state (provenance 'oracle'), whose
-    entries are complex numbers; or by a list of states, one per point of a
-    grid, whose entries are arrays over them, NaN where a state is None (an
-    annihilated point)."""
-    if isinstance(state, TruncatedState):
-        return MomentTable(spec, lambda m, n: oracle_moment(state, m, n), provenance="oracle")
-
-    def source(m, n):
-        return np.array([math.nan if s is None else oracle_moment(s, m, n) for s in state], dtype=complex)
-
-    return MomentTable(spec, source, provenance="oracle")
+def _tail_order(pairs) -> int:
+    """The largest (m + n) // 2 over the pairs: the n of the <a'^n a^n>
+    whose tail a basis read at those pairs must hold (l/2 for hos(l))."""
+    return max(((m + n) // 2 for m, n in pairs), default=0)
 
 
-def _moment_tail(state: TruncatedState, structural_zeros: int, order: int) -> float:
-    """_tail_estimate of sum_k p_k k^order, relative to that sum where it
-    exceeds 1 (absolute below, as the witness comparisons are)."""
-    weighted = state.probabilities() * np.arange(state.cutoff, dtype=float) ** order
-    return _tail_estimate(weighted, structural_zeros) / max(1.0, float(np.sum(weighted)))
-
-
-def truncated_states(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int | None = None) -> list:
-    """The truncated state of each point of spec, at its own cutoff: one for
-    one state, one per point of a grid spec. With an order, each cutoff then
-    doubles until the tail weighted by k^order is below tail_tol too. A point
-    of a grid where the state is annihilated (DegenerateState) is None; for
-    one state the error propagates, as CutoffExceeded does on either."""
-    def build(point: StateSpec) -> TruncatedState:
-        state = build_truncated(point, tail_tol)
-        while order is not None and _moment_tail(state, point.op.p, order) >= tail_tol:
-            if state.cutoff >= max_cutoff():
-                raise CutoffExceeded(
-                    f"{point.canonical()} moments need more than {state.cutoff} Fock levels "
-                    f"for tail tolerance {tail_tol}"
-                )
-            state = build_truncated(point, tail_tol, min_cutoff=2 * state.cutoff)
-        return state
-
-    if not isinstance(spec.parameter, np.ndarray):
-        return [build(spec)]
-    states = []
-    for value in spec.parameter:
-        try:
-            states.append(build(StateSpec.of(spec.family, value, spec.op)))
-        except DegenerateState:
-            states.append(None)
-    return states
-
-
-def oracle_photon_probs(states: list, numbers) -> np.ndarray:
-    """p_m of each state for m in numbers, one row per m and one column per
-    state; NaN in the column of a None (annihilated) state."""
-    return np.array([[math.nan if s is None else oracle_photon_prob(s, m) for s in states]
-                     for m in numbers])
-
-
-def oracle_moment_table(
-    spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = DEFAULT_MOMENT_ORDER
-) -> MomentTable:
-    """Oracle moments on a basis that holds the tails of the moments read,
-    up to <a'^order a^order>, not only the probability mass: build_truncated
-    stops when the mass near the top of the basis is below tail_tol, and the
-    cutoff then doubles until the tail weighted by k^order is below it too.
-    Over a grid spec each entry is an array, NaN at the annihilated points.
+def oracle_moment_table(spec: StateSpec, tail_tol: float, pairs) -> MomentTable:
+    """Oracle moments of spec's states at the given pairs, on bases that
+    hold those moments' tails and admit them (truncated_states at
+    _tail_order); over a grid spec an entry is an array, NaN where annihilated.
     """
-    states = truncated_states(spec, tail_tol, order)
-    return moment_table_from_state(states if isinstance(spec.parameter, np.ndarray) else states[0], spec)
+    return moment_table_from_state(truncated_states(spec, tail_tol, _tail_order(pairs)), spec, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +461,9 @@ def stable_oracle_value(
     at the converged cutoff D must match the value at 2D to gate_rel_tol.
     """
     state = build_truncated(spec, tail_tol)
-    doubled = _grow_to(spec, 2 * state.cutoff)
+    doubled = build_truncated(spec, tail_tol, min_cutoff=2 * state.cutoff)
+    if doubled.cutoff != 2 * state.cutoff:
+        raise CutoffExceeded(f"doubled cutoff {2 * state.cutoff} exceeds the hard limit")
     first = float(evaluate(state))
     second = float(evaluate(doubled))
     scale = max(abs(first), abs(second), 1e-30)
@@ -462,9 +473,3 @@ def stable_oracle_value(
             f"({first!r} vs {second!r})"
         )
     return FixtureRecord(spec.canonical(), quantity, state.cutoff, first)
-
-
-def _grow_to(spec: StateSpec, dim: int) -> TruncatedState:
-    if dim > max_cutoff():
-        raise CutoffExceeded(f"doubled cutoff {dim} exceeds the hard limit")
-    return _build_auto_at_cutoff(spec, dim)

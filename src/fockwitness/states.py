@@ -868,45 +868,40 @@ def _family(name: str) -> Family:
 class MomentTable:
     """Memoized normalized moments <a'^m a^n> for one state spec.
 
-    A table made with a `source(m, n)` computes each entry on its first
-    request. An analytic table instead holds the pairs its reader needs
-    (witnesses._moment_pairs): the first get fills all of them with one
-    `moment` call over the pair arrays, and a get of any other pair makes
-    the same call with that one pair.
+    A table holds the pairs its reader needs (witnesses._moment_pairs) and a
+    `fill(ms, ns)` that gives the moments of a pair set, as two equal-length
+    order arrays, stacked on axis 0: the first get fills all the pairs in
+    one call, and a get of any other pair makes the same call with that one
+    pair. An analytic table fills with `moment`, an oracle table
+    (oracle.moment_table_from_state) with one oracle_moment call per state.
 
-    For a grid spec (one operation over an array of parameters) the analytic
-    table is one table for the whole grid: get(m, n) is an ndarray over the
-    grid, NaN where the operation annihilates the state, so a witness body
-    run on it gives the whole series at once. For one state an entry is a
-    complex, as the int call of `moment` gives it.
+    For a grid spec (one operation over an array of parameters) the table
+    is one table for the whole grid: get(m, n) is an ndarray over the grid,
+    NaN where the operation annihilates the state, so a witness body run on
+    it gives the whole series at once. For one state an entry is a complex,
+    as the int call of `moment` gives it.
 
     Immutable from the caller's point of view: entries are computed once and
     cached on first request.
     """
 
-    def __init__(self, spec: StateSpec, source: Callable[[int, int], complex] | None,
+    def __init__(self, spec: StateSpec, fill: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  provenance: str = "analytic", pairs=()):
         self.spec = spec
         self.provenance = provenance
-        self._source = source
-        self._pairs = tuple(pairs)
+        self._fill = fill
+        self.pairs = tuple(pairs)
         self._cache: dict[tuple[int, int], complex] = {}
 
     @classmethod
     def analytic(cls, spec: StateSpec, pairs=()) -> "MomentTable":
-        return cls(spec, None, "analytic", pairs)
+        # the module's moment, as looked up at call time
+        return cls(spec, lambda ms, ns: moment(spec, ms, ns), "analytic", pairs)
 
     def get(self, m: int, n: int) -> complex:
         key = (m, n)
         if key not in self._cache:
-            if self._source is not None:
-                self._cache[key] = self._source(m, n)
-            else:
-                self._fill(self._pairs if key in self._pairs else (key,))
+            pairs = self.pairs if key in self.pairs else (key,)
+            values = self._fill(*(np.array(orders, dtype=np.intp) for orders in zip(*pairs)))
+            self._cache.update(zip(pairs, values.tolist() if values.ndim == 1 else values))
         return self._cache[key]
-
-    def _fill(self, pairs) -> None:
-        ms, ns = (np.array(orders, dtype=np.intp) for orders in zip(*pairs))
-        # the module's moment, as looked up at call time
-        values = moment(self.spec, ms, ns)
-        self._cache.update(zip(pairs, values.tolist() if values.ndim == 1 else values))

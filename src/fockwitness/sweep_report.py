@@ -200,9 +200,9 @@ def husimi_grid(
     """Husimi Q on a square grid; rows scan Im(beta), columns Re(beta).
 
     The values come from the husimi-zero scan's grid route on the same
-    window: one states.husimi call for the analytic engine, and point by
-    point on one truncated basis for the oracle (engine "oracle", and the
-    second route of "both").
+    window: one call over the grid's beta array, to states.husimi for the
+    analytic engine and to oracle_husimi on one truncated basis for the
+    oracle (engine "oracle", and the second route of "both").
     """
     grid = witnesses_mod.ScanGrid(window[0], window[1], window[0], window[1], steps)
     engines = ("analytic", "oracle") if engine == "both" else (engine,)

@@ -128,25 +128,25 @@ def suite_moments(tol: float = MOMENT_TOL) -> SuiteResult:
     """Analytic moments against oracle moments over the full spec grid.
 
     Each (op, family) is one grid spec on the analytic side, all its pairs
-    one moment call, and each state one block of oracle moments
-    <a'^m a^n>, m, n <= 5.
+    one moment call, and each state one oracle_moment call for the same
+    pairs <a'^m a^n>, m, n <= 5.
     """
     tally = _Tally()
     for op, family, values in _grid_series():
         specs = [StateSpec.of(family, value, op) for value in values]
-        blocks = np.array([oracle_mod.oracle_moment_block(_oracle_state(s), 5) for s in specs])
         pairs = [(n, n) for n in range(6)]
         if not family.diagonal:
             pairs += [(m, n) for m in range(5) for n in range(5) if m != n]
         ms, ns = np.array(pairs).T
         # one row per pair, one column per state
         analytic = states_mod.moment(StateSpec.of(family, np.array(values), op), ms, ns)
+        oracle = np.array([oracle_mod.oracle_moment(_oracle_state(s), ms, ns) for s in specs]).T
 
         def note(i, dev):
             pair, state = divmod(i, len(specs))
             return f"{specs[state].canonical()} moment({ms[pair]},{ns[pair]}): dev {dev:.3e}"
 
-        tally.add(_rel_dev(analytic, blocks[:, ms, ns].T), tol, note)
+        tally.add(_rel_dev(analytic, oracle), tol, note)
     return tally.result("moments")
 
 
@@ -180,7 +180,7 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         analytic = _table(grid, *((w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)),
                           ("hos", 2), ("hos", 4), ("agarwal_tara", 0))
         oracle_states = [_oracle_state(spec) for spec in specs]
-        tables = (analytic, oracle_mod.moment_table_from_state(oracle_states, grid))
+        tables = (analytic, oracle_mod.moment_table_from_state(oracle_states, grid, analytic.pairs))
         # (label, analytic values, oracle values), each over the states
         rows = [(f"{name}({l})", *(witness(table, l) for table in tables)) for l in (2, 3)
                 for name, witness in (("mandel", witnesses_mod.mandel_q), ("hoa", witnesses_mod.hoa),
@@ -190,7 +190,7 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         # p_0 .. p_6 of every state from one photon_prob call, and from the
         # shared oracle states
         probs = (states_mod.photon_prob(grid, np.arange(7)),
-                 oracle_mod.oracle_photon_probs(oracle_states, range(7)))
+                 np.array([oracle_mod.oracle_photon_prob(state, np.arange(7)) for state in oracle_states]).T)
         rows += [(f"klyshko({m})", *(witnesses_mod.klyshko_from_probs(m, *p[m:m + 3]) for p in probs))
                  for m in (0, 2, 4)]
         # Husimi Q takes one state
@@ -437,9 +437,8 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: str):
         return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec), beta)
     if quantity.startswith("hosps("):
         l = int(quantity[6:-1])
-        if engine == "analytic":
-            return witnesses_mod.hosps(_table(spec, ("hosps", l)), l)
-        return witnesses_mod.hosps(oracle_mod.oracle_moment_table(spec, order=l), l)
+        table = witnesses_mod._table_for(spec, engine, oracle_mod.DEFAULT_TAIL_TOL, "hosps", l)
+        return witnesses_mod.hosps(table, l)
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
 

@@ -223,8 +223,12 @@ def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.
     """p_m for m in numbers over spec's states, one row per m: a column
     per point of a grid spec, one column for one state."""
     if engine == "analytic":
-        return states_mod.photon_prob(spec, np.array(numbers)).reshape(len(numbers), -1)
-    return oracle_mod.oracle_photon_probs(oracle_mod.truncated_states(spec, tail_tol), numbers)
+        probs = states_mod.photon_prob(spec, numbers)
+    else:
+        probs = oracle_mod.over_states(oracle_mod.truncated_states(spec, tail_tol),
+                                       lambda state: oracle_mod.oracle_photon_prob(state, numbers),
+                                       len(numbers))
+    return probs.reshape(len(numbers), -1)
 
 
 def klyshko(
@@ -236,7 +240,7 @@ def klyshko(
     """Klyshko indicator B(m) = (m+2) p_m p_{m+2} - (m+1) p_{m+1}^2."""
     if m < 0:
         raise ValueError("photon number must be non-negative")
-    probs = _photon_probs(spec, (m, m + 1, m + 2), engine, tail_tol)
+    probs = _photon_probs(spec, np.arange(m, m + 3), engine, tail_tol)
     return _unwrap(klyshko_from_probs(m, *probs), spec.parameter)
 
 
@@ -277,14 +281,15 @@ class ScanGrid:
 
 
 def _husimi_grid_values(spec, grid, engine, tail_tol) -> np.ndarray:
-    """Q at grid.points(), in their row-major order."""
+    """Q at grid.points(), in their row-major order, from one call on either engine."""
+    re_axis, im_axis = map(np.array, grid.axes())
+    betas = re_axis[None, :] + 1j * im_axis[:, None]
     if engine == "analytic":
-        re_axis, im_axis = map(np.array, grid.axes())
-        return states_mod.husimi(spec, re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+        return states_mod.husimi(spec, betas).ravel()
     corner = max(abs(grid.re_min), abs(grid.re_max)) ** 2
     corner += max(abs(grid.im_min), abs(grid.im_max)) ** 2
     state = oracle_mod.build_truncated(spec, tail_tol, min_cutoff=int(4 * corner) + 8)
-    return np.array([oracle_mod.oracle_husimi(state, beta) for beta in grid.points()])
+    return oracle_mod.oracle_husimi(state, betas).ravel()
 
 
 def _relative_husimi(spec, grid, engine, tail_tol) -> np.ndarray:
@@ -339,20 +344,14 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, n) for n in range(first, last + 1))
 
 
-def _moment_order(witness: str, order: int) -> int:
-    """The largest (m + n) // 2 over the pairs the witness reads: the n of
-    the <a'^n a^n> whose tail the oracle basis must hold (l/2 for hos(l))."""
-    return max(((m + n) // 2 for m, n in _moment_pairs(witness, order)), default=0)
-
-
 def _table_for(spec: StateSpec, engine: str, tail_tol: float, witness: str, order: int) -> MomentTable:
-    """The witness's moment table: an analytic table holds the pairs it
-    reads, and an oracle basis holds the tails of the moments up to
-    <a'^k a^k>, k = _moment_order."""
+    """The witness's moment table on either engine, holding the pairs it
+    reads; an oracle basis also holds the tails of those moments."""
+    pairs = _moment_pairs(witness, order)
     if engine == "analytic":
-        return MomentTable.analytic(spec, _moment_pairs(witness, order))
+        return MomentTable.analytic(spec, pairs)
     if engine == "oracle":
-        return oracle_mod.oracle_moment_table(spec, tail_tol, _moment_order(witness, order))
+        return oracle_mod.oracle_moment_table(spec, tail_tol, pairs)
     raise ValueError(f"unknown engine {engine!r}")
 
 

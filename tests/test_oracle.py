@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 import dense
-from fockwitness import oracle
+from fockwitness import cli, oracle, states, witnesses
 from fockwitness.errors import CutoffExceeded, DegenerateState
 from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
 
@@ -80,10 +81,12 @@ def test_diagonal_and_matrix_paths_agree_for_thermal():
 
 
 def test_degenerate_states_raise():
-    with pytest.raises(DegenerateState):
-        oracle.build_truncated(StateSpec.thermal(0.0, EngineeringOp.psa(1, 0)))
-    with pytest.raises(DegenerateState):
-        oracle.build_truncated(StateSpec.even_coherent(0.0, EngineeringOp.pas(2, 1)))
+    for spec in (StateSpec.thermal(0.0, EngineeringOp.psa(1, 0)),
+                 StateSpec.thermal(0.0, EngineeringOp.pas(2, 1)),
+                 StateSpec.even_coherent(0.0, EngineeringOp.pas(2, 1)),
+                 StateSpec.even_coherent(0.0, EngineeringOp.psa(1, 0))):
+        with pytest.raises(DegenerateState):
+            oracle.build_truncated(spec)
 
 
 def test_vacuum_add_then_subtract_is_fock_state():
@@ -133,7 +136,8 @@ def test_cutoff_doubling_stability():
     # doubling the converged cutoff moves reported values by < 1e-10 relative
     spec = StateSpec.thermal(2.0, EngineeringOp.psa(2, 1))
     state = oracle.build_truncated(spec, 1e-13)
-    doubled = oracle._grow_to(spec, 2 * state.cutoff)
+    doubled = oracle.build_truncated(spec, 1e-13, min_cutoff=2 * state.cutoff)
+    assert doubled.cutoff == 2 * state.cutoff
     for m in range(5):
         first = oracle.oracle_moment(state, m, m).real
         second = oracle.oracle_moment(doubled, m, m).real
@@ -242,21 +246,184 @@ def test_ladders_agree_with_matrix_route(spec):
 
 @pytest.mark.parametrize("spec", _LADDER_SPECS, ids=lambda s: s.canonical())
 def test_moment_block_agrees_with_matrix_route(spec):
+    # the block <a'^m a^n>, m, n <= 5, from one oracle_moment call over its
+    # pairs, each value the one its int call gives, bit for bit
     state = oracle.build_truncated(spec, 1e-15)
     rho = _matrix_twin(spec, state)
     order = 5
-    block = oracle.oracle_moment_block(state, order)
-    assert block.shape == (order + 1, order + 1)
-    for m in range(order + 1):
-        for n in range(order + 1):
-            reference = dense.moment(rho, m, n)
-            for value in (block[m, n], oracle.oracle_moment(state, m, n)):
-                assert abs(value - reference) <= 1e-14 * abs(reference), (m, n)
+    ms, ns = (a.ravel() for a in np.indices((order + 1, order + 1)))
+    block = oracle.oracle_moment(state, ms, ns)
+    assert block.shape == ((order + 1) ** 2,)
+    for value, m, n in zip(block, ms.tolist(), ns.tolist()):
+        reference = dense.moment(rho, m, n)
+        assert abs(value - reference) <= 1e-14 * abs(reference), (m, n)
+        assert value == oracle.oracle_moment(state, m, n), (m, n)
 
 
 def test_moment_block_keeps_the_cutoff_guard():
     state = oracle.build_truncated(StateSpec.thermal(0.5))
     assert state.cutoff == 32
-    oracle.oracle_moment_block(state, 7)
-    with pytest.raises(CutoffExceeded):
-        oracle.oracle_moment_block(state, 8)
+    ms, ns = (a.ravel() for a in np.indices((8, 8)))
+    oracle.oracle_moment(state, ms, ns)
+    with pytest.raises(CutoffExceeded, match="moment order 8\\+8"):
+        oracle.oracle_moment(state, np.append(ms, 8), np.append(ns, 8))
+
+
+# ---------------------------------------------------------------------------
+# One body per quantity: an array call equals its one-element calls
+# ---------------------------------------------------------------------------
+
+_BODY_SPECS = [StateSpec.thermal(1.3, EngineeringOp.psa(2, 1)),
+               StateSpec.even_coherent(1.1 - 0.4j, EngineeringOp.pas(1, 2))]
+
+
+@pytest.mark.parametrize("spec", _BODY_SPECS, ids=lambda s: s.canonical())
+def test_photon_prob_array_equals_its_int_calls(spec):
+    state = oracle.build_truncated(spec)
+    numbers = np.array([4, 0, 1, 7, 1, state.cutoff - 1])
+    probs = oracle.oracle_photon_prob(state, numbers)
+    assert probs.shape == numbers.shape
+    singles = [oracle.oracle_photon_prob(state, m) for m in numbers.tolist()]
+    assert all(type(p) is float for p in singles)
+    assert probs.tolist() == singles
+
+
+def test_photon_prob_array_beyond_cutoff_warns_and_gives_zero_there():
+    state = oracle.build_truncated(StateSpec.thermal(0.5))
+    with pytest.warns(UserWarning, match=f"photon number {state.cutoff + 2} is beyond"):
+        probs = oracle.oracle_photon_prob(state, np.array([1, state.cutoff + 2]))
+    assert probs.tolist() == [oracle.oracle_photon_prob(state, 1), 0.0]
+    with pytest.raises(ValueError):
+        oracle.oracle_photon_prob(state, np.array([1, -1]))
+
+
+@pytest.mark.parametrize("spec", _BODY_SPECS, ids=lambda s: s.canonical())
+def test_husimi_array_of_any_shape_equals_its_point_calls(spec, monkeypatch):
+    state = oracle.build_truncated(spec, min_cutoff=136)
+    re_axis, im_axis = np.linspace(-4.0, 4.0, 7), np.linspace(-4.0, 3.0, 5)
+    betas = re_axis[None, :] + 1j * im_axis[:, None]
+    q = oracle.oracle_husimi(state, betas)
+    assert q.shape == betas.shape
+    points = [oracle.oracle_husimi(state, complex(beta)) for beta in betas.ravel()]
+    assert all(type(value) is float for value in points)
+    assert q.ravel().tolist() == points
+    assert oracle.oracle_husimi(state, betas.reshape(5, 7, 1)).ravel().tolist() == points
+    # chunks of about 3 points: each point is the same in any chunk
+    monkeypatch.setattr(oracle, "_HUSIMI_CHUNK", 3 * state.cutoff)
+    assert oracle.oracle_husimi(state, betas).ravel().tolist() == points
+
+
+def test_husimi_guard_holds_at_every_point():
+    state = oracle.build_truncated(StateSpec.thermal(0.5))
+    edge = math.sqrt(state.cutoff) / 2
+    oracle.oracle_husimi(state, np.array([0.0, 0.999 * edge]))
+    with pytest.raises(CutoffExceeded, match=f"cutoff {state.cutoff}"):
+        oracle.oracle_husimi(state, np.array([[0.0, 0.5j], [edge * 1j, 0.1]]))
+
+
+def test_coherent_amplitudes_array_equals_its_scalar_calls():
+    zs = np.array([[0.0, 1.5 - 0.2j], [-3.3, 30 * cmath.exp(1j * math.pi / 7)]])
+    amps = oracle.coherent_amplitudes(zs, 2048)
+    assert amps.shape == (2, 2, 2048)
+    for z, row in zip(zs.ravel(), amps.reshape(4, 2048)):
+        assert np.array_equal(oracle.coherent_amplitudes(z, 2048), row)
+    # the vacuum: exactly |0>
+    assert amps[0, 0, 0] == 1.0 and not amps[0, 0, 1:].any()
+
+
+def _log_form(z, dim):
+    """The log-form reference <k|z> = exp(k log z - log(k!)/2 - |z|^2/2)."""
+    k = np.arange(dim)
+    log_factorials = np.array([math.lgamma(i + 1) for i in range(dim)])
+    return np.exp(k * np.log(complex(z)) - 0.5 * log_factorials - 0.5 * abs(z) ** 2)
+
+
+@pytest.mark.parametrize("z", [40.0, 30 * cmath.exp(1j * math.pi / 7)], ids=["40", "30e^(i pi/7)"])
+def test_coherent_amplitudes_where_the_gaussian_factor_underflows(z):
+    # e^(-|z|^2/2) alone is 0 in doubles at |z| = 40 and 6.9e-196 at 30
+    amps = oracle.coherent_amplitudes(z, 2048)
+    reference = _log_form(z, 2048)
+    assert np.max(np.abs(amps - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+# at the guard's edge of a 4096-level basis: |beta|^2 just under 1024, where
+# e^(-|beta|^2) (the first factor of a diagonal weight) underflows to 0
+_EDGE_BETA = math.sqrt(1023.9) * cmath.exp(1j * math.pi / 7)
+
+
+def test_husimi_bras_at_the_guard_edge():
+    state = oracle.build_truncated(StateSpec.even_coherent(31 * cmath.exp(1j * math.pi / 7)), min_cutoff=4096)
+    assert (state.cutoff, state.kind) == (4096, oracle.KIND_VECTOR)
+    bra = oracle.coherent_amplitudes(_EDGE_BETA, 4096)
+    reference = _log_form(_EDGE_BETA, 4096)
+    assert np.max(np.abs(bra - reference)) <= 1e-12 * np.max(np.abs(reference))
+    expected = abs(np.vdot(reference, state.data)) ** 2 / math.pi
+    assert oracle.oracle_husimi(state, _EDGE_BETA) == pytest.approx(expected, rel=1e-10)
+    assert expected > 0.01
+
+
+def test_husimi_weights_at_the_guard_edge():
+    rbar = 50.0
+    state = oracle.build_truncated(StateSpec.thermal(rbar), min_cutoff=4096)
+    assert (state.cutoff, state.kind) == (4096, oracle.KIND_DIAGONAL)
+    weights = np.abs(oracle.coherent_amplitudes(_EDGE_BETA, 4096)) ** 2
+    reference = np.abs(_log_form(_EDGE_BETA, 4096)) ** 2
+    assert np.max(np.abs(weights - reference)) <= 1e-12 * np.max(reference)
+    # the weights are the Poisson distribution of mean |beta|^2
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
+    # the thermal Q is the Gaussian e^(-|beta|^2/(rbar+1)) / (pi (rbar+1))
+    expected = math.exp(-abs(_EDGE_BETA) ** 2 / (rbar + 1)) / (math.pi * (rbar + 1))
+    assert oracle.oracle_husimi(state, _EDGE_BETA) == pytest.approx(expected, rel=1e-9)
+    assert oracle.oracle_husimi(state, _EDGE_BETA) == pytest.approx(
+        np.sum(reference * state.data) / math.pi, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The one growth loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [30.0, 40.0])
+def test_a_large_cat_grows_past_its_underflowing_amplitudes(alpha):
+    # at 32 levels every amplitude underflows: the norm is 0 there, yet the
+    # bare cat is not annihilated, and the basis grows until it holds it
+    spec = StateSpec.even_coherent(alpha)
+    assert oracle.build_truncated(spec).cutoff == 2048
+    for witness in ("hoa", "mandel", "hosps"):
+        value = witnesses.evaluate_witness(spec, witness, 2, engine="oracle").value
+        analytic = witnesses.evaluate_witness(spec, witness, 2).value
+        assert abs(value - analytic) <= 2.4e-10 * max(abs(analytic), 1.0), witness
+
+
+@pytest.mark.parametrize("spec, witness, order", [
+    (StateSpec.even_coherent(0.5), "hoa", 10),
+    (StateSpec.thermal(0.1), "hosps", 8),
+], ids=["hoa(10) ecs", "hosps(8) thermal"])
+def test_a_witness_basis_admits_every_pair_it_reads(spec, witness, order):
+    # the mass alone converges at 32 levels, where <a'^l a^l> is too close
+    # to the cutoff; the basis grows until the guard admits it
+    assert oracle.build_truncated(spec).cutoff == 32
+    value = witnesses.evaluate_witness(spec, witness, order, engine="oracle").value
+    analytic = witnesses.evaluate_witness(spec, witness, order).value
+    assert value == pytest.approx(analytic, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, family", [
+    (StateSpec.even_coherent(1.0), ["--family", "ecs", "--alpha", "1"]),
+    (StateSpec.thermal(2.0), ["--family", "thermal", "--rbar", "2"]),
+], ids=["ecs", "thermal"])
+def test_a_moment_basis_holds_its_tail(spec, family, capsys):
+    # the mass alone gives 32 levels (ecs), too few for <a'^20 a^20>, and
+    # 128 (thermal), 5e-6 off it; the basis grows until its k^20 tail is held
+    table = oracle.oracle_moment_table(spec, 1e-12, ((20, 20),))
+    assert table.get(20, 20) == pytest.approx(states.moment(spec, 20, 20), rel=1e-13)
+    # the CLI reads the same basis
+    argv = ["moment", *family, "--m", "20", "--n", "20", "--engine", "both"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_a_moment_basis_beyond_the_hard_limit_raises(monkeypatch):
+    monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
+    # <a'^20 a^20> needs a cutoff above 82
+    with pytest.raises(CutoffExceeded, match="too close to cutoff 64"):
+        oracle.oracle_moment_table(StateSpec.thermal(0.1), 1e-12, ((20, 20),)).get(20, 20)

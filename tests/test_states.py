@@ -696,19 +696,23 @@ class TestMomentTable:
     def test_caches_values(self):
         calls = []
 
-        def source(m, n):
-            calls.append((m, n))
-            return complex(m + n)
+        def fill(ms, ns):
+            calls.append(list(zip(ms.tolist(), ns.tolist())))
+            return (ms + ns).astype(complex)
 
-        table = MomentTable(StateSpec.thermal(1.0), source)
+        table = MomentTable(StateSpec.thermal(1.0), fill, pairs=((1, 1), (2, 2)))
+        assert table.get(2, 2) == 4
         table.get(2, 2)
-        table.get(2, 2)
-        assert calls == [(2, 2)]
+        assert table.get(1, 1) == 2
+        assert table.get(3, 0) == 3
+        table.get(3, 0)
+        # the table's pairs in one call on the first get, then one per other pair
+        assert calls == [[(1, 1), (2, 2)], [(3, 0)]]
 
     def test_provenance_labels(self):
         spec = StateSpec.thermal(1.0)
         assert MomentTable.analytic(spec).provenance == "analytic"
-        assert oracle.oracle_moment_table(spec).provenance == "oracle"
+        assert oracle.oracle_moment_table(spec, 1e-12, ((1, 1),)).provenance == "oracle"
 
 
 # ---------------------------------------------------------------------------

@@ -350,12 +350,13 @@ class TestMomentPairs:
         def __init__(self, spec, witness, order):
             allowed = set(witnesses._moment_pairs(witness, order))
 
-            def source(m, n):
-                if (m, n) not in allowed:
-                    raise AssertionError(f"{witness}({order}) read ({m}, {n}), not in {sorted(allowed)}")
-                return states.moment(spec, m, n)
+            def fill(ms, ns):
+                for m, n in zip(ms.tolist(), ns.tolist()):
+                    if (m, n) not in allowed:
+                        raise AssertionError(f"{witness}({order}) read ({m}, {n}), not in {sorted(allowed)}")
+                return states.moment(spec, ms, ns)
 
-            super().__init__(spec, source)
+            super().__init__(spec, fill)
 
     @pytest.mark.parametrize("witness, order", _READS)
     @pytest.mark.parametrize("spec", [
@@ -377,7 +378,7 @@ class TestMomentPairs:
     def test_the_oracle_tail_order_is_unchanged(self, witness, order):
         # the n of <a'^n a^n> whose tail the oracle basis holds
         expected = {"agarwal_tara": 4, "hos": order // 2}.get(witness, order)
-        assert witnesses._moment_order(witness, order) == expected
+        assert oracle._tail_order(witnesses._moment_pairs(witness, order)) == expected
 
     @pytest.mark.parametrize("witness, order", _READS)
     def test_a_grid_table_is_one_moment_call(self, monkeypatch, witness, order):
