@@ -16,6 +16,10 @@ Exit codes are the machine-readable failure channel:
 
 All stdout records are single-line CSV. Floats print in their shortest
 round-trip form (17 significant digits at most).
+
+--engine is read by witnesses.engines, and the first engine's value is
+printed. Under "both" each deviation from the oracle (oracle.deviation,
+plain relative for moment) above --tol, or NaN, is named on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import re
 import sys
 
+from . import oracle as oracle_mod
 from . import sweep_report, verify
 from . import states as states_mod
 from . import witnesses as witnesses_mod
@@ -108,6 +113,12 @@ def _fmt(x: float) -> str:
 
 def _tolerance(args: argparse.Namespace) -> float:
     return DEFAULT_TOL if args.tol is None else args.tol
+
+
+def _compared(name: str, values: list, floor: float = 1.0) -> dict[str, float]:
+    """{name: the deviation of the first engine's value from the second's}
+    where an engine choice ran two (oracle.deviation), else {}."""
+    return {name: oracle_mod.deviation(values[0], values[1], floor)} if len(values) > 1 else {}
 
 
 def _check_deviations(deviations: dict[str, float], tol: float) -> int:
@@ -239,49 +250,23 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     if args.m < 0 or args.n < 0:
         raise ConfigError("--m and --n must be non-negative")
     spec = _build_spec(args)
-    engine = args.engine or "analytic"
-    if engine in ("analytic", "both"):
-        value = states_mod.moment(spec, args.m, args.n)
-    else:
-        value = None
-    if engine in ("oracle", "both"):
-        from . import oracle as oracle_mod
-
-        # the witness route's basis, which holds this moment's tail
-        pair = (args.m, args.n)
-        reference = oracle_mod.oracle_moment_table(spec, oracle_mod.DEFAULT_TAIL_TOL, (pair,)).get(*pair)
-        if value is None:
-            value = reference
-        elif abs(value - reference) / max(abs(reference), 1e-30) > _tolerance(args):
-            print(f"{args.m},{args.n},{_fmt(value.real)},{_fmt(value.imag)}")
-            print(
-                f"analytic/oracle deviation exceeds tolerance: {value!r} vs {reference!r}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY_FAILED
-    print(f"{args.m},{args.n},{_fmt(value.real)},{_fmt(value.imag)}")
-    return EXIT_OK
+    # the witnesses' route, whose oracle basis holds this moment's tail
+    pair = (args.m, args.n)
+    values = [witnesses_mod._moment_table(spec, engine, oracle_mod.DEFAULT_TAIL_TOL, (pair,)).get(*pair)
+              for engine in witnesses_mod.engines(args.engine or "analytic")]
+    print(f"{args.m},{args.n},{_fmt(values[0].real)},{_fmt(values[0].imag)}")
+    deviations = _compared(f"moment({args.m},{args.n})", values, oracle_mod.RELATIVE_FLOOR)
+    return _check_deviations(deviations, _tolerance(args))
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     witness, order = _witness_order(args)
     spec = _build_spec(args)
-    engine = args.engine or "analytic"
     variant = args.variant or witnesses_mod.VARIANT_NUMBER_MOMENTS
-
-    def run(engine_name: str) -> witnesses_mod.WitnessResult:
-        return witnesses_mod.evaluate_witness(
-            spec, witness, order=order, variant=variant, engine=engine_name
-        )
-
-    result = run("analytic" if engine in ("analytic", "both") else "oracle")
-    # the sweep and figure rule: relative above magnitude 1, absolute below
-    deviations = {}
-    if engine == "both":
-        reference = run("oracle").value
-        deviations[result.witness] = abs(result.value - reference) / max(abs(reference), 1.0)
-    _print_witness(result)
-    return _check_deviations(deviations, _tolerance(args))
+    results = [witnesses_mod.evaluate_witness(spec, witness, order=order, variant=variant, engine=engine)
+               for engine in witnesses_mod.engines(args.engine or "analytic")]
+    _print_witness(results[0])
+    return _check_deviations(_compared(witness, [r.value for r in results]), _tolerance(args))
 
 
 def _print_witness(result: witnesses_mod.WitnessResult) -> None:

@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import CutoffExceeded, DegenerateState
+from .errors import CutoffExceeded, DegenerateState, OutOfRange
 from .states import (
     FAMILY_EVEN_COHERENT,
     FAMILY_THERMAL,
@@ -41,9 +41,24 @@ _INITIAL_CUTOFF = 32
 _NORM_FLOOR = 1e-300
 # Husimi points per chunk times the cutoff: a few MB of amplitudes
 _HUSIMI_CHUNK = 1 << 17
+# deviation's floor for a plain relative deviation
+RELATIVE_FLOOR = 1e-30
 
 KIND_VECTOR = "vector"
 KIND_DIAGONAL = "diagonal"
+
+
+def deviation(value, reference, floor: float = 1.0):
+    """|value - reference| / max(|reference|, floor), elementwise over real or
+    complex numbers (which give a float) or arrays: relative above magnitude
+    floor and absolute below. Floor 1 serves witnesses, which are 0 at the
+    classical boundary; RELATIVE_FLOOR moments and fixtures. It is 0 where
+    both sides are NaN (the same gap) and NaN where one is, failing <= tol."""
+    value, reference = np.asarray(value), np.asarray(reference)
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(value - reference) / np.maximum(np.abs(reference), floor)
+    dev = np.where(np.isnan(value) & np.isnan(reference), 0.0, dev)
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def max_cutoff() -> int:
@@ -123,17 +138,21 @@ def _ladder(data: np.ndarray, times: int, *, creation: bool, diagonal: bool) -> 
 
 
 @lru_cache(maxsize=None)
-def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(index, scale) such that row k of data[index] * scale is
-    _ladder(data, k, creation=False), the same products, for k <= top < dim."""
+def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """(index, scale, rows) for top < dim: row k < rows of data[index] * scale
+    is _ladder(data, k, creation=False), the same products; the later rows,
+    whose (j + k)!/j! pass the float range, are 0."""
     index = np.minimum(np.arange(top + 1)[:, None] + np.arange(dim), dim - 1)
     scale = np.zeros((top + 1, dim))
-    for k in range(top + 1):
+    with np.errstate(over="ignore"):
+        # (j + k)!/j! grows with j and with k
+        rows = next((k for k in range(top + 1) if _falling(dim - k, k)[-1] == math.inf), top + 1)
+    for k in range(rows):
         scale[k, :dim - k] = _falling(dim - k, k)
     if not diagonal:
         scale = np.sqrt(scale)
     index.flags.writeable = scale.flags.writeable = False
-    return index, scale
+    return index, scale, rows
 
 
 def _thermal_weights(rbar: float, dim: int) -> np.ndarray:
@@ -187,9 +206,12 @@ def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> float:
 
 def _moment_tail(probs: np.ndarray, structural_zeros: int, order: int) -> float:
     """_tail_estimate of sum_k p_k k^order, relative to that sum where it
-    exceeds 1 (absolute below, as the witness comparisons are)."""
-    weighted = probs * np.arange(len(probs), dtype=float) ** order
-    return _tail_estimate(weighted, structural_zeros) / max(1.0, float(np.sum(weighted)))
+    exceeds 1 (absolute below, as the witness comparisons are), in logarithms:
+    k^order alone passes the float range at high orders (511^120 ~ 1e325)."""
+    with np.errstate(divide="ignore"):
+        log_weighted = np.log(probs) + order * np.log(np.arange(len(probs), dtype=float))
+    relative = np.exp(log_weighted - max(0.0, np.logaddexp.reduce(log_weighted)))
+    return _tail_estimate(relative, structural_zeros)
 
 
 def _grow(name: str, bare, op: EngineeringOp, diagonal: bool, tail_tol: float,
@@ -287,7 +309,8 @@ def oracle_moment(state: TruncatedState, m, n):
     arrays of pairs (m[i], n[i]), as states.moment takes them. Each value
     sums one elementwise product of lowered vectors a^k psi (on a diagonal
     state, the diagonal of a^k rho a'^k itself). A pair with m + n at or
-    above half the cutoff raises CutoffExceeded.
+    above half the cutoff raises CutoffExceeded, and a value beyond the
+    float range OutOfRange.
     """
     ms, ns = np.atleast_1d(m, n)
     if min(ms.min(initial=0), ns.min(initial=0)) < 0:
@@ -297,13 +320,21 @@ def oracle_moment(state: TruncatedState, m, n):
         i = int(np.argmax(too_close))
         raise CutoffExceeded(f"moment order {ms[i]}+{ns[i]} too close to cutoff {state.cutoff}")
     diagonal = state.kind == KIND_DIAGONAL
-    index, scale = _lowering(state.cutoff, int(max(ms.max(initial=0), ns.max(initial=0))), diagonal)
-    lowered = state.data[index] * scale
-    if diagonal:
-        # only m = n survives on a diagonal state
-        values = np.where(ms == ns, np.sum(lowered[ns], axis=-1), 0.0).astype(complex)
-    else:
-        values = np.sum(lowered[ms].conj() * lowered[ns], axis=-1)
+    index, scale, rows = _lowering(state.cutoff, int(max(ms.max(initial=0), ns.max(initial=0))), diagonal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lowered = state.data[index] * scale
+        for k in range(rows, len(lowered)):
+            # a^k from a^(k-1): level j takes level j + 1 times j + 1, or its root on a vector
+            lowered[k, :-1] = lowered[k - 1, 1:] * np.arange(1.0, state.cutoff) ** (1.0 if diagonal else 0.5)
+        if diagonal:
+            # only m = n survives on a diagonal state
+            values = np.where(ms == ns, np.sum(lowered[ns], axis=-1), 0.0).astype(complex)
+        else:
+            values = np.sum(lowered[ms].conj() * lowered[ns], axis=-1)
+    if not np.isfinite(values).all():
+        i = int(np.argmax(~np.isfinite(values)))
+        raise OutOfRange(f"<a'^{ms[i]} a^{ns[i]}> on the {state.cutoff}-level oracle basis "
+                         "exceeds the float range")
     return complex(values[0]) if np.ndim(m) == np.ndim(n) == 0 else values
 
 
@@ -466,8 +497,7 @@ def stable_oracle_value(
         raise CutoffExceeded(f"doubled cutoff {2 * state.cutoff} exceeds the hard limit")
     first = float(evaluate(state))
     second = float(evaluate(doubled))
-    scale = max(abs(first), abs(second), 1e-30)
-    if abs(first - second) / scale > gate_rel_tol:
+    if not deviation(first, second, RELATIVE_FLOOR) <= gate_rel_tol:
         raise CutoffExceeded(
             f"{spec.canonical()} {quantity}: value not stable under cutoff doubling "
             f"({first!r} vs {second!r})"

@@ -82,13 +82,6 @@ class FigurePack:
     panels: list[tuple[str, object]]  # (panel name, SweepTable | HusimiGrid)
 
 
-def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 2:
-        raise ValueError("a sweep needs at least 2 steps")
-    h = (hi - lo) / (steps - 1)
-    return [lo + i * h for i in range(steps)]
-
-
 def _series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
             witness_id: str, order: int, engine: str):
     """The witness over the whole grid in one call on a grid spec, on either
@@ -129,14 +122,13 @@ def sweep(
     param_range is {"min": .., "max": .., "steps": ..}; defaults follow the
     family's plotted window. engine may be "analytic", "oracle", or "both"; "both"
     emits a paired `label@oracle` series per variant and records the maximum
-    analytic/oracle relative deviation in the metadata. Either engine
+    analytic/oracle deviation (oracle.deviation) in the metadata. Either engine
     evaluates each variant as one grid spec, one moment table for the whole
     grid (on the oracle, one truncated state per point). A DegenerateState or an
     indeterminate determinant witness at a grid point records a NaN gap, not
     a failure; metadata["nan_gaps"] counts them per series and cause.
     """
-    if engine not in ("analytic", "oracle", "both"):
-        raise ValueError(f"unknown engine {engine!r}")
+    runs = witnesses_mod.engines(engine)
     if not isinstance(family, states_mod.Family):
         raise ValueError(f"unknown family {family!r}")
     lo, hi = family.window
@@ -148,7 +140,9 @@ def sweep(
     # NaN fails every comparison, so non-finite bounds fail this check too
     if not 0 <= lo < hi < math.inf:
         raise ValueError("parameter range must be finite, non-negative and increasing")
-    values = _grid(lo, hi, steps)
+    if steps < 2:
+        raise ValueError("a sweep needs at least 2 steps")
+    values = witnesses_mod._linspace(lo, hi, steps)
 
     ops = list(variants)
     if include_bare and not any(op.order == states_mod.ORDER_NONE for op in ops):
@@ -156,13 +150,10 @@ def sweep(
 
     series: dict[str, list[float]] = {}
     gaps: dict[str, dict[str, int]] = {}
-    first = "oracle" if engine == "oracle" else "analytic"
     for op in ops:
-        label = op.label()
-        series[label], gaps[label] = _series(family, op, values, witness_id, order, first)
-        if engine == "both":
-            label = f"{label}@oracle"
-            series[label], gaps[label] = _series(family, op, values, witness_id, order, "oracle")
+        # the first engine's series under the variant's label, the second's as label@oracle
+        for label, name in zip((op.label(), f"{op.label()}@oracle"), runs):
+            series[label], gaps[label] = _series(family, op, values, witness_id, order, name)
 
     metadata = {
         "witness": witness_id,
@@ -172,21 +163,11 @@ def sweep(
         "variants": [op.label() for op in ops],
         "nan_gaps": gaps,
     }
-    if engine == "both":
-        # relative above magnitude 1, absolute below (witness values near the
-        # classical boundary are legitimately zero on both engines)
-        deviations = {}
-        for op in ops:
-            pairs = zip(series[op.label()], series[f"{op.label()}@oracle"])
-            deviations[op.label()] = max(
-                (
-                    abs(a - b) / max(abs(b), 1.0)
-                    for a, b in pairs
-                    if not (math.isnan(a) or math.isnan(b))
-                ),
-                default=0.0,
-            )
-        metadata["max_deviation"] = deviations
+    if len(runs) > 1:
+        metadata["max_deviation"] = {
+            label: float(np.max(oracle_mod.deviation(series[label], series[f"{label}@oracle"])))
+            for label in metadata["variants"]
+        }
     return SweepTable(family.parameter, values, series, metadata)
 
 
@@ -205,18 +186,14 @@ def husimi_grid(
     oracle (engine "oracle", and the second route of "both").
     """
     grid = witnesses_mod.ScanGrid(window[0], window[1], window[0], window[1], steps)
-    engines = ("analytic", "oracle") if engine == "both" else (engine,)
     values = [
         witnesses_mod._husimi_grid_values(spec, grid, name, oracle_mod.DEFAULT_TAIL_TOL)
         .reshape(steps, steps)
-        for name in engines
+        for name in witnesses_mod.engines(engine)
     ]
     metadata = {"spec": spec.canonical(), "engine": engine}
-    if engine == "both":
-        q, q_oracle = values
-        metadata["max_deviation"] = float(
-            np.max(np.abs(q - q_oracle) / np.maximum(np.abs(q_oracle), 1.0))
-        )
+    if len(values) > 1:
+        metadata["max_deviation"] = float(np.max(oracle_mod.deviation(*values)))
     return HusimiGrid(label, *grid.axes(), values[0].tolist(), metadata)
 
 

@@ -113,10 +113,6 @@ def _oracle_state(spec: StateSpec) -> oracle_mod.TruncatedState:
     return state
 
 
-def _rel_dev(analytic, reference):
-    return np.abs(analytic - reference) / np.maximum(np.abs(reference), 1e-30)
-
-
 def _table(spec: StateSpec, *reads) -> MomentTable:
     """The analytic table of spec, filled with the pairs that the given
     (witness, order) reads take."""
@@ -146,7 +142,7 @@ def suite_moments(tol: float = MOMENT_TOL) -> SuiteResult:
             pair, state = divmod(i, len(specs))
             return f"{specs[state].canonical()} moment({ms[pair]},{ns[pair]}): dev {dev:.3e}"
 
-        tally.add(_rel_dev(analytic, oracle), tol, note)
+        tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol, note)
     return tally.result("moments")
 
 
@@ -199,9 +195,7 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
                      [oracle_mod.oracle_husimi(state, beta) for state in oracle_states]))
         labels, a, o = zip(*rows)
         a, o = np.array(a), np.array(o)
-        dev = np.abs(a - o) / np.maximum(np.abs(o), 1.0)
-        # a witness indeterminate on both engines agrees
-        dev[np.isnan(a) & np.isnan(o)] = 0.0
+        dev = oracle_mod.deviation(a, o)
         limit = np.where(np.abs(o) >= 1.0, tol, np.fmax(abs_tol, tol * np.abs(o)))
         tally.add(dev, limit.ravel(), lambda i, dev: f"{specs[i % len(specs)].canonical()} "
                                                      f"{labels[i // len(specs)]}: dev {dev:.3e}")
@@ -248,7 +242,7 @@ def suite_hos(points: int = 40) -> SuiteResult:
     """
     tally = _Tally()
     for family in states_mod.FAMILIES.values():
-        values = np.array(sweep_report._grid(*family.window, points))
+        values = np.array(witnesses_mod._linspace(*family.window, points))
         for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
             for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
                 s = witnesses_mod.hos(_table(StateSpec.of(family, values, op), ("hos", l)), l)
@@ -271,7 +265,7 @@ def suite_signs(points: int = 60) -> SuiteResult:
     """
     notes = []
     checks = 0
-    rbar_values = np.array(sweep_report._grid(*states_mod.FAMILY_THERMAL.window, points))
+    rbar_values = np.array(witnesses_mod._linspace(*states_mod.FAMILY_THERMAL.window, points))
 
     minima = {}
     for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
@@ -354,13 +348,11 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
         table = _table(StateSpec.of(family, np.array(values), op), *(("hosps", l) for l in (2, 3, 4)))
         for l, reference in zip((2, 3, 4), references):
             value = witnesses_mod.hosps(table, l)
-            dev = _rel_dev(value, reference)
-            dev = np.where(np.abs(reference) < 1.0, np.minimum(dev, np.abs(value - reference)), dev)
-            tally.add(dev, max(tol, WITNESS_ABS_TOL),
+            tally.add(oracle_mod.deviation(value, reference), max(tol, WITNESS_ABS_TOL),
                       lambda i, dev: f"{specs[i].canonical()} hosps({l}): dev {dev:.3e}")
             printed = witnesses_mod.hosps_printed_form(table, l)
             expected = value if l % 2 == 0 else -value
-            if not np.all(np.abs(printed - expected) <= np.maximum(1e-9, 1e-9 * np.abs(expected))):
+            if not np.all(oracle_mod.deviation(printed, expected) <= 1e-9):
                 if l % 2 == 0:
                     printed_matches_even = False
                 else:
@@ -418,27 +410,22 @@ def _exact_fixtures():
     )
 
 
-def _frozen_quantity(spec: StateSpec, quantity: str, engine: str):
-    """Evaluate a fixture quantity analytically or from a fresh oracle build."""
-    if quantity.startswith("moment("):
-        m, n = (int(v) for v in quantity[7:-1].split(","))
-        if engine == "analytic":
-            return states_mod.moment(spec, m, n).real
-        return oracle_mod.oracle_moment(oracle_mod.build_truncated(spec), m, n).real
-    if quantity.startswith("photon_prob("):
-        m = int(quantity[12:-1])
-        if engine == "analytic":
-            return states_mod.photon_prob(spec, m)
-        return oracle_mod.oracle_photon_prob(oracle_mod.build_truncated(spec), m)
-    if quantity.startswith("husimi("):
-        beta = complex(quantity[7:-1])
-        if engine == "analytic":
-            return states_mod.husimi(spec, beta)
-        return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec), beta)
-    if quantity.startswith("hosps("):
-        l = int(quantity[6:-1])
-        table = witnesses_mod._table_for(spec, engine, oracle_mod.DEFAULT_TAIL_TOL, "hosps", l)
-        return witnesses_mod.hosps(table, l)
+def _frozen_quantity(spec: StateSpec, quantity: str, engine: str) -> float:
+    """Evaluate a fixture quantity on either engine's route, as the
+    witnesses read it (an oracle basis is built fresh)."""
+    name, _, argument = quantity[:-1].partition("(")
+    tail_tol = oracle_mod.DEFAULT_TAIL_TOL
+    if name == "moment":
+        pair = tuple(int(v) for v in argument.split(","))
+        return witnesses_mod._moment_table(spec, engine, tail_tol, (pair,)).get(*pair).real
+    if name == "photon_prob":
+        return float(witnesses_mod._photon_probs(spec, np.array([int(argument)]), engine, tail_tol)[0, 0])
+    if name == "husimi":
+        return float(witnesses_mod._husimi(spec, np.array(complex(argument)), engine, tail_tol))
+    if name == "hosps":
+        l = int(argument)
+        return witnesses_mod.hosps(witnesses_mod._moment_table(
+            spec, engine, tail_tol, witnesses_mod._moment_pairs("hosps", l)), l)
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
 
@@ -451,13 +438,13 @@ def suite_fixtures(tol: float = EXACT_FIXTURE_TOL) -> SuiteResult:
     """Exact derived values plus the frozen oracle fixture file."""
     tally = _Tally()
     for label, compute, expected in _exact_fixtures():
-        tally.add(_rel_dev(float(compute()), expected), tol,
+        tally.add(oracle_mod.deviation(float(compute()), expected, oracle_mod.RELATIVE_FLOOR), tol,
                   lambda i, dev: f"{label}: dev {dev:.3e}")
     for record in load_packaged_fixtures():
         spec = StateSpec.from_canonical(record.canonical)
-        for engine in ("analytic", "oracle"):
-            value = float(_frozen_quantity(spec, record.quantity, engine))
-            tally.add(_rel_dev(value, record.value), WITNESS_REL_TOL,
+        for engine in witnesses_mod.ENGINES:
+            value = _frozen_quantity(spec, record.quantity, engine)
+            tally.add(oracle_mod.deviation(value, record.value, oracle_mod.RELATIVE_FLOOR), WITNESS_REL_TOL,
                       lambda i, dev: f"{record.canonical} {record.quantity} [{engine}]: dev {dev:.3e}")
     return tally.result("fixtures")
 

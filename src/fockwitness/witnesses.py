@@ -49,6 +49,17 @@ SINGULAR_EPSILON = 1e-12
 
 WITNESS_IDS = ("mandel", "hoa", "hosps", "hos", "husimi_zero", "agarwal_tara", "klyshko")
 
+ENGINES = ("analytic", "oracle")
+
+
+def engines(engine: str) -> tuple[str, ...]:
+    """The engines an engine choice runs, in order: "analytic", "oracle",
+    or "both" for the two. The first one's value is the one reported; under
+    "both" the oracle's is its reference (oracle.deviation)."""
+    if engine not in ENGINES + ("both",):
+        raise ValueError(f"unknown engine {engine!r}")
+    return ENGINES if engine == "both" else (engine,)
+
 
 @dataclass(frozen=True)
 class WitnessResult:
@@ -249,6 +260,13 @@ def klyshko_from_probs(m: int, p_m: float, p_m1: float, p_m2: float) -> float:
     return (m + 2) * p_m * p_m2 - (m + 1) * p_m1 ** 2
 
 
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """lo + i (hi - lo) / (steps - 1) for i < steps: a sweep's parameter
+    grid and a scan grid's axes."""
+    h = (hi - lo) / (steps - 1)
+    return [lo + i * h for i in range(steps)]
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Rectangular grid in the complex beta plane, steps points per axis."""
@@ -266,11 +284,9 @@ class ScanGrid:
             raise ValueError("grid bounds must be well ordered")
 
     def axes(self) -> tuple[list[float], list[float]]:
-        """(re values, im values): re_min + j d_re and im_min + i d_im."""
-        d_re = (self.re_max - self.re_min) / (self.steps - 1)
-        d_im = (self.im_max - self.im_min) / (self.steps - 1)
-        return ([self.re_min + j * d_re for j in range(self.steps)],
-                [self.im_min + i * d_im for i in range(self.steps)])
+        """(re values, im values), each _linspace over its bounds."""
+        return (_linspace(self.re_min, self.re_max, self.steps),
+                _linspace(self.im_min, self.im_max, self.steps))
 
     def points(self):
         """Row-major grid points (imaginary part varies slowest)."""
@@ -280,16 +296,19 @@ class ScanGrid:
                 yield complex(re, im)
 
 
-def _husimi_grid_values(spec, grid, engine, tail_tol) -> np.ndarray:
-    """Q at grid.points(), in their row-major order, from one call on either engine."""
-    re_axis, im_axis = map(np.array, grid.axes())
-    betas = re_axis[None, :] + 1j * im_axis[:, None]
+def _husimi(spec: StateSpec, betas: np.ndarray, engine: str, tail_tol: float) -> np.ndarray:
+    """Q at an array of betas from one call on either engine; an oracle
+    basis holds every |beta|^2 well inside its cutoff."""
     if engine == "analytic":
-        return states_mod.husimi(spec, betas).ravel()
-    corner = max(abs(grid.re_min), abs(grid.re_max)) ** 2
-    corner += max(abs(grid.im_min), abs(grid.im_max)) ** 2
-    state = oracle_mod.build_truncated(spec, tail_tol, min_cutoff=int(4 * corner) + 8)
-    return oracle_mod.oracle_husimi(state, betas).ravel()
+        return states_mod.husimi(spec, betas)
+    reach = int(4 * np.max(np.abs(betas) ** 2)) + 8
+    return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
+
+
+def _husimi_grid_values(spec, grid, engine, tail_tol) -> np.ndarray:
+    """Q at grid.points(), in their row-major order."""
+    re_axis, im_axis = map(np.array, grid.axes())
+    return _husimi(spec, re_axis[None, :] + 1j * im_axis[:, None], engine, tail_tol).ravel()
 
 
 def _relative_husimi(spec, grid, engine, tail_tol) -> np.ndarray:
@@ -344,10 +363,9 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, n) for n in range(first, last + 1))
 
 
-def _table_for(spec: StateSpec, engine: str, tail_tol: float, witness: str, order: int) -> MomentTable:
-    """The witness's moment table on either engine, holding the pairs it
-    reads; an oracle basis also holds the tails of those moments."""
-    pairs = _moment_pairs(witness, order)
+def _moment_table(spec: StateSpec, engine: str, tail_tol: float, pairs) -> MomentTable:
+    """spec's moment table on either engine, holding the given pairs; an
+    oracle basis also holds the tails of those moments."""
     if engine == "analytic":
         return MomentTable.analytic(spec, pairs)
     if engine == "oracle":
@@ -376,11 +394,12 @@ def evaluate_witness(
         return WitnessResult("husimi_zero", 0, rel_min, rel_min < zero_threshold, engine)
     if witness == "klyshko":
         value = klyshko(spec, order, engine, tail_tol)
-    elif witness == "agarwal_tara":
-        value, order = agarwal_tara(_table_for(spec, engine, tail_tol, witness, order), variant), 0
-    elif witness in ("mandel", "hoa", "hosps", "hos"):
-        table = _table_for(spec, engine, tail_tol, witness, order)
-        value = {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
+    elif witness in ("mandel", "hoa", "hosps", "hos", "agarwal_tara"):
+        table = _moment_table(spec, engine, tail_tol, _moment_pairs(witness, order))
+        if witness == "agarwal_tara":
+            value, order = agarwal_tara(table, variant), 0
+        else:
+            value = {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
     else:
         raise ValueError(f"unknown witness {witness!r}")
     return WitnessResult(witness, order, value, value < 0.0, engine)

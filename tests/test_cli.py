@@ -1,9 +1,10 @@
+import math
 import subprocess
 import sys
 
 import pytest
 
-from fockwitness import cli, states
+from fockwitness import cli, oracle, states, sweep_report, witnesses
 from fockwitness.errors import NonConvergent
 
 PKG = [sys.executable, "-m", "fockwitness"]
@@ -342,6 +343,61 @@ class TestBothEngineTolerance:
         proc = run_cli(*argv, "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+    def test_moment_deviation_above_tol_fails(self, capsys):
+        # plain relative: 4.333333333333333 against the oracle's 4.3333333333333295
+        spec = states.StateSpec.thermal(1.0, states.EngineeringOp.psa(1, 1))
+        values = [witnesses._moment_table(spec, engine, oracle.DEFAULT_TAIL_TOL, ((1, 1),)).get(1, 1)
+                  for engine in ("analytic", "oracle")]
+        dev = oracle.deviation(*values, oracle.RELATIVE_FLOOR)
+        assert 1e-30 < dev < 1e-8
+        argv = ["moment", "--family", "thermal", "--op", "psa", "--p", "1", "--q", "1", "--rbar", "1",
+                "--m", "1", "--n", "1", "--engine", "both"]
+        assert cli.main(argv + ["--tol", "1e-30"]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"1,1,{values[0].real!r},0\n"
+        assert err == f"analytic/oracle deviation exceeds tolerance 1e-30: moment(1,1) {dev!r}\n"
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+class TestSweepNaNGaps:
+    """sweep --engine both against a NaN at one point: a gap on one engine
+    only fails the series, a gap on both agrees."""
+
+    ARGV = ["sweep", "--name", "hoa", "--family", "thermal", "--variants", "PAS(1,1)",
+            "--param-min", "0.5", "--param-max", "1.5", "--steps", "5", "--engine", "both"]
+
+    @staticmethod
+    def _gap_at(monkeypatch, engines, point=2):
+        series = sweep_report._series
+
+        def with_gap(family, op, grid, witness_id, order, engine):
+            values, counts = series(family, op, grid, witness_id, order, engine)
+            if engine in engines:
+                values[point] = math.nan
+            return values, counts
+
+        monkeypatch.setattr(sweep_report, "_series", with_gap)
+
+    def test_a_gap_on_the_oracle_only_fails(self, monkeypatch, capsys):
+        self._gap_at(monkeypatch, ("oracle",))
+        assert cli.main(self.ARGV) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[3].endswith(",nan")
+        assert err == "analytic/oracle deviation exceeds tolerance 1e-08: PAS(1,1) nan\n"
+
+    def test_a_gap_on_the_analytic_engine_only_fails(self, monkeypatch, capsys):
+        self._gap_at(monkeypatch, ("analytic",))
+        assert cli.main(self.ARGV) == 1
+        assert capsys.readouterr().err == "analytic/oracle deviation exceeds tolerance 1e-08: PAS(1,1) nan\n"
+
+    def test_a_gap_on_both_engines_passes(self, monkeypatch, capsys):
+        self._gap_at(monkeypatch, ("analytic", "oracle"))
+        assert cli.main(self.ARGV) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[3].endswith(",nan,nan")
+        assert err == ""
 
 
 class TestVerifyCommand:

@@ -6,7 +6,7 @@ import pytest
 
 import dense
 from fockwitness import cli, oracle, states, witnesses
-from fockwitness.errors import CutoffExceeded, DegenerateState
+from fockwitness.errors import CutoffExceeded, DegenerateState, OutOfRange
 from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
 
 
@@ -427,3 +427,65 @@ def test_a_moment_basis_beyond_the_hard_limit_raises(monkeypatch):
     # <a'^20 a^20> needs a cutoff above 82
     with pytest.raises(CutoffExceeded, match="too close to cutoff 64"):
         oracle.oracle_moment_table(StateSpec.thermal(0.1), 1e-12, ((20, 20),)).get(20, 20)
+
+
+class TestDeviation:
+    def test_a_gap_on_both_sides_agrees(self):
+        assert oracle.deviation(math.nan, math.nan) == 0.0
+        assert oracle.deviation(complex(math.nan, 0.0), math.nan, oracle.RELATIVE_FLOOR) == 0.0
+
+    @pytest.mark.parametrize("value, reference", [(math.nan, 1.0), (1.0, math.nan), (0.0, math.nan)])
+    def test_a_gap_on_one_side_fails_any_tolerance(self, value, reference):
+        dev = oracle.deviation(value, reference)
+        assert math.isnan(dev)
+        assert not dev <= 1e300
+
+    def test_floor_one_is_relative_above_magnitude_one_and_absolute_below(self):
+        assert oracle.deviation(2.5, 2.0) == 0.25
+        assert oracle.deviation(-1.5, -2.0) == 0.25
+        assert oracle.deviation(0.75, 0.5) == 0.25
+        assert oracle.deviation(0.25, 0.0) == 0.25
+
+    def test_the_relative_floor_is_plain_relative(self):
+        assert oracle.deviation(0.625, 0.5, oracle.RELATIVE_FLOOR) == 0.25
+        assert oracle.deviation(3e-20, 2e-20, oracle.RELATIVE_FLOOR) == pytest.approx(0.5, rel=1e-15)
+        assert oracle.deviation(0.0, 0.0, oracle.RELATIVE_FLOOR) == 0.0
+
+    def test_complex_values_measure_the_modulus(self):
+        assert oracle.deviation(3 + 4j, 0j) == 5.0
+        assert oracle.deviation(1 + 1j, 2j, oracle.RELATIVE_FLOOR) == abs(1 - 1j) / 2.0
+
+    @pytest.mark.parametrize("floor", [1.0, oracle.RELATIVE_FLOOR])
+    def test_a_number_equals_its_element_of_an_array_call(self, floor):
+        values = np.array([1.0, -0.3, 7.25, math.nan, math.nan, 1e-40, 2 + 1j])
+        references = np.array([1.0 + 1e-9, -0.30000001, 7.0, math.nan, 3.0, 0.0, 2 - 1j])
+        devs = oracle.deviation(values, references, floor)
+        assert devs.shape == values.shape
+        for i, (value, reference) in enumerate(zip(values.tolist(), references.tolist())):
+            dev = oracle.deviation(value, reference, floor)
+            assert type(dev) is float
+            assert dev == devs[i] or (math.isnan(dev) and math.isnan(devs[i]))
+
+
+@pytest.mark.parametrize("order", [100, 113, 114, 116, 118, 120, 130])
+def test_a_high_order_thermal_moment_on_the_oracle(order):
+    # <a'^n a^n> of a thermal state is n! rbar^n; k^n overflows the tail
+    # weights from n = 114, and (j + n)!/j! the lowering from n = 118
+    spec = StateSpec.thermal(0.1)
+    value = oracle.oracle_moment_table(spec, 1e-12, ((order, order),)).get(order, order)
+    assert value.real == pytest.approx(math.exp(math.lgamma(order + 1) + order * math.log(0.1)), rel=1e-12)
+    witness = witnesses.evaluate_witness(spec, "hoa", order, engine="oracle").value
+    assert oracle.deviation(witness, witnesses.evaluate_witness(spec, "hoa", order).value) <= 1e-12
+
+
+def test_a_lowered_vector_past_the_float_range_of_its_factorials():
+    # the cat's rows from (j + n)!/j! > 1.8e308 are lowered one level at a time
+    spec = StateSpec.even_coherent(2.0)
+    value = oracle.oracle_moment_table(spec, 1e-12, ((120, 120),)).get(120, 120)
+    assert value.real == pytest.approx(4.0 ** 120, rel=1e-12)
+
+
+def test_an_oracle_moment_beyond_the_float_range_raises():
+    # 300! 0.5^300 is about 1e524
+    with pytest.raises(OutOfRange, match="<a'\\^300 a\\^300> on the 2048-level oracle basis"):
+        witnesses.evaluate_witness(StateSpec.thermal(0.5), "hoa", 300, engine="oracle")

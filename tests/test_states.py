@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fockwitness import oracle, states, sweep_report
+from fockwitness import oracle, states, witnesses
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.specfun import log_factorial, normal_order_product
@@ -940,7 +940,7 @@ class TestMomentTableFill:
 def _sweep_grid(family, scale=1.0):
     """The 200-point grid a sweep of the family takes, times scale."""
     lo, hi = family.window
-    return np.array(sweep_report._grid(lo, hi, 200)) * scale
+    return np.array(witnesses._linspace(lo, hi, 200)) * scale
 
 
 COLUMN_GRIDS = [

@@ -128,7 +128,7 @@ class TestArrayPath:
         prange = {"min": 0.0, "max": hi, "steps": 13}
         for op in ops:
             expected, counts, zero_mean = _point_by_point(
-                witness, order, family, op, sweep_report._grid(0.0, hi, 13), engine)
+                witness, order, family, op, witnesses._linspace(0.0, hi, 13), engine)
             if zero_mean:
                 with pytest.raises(ZeroMeanPhoton):
                     sweep(witness, order, [op], family, param_range=prange, engine=engine)

@@ -394,3 +394,23 @@ class TestMomentPairs:
         result = evaluate_witness(spec, witness, order)
         assert result.value.shape == (3,)
         assert calls == [len(witnesses._moment_pairs(witness, order))]
+
+
+def test_engines_reads_every_engine_choice():
+    assert witnesses.engines("analytic") == ("analytic",)
+    assert witnesses.engines("oracle") == ("oracle",)
+    assert witnesses.engines("both") == ("analytic", "oracle")
+    with pytest.raises(ValueError, match="unknown engine 'quantum'"):
+        witnesses.engines("quantum")
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec.thermal(0.7, EngineeringOp.pas(1, 2)),
+    StateSpec.even_coherent(1.1 + 0.2j, EngineeringOp.psa(2, 1)),
+], ids=lambda spec: spec.canonical())
+def test_the_analytic_moment_route_is_states_moment(spec):
+    # moment --engine analytic|both reads its value through _moment_table
+    for m, n in ((0, 0), (1, 1), (2, 0), (3, 2), (4, 4), (1, 5)):
+        value = witnesses._moment_table(spec, "analytic", oracle.DEFAULT_TAIL_TOL, ((m, n),)).get(m, n)
+        assert type(value) is complex
+        assert value == states.moment(spec, m, n)
