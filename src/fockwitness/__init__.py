@@ -4,7 +4,9 @@ The package has three layers:
 
 * `states` holds the closed-form moments, photon-number probabilities, and
   Husimi Q values of add-then-subtract / subtract-then-add engineered
-  thermal and even coherent states, on top of the `specfun` kernel.
+  thermal and even coherent states, on top of `specfun.normal_order`, the
+  one exact normal-ordering kernel, which `witnesses` expands (a + a')^l
+  and (a'a)^r with too.
 * `oracle` rebuilds every state numerically in a truncated Fock basis and
   recomputes every quantity from first principles; `verify` pits the two
   against each other.

@@ -1,9 +1,14 @@
-"""Combinatorics and special-function kernel used by every other module.
+"""Exact boson normal ordering, and the series kernels kept beside it.
 
-All operations are pure functions of their arguments. Coefficients that are
-exactly integer (binomials, normal-ordering weights, Stirling numbers) are
-computed in exact integer arithmetic and only leave it at the caller's
-boundary; factorial ratios go through log space above the exact range so
+normal_order is the package's one normal-ordering route: every expansion of
+a product of ladder operators (the contraction tables and the operator
+normal forms in `states`, the powers (a + a')^l and (a'a)^r the witnesses
+read) is a call to it, in exact integer arithmetic, and leaves it only at
+the caller's boundary.
+
+hypergeometric_pfq and factorial_ratio have no caller in the package; the
+benchmark's tracer binds them by name, so they stay until the benchmark
+changes. factorial_ratio goes through log space above the exact range, so
 that quantities like (r+q)!^2 / r! never overflow on the way to a modest
 final value.
 """
@@ -11,7 +16,6 @@ final value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NonConvergent, PoleInDenominatorParams
@@ -24,48 +28,6 @@ EXACT_FACTORIAL_LIMIT = 20
 # before their asymptotic decay sets in).
 SERIES_CALM_STREAK = 3
 SERIES_MAX_TERMS = 10 ** 6
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) for integer n >= 0."""
-    if n < 0:
-        raise ValueError(f"log_factorial: negative argument {n}")
-    return math.lgamma(n + 1)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)..., with 0!! = (-1)!! = 1 (empty products)."""
-    if n < -1:
-        raise ValueError(f"double_factorial: argument {n} below -1")
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
-
-
-@lru_cache(maxsize=None)
-def stirling2(r: int, n: int) -> int:
-    """Stirling number of the second kind S(r, n).
-
-    Counts partitions of r labelled items into n nonempty blocks, so
-    S(0, 0) = 1 and S(r, n) = 0 for n > r. Computed by the recurrence
-    S(r, n) = n S(r-1, n) + S(r-1, n-1).
-    """
-    if r < 0 or n < 0:
-        raise ValueError("stirling2: negative argument")
-    if r == 0 and n == 0:
-        return 1
-    if r == 0 or n == 0 or n > r:
-        return 0
-    return n * stirling2(r - 1, n) + stirling2(r - 1, n - 1)
 
 
 def factorial_ratio(numerators, denominators) -> float:
@@ -150,53 +112,46 @@ def hypergeometric_pfq(
     )
 
 
-@dataclass(frozen=True)
-class NormalOrderTerm:
-    """One normally ordered term c * a'^dagger_power a^plain_power."""
+def normal_order(word: tuple) -> tuple[tuple[int, int, int], ...]:
+    """Normal form of a word in the boson algebra, [a, a'] = 1.
 
-    dagger_power: int
-    plain_power: int
-    coefficient: int
+    A word is a tuple of factors read left to right; a factor is a tuple of
+    terms (M, N, c) standing for the sum of c a'^M a^N, and a ladder power
+    is a one-term factor. The normal form is returned as terms (M, N, c),
+    word = sum c a'^M a^N, with zero terms dropped and (M, N) ascending;
+    integer coefficients in the word give exact integer c. The factors are
+    multiplied in from the right by the one rule
 
+        a^N a'^j = sum_r r! C(N,r) C(j,r) a'^(j-r) a^(N-r)
 
-def normal_order_product(plain_power: int, dagger_power: int) -> list[NormalOrderTerm]:
-    """Normal ordering of a^p a'^q.
-
-    a^p a'^q = sum_r r! C(p,r) C(q,r) a'^(q-r) a^(p-r), exact coefficients.
+    (Blasiak et al., "Combinatorics and boson normal ordering", Am. J. Phys.
+    75, 639, 2007), so that a'^M a^N times d a'^j a^k is the sum over
+    r <= min(N, j) of d r! C(N,r) C(j,r) a'^(M+j-r) a^(N+k-r).
     """
-    p, q = plain_power, dagger_power
-    if p < 0 or q < 0:
-        raise ValueError("normal_order_product: negative power")
-    terms = []
-    for r in range(min(p, q) + 1):
-        coeff = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-        terms.append(NormalOrderTerm(dagger_power=q - r, plain_power=p - r, coefficient=coeff))
-    return terms
+    terms = {(0, 0): 1}
+    for factor in word:
+        product: dict[tuple[int, int], int] = {}
+        for j, k, d in factor:
+            for (dag, plain), c in terms.items():
+                # weight r! C(N,r) C(j,r), from r to r + 1 by the factor
+                # (N - r)(j - r)/(r + 1), exact in integers
+                weight = 1
+                for r in range(min(plain, j) + 1):
+                    key = (dag + j - r, plain + k - r)
+                    product[key] = product.get(key, 0) + c * d * weight
+                    weight = weight * (plain - r) * (j - r) // (r + 1)
+        terms = product
+    return tuple(sorted((dag, plain, c) for (dag, plain), c in terms.items() if c))
+
+
+# the factor a + a'
+_QUADRATURE = ((0, 1, 1), (1, 0, 1))
 
 
 @lru_cache(maxsize=None)
-def _quadrature_power_coeffs_cached(l: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    if l == 0:
-        return (((0, 0), 1),)
-    prev = dict(_quadrature_power_coeffs_cached(l - 1))
-    out: dict[tuple[int, int], int] = {}
-    for (j, k), c in prev.items():
-        # left-multiply by a': a' a'^j a^k = a'^(j+1) a^k
-        out[(j + 1, k)] = out.get((j + 1, k), 0) + c
-        # left-multiply by a: a a'^j a^k = a'^j a^(k+1) + j a'^(j-1) a^k
-        out[(j, k + 1)] = out.get((j, k + 1), 0) + c
-        if j > 0:
-            out[(j - 1, k)] = out.get((j - 1, k), 0) + j * c
-    return tuple(sorted(out.items()))
-
-
-def quadrature_power_coeffs(l: int) -> dict[tuple[int, int], int]:
-    """Exact normal-ordered expansion of (a + a')^l.
-
-    Returns the map (dagger_power, plain_power) -> coefficient with
-    (a + a')^l = sum c_{j,k} a'^j a^k, built by recursive left-multiplication
-    with [a, a'] = 1.
-    """
+def quadrature_power_coeffs(l: int) -> tuple[tuple[int, int, int], ...]:
+    """Normal form of (a + a')^l as normal_order gives it, (M, N) ascending:
+    a + a' times the normal form of (a + a')^(l-1)."""
     if l < 0:
         raise ValueError("quadrature_power_coeffs: negative power")
-    return dict(_quadrature_power_coeffs_cached(l))
+    return normal_order((_QUADRATURE, quadrature_power_coeffs(l - 1)) if l else ())

@@ -6,17 +6,18 @@ Two photon-number engineering operations act on a base state:
 * subtract-then-add: a'^q a^p  (subtract p photons, then add q)
 
 Every normalized moment <a'^m a^n> of either family comes from one finite
-contraction: O' a'^m a^n O is normal-ordered into terms c a'^M a^N with
-exact integer c (cached per operation and (m, n)), and each term takes the
-bare state's normally ordered moment, delta_MN M! rbar^M for the thermal
-state and a four-term coherent-state contraction for the even coherent
-state (|alpha> + |-alpha>, normalized). Thermal moments are thus ratios of
-integer polynomials in rbar. Both orders send Fock level k = m + p - q to a
-multiple of |m>, so the photon-number probability p_m of either family is
-the bare state's weight of level k times one integer polynomial W(m); this
-makes the thermal Husimi Q a Gaussian times a finite polynomial. The cat
-Husimi Q sums the coherent-state matrix elements of O over its normal form.
-No infinite series is summed.
+contraction: specfun.normal_order, the package's one normal-ordering
+route, gives O' a'^m a^n O as terms c a'^M a^N with exact integer c (cached
+per operation and (m, n)), and each term takes the bare state's normally
+ordered moment, delta_MN M! rbar^M for the thermal state and a four-term
+coherent-state contraction for the even coherent state (|alpha> + |-alpha>,
+normalized). Thermal moments are thus ratios of integer polynomials in
+rbar. Both orders send Fock level k = m + p - q to a multiple of |m>, so the
+photon-number probability p_m of either family is the bare state's weight
+of level k times one integer polynomial W(m); this makes the thermal Husimi
+Q a Gaussian times a finite polynomial. The cat Husimi Q sums the
+coherent-state matrix elements of O over its normal form, from the same
+kernel. No infinite series is summed.
 
 Each family is one Family record, FAMILY_THERMAL or FAMILY_EVEN_COHERENT
 (FAMILIES, by name), which holds every fact that differs between families;
@@ -285,35 +286,22 @@ class StateSpec:
 # Moments: one normal-ordering contraction for both families
 # ---------------------------------------------------------------------------
 
+def _word(op: EngineeringOp) -> tuple:
+    """O = op as a word of specfun.normal_order: a'^q a^p subtracts then
+    adds, a^p a'^q adds then subtracts (bare is its p = q = 0 case)."""
+    if op.order == ORDER_SUBTRACT_THEN_ADD:
+        return (((op.q, op.p, 1),),)
+    return (((0, op.p, 1),), ((op.q, 0, 1),))
+
+
 @lru_cache(maxsize=None)
 def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """Exact terms (M, N, c) of O' a'^m a^n O = sum c a'^M a^N, for O = op.
-
-    Both orders sandwich one core, a'^A (a^q a'^B a^C a'^q) a^A: A = p,
-    B = m, C = n for subtract-then-add, and A = 0, B = m + p, C = n + p for
-    add-then-subtract (bare is its p = q = 0 case). Normal-ordering a^C a'^q
-    with r contractions, a^k a'^l = sum_r r! C(k,r) C(l,r) a'^(l-r) a^(k-r),
-    and then a^q a'^(B+q-r) with s more leaves, for t = r + s, the single sum
-
-        c_t = sum_{r+s=t} r! C(C,r) C(q,r) s! C(q,s) C(B+q-r,s)
-
-    on a'^(A+B+q-t) a^(A+q+C-t), so M - N = m - n (Blasiak et al.,
-    "Combinatorics and boson normal ordering", Am. J. Phys. 75, 639, 2007).
-    Terms with c_t = 0 are dropped; M ascends.
-    """
-    p, q = op.p, op.q
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        outer, b, c = p, m, n
-    else:
-        outer, b, c = 0, m + p, n + p
-    terms = []
-    # r! C(C,r) = C!/(C-r)! and s! C(q,s) = q!/(q-s)!; t falls as M rises
-    for t in range(min(c, q) + q, -1, -1):
-        coeff = sum(math.perm(c, r) * math.comb(q, r) * math.perm(q, t - r) * math.comb(b + q - r, t - r)
-                    for r in range(max(0, t - q), min(c, q, t) + 1))
-        if coeff:
-            terms.append((outer + b + q - t, outer + q + c - t, coeff))
-    return tuple(terms)
+    """Exact terms (M, N, c) of O' a'^m a^n O = sum c a'^M a^N, for O = op:
+    the normal form of that word, M ascending. Every term has
+    M - N = m - n."""
+    word = _word(op)
+    adjoint = tuple(tuple((plain, dag, c) for dag, plain, c in factor) for factor in reversed(word))
+    return specfun.normal_order(adjoint + (((m, n, 1),),) + word)
 
 
 def _ecs_pair_weights(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -802,15 +790,9 @@ def _husimi_thermal(spec: StateSpec, beta: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _operator_terms(op: EngineeringOp) -> tuple[tuple[int, int, int], ...]:
-    """Normal form of O itself as terms (M, N, c): O = sum c a'^M a^N.
-
-    Subtract-then-add a'^q a^p is already normally ordered; add-then-subtract
-    a^p a'^q (bare is its p = q = 0 case) expands by normal_order_product.
-    """
-    if op.order == ORDER_SUBTRACT_THEN_ADD:
-        return ((op.q, op.p, 1),)
-    return tuple((t.dagger_power, t.plain_power, t.coefficient)
-                 for t in specfun.normal_order_product(op.p, op.q))
+    """Normal form of O itself as terms (M, N, c), O = sum c a'^M a^N, M
+    descending: the order the cat Husimi sum runs in."""
+    return specfun.normal_order(_word(op))[::-1]
 
 
 def _husimi_ecs(spec: StateSpec, beta: np.ndarray) -> np.ndarray:

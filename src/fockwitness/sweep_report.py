@@ -174,18 +174,19 @@ def sweep(
 def husimi_grid(
     spec: StateSpec,
     label: str,
-    window: tuple[float, float] = BETA_WINDOW,
     steps: int = HUSIMI_STEPS,
     engine: str = "analytic",
 ) -> HusimiGrid:
-    """Husimi Q on a square grid; rows scan Im(beta), columns Re(beta).
+    """Husimi Q on a square grid over BETA_WINDOW on both axes; rows scan
+    Im(beta), columns Re(beta).
 
-    The values come from the husimi-zero scan's grid route on the same
-    window: one call over the grid's beta array, to states.husimi for the
+    The values come from the husimi-zero scan's grid route on that window:
+    one call over the grid's beta array, to states.husimi for the
     analytic engine and to oracle_husimi on one truncated basis for the
     oracle (engine "oracle", and the second route of "both").
     """
-    grid = witnesses_mod.ScanGrid(window[0], window[1], window[0], window[1], steps)
+    lo, hi = BETA_WINDOW
+    grid = witnesses_mod.ScanGrid(lo, hi, lo, hi, steps)
     values = [
         witnesses_mod._husimi_grid_values(spec, grid, name, oracle_mod.DEFAULT_TAIL_TOL)
         .reshape(steps, steps)

@@ -161,7 +161,7 @@ _WITNESS_VALUES = ((states_mod.FAMILY_THERMAL, (0.5, 1.0, 2.0)),
                    (states_mod.FAMILY_EVEN_COHERENT, (0.7, 1.2, 2.0)))
 
 
-def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_TOL) -> SuiteResult:
+def suite_witnesses(tol: float = WITNESS_REL_TOL) -> SuiteResult:
     """Every witness from analytic moments against the same witness from oracle moments.
 
     Each (op, family) is one grid spec: one analytic table, and one oracle
@@ -196,7 +196,7 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, abs_tol: float = WITNESS_ABS_T
         labels, a, o = zip(*rows)
         a, o = np.array(a), np.array(o)
         dev = oracle_mod.deviation(a, o)
-        limit = np.where(np.abs(o) >= 1.0, tol, np.fmax(abs_tol, tol * np.abs(o)))
+        limit = np.where(np.abs(o) >= 1.0, tol, np.fmax(WITNESS_ABS_TOL, tol * np.abs(o)))
         tally.add(dev, limit.ravel(), lambda i, dev: f"{specs[i % len(specs)].canonical()} "
                                                      f"{labels[i // len(specs)]}: dev {dev:.3e}")
     return tally.result("witnesses")
@@ -338,26 +338,22 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
     (op, family) is one grid spec on the analytic side.
     """
     tally = _Tally()
-    printed_matches_even = True
-    printed_flips_odd = True
+    orders = (2, 3, 4)
+    # (-1)^l, one row per order
+    signs = np.array([(-1) ** l for l in orders])[:, None]
+    printed_relation_holds = True
     for op, family, values in _grid_series():
         specs = [StateSpec.of(family, value, op) for value in values]
-        # one row per order l = 2, 3, 4, one column per state
-        references = np.array([_oracle_hosps_direct(_oracle_state(s), (2, 3, 4))
-                               for s in specs]).T
-        table = _table(StateSpec.of(family, np.array(values), op), *(("hosps", l) for l in (2, 3, 4)))
-        for l, reference in zip((2, 3, 4), references):
-            value = witnesses_mod.hosps(table, l)
-            tally.add(oracle_mod.deviation(value, reference), max(tol, WITNESS_ABS_TOL),
-                      lambda i, dev: f"{specs[i].canonical()} hosps({l}): dev {dev:.3e}")
-            printed = witnesses_mod.hosps_printed_form(table, l)
-            expected = value if l % 2 == 0 else -value
-            if not np.all(oracle_mod.deviation(printed, expected) <= 1e-9):
-                if l % 2 == 0:
-                    printed_matches_even = False
-                else:
-                    printed_flips_odd = False
-    if printed_matches_even and printed_flips_odd:
+        # one row per order, one column per state
+        references = np.array([_oracle_hosps_direct(_oracle_state(s), orders) for s in specs]).T
+        table = _table(StateSpec.of(family, np.array(values), op), *(("hosps", l) for l in orders))
+        direct = np.array([witnesses_mod.hosps(table, l) for l in orders])
+        tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
+                  lambda i, dev: f"{specs[i % len(specs)].canonical()} "
+                                 f"hosps({orders[i // len(specs)]}): dev {dev:.3e}")
+        printed = np.array([witnesses_mod.hosps_printed_form(table, l) for l in orders])
+        printed_relation_holds &= bool(np.all(oracle_mod.deviation(printed, signs * direct) <= 1e-9))
+    if printed_relation_holds:
         notes_extra = "printed-sign variant = (-1)^l * direct definition; direct used"
     else:
         notes_extra = "printed-sign variant relation UNEXPECTED; direct definition used"

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -38,16 +38,15 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import states as states_mod
 from .errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
-from .specfun import binomial, double_factorial, quadrature_power_coeffs, stirling2
+from .specfun import normal_order, quadrature_power_coeffs
 from .states import MomentTable, StateSpec
 
 VARIANT_NUMBER_MOMENTS = "number_moments"
 VARIANT_POWER_OF_MEAN = "power_of_mean"
 
-# |det(mu) - det(m)| below epsilon * scale is reported as indeterminate
+# |det(mu) - det(m)| below this times the moments' scale is reported as
+# indeterminate
 SINGULAR_EPSILON = 1e-12
-
-WITNESS_IDS = ("mandel", "hoa", "hosps", "hos", "husimi_zero", "agarwal_tara", "klyshko")
 
 ENGINES = ("analytic", "oracle")
 
@@ -59,6 +58,14 @@ def engines(engine: str) -> tuple[str, ...]:
     if engine not in ENGINES + ("both",):
         raise ValueError(f"unknown engine {engine!r}")
     return ENGINES if engine == "both" else (engine,)
+
+
+def _analytic(engine: str) -> bool:
+    """Whether a route's engine is the analytic one rather than the
+    oracle; a name outside ENGINES ("both" too) raises."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    return engine == "analytic"
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,16 @@ def _mean_photon(table: MomentTable) -> np.ndarray:
     return _entry(table, 1, 1).real
 
 
+@lru_cache(maxsize=None)
+def _number_power(r: int) -> tuple[tuple[int, int, int], ...]:
+    """(a'a)^r = sum_n S2(r, n) a'^n a^n as terms (n, n, S2(r, n)), n
+    ascending: the Stirling numbers of the second kind."""
+    return normal_order((((1, 1, 1),),) * r)
+
+
 def _number_moment(table: MomentTable, r: int) -> np.ndarray:
-    """<(a'a)^r> from normally ordered moments via Stirling conversion."""
-    return sum(stirling2(r, n) * _entry(table, n, n).real for n in range(r + 1))
+    """<(a'a)^r> from normally ordered moments."""
+    return sum(c * _entry(table, n, n).real for n, _, c in _number_power(r))
 
 
 def _central_number_moment(table: MomentTable, l: int) -> np.ndarray:
@@ -104,7 +118,7 @@ def _central_number_moment(table: MomentTable, l: int) -> np.ndarray:
     mean = _mean_photon(table)
     total = 0.0
     for k in range(l + 1):
-        total += binomial(l, k) * (-mean) ** k * _number_moment(table, l - k)
+        total += math.comb(l, k) * (-mean) ** k * _number_moment(table, l - k)
     return total
 
 
@@ -157,10 +171,10 @@ def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> np.ndarray:
     powers = [mean ** j for j in range(l + 1)]
     d = [None] + [_entry(table, f, f).real - powers[f] for f in range(1, l + 1)]
     total = 0.0
-    for e in range(l + 1):
+    for e in range(1, l + 1):
         sign = (-1) ** (l - e) if flip_with_l else (-1) ** e
-        for f in range(1, e + 1):
-            total += stirling2(e, f) * binomial(l, e) * sign * d[f] * powers[l - e]
+        for f, _, s2 in _number_power(e):
+            total += s2 * math.comb(l, e) * sign * d[f] * powers[l - e]
     return total
 
 
@@ -178,23 +192,20 @@ def hos(table: MomentTable, l: int = 2):
 
     def quad_moment(k: int) -> np.ndarray:
         total = 0j
-        for (j, kk), coeff in quadrature_power_coeffs(k).items():
+        for j, kk, coeff in quadrature_power_coeffs(k):
             total += coeff * _entry(table, j, kk)
         return (total / 2 ** (k / 2.0)).real
 
     mean_x = quad_moment(1)
     central = 0.0
     for k in range(l + 1):
-        central += binomial(l, k) * (-mean_x) ** (l - k) * quad_moment(k)
-    reference = double_factorial(l - 1) / 2 ** (l / 2.0)
+        central += math.comb(l, k) * (-mean_x) ** (l - k) * quad_moment(k)
+    # the (0,0) term of (a + a')^l, (l-1)!!
+    reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
     return _unwrap((central - reference) / reference, table.get(1, 1))
 
 
-def agarwal_tara(
-    table: MomentTable,
-    variant: str = VARIANT_NUMBER_MOMENTS,
-    epsilon: float = SINGULAR_EPSILON,
-):
+def agarwal_tara(table: MomentTable, variant: str = VARIANT_NUMBER_MOMENTS):
     """Determinant-ratio witness A3 = det(m) / (det(mu) - det(m)).
 
     m is the 3x3 Hankel matrix of factorial moments m_k = <a'^k a^k>. The
@@ -216,7 +227,7 @@ def agarwal_tara(
     # elementwise over the states
     scale = reduce(np.maximum, [1.0, abs(det_m), reduce(np.maximum, map(abs, m)) ** 3])
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(abs(denominator) < epsilon * scale, math.nan, det_m / denominator)
+        value = np.where(abs(denominator) < SINGULAR_EPSILON * scale, math.nan, det_m / denominator)
     return _unwrap(value, table.get(1, 1), lambda: SingularDenominator(
         "agarwal_tara denominator vanishes (witness indeterminate)"))
 
@@ -233,7 +244,7 @@ def _hankel3_det(moments) -> np.ndarray:
 def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.ndarray:
     """p_m for m in numbers over spec's states, one row per m: a column
     per point of a grid spec, one column for one state."""
-    if engine == "analytic":
+    if _analytic(engine):
         probs = states_mod.photon_prob(spec, numbers)
     else:
         probs = oracle_mod.over_states(oracle_mod.truncated_states(spec, tail_tol),
@@ -299,7 +310,7 @@ class ScanGrid:
 def _husimi(spec: StateSpec, betas: np.ndarray, engine: str, tail_tol: float) -> np.ndarray:
     """Q at an array of betas from one call on either engine; an oracle
     basis holds every |beta|^2 well inside its cutoff."""
-    if engine == "analytic":
+    if _analytic(engine):
         return states_mod.husimi(spec, betas)
     reach = int(4 * np.max(np.abs(betas) ** 2)) + 8
     return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
@@ -356,7 +367,7 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     and l for hoa(l), 1 <= n <= l for hosps(l) and n <= 4 for A3 (either
     variant); every normal-ordered term of (a + a')^k, k <= l, for hos(l)."""
     if witness == "hos":
-        return tuple(sorted({pair for k in range(order + 1) for pair in quadrature_power_coeffs(k)}))
+        return tuple(sorted({(j, kk) for k in range(order + 1) for j, kk, _ in quadrature_power_coeffs(k)}))
     if witness == "hoa":
         return ((1, 1), (order, order))
     first, last = (1, order) if witness == "hosps" else (0, 4 if witness == "agarwal_tara" else order)
@@ -366,11 +377,9 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
 def _moment_table(spec: StateSpec, engine: str, tail_tol: float, pairs) -> MomentTable:
     """spec's moment table on either engine, holding the given pairs; an
     oracle basis also holds the tails of those moments."""
-    if engine == "analytic":
+    if _analytic(engine):
         return MomentTable.analytic(spec, pairs)
-    if engine == "oracle":
-        return oracle_mod.oracle_moment_table(spec, tail_tol, pairs)
-    raise ValueError(f"unknown engine {engine!r}")
+    return oracle_mod.oracle_moment_table(spec, tail_tol, pairs)
 
 
 def evaluate_witness(

@@ -13,52 +13,82 @@ def ladder(dim):
     return a, a.T
 
 
+# ln(n!) through factorial_ratio: exact integers below EXACT_FACTORIAL_LIMIT,
+# log space above it
+
 def test_log_factorial_small():
-    assert specfun.log_factorial(0) == 0.0
-    assert specfun.log_factorial(1) == 0.0
-    assert specfun.log_factorial(10) == pytest.approx(15.104412573075516, rel=1e-13)
+    assert specfun.factorial_ratio([0], []) == 1.0
+    assert specfun.factorial_ratio([1], []) == 1.0
+    assert math.log(specfun.factorial_ratio([10], [])) == pytest.approx(15.104412573075516, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 7, 25, 60, 140])
 def test_log_factorial_matches_exact(n):
     exact = math.log(math.factorial(n))
-    assert specfun.log_factorial(n) == pytest.approx(exact, rel=1e-13)
+    assert math.log(specfun.factorial_ratio([n], [])) == pytest.approx(exact, rel=1e-13)
 
 
 def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
-        specfun.log_factorial(-1)
+        specfun.factorial_ratio([-1], [])
+
+
+def _terms(word) -> dict:
+    """normal_order(word) as a map (M, N) -> c."""
+    return {(dag, plain): c for dag, plain, c in specfun.normal_order(word)}
+
+
+def _quadrature(l: int) -> dict:
+    """(a + a')^l as a map (M, N) -> c."""
+    return {(dag, plain): c for dag, plain, c in specfun.quadrature_power_coeffs(l)}
+
+
+def _top_degree(n: int) -> dict:
+    """M -> c over the degree-n terms a'^M a^(n-M) of (a + a')^n: every
+    commutator lowers the degree, so these are the binomials C(n, M)."""
+    return {dag: c for (dag, plain), c in _quadrature(n).items() if dag + plain == n}
+
+
+def _stirling2(r: int) -> dict:
+    """n -> S2(r, n) from the normal form of (a'a)^r = sum_n S2(r, n) a'^n a^n."""
+    terms = _terms((((1, 1, 1),),) * r)
+    assert all(dag == plain for dag, plain in terms)
+    return {n: c for (n, _), c in terms.items()}
 
 
 def test_binomial_values():
-    assert specfun.binomial(5, 2) == 10
-    assert specfun.binomial(4, 7) == 0
-    assert specfun.binomial(6, -1) == 0
-    assert specfun.binomial(20, 10) == 184756
+    assert _top_degree(5)[2] == 10
+    assert 7 not in _top_degree(4)
+    assert -1 not in _top_degree(6)
+    assert _top_degree(20)[10] == 184756
 
 
 @pytest.mark.parametrize("n", range(2, 12))
 def test_binomial_pascal_recurrence(n):
+    row, previous = _top_degree(n), _top_degree(n - 1)
     for k in range(1, n):
-        assert specfun.binomial(n, k) == specfun.binomial(n - 1, k - 1) + specfun.binomial(n - 1, k)
+        assert row[k] == previous[k - 1] + previous[k]
 
 
 def test_double_factorial():
-    assert specfun.double_factorial(5) == 15
-    assert specfun.double_factorial(6) == 48
-    assert specfun.double_factorial(-1) == 1
-    assert specfun.double_factorial(0) == 1
+    # (l-1)!! as the (0,0) term of (a + a')^l: the pairings of l factors
+    assert _quadrature(6)[0, 0] == 15
+    assert _quadrature(0)[0, 0] == 1
+    for l, pairings in ((2, 1), (4, 3), (8, 105), (12, 10395)):
+        assert _quadrature(l)[0, 0] == pairings
+    for l in (1, 3, 5):
+        assert (0, 0) not in _quadrature(l)
     with pytest.raises(ValueError):
-        specfun.double_factorial(-2)
+        specfun.quadrature_power_coeffs(-1)
 
 
 def test_stirling2_values():
-    assert specfun.stirling2(3, 2) == 3
-    assert specfun.stirling2(4, 2) == 7
+    assert _stirling2(3)[2] == 3
+    assert _stirling2(4)[2] == 7
     for r in range(7):
-        assert specfun.stirling2(r, r) == 1
-    assert specfun.stirling2(2, 5) == 0
-    assert specfun.stirling2(4, 0) == 0
+        assert _stirling2(r)[r] == 1
+    assert 5 not in _stirling2(2)
+    assert 0 not in _stirling2(4)
 
 
 @pytest.mark.parametrize("r", range(7))
@@ -67,12 +97,12 @@ def test_stirling2_explicit_formula(r, n):
     if n > r:
         return
     direct = sum(
-        (-1) ** (n - j) * specfun.binomial(n, j) * j ** r for j in range(n + 1)
+        (-1) ** (n - j) * math.comb(n, j) * j ** r for j in range(n + 1)
     ) / math.factorial(n)
     # 0^0 = 1 in the j = 0 term of the r = 0 row
     if r == 0 and n == 0:
         direct = 1.0
-    assert specfun.stirling2(r, n) == pytest.approx(direct, abs=1e-9)
+    assert _stirling2(r).get(n, 0) == pytest.approx(direct, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -80,8 +110,8 @@ def test_stirling2_explicit_formula(r, n):
 def test_stirling2_number_operator_identity(d, r):
     # (a'a)^r on |d>: d^r = sum_n S(r, n) * d!/(d-n)!
     total = sum(
-        specfun.stirling2(r, n) * math.factorial(d) / math.factorial(d - n)
-        for n in range(min(r, d) + 1)
+        s2 * math.factorial(d) / math.factorial(d - n)
+        for n, s2 in _stirling2(r).items() if n <= d
     )
     assert total == pytest.approx(d ** r, rel=1e-12)
 
@@ -171,21 +201,20 @@ class TestHypergeometric:
         assert mine == pytest.approx(reference, rel=1e-11)
 
 
+def _product(p: int, q: int) -> dict:
+    """a^p a'^q as a map (M, N) -> c."""
+    return _terms((((0, p, 1),), ((q, 0, 1),)))
+
+
 class TestNormalOrdering:
     def test_single_commutator(self):
-        terms = {(t.dagger_power, t.plain_power): t.coefficient
-                 for t in specfun.normal_order_product(1, 1)}
-        assert terms == {(1, 1): 1, (0, 0): 1}
+        assert _product(1, 1) == {(1, 1): 1, (0, 0): 1}
 
     def test_pure_creation(self):
-        terms = specfun.normal_order_product(0, 4)
-        assert len(terms) == 1
-        assert (terms[0].dagger_power, terms[0].plain_power, terms[0].coefficient) == (4, 0, 1)
+        assert specfun.normal_order((((0, 0, 1),), ((4, 0, 1),))) == ((4, 0, 1),)
 
     def test_two_by_two(self):
-        terms = {(t.dagger_power, t.plain_power): t.coefficient
-                 for t in specfun.normal_order_product(2, 2)}
-        assert terms == {(2, 2): 1, (1, 1): 4, (0, 0): 2}
+        assert _product(2, 2) == {(2, 2): 1, (1, 1): 4, (0, 0): 2}
 
     @pytest.mark.parametrize("p", range(7))
     @pytest.mark.parametrize("q", range(7))
@@ -194,21 +223,35 @@ class TestNormalOrdering:
         a, ad = ladder(dim)
         lhs = np.linalg.matrix_power(a, p) @ np.linalg.matrix_power(ad, q)
         rhs = np.zeros_like(lhs)
-        for term in specfun.normal_order_product(p, q):
-            rhs += term.coefficient * (
-                np.linalg.matrix_power(ad, term.dagger_power)
-                @ np.linalg.matrix_power(a, term.plain_power)
+        for (dag, plain), coeff in _product(p, q).items():
+            rhs += coeff * (
+                np.linalg.matrix_power(ad, dag)
+                @ np.linalg.matrix_power(a, plain)
             )
         # the top-left block is unaffected by the cutoff edge
         keep = dim - max(p, q)
         assert np.allclose(lhs[:keep, :keep], rhs[:keep, :keep], atol=1e-10)
 
+    def test_empty_word_is_the_identity(self):
+        assert specfun.normal_order(()) == ((0, 0, 1),)
+
+    def test_terms_ascend_and_zero_terms_drop(self):
+        # (a'a + 1)(a a') = a'^2 a^2 + 3 a'a + 1, and a' - a' = 0
+        assert specfun.normal_order((((1, 1, 1), (0, 0, 1)), ((0, 1, 1),), ((1, 0, 1),))) == (
+            (0, 0, 1), (1, 1, 3), (2, 2, 1))
+        assert specfun.normal_order((((1, 0, 1), (1, 0, -1)),)) == ()
+
 
 class TestQuadraturePowers:
     def test_low_orders(self):
-        assert specfun.quadrature_power_coeffs(0) == {(0, 0): 1}
-        assert specfun.quadrature_power_coeffs(1) == {(1, 0): 1, (0, 1): 1}
-        assert specfun.quadrature_power_coeffs(2) == {(2, 0): 1, (0, 2): 1, (1, 1): 2, (0, 0): 1}
+        assert _quadrature(0) == {(0, 0): 1}
+        assert _quadrature(1) == {(1, 0): 1, (0, 1): 1}
+        assert _quadrature(2) == {(2, 0): 1, (0, 2): 1, (1, 1): 2, (0, 0): 1}
+
+    def test_terms_ascend(self):
+        for l in range(13):
+            pairs = [(dag, plain) for dag, plain, _ in specfun.quadrature_power_coeffs(l)]
+            assert pairs == sorted(pairs)
 
     @pytest.mark.parametrize("l", range(9))
     def test_matches_matrix_power(self, l):
@@ -216,7 +259,7 @@ class TestQuadraturePowers:
         a, ad = ladder(dim)
         direct = np.linalg.matrix_power(a + ad, l)
         expanded = np.zeros_like(direct)
-        for (j, k), coeff in specfun.quadrature_power_coeffs(l).items():
+        for (j, k), coeff in _quadrature(l).items():
             expanded += coeff * (
                 np.linalg.matrix_power(ad, j) @ np.linalg.matrix_power(a, k)
             )

@@ -7,7 +7,6 @@ import pytest
 from fockwitness import oracle, states, witnesses
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
-from fockwitness.specfun import log_factorial, normal_order_product
 from fockwitness.states import (
     EngineeringOp,
     MomentTable,
@@ -29,7 +28,7 @@ def direct_past_norm(rbar, p, q, terms=500):
             continue
         log_w = (
             r * math.log(x) if x > 0 else (0.0 if r == 0 else -math.inf)
-        ) + 2 * log_factorial(r + q) - log_factorial(r) - log_factorial(r + q - p)
+        ) + 2 * math.lgamma(r + q + 1) - math.lgamma(r + 1) - math.lgamma(r + q - p + 1)
         total += math.exp(log_w)
     return (1.0 + rbar) / total
 
@@ -40,7 +39,7 @@ def direct_psat_norm(rbar, p, q, terms=500):
     for r in range(p, terms):
         log_w = (
             r * math.log(x) if x > 0 else (0.0 if r == 0 else -math.inf)
-        ) + log_factorial(r) + log_factorial(r - p + q) - 2 * log_factorial(r - p)
+        ) + math.lgamma(r + 1) + math.lgamma(r - p + q + 1) - 2 * math.lgamma(r - p + 1)
         total += math.exp(log_w)
     return (1.0 + rbar) / total
 
@@ -56,14 +55,14 @@ def direct_thermal_moment(rbar, op, n):
             if r < p:
                 continue
             level = r - p + q
-            log_w = log_factorial(r) + log_factorial(level) - 2 * log_factorial(r - p)
+            log_w = math.lgamma(r + 1) + math.lgamma(level + 1) - 2 * math.lgamma(r - p + 1)
         else:
             level = r + q - p
             if level < 0:
                 continue
-            log_w = 2 * log_factorial(r + q) - log_factorial(r) - log_factorial(level)
+            log_w = 2 * math.lgamma(r + q + 1) - math.lgamma(r + 1) - math.lgamma(level + 1)
         if level >= n:  # <a'^n a^n> on level m is m! / (m - n)!
-            logs[level] = (r * math.log(x) + log_w, log_factorial(level) - log_factorial(level - n))
+            logs[level] = (r * math.log(x) + log_w, math.lgamma(level + 1) - math.lgamma(level - n + 1))
         else:
             logs[level] = (r * math.log(x) + log_w, -math.inf)
     peak = max(log_w for log_w, _ in logs.values())
@@ -316,25 +315,50 @@ class TestEcsMoments:
 
 class TestContractionTable:
     @staticmethod
-    def _composed(op, m, n):
-        """The table as two normal_order_product expansions composed: a^C a'^q
-        first, then a^q a'^(B+q-r), summed per (M, N) and sorted."""
+    def _runs(op, m, n) -> list:
+        """O' a'^m a^n O as runs (dagger, power) of one ladder, read left to
+        right."""
+        p, q = op.p, op.q
         if op.order == states.ORDER_SUBTRACT_THEN_ADD:
-            outer, b, c = op.p, m, n
-        else:
-            outer, b, c = 0, m + op.p, n + op.p
-        terms = {}
-        for inner in normal_order_product(c, op.q):
-            for left in normal_order_product(op.q, b + inner.dagger_power):
-                key = (outer + left.dagger_power, outer + left.plain_power + inner.plain_power)
-                terms[key] = terms.get(key, 0) + left.coefficient * inner.coefficient
-        return tuple((dag, plain, coeff) for (dag, plain), coeff in sorted(terms.items()))
+            return [(True, p), (False, q), (True, m), (False, n), (True, q), (False, p)]
+        return [(False, q), (True, p), (True, m), (False, n), (False, p), (True, q)]
 
-    def test_closed_form_equals_the_two_expansion_composition(self):
+    @staticmethod
+    def _word_on_fock(runs, k: int) -> int:
+        """The word applied to |k> is w |k + M - N>, w = sqrt(k! (k + M - N)!)
+        times a rational; this is k! times that rational. a^N at level j
+        multiplies it by j!/(j-N)!, and a'^M leaves it."""
+        level, scaled = k, 1
+        for dagger, power in reversed(runs):
+            if dagger:
+                level += power
+            elif power > level:
+                return 0
+            else:
+                scaled *= math.perm(level, power)
+                level -= power
+        return scaled
+
+    @staticmethod
+    def _table_on_fock(table, k: int) -> int:
+        """The same for sum c a'^M a^N: each term with N <= k is
+        c sqrt(k! (k + M - N)!) / (k - N)!, so k! times the rational is
+        sum c k!/(k - N)!."""
+        return sum(c * math.perm(k, plain) for _, plain, c in table if plain <= k)
+
+    def test_table_equals_the_fock_action_of_the_word(self):
+        # no term has N above the word's count of a, and the values at
+        # k = 0..that count fix every coefficient: perm(k, N) is 0 below
+        # k = N and N! at it
         for op in [EngineeringOp.bare(), *_pas_psa_up_to(8)]:
             for m in range(9):
                 for n in range(9):
-                    assert states._contraction_table(op, m, n) == self._composed(op, m, n), (op, m, n)
+                    table = states._contraction_table(op, m, n)
+                    runs = self._runs(op, m, n)
+                    lowerings = sum(power for dagger, power in runs if not dagger)
+                    assert all(dag - plain == m - n and plain <= lowerings for dag, plain, _ in table)
+                    for k in range(lowerings + 1):
+                        assert self._table_on_fock(table, k) == self._word_on_fock(runs, k), (op, m, n, k)
 
 
 class TestPhotonProb:

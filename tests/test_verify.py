@@ -141,6 +141,27 @@ def test_a_nan_value_fails_its_suite(monkeypatch, suite, owner, name):
     assert any("nan" in note for note in result.notes), result.notes
 
 
+def test_the_hosps_gate_stacks_its_orders(monkeypatch):
+    # one deviation call per (op, family) for the gate and one for the
+    # printed-sign check, and a failed element still names its state and order
+    deviations = []
+    deviation, hosps = oracle.deviation, witnesses.hosps
+    monkeypatch.setattr(oracle, "deviation", lambda *args: deviations.append(None) or deviation(*args))
+    orders = []
+
+    def poisoned(table, l):
+        orders.append(l)
+        value = hosps(table, l)
+        # the first grid's order-3 row, at its third state
+        return _nan_at(value, 2) if len(orders) == 2 else value
+    monkeypatch.setattr(witnesses, "hosps", poisoned)
+    result = verify.suite_hosps_gate()
+    assert len(deviations) == 2 * len(list(verify._grid_series()))
+    assert orders[:3] == [2, 3, 4]
+    assert result.checks == 891
+    assert result.notes[0] == f"{StateSpec.thermal(verify.RBAR_GRID[2]).canonical()} hosps(3): dev nan"
+
+
 def test_an_annihilated_point_fails_the_signs_suite(monkeypatch):
     original = states._norm
 

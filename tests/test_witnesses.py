@@ -404,6 +404,21 @@ def test_engines_reads_every_engine_choice():
         witnesses.engines("quantum")
 
 
+# every route names one engine: "both" is the caller's choice of two routes,
+# and any other name raises where "hoa" and the moment table raise
+@pytest.mark.parametrize("engine", ["both", "quantum"])
+@pytest.mark.parametrize("evaluate", [
+    lambda engine: evaluate_witness(BARE_THERMAL, "hoa", 2, engine=engine),
+    lambda engine: evaluate_witness(BARE_THERMAL, "klyshko", 1, engine=engine),
+    lambda engine: evaluate_witness(BARE_THERMAL, "husimi_zero", engine=engine),
+    lambda engine: klyshko(BARE_THERMAL, 1, engine),
+    lambda engine: husimi_zero_scan(BARE_THERMAL, ScanGrid(steps=3), engine=engine),
+], ids=["hoa", "klyshko", "husimi_zero", "klyshko()", "husimi_zero_scan()"])
+def test_an_unknown_engine_name_raises_on_every_route(evaluate, engine):
+    with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+        evaluate(engine)
+
+
 @pytest.mark.parametrize("spec", [
     StateSpec.thermal(0.7, EngineeringOp.pas(1, 2)),
     StateSpec.even_coherent(1.1 + 0.2j, EngineeringOp.psa(2, 1)),
