@@ -10,7 +10,6 @@ Exit codes are the machine-readable failure channel:
        on which Q is 0 everywhere, an oracle basis beyond its hard cutoff,
        or a value beyond the float range
     3  the requested state is annihilated by its engineering operation
-    4  a series failed to converge (the analytic engine sums none)
     5  an indeterminate or undefined witness (vanishing determinant-ratio
        denominator, Mandel function of a zero-mean state)
 
@@ -36,7 +35,6 @@ from .errors import (
     CutoffExceeded,
     DegenerateState,
     EmptyWindow,
-    NonConvergent,
     OddOrder,
     OutOfRange,
     SingularDenominator,
@@ -48,7 +46,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
-EXIT_NONCONVERGENT = 4
 EXIT_SINGULAR = 5
 
 _WITNESS_NAMES = {
@@ -99,7 +96,6 @@ _EXIT_CODES = {
     CutoffExceeded: (EXIT_CONFIG, "oracle basis too large"),
     OutOfRange: (EXIT_CONFIG, "out of float range"),
     DegenerateState: (EXIT_DEGENERATE, "degenerate state"),
-    NonConvergent: (EXIT_NONCONVERGENT, "series did not converge"),
     SingularDenominator: (EXIT_SINGULAR, "indeterminate witness"),
     ZeroMeanPhoton: (EXIT_SINGULAR, "undefined witness"),
 }

@@ -5,15 +5,8 @@ thermal states, amplitude for even coherent states) for a list of state
 variants and collects one value series per variant. Each engine computes
 each series in one call on a grid spec, so there is one moment table per
 (variant, grid); the guards that raise for one state are masks
-there, and their points are NaN gaps. Figure packs bundle the exact
-(l, p, q) combinations of the reference plots:
-
-    fig1 / fig2    Mandel function vs parameter        (thermal / even cat)
-    fig3 / fig4    higher-order antibunching
-    fig5 / fig6    higher-order sub-Poissonian
-    fig7 / fig8    Husimi Q grids over the beta plane
-    fig9 / fig10   Hong-Mandel squeezing
-    fig11 / fig12  Agarwal-Tara A3
+there, and their points are NaN gaps. A figure pack reproduces the panel
+set of one reference figure, as the one table FIGURES lists it.
 
 All output is deterministic: identical configuration gives byte-identical
 CSV files.
@@ -38,21 +31,42 @@ BETA_WINDOW = (-4.0, 4.0)
 SWEEP_STEPS = 200
 HUSIMI_STEPS = 121
 
-FIGURE_IDS = tuple(f"fig{i}" for i in range(1, 13))
 
-# (order l, p, q) per panel for the moment-based figure rows
-_PANEL_COMBOS = {
-    "mandel": ((2, 1, 1), (3, 1, 2), (4, 2, 1)),
-    "hoa": ((2, 1, 1), (3, 1, 2), (4, 2, 1)),
-    "hosps": ((2, 1, 1), (3, 1, 2), (4, 2, 1)),
-    "hos": ((2, 1, 1), (4, 1, 2), (6, 2, 1)),
+def _pas_psa(p: int, q: int) -> tuple[EngineeringOp, EngineeringOp]:
+    return EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)
+
+
+_BARE = EngineeringOp.bare()
+
+# Every panel of the reference figures, one row per odd/even figure pair
+# (thermal, even cat). A sweep panel is (witness, order, variants); a Husimi
+# panel is (variant, parameter).
+_PANELS = (
+    # fig1 / fig2: Mandel function
+    (("mandel", 2, (*_pas_psa(1, 1), _BARE)), ("mandel", 3, (*_pas_psa(1, 2), _BARE)),
+     ("mandel", 4, (*_pas_psa(2, 1), _BARE))),
+    # fig3 / fig4: higher-order antibunching
+    (("hoa", 2, _pas_psa(1, 1)), ("hoa", 3, _pas_psa(1, 2)), ("hoa", 4, _pas_psa(2, 1))),
+    # fig5 / fig6: higher-order sub-Poissonian statistics
+    (("hosps", 2, _pas_psa(1, 1)), ("hosps", 3, _pas_psa(1, 2)), ("hosps", 4, _pas_psa(2, 1))),
+    # fig7 / fig8: Husimi Q over the beta plane; the bare state at the first
+    # captioned parameter value
+    ((EngineeringOp.pas(2, 4), 2.0), (EngineeringOp.psa(2, 4), 2.0), (EngineeringOp.pas(4, 2), 4.0),
+     (EngineeringOp.psa(4, 2), 4.0), (_BARE, 2.0)),
+    # fig9 / fig10: Hong-Mandel squeezing
+    (("hos", 2, _pas_psa(1, 1)), ("hos", 4, _pas_psa(1, 2)), ("hos", 6, _pas_psa(2, 1))),
+    # fig11 / fig12: Agarwal-Tara A3
+    (("agarwal_tara", 0, _pas_psa(1, 1)), ("agarwal_tara", 0, _pas_psa(1, 2)),
+     ("agarwal_tara", 0, _pas_psa(2, 1)), ("agarwal_tara", 0, (_BARE,))),
+)
+
+# figure id -> (family, panels)
+FIGURES = {
+    f"fig{2 * row + index + 1}": (family, panels)
+    for row, panels in enumerate(_PANELS)
+    for index, family in enumerate((states_mod.FAMILY_THERMAL, states_mod.FAMILY_EVEN_COHERENT))
 }
-
-_A3_PANEL_OPS = ((1, 1), (1, 2), (2, 1), (0, 0))
-
-# (p, q, parameter) per Husimi panel; the bare panel reuses the first
-# captioned parameter value
-_HUSIMI_PANELS = ((2, 4, 2.0), (4, 2, 4.0))
+FIGURE_IDS = tuple(FIGURES)
 
 
 @dataclass
@@ -173,12 +187,11 @@ def sweep(
 
 def husimi_grid(
     spec: StateSpec,
-    label: str,
     steps: int = HUSIMI_STEPS,
     engine: str = "analytic",
 ) -> HusimiGrid:
-    """Husimi Q on a square grid over BETA_WINDOW on both axes; rows scan
-    Im(beta), columns Re(beta).
+    """Husimi Q on a square grid over BETA_WINDOW on both axes, labelled by
+    the spec's variant; rows scan Im(beta), columns Re(beta).
 
     The values come from the husimi-zero scan's grid route on that window:
     one call over the grid's beta array, to states.husimi for the
@@ -195,7 +208,7 @@ def husimi_grid(
     metadata = {"spec": spec.canonical(), "engine": engine}
     if len(values) > 1:
         metadata["max_deviation"] = float(np.max(oracle_mod.deviation(*values)))
-    return HusimiGrid(label, *grid.axes(), values[0].tolist(), metadata)
+    return HusimiGrid(spec.op.label(), *grid.axes(), values[0].tolist(), metadata)
 
 
 def figure_pack(
@@ -204,16 +217,11 @@ def figure_pack(
     grid_steps: int | None = None,
     engine: str = "analytic",
 ) -> FigurePack:
-    """Reproduce the panel set of one reference figure.
-
-    Sweep figures carry one sub-table per (l, p, q) panel with PAS and PSA
-    series (Mandel panels also carry the bare series; A3 panels include the
-    bare variant as its own panel). Husimi figures carry five grids.
-    """
-    if figure_id not in FIGURE_IDS:
+    """Reproduce the panel set of one reference figure, as FIGURES lists it:
+    one sweep per sweep panel, one husimi_grid per Husimi panel."""
+    if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}")
-    index = int(figure_id[3:])
-    family = states_mod.FAMILY_THERMAL if index % 2 else states_mod.FAMILY_EVEN_COHERENT
+    family, panels = FIGURES[figure_id]
     # a given 0 is checked like any other count, not read as "default", and
     # both counts are checked whichever the figure reads
     if steps is not None and steps < 2:
@@ -223,47 +231,16 @@ def figure_pack(
     husimi_steps = HUSIMI_STEPS if grid_steps is None else grid_steps
     prange = None if steps is None else {"steps": steps}
 
-    if index in (1, 2, 3, 4, 5, 6, 9, 10):
-        witness_id = {1: "mandel", 3: "hoa", 5: "hosps", 9: "hos"}[index if index % 2 else index - 1]
-        include_bare = witness_id == "mandel"
-        panels = []
-        for panel_letter, (order, p, q) in zip("abc", _PANEL_COMBOS[witness_id]):
-            table = sweep(
-                witness_id,
-                order,
-                [EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)],
-                family,
-                param_range=prange,
-                engine=engine,
-                include_bare=include_bare,
-            )
-            panels.append((panel_letter, table))
-        return FigurePack(figure_id, panels)
-
-    if index in (7, 8):
-        panels = []
-        letters = iter("abcde")
-        for p, q, value in _HUSIMI_PANELS:
-            for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
-                spec = StateSpec.of(family, value, op)
-                panels.append(
-                    (next(letters), husimi_grid(spec, op.label(), steps=husimi_steps, engine=engine))
-                )
-        bare_value = _HUSIMI_PANELS[0][2]
-        spec = StateSpec.of(family, bare_value)
-        panels.append((next(letters), husimi_grid(spec, "bare", steps=husimi_steps, engine=engine)))
-        return FigurePack(figure_id, panels)
-
-    # A3 figures: one panel per (p, q) including the bare (0, 0) panel
-    panels = []
-    for panel_letter, (p, q) in zip("abcd", _A3_PANEL_OPS):
-        if p == 0 and q == 0:
-            ops = [EngineeringOp.bare()]
+    tables = []
+    for letter, panel in zip("abcde", panels):
+        if len(panel) == 3:
+            witness_id, order, variants = panel
+            table = sweep(witness_id, order, variants, family, param_range=prange, engine=engine)
         else:
-            ops = [EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)]
-        table = sweep("agarwal_tara", 0, ops, family, param_range=prange, engine=engine)
-        panels.append((panel_letter, table))
-    return FigurePack(figure_id, panels)
+            op, value = panel
+            table = husimi_grid(StateSpec.of(family, value, op), steps=husimi_steps, engine=engine)
+        tables.append((letter, table))
+    return FigurePack(figure_id, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each suite returns a SuiteResult with the worst observed deviation; the
 `verify` CLI command and the acceptance tests both run through here so they
 cannot drift apart. Tolerances are pinned to the contract values and can
 only be overridden explicitly (e.g. `verify --tol 1e-15` to demonstrate the
-gate is live).
+gate is live). The suites of TOL_SUITES read that override; a tolerance
+given to a selection with none of them is a ValueError, not ignored.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ SUITE_NAMES = (
     "determinism",
 )
 
+# the suites that take a tolerance, which run_suites' tol overrides
+TOL_SUITES = ("moments", "witnesses", "hosps_gate", "coherent", "fixtures")
+
 
 @dataclass
 class SuiteResult:
@@ -88,18 +92,19 @@ class _Tally:
         return SuiteResult(name, not self.notes, self.worst, self.checks, self.notes[:10])
 
 
-def _engineering_ops(max_order: int = 3) -> list[EngineeringOp]:
+def _engineering_ops() -> list[EngineeringOp]:
+    """The bare state and every PAS/PSA operation with p, q <= 3."""
     ops = [EngineeringOp.bare()]
-    for p in range(max_order + 1):
-        for q in range(max_order + 1):
+    for p in range(4):
+        for q in range(4):
             ops.append(EngineeringOp.pas(p, q))
             ops.append(EngineeringOp.psa(p, q))
     return ops
 
 
-def _grid_series(max_order: int = 3):
+def _grid_series():
     """(op, family, values): the spec grid, one grid spec per (op, family)."""
-    for op in _engineering_ops(max_order):
+    for op in _engineering_ops():
         yield op, states_mod.FAMILY_THERMAL, RBAR_GRID
         yield op, states_mod.FAMILY_EVEN_COHERENT, ALPHA_GRID
 
@@ -234,25 +239,25 @@ def suite_normalization() -> SuiteResult:
     return tally.result("normalization")
 
 
-def suite_hos(points: int = 40) -> SuiteResult:
-    """Hong-Mandel squeezing stays non-negative over the plotted windows.
+def suite_hos() -> SuiteResult:
+    """Hong-Mandel squeezing stays non-negative on the hos panels of the
+    reference figures (fig9, fig10) at 40 points per series.
 
-    Each scanned series is one grid spec. A NaN fails its check; the printed
-    deviation is the most negative value.
+    A NaN fails its check; the printed deviation is the most negative value.
     """
     tally = _Tally()
-    for family in states_mod.FAMILIES.values():
-        values = np.array(witnesses_mod._linspace(*family.window, points))
-        for l, p, q in ((2, 1, 1), (4, 1, 2), (6, 2, 1)):
-            for op in (EngineeringOp.pas(p, q), EngineeringOp.psa(p, q)):
-                s = witnesses_mod.hos(_table(StateSpec.of(family, values, op), ("hos", l)), l)
-                tally.add(-s, SIGN_MAGNITUDE,
-                          lambda i, dev: f"{StateSpec.of(family, values[i], op).canonical()} "
+    for figure_id in ("fig9", "fig10"):
+        for _, table in sweep_report.figure_pack(figure_id, steps=40).panels:
+            family, l = states_mod.FAMILIES[table.metadata["family"]], table.metadata["order"]
+            for label, series in table.series.items():
+                op = EngineeringOp.from_label(label)
+                tally.add(-np.array(series), SIGN_MAGNITUDE,
+                          lambda i, dev: f"{StateSpec.of(family, table.parameter_values[i], op).canonical()} "
                                          f"hos({l}) = {-dev:.3e}")
     return tally.result("hos")
 
 
-def suite_signs(points: int = 60) -> SuiteResult:
+def suite_signs() -> SuiteResult:
     """Sign structure of the reference panels.
 
     Mandel order 2: the subtract-then-add (1,1) thermal curve goes negative
@@ -265,6 +270,7 @@ def suite_signs(points: int = 60) -> SuiteResult:
     """
     notes = []
     checks = 0
+    points = 60
     rbar_values = np.array(witnesses_mod._linspace(*states_mod.FAMILY_THERMAL.window, points))
 
     minima = {}
@@ -473,17 +479,18 @@ _SUITES = {
 
 
 def run_suites(names=None, tol: float | None = None, report=print) -> list[SuiteResult]:
-    """Run the requested suites (all by default) and report one line each."""
+    """Run the requested suites (all by default) and report one line each;
+    tol overrides the tolerance of the selected suites of TOL_SUITES, and
+    raises ValueError where none is selected."""
     selected = list(names) if names else list(SUITE_NAMES)
+    if tol is not None and not set(selected) & set(TOL_SUITES):
+        raise ValueError(f"no selected suite reads a tolerance (those that do: {', '.join(TOL_SUITES)})")
     results = []
     for name in selected:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
         suite = _SUITES[name]
-        if tol is not None and name in ("moments", "witnesses", "hosps_gate", "fixtures"):
-            result = suite(tol)
-        else:
-            result = suite()
+        result = suite(tol) if tol is not None and name in TOL_SUITES else suite()
         results.append(result)
         if report:
             report(result.line())

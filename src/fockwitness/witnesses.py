@@ -189,11 +189,14 @@ def hos(table: MomentTable, l: int = 2):
         raise ValueError("hos requires l >= 2")
     if l % 2:
         raise OddOrder("hos is defined for even order only")
+    # each pair read once; every term below is added in its expansion order
+    raw = {pair: table.get(*pair) for pair in _moment_pairs("hos", l)}
+    entries = {pair: np.atleast_1d(value) for pair, value in raw.items()}
 
     def quad_moment(k: int) -> np.ndarray:
         total = 0j
         for j, kk, coeff in quadrature_power_coeffs(k):
-            total += coeff * _entry(table, j, kk)
+            total += coeff * entries[j, kk]
         return (total / 2 ** (k / 2.0)).real
 
     mean_x = quad_moment(1)
@@ -202,7 +205,7 @@ def hos(table: MomentTable, l: int = 2):
         central += math.comb(l, k) * (-mean_x) ** (l - k) * quad_moment(k)
     # the (0,0) term of (a + a')^l, (l-1)!!
     reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
-    return _unwrap((central - reference) / reference, table.get(1, 1))
+    return _unwrap((central - reference) / reference, raw[1, 1])
 
 
 def agarwal_tara(table: MomentTable, variant: str = VARIANT_NUMBER_MOMENTS):
@@ -361,6 +364,7 @@ def husimi_zero_scan(
 # Uniform entry point
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
     this order: <a'^n a^n> for n <= l for mandel(l) (its <(a'a)^r>), n = 1

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from fockwitness import cli, oracle, states, sweep_report, witnesses
-from fockwitness.errors import NonConvergent
 
 PKG = [sys.executable, "-m", "fockwitness"]
 
@@ -40,19 +39,6 @@ class TestMomentCommand:
             "--rbar", "0", "--m", "0", "--n", "0",
         )
         assert proc.returncode == 3
-
-    def test_nonconvergent_exit_code(self, monkeypatch, capsys):
-        # the analytic engine sums no infinite series; the mapping stays
-        def raise_nonconvergent(spec, m, n):
-            raise NonConvergent("series budget exhausted")
-
-        monkeypatch.setattr(states, "moment", raise_nonconvergent)
-        code = cli.main([
-            "moment", "--family", "thermal", "--op", "pas", "--p", "1", "--q", "1",
-            "--rbar", "1", "--m", "1", "--n", "1",
-        ])
-        assert code == 4
-        assert "did not converge" in capsys.readouterr().err
 
     def test_huge_rbar_is_finite(self):
         proc = run_cli(
@@ -409,6 +395,17 @@ class TestVerifyCommand:
     def test_overtight_tolerance_fails(self):
         proc = run_cli("verify", "--suite", "fixtures", "--tol", "1e-15")
         assert proc.returncode == 1
+
+    def test_coherent_reads_tol(self):
+        proc = run_cli("verify", "--suite", "coherent", "--tol", "1e-30")
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("FAIL coherent: 27 checks")
+
+    def test_tol_no_selected_suite_reads_is_config_error(self):
+        proc = run_cli("verify", "--suite", "hos", "--tol", "1e-30")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("configuration error: no selected suite reads a tolerance")
 
     def test_unknown_suite_is_config_error(self):
         proc = run_cli("verify", "--suite", "astrology")

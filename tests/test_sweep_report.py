@@ -254,7 +254,6 @@ class TestFigurePacks:
     def test_husimi_both_engine_regression_gate(self):
         grid = husimi_grid(
             StateSpec.thermal(2.0, EngineeringOp.pas(2, 4)),
-            "PAS(2,4)",
             steps=5,
             engine="both",
         )
@@ -358,7 +357,7 @@ class TestCsv:
         assert lines[3] == "0.0,1.0,0.3"
 
     def test_husimi_csv_equals_per_cell_formatting(self):
-        grid = husimi_grid(StateSpec.even_coherent(2.0, EngineeringOp.psa(4, 2)), "PSA(4,2)", steps=7)
+        grid = husimi_grid(StateSpec.even_coherent(2.0, EngineeringOp.psa(4, 2)), steps=7)
         grid.q_values[1][2] = float("nan")
         expected = "re,im,q_value\n" + "".join(
             _per_cell(re, im, grid.q_values[i][j]) + "\n"

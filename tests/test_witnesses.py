@@ -337,7 +337,7 @@ class TestEvaluateWitness:
 
 # (witness, order) as the CLI default, the figure panels and verify read them
 _READS = sorted(
-    {(witness, order) for witness, panels in sweep_report._PANEL_COMBOS.items() for order, _, _ in panels}
+    {panel[:2] for _, panels in sweep_report.FIGURES.values() for panel in panels if len(panel) == 3}
     | {(witness, 2) for witness in ("mandel", "hoa", "hosps", "hos")}
     | {("mandel", 3), ("hoa", 3), ("hosps", 3), ("agarwal_tara", 0)}
 )
@@ -373,6 +373,28 @@ class TestMomentPairs:
         {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
         if witness == "hosps":
             hosps_printed_form(table, order)
+
+    class _Counting(MomentTable):
+        """An analytic table that counts its reads of each pair."""
+
+        def __init__(self, spec, pairs=()):
+            super().__init__(spec, lambda ms, ns: states.moment(spec, ms, ns), pairs=pairs)
+            self.reads = {}
+
+        def get(self, m, n):
+            self.reads[m, n] = self.reads.get((m, n), 0) + 1
+            return super().get(m, n)
+
+    @pytest.mark.parametrize("order", [2, 6, 12])
+    @pytest.mark.parametrize("spec", [
+        StateSpec.thermal(0.8, EngineeringOp.psa(2, 1)),
+        StateSpec.even_coherent(np.array([0.4, 1.1]), EngineeringOp.pas(1, 2)),
+    ], ids=["thermal", "grid"])
+    def test_hos_reads_each_pair_once(self, spec, order):
+        pairs = witnesses._moment_pairs("hos", order)
+        table = self._Counting(spec, pairs)
+        hos(table, order)
+        assert table.reads == dict.fromkeys(pairs, 1)
 
     @pytest.mark.parametrize("witness, order", _READS)
     def test_the_oracle_tail_order_is_unchanged(self, witness, order):
