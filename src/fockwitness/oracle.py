@@ -11,17 +11,20 @@ A Fock-diagonal family (thermal) stays diagonal through both engineering
 operations, so it is held as a weight vector (O(D) instead of O(D^2)), and
 any other family as a pure state vector.
 
-Every basis grows in one loop (_grow). Each quantity is one body over arrays,
-whose one-element case is the scalar call; over_states stacks it over states.
+Every basis grows in one loop over the rows of a grid (_grow), all of a grid
+spec's points at once (truncated_states); one state is a grid of one. Each
+quantity is one body over arrays, whose one-element case is the scalar call;
+over_states stacks it over states.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -117,23 +120,23 @@ def _falling(count: int, times: int) -> np.ndarray:
 
 
 def _ladder(data: np.ndarray, times: int, *, creation: bool, diagonal: bool) -> np.ndarray:
-    """a'^times (creation) or a^times applied to a vector, in one slice and
-    scale: a'^t |k> = sqrt((k+t)!/k!) |k+t>. On diagonal weights the same
-    shift carries the full falling factorial, as a'^t rho a^t (creation) or
-    a^t rho a'^t does to a diagonal rho."""
+    """a'^times (creation) or a^times applied to vectors along the last
+    axis, in one slice and scale: a'^t |k> = sqrt((k+t)!/k!) |k+t>. On
+    diagonal weights the same shift carries the full falling factorial, as
+    a'^t rho a^t (creation) or a^t rho a'^t does to a diagonal rho."""
     if not times:
         return data
     out = np.zeros_like(data)
-    count = len(data) - times
+    count = data.shape[-1] - times
     if count <= 0:
         return out
     scale = _falling(count, times)
     if not diagonal:
         scale = np.sqrt(scale)
     if creation:
-        out[times:] = data[:count] * scale
+        out[..., times:] = data[..., :count] * scale
     else:
-        out[:count] = data[times:] * scale
+        out[..., :count] = data[..., times:] * scale
     return out
 
 
@@ -155,26 +158,28 @@ def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, np.ndarra
     return index, scale, rows
 
 
-def _thermal_weights(rbar: float, dim: int) -> np.ndarray:
-    x = rbar / (1.0 + rbar)
-    k = np.arange(dim)
-    if x == 0.0:
-        w = np.zeros(dim)
-        w[0] = 1.0
-        return w
-    return np.exp(k * math.log(x)) / (1.0 + rbar)
+def _thermal_weights(rbar, dim: int) -> np.ndarray:
+    """Bare thermal weights on dim levels, on a last axis added to the
+    shape of rbar; rbar = 0 is the vacuum."""
+    rbar = np.asarray(rbar, dtype=float)[..., None]
+    total = 1.0 + rbar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.exp(np.arange(dim) * np.log(rbar / total)) / total
+    # x^0 / (1 + rbar), also where x = 0 and the log leaves NaN there
+    weights[..., 0] = 1.0 / total[..., 0]
+    return weights
 
 
-def _even_cat_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+def _even_cat_amplitudes(alpha, dim: int) -> np.ndarray:
     # |alpha> + |-alpha> keeps only even Fock levels; build the even slots
     # from the coherent amplitudes and zero the odd ones exactly, so parity
     # zeros survive the ladder algebra as exact zeros
     out = 2.0 * coherent_amplitudes(alpha, dim)
-    out[1::2] = 0.0
+    out[..., 1::2] = 0.0
     return out
 
 
-# (parameter, dim) -> the bare state's weights or amplitudes, per family record
+# (parameters, dim) -> the bare states' weights or amplitudes, per family record
 _BARE_COMPONENTS = {FAMILY_THERMAL: _thermal_weights, FAMILY_EVEN_COHERENT: _even_cat_amplitudes}
 
 
@@ -187,107 +192,144 @@ def _engineer(components: np.ndarray, op: EngineeringOp, diagonal: bool) -> np.n
     return _ladder(raised, p, creation=False, diagonal=diagonal)
 
 
-def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> float:
-    """Conservative mass-above-cutoff estimate from the top of the basis.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex (G, D) array, formed as it
+    forms one vector's: the dot products of the real and imaginary parts."""
+    re, im = rows.real, rows.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> np.ndarray:
+    """Conservative mass-above-cutoff estimate from the top of the basis,
+    one per row of probs (G, D).
 
     Photon subtraction leaves up to `structural_zeros` exactly-zero slots at
-    the top of the array; those are skipped (they carry no mass) so the
-    window anchors on the real tail. Zeros beyond that count are treated as
-    the genuine end of support.
+    the top of a row; those are skipped (they carry no mass) so the window
+    anchors on the real tail. Zeros beyond that count are treated as the
+    genuine end of support.
     """
-    dim = len(probs)
-    skip = 0
-    while skip < structural_zeros and skip < dim and probs[dim - 1 - skip] == 0.0:
-        skip += 1
+    dim = probs.shape[-1]
     window = max(2, dim // 16)
-    lo = max(0, dim - skip - window)
-    return float(np.sum(probs[lo:dim - skip]))
+    if not structural_zeros:
+        return probs[:, max(0, dim - window):].sum(axis=-1)
+    # each row's exact zeros at the top, up to structural_zeros of them
+    top = probs[:, dim - min(structural_zeros, dim):][:, ::-1] == 0.0
+    skips = np.cumprod(top, axis=1).sum(axis=1)
+    tails = np.empty(len(probs))
+    for skip in set(skips.tolist()):
+        np.copyto(tails, probs[:, max(0, dim - skip - window):dim - skip].sum(axis=-1), where=skips == skip)
+    return tails
 
 
-def _moment_tail(probs: np.ndarray, structural_zeros: int, order: int) -> float:
-    """_tail_estimate of sum_k p_k k^order, relative to that sum where it
-    exceeds 1 (absolute below, as the witness comparisons are), in logarithms:
-    k^order alone passes the float range at high orders (511^120 ~ 1e325)."""
+def _moment_tail(probs: np.ndarray, structural_zeros: int, order: int) -> np.ndarray:
+    """_tail_estimate of sum_k p_k k^order per row, relative to that sum
+    where it exceeds 1 (absolute below, as the witness comparisons are), in
+    logarithms: k^order alone passes the float range at high orders
+    (511^120 ~ 1e325)."""
     with np.errstate(divide="ignore"):
-        log_weighted = np.log(probs) + order * np.log(np.arange(len(probs), dtype=float))
-    relative = np.exp(log_weighted - max(0.0, np.logaddexp.reduce(log_weighted)))
-    return _tail_estimate(relative, structural_zeros)
+        log_weighted = np.log(probs) + order * np.log(np.arange(probs.shape[-1], dtype=float))
+    total = np.logaddexp.reduce(log_weighted, axis=-1)
+    return _tail_estimate(np.exp(log_weighted - np.maximum(0.0, total)[:, None]), structural_zeros)
 
 
-def _grow(name: str, bare, op: EngineeringOp, diagonal: bool, tail_tol: float,
-          min_cutoff: int = 0, order: int = 0) -> TruncatedState:
-    """The one cutoff-doubling loop behind every oracle state: op engineers
-    bare(dim), the bare weights (diagonal) or amplitudes on dim levels. It
-    starts where it reaches min_cutoff and oracle_moment's guard admits
-    every <a'^m a^n> with (m + n) // 2 <= order, and stops where the mass
-    near the top of the basis, and that mass weighted by k^order, are below
-    tail_tol. A norm below _NORM_FLOOR is an annihilated state only where
-    the bare state's own mass is held; otherwise it is underflow."""
+def _grow(name, points: np.ndarray, bare, op: EngineeringOp, diagonal: bool, tail_tol: float,
+          min_cutoff: int = 0, order: int = 0) -> list:
+    """The one cutoff-doubling loop behind every oracle state, over the rows
+    of a grid: bare(points, dim) gives the bare weights (diagonal) or
+    amplitudes of the pending points on dim levels, one row each, and op
+    engineers them along the last axis. Every row starts where the basis
+    reaches min_cutoff and oracle_moment's guard admits every <a'^m a^n>
+    with (m + n) // 2 <= order, and retires at the first cutoff where the
+    mass near the top of its basis, and that mass weighted by k^order, are
+    below tail_tol: the cutoff its one-state build converges to. A norm
+    below _NORM_FLOOR is an annihilated state (None) only where the bare
+    state's own mass is held; otherwise it is underflow, and the row grows.
+    name(i) names point i, and is formatted only for an error."""
     limit = max_cutoff()
+    if min_cutoff > limit:
+        raise CutoffExceeded(f"{name(0)} needs more than {limit} Fock levels to hold level {min_cutoff - 1}")
     dim = min(_INITIAL_CUTOFF, limit)
     # m + n <= 2 order + 1 must stay below dim / 2
     while dim < min(max(min_cutoff, 4 * order + 3), limit):
         dim = min(2 * dim, limit)
-    while True:
-        components = bare(dim)
+    states = [None] * len(points)
+    kind = KIND_DIAGONAL if diagonal else KIND_VECTOR
+    pending = np.arange(len(points))
+    while pending.size:
+        components = bare(points[pending], dim)
         engineered = _engineer(components, op, diagonal)
         # weights divide by their sum, the trace; amplitudes by their norm, its root
-        total = float(np.sum(engineered) if diagonal else np.linalg.norm(engineered))
-        if total > _NORM_FLOOR:
-            data = engineered / total
-            probs = data if diagonal else np.abs(data) ** 2
-            tail = _tail_estimate(probs, structural_zeros=op.p)
-            if tail < tail_tol and (not order or _moment_tail(probs, op.p, order) < tail_tol):
-                return TruncatedState(dim, KIND_DIAGONAL if diagonal else KIND_VECTOR, data, tail)
-        else:
+        total = np.sum(engineered, axis=-1) if diagonal else _row_norms(engineered)
+        live = total > _NORM_FLOOR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the rows below the floor are not read
+            data = engineered / total[:, None]
+        probs = data if diagonal else np.abs(data) ** 2
+        tails = _tail_estimate(probs, op.p)
+        retired = live & (tails < tail_tol)
+        if order:
+            # the weighted tail of the rows whose mass tail is held
+            retired[retired] = _moment_tail(probs[retired], op.p, order) < tail_tol
+        # the retired rows apart, so that no state holds the others' data
+        for i, row, tail in zip(pending[retired], data[retired], tails[retired].tolist()):
+            states[i] = TruncatedState(dim, kind, row, tail)
+        if not live.all():
             bare_probs = components if diagonal else np.abs(components) ** 2
-            if _tail_estimate(bare_probs) < tail_tol * np.sum(bare_probs):
-                raise DegenerateState(f"{name} is annihilated")
-        if dim >= limit:
-            subject = f"{name} moments need" if order else f"{name} needs"
+            retired |= ~live & (_tail_estimate(bare_probs) < tail_tol * np.sum(bare_probs, axis=-1))
+        pending = pending[~retired]
+        if pending.size and dim >= limit:
+            subject = f"{name(pending[0])} moments need" if order else f"{name(pending[0])} needs"
             raise CutoffExceeded(f"{subject} more than {limit} Fock levels for tail tolerance {tail_tol}")
         dim = min(2 * dim, limit)
+    return states
 
 
-def _grow_spec(spec: StateSpec, tail_tol: float, min_cutoff: int = 0, order: int = 0) -> TruncatedState:
-    return _grow(spec.canonical(), partial(_BARE_COMPONENTS[spec.family], spec.parameter), spec.op,
-                 spec.family.diagonal, tail_tol, min_cutoff, order)
+def _one(states: list, name) -> TruncatedState:
+    """The state of a grid of one, or DegenerateState where it is annihilated."""
+    if states[0] is None:
+        raise DegenerateState(f"{name(0)} is annihilated")
+    return states[0]
+
+
+def truncated_states(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0,
+                     min_cutoff: int = 0):
+    """The states of a spec's points from one _grow over them, each at the
+    cutoff its own build converges to, for moments of that order and from
+    at least min_cutoff levels: the state of a one-state spec, or a list
+    over a grid spec's points with None where a state is annihilated. For
+    one state DegenerateState propagates, as CutoffExceeded does on either,
+    naming the first point past the hard limit."""
+    points = np.atleast_1d(spec.parameter)
+
+    def name(i):
+        return StateSpec.of(spec.family, points[i], spec.op).canonical()
+
+    states = _grow(name, points, _BARE_COMPONENTS[spec.family], spec.op, spec.family.diagonal,
+                   tail_tol, min_cutoff, order)
+    return states if isinstance(spec.parameter, np.ndarray) else _one(states, name)
 
 
 def build_truncated(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL,
                     min_cutoff: int = 0) -> TruncatedState:
     """Build the engineered state numerically, growing the cutoff (_grow)
     until the mass near the top of the basis is below tail_tol, from at
-    least min_cutoff (Husimi evaluations need |beta|^2 well inside it).
-    add-then-subtract applies a'^q first and a^p second, the other order is
-    reversed. A grid spec raises ValueError: truncated_states builds one
-    per point."""
+    least min_cutoff (Husimi evaluations need |beta|^2 well inside it);
+    past the hard limit it raises CutoffExceeded. add-then-subtract applies
+    a'^q first and a^p second, the other order is reversed. A grid spec
+    raises ValueError: truncated_states builds all its points at once."""
     if isinstance(spec.parameter, np.ndarray):
         raise ValueError(f"build_truncated takes one state, not a grid spec of {len(spec.parameter)} points")
-    return _grow_spec(spec, tail_tol, min_cutoff)
+    return truncated_states(spec, tail_tol, min_cutoff=min_cutoff)
 
 
 def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> TruncatedState:
     """Plain coherent state |alpha> in the truncated basis (baseline states)."""
     alpha = complex(alpha)
-    return _grow(f"coherent state |{alpha}>", partial(coherent_amplitudes, alpha), EngineeringOp.bare(),
-                 False, tail_tol)
 
+    def name(i):
+        return f"coherent state |{alpha}>"
 
-def truncated_states(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0):
-    """The state of a one-state spec, or a list over a grid spec's points
-    with None where a state is annihilated, each grown by _grow for moments
-    of that order. For one state DegenerateState propagates, as
-    CutoffExceeded does on either."""
-    if not isinstance(spec.parameter, np.ndarray):
-        return _grow_spec(spec, tail_tol, order=order)
-    states = []
-    for value in spec.parameter:
-        try:
-            states.append(_grow_spec(StateSpec.of(spec.family, value, spec.op), tail_tol, order=order))
-        except DegenerateState:
-            states.append(None)
-    return states
+    return _one(_grow(name, np.array([alpha]), coherent_amplitudes, EngineeringOp.bare(), False, tail_tol), name)
 
 
 def over_states(states, quantity, rows: int, dtype=float) -> np.ndarray:
@@ -378,30 +420,36 @@ def oracle_husimi(state: TruncatedState, beta):
     return float(values) if beta.ndim == 0 else values
 
 
-def oracle_poissonian_central_moment(mean: float, l):
+def oracle_poissonian_central_moment(mean, l):
     """l-th central moment of a Poisson distribution, by truncated summation.
 
-    l may also be a sequence of orders: the pmf is built once, over the
-    support of the largest, and each order sums over its own support, so
-    that each value equals the one-order call's bit for bit; a list comes
-    back, one value per order.
+    mean may also be a 1-d array of means, and l a sequence of orders: the
+    pmf of every mean is built once, over the support of the largest order,
+    and each value sums its own mean's and order's support term by term in
+    level order, so that it equals its one-mean, one-order call bit for
+    bit. Per order, a number mean gives a float and an array of means an
+    array over them; a sequence of orders gives a list, one per order.
     """
     scalar = np.ndim(l) == 0
     orders = [l] if scalar else list(l)
-    if mean < 0:
+    means = np.atleast_1d(np.asarray(mean, dtype=float))
+    if (means < 0).any():
         raise ValueError("mean must be non-negative")
     if min(orders, default=1) < 1:
         raise ValueError("order must be at least 1")
-    if mean == 0.0:
-        values = [0.0] * len(orders)
-    else:
-        # support wide enough that the neglected tail is far below 1e-14 even
-        # after the (k - mean)^l weight
-        tops = [int(mean + 40.0 * math.sqrt(mean) + 60.0 + 2 * order) for order in orders]
-        k = np.arange(max(tops, default=0) + 1, dtype=float)
-        pmf = np.exp(k * math.log(mean) - mean - _log_factorials(len(k)))
-        values = [float(np.dot(pmf[:top + 1], (k[:top + 1] - mean) ** order))
-                  for top, order in zip(tops, orders)]
+    # support wide enough that the neglected tail is far below 1e-14 even
+    # after the (k - mean)^l weight; one row per order, one column per mean
+    tops = (means + 40.0 * np.sqrt(means) + 60.0 + 2 * np.array(orders, dtype=int)[:, None]).astype(int)
+    k = np.arange(tops.max(initial=0) + 1, dtype=float)
+    # a zero mean, whose moments are 0, is summed as mean 1 and masked below
+    pmf = np.exp(k * np.log(np.where(means > 0.0, means, 1.0))[:, None] - means[:, None]
+                 - _log_factorials(len(k)))
+    deviations = k - means[:, None]
+    # (k - mean)^l as l - 1 products, the same for each order on its own
+    weights = [reduce(operator.mul, [deviations] * order) for order in orders]
+    sums = np.cumsum(pmf * np.array(weights).reshape(len(orders), *pmf.shape), axis=-1)
+    values = np.where(means > 0.0, sums[np.arange(len(orders))[:, None], np.arange(len(means)), tops], 0.0)
+    values = [value if np.ndim(mean) else float(value[0]) for value in values]
     return values[0] if scalar else values
 
 

@@ -6,13 +6,18 @@ cannot drift apart. Tolerances are pinned to the contract values and can
 only be overridden explicitly (e.g. `verify --tol 1e-15` to demonstrate the
 gate is live). The suites of TOL_SUITES read that override; a tolerance
 given to a selection with none of them is a ValueError, not ignored.
+
+The suites of GRID_SUITES in one run_suites call share one record per
+(operation, family) of the spec grid (_Grid): its analytic table, filled
+once, and its oracle states, grown together, with their oracle table; the
+records are released when the call returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from importlib import resources
 
@@ -55,6 +60,8 @@ SUITE_NAMES = (
 
 # the suites that take a tolerance, which run_suites' tol overrides
 TOL_SUITES = ("moments", "witnesses", "hosps_gate", "coherent", "fixtures")
+# the suites that read the grid records, which one run_suites call shares
+GRID_SUITES = ("moments", "witnesses", "normalization", "hosps_gate")
 
 
 @dataclass
@@ -102,53 +109,34 @@ def _engineering_ops() -> list[EngineeringOp]:
     return ops
 
 
+_GRID_VALUES = {states_mod.FAMILY_THERMAL: RBAR_GRID, states_mod.FAMILY_EVEN_COHERENT: ALPHA_GRID}
+
+
 def _grid_series():
     """(op, family, values): the spec grid, one grid spec per (op, family)."""
     for op in _engineering_ops():
-        yield op, states_mod.FAMILY_THERMAL, RBAR_GRID
-        yield op, states_mod.FAMILY_EVEN_COHERENT, ALPHA_GRID
-
-
-@lru_cache(maxsize=None)
-def _oracle_state(spec: StateSpec) -> oracle_mod.TruncatedState:
-    """The spec's oracle state at ORACLE_TAIL_TOL, built once per run and
-    shared by every suite; its arrays are read-only."""
-    state = oracle_mod.build_truncated(spec, ORACLE_TAIL_TOL)
-    state.data.flags.writeable = False
-    return state
+        for family, values in _GRID_VALUES.items():
+            yield op, family, values
 
 
 def _table(spec: StateSpec, *reads) -> MomentTable:
     """The analytic table of spec, filled with the pairs that the given
     (witness, order) reads take."""
-    pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
-    return MomentTable.analytic(spec, sorted(pairs))
+    return MomentTable.analytic(spec, _read_pairs(reads))
 
 
-def suite_moments(tol: float = MOMENT_TOL) -> SuiteResult:
-    """Analytic moments against oracle moments over the full spec grid.
+def _read_pairs(reads) -> list[tuple[int, int]]:
+    """The pairs that the given (witness, order) reads take, sorted."""
+    return sorted({pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)})
 
-    Each (op, family) is one grid spec on the analytic side, all its pairs
-    one moment call, and each state one oracle_moment call for the same
-    pairs <a'^m a^n>, m, n <= 5.
-    """
-    tally = _Tally()
-    for op, family, values in _grid_series():
-        specs = [StateSpec.of(family, value, op) for value in values]
-        pairs = [(n, n) for n in range(6)]
-        if not family.diagonal:
-            pairs += [(m, n) for m in range(5) for n in range(5) if m != n]
-        ms, ns = np.array(pairs).T
-        # one row per pair, one column per state
-        analytic = states_mod.moment(StateSpec.of(family, np.array(values), op), ms, ns)
-        oracle = np.array([oracle_mod.oracle_moment(_oracle_state(s), ms, ns) for s in specs]).T
 
-        def note(i, dev):
-            pair, state = divmod(i, len(specs))
-            return f"{specs[state].canonical()} moment({ms[pair]},{ns[pair]}): dev {dev:.3e}"
-
-        tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol, note)
-    return tally.result("moments")
+def _moment_suite_pairs(family) -> list[tuple[int, int]]:
+    """The pairs suite_moments checks: <a'^n a^n>, n <= 5, and off the
+    diagonal m, n <= 4 where the family is not Fock-diagonal."""
+    pairs = [(n, n) for n in range(6)]
+    if not family.diagonal:
+        pairs += [(m, n) for m in range(5) for n in range(5) if m != n]
+    return pairs
 
 
 _WITNESS_OPS = (
@@ -165,32 +153,111 @@ _WITNESS_OPS = (
 _WITNESS_VALUES = ((states_mod.FAMILY_THERMAL, (0.5, 1.0, 2.0)),
                    (states_mod.FAMILY_EVEN_COHERENT, (0.7, 1.2, 2.0)))
 
+# the (witness, order) reads of suite_witnesses' moment witnesses
+_WITNESS_READS = [(w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)] + [
+    ("hos", 2), ("hos", 4), ("agarwal_tara", 0)]
 
-def suite_witnesses(tol: float = WITNESS_REL_TOL) -> SuiteResult:
+
+_HOSPS_ORDERS = (2, 3, 4)
+_PARITY_PAIRS = ((1, 0), (2, 1), (3, 2), (3, 0))
+
+
+class _Grid:
+    """One (op, family) of _grid_series() as the suites read it: the specs
+    of its points and their one grid spec, whose norm and constants every
+    analytic read shares; one analytic table, filled once with the union
+    of the pairs that moments, witnesses, normalization and hosps_gate read;
+    the oracle states of its points from one truncated_states call (arrays
+    read-only), with one oracle table over the same pairs; and hosps_gate's
+    direct reference at every point, at its first read."""
+
+    def __init__(self, op: EngineeringOp, family):
+        self.values = _GRID_VALUES[family]
+        self.specs = [StateSpec.of(family, value, op) for value in self.values]
+        self.grid = StateSpec.of(family, np.array(self.values), op)
+        reads = [("hosps", l) for l in _HOSPS_ORDERS]
+        if op in _WITNESS_OPS:
+            reads += _WITNESS_READS
+        pairs = sorted(set(_read_pairs(reads)).union(_moment_suite_pairs(family), _PARITY_PAIRS))
+        self.analytic = MomentTable.analytic(self.grid, pairs)
+        self.states = oracle_mod.truncated_states(self.grid, ORACLE_TAIL_TOL)
+        for state in self.states:
+            state.data.flags.writeable = False
+        self.oracle = oracle_mod.moment_table_from_state(self.states, self.grid, pairs)
+
+    @cached_property
+    def hosps_references(self) -> np.ndarray:
+        return _oracle_hosps_direct(self.states, _HOSPS_ORDERS)
+
+
+class _Grids:
+    """The records of _grid_series(), each built at its first read: one
+    run_suites call shares one _Grids between its suites, and a suite run
+    on its own makes its own."""
+
+    def __init__(self):
+        self._records: dict = {}
+
+    def __call__(self, op: EngineeringOp, family) -> _Grid:
+        if (op, family) not in self._records:
+            self._records[op, family] = _Grid(op, family)
+        return self._records[op, family]
+
+    def __iter__(self):
+        """The records in the order of _grid_series()."""
+        for op, family, _ in _grid_series():
+            yield self(op, family)
+
+
+def _entries(table: MomentTable, pairs) -> np.ndarray:
+    """The table's entries at the pairs, one row per pair and one column per state."""
+    return np.array([table.get(*pair) for pair in pairs])
+
+
+def suite_moments(tol: float = MOMENT_TOL, grids: _Grids | None = None) -> SuiteResult:
+    """Analytic moments against oracle moments over the full spec grid:
+    <a'^m a^n>, m, n <= 5, from the two tables of each (op, family) record."""
+    tally = _Tally()
+    for record in grids or _Grids():
+        pairs = _moment_suite_pairs(record.grid.family)
+        analytic, oracle = _entries(record.analytic, pairs), _entries(record.oracle, pairs)
+
+        def note(i, dev):
+            pair, state = divmod(i, len(record.specs))
+            m, n = pairs[pair]
+            return f"{record.specs[state].canonical()} moment({m},{n}): dev {dev:.3e}"
+
+        tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol, note)
+    return tally.result("moments")
+
+
+def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -> SuiteResult:
     """Every witness from analytic moments against the same witness from oracle moments.
 
-    Each (op, family) is one grid spec: one analytic table, and one oracle
-    table over the run's shared oracle states of its points. A witness that
-    is NaN (indeterminate) on both engines is one passing check; NaN on one
-    engine only fails its check.
+    Each (op, family) reads three columns of its record: the witnesses
+    over its analytic and oracle tables, p_0 .. p_6 from one photon_prob
+    call and from its oracle states, and Husimi Q, which takes one state.
+    A witness that is NaN (indeterminate) on both engines is one passing
+    check; NaN on one engine only fails its check.
     """
     tally = _Tally()
+    grids = grids or _Grids()
     for op, (family, values) in product(_WITNESS_OPS, _WITNESS_VALUES):
-        specs = [StateSpec.of(family, value, op) for value in values]
-        grid = StateSpec.of(family, np.array(values), op)
-        analytic = _table(grid, *((w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)),
-                          ("hos", 2), ("hos", 4), ("agarwal_tara", 0))
-        oracle_states = [_oracle_state(spec) for spec in specs]
-        tables = (analytic, oracle_mod.moment_table_from_state(oracle_states, grid, analytic.pairs))
-        # (label, analytic values, oracle values), each over the states
+        record = grids(op, family)
+        columns = [record.values.index(value) for value in values]
+        specs = [record.specs[i] for i in columns]
+        tables = (record.analytic, record.oracle)
+        # (label, analytic values, oracle values), each over the record's states
         rows = [(f"{name}({l})", *(witness(table, l) for table in tables)) for l in (2, 3)
                 for name, witness in (("mandel", witnesses_mod.mandel_q), ("hoa", witnesses_mod.hoa),
                                       ("hosps", witnesses_mod.hosps))]
         rows += [(f"hos({l})", *(witnesses_mod.hos(table, l) for table in tables)) for l in (2, 4)]
         rows.append(("agarwal_tara", *map(witnesses_mod.agarwal_tara, tables)))
-        # p_0 .. p_6 of every state from one photon_prob call, and from the
-        # shared oracle states
-        probs = (states_mod.photon_prob(grid, np.arange(7)),
+        # the same over the checked states
+        rows = [(label, a[columns], o[columns]) for label, a, o in rows]
+        oracle_states = [record.states[i] for i in columns]
+        # p_0 .. p_6 from one photon_prob call, and from the oracle states
+        probs = (states_mod.photon_prob(record.grid, np.arange(7))[:, columns],
                  np.array([oracle_mod.oracle_photon_prob(state, np.arange(7)) for state in oracle_states]).T)
         rows += [(f"klyshko({m})", *(witnesses_mod.klyshko_from_probs(m, *p[m:m + 3]) for p in probs))
                  for m in (0, 2, 4)]
@@ -207,35 +274,33 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL) -> SuiteResult:
     return tally.result("witnesses")
 
 
-def suite_normalization() -> SuiteResult:
+def suite_normalization(grids: _Grids | None = None) -> SuiteResult:
     """Traces, probability sums, and parity zeros.
 
-    Each (op, family) is one grid spec on the analytic side: one
-    photon_prob call gives p_m of every state up to the largest oracle
-    cutoff, each state summing its own up to its cutoff, and one moment
-    call the parity zeros.
+    Each (op, family) reads its record: the traces of its oracle states,
+    one photon_prob call for p_m of every state up to the largest oracle
+    cutoff, each state summing its own up to its cutoff, and the parity
+    zeros from its analytic table.
     """
     tally = _Tally()
-    for op, family, values in _grid_series():
-        specs = [StateSpec.of(family, value, op) for value in values]
-        grid = StateSpec.of(family, np.array(values), op)
-        oracle_states = [_oracle_state(spec) for spec in specs]
-        traces = np.array([state.probabilities().sum() for state in oracle_states])
+    for record in grids or _Grids():
+        specs = record.specs
+        traces = np.array([state.probabilities().sum() for state in record.states])
         tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL,
                   lambda i, dev: f"{specs[i].canonical()} oracle trace: dev {dev:.3e}")
-        cutoffs = np.array([state.cutoff for state in oracle_states])
-        probs = states_mod.photon_prob(grid, np.arange(cutoffs.max()))
+        cutoffs = np.array([state.cutoff for state in record.states])
+        probs = states_mod.photon_prob(record.grid, np.arange(cutoffs.max()))
         totals = np.where(np.arange(len(probs))[:, None] < cutoffs, probs, 0.0).sum(axis=0)
         tally.add(np.abs(totals - 1.0), PROB_SUM_TOL,
                   lambda i, dev: f"{specs[i].canonical()} sum p_m: dev {dev:.3e}")
-        if not family.diagonal:
-            ms, ns = np.array(((1, 0), (2, 1), (3, 2), (3, 0))).T
+        if not record.grid.family.diagonal:
 
             def note(i, value):
-                pair, state = divmod(i, len(values))
-                return f"{specs[state].canonical()} parity moment({ms[pair]},{ns[pair]}): {value:.3e}"
+                pair, state = divmod(i, len(specs))
+                m, n = _PARITY_PAIRS[pair]
+                return f"{specs[state].canonical()} parity moment({m},{n}): {value:.3e}"
 
-            tally.add(np.abs(states_mod.moment(grid, ms, ns)), PARITY_TOL, note)
+            tally.add(np.abs(_entries(record.analytic, _PARITY_PAIRS)), PARITY_TOL, note)
     return tally.result("normalization")
 
 
@@ -324,37 +389,41 @@ def suite_signs() -> SuiteResult:
     return SuiteResult("signs", not notes, 0.0, checks, notes[:10])
 
 
-def _oracle_hosps_direct(state, orders) -> list[float]:
-    """For each l of orders, the oracle's l-th central number moment minus
-    that of the same-mean Poisson distribution; the distribution and its
-    mean are read once."""
-    probs = state.probabilities()
-    k = np.arange(len(probs), dtype=float)
-    mean = float(np.dot(probs, k))
-    poisson = oracle_mod.oracle_poissonian_central_moment(mean, orders)
-    return [float(np.dot(probs, (k - mean) ** l)) - reference for l, reference in zip(orders, poisson)]
+def _oracle_hosps_direct(states, orders) -> np.ndarray:
+    """For each l of orders (rows) and each oracle state (columns), the
+    state's l-th central number moment minus that of the same-mean Poisson
+    distribution, every state's reference from one array call; one state
+    gives its one column. Each state's distribution and mean are read once."""
+    one = isinstance(states, oracle_mod.TruncatedState)
+    central, means = [], []
+    for state in [states] if one else states:
+        probs = state.probabilities()
+        k = np.arange(len(probs), dtype=float)
+        means.append(float(np.dot(probs, k)))
+        central.append([float(np.dot(probs, (k - means[-1]) ** l)) for l in orders])
+    poisson = oracle_mod.oracle_poissonian_central_moment(np.array(means), orders)
+    references = np.array(central).T - np.array(poisson)
+    return references[:, 0] if one else references
 
 
-def suite_hosps_gate(tol: float = WITNESS_REL_TOL) -> SuiteResult:
+def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -> SuiteResult:
     """Arbitrate the combinatorial HOSPS form against the direct definition.
 
     The direct reference is the oracle's central number moment minus the
     same-mean Poissonian central moment. The shipped hosps() must match it;
     the printed-sign variant is logged with its correction factor. Each
-    (op, family) is one grid spec on the analytic side.
+    (op, family) reads its record: its analytic table and its references.
     """
     tally = _Tally()
-    orders = (2, 3, 4)
+    orders = _HOSPS_ORDERS
     # (-1)^l, one row per order
     signs = np.array([(-1) ** l for l in orders])[:, None]
     printed_relation_holds = True
-    for op, family, values in _grid_series():
-        specs = [StateSpec.of(family, value, op) for value in values]
+    for record in grids or _Grids():
+        specs, table = record.specs, record.analytic
         # one row per order, one column per state
-        references = np.array([_oracle_hosps_direct(_oracle_state(s), orders) for s in specs]).T
-        table = _table(StateSpec.of(family, np.array(values), op), *(("hosps", l) for l in orders))
         direct = np.array([witnesses_mod.hosps(table, l) for l in orders])
-        tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
+        tally.add(oracle_mod.deviation(direct, record.hosps_references), max(tol, WITNESS_ABS_TOL),
                   lambda i, dev: f"{specs[i % len(specs)].canonical()} "
                                  f"hosps({orders[i // len(specs)]}): dev {dev:.3e}")
         printed = np.array([witnesses_mod.hosps_printed_form(table, l) for l in orders])
@@ -481,16 +550,19 @@ _SUITES = {
 def run_suites(names=None, tol: float | None = None, report=print) -> list[SuiteResult]:
     """Run the requested suites (all by default) and report one line each;
     tol overrides the tolerance of the selected suites of TOL_SUITES, and
-    raises ValueError where none is selected."""
+    raises ValueError where none is selected. The suites of one call share
+    one record per (op, family) of _grid_series()."""
     selected = list(names) if names else list(SUITE_NAMES)
     if tol is not None and not set(selected) & set(TOL_SUITES):
         raise ValueError(f"no selected suite reads a tolerance (those that do: {', '.join(TOL_SUITES)})")
+    # the grid records of this call, released when it returns
+    grids = _Grids()
     results = []
     for name in selected:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        suite = _SUITES[name]
-        result = suite(tol) if tol is not None and name in TOL_SUITES else suite()
+        args = (tol,) if tol is not None and name in TOL_SUITES else ()
+        result = _SUITES[name](*args, grids=grids) if name in GRID_SUITES else _SUITES[name](*args)
         results.append(result)
         if report:
             report(result.line())

@@ -246,11 +246,14 @@ def _hankel3_det(moments) -> np.ndarray:
 
 def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.ndarray:
     """p_m for m in numbers over spec's states, one row per m: a column
-    per point of a grid spec, one column for one state."""
+    per point of a grid spec, one column for one state. An oracle basis
+    holds every level read and the bare level it comes from (m + p - q),
+    or raises CutoffExceeded past the hard limit."""
     if _analytic(engine):
         probs = states_mod.photon_prob(spec, numbers)
     else:
-        probs = oracle_mod.over_states(oracle_mod.truncated_states(spec, tail_tol),
+        reach = int(np.max(numbers)) + spec.op.p + 1
+        probs = oracle_mod.over_states(oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach),
                                        lambda state: oracle_mod.oracle_photon_prob(state, numbers),
                                        len(numbers))
     return probs.reshape(len(numbers), -1)

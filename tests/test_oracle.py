@@ -1,11 +1,13 @@
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import dense
-from fockwitness import cli, oracle, states, witnesses
+from fockwitness import cli, oracle, states, verify, witnesses
 from fockwitness.errors import CutoffExceeded, DegenerateState, OutOfRange
 from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
 
@@ -427,6 +429,99 @@ def test_a_moment_basis_beyond_the_hard_limit_raises(monkeypatch):
     # <a'^20 a^20> needs a cutoff above 82
     with pytest.raises(CutoffExceeded, match="too close to cutoff 64"):
         oracle.oracle_moment_table(StateSpec.thermal(0.1), 1e-12, ((20, 20),)).get(20, 20)
+
+
+# ---------------------------------------------------------------------------
+# A grid grows together
+# ---------------------------------------------------------------------------
+
+def _assert_grid_equals_its_points(grid, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwargs):
+    """truncated_states(grid) against one build per point: the same cutoff,
+    kind, tail mass and data, bit for bit, and None exactly where the
+    point's own build raises DegenerateState."""
+    states = oracle.truncated_states(grid, tail_tol, **kwargs)
+    assert len(states) == len(grid.parameter)
+    for value, state in zip(grid.parameter, states):
+        spec = StateSpec.of(grid.family, value, grid.op)
+        if state is None:
+            with pytest.raises(DegenerateState, match=re.escape(f"{spec.canonical()} is annihilated")):
+                oracle.truncated_states(spec, tail_tol, **kwargs)
+            continue
+        one = oracle.truncated_states(spec, tail_tol, **kwargs)
+        assert (state.cutoff, state.kind, state.tail_mass) == (one.cutoff, one.kind, one.tail_mass)
+        assert state.data.dtype == one.data.dtype
+        assert np.array_equal(state.data, one.data)
+    return states
+
+
+@pytest.mark.parametrize("op, family, values", list(verify._grid_series()),
+                         ids=lambda v: v.label() if isinstance(v, EngineeringOp) else None)
+def test_every_verify_grid_equals_its_point_builds(op, family, values):
+    _assert_grid_equals_its_points(StateSpec.of(family, np.array(values), op), verify.ORACLE_TAIL_TOL)
+
+
+def test_a_thermal_grid_retires_each_row_at_its_own_cutoff():
+    grid = StateSpec.thermal(np.array([10.0, 0.1, 1.0, 5.0, 2.0, 0.5]))
+    states = _assert_grid_equals_its_points(grid)
+    assert [state.cutoff for state in states] == [512, 32, 64, 256, 128, 32]
+
+
+@pytest.mark.parametrize("op", [EngineeringOp.bare(), EngineeringOp.psa(2, 1)], ids=lambda op: op.label())
+@pytest.mark.parametrize("order", [0, 3])
+def test_large_cats_grow_in_a_grid_past_their_underflowing_amplitudes(op, order):
+    # every amplitude of the two large cats underflows at the first cutoff
+    states = _assert_grid_equals_its_points(StateSpec.even_coherent(np.array([30.0, 0.5, 40.0]), op), order=order)
+    assert [state.cutoff for state in states][::2] == [2048, 2048]
+
+
+@pytest.mark.parametrize("grid", [
+    StateSpec.thermal(np.array([0.5, 0.0, 2.0, 0.0]), EngineeringOp.psa(1, 0)),
+    StateSpec.thermal(np.array([0.0, 1.0]), EngineeringOp.pas(2, 1)),
+    StateSpec.even_coherent(np.array([0.0, 1.3, 0.0]), EngineeringOp.pas(2, 1)),
+], ids=["thermal PSA(1,0)", "thermal PAS(2,1)", "ecs PAS(2,1)"])
+def test_annihilated_points_of_a_grid_are_none(grid):
+    states = _assert_grid_equals_its_points(grid, order=2)
+    assert [state is None for state in states] == list(grid.parameter == 0.0)
+
+
+def test_a_grid_past_the_hard_limit_names_its_first_such_point(monkeypatch):
+    monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
+    # 0.5 fits in 64 levels, 40 and 50 do not
+    grid = StateSpec.thermal(np.array([0.5, 40.0, 0.0, 50.0]), EngineeringOp.pas(1, 1))
+    with pytest.raises(CutoffExceeded) as grid_error:
+        oracle.truncated_states(grid)
+    with pytest.raises(CutoffExceeded) as point_error:
+        oracle.build_truncated(StateSpec.thermal(40.0, EngineeringOp.pas(1, 1)))
+    assert str(grid_error.value) == str(point_error.value)
+    assert str(grid_error.value).startswith("thermal(rbar=40.0)|PAS(1,1) needs more than 64 Fock levels")
+
+
+def test_a_basis_asked_to_hold_a_level_past_the_hard_limit_raises(monkeypatch):
+    monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
+    with pytest.raises(CutoffExceeded, match="needs more than 64 Fock levels to hold level 64"):
+        oracle.build_truncated(StateSpec.thermal(0.5), min_cutoff=65)
+    assert oracle.build_truncated(StateSpec.thermal(0.5), min_cutoff=64).cutoff == 64
+
+
+@pytest.mark.parametrize("spec, m", [
+    (StateSpec.thermal(0.5), 31),
+    (StateSpec.even_coherent(0.5), 40),
+    (StateSpec.thermal(1.0, EngineeringOp.pas(3, 1)), 60),
+], ids=["thermal m=31", "ecs m=40", "thermal PAS(3,1) m=60"])
+def test_oracle_klyshko_basis_holds_every_level_it_reads(spec, m):
+    # the mass alone converges below m + 3 levels; the basis grows to hold
+    # p_m .. p_(m+2) and their bare levels, with no beyond-cutoff warning
+    assert oracle.build_truncated(spec).cutoff < m + 3 + spec.op.p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = witnesses.klyshko(spec, m, engine="oracle")
+    assert value == pytest.approx(witnesses.klyshko(spec, m), rel=1e-9, abs=1e-300)
+
+
+def test_oracle_klyshko_past_the_hard_limit_raises(monkeypatch):
+    monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
+    with pytest.raises(CutoffExceeded, match="to hold level 64"):
+        witnesses.klyshko(StateSpec.thermal(0.5), 62, engine="oracle")
 
 
 class TestDeviation:

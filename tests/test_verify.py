@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -71,30 +73,43 @@ def test_suite_outcomes_and_check_counts():
 
 
 def test_oracle_states_are_built_once_and_read_only(monkeypatch):
-    calls = []
-    original = oracle.build_truncated
+    # one growth per (op, family) grid in a run_suites call, whose states
+    # every suite that reads the oracle shares, and a fresh one in the next
+    grown = []
+    original = oracle._grow
 
-    def counting(spec, *args, **kwargs):
-        calls.append(spec)
-        return original(spec, *args, **kwargs)
+    def counting(*args, **kwargs):
+        states = original(*args, **kwargs)
+        grown.append(states)
+        return states
 
-    monkeypatch.setattr(oracle, "build_truncated", counting)
-    verify._oracle_state.cache_clear()
-    try:
-        verify.suite_moments()
-        verify.suite_normalization()
-        verify.suite_hosps_gate()
-        # klyshko's oracle side reads the same states
-        verify.suite_witnesses()
-        specs = [StateSpec.of(family, value, op)
-                 for op, family, values in verify._grid_series() for value in values]
-        assert len(calls) == len(set(specs)) == 297
-        state = verify._oracle_state(specs[0])
-        assert len(calls) == 297
+    monkeypatch.setattr(oracle, "_grow", counting)
+    suites = ["moments", "witnesses", "normalization", "hosps_gate"]
+    verify.run_suites(suites, report=None)
+    assert len(grown) == len(list(verify._grid_series())) == 66
+    states = [state for grid in grown for state in grid]
+    assert len(states) == 297 and None not in states
+    for state in states:
         with pytest.raises(ValueError):
             state.data[0] = 0.0
-    finally:
-        verify._oracle_state.cache_clear()
+    # the next call grows its own
+    verify.run_suites(suites, report=None)
+    assert len(grown) == 2 * 66
+
+
+def test_the_grid_records_are_released_when_run_suites_returns(monkeypatch):
+    made = []
+    original = verify._Grids
+
+    def tracked():
+        grids = original()
+        made.append(weakref.ref(grids))
+        return grids
+
+    monkeypatch.setattr(verify, "_Grids", tracked)
+    verify.run_suites(["normalization", "determinism"], report=None)
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
 
 
 def _nan_at(values, index):
@@ -120,6 +135,12 @@ def _poison_first(monkeypatch, owner, name, index=0):
     return calls
 
 
+# a grid record's one moment fill holds every pair its suites read, one row
+# each, so the poison of states.moment there goes to the second state of
+# every pair; elsewhere to element 1 of the first result
+_POISON_INDEX = {("moments", "moment"): (..., 1), ("normalization", "moment"): (..., 1)}
+
+
 @pytest.mark.parametrize("suite, owner, name", [
     ("moments", states, "moment"),
     ("witnesses", witnesses, "mandel_q"),
@@ -133,7 +154,7 @@ def _poison_first(monkeypatch, owner, name, index=0):
 ])
 def test_a_nan_value_fails_its_suite(monkeypatch, suite, owner, name):
     clean = verify.run_suites([suite], report=None)[0]
-    calls = _poison_first(monkeypatch, owner, name, index=1)
+    calls = _poison_first(monkeypatch, owner, name, _POISON_INDEX.get((suite, name), 1))
     result = verify.run_suites([suite], report=None)[0]
     assert calls
     assert not result.passed
