@@ -550,8 +550,8 @@ _SUITES = {
 def run_suites(names=None, tol: float | None = None, report=print) -> list[SuiteResult]:
     """Run the requested suites (all by default) and report one line each;
     tol overrides the tolerance of the selected suites of TOL_SUITES, and
-    raises ValueError where none is selected. The suites of one call share
-    one record per (op, family) of _grid_series()."""
+    raises ValueError where none is selected. The suites of GRID_SUITES in
+    one call share one record per (op, family) of _grid_series()."""
     selected = list(names) if names else list(SUITE_NAMES)
     if tol is not None and not set(selected) & set(TOL_SUITES):
         raise ValueError(f"no selected suite reads a tolerance (those that do: {', '.join(TOL_SUITES)})")

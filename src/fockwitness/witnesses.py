@@ -247,8 +247,9 @@ def _hankel3_det(moments) -> np.ndarray:
 def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.ndarray:
     """p_m for m in numbers over spec's states, one row per m: a column
     per point of a grid spec, one column for one state. An oracle basis
-    holds every level read and the bare level it comes from (m + p - q),
-    or raises CutoffExceeded past the hard limit."""
+    holds more than m + p levels: every level m read, the bare level it
+    comes from (m + p - q) and the level a^p lowers it from (m + p), or
+    raises CutoffExceeded past the hard limit."""
     if _analytic(engine):
         probs = states_mod.photon_prob(spec, numbers)
     else:
