@@ -24,6 +24,7 @@ plain relative for moment) above --tol, or NaN, is named on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -334,7 +335,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared by
+    every main() call.
+
+    Parsing keeps no state in the parser: each parse_args call fills a new
+    namespace (so _StoreOnce sees only its own call's flags, and an append
+    flag such as verify's --suite starts empty), and _merge_config writes
+    config values into that namespace only. cache_clear() makes the next
+    call build a new one."""
     parser = _parser(
         prog="fockwitness",
         description="Nonclassicality witnesses for photon-engineered thermal and even coherent states",

@@ -2,9 +2,10 @@
 
 normal_order is the package's one normal-ordering route: every expansion of
 a product of ladder operators (the contraction tables and the operator
-normal forms in `states`, the powers (a + a')^l and (a'a)^r the witnesses
-read) is a call to it, in exact integer arithmetic, and leaves it only at
-the caller's boundary.
+normal forms in `states`, the powers (a'a)^r the witnesses read) is a call
+to it, in exact integer arithmetic, and leaves it only at the caller's
+boundary. The powers (a + a')^l have a closed form,
+quadrature_power_coeffs, which the tests hold to normal_order.
 
 hypergeometric_pfq and factorial_ratio have no caller in the package; the
 benchmark's tracer binds them by name, so they stay until the benchmark
@@ -144,14 +145,26 @@ def normal_order(word: tuple) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((dag, plain, c) for (dag, plain), c in terms.items() if c))
 
 
-# the factor a + a'
-_QUADRATURE = ((0, 1, 1), (1, 0, 1))
-
-
 @lru_cache(maxsize=None)
 def quadrature_power_coeffs(l: int) -> tuple[tuple[int, int, int], ...]:
-    """Normal form of (a + a')^l as normal_order gives it, (M, N) ascending:
-    a + a' times the normal form of (a + a')^(l-1)."""
+    """Normal form of (a + a')^l, (M, N) ascending as normal_order gives it,
+    in closed form:
+
+        (a + a')^l = sum over j + m + 2r = l of C(l, 2r) C(l-2r, j) (2r-1)!! a'^j a^m
+
+    (Wick: r contractions pair 2r of the l factors in (2r-1)!! ways, and
+    j of the remaining l - 2r are creators)."""
     if l < 0:
         raise ValueError("quadrature_power_coeffs: negative power")
-    return normal_order((_QUADRATURE, quadrature_power_coeffs(l - 1)) if l else ())
+    terms = []
+    for j in range(l + 1):
+        # the most contractions first; each step to one fewer multiplies by
+        # 2r / ((m+1)(m+2)), exactly, as the coefficient is l!/(j! m! r! 2^r)
+        m, r = (l - j) % 2, (l - j) // 2
+        c = math.comb(l, 2 * r) * math.comb(l - 2 * r, j) * math.prod(range(1, 2 * r, 2))
+        terms.append((j, m, c))
+        while r:
+            c = c * 2 * r // ((m + 1) * (m + 2))
+            m, r = m + 2, r - 1
+            terms.append((j, m, c))
+    return tuple(terms)

@@ -253,7 +253,9 @@ def format_floats(values) -> list[str]:
     Python's float repr is the shortest string that round-trips (17
     significant digits at most). Values are keyed by their bit patterns, so
     repr runs once per distinct pattern and equal patterns share one string;
-    0.0 and -0.0 stay apart, and every NaN prints "nan".
+    0.0 and -0.0 stay apart, and every NaN prints "nan". One call over the
+    cells of several tables formats a value they share once: a figure pack's
+    sweep panels share their parameter column (write_figure_pack).
     """
     bits = np.asarray(values, dtype=np.float64).ravel().view(np.uint64)
     keys, inverse = np.unique(bits, return_inverse=True)
@@ -262,12 +264,20 @@ def format_floats(values) -> list[str]:
     return strings[inverse.ravel()].tolist()
 
 
-def sweep_table_csv(table: SweepTable) -> str:
+def _sweep_cells(table: SweepTable) -> np.ndarray:
+    """The table's values in CSV order: one row per parameter value, the
+    parameter then each series."""
+    return np.transpose([table.parameter_values, *table.series.values()])
+
+
+def sweep_table_csv(table: SweepTable, cells: list[str] | None = None) -> str:
+    """The table as CSV; `cells` is format_floats of _sweep_cells(table)
+    where the caller formatted it already."""
     labels = list(table.series)
-    columns = [table.parameter_values] + [table.series[k] for k in labels]
-    # one cell list in row-major order, cut into rows of len(columns)
-    cells = format_floats(np.transpose(columns))
-    rows = map(",".join, zip(*[iter(cells)] * len(columns)))
+    if cells is None:
+        cells = format_floats(_sweep_cells(table))
+    # one cell list in row-major order, cut into rows of 1 + len(labels)
+    rows = map(",".join, zip(*[iter(cells)] * (1 + len(labels))))
     return "\n".join([",".join(["param"] + labels), *rows]) + "\n"
 
 
@@ -283,23 +293,38 @@ def husimi_grid_csv(grid: HusimiGrid) -> str:
     return "\n".join(rows) + "\n"
 
 
-def panel_csv(panel) -> str:
+def panel_csv(panel, cells: list[str] | None = None) -> str:
+    """One panel as CSV. A sweep panel's `cells` are its formatted values
+    where the caller formatted them (sweep_table_csv); a Husimi grid
+    formats its own."""
     if isinstance(panel, SweepTable):
-        return sweep_table_csv(panel)
+        return sweep_table_csv(panel, cells)
     if isinstance(panel, HusimiGrid):
         return husimi_grid_csv(panel)
     raise TypeError(f"cannot serialize {type(panel).__name__}")
 
 
 def write_figure_pack(pack: FigurePack, out_dir) -> list[tuple[str, str]]:
-    """Write one CSV per panel; returns (panel name, file path) manifest."""
+    """Write one CSV per panel; returns (panel name, file path) manifest.
+
+    The cells of every sweep panel are formatted in one format_floats call,
+    so a value the panels share (their parameter column) is formatted once,
+    and each panel's slice of the result goes to its panel_csv call. Each
+    Husimi grid formats its own cells: one call over all of a pack's grids
+    would hold every grid's strings at once.
+    """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
+    blocks = [_sweep_cells(panel) for _, panel in pack.panels if isinstance(panel, SweepTable)]
+    cells = format_floats(np.concatenate([b.ravel() for b in blocks])) if blocks else []
+    ends = np.cumsum([b.size for b in blocks]).tolist()
+    slices = iter(cells[start:end] for start, end in zip([0] + ends, ends))
     manifest = []
     for name, panel in pack.panels:
         path = os.path.join(out_dir, f"{pack.figure_id}_{name}.csv")
+        text = panel_csv(panel, next(slices) if isinstance(panel, SweepTable) else None)
         with open(path, "w", newline="\n") as fh:
-            fh.write(panel_csv(panel))
+            fh.write(text)
         manifest.append((name, path))
     return manifest

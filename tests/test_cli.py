@@ -10,14 +10,34 @@ PKG = [sys.executable, "-m", "fockwitness"]
 
 
 def run_cli(*args, timeout=300):
+    """`python -m fockwitness` in a new process: for tests of the process
+    boundary (its exit status, and a stderr free of warnings, which pytest's
+    filter would raise in this process)."""
     return subprocess.run(
         PKG + list(args), capture_output=True, text=True, timeout=timeout
     )
 
 
+@pytest.fixture
+def run_main(capsys):
+    """run_cli's record of one cli.main call in this process: its return
+    value, or the code argparse exits with on a usage error, and its
+    captured stdout and stderr."""
+
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+
+    return run
+
+
 class TestMomentCommand:
-    def test_past_mean(self):
-        proc = run_cli(
+    def test_past_mean(self, run_main):
+        proc = run_main(
             "moment", "--family", "thermal", "--op", "pas", "--p", "1", "--q", "1",
             "--rbar", "1", "--m", "1", "--n", "1",
         )
@@ -28,20 +48,20 @@ class TestMomentCommand:
         # shortest round-trip formatting: the record reparses exactly
         assert repr(float(re)) == re
 
-    def test_ecs_parity_zero(self):
-        proc = run_cli("moment", "--family", "ecs", "--alpha", "1", "--m", "1", "--n", "0")
+    def test_ecs_parity_zero(self, run_main):
+        proc = run_main("moment", "--family", "ecs", "--alpha", "1", "--m", "1", "--n", "0")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1,0,0,0"
 
-    def test_degenerate_exit_code(self):
-        proc = run_cli(
+    def test_degenerate_exit_code(self, run_main):
+        proc = run_main(
             "moment", "--family", "thermal", "--op", "psa", "--p", "1",
             "--rbar", "0", "--m", "0", "--n", "0",
         )
         assert proc.returncode == 3
 
-    def test_huge_rbar_is_finite(self):
-        proc = run_cli(
+    def test_huge_rbar_is_finite(self, run_main):
+        proc = run_main(
             "moment", "--family", "thermal", "--op", "pas", "--p", "1", "--q", "1",
             "--rbar", "1e15", "--m", "1", "--n", "1",
         )
@@ -50,21 +70,21 @@ class TestMomentCommand:
         assert float(proc.stdout.split(",")[2]) == pytest.approx(2 * r * (3 * r + 2) / (2 * r + 1), rel=1e-12)
 
     @pytest.mark.parametrize("order, expected", [(170, 7.2574156153080247e-34), (171, 1.2410180702176722e-33)])
-    def test_thermal_high_order_moment(self, order, expected):
+    def test_thermal_high_order_moment(self, order, expected, run_main):
         # order! rbar^order: the float of 171! overflows and 0.01^170
         # underflows, but neither the moment nor its logarithm does
-        proc = run_cli("moment", "--family", "thermal", "--rbar", "0.01", "--m", str(order), "--n", str(order))
+        proc = run_main("moment", "--family", "thermal", "--rbar", "0.01", "--m", str(order), "--n", str(order))
         assert proc.returncode == 0, proc.stderr
         m, n, re, im = proc.stdout.strip().split(",")
         assert (m, n, im) == (str(order), str(order), "0")
         assert float(re) == pytest.approx(expected, rel=1e-11)
 
-    def test_missing_orders_is_config_error(self):
-        proc = run_cli("moment", "--family", "thermal", "--rbar", "1")
+    def test_missing_orders_is_config_error(self, run_main):
+        proc = run_main("moment", "--family", "thermal", "--rbar", "1")
         assert proc.returncode == 2
 
-    def test_both_engine_agrees(self):
-        proc = run_cli(
+    def test_both_engine_agrees(self, run_main):
+        proc = run_main(
             "moment", "--family", "thermal", "--op", "psa", "--p", "1", "--q", "1",
             "--rbar", "1", "--m", "1", "--n", "1", "--engine", "both",
         )
@@ -75,39 +95,39 @@ class TestMomentCommand:
 
 
 class TestWitnessCommand:
-    def test_mandel_record(self):
-        proc = run_cli("witness", "--name", "mandel", "--l", "2", "--family", "thermal", "--rbar", "1")
+    def test_mandel_record(self, run_main):
+        proc = run_main("witness", "--name", "mandel", "--l", "2", "--family", "thermal", "--rbar", "1")
         assert proc.returncode == 0
         name, order, value, flag = proc.stdout.strip().split(",")
         assert (name, order, flag) == ("mandel", "2", "false")
         assert float(value) == pytest.approx(1.0, rel=1e-12)
 
-    def test_power_of_mean_anomaly_record(self):
-        proc = run_cli(
+    def test_power_of_mean_anomaly_record(self, run_main):
+        proc = run_main(
             "witness", "--name", "a3", "--variant", "power_of_mean",
             "--family", "thermal", "--rbar", "1",
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "agarwal_tara,0,-1.0,true"
 
-    def test_klyshko_record(self):
-        proc = run_cli("witness", "--name", "klyshko", "--m", "2", "--family", "thermal", "--rbar", "1")
+    def test_klyshko_record(self, run_main):
+        proc = run_main("witness", "--name", "klyshko", "--m", "2", "--family", "thermal", "--rbar", "1")
         assert proc.returncode == 0
         name, order, value, flag = proc.stdout.strip().split(",")
         assert (name, order, flag) == ("klyshko", "2", "false")
         assert float(value) == pytest.approx(1 / 256, rel=1e-12)
 
-    def test_singular_exit_code(self):
+    def test_singular_exit_code(self, run_main):
         # thermal vacuum: every determinant vanishes
-        proc = run_cli("witness", "--name", "a3", "--family", "thermal", "--rbar", "0")
+        proc = run_main("witness", "--name", "a3", "--family", "thermal", "--rbar", "0")
         assert proc.returncode == 5
 
-    def test_unknown_name_is_config_error(self):
-        proc = run_cli("witness", "--name", "sorcery", "--family", "thermal", "--rbar", "1")
+    def test_unknown_name_is_config_error(self, run_main):
+        proc = run_main("witness", "--name", "sorcery", "--family", "thermal", "--rbar", "1")
         assert proc.returncode == 2
 
-    def test_klyshko_at_huge_photon_number(self):
-        proc = run_cli(
+    def test_klyshko_at_huge_photon_number(self, run_main):
+        proc = run_main(
             "witness", "--name", "klyshko", "--m", str(10 ** 200), "--family", "thermal",
             "--op", "pas", "--p", "1", "--q", "1", "--rbar", "1",
         )
@@ -115,8 +135,8 @@ class TestWitnessCommand:
         name, order, value, flag = proc.stdout.strip().split(",")
         assert (name, order, value, flag) == ("klyshko", str(10 ** 200), "0.0", "false")
 
-    def test_husimi_zero_record(self):
-        proc = run_cli(
+    def test_husimi_zero_record(self, run_main):
+        proc = run_main(
             "witness", "--name", "husimi-zero", "--family", "thermal",
             "--op", "psa", "--p", "1", "--q", "2", "--rbar", "1",
         )
@@ -127,12 +147,12 @@ class TestWitnessCommand:
 
 
 class TestFigureCommand:
-    def test_unknown_figure_exit_code(self):
-        proc = run_cli("figure", "fig99")
+    def test_unknown_figure_exit_code(self, run_main):
+        proc = run_main("figure", "fig99")
         assert proc.returncode == 2
 
-    def test_manifest_and_files(self, tmp_path):
-        proc = run_cli("figure", "fig11", "--steps", "7", "--out", str(tmp_path))
+    def test_manifest_and_files(self, tmp_path, run_main):
+        proc = run_main("figure", "fig11", "--steps", "7", "--out", str(tmp_path))
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
         assert len(lines) == 4
@@ -141,8 +161,8 @@ class TestFigureCommand:
             with open(path) as fh:
                 assert fh.readline().startswith("param,")
 
-    def test_husimi_figure_csv_columns(self, tmp_path):
-        proc = run_cli("figure", "fig8", "--grid-steps", "5", "--out", str(tmp_path))
+    def test_husimi_figure_csv_columns(self, tmp_path, run_main):
+        proc = run_main("figure", "fig8", "--grid-steps", "5", "--out", str(tmp_path))
         assert proc.returncode == 0
         first = proc.stdout.strip().splitlines()[0].split(",", 1)[1]
         with open(first) as fh:
@@ -159,8 +179,8 @@ class TestFigureCommand:
 
 
 class TestSweepCommand:
-    def test_stdout_csv(self):
-        proc = run_cli(
+    def test_stdout_csv(self, run_main):
+        proc = run_main(
             "sweep", "--name", "mandel", "--l", "2", "--family", "thermal",
             "--variants", "PAS(1:1),PSA(1:1)", "--param-min", "0.2",
             "--param-max", "1.0", "--steps", "3",
@@ -170,16 +190,14 @@ class TestSweepCommand:
         assert lines[0] == "param,PAS(1,1),PSA(1,1)"
         assert len(lines) == 4
 
-    def test_header_labels_accepted(self):
-        colon = subprocess.run(PKG + [*_SWEEP, "--steps", "3", "--variants", "PAS(1:1),PSA(1:1)"],
-                               capture_output=True)
-        comma = subprocess.run(PKG + [*_SWEEP, "--steps", "3", "--variants", "PAS(1,1),PSA(1,1)"],
-                               capture_output=True)
+    def test_header_labels_accepted(self, run_main):
+        colon = run_main(*_SWEEP, "--steps", "3", "--variants", "PAS(1:1),PSA(1:1)")
+        comma = run_main(*_SWEEP, "--steps", "3", "--variants", "PAS(1,1),PSA(1,1)")
         assert comma.returncode == 0, comma.stderr
         assert comma.stdout == colon.stdout
 
-    def test_bad_variant_label(self):
-        proc = run_cli(
+    def test_bad_variant_label(self, run_main):
+        proc = run_main(
             "sweep", "--name", "hoa", "--family", "thermal", "--variants", "XYZ(1:1)",
         )
         assert proc.returncode == 2
@@ -226,8 +244,8 @@ class TestNumericDomain:
         ],
         ids=lambda argv: " ".join(argv),
     )
-    def test_is_config_error(self, argv):
-        proc = run_cli(*argv)
+    def test_is_config_error(self, argv, run_main):
+        proc = run_main(*argv)
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -297,8 +315,8 @@ class TestExitCodes:
 
 
 class TestBothEngineTolerance:
-    def test_figure_deviation_above_tol_fails_but_writes(self, tmp_path):
-        proc = run_cli("figure", "fig7", "--grid-steps", "5", "--engine", "both",
+    def test_figure_deviation_above_tol_fails_but_writes(self, tmp_path, run_main):
+        proc = run_main("figure", "fig7", "--grid-steps", "5", "--engine", "both",
                        "--tol", "1e-30", "--out", str(tmp_path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -306,16 +324,16 @@ class TestBothEngineTolerance:
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig7_{c}.csv" for c in "abcde"]
         assert len(proc.stdout.strip().splitlines()) == 5
 
-    def test_sweep_deviation_above_tol_fails_but_writes(self, tmp_path):
+    def test_sweep_deviation_above_tol_fails_but_writes(self, tmp_path, run_main):
         out = tmp_path / "sweep.csv"
-        proc = run_cli(*_SWEEP, "--steps", "3", "--engine", "both", "--tol", "1e-30", "--out", str(out))
+        proc = run_main(*_SWEEP, "--steps", "3", "--engine", "both", "--tol", "1e-30", "--out", str(out))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "exceeds tolerance 1e-30: PAS(1,1) " in proc.stderr
         assert out.read_text().startswith("param,PAS(1,1),PAS(1,1)@oracle,")
 
-    def test_witness_deviation_above_tol_fails(self):
-        proc = run_cli("witness", "--name", "mandel", "--family", "thermal", "--op", "pas",
+    def test_witness_deviation_above_tol_fails(self, run_main):
+        proc = run_main("witness", "--name", "mandel", "--family", "thermal", "--op", "pas",
                        "--p", "1", "--q", "1", "--rbar", "1", "--engine", "both", "--tol", "1e-30")
         assert proc.returncode == 1
         assert proc.stdout.startswith("mandel,2,")
@@ -387,28 +405,28 @@ class TestSweepNaNGaps:
 
 
 class TestVerifyCommand:
-    def test_single_suite_passes(self):
-        proc = run_cli("verify", "--suite", "determinism")
+    def test_single_suite_passes(self, run_main):
+        proc = run_main("verify", "--suite", "determinism")
         assert proc.returncode == 0
         assert proc.stdout.startswith("PASS determinism")
 
-    def test_overtight_tolerance_fails(self):
-        proc = run_cli("verify", "--suite", "fixtures", "--tol", "1e-15")
+    def test_overtight_tolerance_fails(self, run_main):
+        proc = run_main("verify", "--suite", "fixtures", "--tol", "1e-15")
         assert proc.returncode == 1
 
-    def test_coherent_reads_tol(self):
-        proc = run_cli("verify", "--suite", "coherent", "--tol", "1e-30")
+    def test_coherent_reads_tol(self, run_main):
+        proc = run_main("verify", "--suite", "coherent", "--tol", "1e-30")
         assert proc.returncode == 1
         assert proc.stdout.startswith("FAIL coherent: 27 checks")
 
-    def test_tol_no_selected_suite_reads_is_config_error(self):
-        proc = run_cli("verify", "--suite", "hos", "--tol", "1e-30")
+    def test_tol_no_selected_suite_reads_is_config_error(self, run_main):
+        proc = run_main("verify", "--suite", "hos", "--tol", "1e-30")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("configuration error: no selected suite reads a tolerance")
 
-    def test_unknown_suite_is_config_error(self):
-        proc = run_cli("verify", "--suite", "astrology")
+    def test_unknown_suite_is_config_error(self, run_main):
+        proc = run_main("verify", "--suite", "astrology")
         assert proc.returncode == 2
 
 
@@ -448,10 +466,10 @@ class TestRepeatedFlags:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_flags_win(self, tmp_path):
+    def test_config_supplies_defaults_flags_win(self, tmp_path, run_main):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("m=1\nn=1\nrbar=1.0\n")
-        proc = run_cli(
+        proc = run_main(
             "moment", "--family", "thermal", "--op", "psa", "--p", "1", "--q", "1",
             "--config", str(cfg),
         )
@@ -460,29 +478,29 @@ class TestConfigFile:
         assert (m, n, im) == ("1", "1", "0")
         assert float(re) == pytest.approx(13 / 3, rel=1e-12)
         # an explicit flag beats the config value
-        proc = run_cli(
+        proc = run_main(
             "moment", "--family", "thermal", "--op", "psa", "--p", "1", "--q", "1",
             "--config", str(cfg), "--n", "0",
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("1,0,")
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, run_main):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wormhole=1\n")
-        proc = run_cli("moment", "--family", "thermal", "--rbar", "1", "--m", "0", "--n", "0", "--config", str(cfg))
+        proc = run_main("moment", "--family", "thermal", "--rbar", "1", "--m", "0", "--n", "0", "--config", str(cfg))
         assert proc.returncode == 2
 
-    def test_op_value_takes_flag_choices(self, tmp_path):
+    def test_op_value_takes_flag_choices(self, tmp_path, run_main):
         cfg = tmp_path / "run.cfg"
         argv = ("moment", "--family", "thermal", "--rbar", "1", "--m", "1", "--n", "1", "--config", str(cfg))
         cfg.write_text("op=pas\np=1\nq=1\n")
-        proc = run_cli(*argv)
+        proc = run_main(*argv)
         assert proc.returncode == 0
         assert float(proc.stdout.split(",")[2]) == pytest.approx(10 / 3, rel=1e-12)
         # the --op choices are lower case: PAS is rejected, not read as psa
         cfg.write_text("op=PAS\np=1\nq=1\n")
-        proc = run_cli(*argv)
+        proc = run_main(*argv)
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert proc.stdout == ""
@@ -497,10 +515,10 @@ class TestConfigFile:
         ],
         ids=lambda v: v.strip().replace("\n", " ") if isinstance(v, str) else " ".join(v),
     )
-    def test_bad_value_is_config_error(self, tmp_path, text, argv):
+    def test_bad_value_is_config_error(self, tmp_path, text, argv, run_main):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        proc = run_cli(*argv, "--config", str(cfg))
+        proc = run_main(*argv, "--config", str(cfg))
         assert proc.returncode == 2
         assert proc.stderr.startswith("configuration error"), proc.stderr
         assert "Traceback" not in proc.stderr
@@ -508,10 +526,10 @@ class TestConfigFile:
 
 
 class TestConfigKeys:
-    def test_bad_value_names_its_key(self, tmp_path):
+    def test_bad_value_names_its_key(self, tmp_path, run_main):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p=abc\n")
-        proc = run_cli("witness", "--name", "mandel", "--family", "thermal", "--rbar", "1",
+        proc = run_main("witness", "--name", "mandel", "--family", "thermal", "--rbar", "1",
                        "--config", str(cfg))
         assert proc.returncode == 2
         assert proc.stderr.startswith("configuration error: config value p='abc' "), proc.stderr
@@ -523,21 +541,21 @@ class TestConfigKeys:
         ("rbar=1\n", ("figure", "fig1", "--steps", "3")),
         ("engine=oracle\n", ("verify", "--suite", "determinism")),
     ], ids=lambda v: v.strip() if isinstance(v, str) else v[0])
-    def test_key_of_another_command_is_unknown(self, tmp_path, text, argv):
+    def test_key_of_another_command_is_unknown(self, tmp_path, text, argv, run_main):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         # rejected while reading the file, before a figure writes anything
-        proc = run_cli(*argv, "--config", str(cfg))
+        proc = run_main(*argv, "--config", str(cfg))
         key = text.split("=")[0]
         assert proc.returncode == 2
         assert proc.stderr.startswith(
             f"configuration error: unknown config key {key!r} for {argv[0]}"), proc.stderr
         assert proc.stdout == ""
 
-    def test_key_of_the_invoked_command_is_read(self, tmp_path):
+    def test_key_of_the_invoked_command_is_read(self, tmp_path, run_main):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps=3\n")
-        proc = run_cli("figure", "fig1", "--config", str(cfg), "--out", str(tmp_path))
+        proc = run_main("figure", "fig1", "--config", str(cfg), "--out", str(tmp_path))
         assert proc.returncode == 0
         rows = (tmp_path / "fig1_a.csv").read_text().splitlines()
         assert len(rows) == 1 + 3
@@ -545,7 +563,61 @@ class TestConfigKeys:
 
 class TestFigureStepFlags:
     @pytest.mark.parametrize("figure_id", ["fig1", "fig7"])
-    def test_valid_value_on_the_unread_flag_is_accepted(self, tmp_path, figure_id):
+    def test_valid_value_on_the_unread_flag_is_accepted(self, tmp_path, figure_id, run_main):
         # as CI passes --steps 9 --grid-steps 5 to every pack
-        proc = run_cli("figure", figure_id, "--steps", "3", "--grid-steps", "3", "--out", str(tmp_path))
+        proc = run_main("figure", figure_id, "--steps", "3", "--grid-steps", "3", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
+
+
+class TestOneParserPerProcess:
+    """main() reuses one parser per process, and no call's flags, suites or
+    config values reach the next call."""
+
+    @staticmethod
+    def _record(proc):
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_built_once(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        cli.build_parser.cache_clear()
+        assert cli.build_parser() is not parser
+
+    def test_a_repeat_is_rejected_on_every_call(self, run_main):
+        argv = ("witness", "--name", "hoa", "--family", "ecs", "--alpha", "1")
+        once = self._record(run_main(*argv))
+        assert once[0] == 0
+        for _ in range(2):
+            repeated = run_main(*argv, "--alpha", "2")
+            assert self._record(repeated) == (2, "", "configuration error: --alpha may be given only once\n")
+            assert self._record(run_main(*argv)) == once
+
+    def test_verify_suites_are_not_collected_across_calls(self, run_main):
+        for suite, code in (("signs", 1), ("coherent", 0)):
+            proc = run_main("verify", "--suite", suite)
+            assert proc.returncode == code
+            # one PASS/FAIL line per suite run; indented lines detail a failure
+            ran = [line.split()[1].rstrip(":") for line in proc.stdout.splitlines() if not line.startswith(" ")]
+            assert ran == [suite]
+
+    def test_config_values_do_not_carry_over(self, run_main, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rbar=2\nop=pas\np=1\nq=1\n")
+        argv = ("moment", "--family", "thermal", "--m", "1", "--n", "1")
+        configured = run_main(*argv, "--config", str(cfg))
+        assert configured.returncode == 0
+        flagged = run_main(*argv, "--rbar", "2", "--op", "pas", "--p", "1", "--q", "1")
+        assert self._record(flagged) == self._record(configured)
+        # without the file, none of its values remain
+        assert self._record(run_main(*argv)) == (2, "", "configuration error: thermal family requires --rbar\n")
+        bare = run_main(*argv, "--rbar", "2")
+        assert bare.returncode == 0 and bare.stdout != configured.stdout
+
+    @pytest.mark.parametrize("argv", [("fig1", "--steps", "5"), ("fig8", "--grid-steps", "5")],
+                             ids=lambda argv: " ".join(argv))
+    def test_figures_in_one_process_equal_a_new_process(self, argv, run_main, tmp_path):
+        assert run_cli("figure", *argv, "--out", str(tmp_path / "process")).returncode == 0
+        for rerun in ("first", "second"):
+            assert run_main("figure", *argv, "--out", str(tmp_path / rerun)).returncode == 0
+            for path in (tmp_path / "process").iterdir():
+                assert (tmp_path / rerun / path.name).read_bytes() == path.read_bytes(), path.name

@@ -266,3 +266,12 @@ class TestQuadraturePowers:
         keep = dim - l  # interior block, away from the cutoff edge
         scale = np.abs(direct[:keep, :keep]).max() or 1.0
         assert np.allclose(direct[:keep, :keep], expanded[:keep, :keep], atol=1e-10 * scale)
+
+    def test_closed_form_equals_the_normal_order_recursion(self):
+        # (a + a') times the normal form of (a + a')^(l-1), l <= 40: the same
+        # tuples, in the same order, with the same integer coefficients
+        previous = ((0, 0, 1),)
+        assert specfun.quadrature_power_coeffs(0) == previous
+        for l in range(1, 41):
+            previous = specfun.normal_order((((0, 1, 1), (1, 0, 1)), previous))
+            assert specfun.quadrature_power_coeffs(l) == previous

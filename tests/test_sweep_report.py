@@ -394,3 +394,71 @@ class TestCsv:
         pack_b = figure_pack("fig11", steps=4)
         for (_, panel_a), (_, panel_b) in zip(pack_a.panels, pack_b.panels):
             assert sweep_report.panel_csv(panel_a) == sweep_report.panel_csv(panel_b)
+
+
+def _hand_built_pack() -> sweep_report.FigurePack:
+    """Sweep panels of different lengths and series counts, sharing some
+    parameter values and edge cells, around a Husimi grid."""
+    edge = list(_EDGE_VALUES)
+    axis = [0.0, -0.0, 1e16, 1e-05]
+    return sweep_report.FigurePack("figX", [
+        ("a", SweepTable("rbar", [0.0, 0.5, 1.0], {"PAS(1,1)": [1.0, -0.0, math.nan]})),
+        ("b", SweepTable("rbar", edge, {"A": edge[::-1], "B": edge, "C": [0.5] * len(edge)})),
+        ("c", HusimiGrid("edge", axis, axis, [edge[i:i + 4] for i in range(0, 16, 4)])),
+        ("d", SweepTable("alpha", [0.5, 1.0], {"bare": [0.0, 0.5], "PSA(2,1)": [2.5, 1e-05]})),
+    ])
+
+
+class TestPackFormatting:
+    """write_figure_pack formats every sweep panel's cells in one call and
+    hands each panel's slice to its own panel_csv call."""
+
+    def test_each_file_equals_its_panel_alone(self, tmp_path):
+        pack = _hand_built_pack()
+        manifest = write_figure_pack(pack, tmp_path)
+        assert [name for name, _ in manifest] == ["a", "b", "c", "d"]
+        for (name, path), (_, panel) in zip(manifest, pack.panels):
+            with open(path, newline="") as fh:
+                assert fh.read() == sweep_report.panel_csv(panel), name
+
+    def test_panel_csv_called_once_per_panel_with_its_text(self, tmp_path, monkeypatch):
+        # the benchmark's tracer wraps panel_csv by name and sums the text it returns
+        pack = _hand_built_pack()
+        alone = [sweep_report.panel_csv(panel) for _, panel in pack.panels]
+        calls = []
+        original = sweep_report.panel_csv
+
+        def recording(panel, *args, **kwargs):
+            text = original(panel, *args, **kwargs)
+            calls.append((panel, text))
+            return text
+
+        monkeypatch.setattr(sweep_report, "panel_csv", recording)
+        manifest = write_figure_pack(pack, tmp_path)
+        assert [panel for panel, _ in calls] == [panel for _, panel in pack.panels]
+        assert [text for _, text in calls] == alone
+        written = b"".join(open(path, "rb").read() for _, path in manifest)
+        assert len(written) == sum(len(text.encode()) for _, text in calls)
+
+    def test_one_formatting_call_for_the_sweep_panels(self, tmp_path, monkeypatch):
+        pack = _hand_built_pack()
+        sizes = []
+        original = sweep_report.format_floats
+
+        def counting(values):
+            cells = original(values)
+            sizes.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(sweep_report, "format_floats", counting)
+        write_figure_pack(pack, tmp_path)
+        sweep_cells = sum((1 + len(panel.series)) * len(panel.parameter_values)
+                          for _, panel in pack.panels if isinstance(panel, SweepTable))
+        # the sweep panels' cells in one call; the Husimi grid its re, q and im
+        assert sizes == [sweep_cells, 4, 16, 4]
+
+    def test_husimi_only_pack(self, tmp_path):
+        grid = HusimiGrid("bare", [0.0, 1.0], [0.0, 1.0], [[0.1, 0.2], [0.3, 0.4]])
+        (_, path), = write_figure_pack(sweep_report.FigurePack("figY", [("a", grid)]), tmp_path)
+        with open(path, newline="") as fh:
+            assert fh.read() == husimi_grid_csv(grid)
