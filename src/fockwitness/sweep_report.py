@@ -323,8 +323,7 @@ def write_figure_pack(pack: FigurePack, out_dir) -> list[tuple[str, str]]:
     manifest = []
     for name, panel in pack.panels:
         path = os.path.join(out_dir, f"{pack.figure_id}_{name}.csv")
-        text = panel_csv(panel, next(slices) if isinstance(panel, SweepTable) else None)
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.write(panel_csv(panel, next(slices) if isinstance(panel, SweepTable) else None))
         manifest.append((name, path))
     return manifest
