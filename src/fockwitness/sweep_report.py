@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -282,15 +282,32 @@ def sweep_table_csv(table: SweepTable, cells: list[str] | None = None) -> str:
 
 
 def husimi_grid_csv(grid: HusimiGrid) -> str:
-    res = format_floats(grid.re_values)
-    qs = format_floats(grid.q_values)
-    width = len(res)
-    # joined one grid row at a time, so no list of per-cell lines is held
-    rows = ["re,im,q_value"]
-    for i, im in enumerate(format_floats(grid.im_values)):
-        cells = zip(res, repeat(f",{im},"), qs[i * width:(i + 1) * width])
-        rows.append("\n".join(map("".join, cells)))
-    return "\n".join(rows) + "\n"
+    """The grid as CSV: a header, then one line "re,im,q_value" per point,
+    row by row of q_values (one row per Im(beta)), Re(beta) fastest.
+
+    q_values must be len(im_values) rows of len(re_values) values; any
+    other shape raises ValueError naming both shapes. The q values and both
+    axes go through one format_floats call. The text is then one "".join
+    over one flat list of [re, ",im,", q, "\n"] per point: the re column is
+    the axis strings repeated once per row, and ",im," is built once per
+    row, so no per-cell or per-row string is made.
+    """
+    width, height = len(grid.re_values), len(grid.im_values)
+    if len(grid.q_values) != height or any(len(row) != width for row in grid.q_values):
+        row_widths = "/".join(map(str, sorted({len(row) for row in grid.q_values}))) or "0"
+        raise ValueError(f"q_values is {len(grid.q_values)} x {row_widths} (rows x values); "
+                         f"the axes need {height} x {width} (im x re)")
+    size = width * height
+    cells = format_floats(np.concatenate([
+        np.asarray(grid.q_values, dtype=np.float64).ravel(), grid.re_values, grid.im_values,
+    ]))
+    text = [None] * (1 + 4 * size)
+    text[0] = "re,im,q_value\n"
+    text[1::4] = cells[size:size + width] * height
+    text[2::4] = chain.from_iterable(repeat(f",{im},", width) for im in cells[size + width:])
+    text[3::4] = cells[:size]
+    text[4::4] = ["\n"] * size
+    return "".join(text)
 
 
 def panel_csv(panel, cells: list[str] | None = None) -> str:

@@ -178,6 +178,29 @@ def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=None)
+def _hos_terms(l: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """The terms of (a + a')^k for k = 0..l, k by k, each k's in the order
+    quadrature_power_coeffs gives them: the index of each term's pair in
+    _moment_pairs("hos", l), its coefficient as the double it rounds to,
+    and where each k's terms end; then 2^(k/2) for each k. Coefficients
+    and scales are complex, the type numpy converts them to against a
+    complex moment, so that no call converts them again."""
+    index = {pair: i for i, pair in enumerate(_moment_pairs("hos", l))}
+    rows, coeffs, ends = [], [], []
+    for k in range(l + 1):
+        terms = quadrature_power_coeffs(k)
+        rows += [index[j, m] for j, m, _ in terms]
+        coeffs += [float(c) for _, _, c in terms]
+        ends.append(len(rows))
+    rows = np.array(rows)
+    coeffs = np.array(coeffs, dtype=complex)[:, None]
+    scales = np.array([[2 ** (k / 2.0)] for k in range(l + 1)], dtype=complex)
+    for array in (rows, coeffs, scales):
+        array.flags.writeable = False  # every caller shares the cached arrays
+    return rows, coeffs, ends, scales
+
+
 def hos(table: MomentTable, l: int = 2):
     """Hong-Mandel squeezing S^(l) of the quadrature X = (a + a')/sqrt(2).
 
@@ -189,20 +212,23 @@ def hos(table: MomentTable, l: int = 2):
         raise ValueError("hos requires l >= 2")
     if l % 2:
         raise OddOrder("hos is defined for even order only")
-    # each pair read once; every term below is added in its expansion order
+    # each pair read once, as one row of a stack over the table's states
     raw = {pair: table.get(*pair) for pair in _moment_pairs("hos", l)}
-    entries = {pair: np.atleast_1d(value) for pair, value in raw.items()}
-
-    def quad_moment(k: int) -> np.ndarray:
-        total = 0j
-        for j, kk, coeff in quadrature_power_coeffs(k):
-            total += coeff * entries[j, kk]
-        return (total / 2 ** (k / 2.0)).real
-
-    mean_x = quad_moment(1)
+    moments = np.array(list(raw.values()), dtype=complex).reshape(len(raw), -1)
+    rows, coeffs, ends, scales = _hos_terms(l)
+    # Each k's terms are stacked and added from 0 in expansion order, the
+    # loop's sum bit for bit. numpy adds along the contiguous axis pairwise,
+    # so the stack is read as floats: the term axis is then never the
+    # contiguous one, not even for one state, and a complex add is the add
+    # of its real and imaginary parts.
+    sums = []
+    for start, end in zip([0, *ends], ends):
+        terms = coeffs[start:end] * moments.take(rows[start:end], axis=0)
+        sums.append(np.add.reduce(terms.view(np.float64), axis=0, initial=0.0))
+    quad = (np.array(sums).view(complex) / scales).real
     central = 0.0
     for k in range(l + 1):
-        central += math.comb(l, k) * (-mean_x) ** (l - k) * quad_moment(k)
+        central += math.comb(l, k) * (-quad[1]) ** (l - k) * quad[k]
     # the (0,0) term of (a + a')^l, (l-1)!!
     reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
     return _unwrap((central - reference) / reference, raw[1, 1])
@@ -373,9 +399,11 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
     this order: <a'^n a^n> for n <= l for mandel(l) (its <(a'a)^r>), n = 1
     and l for hoa(l), 1 <= n <= l for hosps(l) and n <= 4 for A3 (either
-    variant); every normal-ordered term of (a + a')^k, k <= l, for hos(l)."""
+    variant); for hos(l), every normal-ordered term of (a + a')^k, k <= l,
+    which is every (m, n) with m + n <= l, as each has a positive
+    coefficient in (a + a')^(m + n)."""
     if witness == "hos":
-        return tuple(sorted({(j, kk) for k in range(order + 1) for j, kk, _ in quadrature_power_coeffs(k)}))
+        return tuple((m, n) for m in range(order + 1) for n in range(order + 1 - m))
     if witness == "hoa":
         return ((1, 1), (order, order))
     first, last = (1, order) if witness == "hosps" else (0, 4 if witness == "agarwal_tara" else order)

@@ -356,6 +356,26 @@ class TestCsv:
         assert lines[2] == "1.0,0.0,0.2"
         assert lines[3] == "0.0,1.0,0.3"
 
+    def test_husimi_csv_non_square_grid(self):
+        # 3 re x 2 im: a swap of rows and columns would misplace or reject it
+        grid = HusimiGrid("bare", [-1.0, 0.0, 1.0], [0.5, 2.0], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        assert husimi_grid_csv(grid) == (
+            "re,im,q_value\n"
+            "-1.0,0.5,0.1\n0.0,0.5,0.2\n1.0,0.5,0.3\n"
+            "-1.0,2.0,0.4\n0.0,2.0,0.5\n1.0,2.0,0.6\n"
+        )
+
+    @pytest.mark.parametrize("q_values, shape", [
+        ([[0.1, 0.2]], "1 x 2"),  # a row missing
+        ([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], "3 x 2"),  # a surplus row
+        ([[0.1, 0.2], [0.3]], "2 x 1/2"),  # a ragged row
+        ([[0.1], [0.3]], "2 x 1"),  # rows one value short
+    ])
+    def test_husimi_csv_rejects_a_shape_off_the_axes(self, q_values, shape):
+        grid = HusimiGrid("bare", [0.0, 1.0], [0.0, 1.0], q_values)
+        with pytest.raises(ValueError, match=f"q_values is {shape} .*the axes need 2 x 2"):
+            husimi_grid_csv(grid)
+
     def test_husimi_csv_equals_per_cell_formatting(self):
         grid = husimi_grid(StateSpec.even_coherent(2.0, EngineeringOp.psa(4, 2)), steps=7)
         grid.q_values[1][2] = float("nan")
@@ -454,8 +474,8 @@ class TestPackFormatting:
         write_figure_pack(pack, tmp_path)
         sweep_cells = sum((1 + len(panel.series)) * len(panel.parameter_values)
                           for _, panel in pack.panels if isinstance(panel, SweepTable))
-        # the sweep panels' cells in one call; the Husimi grid its re, q and im
-        assert sizes == [sweep_cells, 4, 16, 4]
+        # the sweep panels' cells in one call; the Husimi grid its q, re and im in one
+        assert sizes == [sweep_cells, 16 + 4 + 4]
 
     def test_husimi_only_pack(self, tmp_path):
         grid = HusimiGrid("bare", [0.0, 1.0], [0.0, 1.0], [[0.1, 0.2], [0.3, 0.4]])

@@ -6,6 +6,7 @@ import pytest
 import dense
 from fockwitness import oracle, states, sweep_report, witnesses
 from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
+from fockwitness.specfun import quadrature_power_coeffs
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
 from fockwitness.witnesses import (
     ScanGrid,
@@ -177,6 +178,49 @@ class TestHos:
         distribution_route = (central - reference) / reference
         witness_route = hos(MomentTable.analytic(spec), l)
         assert witness_route == pytest.approx(distribution_route, rel=1e-9)
+
+
+def _hos_per_term(table, l):
+    """hos(table, l) with each quadrature moment summed one term at a time,
+    in the order quadrature_power_coeffs gives the terms, each coefficient
+    as the double it rounds to."""
+    entries = {pair: np.atleast_1d(table.get(*pair)) for pair in witnesses._moment_pairs("hos", l)}
+
+    def quad_moment(k):
+        total = 0j
+        for j, m, coeff in quadrature_power_coeffs(k):
+            total += float(coeff) * entries[j, m]
+        return (total / 2 ** (k / 2.0)).real
+
+    mean_x = quad_moment(1)
+    central = 0.0
+    for k in range(l + 1):
+        central += math.comb(l, k) * (-mean_x) ** (l - k) * quad_moment(k)
+    reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
+    return (central - reference) / reference
+
+
+class TestHosTermSums:
+    """hos sums each quadrature moment's terms in one stacked pass; it
+    equals the per-term loop bit for bit."""
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.thermal(1.5, EngineeringOp.psa(2, 1)),
+        StateSpec.even_coherent(1.2),
+        StateSpec.of(states.FAMILY_THERMAL, np.linspace(0.01, 3.0, 9), EngineeringOp.pas(1, 2)),
+        StateSpec.of(states.FAMILY_EVEN_COHERENT, np.linspace(0.1, 2.0, 7), EngineeringOp.psa(2, 1)),
+    ], ids=["thermal", "ecs", "thermal-grid", "ecs-grid"])
+    def test_equals_per_term_loop(self, spec):
+        table = MomentTable.analytic(spec, witnesses._moment_pairs("hos", 40))
+        for l in range(2, 41, 2):
+            stacked = np.atleast_1d(np.asarray(hos(table, l), dtype=np.float64))
+            per_term = np.asarray(_hos_per_term(table, l), dtype=np.float64)
+            assert stacked.view(np.uint64).tolist() == per_term.view(np.uint64).tolist(), l
+
+    def test_pairs_are_the_terms_read(self):
+        for l in range(2, 41, 2):
+            terms = {(j, m) for k in range(l + 1) for j, m, _ in quadrature_power_coeffs(k)}
+            assert witnesses._moment_pairs("hos", l) == tuple(sorted(terms)), l
 
 
 class TestAgarwalTara:
