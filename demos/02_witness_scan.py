@@ -16,7 +16,7 @@ variants = [EngineeringOp.pas(1, 1), EngineeringOp.psa(1, 1)]
 
 mandel = sweep(
     "mandel", 2, variants, FAMILY_THERMAL,
-    param_range={"min": 0.05, "max": 3.0, "steps": 13},
+    param_min=0.05, param_max=3.0, steps=13,
 )
 
 print("order-2 Mandel function vs thermal mean photon number")
@@ -33,7 +33,7 @@ print("Fock state for small rbar) and crosses zero; the PAS curve never dips.")
 # the same scan through the brute-force engine, as a regression check
 paired = sweep(
     "hoa", 2, [EngineeringOp.psa(1, 1)], FAMILY_THERMAL,
-    param_range={"min": 0.1, "max": 2.0, "steps": 5},
+    param_min=0.1, param_max=2.0, steps=5,
     engine="both",
 )
 print("\nantibunching scan, closed form vs truncated basis:")

@@ -23,7 +23,7 @@ grid = ScanGrid(-3.0, 3.0, -3.0, 3.0, steps=61)
 
 for spec, label in ((bare, "bare thermal"), (net_adder, "PSA(2,4) thermal"),
                     (cat_engineered, "PAS(2,4) even cat")):
-    zeros = husimi_zero_scan(spec, grid, zero_threshold=1e-6)
+    zeros = husimi_zero_scan(spec, grid)
     print(f"\n{label}: {len(zeros)} grid points below 1e-6 of the grid maximum")
     for beta in zeros[:5]:
         print("   beta =", beta)

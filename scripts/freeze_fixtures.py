@@ -25,9 +25,6 @@ from fockwitness.oracle import (
 from fockwitness.states import EngineeringOp, StateSpec
 from fockwitness.verify import _oracle_hosps_direct as hosps_direct
 
-TAIL_TOL = 1e-12
-
-
 def main() -> None:
     plan = [
         (StateSpec.even_coherent(1.0, EngineeringOp.pas(1, 1)),
@@ -50,10 +47,10 @@ def main() -> None:
          "hosps(3)", lambda st: hosps_direct(st, (3,))[0]),
     ]
     records = [
-        stable_oracle_value(evaluate, spec, quantity, tail_tol=TAIL_TOL)
+        stable_oracle_value(evaluate, spec, quantity)
         for spec, quantity, evaluate in plan
     ]
-    text = oracle.format_fixtures(records, header=f"frozen oracle values; tail_tol={TAIL_TOL}")
+    text = oracle.format_fixtures(records, header=f"frozen oracle values; tail_tol={oracle.DEFAULT_TAIL_TOL}")
     out = os.path.join(os.path.dirname(__file__), "..", "src", "fockwitness", "data", "fixtures.txt")
     with open(out, "w", newline="\n") as fh:
         fh.write(text)

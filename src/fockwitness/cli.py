@@ -49,16 +49,17 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_SINGULAR = 5
 
+# --name -> (witness, the flags of --l, --m and --variant that it reads)
 _WITNESS_NAMES = {
-    "mandel": "mandel",
-    "hoa": "hoa",
-    "hosps": "hosps",
-    "hos": "hos",
-    "a3": "agarwal_tara",
-    "agarwal_tara": "agarwal_tara",
-    "klyshko": "klyshko",
-    "husimi-zero": "husimi_zero",
-    "husimi_zero": "husimi_zero",
+    "mandel": ("mandel", ("l",)),
+    "hoa": ("hoa", ("l",)),
+    "hosps": ("hosps", ("l",)),
+    "hos": ("hos", ("l",)),
+    "a3": ("agarwal_tara", ("variant",)),
+    "agarwal_tara": ("agarwal_tara", ("variant",)),
+    "klyshko": ("klyshko", ("m",)),
+    "husimi-zero": ("husimi_zero", ()),
+    "husimi_zero": ("husimi_zero", ()),
 }
 
 # --tol where none is given: the analytic/oracle deviation allowed under --engine both
@@ -108,18 +109,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _tolerance(args: argparse.Namespace) -> float:
-    return DEFAULT_TOL if args.tol is None else args.tol
-
-
 def _compared(name: str, values: list, floor: float = 1.0) -> dict[str, float]:
     """{name: the deviation of the first engine's value from the second's}
     where an engine choice ran two (oracle.deviation), else {}."""
     return {name: oracle_mod.deviation(values[0], values[1], floor)} if len(values) > 1 else {}
 
 
-def _check_deviations(deviations: dict[str, float], tol: float) -> int:
-    """EXIT_VERIFY_FAILED, naming each deviation above tol on stderr, or EXIT_OK."""
+def _check_deviations(deviations: dict[str, float], args: argparse.Namespace) -> int:
+    """EXIT_VERIFY_FAILED, naming each deviation above --tol on stderr, or EXIT_OK."""
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     # a NaN deviation fails too
     failed = {name: dev for name, dev in deviations.items() if not dev <= tol}
     for name, dev in failed.items():
@@ -191,7 +189,6 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("analytic", "oracle", "both"))
-    parser.add_argument("--out")
     parser.add_argument("--tol", type=float)
     parser.add_argument("--config")
 
@@ -226,12 +223,16 @@ def _build_spec(args: argparse.Namespace) -> StateSpec:
 
 def _witness_order(args: argparse.Namespace) -> tuple[str, int]:
     """The witness --name selects, and its order: --m for klyshko, --l
-    (default 2) for the moment witnesses, 0 for agarwal_tara and husimi_zero."""
+    (default 2) for the moment witnesses, 0 for agarwal_tara and husimi_zero;
+    a witness flag the witness does not read is refused."""
     if args.name is None:
         raise ConfigError(f"{args.command} requires --name")
-    witness = _WITNESS_NAMES.get(args.name.lower())
+    witness, reads = _WITNESS_NAMES.get(args.name.lower(), (None, ()))
     if witness is None:
         raise ConfigError(f"unknown witness name {args.name!r}")
+    for flag in ("l", "m", "variant"):
+        if flag not in reads and getattr(args, flag, None) is not None:
+            raise ConfigError(f"{witness} takes no --{flag}")
     if witness == "klyshko":
         if args.m is None:
             raise ConfigError("klyshko requires --m")
@@ -253,7 +254,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
               for engine in witnesses_mod.engines(args.engine or "analytic")]
     print(f"{args.m},{args.n},{_fmt(values[0].real)},{_fmt(values[0].imag)}")
     deviations = _compared(f"moment({args.m},{args.n})", values, oracle_mod.RELATIVE_FLOOR)
-    return _check_deviations(deviations, _tolerance(args))
+    return _check_deviations(deviations, args)
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -262,13 +263,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     variant = args.variant or witnesses_mod.VARIANT_NUMBER_MOMENTS
     results = [witnesses_mod.evaluate_witness(spec, witness, order=order, variant=variant, engine=engine)
                for engine in witnesses_mod.engines(args.engine or "analytic")]
-    _print_witness(results[0])
-    return _check_deviations(_compared(witness, [r.value for r in results]), _tolerance(args))
-
-
-def _print_witness(result: witnesses_mod.WitnessResult) -> None:
-    flag = "true" if result.nonclassical else "false"
-    print(f"{result.witness},{result.order},{repr(float(result.value))},{flag}")
+    first = results[0]
+    flag = "true" if first.nonclassical else "false"
+    print(f"{first.witness},{first.order},{repr(float(first.value))},{flag}")
+    return _check_deviations(_compared(witness, [r.value for r in results]), args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -277,24 +275,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("husimi-zero has no scalar sweep; use the figure packs")
     if args.family is None:
         raise ConfigError("sweep requires --family")
-    # split at the commas outside parentheses: PAS(1,1) as well as PAS(1:1)
-    labels = re.split(r",(?![^(]*\))", args.variants or "PAS(1:1),PSA(1:1)")
-    variants = [EngineeringOp.from_label(label.strip()) for label in labels if label.strip()]
+    # split at the commas outside parentheses: PAS(1,1) as well as PAS(1:1),
+    # and "PAS(1,1)" quoted as the CSV header prints it
+    labels = [re.sub(r'^"(.*)"$', r"\1", label.strip())
+              for label in re.split(r",(?![^(]*\))", args.variants or "PAS(1:1),PSA(1:1)")]
+    variants = [EngineeringOp.from_label(label) for label in labels if label]
     if not variants:
         raise ConfigError("no variants given")
-    param_range = {}
-    if args.param_min is not None:
-        param_range["min"] = args.param_min
-    if args.param_max is not None:
-        param_range["max"] = args.param_max
-    if args.steps is not None:
-        param_range["steps"] = args.steps
     table = sweep_report.sweep(
         witness,
         order,
         variants,
         states_mod.FAMILIES[args.family],
-        param_range=param_range or None,
+        param_min=args.param_min,
+        param_max=args.param_max,
+        steps=args.steps,
         engine=args.engine or "analytic",
         include_bare=args.include_bare,
     )
@@ -305,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(args.out)
     else:
         sys.stdout.write(text)
-    return _check_deviations(table.metadata.get("max_deviation", {}), _tolerance(args))
+    return _check_deviations(table.metadata.get("max_deviation", {}), args)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -327,7 +322,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             deviations.update({f"{args.figure_id}_{name} {label}": v for label, v in dev.items()})
         else:
             deviations[f"{args.figure_id}_{name}"] = dev
-    return _check_deviations(deviations, _tolerance(args))
+    return _check_deviations(deviations, args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -369,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="scan a witness over a parameter range")
     _add_shared_flags(p_sweep)
+    p_sweep.add_argument("--out")
     p_sweep.add_argument("--name")
     p_sweep.add_argument("--family", choices=states_mod.FAMILIES)
     p_sweep.add_argument("--l", type=int)
@@ -382,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_figure = sub.add_parser("figure", help="emit the CSV pack for one figure")
     _add_shared_flags(p_figure)
+    p_figure.add_argument("--out")
     p_figure.add_argument("figure_id")
     p_figure.add_argument("--steps", type=int)
     p_figure.add_argument("--grid-steps", dest="grid_steps", type=int)
@@ -400,6 +397,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _merge_config(args, parser)
+        # verify reads its own --tol (verify.TOL_SUITES)
+        if args.command != "verify" and args.tol is not None and args.engine != "both":
+            raise ConfigError("--tol is read only under --engine both")
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)

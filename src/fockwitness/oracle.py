@@ -46,6 +46,8 @@ _NORM_FLOOR = 1e-300
 _HUSIMI_CHUNK = 1 << 17
 # deviation's floor for a plain relative deviation
 RELATIVE_FLOOR = 1e-30
+# stable_oracle_value's bound on a value's deviation from it at twice the cutoff
+STABILITY_TOL = 1e-10
 
 KIND_VECTOR = "vector"
 KIND_DIAGONAL = "diagonal"
@@ -527,25 +529,19 @@ def format_fixtures(records, header: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stable_oracle_value(
-    evaluate,
-    spec: StateSpec,
-    quantity: str,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    gate_rel_tol: float = 1e-10,
-) -> FixtureRecord:
+def stable_oracle_value(evaluate, spec: StateSpec, quantity: str) -> FixtureRecord:
     """Freeze an oracle value only after the doubled-cutoff stability gate.
 
     `evaluate(state)` computes the quantity from a TruncatedState; the value
-    at the converged cutoff D must match the value at 2D to gate_rel_tol.
+    at the converged cutoff D must match the value at 2D to STABILITY_TOL.
     """
-    state = build_truncated(spec, tail_tol)
-    doubled = build_truncated(spec, tail_tol, min_cutoff=2 * state.cutoff)
+    state = build_truncated(spec)
+    doubled = build_truncated(spec, min_cutoff=2 * state.cutoff)
     if doubled.cutoff != 2 * state.cutoff:
         raise CutoffExceeded(f"doubled cutoff {2 * state.cutoff} exceeds the hard limit")
     first = float(evaluate(state))
     second = float(evaluate(doubled))
-    if not deviation(first, second, RELATIVE_FLOOR) <= gate_rel_tol:
+    if not deviation(first, second, RELATIVE_FLOOR) <= STABILITY_TOL:
         raise CutoffExceeded(
             f"{spec.canonical()} {quantity}: value not stable under cutoff doubling "
             f"({first!r} vs {second!r})"

@@ -127,14 +127,15 @@ def sweep(
     order: int,
     variants: list[EngineeringOp],
     family: states_mod.Family,
-    param_range: dict | None = None,
+    param_min: float | None = None,
+    param_max: float | None = None,
+    steps: int | None = None,
     engine: str = "analytic",
     include_bare: bool = False,
 ) -> SweepTable:
-    """Scan one witness over a parameter grid for several state variants.
-
-    param_range is {"min": .., "max": .., "steps": ..}; defaults follow the
-    family's plotted window. engine may be "analytic", "oracle", or "both"; "both"
+    """Scan one witness over `steps` points from param_min to param_max (by
+    default SWEEP_STEPS over the family's plotted window) for several state
+    variants, each listed once. engine may be "analytic", "oracle", or "both"; "both"
     emits a paired `label@oracle` series per variant and records the maximum
     analytic/oracle deviation (oracle.deviation) in the metadata. Either engine
     evaluates each variant as one grid spec, one moment table for the whole
@@ -145,12 +146,10 @@ def sweep(
     runs = witnesses_mod.engines(engine)
     if not isinstance(family, states_mod.Family):
         raise ValueError(f"unknown family {family!r}")
-    lo, hi = family.window
-    steps = SWEEP_STEPS
-    if param_range:
-        lo = float(param_range.get("min", lo))
-        hi = float(param_range.get("max", hi))
-        steps = int(param_range.get("steps", steps))
+    # a given 0 is checked like any other value, not read as "default"
+    lo = family.window[0] if param_min is None else float(param_min)
+    hi = family.window[1] if param_max is None else float(param_max)
+    steps = SWEEP_STEPS if steps is None else int(steps)
     # NaN fails every comparison, so non-finite bounds fail this check too
     if not 0 <= lo < hi < math.inf:
         raise ValueError("parameter range must be finite, non-negative and increasing")
@@ -159,8 +158,11 @@ def sweep(
     values = witnesses_mod._linspace(lo, hi, steps)
 
     ops = list(variants)
-    if include_bare and not any(op.order == states_mod.ORDER_NONE for op in ops):
-        ops.append(EngineeringOp.bare())
+    for index, op in enumerate(ops):
+        if op in ops[:index]:
+            raise ValueError(f"variant {op.label()} is listed twice")
+    if include_bare and _BARE not in ops:
+        ops.append(_BARE)
 
     series: dict[str, list[float]] = {}
     gaps: dict[str, dict[str, int]] = {}
@@ -229,13 +231,12 @@ def figure_pack(
     if grid_steps is not None and grid_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
     husimi_steps = HUSIMI_STEPS if grid_steps is None else grid_steps
-    prange = None if steps is None else {"steps": steps}
 
     tables = []
     for letter, panel in zip("abcde", panels):
         if len(panel) == 3:
             witness_id, order, variants = panel
-            table = sweep(witness_id, order, variants, family, param_range=prange, engine=engine)
+            table = sweep(witness_id, order, variants, family, steps=steps, engine=engine)
         else:
             op, value = panel
             table = husimi_grid(StateSpec.of(family, value, op), steps=husimi_steps, engine=engine)
@@ -273,7 +274,8 @@ def _sweep_cells(table: SweepTable) -> np.ndarray:
 def sweep_table_csv(table: SweepTable, cells: list[str] | None = None) -> str:
     """The table as CSV; `cells` is format_floats of _sweep_cells(table)
     where the caller formatted it already."""
-    labels = list(table.series)
+    # RFC 4180: a label holding a comma, PAS(1,1), is quoted
+    labels = [f'"{label}"' if "," in label else label for label in table.series]
     if cells is None:
         cells = format_floats(_sweep_cells(table))
     # one cell list in row-major order, cut into rows of 1 + len(labels)

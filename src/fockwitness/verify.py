@@ -46,18 +46,6 @@ ORACLE_TAIL_TOL = 1e-15
 RBAR_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 ALPHA_GRID = (0.3, 0.7, 1.2, 2.0)
 
-SUITE_NAMES = (
-    "moments",
-    "witnesses",
-    "normalization",
-    "hos",
-    "signs",
-    "hosps_gate",
-    "coherent",
-    "fixtures",
-    "determinism",
-)
-
 # the suites that take a tolerance, which run_suites' tol overrides
 TOL_SUITES = ("moments", "witnesses", "hosps_gate", "coherent", "fixtures")
 # the suites that read the grid records, which one run_suites call shares
@@ -545,22 +533,27 @@ _SUITES = {
     "fixtures": suite_fixtures,
     "determinism": suite_determinism,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names=None, tol: float | None = None, report=print) -> list[SuiteResult]:
     """Run the requested suites (all by default) and report one line each;
-    tol overrides the tolerance of the selected suites of TOL_SUITES, and
-    raises ValueError where none is selected. The suites of GRID_SUITES in
-    one call share one record per (op, family) of _grid_series()."""
+    an unknown suite, or one named twice, raises ValueError before any
+    runs. tol overrides the tolerance of the selected suites of TOL_SUITES,
+    and raises ValueError where none is selected. The suites of GRID_SUITES
+    in one call share one record per (op, family) of _grid_series()."""
     selected = list(names) if names else list(SUITE_NAMES)
+    for name in selected:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+        if selected.count(name) > 1:
+            raise ValueError(f"suite {name!r} is selected twice")
     if tol is not None and not set(selected) & set(TOL_SUITES):
         raise ValueError(f"no selected suite reads a tolerance (those that do: {', '.join(TOL_SUITES)})")
     # the grid records of this call, released when it returns
     grids = _Grids()
     results = []
     for name in selected:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}")
         args = (tol,) if tol is not None and name in TOL_SUITES else ()
         result = _SUITES[name](*args, grids=grids) if name in GRID_SUITES else _SUITES[name](*args)
         results.append(result)

@@ -48,6 +48,9 @@ VARIANT_POWER_OF_MEAN = "power_of_mean"
 # indeterminate
 SINGULAR_EPSILON = 1e-12
 
+# a Husimi grid point whose Q is below this times the grid maximum is a zero
+ZERO_THRESHOLD = 1e-6
+
 ENGINES = ("analytic", "oracle")
 
 
@@ -375,11 +378,10 @@ def _relative_husimi(spec, grid, engine, tail_tol) -> np.ndarray:
 def husimi_zero_scan(
     spec: StateSpec,
     grid: ScanGrid | None = None,
-    zero_threshold: float = 1e-6,
     engine: str = "analytic",
     tail_tol: float = oracle_mod.DEFAULT_TAIL_TOL,
 ) -> list[complex]:
-    """Grid points where Q falls below zero_threshold times the grid maximum.
+    """Grid points where Q falls below ZERO_THRESHOLD times the grid maximum.
 
     The threshold is relative to the grid maximum because Q magnitudes vary
     by orders of magnitude between states. Deterministic row-major order.
@@ -387,7 +389,7 @@ def husimi_zero_scan(
     """
     grid = grid or ScanGrid()
     relative = _relative_husimi(spec, grid, engine, tail_tol)
-    return [beta for beta, r in zip(grid.points(), relative) if r < zero_threshold]
+    return [beta for beta, r in zip(grid.points(), relative) if r < ZERO_THRESHOLD]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +427,6 @@ def evaluate_witness(
     variant: str = VARIANT_NUMBER_MOMENTS,
     engine: str = "analytic",
     grid: ScanGrid | None = None,
-    zero_threshold: float = 1e-6,
     tail_tol: float = oracle_mod.DEFAULT_TAIL_TOL,
 ) -> WitnessResult:
     """Evaluate one witness for one state and wrap the outcome.
@@ -436,7 +437,7 @@ def evaluate_witness(
     if witness == "husimi_zero":
         # the husimi_zero_scan rule: some point lies below the threshold
         rel_min = float(_relative_husimi(spec, grid or ScanGrid(), engine, tail_tol).min())
-        return WitnessResult("husimi_zero", 0, rel_min, rel_min < zero_threshold, engine)
+        return WitnessResult("husimi_zero", 0, rel_min, rel_min < ZERO_THRESHOLD, engine)
     if witness == "klyshko":
         value = klyshko(spec, order, engine, tail_tol)
     elif witness in ("mandel", "hoa", "hosps", "hos", "agarwal_tara"):

@@ -187,7 +187,7 @@ class TestSweepCommand:
         )
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
-        assert lines[0] == "param,PAS(1,1),PSA(1,1)"
+        assert lines[0] == 'param,"PAS(1,1)","PSA(1,1)"'
         assert len(lines) == 4
 
     def test_header_labels_accepted(self, run_main):
@@ -195,6 +195,11 @@ class TestSweepCommand:
         comma = run_main(*_SWEEP, "--steps", "3", "--variants", "PAS(1,1),PSA(1,1)")
         assert comma.returncode == 0, comma.stderr
         assert comma.stdout == colon.stdout
+        # the labels of the CSV header, copied with their quotes
+        header = colon.stdout.splitlines()[0].split(",", 1)[1]
+        assert header == '"PAS(1,1)","PSA(1,1)"'
+        quoted = run_main(*_SWEEP, "--steps", "3", "--variants", header)
+        assert (quoted.returncode, quoted.stdout) == (0, colon.stdout)
 
     def test_bad_variant_label(self, run_main):
         proc = run_main(
@@ -330,7 +335,7 @@ class TestBothEngineTolerance:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "exceeds tolerance 1e-30: PAS(1,1) " in proc.stderr
-        assert out.read_text().startswith("param,PAS(1,1),PAS(1,1)@oracle,")
+        assert out.read_text().startswith('param,"PAS(1,1)","PAS(1,1)@oracle",')
 
     def test_witness_deviation_above_tol_fails(self, run_main):
         proc = run_main("witness", "--name", "mandel", "--family", "thermal", "--op", "pas",
@@ -463,6 +468,78 @@ class TestRepeatedFlags:
         given = capsys.readouterr().out
         assert cli.main(_MOMENT + ("--family", "thermal", "--rbar", "1")) == 0
         assert given == capsys.readouterr().out
+
+
+_REFUSED_WITNESS_FLAG = "configuration error: {} takes no --{}\n"
+_REFUSED_TOL = "configuration error: --tol is read only under --engine both\n"
+
+
+class TestRefusedOptions:
+    """A flag or config key a command would not read exits 2 and names it,
+    before any record is printed or file written."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (_MOMENT + ("--family", "thermal", "--rbar", "1", "--out", "x.csv"),
+         "unrecognized arguments: --out x.csv"),
+        (("witness", "--name", "hoa", "--family", "thermal", "--rbar", "1", "--out", "x.csv"),
+         "unrecognized arguments: --out x.csv"),
+        (("witness", "--name", "hoa", "--m", "7", "--family", "thermal", "--rbar", "1"),
+         _REFUSED_WITNESS_FLAG.format("hoa", "m")),
+        (("witness", "--name", "a3", "--l", "9", "--family", "thermal", "--rbar", "1"),
+         _REFUSED_WITNESS_FLAG.format("agarwal_tara", "l")),
+        (("witness", "--name", "klyshko", "--m", "2", "--l", "4", "--family", "thermal", "--rbar", "1"),
+         _REFUSED_WITNESS_FLAG.format("klyshko", "l")),
+        (("witness", "--name", "husimi-zero", "--l", "4", "--family", "thermal", "--rbar", "1"),
+         _REFUSED_WITNESS_FLAG.format("husimi_zero", "l")),
+        (("witness", "--name", "hoa", "--variant", "power_of_mean", "--family", "thermal", "--rbar", "1"),
+         _REFUSED_WITNESS_FLAG.format("hoa", "variant")),
+        (("sweep", "--name", "hoa", "--family", "thermal", "--m", "3", "--out", "out.csv"),
+         _REFUSED_WITNESS_FLAG.format("hoa", "m")),
+        (("sweep", "--name", "a3", "--family", "thermal", "--l", "7", "--out", "out.csv"),
+         _REFUSED_WITNESS_FLAG.format("agarwal_tara", "l")),
+        (_MOMENT + ("--family", "thermal", "--rbar", "1", "--tol", "1e-3"), _REFUSED_TOL),
+        (("witness", "--name", "hoa", "--family", "thermal", "--rbar", "1", "--tol", "5"), _REFUSED_TOL),
+        (_SWEEP + ("--steps", "3", "--engine", "oracle", "--tol", "1", "--out", "out.csv"), _REFUSED_TOL),
+        (("figure", "fig1", "--steps", "2", "--tol", "3", "--out", "out"), _REFUSED_TOL),
+        (("verify", "--suite", "determinism", "--suite", "determinism"),
+         "configuration error: suite 'determinism' is selected twice\n"),
+        (_SWEEP + ("--steps", "3", "--variants", "PAS(1,1),PAS(1:1)", "--out", "out.csv"),
+         "configuration error: variant PAS(1,1) is listed twice\n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_refused_before_any_output(self, argv, err, run_main, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        proc = run_main(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        if err.startswith("configuration error"):
+            assert proc.stderr == err
+        else:
+            assert proc.stderr.rstrip().endswith(err), proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text, argv, err", [
+        ("l=9\n", ("witness", "--name", "a3", "--family", "thermal", "--rbar", "1"),
+         _REFUSED_WITNESS_FLAG.format("agarwal_tara", "l")),
+        ("tol=1e-6\n", ("witness", "--name", "hoa", "--family", "thermal", "--rbar", "1"), _REFUSED_TOL),
+        ("tol=1e-6\nengine=oracle\n", ("figure", "fig1", "--steps", "2", "--out", "out"), _REFUSED_TOL),
+        ("out=x\n", _MOMENT + ("--family", "thermal", "--rbar", "1"),
+         "configuration error: unknown config key 'out' for moment\n"),
+    ], ids=lambda v: v.strip().replace("\n", " ") if isinstance(v, str) else None)
+    def test_refused_through_config(self, text, argv, err, run_main, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        proc = run_main(*argv, "--config", str(cfg))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_tol_is_read_under_engine_both_from_config(self, run_main, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("engine=both\ntol=1e-30\n")
+        proc = run_main("witness", "--name", "mandel", "--family", "thermal", "--op", "pas",
+                        "--p", "1", "--q", "1", "--rbar", "1", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("analytic/oracle deviation exceeds tolerance 1e-30: mandel ")
 
 
 class TestConfigFile:

@@ -40,8 +40,7 @@ class TestFamilyRecord:
         assert (state.kind == oracle.KIND_DIAGONAL) == family.diagonal
 
     def test_sweep_reads_parameter_and_window(self, family):
-        table = sweep_report.sweep("hoa", 2, [EngineeringOp.pas(1, 1)], family,
-                                   param_range={"steps": 3})
+        table = sweep_report.sweep("hoa", 2, [EngineeringOp.pas(1, 1)], family, steps=3)
         assert table.parameter_name == family.parameter
         assert (table.parameter_values[0], table.parameter_values[-1]) == family.window
         assert table.metadata["family"] == family.name
@@ -59,7 +58,7 @@ def test_anything_but_a_record_is_an_unknown_family(family):
     with pytest.raises(ValueError, match="unknown family"):
         StateSpec.of(family, 1.0)
     with pytest.raises(ValueError, match="unknown family"):
-        sweep_report.sweep("hoa", 2, [EngineeringOp.bare()], family, param_range={"steps": 3})
+        sweep_report.sweep("hoa", 2, [EngineeringOp.bare()], family, steps=3)
 
 
 def test_records_compare_by_identity():

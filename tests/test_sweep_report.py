@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -27,7 +29,7 @@ class TestSweep:
             2,
             [EngineeringOp.pas(1, 1), EngineeringOp.psa(1, 1)],
             FAMILY_THERMAL,
-            param_range={"min": 0.01, "max": 5.0, "steps": 60},
+            param_min=0.01, param_max=5.0, steps=60,
         )
         assert min(table.series["PSA(1,1)"]) < -1e-10
         assert min(table.series["PAS(1,1)"]) >= -1e-10
@@ -38,7 +40,7 @@ class TestSweep:
             2,
             [EngineeringOp.pas(1, 1)],
             FAMILY_THERMAL,
-            param_range={"steps": 5},
+            steps=5,
             include_bare=True,
         )
         assert set(table.series) == {"PAS(1,1)", "bare"}
@@ -49,7 +51,7 @@ class TestSweep:
             2,
             [EngineeringOp.psa(1, 1)],
             FAMILY_THERMAL,
-            param_range={"min": 0.0, "max": 1.0, "steps": 3},
+            param_min=0.0, param_max=1.0, steps=3,
         )
         values = table.series["PSA(1,1)"]
         assert math.isnan(values[0])  # subtraction from vacuum at rbar = 0
@@ -61,7 +63,7 @@ class TestSweep:
             2,
             [EngineeringOp.pas(1, 1)],
             FAMILY_THERMAL,
-            param_range={"min": 0.5, "max": 1.5, "steps": 2},
+            param_min=0.5, param_max=1.5, steps=2,
             engine="both",
         )
         assert len(table.parameter_values) == 2
@@ -72,9 +74,36 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("hoa", 2, [EngineeringOp.bare()], FAMILY_THERMAL, engine="quantum")
 
+    def test_misspelled_range_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            sweep("hoa", 2, [EngineeringOp.pas(1, 1)], FAMILY_THERMAL, step=5, mni=1.0)
+
+    def test_given_zero_is_checked_not_defaulted(self):
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            sweep("hoa", 2, [EngineeringOp.pas(1, 1)], FAMILY_THERMAL, steps=0)
+        table = sweep("hoa", 2, [EngineeringOp.pas(1, 1)], FAMILY_THERMAL, param_min=0, steps=3)
+        assert table.parameter_values[0] == 0.0
+
+    def test_repeated_variant_is_refused(self):
+        ops = [EngineeringOp.pas(1, 1), EngineeringOp.from_label("PAS(1:1)")]
+        with pytest.raises(ValueError, match=r"variant PAS\(1,1\) is listed twice"):
+            sweep("hoa", 2, ops, FAMILY_THERMAL, steps=3)
+        # include_bare adds no second bare series
+        table = sweep("hoa", 2, [EngineeringOp.bare()], FAMILY_THERMAL, param_min=0.5, steps=3,
+                      include_bare=True)
+        assert list(table.series) == ["bare"]
+
+    def test_both_engine_csv_rows_parse_at_the_header_width(self):
+        table = sweep("hoa", 2, [EngineeringOp.pas(1, 1), EngineeringOp.psa(2, 1), EngineeringOp.bare()],
+                      FAMILY_THERMAL, param_min=0.5, param_max=1.5, steps=3, engine="both")
+        rows = list(csv.reader(io.StringIO(sweep_table_csv(table))))
+        assert rows[0] == ["param", *table.series]
+        assert "PAS(1,1)@oracle" in rows[0]
+        assert [len(row) for row in rows] == [7] * 4
+
     def test_ecs_parameter_name(self):
         table = sweep(
-            "hoa", 2, [EngineeringOp.pas(1, 1)], FAMILY_EVEN_COHERENT, param_range={"steps": 3}
+            "hoa", 2, [EngineeringOp.pas(1, 1)], FAMILY_EVEN_COHERENT, steps=3
         )
         assert table.parameter_name == "alpha"
         assert table.parameter_values[0] == pytest.approx(0.01)
@@ -125,15 +154,15 @@ class TestArrayPath:
     @staticmethod
     def _check_against_point_by_point(witness, order, family, hi, engine, ops):
         # ranges from 0 hold annihilated states and indeterminate A3 points
-        prange = {"min": 0.0, "max": hi, "steps": 13}
+        window = {"param_min": 0.0, "param_max": hi, "steps": 13}
         for op in ops:
             expected, counts, zero_mean = _point_by_point(
                 witness, order, family, op, witnesses._linspace(0.0, hi, 13), engine)
             if zero_mean:
                 with pytest.raises(ZeroMeanPhoton):
-                    sweep(witness, order, [op], family, param_range=prange, engine=engine)
+                    sweep(witness, order, [op], family, **window, engine=engine)
                 continue
-            table = sweep(witness, order, [op], family, param_range=prange, engine=engine)
+            table = sweep(witness, order, [op], family, **window, engine=engine)
             values = table.series[op.label()]
             assert table.metadata["nan_gaps"] == {op.label(): counts}, op
             assert all(type(v) is float for v in values)
@@ -166,16 +195,16 @@ class TestArrayPath:
     def test_zero_mean_fails_the_whole_sweep(self):
         with pytest.raises(ZeroMeanPhoton):
             sweep("mandel", 2, [EngineeringOp.bare()], FAMILY_THERMAL,
-                  param_range={"min": 0.0, "max": 1.0, "steps": 5})
+                  param_min=0.0, param_max=1.0, steps=5)
 
     def test_out_of_range_propagates(self):
         with pytest.raises(OutOfRange, match="rbar=1e\\+200"):
             sweep("hoa", 2, [EngineeringOp.pas(2, 2)], FAMILY_THERMAL,
-                  param_range={"min": 0.0, "max": 1e200, "steps": 2})
+                  param_min=0.0, param_max=1e200, steps=2)
 
     def test_odd_order_still_raises(self):
         with pytest.raises(witnesses.OddOrder):
-            sweep("hos", 3, [EngineeringOp.bare()], FAMILY_THERMAL, param_range={"steps": 3})
+            sweep("hos", 3, [EngineeringOp.bare()], FAMILY_THERMAL, steps=3)
 
     def test_grid_moments_match_scalar_moments(self):
         grid = [0.0, 0.3, 1.7]
@@ -284,7 +313,7 @@ class TestFigurePacks:
             0,
             [EngineeringOp.pas(1, 1)],
             FAMILY_EVEN_COHERENT,
-            param_range={"min": 0.01, "max": 2.0, "steps": 3},
+            param_min=0.01, param_max=2.0, steps=3,
         )
         values = table.series["PAS(1,1)"]
         assert math.isnan(values[0])
@@ -343,7 +372,7 @@ class TestCsv:
         table = SweepTable("rbar", [0.5, 1.0], {"PAS(1,1)": [1.0, 2.0], "bare": [0.0, 0.5]})
         text = sweep_table_csv(table)
         lines = text.splitlines()
-        assert lines[0] == "param,PAS(1,1),bare"
+        assert lines[0] == 'param,"PAS(1,1)",bare'
         assert lines[1] == "0.5,1.0,0.0"
         assert text.endswith("\n")
         assert "\r" not in text
@@ -388,11 +417,11 @@ class TestCsv:
 
     def test_sweep_csv_equals_per_cell_formatting(self):
         table = sweep("mandel", 2, [EngineeringOp.psa(1, 1), EngineeringOp.psa(2, 1)], FAMILY_THERMAL,
-                      param_range={"min": 0.0, "max": 2.0, "steps": 9})
+                      param_min=0.0, param_max=2.0, steps=9)
         assert math.isnan(table.series["PSA(1,1)"][0])  # annihilated at rbar = 0
         table.series["PSA(2,1)"][3] = -0.0
         labels = list(table.series)
-        expected = ",".join(["param"] + labels) + "\n" + "".join(
+        expected = 'param,"PSA(1,1)","PSA(2,1)"\n' + "".join(
             _per_cell(value, *(table.series[k][i] for k in labels)) + "\n"
             for i, value in enumerate(table.parameter_values)
         )

@@ -38,6 +38,13 @@ def test_run_suites_rejects_unknown_name():
         verify.run_suites(["numerology"])
 
 
+def test_run_suites_rejects_a_repeated_suite_before_running_any():
+    lines = []
+    with pytest.raises(ValueError, match="suite 'determinism' is selected twice"):
+        verify.run_suites(["coherent", "determinism", "determinism"], report=lines.append)
+    assert lines == []
+
+
 def test_overtight_tolerance_fails_fixtures():
     results = verify.run_suites(["fixtures"], tol=1e-16, report=None)
     assert not results[0].passed

@@ -283,16 +283,18 @@ class TestKlyshko:
 class TestHusimiZeroScan:
     def test_gaussian_has_no_zeros(self):
         grid = ScanGrid(-2.0, 2.0, -2.0, 2.0, steps=21)
-        assert husimi_zero_scan(BARE_THERMAL, grid, 1e-6) == []
+        assert husimi_zero_scan(BARE_THERMAL, grid) == []
 
     def test_psa_zero_at_origin(self):
         grid = ScanGrid(-1.0, 1.0, -1.0, 1.0, steps=21)  # grid contains 0
-        zeros = husimi_zero_scan(StateSpec.thermal(2.0, EngineeringOp.psa(1, 2)), grid, 1e-9)
-        assert 0j in zeros
+        spec = StateSpec.thermal(2.0, EngineeringOp.psa(1, 2))
+        assert 0j in husimi_zero_scan(spec, grid)
+        # an exact zero, not only a point below ZERO_THRESHOLD
+        assert states.husimi(spec, 0j) == 0.0
 
     def test_engineered_ecs_has_zero_curve(self):
         spec = StateSpec.even_coherent(2.0, EngineeringOp.pas(2, 4))
-        zeros = husimi_zero_scan(spec, ScanGrid(steps=41), 1e-6)
+        zeros = husimi_zero_scan(spec, ScanGrid(steps=41))
         assert zeros
 
     def test_grid_validation(self):
