@@ -49,18 +49,9 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_SINGULAR = 5
 
-# --name -> (witness, the flags of --l, --m and --variant that it reads)
-_WITNESS_NAMES = {
-    "mandel": ("mandel", ("l",)),
-    "hoa": ("hoa", ("l",)),
-    "hosps": ("hosps", ("l",)),
-    "hos": ("hos", ("l",)),
-    "a3": ("agarwal_tara", ("variant",)),
-    "agarwal_tara": ("agarwal_tara", ("variant",)),
-    "klyshko": ("klyshko", ("m",)),
-    "husimi-zero": ("husimi_zero", ()),
-    "husimi_zero": ("husimi_zero", ()),
-}
+# the --name spellings of two witnesses; every other --name is the witness's
+# own name in witnesses.WITNESS_READS
+_SPELLINGS = {"a3": "agarwal_tara", "husimi-zero": "husimi_zero"}
 
 # --tol where none is given: the analytic/oracle deviation allowed under --engine both
 DEFAULT_TOL = 1e-8
@@ -222,24 +213,22 @@ def _build_spec(args: argparse.Namespace) -> StateSpec:
 
 
 def _witness_order(args: argparse.Namespace) -> tuple[str, int]:
-    """The witness --name selects, and its order: --m for klyshko, --l
-    (default 2) for the moment witnesses, 0 for agarwal_tara and husimi_zero;
-    a witness flag the witness does not read is refused."""
+    """The witness --name selects, and the order it reports
+    (witnesses.witness_order); of --l, --m and --variant, a flag the
+    witness does not read (witnesses.WITNESS_READS) is refused."""
     if args.name is None:
         raise ConfigError(f"{args.command} requires --name")
-    witness, reads = _WITNESS_NAMES.get(args.name.lower(), (None, ()))
-    if witness is None:
+    name = args.name.lower()
+    witness = _SPELLINGS.get(name, name)
+    if witness not in witnesses_mod.WITNESS_READS:
         raise ConfigError(f"unknown witness name {args.name!r}")
     for flag in ("l", "m", "variant"):
-        if flag not in reads and getattr(args, flag, None) is not None:
+        if flag != witnesses_mod.WITNESS_READS[witness] and getattr(args, flag, None) is not None:
             raise ConfigError(f"{witness} takes no --{flag}")
-    if witness == "klyshko":
-        if args.m is None:
-            raise ConfigError("klyshko requires --m")
-        return witness, args.m
-    if witness in ("agarwal_tara", "husimi_zero"):
-        return witness, 0
-    return witness, 2 if args.l is None else args.l
+    if witness == "klyshko" and args.m is None:
+        raise ConfigError("klyshko requires --m")
+    # at most the one of --l and --m that the witness reads is given
+    return witness, witnesses_mod.witness_order(witness, args.m if args.l is None else args.l)
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
@@ -260,8 +249,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     witness, order = _witness_order(args)
     spec = _build_spec(args)
-    variant = args.variant or witnesses_mod.VARIANT_NUMBER_MOMENTS
-    results = [witnesses_mod.evaluate_witness(spec, witness, order=order, variant=variant, engine=engine)
+    results = [witnesses_mod.evaluate_witness(spec, witness, order=order, variant=args.variant, engine=engine)
                for engine in witnesses_mod.engines(args.engine or "analytic")]
     first = results[0]
     flag = "true" if first.nonclassical else "false"
@@ -359,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--name")
     p_witness.add_argument("--l", type=int)
     p_witness.add_argument("--m", type=int)
-    p_witness.add_argument("--variant", choices=("number_moments", "power_of_mean"))
+    p_witness.add_argument("--variant", choices=witnesses_mod.VARIANTS)
     p_witness.set_defaults(func=_cmd_witness)
 
     p_sweep = sub.add_parser("sweep", help="scan a witness over a parameter range")

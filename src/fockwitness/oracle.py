@@ -468,29 +468,16 @@ def _log_factorials(count: int) -> np.ndarray:
     return _log_factorial_table(1 << max(count - 1, 1).bit_length())[:count]
 
 
-def moment_table_from_state(states, spec: StateSpec | None = None, pairs=()) -> MomentTable:
-    """Moment cache (provenance 'oracle') over a list of truncated states,
-    filled by one oracle_moment call per state: an entry is an array over
-    them, NaN where a state is None (annihilated); over one state, a complex."""
+def moment_table_from_state(states, pairs=()) -> MomentTable:
+    """Moment cache (provenance 'oracle') of the given pairs over a list of
+    truncated states, filled by one oracle_moment call per state: an entry
+    is an array over them, NaN where a state is None (annihilated); over one
+    state, a complex."""
     def fill(ms, ns):
         # the module's oracle_moment, as looked up at call time
         return over_states(states, lambda state: oracle_moment(state, ms, ns), len(ms), complex)
 
-    return MomentTable(spec, fill, "oracle", pairs)
-
-
-def _tail_order(pairs) -> int:
-    """The largest (m + n) // 2 over the pairs: the n of the <a'^n a^n>
-    whose tail a basis read at those pairs must hold (l/2 for hos(l))."""
-    return max(((m + n) // 2 for m, n in pairs), default=0)
-
-
-def oracle_moment_table(spec: StateSpec, tail_tol: float, pairs) -> MomentTable:
-    """Oracle moments of spec's states at the given pairs, on bases that
-    hold those moments' tails and admit them (truncated_states at
-    _tail_order); over a grid spec an entry is an array, NaN where annihilated.
-    """
-    return moment_table_from_state(truncated_states(spec, tail_tol, _tail_order(pairs)), spec, pairs)
+    return MomentTable(fill, "oracle", pairs)
 
 
 # ---------------------------------------------------------------------------

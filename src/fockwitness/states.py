@@ -848,14 +848,15 @@ def _family(name: str) -> Family:
 # ---------------------------------------------------------------------------
 
 class MomentTable:
-    """Memoized normalized moments <a'^m a^n> for one state spec.
+    """Memoized normalized moments <a'^m a^n> of one state spec.
 
     A table holds the pairs its reader needs (witnesses._moment_pairs) and a
     `fill(ms, ns)` that gives the moments of a pair set, as two equal-length
     order arrays, stacked on axis 0: the first get fills all the pairs in
     one call, and a get of any other pair makes the same call with that one
-    pair. An analytic table fills with `moment`, an oracle table
-    (oracle.moment_table_from_state) with one oracle_moment call per state.
+    pair. A table keeps no spec: MomentTable.analytic(spec, pairs) fills
+    with `moment` of the spec, and oracle.moment_table_from_state(states,
+    pairs) with one oracle_moment call per truncated state.
 
     For a grid spec (one operation over an array of parameters) the table
     is one table for the whole grid: get(m, n) is an ndarray over the grid,
@@ -867,9 +868,8 @@ class MomentTable:
     cached on first request.
     """
 
-    def __init__(self, spec: StateSpec, fill: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    def __init__(self, fill: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  provenance: str = "analytic", pairs=()):
-        self.spec = spec
         self.provenance = provenance
         self._fill = fill
         self.pairs = tuple(pairs)
@@ -878,7 +878,7 @@ class MomentTable:
     @classmethod
     def analytic(cls, spec: StateSpec, pairs=()) -> "MomentTable":
         # the module's moment, as looked up at call time
-        return cls(spec, lambda ms, ns: moment(spec, ms, ns), "analytic", pairs)
+        return cls(lambda ms, ns: moment(spec, ms, ns), "analytic", pairs)
 
     def get(self, m: int, n: int) -> complex:
         key = (m, n)

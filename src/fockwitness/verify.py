@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from importlib import resources
 
@@ -156,8 +155,7 @@ class _Grid:
     analytic read shares; one analytic table, filled once with the union
     of the pairs that moments, witnesses, normalization and hosps_gate read;
     the oracle states of its points from one truncated_states call (arrays
-    read-only), with one oracle table over the same pairs; and hosps_gate's
-    direct reference at every point, at its first read."""
+    read-only), with one oracle table over the same pairs."""
 
     def __init__(self, op: EngineeringOp, family):
         self.values = _GRID_VALUES[family]
@@ -171,11 +169,7 @@ class _Grid:
         self.states = oracle_mod.truncated_states(self.grid, ORACLE_TAIL_TOL)
         for state in self.states:
             state.data.flags.writeable = False
-        self.oracle = oracle_mod.moment_table_from_state(self.states, self.grid, pairs)
-
-    @cached_property
-    def hosps_references(self) -> np.ndarray:
-        return _oracle_hosps_direct(self.states, _HOSPS_ORDERS)
+        self.oracle = oracle_mod.moment_table_from_state(self.states, pairs)
 
 
 class _Grids:
@@ -400,7 +394,8 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
     The direct reference is the oracle's central number moment minus the
     same-mean Poissonian central moment. The shipped hosps() must match it;
     the printed-sign variant is logged with its correction factor. Each
-    (op, family) reads its record: its analytic table and its references.
+    (op, family) reads its record: its analytic table, and its oracle
+    states for the references.
     """
     tally = _Tally()
     orders = _HOSPS_ORDERS
@@ -411,7 +406,8 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
         specs, table = record.specs, record.analytic
         # one row per order, one column per state
         direct = np.array([witnesses_mod.hosps(table, l) for l in orders])
-        tally.add(oracle_mod.deviation(direct, record.hosps_references), max(tol, WITNESS_ABS_TOL),
+        references = _oracle_hosps_direct(record.states, orders)
+        tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
                   lambda i, dev: f"{specs[i % len(specs)].canonical()} "
                                  f"hosps({orders[i // len(specs)]}): dev {dev:.3e}")
         printed = np.array([witnesses_mod.hosps_printed_form(table, l) for l in orders])
@@ -482,9 +478,8 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: str) -> float:
     if name == "husimi":
         return float(witnesses_mod._husimi(spec, np.array(complex(argument)), engine, tail_tol))
     if name == "hosps":
-        l = int(argument)
-        return witnesses_mod.hosps(witnesses_mod._moment_table(
-            spec, engine, tail_tol, witnesses_mod._moment_pairs("hosps", l)), l)
+        return witnesses_mod.evaluate_witness(spec, "hosps", int(argument), engine=engine,
+                                              tail_tol=tail_tol).value
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
 

@@ -43,6 +43,7 @@ from .states import MomentTable, StateSpec
 
 VARIANT_NUMBER_MOMENTS = "number_moments"
 VARIANT_POWER_OF_MEAN = "power_of_mean"
+VARIANTS = (VARIANT_NUMBER_MOMENTS, VARIANT_POWER_OF_MEAN)
 
 # |det(mu) - det(m)| below this times the moments' scale is reported as
 # indeterminate
@@ -246,7 +247,7 @@ def agarwal_tara(table: MomentTable, variant: str = VARIANT_NUMBER_MOMENTS):
     Where the denominator vanishes against the moments' scale the witness
     is indeterminate: SingularDenominator for one state, NaN on a grid.
     """
-    if variant not in (VARIANT_NUMBER_MOMENTS, VARIANT_POWER_OF_MEAN):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown agarwal_tara variant {variant!r}")
     m = [1.0] + [_entry(table, k, k).real for k in range(1, 5)]
     if variant == VARIANT_NUMBER_MOMENTS:
@@ -396,6 +397,25 @@ def husimi_zero_scan(
 # Uniform entry point
 # ---------------------------------------------------------------------------
 
+# The one argument each witness reads besides its state and engine: its order
+# "l" or photon number "m", the A3 "variant", or the Husimi scan "grid".
+WITNESS_READS = {"mandel": "l", "hoa": "l", "hosps": "l", "hos": "l", "klyshko": "m",
+                 "agarwal_tara": "variant", "husimi_zero": "grid"}
+
+
+def witness_order(witness: str, order: int | None = None) -> int:
+    """The order a witness reports: order, 2 where None, for a witness that
+    reads l or m (WITNESS_READS), and 0 for the others, which accept no
+    other. An unknown witness raises ValueError."""
+    if witness not in WITNESS_READS:
+        raise ValueError(f"unknown witness {witness!r}")
+    if WITNESS_READS[witness] in ("l", "m"):
+        return 2 if order is None else order
+    if order not in (None, 0):
+        raise ValueError(f"{witness} takes no order other than 0 (got {order!r})")
+    return 0
+
+
 @lru_cache(maxsize=None)
 def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
@@ -413,39 +433,48 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
 
 
 def _moment_table(spec: StateSpec, engine: str, tail_tol: float, pairs) -> MomentTable:
-    """spec's moment table on either engine, holding the given pairs; an
-    oracle basis also holds the tails of those moments."""
+    """spec's moment table on either engine, holding the given pairs. An
+    oracle basis admits them and holds the tail of <a'^n a^n> for the
+    largest n = (m + n) // 2 over them (l/2 for hos(l))."""
     if _analytic(engine):
         return MomentTable.analytic(spec, pairs)
-    return oracle_mod.oracle_moment_table(spec, tail_tol, pairs)
+    order = max(((m + n) // 2 for m, n in pairs), default=0)
+    return oracle_mod.moment_table_from_state(oracle_mod.truncated_states(spec, tail_tol, order), pairs)
 
 
 def evaluate_witness(
     spec: StateSpec,
     witness: str,
-    order: int = 2,
-    variant: str = VARIANT_NUMBER_MOMENTS,
+    order: int | None = None,
+    variant: str | None = None,
     engine: str = "analytic",
     grid: ScanGrid | None = None,
     tail_tol: float = oracle_mod.DEFAULT_TAIL_TOL,
 ) -> WitnessResult:
     """Evaluate one witness for one state and wrap the outcome.
 
+    The witness reads its argument of WITNESS_READS: order as witness_order
+    gives it, variant and grid with agarwal_tara's and husimi_zero_scan's
+    defaults. Any other argument given raises ValueError.
+
     For a grid spec, value and nonclassical are arrays over the grid, NaN
     and False at its gaps (husimi_zero takes one state only).
     """
-    if witness == "husimi_zero":
+    order = witness_order(witness, order)
+    reads = WITNESS_READS[witness]
+    for name, given in (("variant", variant), ("grid", grid)):
+        if given is not None and name != reads:
+            raise ValueError(f"{witness} takes no {name}")
+    if reads == "grid":
         # the husimi_zero_scan rule: some point lies below the threshold
         rel_min = float(_relative_husimi(spec, grid or ScanGrid(), engine, tail_tol).min())
-        return WitnessResult("husimi_zero", 0, rel_min, rel_min < ZERO_THRESHOLD, engine)
-    if witness == "klyshko":
+        return WitnessResult(witness, order, rel_min, rel_min < ZERO_THRESHOLD, engine)
+    if reads == "m":
         value = klyshko(spec, order, engine, tail_tol)
-    elif witness in ("mandel", "hoa", "hosps", "hos", "agarwal_tara"):
+    else:
         table = _moment_table(spec, engine, tail_tol, _moment_pairs(witness, order))
-        if witness == "agarwal_tara":
-            value, order = agarwal_tara(table, variant), 0
+        if reads == "variant":
+            value = agarwal_tara(table, VARIANT_NUMBER_MOMENTS if variant is None else variant)
         else:
             value = {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
-    else:
-        raise ValueError(f"unknown witness {witness!r}")
     return WitnessResult(witness, order, value, value < 0.0, engine)

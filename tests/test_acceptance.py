@@ -132,7 +132,7 @@ def test_criterion_3d_a3_sign_structure_subtract_heavy():
     anchor = StateSpec.thermal(0.01, EngineeringOp.psa(2, 1))
     anchor_analytic = witnesses.agarwal_tara(MomentTable.analytic(anchor))
     anchor_oracle = witnesses.agarwal_tara(
-        oracle.moment_table_from_state(oracle.build_truncated(anchor), anchor)
+        oracle.moment_table_from_state(oracle.build_truncated(anchor))
     )
     anchor_dev = max(abs(anchor_analytic / exact - 1), abs(anchor_oracle / exact - 1))
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 import subprocess
 import sys
@@ -144,6 +145,26 @@ class TestWitnessCommand:
         name, order, value, flag = proc.stdout.strip().split(",")
         assert (name, order, flag) == ("husimi_zero", "0", "true")
         assert float(value) >= 0.0
+
+
+class TestWitnessNames:
+    """--name and --variant take their values from witnesses.WITNESS_READS
+    and witnesses.VARIANTS; the CLI adds only the spellings a3 and
+    husimi-zero."""
+
+    @pytest.mark.parametrize("name", [*cli._SPELLINGS, *witnesses.WITNESS_READS, "A3", "Husimi-Zero"])
+    def test_every_name_resolves_to_a_witness(self, name):
+        # klyshko requires its --m, which every other witness refuses
+        m = 3 if name == "klyshko" else None
+        args = argparse.Namespace(command="witness", name=name, l=None, m=m, variant=None)
+        witness, order = cli._witness_order(args)
+        assert witness in witnesses.WITNESS_READS
+        assert order == {"l": 2, "m": 3}.get(witnesses.WITNESS_READS[witness], 0)
+
+    def test_variant_choices_are_the_witness_variants(self):
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        (action,) = [a for a in commands.choices["witness"]._actions if a.dest == "variant"]
+        assert tuple(action.choices) == witnesses.VARIANTS
 
 
 class TestFigureCommand:

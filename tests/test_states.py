@@ -724,7 +724,7 @@ class TestMomentTable:
             calls.append(list(zip(ms.tolist(), ns.tolist())))
             return (ms + ns).astype(complex)
 
-        table = MomentTable(StateSpec.thermal(1.0), fill, pairs=((1, 1), (2, 2)))
+        table = MomentTable(fill, pairs=((1, 1), (2, 2)))
         assert table.get(2, 2) == 4
         table.get(2, 2)
         assert table.get(1, 1) == 2
@@ -736,7 +736,7 @@ class TestMomentTable:
     def test_provenance_labels(self):
         spec = StateSpec.thermal(1.0)
         assert MomentTable.analytic(spec).provenance == "analytic"
-        assert oracle.oracle_moment_table(spec, 1e-12, ((1, 1),)).provenance == "oracle"
+        assert witnesses._moment_table(spec, "oracle", 1e-12, ((1, 1),)).provenance == "oracle"
 
 
 # ---------------------------------------------------------------------------

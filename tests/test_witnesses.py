@@ -380,6 +380,48 @@ class TestEvaluateWitness:
         with pytest.raises(ValueError):
             evaluate_witness(BARE_THERMAL, "parity")
 
+    # each witness reads one argument of WITNESS_READS; any other is refused
+    @pytest.mark.parametrize("witness, kwargs", [
+        ("hoa", {"order": 2, "variant": "bogus"}),
+        ("hoa", {"variant": witnesses.VARIANT_NUMBER_MOMENTS}),
+        ("klyshko", {"order": 1, "variant": witnesses.VARIANT_POWER_OF_MEAN}),
+        ("husimi_zero", {"variant": witnesses.VARIANT_NUMBER_MOMENTS}),
+        ("mandel", {"grid": ScanGrid(steps=3)}),
+        ("agarwal_tara", {"grid": ScanGrid(steps=3)}),
+        ("agarwal_tara", {"order": 7}),
+        ("agarwal_tara", {"order": 2}),
+        ("husimi_zero", {"order": 2}),
+    ], ids=lambda v: " ".join(f"{k}={v!r}" for k, v in v.items()) if isinstance(v, dict) else v)
+    def test_an_argument_the_witness_does_not_read_raises(self, witness, kwargs):
+        with pytest.raises(ValueError, match=f"^{witness} takes no "):
+            evaluate_witness(BARE_THERMAL, witness, **kwargs)
+
+    # the figure panels and the benchmark's gate pass order 0 to these two
+    @pytest.mark.parametrize("witness", ["agarwal_tara", "husimi_zero"])
+    def test_order_zero_is_accepted_where_no_order_is_read(self, witness):
+        result = evaluate_witness(PSAT11, witness, 0)
+        assert result == evaluate_witness(PSAT11, witness)
+        assert result.order == 0
+
+    @pytest.mark.parametrize("witness", ["mandel", "hoa", "hosps", "hos", "klyshko"])
+    def test_an_order_read_defaults_to_2(self, witness):
+        result = evaluate_witness(PSAT11, witness)
+        assert result == evaluate_witness(PSAT11, witness, 2)
+        assert result.order == 2
+
+    def test_agarwal_tara_reads_its_variant(self):
+        result = evaluate_witness(BARE_THERMAL, "agarwal_tara", variant=witnesses.VARIANT_POWER_OF_MEAN)
+        assert result.value == pytest.approx(-1.0, rel=1e-12)
+        with pytest.raises(ValueError, match="unknown agarwal_tara variant 'bogus'"):
+            evaluate_witness(BARE_THERMAL, "agarwal_tara", variant="bogus")
+
+    def test_husimi_zero_reads_its_grid(self):
+        # bare thermal Q at rbar = 1 is exp(-|beta|^2 / 2) / (2 pi): its
+        # minimum over the grid's maximum is at the corners
+        result = evaluate_witness(BARE_THERMAL, "husimi_zero", grid=ScanGrid(-1.0, 1.0, -1.0, 1.0, steps=3))
+        assert result.value == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert evaluate_witness(BARE_THERMAL, "husimi_zero").value == pytest.approx(math.exp(-16.0), rel=1e-12)
+
 
 # (witness, order) as the CLI default, the figure panels and verify read them
 _READS = sorted(
@@ -402,7 +444,7 @@ class TestMomentPairs:
                         raise AssertionError(f"{witness}({order}) read ({m}, {n}), not in {sorted(allowed)}")
                 return states.moment(spec, ms, ns)
 
-            super().__init__(spec, fill)
+            super().__init__(fill)
 
     @pytest.mark.parametrize("witness, order", _READS)
     @pytest.mark.parametrize("spec", [
@@ -424,7 +466,7 @@ class TestMomentPairs:
         """An analytic table that counts its reads of each pair."""
 
         def __init__(self, spec, pairs=()):
-            super().__init__(spec, lambda ms, ns: states.moment(spec, ms, ns), pairs=pairs)
+            super().__init__(lambda ms, ns: states.moment(spec, ms, ns), pairs=pairs)
             self.reads = {}
 
         def get(self, m, n):
@@ -443,10 +485,13 @@ class TestMomentPairs:
         assert table.reads == dict.fromkeys(pairs, 1)
 
     @pytest.mark.parametrize("witness, order", _READS)
-    def test_the_oracle_tail_order_is_unchanged(self, witness, order):
-        # the n of <a'^n a^n> whose tail the oracle basis holds
-        expected = {"agarwal_tara": 4, "hos": order // 2}.get(witness, order)
-        assert oracle._tail_order(witnesses._moment_pairs(witness, order)) == expected
+    def test_the_oracle_tail_order_is_unchanged(self, monkeypatch, witness, order):
+        # the n of <a'^n a^n> whose tail the oracle basis holds, as
+        # _moment_table passes it to truncated_states
+        passed = []
+        monkeypatch.setattr(oracle, "truncated_states", lambda spec, tail_tol, n: passed.append(n))
+        witnesses._moment_table(PSAT11, "oracle", 1e-12, witnesses._moment_pairs(witness, order))
+        assert passed == [{"agarwal_tara": 4, "hos": order // 2}.get(witness, order)]
 
     @pytest.mark.parametrize("witness, order", _READS)
     def test_a_grid_table_is_one_moment_call(self, monkeypatch, witness, order):
