@@ -106,17 +106,6 @@ def _grid_series():
             yield op, family, values
 
 
-def _table(spec: StateSpec, *reads) -> MomentTable:
-    """The analytic table of spec, filled with the pairs that the given
-    (witness, order) reads take."""
-    return MomentTable.analytic(spec, _read_pairs(reads))
-
-
-def _read_pairs(reads) -> list[tuple[int, int]]:
-    """The pairs that the given (witness, order) reads take, sorted."""
-    return sorted({pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)})
-
-
 def _moment_suite_pairs(family) -> list[tuple[int, int]]:
     """The pairs suite_moments checks: <a'^n a^n>, n <= 5, and off the
     diagonal m, n <= 4 where the family is not Fock-diagonal."""
@@ -140,8 +129,9 @@ _WITNESS_OPS = (
 _WITNESS_VALUES = ((states_mod.FAMILY_THERMAL, (0.5, 1.0, 2.0)),
                    (states_mod.FAMILY_EVEN_COHERENT, (0.7, 1.2, 2.0)))
 
-# the (witness, order) reads of suite_witnesses' moment witnesses
-_WITNESS_READS = [(w, l) for w in ("mandel", "hoa", "hosps") for l in (2, 3)] + [
+# the (witness, order) reads of suite_witnesses' moment witnesses, one row
+# each in this order; A3 reads no order
+_WITNESS_READS = [(w, l) for l in (2, 3) for w in ("mandel", "hoa", "hosps")] + [
     ("hos", 2), ("hos", 4), ("agarwal_tara", 0)]
 
 
@@ -164,7 +154,8 @@ class _Grid:
         reads = [("hosps", l) for l in _HOSPS_ORDERS]
         if op in _WITNESS_OPS:
             reads += _WITNESS_READS
-        pairs = sorted(set(_read_pairs(reads)).union(_moment_suite_pairs(family), _PARITY_PAIRS))
+        pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
+        pairs = sorted(pairs.union(_moment_suite_pairs(family), _PARITY_PAIRS))
         self.analytic = MomentTable.analytic(self.grid, pairs)
         self.states = oracle_mod.truncated_states(self.grid, ORACLE_TAIL_TOL)
         for state in self.states:
@@ -230,11 +221,8 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -
         specs = [record.specs[i] for i in columns]
         tables = (record.analytic, record.oracle)
         # (label, analytic values, oracle values), each over the record's states
-        rows = [(f"{name}({l})", *(witness(table, l) for table in tables)) for l in (2, 3)
-                for name, witness in (("mandel", witnesses_mod.mandel_q), ("hoa", witnesses_mod.hoa),
-                                      ("hosps", witnesses_mod.hosps))]
-        rows += [(f"hos({l})", *(witnesses_mod.hos(table, l) for table in tables)) for l in (2, 4)]
-        rows.append(("agarwal_tara", *map(witnesses_mod.agarwal_tara, tables)))
+        rows = [(f"{name}({l})" if l else name, *(witnesses_mod._table_witness(t, name, l) for t in tables))
+                for name, l in _WITNESS_READS]
         # the same over the checked states
         rows = [(label, a[columns], o[columns]) for label, a, o in rows]
         oracle_states = [record.states[i] for i in columns]
@@ -322,7 +310,7 @@ def suite_signs() -> SuiteResult:
 
     minima = {}
     for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
-        series = witnesses_mod.mandel_q(_table(StateSpec.thermal(rbar_values, op), ("mandel", 2)), 2)
+        series = witnesses_mod.evaluate_witness(StateSpec.thermal(rbar_values, op), "mandel", 2).value
         checks += points
         # NaN only where the norm is (an annihilated state)
         for i in np.flatnonzero(np.isnan(series)):
@@ -343,12 +331,12 @@ def suite_signs() -> SuiteResult:
             notes.append(f"{spec.canonical()} husimi(0) = {q0!r}, expected exact 0")
 
     for op in (EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1)):
-        table = _table(StateSpec.thermal(rbar_values, op), ("agarwal_tara", 0))
-        # <1> is NaN exactly where the norm is; any other NaN is a singular
-        # denominator, skipped as it compares False below
-        for i in np.flatnonzero(np.isnan(table.get(0, 0).real)):
+        spec = StateSpec.thermal(rbar_values, op)
+        a3 = witnesses_mod.evaluate_witness(spec, "agarwal_tara").value
+        # a NaN where the norm is not is a singular denominator, skipped as
+        # it compares False below
+        for i in np.flatnonzero(np.isnan(spec._norm)):
             notes.append(f"a3 {op.label()} rbar={rbar_values[i]:.3f}: annihilated (NaN norm)")
-        a3 = witnesses_mod.agarwal_tara(table)
         negative = np.flatnonzero(a3 < -SIGN_MAGNITUDE)
         if not negative.size:
             checks += points
@@ -393,15 +381,12 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
 
     The direct reference is the oracle's central number moment minus the
     same-mean Poissonian central moment. The shipped hosps() must match it;
-    the printed-sign variant is logged with its correction factor. Each
-    (op, family) reads its record: its analytic table, and its oracle
-    states for the references.
+    the paper's printed (-1)^e sign, (-1)^l times hosps(), is ruled out at
+    odd l. Each (op, family) reads its record: its analytic table, and its
+    oracle states for the references.
     """
     tally = _Tally()
     orders = _HOSPS_ORDERS
-    # (-1)^l, one row per order
-    signs = np.array([(-1) ** l for l in orders])[:, None]
-    printed_relation_holds = True
     for record in grids or _Grids():
         specs, table = record.specs, record.analytic
         # one row per order, one column per state
@@ -410,14 +395,10 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
         tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
                   lambda i, dev: f"{specs[i % len(specs)].canonical()} "
                                  f"hosps({orders[i // len(specs)]}): dev {dev:.3e}")
-        printed = np.array([witnesses_mod.hosps_printed_form(table, l) for l in orders])
-        printed_relation_holds &= bool(np.all(oracle_mod.deviation(printed, signs * direct) <= 1e-9))
-    if printed_relation_holds:
-        notes_extra = "printed-sign variant = (-1)^l * direct definition; direct used"
-    else:
-        notes_extra = "printed-sign variant relation UNEXPECTED; direct definition used"
     result = tally.result("hosps_gate")
-    result.notes.append(notes_extra)
+    # a fixed note: the printed sign flips hosps' (-1)^(l-e) by (-1)^l term by
+    # term, so the relation holds by construction and needs no check
+    result.notes.append("printed-sign variant = (-1)^l * direct definition; direct used")
     return result
 
 
@@ -448,26 +429,25 @@ def suite_coherent(tol: float = COHERENT_BASELINE_TOL) -> SuiteResult:
     return tally.result("coherent")
 
 
-# exact rational / closed-form values, pinned at EXACT_FIXTURE_TOL
-def _exact_fixtures():
-    past11 = StateSpec.thermal(1.0, EngineeringOp.pas(1, 1))
-    psat11 = StateSpec.thermal(1.0, EngineeringOp.psa(1, 1))
-    bare = StateSpec.thermal(1.0)
-    return (
-        ("moment(1,1) PAS thermal", lambda: states_mod.moment(past11, 1, 1).real, 10.0 / 3.0),
-        ("moment(1,1) PSA thermal", lambda: states_mod.moment(psat11, 1, 1).real, 13.0 / 3.0),
-        ("mandel(2) PSA thermal",
-         lambda: witnesses_mod.mandel_q(_table(psat11, ("mandel", 2)), 2), 17.0 / 39.0),
-        ("hoa(2) PSA thermal", lambda: witnesses_mod.hoa(_table(psat11, ("hoa", 2)), 2), 17.0 / 9.0),
-        ("a3 bare thermal", lambda: witnesses_mod.agarwal_tara(_table(bare, ("agarwal_tara", 0))), 1.0 / 7.0),
-        ("klyshko(2) bare thermal", lambda: witnesses_mod.klyshko(bare, 2), 1.0 / 256.0),
-        ("husimi(0) bare thermal", lambda: states_mod.husimi(bare, 0j), 1.0 / (2.0 * math.pi)),
-    )
+# exact rational / closed-form values as (canonical, quantity, value), read
+# as the records of fixtures.txt are, on the analytic engine at
+# EXACT_FIXTURE_TOL
+_EXACT_FIXTURES = (
+    ("thermal(rbar=1.0)|PAS(1,1)", "moment(1,1)", 10.0 / 3.0),
+    ("thermal(rbar=1.0)|PSA(1,1)", "moment(1,1)", 13.0 / 3.0),
+    ("thermal(rbar=1.0)|PSA(1,1)", "mandel(2)", 17.0 / 39.0),
+    ("thermal(rbar=1.0)|PSA(1,1)", "hoa(2)", 17.0 / 9.0),
+    ("thermal(rbar=1.0)|bare", "agarwal_tara(0)", 1.0 / 7.0),
+    ("thermal(rbar=1.0)|bare", "klyshko(2)", 1.0 / 256.0),
+    ("thermal(rbar=1.0)|bare", "husimi(0j)", 1.0 / (2.0 * math.pi)),
+)
 
 
 def _frozen_quantity(spec: StateSpec, quantity: str, engine: str) -> float:
     """Evaluate a fixture quantity on either engine's route, as the
-    witnesses read it (an oracle basis is built fresh)."""
+    witnesses read it (an oracle basis is built fresh): a moment(m,n),
+    photon_prob(m), husimi(beta) or any witness of WITNESS_READS at its
+    order, such as mandel(2)."""
     name, _, argument = quantity[:-1].partition("(")
     tail_tol = oracle_mod.DEFAULT_TAIL_TOL
     if name == "moment":
@@ -477,8 +457,8 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: str) -> float:
         return float(witnesses_mod._photon_probs(spec, np.array([int(argument)]), engine, tail_tol)[0, 0])
     if name == "husimi":
         return float(witnesses_mod._husimi(spec, np.array(complex(argument)), engine, tail_tol))
-    if name == "hosps":
-        return witnesses_mod.evaluate_witness(spec, "hosps", int(argument), engine=engine,
+    if name in witnesses_mod.WITNESS_READS:
+        return witnesses_mod.evaluate_witness(spec, name, int(argument), engine=engine,
                                               tail_tol=tail_tol).value
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
@@ -489,17 +469,19 @@ def load_packaged_fixtures():
 
 
 def suite_fixtures(tol: float = EXACT_FIXTURE_TOL) -> SuiteResult:
-    """Exact derived values plus the frozen oracle fixture file."""
+    """The exact rows of _EXACT_FIXTURES on the analytic engine at tol, then
+    the frozen oracle records of fixtures.txt on both engines at
+    WITNESS_REL_TOL, every one read by _frozen_quantity."""
     tally = _Tally()
-    for label, compute, expected in _exact_fixtures():
-        tally.add(oracle_mod.deviation(float(compute()), expected, oracle_mod.RELATIVE_FLOOR), tol,
-                  lambda i, dev: f"{label}: dev {dev:.3e}")
-    for record in load_packaged_fixtures():
-        spec = StateSpec.from_canonical(record.canonical)
-        for engine in witnesses_mod.ENGINES:
-            value = _frozen_quantity(spec, record.quantity, engine)
-            tally.add(oracle_mod.deviation(value, record.value, oracle_mod.RELATIVE_FLOOR), WITNESS_REL_TOL,
-                      lambda i, dev: f"{record.canonical} {record.quantity} [{engine}]: dev {dev:.3e}")
+    rows = [(*row, ("analytic",), tol) for row in _EXACT_FIXTURES]
+    rows += [(record.canonical, record.quantity, record.value, witnesses_mod.ENGINES, WITNESS_REL_TOL)
+             for record in load_packaged_fixtures()]
+    for canonical, quantity, expected, engines, limit in rows:
+        spec = StateSpec.from_canonical(canonical)
+        for engine in engines:
+            value = _frozen_quantity(spec, quantity, engine)
+            tally.add(oracle_mod.deviation(value, expected, oracle_mod.RELATIVE_FLOOR), limit,
+                      lambda i, dev: f"{canonical} {quantity} [{engine}]: dev {dev:.3e}")
     return tally.result("fixtures")
 
 

@@ -149,37 +149,21 @@ def hosps(table: MomentTable, l: int = 2):
 
     Combinatorial form of <(dn)^l> minus the same-mean Poissonian central
     moment: sum_{e,f} S2(e,f) C(l,e) (-1)^(l-e) d^(f-1) <n>^(l-e). This is
-    the sign under which the criterion means "below Poissonian"; see
-    hosps_printed_form for the (-1)^e variant it is gated against.
+    the sign under which the criterion means "below Poissonian". The
+    paper's printed (-1)^e sign gives (-1)^l times this, which the oracle's
+    direct definition rules out at odd l (verify's hosps_gate).
     """
     if l < 2:
         raise ValueError("hosps requires l >= 2")
-    return _unwrap(_hosps_sum(table, l, flip_with_l=True), table.get(1, 1))
-
-
-def hosps_printed_form(table: MomentTable, l: int = 2):
-    """Variant of hosps with the (-1)^e sign; equals (-1)^l * hosps.
-
-    Kept for the definition gate: the two agree for even l and differ by an
-    overall sign for odd l, where the Poissonian-difference form is
-    authoritative (arbitrated by the oracle).
-    """
-    if l < 2:
-        raise ValueError("hosps requires l >= 2")
-    return _unwrap(_hosps_sum(table, l, flip_with_l=False), table.get(1, 1))
-
-
-def _hosps_sum(table: MomentTable, l: int, flip_with_l: bool) -> np.ndarray:
     mean = _mean_photon(table)
     # mean^j and d_f = <a'^f a^f> - mean^f, each computed once
     powers = [mean ** j for j in range(l + 1)]
     d = [None] + [_entry(table, f, f).real - powers[f] for f in range(1, l + 1)]
     total = 0.0
     for e in range(1, l + 1):
-        sign = (-1) ** (l - e) if flip_with_l else (-1) ** e
         for f, _, s2 in _number_power(e):
-            total += s2 * math.comb(l, e) * sign * d[f] * powers[l - e]
-    return total
+            total += s2 * math.comb(l, e) * (-1) ** (l - e) * d[f] * powers[l - e]
+    return _unwrap(total, table.get(1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -442,6 +426,15 @@ def _moment_table(spec: StateSpec, engine: str, tail_tol: float, pairs) -> Momen
     return oracle_mod.moment_table_from_state(oracle_mod.truncated_states(spec, tail_tol, order), pairs)
 
 
+def _table_witness(table: MomentTable, witness: str, order: int, variant: str | None = None):
+    """A moment witness over a table: agarwal_tara at its variant (its
+    default where None), the others at their order. Each body is looked
+    up at call time, so a patched or traced one is the one called."""
+    if WITNESS_READS[witness] == "variant":
+        return agarwal_tara(table, VARIANT_NUMBER_MOMENTS if variant is None else variant)
+    return {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
+
+
 def evaluate_witness(
     spec: StateSpec,
     witness: str,
@@ -473,8 +466,5 @@ def evaluate_witness(
         value = klyshko(spec, order, engine, tail_tol)
     else:
         table = _moment_table(spec, engine, tail_tol, _moment_pairs(witness, order))
-        if reads == "variant":
-            value = agarwal_tara(table, VARIANT_NUMBER_MOMENTS if variant is None else variant)
-        else:
-            value = {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
+        value = _table_witness(table, witness, order, variant)
     return WitnessResult(witness, order, value, value < 0.0, engine)

@@ -158,7 +158,8 @@ def test_criterion_5_hosps_definition_gate():
     report("5 hosps-gate", result.passed,
            f"{result.checks} comparisons, max rel dev {result.max_deviation:.3e}")
     assert result.passed, result.notes
-    # the printed-sign variant relation is logged, not asserted fatal:
+    # the printed-sign variant, (-1)^l times hosps by construction, is
+    # named in a note beside the gate's verdict:
     assert any("printed-sign variant" in note for note in result.notes)
 
 

@@ -21,9 +21,31 @@ def test_parse_canonical_round_trip():
 
 
 def test_packaged_fixture_canonicals_parse():
-    for record in verify.load_packaged_fixtures():
-        spec = StateSpec.from_canonical(record.canonical)
-        assert spec.canonical() == record.canonical
+    canonicals = [record.canonical for record in verify.load_packaged_fixtures()]
+    canonicals += [canonical for canonical, _, _ in verify._EXACT_FIXTURES]
+    for canonical in canonicals:
+        assert StateSpec.from_canonical(canonical).canonical() == canonical
+
+
+def test_each_exact_fixture_reads_the_value_of_its_direct_call():
+    # each exact row, read through the one fixture route, gives bit for bit
+    # the float of the direct library call for its quantity
+    past11 = StateSpec.thermal(1.0, EngineeringOp.pas(1, 1))
+    psat11 = StateSpec.thermal(1.0, EngineeringOp.psa(1, 1))
+    bare = StateSpec.thermal(1.0)
+    direct = [
+        states.moment(past11, 1, 1).real,
+        states.moment(psat11, 1, 1).real,
+        witnesses.mandel_q(states.MomentTable.analytic(psat11), 2),
+        witnesses.hoa(states.MomentTable.analytic(psat11), 2),
+        witnesses.agarwal_tara(states.MomentTable.analytic(bare)),
+        witnesses.klyshko(bare, 2),
+        states.husimi(bare, 0j),
+    ]
+    assert len(direct) == len(verify._EXACT_FIXTURES)
+    for (canonical, quantity, _), value in zip(verify._EXACT_FIXTURES, direct):
+        got = verify._frozen_quantity(StateSpec.from_canonical(canonical), quantity, "analytic")
+        assert float(got).hex() == float(value).hex(), (canonical, quantity)
 
 
 def test_run_suites_selection_and_reporting():
@@ -144,8 +166,10 @@ def _poison_first(monkeypatch, owner, name, index=0):
 
 # a grid record's one moment fill holds every pair its suites read, one row
 # each, so the poison of states.moment there goes to the second state of
-# every pair; elsewhere to element 1 of the first result
-_POISON_INDEX = {("moments", "moment"): (..., 1), ("normalization", "moment"): (..., 1)}
+# every pair; an exact fixture's first moment is a one-pair block, poisoned
+# at its one element; elsewhere to element 1 of the first result
+_POISON_INDEX = {("moments", "moment"): (..., 1), ("normalization", "moment"): (..., 1),
+                 ("fixtures", "moment"): 0}
 
 
 @pytest.mark.parametrize("suite, owner, name", [
@@ -170,8 +194,8 @@ def test_a_nan_value_fails_its_suite(monkeypatch, suite, owner, name):
 
 
 def test_the_hosps_gate_stacks_its_orders(monkeypatch):
-    # one deviation call per (op, family) for the gate and one for the
-    # printed-sign check, and a failed element still names its state and order
+    # one deviation call per (op, family), and a failed element still names
+    # its state and order
     deviations = []
     deviation, hosps = oracle.deviation, witnesses.hosps
     monkeypatch.setattr(oracle, "deviation", lambda *args: deviations.append(None) or deviation(*args))
@@ -184,7 +208,7 @@ def test_the_hosps_gate_stacks_its_orders(monkeypatch):
         return _nan_at(value, 2) if len(orders) == 2 else value
     monkeypatch.setattr(witnesses, "hosps", poisoned)
     result = verify.suite_hosps_gate()
-    assert len(deviations) == 2 * len(list(verify._grid_series()))
+    assert len(deviations) == len(list(verify._grid_series()))
     assert orders[:3] == [2, 3, 4]
     assert result.checks == 891
     assert result.notes[0] == f"{StateSpec.thermal(verify.RBAR_GRID[2]).canonical()} hosps(3): dev nan"

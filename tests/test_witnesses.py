@@ -15,7 +15,6 @@ from fockwitness.witnesses import (
     hoa,
     hos,
     hosps,
-    hosps_printed_form,
     husimi_zero_scan,
     klyshko,
     mandel_q,
@@ -96,12 +95,6 @@ class TestHosps:
     def test_order_two_equals_hoa(self, psat_table, bare_table):
         for table in (psat_table, bare_table):
             assert hosps(table, 2) == pytest.approx(hoa(table, 2), rel=1e-11)
-
-    @pytest.mark.parametrize("l", [2, 3, 4])
-    def test_printed_form_sign_relation(self, psat_table, l):
-        direct = hosps(psat_table, l)
-        printed = hosps_printed_form(psat_table, l)
-        assert printed == pytest.approx((-1) ** l * direct, rel=1e-10)
 
     @pytest.mark.parametrize("l", [2, 3, 4])
     def test_matches_oracle_poissonian_reference(self, l):
@@ -459,8 +452,6 @@ class TestMomentPairs:
                 agarwal_tara(table, variant)
             return
         {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
-        if witness == "hosps":
-            hosps_printed_form(table, order)
 
     class _Counting(MomentTable):
         """An analytic table that counts its reads of each pair."""
