@@ -8,7 +8,7 @@ Exit codes are the machine-readable failure channel:
     2  configuration error: bad flags or config values, an unknown figure
        id, a witness order out of its range (odd for hos), a Husimi window
        on which Q is 0 everywhere, an oracle basis beyond its hard cutoff,
-       or a value beyond the float range
+       a value beyond the float range, or an --out that cannot be written
     3  the requested state is annihilated by its engineering operation
     5  an indeterminate or undefined witness (vanishing determinant-ratio
        denominator, Mandel function of a zero-mean state)
@@ -283,8 +283,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     text = sweep_report.sweep_table_csv(table)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
         print(args.out)
     else:
         sys.stdout.write(text)
@@ -299,7 +302,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         engine=args.engine or "analytic",
     )
     out_dir = args.out or "."
-    manifest = sweep_report.write_figure_pack(pack, out_dir)
+    try:
+        manifest = sweep_report.write_figure_pack(pack, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
     for name, path in manifest:
         print(f"{name},{path}")
     # per series for a sweep panel, one number for a Husimi grid

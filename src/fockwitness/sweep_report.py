@@ -15,6 +15,7 @@ CSV files.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -74,8 +75,8 @@ class SweepTable:
     """One witness series per variant over a common parameter grid."""
 
     parameter_name: str
-    parameter_values: list[float]
-    series: dict[str, list[float]]
+    parameter_values: np.ndarray  # float64, as the engines return it; a list is read too
+    series: dict[str, np.ndarray]  # each float64, parameter_values' length; or a list
     metadata: dict = field(default_factory=dict)
 
 
@@ -86,7 +87,7 @@ class HusimiGrid:
     label: str
     re_values: list[float]
     im_values: list[float]
-    q_values: list[list[float]]  # q_values[i][j] at beta = re[j] + 1j*im[i]
+    q_values: np.ndarray  # float64 (len(im), len(re)), or a nested list; [i][j] at re[j] + 1j*im[i]
     metadata: dict = field(default_factory=dict)
 
 
@@ -96,7 +97,7 @@ class FigurePack:
     panels: list[tuple[str, object]]  # (panel name, SweepTable | HusimiGrid)
 
 
-def _series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
+def _series(family: states_mod.Family, op: EngineeringOp, grid: np.ndarray,
             witness_id: str, order: int, engine: str):
     """The witness over the whole grid in one call on a grid spec, on either
     engine, and its NaN gaps by cause.
@@ -107,7 +108,7 @@ def _series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
     agarwal_tara point (SingularDenominator), the one witness guard that
     masks.
     """
-    spec = StateSpec.of(family, np.array(grid), op)
+    spec = StateSpec.of(family, grid, op)
     values = witnesses_mod.evaluate_witness(spec, witness_id, order=order, engine=engine).value
     gaps = np.isnan(values)
     if engine == "analytic":
@@ -119,7 +120,7 @@ def _series(family: states_mod.Family, op: EngineeringOp, grid: list[float],
         annihilated[gaps] = [state is None for state in rebuilt]
     causes = {DegenerateState: annihilated, SingularDenominator: gaps & ~annihilated}
     counts = {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
-    return values.tolist(), counts
+    return values, counts
 
 
 def sweep(
@@ -155,7 +156,7 @@ def sweep(
         raise ValueError("parameter range must be finite, non-negative and increasing")
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
-    values = witnesses_mod._linspace(lo, hi, steps)
+    values = np.array(witnesses_mod._linspace(lo, hi, steps))
 
     ops = list(variants)
     for index, op in enumerate(ops):
@@ -164,7 +165,7 @@ def sweep(
     if include_bare and _BARE not in ops:
         ops.append(_BARE)
 
-    series: dict[str, list[float]] = {}
+    series: dict[str, np.ndarray] = {}
     gaps: dict[str, dict[str, int]] = {}
     for op in ops:
         # the first engine's series under the variant's label, the second's as label@oracle
@@ -200,17 +201,13 @@ def husimi_grid(
     analytic engine and to oracle_husimi on one truncated basis for the
     oracle (engine "oracle", and the second route of "both").
     """
-    lo, hi = BETA_WINDOW
-    grid = witnesses_mod.ScanGrid(lo, hi, lo, hi, steps)
-    values = [
-        witnesses_mod._husimi_grid_values(spec, grid, name, oracle_mod.DEFAULT_TAIL_TOL)
-        .reshape(steps, steps)
-        for name in witnesses_mod.engines(engine)
-    ]
+    grid = witnesses_mod.ScanGrid(*BETA_WINDOW, *BETA_WINDOW, steps)
+    values = [witnesses_mod._husimi_grid_values(spec, grid, name, oracle_mod.DEFAULT_TAIL_TOL)
+              .reshape(steps, steps) for name in witnesses_mod.engines(engine)]
     metadata = {"spec": spec.canonical(), "engine": engine}
     if len(values) > 1:
         metadata["max_deviation"] = float(np.max(oracle_mod.deviation(*values)))
-    return HusimiGrid(spec.op.label(), *grid.axes(), values[0].tolist(), metadata)
+    return HusimiGrid(spec.op.label(), *grid.axes(), values[0], metadata)
 
 
 def figure_pack(
@@ -300,9 +297,7 @@ def husimi_grid_csv(grid: HusimiGrid) -> str:
         raise ValueError(f"q_values is {len(grid.q_values)} x {row_widths} (rows x values); "
                          f"the axes need {height} x {width} (im x re)")
     size = width * height
-    cells = format_floats(np.concatenate([
-        np.asarray(grid.q_values, dtype=np.float64).ravel(), grid.re_values, grid.im_values,
-    ]))
+    cells = format_floats(np.concatenate([np.ravel(grid.q_values), grid.re_values, grid.im_values]))
     text = [None] * (1 + 4 * size)
     text[0] = "re,im,q_value\n"
     text[1::4] = cells[size:size + width] * height
@@ -332,8 +327,6 @@ def write_figure_pack(pack: FigurePack, out_dir) -> list[tuple[str, str]]:
     Husimi grid formats its own cells: one call over all of a pack's grids
     would hold every grid's strings at once.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     blocks = [_sweep_cells(panel) for _, panel in pack.panels if isinstance(panel, SweepTable)]
     cells = format_floats(np.concatenate([b.ravel() for b in blocks])) if blocks else []

@@ -189,6 +189,16 @@ class TestFigureCommand:
         with open(first) as fh:
             assert fh.readline().strip() == "re,im,q_value"
 
+    def test_unwritable_out_is_config_error(self, tmp_path, run_main):
+        # --out names an existing file, where the pack's directory would go
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        proc = run_main("figure", "fig7", "--grid-steps", "3", "--out", str(out))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"configuration error: cannot write {out}: ")
+        assert proc.stderr.count("\n") == 1
+        assert out.read_text() == "kept\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -221,6 +231,15 @@ class TestSweepCommand:
         assert header == '"PAS(1,1)","PSA(1,1)"'
         quoted = run_main(*_SWEEP, "--steps", "3", "--variants", header)
         assert (quoted.returncode, quoted.stdout) == (0, colon.stdout)
+
+    # a file in a missing directory, and a directory
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_is_config_error(self, out, tmp_path, run_main):
+        out = str(tmp_path / out)
+        proc = run_main(*_SWEEP, "--steps", "3", "--out", out)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"configuration error: cannot write {out}: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_bad_variant_label(self, run_main):
         proc = run_main(

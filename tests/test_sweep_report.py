@@ -165,7 +165,9 @@ class TestArrayPath:
             table = sweep(witness, order, [op], family, **window, engine=engine)
             values = table.series[op.label()]
             assert table.metadata["nan_gaps"] == {op.label(): counts}, op
-            assert all(type(v) is float for v in values)
+            # the engine's float64 array as it is, one value per step, over the grid's array
+            assert type(values) is np.ndarray and values.dtype == np.float64 and values.shape == (13,)
+            assert table.parameter_values.dtype == np.float64 and table.parameter_values.shape == (13,)
             assert _same_bits(values, expected), (op, values, expected)
 
     @_RANGES
@@ -298,9 +300,9 @@ class TestFigurePacks:
             spec = make(value, op)
             assert grid.metadata["spec"] == spec.canonical()
             assert grid.re_values == grid.im_values == [-4.0 + i * 1.0 for i in range(9)]
-            assert type(grid.q_values) is list
-            assert all(type(row) is list and len(row) == 9 for row in grid.q_values)
-            assert all(type(q) is float for row in grid.q_values for q in row)
+            # the engine's float64 array as it is, one row per Im(beta)
+            assert type(grid.q_values) is np.ndarray and grid.q_values.dtype == np.float64
+            assert grid.q_values.shape == (9, 9)
             for im, row in zip(grid.im_values, grid.q_values):
                 for re, q in zip(grid.re_values, row):
                     expected = states.husimi(spec, complex(re, im))
@@ -427,6 +429,25 @@ class TestCsv:
         )
         assert sweep_table_csv(table) == expected
         assert ",-0.0\n" in expected and ",nan," in expected
+
+    @pytest.mark.parametrize("kind", ["sweep", "husimi"])
+    def test_array_panel_and_its_list_twin_write_the_same_text(self, kind, tmp_path):
+        # a panel holds the engines' float64 arrays; lists of the same floats are read the same
+        if kind == "sweep":
+            panel = sweep("mandel", 2, [EngineeringOp.psa(1, 1), EngineeringOp.pas(2, 1)], FAMILY_THERMAL,
+                          param_min=0.0, param_max=2.0, steps=9)
+            twin = SweepTable(panel.parameter_name, panel.parameter_values.tolist(),
+                              {label: values.tolist() for label, values in panel.series.items()})
+        else:
+            panel = husimi_grid(StateSpec.even_coherent(2.0, EngineeringOp.psa(4, 2)), steps=7)
+            twin = HusimiGrid(panel.label, panel.re_values, panel.im_values, panel.q_values.tolist())
+        assert sweep_report.panel_csv(twin) == sweep_report.panel_csv(panel)
+        written = []
+        for name, each in (("array", panel), ("list", twin)):
+            (_, path), = write_figure_pack(sweep_report.FigurePack("figZ", [("a", each)]), tmp_path / name)
+            with open(path, "rb") as fh:
+                written.append(fh.read())
+        assert written[0] == written[1]
 
     def test_write_figure_pack(self, tmp_path):
         pack = figure_pack("fig11", steps=3)
