@@ -14,6 +14,7 @@ CSV files.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -325,7 +326,8 @@ def write_figure_pack(pack: FigurePack, out_dir) -> list[tuple[str, str]]:
     so a value the panels share (their parameter column) is formatted once,
     and each panel's slice of the result goes to its panel_csv call. Each
     Husimi grid formats its own cells: one call over all of a pack's grids
-    would hold every grid's strings at once.
+    would hold every grid's strings at once. A write that raises OSError
+    removes the files this call opened, so no part of a pack is left.
     """
     os.makedirs(out_dir, exist_ok=True)
     blocks = [_sweep_cells(panel) for _, panel in pack.panels if isinstance(panel, SweepTable)]
@@ -333,9 +335,15 @@ def write_figure_pack(pack: FigurePack, out_dir) -> list[tuple[str, str]]:
     ends = np.cumsum([b.size for b in blocks]).tolist()
     slices = iter(cells[start:end] for start, end in zip([0] + ends, ends))
     manifest = []
-    for name, panel in pack.panels:
-        path = os.path.join(out_dir, f"{pack.figure_id}_{name}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(panel_csv(panel, next(slices) if isinstance(panel, SweepTable) else None))
-        manifest.append((name, path))
+    try:
+        for name, panel in pack.panels:
+            path = os.path.join(out_dir, f"{pack.figure_id}_{name}.csv")
+            with open(path, "w", newline="\n") as fh:
+                manifest.append((name, path))
+                fh.write(panel_csv(panel, next(slices) if isinstance(panel, SweepTable) else None))
+    except OSError:
+        for _, path in manifest:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     return manifest

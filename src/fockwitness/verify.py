@@ -10,14 +10,15 @@ given to a selection with none of them is a ValueError, not ignored.
 The suites of GRID_SUITES in one run_suites call share one record per
 (operation, family) of the spec grid (_Grid): its analytic table, filled
 once, and its oracle states, grown together, with their oracle table; the
-records are released when the call returns.
+records are released when the call returns. The suites read them one
+family at a time, side by side (_Stack), so each witness body, deviation
+and tally runs once per family, while each engine runs once per record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from importlib import resources
 
 import numpy as np
@@ -126,8 +127,7 @@ _WITNESS_OPS = (
 )
 
 
-_WITNESS_VALUES = ((states_mod.FAMILY_THERMAL, (0.5, 1.0, 2.0)),
-                   (states_mod.FAMILY_EVEN_COHERENT, (0.7, 1.2, 2.0)))
+_WITNESS_VALUES = {states_mod.FAMILY_THERMAL: (0.5, 1.0, 2.0), states_mod.FAMILY_EVEN_COHERENT: (0.7, 1.2, 2.0)}
 
 # the (witness, order) reads of suite_witnesses' moment witnesses, one row
 # each in this order; A3 reads no order
@@ -163,6 +163,34 @@ class _Grid:
         self.oracle = oracle_mod.moment_table_from_state(self.states, pairs)
 
 
+def _stacked(tables) -> MomentTable:
+    """One table over the states of every table, side by side, with their
+    provenance: an entry is the tables' entries of its pair, concatenated."""
+    return MomentTable(lambda ms, ns: np.array([np.concatenate([table.get(m, n) for table in tables])
+                                                for m, n in zip(ms.tolist(), ns.tolist())]),
+                       tables[0].provenance)
+
+
+class _Stack:
+    """The records of one family side by side, in columns ordered by
+    operation (as _grid_series() orders them), then by point: their values,
+    specs and oracle states, and their analytic and oracle tables stacked
+    into one table each. A witness body, a deviation and a tally then run
+    once over every column. Each record's photon_prob call and hosps_gate
+    Poisson references stay its own: taken over a family at once, the
+    references' temporaries, sized orders x states x support, raise the
+    peak memory of a verify run by about 15%."""
+
+    def __init__(self, records: list[_Grid]):
+        self.family = records[0].grid.family
+        self.records = records
+        self.values = [value for record in records for value in record.values]
+        self.specs = [spec for record in records for spec in record.specs]
+        self.states = [state for record in records for state in record.states]
+        self.analytic = _stacked([record.analytic for record in records])
+        self.oracle = _stacked([record.oracle for record in records])
+
+
 class _Grids:
     """The records of _grid_series(), each built at its first read: one
     run_suites call shares one _Grids between its suites, and a suite run
@@ -176,10 +204,11 @@ class _Grids:
             self._records[op, family] = _Grid(op, family)
         return self._records[op, family]
 
-    def __iter__(self):
-        """The records in the order of _grid_series()."""
-        for op, family, _ in _grid_series():
-            yield self(op, family)
+    def stacks(self, ops=None) -> list[_Stack]:
+        """One stack per family over its records of ops (every operation
+        of _grid_series() by default)."""
+        return [_Stack([self(op, f) for op, f, _ in _grid_series() if f == family and (ops is None or op in ops)])
+                for family in _GRID_VALUES]
 
 
 def _entries(table: MomentTable, pairs) -> np.ndarray:
@@ -187,47 +216,46 @@ def _entries(table: MomentTable, pairs) -> np.ndarray:
     return np.array([table.get(*pair) for pair in pairs])
 
 
+def _note(specs, labels):
+    """note(i, value) for element i of an array with one row per label and
+    one column per spec: the spec, the label and the value."""
+    return lambda i, value: f"{specs[i % len(specs)].canonical()} {labels[i // len(specs)]} {value:.3e}"
+
+
 def suite_moments(tol: float = MOMENT_TOL, grids: _Grids | None = None) -> SuiteResult:
     """Analytic moments against oracle moments over the full spec grid:
-    <a'^m a^n>, m, n <= 5, from the two tables of each (op, family) record."""
+    <a'^m a^n>, m, n <= 5, from the two stacked tables of each family."""
     tally = _Tally()
-    for record in grids or _Grids():
-        pairs = _moment_suite_pairs(record.grid.family)
-        analytic, oracle = _entries(record.analytic, pairs), _entries(record.oracle, pairs)
-
-        def note(i, dev):
-            pair, state = divmod(i, len(record.specs))
-            m, n = pairs[pair]
-            return f"{record.specs[state].canonical()} moment({m},{n}): dev {dev:.3e}"
-
-        tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol, note)
+    for stack in (grids or _Grids()).stacks():
+        pairs = _moment_suite_pairs(stack.family)
+        analytic, oracle = _entries(stack.analytic, pairs), _entries(stack.oracle, pairs)
+        tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol,
+                  _note(stack.specs, [f"moment({m},{n}): dev" for m, n in pairs]))
     return tally.result("moments")
 
 
 def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -> SuiteResult:
     """Every witness from analytic moments against the same witness from oracle moments.
 
-    Each (op, family) reads three columns of its record: the witnesses
-    over its analytic and oracle tables, p_0 .. p_6 from one photon_prob
-    call and from its oracle states, and Husimi Q, which takes one state.
-    A witness that is NaN (indeterminate) on both engines is one passing
+    Each family reads the stack of its records of _WITNESS_OPS and checks
+    the columns at its values of _WITNESS_VALUES: the witnesses over the
+    two stacked tables, p_0 .. p_6 from one photon_prob call per record
+    and from the oracle states, and Husimi Q, which takes one state. A
+    witness that is NaN (indeterminate) on both engines is one passing
     check; NaN on one engine only fails its check.
     """
     tally = _Tally()
-    grids = grids or _Grids()
-    for op, (family, values) in product(_WITNESS_OPS, _WITNESS_VALUES):
-        record = grids(op, family)
-        columns = [record.values.index(value) for value in values]
-        specs = [record.specs[i] for i in columns]
-        tables = (record.analytic, record.oracle)
-        # (label, analytic values, oracle values), each over the record's states
-        rows = [(f"{name}({l})" if l else name, *(witnesses_mod._table_witness(t, name, l) for t in tables))
+    for stack in (grids or _Grids()).stacks(_WITNESS_OPS):
+        columns = [k for k, value in enumerate(stack.values) if value in _WITNESS_VALUES[stack.family]]
+        specs = [stack.specs[k] for k in columns]
+        oracle_states = [stack.states[k] for k in columns]
+        tables = (stack.analytic, stack.oracle)
+        # (label, analytic values, oracle values), each over the checked states
+        rows = [(f"{name}({l})" if l else name,
+                 *(witnesses_mod._table_witness(table, name, l)[columns] for table in tables))
                 for name, l in _WITNESS_READS]
-        # the same over the checked states
-        rows = [(label, a[columns], o[columns]) for label, a, o in rows]
-        oracle_states = [record.states[i] for i in columns]
-        # p_0 .. p_6 from one photon_prob call, and from the oracle states
-        probs = (states_mod.photon_prob(record.grid, np.arange(7))[:, columns],
+        # p_0 .. p_6 from one photon_prob call per record, and from the oracle states
+        probs = (np.concatenate([states_mod.photon_prob(r.grid, np.arange(7)) for r in stack.records], 1)[:, columns],
                  np.array([oracle_mod.oracle_photon_prob(state, np.arange(7)) for state in oracle_states]).T)
         rows += [(f"klyshko({m})", *(witnesses_mod.klyshko_from_probs(m, *p[m:m + 3]) for p in probs))
                  for m in (0, 2, 4)]
@@ -239,38 +267,33 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -
         a, o = np.array(a), np.array(o)
         dev = oracle_mod.deviation(a, o)
         limit = np.where(np.abs(o) >= 1.0, tol, np.fmax(WITNESS_ABS_TOL, tol * np.abs(o)))
-        tally.add(dev, limit.ravel(), lambda i, dev: f"{specs[i % len(specs)].canonical()} "
-                                                     f"{labels[i // len(specs)]}: dev {dev:.3e}")
+        tally.add(dev, limit.ravel(), _note(specs, [f"{label}: dev" for label in labels]))
     return tally.result("witnesses")
+
+
+def _probability_sums(record: _Grid) -> np.ndarray:
+    """Each state's p_m summed to its oracle cutoff, from one photon_prob call."""
+    cutoffs = np.array([state.cutoff for state in record.states])
+    probs = states_mod.photon_prob(record.grid, np.arange(cutoffs.max()))
+    return np.where(np.arange(len(probs))[:, None] < cutoffs, probs, 0.0).sum(axis=0)
 
 
 def suite_normalization(grids: _Grids | None = None) -> SuiteResult:
     """Traces, probability sums, and parity zeros.
 
-    Each (op, family) reads its record: the traces of its oracle states,
-    one photon_prob call for p_m of every state up to the largest oracle
-    cutoff, each state summing its own up to its cutoff, and the parity
-    zeros from its analytic table.
+    Each family reads the stack of its records: the traces of the oracle
+    states, the probability sums of _probability_sums, and the parity zeros
+    from the stacked analytic table.
     """
     tally = _Tally()
-    for record in grids or _Grids():
-        specs = record.specs
-        traces = np.array([state.probabilities().sum() for state in record.states])
-        tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL,
-                  lambda i, dev: f"{specs[i].canonical()} oracle trace: dev {dev:.3e}")
-        cutoffs = np.array([state.cutoff for state in record.states])
-        probs = states_mod.photon_prob(record.grid, np.arange(cutoffs.max()))
-        totals = np.where(np.arange(len(probs))[:, None] < cutoffs, probs, 0.0).sum(axis=0)
-        tally.add(np.abs(totals - 1.0), PROB_SUM_TOL,
-                  lambda i, dev: f"{specs[i].canonical()} sum p_m: dev {dev:.3e}")
-        if not record.grid.family.diagonal:
-
-            def note(i, value):
-                pair, state = divmod(i, len(specs))
-                m, n = _PARITY_PAIRS[pair]
-                return f"{specs[state].canonical()} parity moment({m},{n}): {value:.3e}"
-
-            tally.add(np.abs(_entries(record.analytic, _PARITY_PAIRS)), PARITY_TOL, note)
+    for stack in (grids or _Grids()).stacks():
+        traces = np.array([state.probabilities().sum() for state in stack.states])
+        tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL, _note(stack.specs, ["oracle trace: dev"]))
+        totals = np.concatenate([_probability_sums(record) for record in stack.records])
+        tally.add(np.abs(totals - 1.0), PROB_SUM_TOL, _note(stack.specs, ["sum p_m: dev"]))
+        if not stack.family.diagonal:
+            tally.add(np.abs(_entries(stack.analytic, _PARITY_PAIRS)), PARITY_TOL,
+                      _note(stack.specs, [f"parity moment({m},{n}):" for m, n in _PARITY_PAIRS]))
     return tally.result("normalization")
 
 
@@ -382,19 +405,18 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
     The direct reference is the oracle's central number moment minus the
     same-mean Poissonian central moment. The shipped hosps() must match it;
     the paper's printed (-1)^e sign, (-1)^l times hosps(), is ruled out at
-    odd l. Each (op, family) reads its record: its analytic table, and its
-    oracle states for the references.
+    odd l. Each family reads the stack of its records: hosps of every order
+    over its stacked analytic table, and the references of each record's
+    oracle states, taken record by record.
     """
     tally = _Tally()
     orders = _HOSPS_ORDERS
-    for record in grids or _Grids():
-        specs, table = record.specs, record.analytic
+    for stack in (grids or _Grids()).stacks():
         # one row per order, one column per state
-        direct = np.array([witnesses_mod.hosps(table, l) for l in orders])
-        references = _oracle_hosps_direct(record.states, orders)
+        direct = np.array([witnesses_mod.hosps(stack.analytic, l) for l in orders])
+        references = np.concatenate([_oracle_hosps_direct(record.states, orders) for record in stack.records], 1)
         tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
-                  lambda i, dev: f"{specs[i % len(specs)].canonical()} "
-                                 f"hosps({orders[i // len(specs)]}): dev {dev:.3e}")
+                  _note(stack.specs, [f"hosps({l}): dev" for l in orders]))
     result = tally.result("hosps_gate")
     # a fixed note: the printed sign flips hosps' (-1)^(l-e) by (-1)^l term by
     # term, so the relation holds by construction and needs no check

@@ -199,6 +199,21 @@ class TestFigureCommand:
         assert proc.stderr.count("\n") == 1
         assert out.read_text() == "kept\n"
 
+    # a later panel's file is blocked by a directory of its name: the files
+    # written before it are removed, and a file the pack does not name stays
+    @pytest.mark.parametrize("others", [(), ("notes.txt",)], ids=["alone", "beside-a-file"])
+    def test_a_write_that_fails_part_way_leaves_no_pack_file(self, others, tmp_path, run_main):
+        out = tmp_path / "d"
+        (out / "fig7_c.csv").mkdir(parents=True)
+        for name in others:
+            (out / name).write_text("kept\n")
+        proc = run_main("figure", "fig7", "--grid-steps", "3", "--out", str(out))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"configuration error: cannot write {out}: ")
+        assert sorted(path.name for path in out.iterdir()) == sorted(["fig7_c.csv", *others])
+        for name in others:
+            assert (out / name).read_text() == "kept\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

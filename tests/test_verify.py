@@ -194,8 +194,8 @@ def test_a_nan_value_fails_its_suite(monkeypatch, suite, owner, name):
 
 
 def test_the_hosps_gate_stacks_its_orders(monkeypatch):
-    # one deviation call per (op, family), and a failed element still names
-    # its state and order
+    # one deviation call per family, over the stack of its records, and a
+    # failed element still names its state and order
     deviations = []
     deviation, hosps = oracle.deviation, witnesses.hosps
     monkeypatch.setattr(oracle, "deviation", lambda *args: deviations.append(None) or deviation(*args))
@@ -204,14 +204,81 @@ def test_the_hosps_gate_stacks_its_orders(monkeypatch):
     def poisoned(table, l):
         orders.append(l)
         value = hosps(table, l)
-        # the first grid's order-3 row, at its third state
+        # the thermal stack's order-3 row, at its third column: the bare
+        # state's third point
         return _nan_at(value, 2) if len(orders) == 2 else value
     monkeypatch.setattr(witnesses, "hosps", poisoned)
     result = verify.suite_hosps_gate()
-    assert len(deviations) == len(list(verify._grid_series()))
+    assert len(deviations) == len(verify._GRID_VALUES) == 2
     assert orders[:3] == [2, 3, 4]
     assert result.checks == 891
     assert result.notes[0] == f"{StateSpec.thermal(verify.RBAR_GRID[2]).canonical()} hosps(3): dev nan"
+
+
+def _bits(values):
+    """The float bits of the values (complex as two floats), every NaN as one NaN."""
+    floats = np.array(values, dtype=complex if np.iscomplexobj(values) else float).view(np.float64)
+    floats[np.isnan(floats)] = math.nan
+    return floats.view(np.uint64)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+@pytest.mark.parametrize("family", list(verify._GRID_VALUES), ids=lambda family: family.name)
+def test_a_stack_equals_its_records_bit_for_bit(family, engine):
+    # column k of every stacked read is the value of its record's own read,
+    # records in _grid_series() order, then points
+    grids = verify._Grids()
+    for ops, reads in ((None, [("hosps", l) for l in verify._HOSPS_ORDERS]),
+                       (verify._WITNESS_OPS, verify._WITNESS_READS)):
+        stack = next(stack for stack in grids.stacks(ops) if stack.family == family)
+        records = [grids(op, family) for op, f, _ in verify._grid_series()
+                   if f == family and (ops is None or op in ops)]
+        assert stack.records == records
+        assert stack.specs == [spec for record in records for spec in record.specs]
+        assert all(a is b for a, b in zip(stack.states, [s for record in records for s in record.states]))
+        table = getattr(stack, engine)
+        assert table.provenance == engine
+        for name, l in reads:
+            stacked = witnesses._table_witness(table, name, l)
+            each = np.concatenate([witnesses._table_witness(getattr(r, engine), name, l) for r in records])
+            assert stacked.shape == (len(stack.specs),)
+            assert np.array_equal(_bits(stacked), _bits(each)), (name, l)
+        for pair in verify._moment_suite_pairs(family):
+            each = np.concatenate([getattr(r, engine).get(*pair) for r in records])
+            assert np.array_equal(_bits(table.get(*pair)), _bits(each)), pair
+
+
+def _labels(pair):
+    return [f"{w}({l})" if l else w for w, l in verify._WITNESS_READS if pair in witnesses._moment_pairs(w, l)]
+
+
+# the last record of each stack, at its last point: PSA(3,3) for every
+# operation, PSA(2,1) for the witness operations
+@pytest.mark.parametrize("suite, op, pair, labels", [
+    ("moments", EngineeringOp.psa(3, 3), (2, 3), ["moment(2,3): dev"]),
+    ("hosps_gate", EngineeringOp.psa(3, 3), (2, 2), [f"hosps({l}): dev" for l in (2, 3, 4)]),
+    ("normalization", EngineeringOp.psa(3, 3), (2, 1), ["parity moment(2,1):"]),
+    ("witnesses", EngineeringOp.psa(2, 1), (2, 2), [f"{label}: dev" for label in _labels((2, 2))]),
+], ids=["moments", "hosps_gate", "normalization", "witnesses"])
+def test_a_failed_element_deep_in_a_stack_names_its_state(monkeypatch, suite, op, pair, labels):
+    original = states.moment
+    family = states.FAMILY_EVEN_COHERENT
+
+    def poisoned(spec, ms, ns):
+        # NaN at one pair of the record's one fill, at its alpha = 2.0 point
+        values = original(spec, ms, ns)
+        if spec.family == family and spec.op == op:
+            row = [*zip(np.ravel(ms).tolist(), np.ravel(ns).tolist())].index(pair)
+            values = _nan_at(values, (row, verify.ALPHA_GRID.index(2.0)))
+        return values
+
+    monkeypatch.setattr(states, "moment", poisoned)
+    result = verify.run_suites([suite], report=None)[0]
+    canonical = StateSpec.even_coherent(2.0, op).canonical()
+    assert not result.passed
+    assert result.checks == SUITE_SHAPE[suite][1]
+    assert result.notes[:len(labels)] == [f"{canonical} {label} nan" for label in labels]
+    assert len(result.notes) == len(labels) + (suite == "hosps_gate")
 
 
 def test_an_annihilated_point_fails_the_signs_suite(monkeypatch):
