@@ -127,7 +127,8 @@ _WITNESS_OPS = (
 )
 
 
-_WITNESS_VALUES = {states_mod.FAMILY_THERMAL: (0.5, 1.0, 2.0), states_mod.FAMILY_EVEN_COHERENT: (0.7, 1.2, 2.0)}
+_WITNESS_VALUES = {states_mod.FAMILY_THERMAL: (0.5, 1.0, 2.0),
+                   states_mod.FAMILY_EVEN_COHERENT: (0.7, 1.2, 2.0)}
 
 # the (witness, order) reads of suite_witnesses' moment witnesses, one row
 # each in this order; A3 reads no order
@@ -145,7 +146,8 @@ class _Grid:
     analytic read shares; one analytic table, filled once with the union
     of the pairs that moments, witnesses, normalization and hosps_gate read;
     the oracle states of its points from one truncated_states call (arrays
-    read-only), with one oracle table over the same pairs."""
+    read-only), with one oracle table over the same pairs. The suites read
+    it side by side with the other records of its family (_Stack)."""
 
     def __init__(self, op: EngineeringOp, family):
         self.values = _GRID_VALUES[family]
@@ -192,9 +194,9 @@ class _Stack:
 
 
 class _Grids:
-    """The records of _grid_series(), each built at its first read: one
-    run_suites call shares one _Grids between its suites, and a suite run
-    on its own makes its own."""
+    """The records of _grid_series(), each built at its first read and read
+    through stacks(), one _Stack per family: one run_suites call shares one
+    _Grids between its suites, and a suite run on its own makes its own."""
 
     def __init__(self):
         self._records: dict = {}
@@ -207,8 +209,8 @@ class _Grids:
     def stacks(self, ops=None) -> list[_Stack]:
         """One stack per family over its records of ops (every operation
         of _grid_series() by default)."""
-        return [_Stack([self(op, f) for op, f, _ in _grid_series() if f == family and (ops is None or op in ops)])
-                for family in _GRID_VALUES]
+        return [_Stack([self(op, f) for op, f, _ in _grid_series()
+                        if f == family and (ops is None or op in ops)]) for family in _GRID_VALUES]
 
 
 def _entries(table: MomentTable, pairs) -> np.ndarray:
@@ -255,7 +257,8 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -
                  *(witnesses_mod._table_witness(table, name, l)[columns] for table in tables))
                 for name, l in _WITNESS_READS]
         # p_0 .. p_6 from one photon_prob call per record, and from the oracle states
-        probs = (np.concatenate([states_mod.photon_prob(r.grid, np.arange(7)) for r in stack.records], 1)[:, columns],
+        probs = np.concatenate([states_mod.photon_prob(r.grid, np.arange(7)) for r in stack.records], axis=1)
+        probs = (probs[:, columns],
                  np.array([oracle_mod.oracle_photon_prob(state, np.arange(7)) for state in oracle_states]).T)
         rows += [(f"klyshko({m})", *(witnesses_mod.klyshko_from_probs(m, *p[m:m + 3]) for p in probs))
                  for m in (0, 2, 4)]
@@ -414,7 +417,8 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
     for stack in (grids or _Grids()).stacks():
         # one row per order, one column per state
         direct = np.array([witnesses_mod.hosps(stack.analytic, l) for l in orders])
-        references = np.concatenate([_oracle_hosps_direct(record.states, orders) for record in stack.records], 1)
+        references = np.concatenate([_oracle_hosps_direct(record.states, orders)
+                                     for record in stack.records], axis=1)
         tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
                   _note(stack.specs, [f"hosps({l}): dev" for l in orders]))
     result = tally.result("hosps_gate")
