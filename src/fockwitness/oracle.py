@@ -11,10 +11,13 @@ A Fock-diagonal family (thermal) stays diagonal through both engineering
 operations, so it is held as a weight vector (O(D) instead of O(D^2)), and
 any other family as a pure state vector.
 
-Every basis grows in one loop over the rows of a grid (_grow), all of a grid
-spec's points at once (truncated_states); one state is a grid of one. Each
-quantity is one body over arrays, whose one-element case is the scalar call;
-over_states stacks it over states.
+Every basis grows in one loop over rows that each carry their own operation
+(_grow): all the (operation, point) pairs of a stack of grid specs of one
+family at once (truncated_states); a grid spec is a stack of one, and one
+state a grid of one. Each quantity is one body over arrays, whose
+one-element case is the scalar call; the moments of many states are one
+gather per cutoff (_gathered_moments), of which oracle_moment is the group of
+one, and over_states stacks any other quantity over states.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ _INITIAL_CUTOFF = 32
 _NORM_FLOOR = 1e-300
 # Husimi points per chunk times the cutoff: a few MB of amplitudes
 _HUSIMI_CHUNK = 1 << 17
+# elements per temporary of a grouped moment gather, 128 KB of complex: at 2^16
+# the gathers of a verify run raised its peak RSS by 7%
+_GATHER_CHUNK = 1 << 13
 # deviation's floor for a plain relative deviation
 RELATIVE_FLOOR = 1e-30
 # stable_oracle_value's bound on a value's deviation from it at twice the cutoff
@@ -143,11 +149,11 @@ def _ladder(data: np.ndarray, times: int, *, creation: bool, diagonal: bool) -> 
 
 
 @lru_cache(maxsize=None)
-def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """(index, scale, rows) for top < dim: row k < rows of data[index] * scale
-    is _ladder(data, k, creation=False), the same products; the later rows,
-    whose (j + k)!/j! pass the float range, are 0."""
-    index = np.minimum(np.arange(top + 1)[:, None] + np.arange(dim), dim - 1)
+def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, int]:
+    """(scale, rows) for top < dim: row k < rows of data shifted down k
+    levels (level j takes level j + k, the top k levels take the last level)
+    times scale is _ladder(data, k, creation=False), the same products; the
+    later rows, whose (j + k)!/j! pass the float range, are 0."""
     scale = np.zeros((top + 1, dim))
     with np.errstate(over="ignore"):
         # (j + k)!/j! grows with j and with k
@@ -156,8 +162,8 @@ def _lowering(dim: int, top: int, diagonal: bool) -> tuple[np.ndarray, np.ndarra
         scale[k, :dim - k] = _falling(dim - k, k)
     if not diagonal:
         scale = np.sqrt(scale)
-    index.flags.writeable = scale.flags.writeable = False
-    return index, scale, rows
+    scale.flags.writeable = False
+    return scale, rows
 
 
 def _thermal_weights(rbar, dim: int) -> np.ndarray:
@@ -201,21 +207,23 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> np.ndarray:
+def _tail_estimate(probs: np.ndarray, structural_zeros=0) -> np.ndarray:
     """Conservative mass-above-cutoff estimate from the top of the basis,
     one per row of probs (G, D).
 
-    Photon subtraction leaves up to `structural_zeros` exactly-zero slots at
-    the top of a row; those are skipped (they carry no mass) so the window
-    anchors on the real tail. Zeros beyond that count are treated as the
-    genuine end of support.
+    Photon subtraction leaves up to `structural_zeros` (one per row, its
+    operation's p; none by default) exactly-zero slots at the top of a row;
+    those are skipped (they carry no mass) so the window anchors on the real
+    tail. Zeros beyond that count are treated as the genuine end of support.
     """
     dim = probs.shape[-1]
     window = max(2, dim // 16)
-    if not structural_zeros:
+    zeros = np.asarray(structural_zeros)
+    width = min(int(zeros.max(initial=0)), dim)
+    if not width:
         return probs[:, max(0, dim - window):].sum(axis=-1)
-    # each row's exact zeros at the top, up to structural_zeros of them
-    top = probs[:, dim - min(structural_zeros, dim):][:, ::-1] == 0.0
+    # each row's exact zeros at the top, up to its structural_zeros of them
+    top = (probs[:, dim - width:][:, ::-1] == 0.0) & (np.arange(width) < zeros[:, None])
     skips = np.cumprod(top, axis=1).sum(axis=1)
     tails = np.empty(len(probs))
     for skip in set(skips.tolist()):
@@ -223,7 +231,7 @@ def _tail_estimate(probs: np.ndarray, structural_zeros: int = 0) -> np.ndarray:
     return tails
 
 
-def _moment_tail(probs: np.ndarray, structural_zeros: int, order: int) -> np.ndarray:
+def _moment_tail(probs: np.ndarray, structural_zeros: np.ndarray, order: int) -> np.ndarray:
     """_tail_estimate of sum_k p_k k^order per row, relative to that sum
     where it exceeds 1 (absolute below, as the witness comparisons are), in
     logarithms: k^order alone passes the float range at high orders
@@ -234,19 +242,23 @@ def _moment_tail(probs: np.ndarray, structural_zeros: int, order: int) -> np.nda
     return _tail_estimate(np.exp(log_weighted - np.maximum(0.0, total)[:, None]), structural_zeros)
 
 
-def _grow(name, points: np.ndarray, bare, op: EngineeringOp, diagonal: bool, tail_tol: float,
+def _grow(name, points: np.ndarray, ops, bare, diagonal: bool, tail_tol: float,
           min_cutoff: int = 0, order: int = 0) -> list:
-    """The one cutoff-doubling loop behind every oracle state, over the rows
-    of a grid: bare(points, dim) gives the bare weights (diagonal) or
-    amplitudes of the pending points on dim levels, one row each, and op
-    engineers them along the last axis. Every row starts where the basis
-    reaches min_cutoff and oracle_moment's guard admits every <a'^m a^n>
-    with (m + n) // 2 <= order, and retires at the first cutoff where the
-    mass near the top of its basis, and that mass weighted by k^order, are
+    """The one cutoff-doubling loop behind every oracle state, over rows
+    that each carry their own operation: row r is point r % len(points)
+    engineered by ops[r // len(points)]. bare(values, dim) gives the bare
+    weights (diagonal) or amplitudes of values on dim levels, one row each;
+    they are built once per pending point and dim and gathered to its rows,
+    and each operation engineers its rows together along the last axis.
+    Every row starts where the basis reaches min_cutoff and oracle_moment's
+    guard admits every <a'^m a^n> with (m + n) // 2 <= order, and retires
+    at the first cutoff where the mass near the top of its basis (its
+    op.p structural zeros skipped), and that mass weighted by k^order, are
     below tail_tol: the cutoff its one-state build converges to. A norm
     below _NORM_FLOOR is an annihilated state (None) only where the bare
     state's own mass is held; otherwise it is underflow, and the row grows.
-    name(i) names point i, and is formatted only for an error."""
+    The states come in row order; name(r) names row r, and is formatted
+    only for an error."""
     limit = max_cutoff()
     if min_cutoff > limit:
         raise CutoffExceeded(f"{name(0)} needs more than {limit} Fock levels to hold level {min_cutoff - 1}")
@@ -254,12 +266,27 @@ def _grow(name, points: np.ndarray, bare, op: EngineeringOp, diagonal: bool, tai
     # m + n <= 2 order + 1 must stay below dim / 2
     while dim < min(max(min_cutoff, 4 * order + 3), limit):
         dim = min(2 * dim, limit)
-    states = [None] * len(points)
+    size = len(points)
+    # each row's structural zeros, its operation's p
+    zeros = np.repeat([op.p for op in ops], size)
+    states = [None] * len(zeros)
     kind = KIND_DIAGONAL if diagonal else KIND_VECTOR
-    pending = np.arange(len(points))
+    pending = np.arange(len(states))
     while pending.size:
-        components = bare(points[pending], dim)
-        engineered = _engineer(components, op, diagonal)
+        if len(ops) == 1:
+            # the rows are the points, so there is nothing to gather
+            components = bare(points[pending], dim)
+            engineered = _engineer(components, ops[0], diagonal)
+        else:
+            op, point = np.divmod(pending, size)
+            # the bare components of each pending point, gathered to its rows
+            needed = np.flatnonzero(np.bincount(point, minlength=size))
+            components = bare(points[needed], dim)[np.searchsorted(needed, point)]
+            # pending ascends, so the rows of each operation are one run of it
+            bounds = [0, *(np.flatnonzero(np.diff(op)) + 1).tolist(), pending.size]
+            engineered = np.empty_like(components)
+            for start, stop in zip(bounds, bounds[1:]):
+                engineered[start:stop] = _engineer(components[start:stop], ops[op[start]], diagonal)
         # weights divide by their sum, the trace; amplitudes by their norm, its root
         total = np.sum(engineered, axis=-1) if diagonal else _row_norms(engineered)
         live = total > _NORM_FLOOR
@@ -267,11 +294,11 @@ def _grow(name, points: np.ndarray, bare, op: EngineeringOp, diagonal: bool, tai
             # the rows below the floor are not read
             data = engineered / total[:, None]
         probs = data if diagonal else np.abs(data) ** 2
-        tails = _tail_estimate(probs, op.p)
+        tails = _tail_estimate(probs, zeros[pending])
         retired = live & (tails < tail_tol)
         if order:
             # the weighted tail of the rows whose mass tail is held
-            retired[retired] = _moment_tail(probs[retired], op.p, order) < tail_tol
+            retired[retired] = _moment_tail(probs[retired], zeros[pending[retired]], order) < tail_tol
         # the retired rows apart, so that no state holds the others' data
         for i, row, tail in zip(pending[retired], data[retired], tails[retired].tolist()):
             states[i] = TruncatedState(dim, kind, row, tail)
@@ -293,22 +320,31 @@ def _one(states: list, name) -> TruncatedState:
     return states[0]
 
 
-def truncated_states(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0,
-                     min_cutoff: int = 0):
-    """The states of a spec's points from one _grow over them, each at the
-    cutoff its own build converges to, for moments of that order and from
-    at least min_cutoff levels: the state of a one-state spec, or a list
-    over a grid spec's points with None where a state is annihilated. For
-    one state DegenerateState propagates, as CutoffExceeded does on either,
-    naming the first point past the hard limit."""
-    points = np.atleast_1d(spec.parameter)
+def truncated_states(spec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0, min_cutoff: int = 0):
+    """The states of a spec's points, or of a stack of grid specs, from one
+    _grow over them, each at the cutoff its own build converges to, for
+    moments of that order and from at least min_cutoff levels. A stack is a
+    sequence of grid specs of one family over one parameter array, whose
+    rows are its (operation, point) pairs, and gives one list per spec; a
+    grid spec is a stack of one, and gives a list over its points, with
+    None where a state is annihilated; a one-state spec is a grid of one,
+    and gives its state. For one state DegenerateState propagates, as
+    CutoffExceeded does on any, naming the first row past the hard limit."""
+    stack = [spec] if isinstance(spec, StateSpec) else list(spec)
+    family, parameter = stack[0].family, stack[0].parameter
+    if len(stack) > 1 and not all(isinstance(one.parameter, np.ndarray) and one.family == family
+                                  and np.array_equal(one.parameter, parameter) for one in stack):
+        raise ValueError("a stack of specs takes grid specs of one family over one parameter array")
+    points = np.atleast_1d(parameter)
 
-    def name(i):
-        return StateSpec.of(spec.family, points[i], spec.op).canonical()
+    def name(r):
+        return StateSpec.of(family, points[r % len(points)], stack[r // len(points)].op).canonical()
 
-    states = _grow(name, points, _BARE_COMPONENTS[spec.family], spec.op, spec.family.diagonal,
+    states = _grow(name, points, [one.op for one in stack], _BARE_COMPONENTS[family], family.diagonal,
                    tail_tol, min_cutoff, order)
-    return states if isinstance(spec.parameter, np.ndarray) else _one(states, name)
+    if not isinstance(spec, StateSpec):
+        return [states[i:i + len(points)] for i in range(0, len(states), len(points))]
+    return states if isinstance(parameter, np.ndarray) else _one(states, name)
 
 
 def build_truncated(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL,
@@ -331,7 +367,8 @@ def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> Tr
     def name(i):
         return f"coherent state |{alpha}>"
 
-    return _one(_grow(name, np.array([alpha]), coherent_amplitudes, EngineeringOp.bare(), False, tail_tol), name)
+    states = _grow(name, np.array([alpha]), [EngineeringOp.bare()], coherent_amplitudes, False, tail_tol)
+    return _one(states, name)
 
 
 def over_states(states, quantity, rows: int, dtype=float) -> np.ndarray:
@@ -347,7 +384,8 @@ def over_states(states, quantity, rows: int, dtype=float) -> np.ndarray:
 
 
 def oracle_moment(state: TruncatedState, m, n):
-    """<a'^m a^n> from the truncated representation via ladder products.
+    """<a'^m a^n> from the truncated representation via ladder products:
+    the gather of _gathered_moments over a group of one.
 
     m and n are ints, which give a complex, or equal-length 1-d integer
     arrays of pairs (m[i], n[i]), as states.moment takes them. Each value
@@ -357,29 +395,71 @@ def oracle_moment(state: TruncatedState, m, n):
     float range OutOfRange.
     """
     ms, ns = np.atleast_1d(m, n)
+    values = _gathered_moments([state], ms, ns)[:, 0]
+    return complex(values[0]) if np.ndim(m) == np.ndim(n) == 0 else values
+
+
+def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """<a'^ms[i] a^ns[i]> (rows) on each of a list of truncated states
+    (columns), NaN where a state is None (annihilated).
+
+    The states of one cutoff and kind are one group, gathered together in
+    chunks whose temporaries hold about _GATHER_CHUNK elements: row k of
+    the lowered stack is the stacked data shifted down k levels, times
+    _lowering's scale, and each value sums one C-contiguous row of an
+    elementwise product (on diagonal states, a row of the lowered stack
+    itself), so it equals the state's one-state value bit for bit. The
+    errors are oracle_moment's, raised for the first state that has one.
+    """
     if min(ms.min(initial=0), ns.min(initial=0)) < 0:
         raise ValueError("moment orders must be non-negative")
-    too_close = ms + ns >= state.cutoff / 2
-    if too_close.any():
-        i = int(np.argmax(too_close))
-        raise CutoffExceeded(f"moment order {ms[i]}+{ns[i]} too close to cutoff {state.cutoff}")
-    diagonal = state.kind == KIND_DIAGONAL
-    index, scale, rows = _lowering(state.cutoff, int(max(ms.max(initial=0), ns.max(initial=0))), diagonal)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lowered = state.data[index] * scale
-        for k in range(rows, len(lowered)):
-            # a^k from a^(k-1): level j takes level j + 1 times j + 1, or its root on a vector
-            lowered[k, :-1] = lowered[k - 1, 1:] * np.arange(1.0, state.cutoff) ** (1.0 if diagonal else 0.5)
-        if diagonal:
-            # only m = n survives on a diagonal state
-            values = np.where(ms == ns, np.sum(lowered[ns], axis=-1), 0.0).astype(complex)
-        else:
-            values = np.sum(lowered[ms].conj() * lowered[ns], axis=-1)
-    if not np.isfinite(values).all():
-        i = int(np.argmax(~np.isfinite(values)))
-        raise OutOfRange(f"<a'^{ms[i]} a^{ns[i]}> on the {state.cutoff}-level oracle basis "
+    reach = ms + ns
+    # the first state whose cutoff is at most twice the widest pair
+    widest = 2 * int(reach.max(initial=0))
+    close = next((state for state in states if state is not None and widest >= state.cutoff), None)
+    if close is not None:
+        i = int(np.argmax(reach >= close.cutoff / 2))
+        raise CutoffExceeded(f"moment order {ms[i]}+{ns[i]} too close to cutoff {close.cutoff}")
+    groups: dict = {}
+    for j, state in enumerate(states):
+        if state is not None:
+            groups.setdefault((state.cutoff, state.kind), []).append(j)
+    top = int(max(ms.max(initial=0), ns.max(initial=0)))
+    out = np.full((len(ms), len(states)), math.nan, dtype=complex)
+    for (cutoff, kind), columns in groups.items():
+        diagonal = kind == KIND_DIAGONAL
+        scale, rows = _lowering(cutoff, top, diagonal)
+        step = max(1, _GATHER_CHUNK // (cutoff * max(top + 1, len(ms))))
+        for chunk in (columns[i:i + step] for i in range(0, len(columns), step)):
+            # each state's data, then top copies of its last level
+            padded = np.empty((len(chunk), cutoff + top), dtype=states[chunk[0]].data.dtype)
+            np.stack([states[j].data for j in chunk], out=padded[:, :cutoff])
+            padded[:, cutoff:] = padded[:, cutoff - 1:cutoff]
+            # a view: shifted[k, g, j] is level j + k of padded state g
+            level_bytes, state_bytes = padded.strides[1], padded.strides[0]
+            shifted = np.ndarray((top + 1, len(chunk), cutoff), padded.dtype, padded, 0,
+                                 (level_bytes, state_bytes, level_bytes))
+            lowered = np.empty(shifted.shape, dtype=padded.dtype)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(shifted, scale[:, None], out=lowered)
+                for k in range(rows, top + 1):
+                    # a^k from a^(k-1): level j takes level j + 1 times j + 1, or its root on a vector
+                    lowered[k, :, :-1] = lowered[k - 1, :, 1:] * np.arange(1.0, cutoff) ** (0.5 + 0.5 * diagonal)
+                if diagonal:
+                    # only m = n survives on a diagonal state
+                    out[:, chunk] = np.where((ms == ns)[:, None], np.sum(lowered, axis=-1)[ns], 0.0)
+                else:
+                    products = lowered[ms]
+                    np.conjugate(products, out=products)
+                    products *= lowered[ns]
+                    out[:, chunk] = np.sum(products, axis=-1)
+    bad = ~np.isfinite(out) & np.array([state is not None for state in states])
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad[:, j]))
+        raise OutOfRange(f"<a'^{ms[i]} a^{ns[i]}> on the {states[j].cutoff}-level oracle basis "
                          "exceeds the float range")
-    return complex(values[0]) if np.ndim(m) == np.ndim(n) == 0 else values
+    return out
 
 
 def oracle_photon_prob(state: TruncatedState, m):
@@ -470,12 +550,14 @@ def _log_factorials(count: int) -> np.ndarray:
 
 def moment_table_from_state(states, pairs=()) -> MomentTable:
     """Moment cache (provenance 'oracle') of the given pairs over a list of
-    truncated states, filled by one oracle_moment call per state: an entry
-    is an array over them, NaN where a state is None (annihilated); over one
-    state, a complex."""
+    truncated states, filled by one _gathered_moments call over them, one
+    gather per cutoff: an entry is an array over them, NaN where a state is
+    None (annihilated); over one state, a complex."""
+    one = isinstance(states, TruncatedState)
+
     def fill(ms, ns):
-        # the module's oracle_moment, as looked up at call time
-        return over_states(states, lambda state: oracle_moment(state, ms, ns), len(ms), complex)
+        values = _gathered_moments([states] if one else states, ms, ns)
+        return values[:, 0] if one else values
 
     return MomentTable(fill, "oracle", pairs)
 

@@ -335,14 +335,14 @@ def _tables(op: EngineeringOp, pairs, keep: Callable) -> list:
 
 class _Terms(NamedTuple):
     """The terms of a pair set, padded and term-major: entry [t, i] of each
-    (T, P) array is term t of pair i. M and N count from the lowest of the
-    set: dags and plains are their ranges, and a pair with fewer terms
-    points one past the end of each, with weight 0."""
+    (T, P) array is term t of pair i. dags and plains are the distinct M
+    and N of the set, ascending; dag and plain index them, and a pair with
+    fewer terms points one past the end of each, with weight 0."""
 
-    dags: range
-    plains: range
-    dag: np.ndarray  # M - dags.start
-    plain: np.ndarray  # N - plains.start
+    dags: tuple
+    plains: tuple
+    dag: np.ndarray  # the index of M in dags
+    plain: np.ndarray  # the index of N in plains
     weight: np.ndarray  # the exact weight as a float, inf past the float range
     exact: tuple  # the exact weights, term-major
     log_top: float  # the logarithm of the largest, 0 with no terms
@@ -354,21 +354,21 @@ def _padded(op: EngineeringOp, pairs: tuple, keep: Callable, weigh: Callable) ->
     weights weigh(Ms, cs); cached, as every state of a family and operation
     that reads the same pairs shares them, so its arrays are read-only."""
     tables = _tables(op, pairs, keep)
-    terms = [term for table in tables for term in table]
-    dags, plains = ((range(min(powers), max(powers) + 1) if powers else range(0))
-                    for powers in ([term[0] for term in terms], [term[1] for term in terms]))
-    pad = (dags.stop, plains.stop, 0)
+    dags, plains = (tuple(sorted({term[i] for table in tables for term in table})) for i in (0, 1))
     depth = max(map(len, tables), default=0)
-    rows = [table[t] if t < len(table) else pad for t in range(depth) for table in tables]
-    dag, plain, coeff = zip(*rows) if rows else ((), (), ())
-    exact = weigh(dag, coeff)
+    # None pads: its M and N index one past the end, and it weighs M = 0 with c = 0
+    rows = [table[t] if t < len(table) else None for t in range(depth) for table in tables]
+    dag_index, plain_index = ({power: i for i, power in enumerate(powers)} for powers in (dags, plains))
+    dag = [dag_index[row[0]] if row else len(dags) for row in rows]
+    plain = [plain_index[row[1]] if row else len(plains) for row in rows]
+    exact = weigh([row[0] if row else 0 for row in rows], [row[2] if row else 0 for row in rows])
     try:
         weight = np.array(exact, dtype=float)
     except OverflowError:
         weight = np.array([_float(w) for w in exact])
     shape = (depth, len(pairs))
-    arrays = [(np.array(dag, dtype=np.intp) - dags.start).reshape(shape),
-              (np.array(plain, dtype=np.intp) - plains.start).reshape(shape), weight.reshape(shape)]
+    arrays = [np.array(dag, dtype=np.intp).reshape(shape), np.array(plain, dtype=np.intp).reshape(shape),
+              weight.reshape(shape)]
     for array in arrays:
         array.flags.writeable = False
     return _Terms(dags, plains, *arrays, tuple(exact), math.log(max(exact, default=1)))
@@ -391,6 +391,30 @@ def _log(value) -> float:
 
 # exp(-690) and exp(690) are normal floats, the latter 2e11 times below the largest
 _LOG_RANGE = 690.0
+# a term whose logarithm is above this is past the largest float, e^709.8, by far
+# more than the rounding of that logarithm
+_LOG_PAST = 720.0
+
+
+def _past_range(spec: StateSpec, pairs, k0: int, top: int) -> np.ndarray:
+    """Whether each pair has a term (M, M, c) clearly past the float range
+    at every point, from its logarithm log c + lgamma(M + 1) + (M - k0) log x
+    + (p + q - M) log y above _LOG_PAST, without building c M!. Every thermal
+    term is positive, so such a pair's contraction is inf, as its exact
+    terms give it. A set is scanned only where some M, at most m + p + q,
+    can pass 170, where c M! leaves the float range."""
+    past = np.zeros(len(pairs), dtype=bool)
+    if max((m for m, _ in pairs), default=0) + top <= 170:
+        return past
+    tables = _tables(spec.op, pairs, operator.eq)
+    x, y = spec._constants
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0 log 0 is NaN, which is never past
+        log_x, log_y = np.log(x), np.log(y)
+        for i, table in enumerate(tables):
+            logs = [math.log(c) + math.lgamma(M + 1) + (M - k0) * log_x + (top - M) * log_y for M, _, c in table]
+            past[i] = bool(logs) and bool(np.all(np.max(logs, axis=0) > _LOG_PAST))
+    return past
 
 
 def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
@@ -402,12 +426,18 @@ def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
     power or the product leaves the normal float range (c M! past 170!, x^a
     underflowing at small rbar), the term is instead the exponential of its
     logarithm, which is 0 or inf only where the term itself is out of range.
-    The powers of x and y are taken once per M, and one bound on the
-    logarithms of all terms skips that test where no term can leave the
-    range.
+    The powers of x and y are taken once per M that a term holds, and one
+    bound on the logarithms of all terms skips that test where no term can
+    leave the range. A pair that _past_range finds past it at every point
+    is inf there, and its terms are not built.
     """
     x, y = spec._constants
     k0, top = _lowest_power(spec.op), spec.op.p + spec.op.q
+    past = _past_range(spec, pairs, k0, top)
+    if past.any():
+        total = np.full((len(pairs), len(x)), math.inf)
+        total[~past] = _thermal_contraction(spec, tuple(pair for pair, out in zip(pairs, past) if not out))
+        return total
     terms = _padded(spec.op, pairs, operator.eq, _thermal_weights)
     a = [dag - k0 for dag in terms.dags]
     b = [top - dag for dag in terms.dags]
@@ -856,7 +886,7 @@ class MomentTable:
     one call, and a get of any other pair makes the same call with that one
     pair. A table keeps no spec: MomentTable.analytic(spec, pairs) fills
     with `moment` of the spec, and oracle.moment_table_from_state(states,
-    pairs) with one oracle_moment call per truncated state.
+    pairs) with one oracle gather per cutoff over the truncated states.
 
     For a grid spec (one operation over an array of parameters) the table
     is one table for the whole grid: get(m, n) is an ndarray over the grid,

@@ -7,12 +7,15 @@ only be overridden explicitly (e.g. `verify --tol 1e-15` to demonstrate the
 gate is live). The suites of TOL_SUITES read that override; a tolerance
 given to a selection with none of them is a ValueError, not ignored.
 
-The suites of GRID_SUITES in one run_suites call share one record per
-(operation, family) of the spec grid (_Grid): its analytic table, filled
-once, and its oracle states, grown together, with their oracle table; the
-records are released when the call returns. The suites read them one
-family at a time, side by side (_Stack), so each witness body, deviation
-and tally runs once per family, while each engine runs once per record.
+The suites of GRID_SUITES in one run_suites call share one analytic
+record per (operation, family) of the spec grid (_Grid), its table filled
+once, and one oracle record per family (_Oracle): the states of every
+(operation, point) of the family from one growth, with one oracle table
+filled by one gather per cutoff. The records are released when the call
+returns. The suites read them one family at a time, side by side (_Stack),
+so each witness body, deviation and tally runs once per family, the oracle
+grows and fills once per family, and the analytic engine runs once per
+record.
 """
 
 from __future__ import annotations
@@ -140,77 +143,111 @@ _HOSPS_ORDERS = (2, 3, 4)
 _PARITY_PAIRS = ((1, 0), (2, 1), (3, 2), (3, 0))
 
 
+def _grid_pairs(op: EngineeringOp, family) -> list[tuple[int, int]]:
+    """The union of the pairs that moments, witnesses, normalization and
+    hosps_gate read of one (op, family) of _grid_series()."""
+    reads = [("hosps", l) for l in _HOSPS_ORDERS]
+    if op in _WITNESS_OPS:
+        reads += _WITNESS_READS
+    pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
+    return sorted(pairs.union(_moment_suite_pairs(family), _PARITY_PAIRS))
+
+
 class _Grid:
-    """One (op, family) of _grid_series() as the suites read it: the specs
-    of its points and their one grid spec, whose norm and constants every
-    analytic read shares; one analytic table, filled once with the union
-    of the pairs that moments, witnesses, normalization and hosps_gate read;
-    the oracle states of its points from one truncated_states call (arrays
-    read-only), with one oracle table over the same pairs. The suites read
-    it side by side with the other records of its family (_Stack)."""
+    """One (op, family) of _grid_series() as the analytic engine reads it:
+    the specs of its points and their one grid spec, whose norm and
+    constants every analytic read shares, and one analytic table, filled
+    once with _grid_pairs. The suites read it side by side with the other
+    records of its family (_Stack)."""
 
     def __init__(self, op: EngineeringOp, family):
         self.values = _GRID_VALUES[family]
         self.specs = [StateSpec.of(family, value, op) for value in self.values]
         self.grid = StateSpec.of(family, np.array(self.values), op)
-        reads = [("hosps", l) for l in _HOSPS_ORDERS]
-        if op in _WITNESS_OPS:
-            reads += _WITNESS_READS
-        pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
-        pairs = sorted(pairs.union(_moment_suite_pairs(family), _PARITY_PAIRS))
-        self.analytic = MomentTable.analytic(self.grid, pairs)
-        self.states = oracle_mod.truncated_states(self.grid, ORACLE_TAIL_TOL)
+        self.analytic = MomentTable.analytic(self.grid, _grid_pairs(op, family))
+
+
+class _Oracle:
+    """The oracle side of one family: the states of every (op, point) of
+    _grid_series(), by operation and then by point, from one
+    truncated_states call over the family's grid specs (arrays read-only),
+    and one oracle table over them, filled with the union of their
+    _grid_pairs by one gather per cutoff."""
+
+    def __init__(self, records: list[_Grid]):
+        self.ops = [record.grid.op for record in records]
+        grown = oracle_mod.truncated_states([record.grid for record in records], ORACLE_TAIL_TOL)
+        self.states = [state for states in grown for state in states]
         for state in self.states:
             state.data.flags.writeable = False
-        self.oracle = oracle_mod.moment_table_from_state(self.states, pairs)
+        family = records[0].grid.family
+        pairs = set().union(*(_grid_pairs(op, family) for op in self.ops))
+        self.table = oracle_mod.moment_table_from_state(self.states, sorted(pairs))
 
 
-def _stacked(tables) -> MomentTable:
+def _stacked(tables, columns=None) -> MomentTable:
     """One table over the states of every table, side by side, with their
-    provenance: an entry is the tables' entries of its pair, concatenated."""
-    return MomentTable(lambda ms, ns: np.array([np.concatenate([table.get(m, n) for table in tables])
-                                                for m, n in zip(ms.tolist(), ns.tolist())]),
-                       tables[0].provenance)
+    provenance: an entry is the tables' entries of its pair, concatenated,
+    and taken at the given columns (all by default)."""
+    def fill(ms, ns):
+        entries = np.array([np.concatenate([table.get(m, n) for table in tables])
+                            for m, n in zip(ms.tolist(), ns.tolist())])
+        return entries if columns is None else entries[:, columns]
+
+    return MomentTable(fill, tables[0].provenance)
 
 
 class _Stack:
     """The records of one family side by side, in columns ordered by
-    operation (as _grid_series() orders them), then by point: their values,
-    specs and oracle states, and their analytic and oracle tables stacked
-    into one table each. A witness body, a deviation and a tally then run
-    once over every column. Each record's photon_prob call and hosps_gate
-    Poisson references stay its own: taken over a family at once, the
-    references' temporaries, sized orders x states x support, raise the
-    peak memory of a verify run by about 15%."""
+    operation (as _grid_series() orders them), then by point: their values
+    and specs, their analytic tables stacked into one table, and the
+    family's oracle states and table (_Oracle) at the same columns. A
+    witness body, a deviation and a tally then run once over every column.
+    Each record's photon_prob call and hosps_gate Poisson references stay
+    its own (by_record): taken over a family at once, the references'
+    temporaries, sized orders x states x support, raise the peak memory of
+    a verify run by about 15%."""
 
-    def __init__(self, records: list[_Grid]):
+    def __init__(self, records: list[_Grid], oracle: _Oracle):
         self.family = records[0].grid.family
         self.records = records
         self.values = [value for record in records for value in record.values]
         self.specs = [spec for record in records for spec in record.specs]
-        self.states = [state for record in records for state in record.states]
+        size, ops = len(records[0].values), {record.grid.op for record in records}
+        columns = [i * size + k for i, op in enumerate(oracle.ops) if op in ops for k in range(size)]
+        self.states = [oracle.states[k] for k in columns]
+        self.by_record = [(record, self.states[i * size:(i + 1) * size]) for i, record in enumerate(records)]
         self.analytic = _stacked([record.analytic for record in records])
-        self.oracle = _stacked([record.oracle for record in records])
+        self.oracle = oracle.table if len(columns) == len(oracle.states) else _stacked([oracle.table], columns)
 
 
 class _Grids:
-    """The records of _grid_series(), each built at its first read and read
-    through stacks(), one _Stack per family: one run_suites call shares one
-    _Grids between its suites, and a suite run on its own makes its own."""
+    """The records of _grid_series(), each built at its first read, and
+    one _Oracle per family, built at its family's first stack; read through
+    stacks(), one _Stack per family: one run_suites call shares one _Grids
+    between its suites, and a suite run on its own makes its own."""
 
     def __init__(self):
         self._records: dict = {}
+        self._oracles: dict = {}
 
     def __call__(self, op: EngineeringOp, family) -> _Grid:
         if (op, family) not in self._records:
             self._records[op, family] = _Grid(op, family)
         return self._records[op, family]
 
+    def oracle(self, family) -> _Oracle:
+        """The family's _Oracle, over every operation of _grid_series()."""
+        if family not in self._oracles:
+            self._oracles[family] = _Oracle([self(op, f) for op, f, _ in _grid_series() if f == family])
+        return self._oracles[family]
+
     def stacks(self, ops=None) -> list[_Stack]:
         """One stack per family over its records of ops (every operation
         of _grid_series() by default)."""
         return [_Stack([self(op, f) for op, f, _ in _grid_series()
-                        if f == family and (ops is None or op in ops)]) for family in _GRID_VALUES]
+                        if f == family and (ops is None or op in ops)], self.oracle(family))
+                for family in _GRID_VALUES]
 
 
 def _entries(table: MomentTable, pairs) -> np.ndarray:
@@ -234,6 +271,14 @@ def suite_moments(tol: float = MOMENT_TOL, grids: _Grids | None = None) -> Suite
         tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol,
                   _note(stack.specs, [f"moment({m},{n}): dev" for m, n in pairs]))
     return tally.result("moments")
+
+
+def _witness_limit(reference, tol: float) -> np.ndarray:
+    """The limit of each witness deviation, flattened: tol at magnitude 1
+    and above, where the deviation is relative, and max(WITNESS_ABS_TOL,
+    tol |reference|) below, where it is absolute."""
+    magnitude = np.abs(reference)
+    return np.where(magnitude >= 1.0, tol, np.fmax(WITNESS_ABS_TOL, tol * magnitude)).ravel()
 
 
 def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -> SuiteResult:
@@ -268,15 +313,14 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -
                      [oracle_mod.oracle_husimi(state, beta) for state in oracle_states]))
         labels, a, o = zip(*rows)
         a, o = np.array(a), np.array(o)
-        dev = oracle_mod.deviation(a, o)
-        limit = np.where(np.abs(o) >= 1.0, tol, np.fmax(WITNESS_ABS_TOL, tol * np.abs(o)))
-        tally.add(dev, limit.ravel(), _note(specs, [f"{label}: dev" for label in labels]))
+        tally.add(oracle_mod.deviation(a, o), _witness_limit(o, tol),
+                  _note(specs, [f"{label}: dev" for label in labels]))
     return tally.result("witnesses")
 
 
-def _probability_sums(record: _Grid) -> np.ndarray:
-    """Each state's p_m summed to its oracle cutoff, from one photon_prob call."""
-    cutoffs = np.array([state.cutoff for state in record.states])
+def _probability_sums(record: _Grid, states) -> np.ndarray:
+    """Each state's p_m summed to the cutoff of its oracle state, from one photon_prob call."""
+    cutoffs = np.array([state.cutoff for state in states])
     probs = states_mod.photon_prob(record.grid, np.arange(cutoffs.max()))
     return np.where(np.arange(len(probs))[:, None] < cutoffs, probs, 0.0).sum(axis=0)
 
@@ -292,7 +336,7 @@ def suite_normalization(grids: _Grids | None = None) -> SuiteResult:
     for stack in (grids or _Grids()).stacks():
         traces = np.array([state.probabilities().sum() for state in stack.states])
         tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL, _note(stack.specs, ["oracle trace: dev"]))
-        totals = np.concatenate([_probability_sums(record) for record in stack.records])
+        totals = np.concatenate([_probability_sums(*part) for part in stack.by_record])
         tally.add(np.abs(totals - 1.0), PROB_SUM_TOL, _note(stack.specs, ["sum p_m: dev"]))
         if not stack.family.diagonal:
             tally.add(np.abs(_entries(stack.analytic, _PARITY_PAIRS)), PARITY_TOL,
@@ -410,16 +454,17 @@ def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) 
     the paper's printed (-1)^e sign, (-1)^l times hosps(), is ruled out at
     odd l. Each family reads the stack of its records: hosps of every order
     over its stacked analytic table, and the references of each record's
-    oracle states, taken record by record.
+    oracle states, taken record by record; each deviation is held to the
+    limit of suite_witnesses (_witness_limit).
     """
     tally = _Tally()
     orders = _HOSPS_ORDERS
     for stack in (grids or _Grids()).stacks():
         # one row per order, one column per state
         direct = np.array([witnesses_mod.hosps(stack.analytic, l) for l in orders])
-        references = np.concatenate([_oracle_hosps_direct(record.states, orders)
-                                     for record in stack.records], axis=1)
-        tally.add(oracle_mod.deviation(direct, references), max(tol, WITNESS_ABS_TOL),
+        references = np.concatenate([_oracle_hosps_direct(states, orders) for _, states in stack.by_record],
+                                    axis=1)
+        tally.add(oracle_mod.deviation(direct, references), _witness_limit(references, tol),
                   _note(stack.specs, [f"hosps({l}): dev" for l in orders]))
     result = tally.result("hosps_gate")
     # a fixed note: the printed sign flips hosps' (-1)^(l-e) by (-1)^l term by

@@ -2,6 +2,7 @@ import argparse
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -347,6 +348,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         # the subprocess is out of reach of the pytest warning filter
         assert "Warning" not in proc.stderr, proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("op, label", [((), "bare"), (("--op", "pas", "--p", "2", "--q", "1"), "PAS(2,1)")],
+                             ids=["bare", "PAS(2,1)"])
+    def test_a_moment_far_past_the_float_range_fails_fast(self, op, label):
+        # c M! of <a'^l a^l> is not built where its logarithm is far past the range
+        start = time.perf_counter()
+        proc = run_cli("witness", "--name", "hoa", "--l", "1000000", "--family", "thermal", "--rbar", "0.5", *op)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 2
+        assert proc.stderr == (f"out of float range: <a'^1000000 a^1000000> of thermal(rbar=0.5)|{label} "
+                               "exceeds the float range\n")
         assert proc.stdout == ""
 
     def test_oracle_basis_weighs_the_tail_by_the_order_read(self):

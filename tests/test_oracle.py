@@ -503,6 +503,145 @@ def test_a_basis_asked_to_hold_a_level_past_the_hard_limit_raises(monkeypatch):
     assert oracle.build_truncated(StateSpec.thermal(0.5), min_cutoff=64).cutoff == 64
 
 
+# ---------------------------------------------------------------------------
+# A stack of grids grows together, and its states are filled together
+# ---------------------------------------------------------------------------
+
+def _family_stack(family, ops=None):
+    """verify's grid specs of one family, one per operation of _grid_series()."""
+    values = np.array(verify._GRID_VALUES[family])
+    return [StateSpec.of(family, values, op) for op, f, _ in verify._grid_series()
+            if f == family and (ops is None or op in ops)]
+
+
+def _assert_stack_equals_its_grids(stack, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwargs):
+    """truncated_states(stack) against one truncated_states call per grid
+    spec: the same cutoff, kind, tail mass, dtype, read-only flag and data
+    bits, and None at the same rows."""
+    grown = oracle.truncated_states(stack, tail_tol, **kwargs)
+    assert len(grown) == len(stack)
+    for spec, states in zip(stack, grown):
+        own = oracle.truncated_states(spec, tail_tol, **kwargs)
+        assert len(states) == len(own) == len(spec.parameter)
+        for state, one in zip(states, own):
+            assert (state is None) == (one is None), spec.canonical()
+            if one is None:
+                continue
+            assert (state.cutoff, state.kind, state.tail_mass) == (one.cutoff, one.kind, one.tail_mass)
+            assert state.data.dtype == one.data.dtype
+            assert state.data.flags.writeable == one.data.flags.writeable
+            assert np.array_equal(state.data.view(np.uint64), one.data.view(np.uint64)), spec.canonical()
+    return grown
+
+
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda f: f.name)
+def test_a_family_stack_equals_its_grids(family):
+    _assert_stack_equals_its_grids(_family_stack(family), verify.ORACLE_TAIL_TOL)
+
+
+@pytest.mark.parametrize("kwargs", [{"order": 3}, {"min_cutoff": 200}], ids=["order", "min_cutoff"])
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda f: f.name)
+def test_a_stack_equals_its_grids_with_an_order_or_a_floor(family, kwargs):
+    grown = _assert_stack_equals_its_grids(_family_stack(family, verify._WITNESS_OPS), **kwargs)
+    if "min_cutoff" in kwargs:
+        assert min(state.cutoff for states in grown for state in states) == 256
+
+
+def test_an_annihilated_row_of_a_stack_is_none():
+    values = np.array([0.5, 0.0, 2.0])
+    stack = [StateSpec.thermal(values, op) for op in (EngineeringOp.bare(), EngineeringOp.psa(1, 0),
+                                                      EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 2))]
+    grown = _assert_stack_equals_its_grids(stack, order=2)
+    assert [[state is None for state in states] for states in grown] == [
+        [False] * 3, [False, True, False], [False, True, False], [False, True, False]]
+
+
+def test_a_stack_past_the_hard_limit_names_its_first_such_row(monkeypatch):
+    monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
+    # every operation fits 0.5 in 64 levels; at 1.2, PAS(2,2) is the first that does not
+    values = np.array([0.5, 1.2])
+    stack = [StateSpec.thermal(values, op) for op in (EngineeringOp.bare(), EngineeringOp.psa(1, 1),
+                                                      EngineeringOp.pas(2, 2), EngineeringOp.pas(3, 3))]
+    oracle.truncated_states(stack[:2])
+    with pytest.raises(CutoffExceeded) as stack_error:
+        oracle.truncated_states(stack)
+    with pytest.raises(CutoffExceeded) as grid_error:
+        oracle.truncated_states(stack[2])
+    assert str(stack_error.value) == str(grid_error.value)
+    assert str(stack_error.value).startswith("thermal(rbar=1.2)|PAS(2,2) needs more than 64 Fock levels")
+
+
+@pytest.mark.parametrize("stack", [
+    [StateSpec.thermal(np.array([0.5, 1.0])), StateSpec.even_coherent(np.array([0.5, 1.0]))],
+    [StateSpec.thermal(np.array([0.5, 1.0])), StateSpec.thermal(np.array([0.5, 2.0]))],
+    [StateSpec.thermal(0.5), StateSpec.thermal(0.5, EngineeringOp.pas(1, 1))],
+], ids=["families", "parameters", "one-state specs"])
+def test_a_stack_of_mismatched_specs_is_refused(stack):
+    with pytest.raises(ValueError, match="one family over one parameter array"):
+        oracle.truncated_states(stack)
+
+
+def _bits(values):
+    """The float bits of complex values, every NaN as one NaN."""
+    floats = np.array(values, dtype=complex).view(np.float64)
+    floats[np.isnan(floats)] = math.nan
+    return floats.view(np.uint64)
+
+
+def _assert_gather_equals_one_state_calls(states, ms, ns):
+    gathered = oracle._gathered_moments(states, ms, ns)
+    assert gathered.shape == (len(ms), len(states)) and gathered.flags.c_contiguous
+    for j, state in enumerate(states):
+        if state is None:
+            assert np.isnan(gathered[:, j]).all()
+            continue
+        assert np.array_equal(_bits(gathered[:, j]), _bits(oracle.oracle_moment(state, ms, ns))), j
+    return gathered
+
+
+@pytest.mark.parametrize("chunk", [oracle._GATHER_CHUNK, 1], ids=["default chunks", "one state a chunk"])
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda f: f.name)
+def test_the_grouped_fill_equals_one_state_calls_bit_for_bit(family, chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "_GATHER_CHUNK", chunk)
+    stack = _family_stack(family)
+    states = [state for grid in oracle.truncated_states(stack, verify.ORACLE_TAIL_TOL) for state in grid]
+    assert len({state.cutoff for state in states}) > 1
+    pairs = sorted(set().union(*(verify._grid_pairs(spec.op, family) for spec in stack)))
+    ms, ns = (np.array(orders, dtype=np.intp) for orders in zip(*pairs))
+    # an annihilated state among them is a NaN column
+    _assert_gather_equals_one_state_calls(states[:40] + [None] + states[40:], ms, ns)
+    table = oracle.moment_table_from_state(states, pairs)
+    for m, n in pairs:
+        assert np.array_equal(_bits(table.get(m, n)), _bits([oracle.oracle_moment(s, m, n) for s in states]))
+
+
+@pytest.mark.parametrize("spec", [StateSpec.even_coherent(np.array([1.5, 2.0, 2.5])),
+                                  StateSpec.thermal(np.array([0.5, 1.0]), EngineeringOp.psa(2, 1))],
+                         ids=["ecs", "thermal PSA(2,1)"])
+def test_the_grouped_fill_lowers_past_the_float_range_of_its_factorials(spec):
+    # rows from (j + k)!/j! > 1.8e308 are lowered one level at a time
+    states = oracle.truncated_states(spec, order=120)
+    assert len({state.cutoff for state in states}) == 1
+    ms, ns = np.array([120, 119, 0, 60]), np.array([120, 120, 0, 60])
+    _assert_gather_equals_one_state_calls(states, ms, ns)
+
+
+def test_the_grouped_fill_raises_for_its_first_state():
+    small, large = (oracle.build_truncated(StateSpec.thermal(rbar)) for rbar in (0.5, 10.0))
+    assert (small.cutoff, large.cutoff) == (32, 512)
+    with pytest.raises(CutoffExceeded, match="moment order 8\\+8 too close to cutoff 32"):
+        oracle._gathered_moments([large, None, small], np.array([1, 8]), np.array([1, 8]))
+    # 300! 0.5^300 is about 1e524 and 300! about 3e614, while 300! 1e-3^300 is in range;
+    # the first state past the range is in the second group
+    fine, first, second = (oracle.truncated_states(StateSpec.thermal(rbar), order=300, min_cutoff=cutoff)
+                           for rbar, cutoff in ((1e-3, 0), (0.5, 4096), (1.0, 0)))
+    assert fine.cutoff == second.cutoff == 2048 and first.cutoff == 4096
+    with pytest.raises(OutOfRange, match="<a'\\^300 a\\^300> on the 4096-level oracle basis"):
+        oracle._gathered_moments([fine, None, first, second], np.array([1, 300]), np.array([1, 300]))
+    with pytest.raises(ValueError, match="non-negative"):
+        oracle._gathered_moments([small], np.array([1, -1]), np.array([1, 1]))
+
+
 @pytest.mark.parametrize("spec, m", [
     (StateSpec.thermal(0.5), 31),
     (StateSpec.even_coherent(0.5), 40),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -1070,3 +1071,39 @@ class TestCatPhotonProbLargeAmplitude:
             block = photon_prob(grid, m)
             assert (one <= 1.0).all() and (block <= 1.0).all()
             assert (one > 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# A thermal pair far past the float range
+# ---------------------------------------------------------------------------
+
+def _no_pair_past(spec, pairs, k0, top):
+    return np.zeros(len(pairs), dtype=bool)
+
+
+@pytest.mark.parametrize("spec, past", [
+    # 300! 0.5^300 is about 1e524, 300! 0.1^300 about 3e314, 200! 0.5^200 (1.5)^3 about 1e315
+    (StateSpec.thermal(np.array([0.5, 0.1]), EngineeringOp.pas(2, 1)), [False, False, True]),
+    (StateSpec.thermal(np.array([0.5]), EngineeringOp.psa(1, 2)), [False, False, True]),
+    # at rbar = 0 the term of M = 300 is 0, so the pair keeps its exact terms
+    (StateSpec.thermal(np.array([0.0, 0.5])), [False, False, False]),
+], ids=["PAS(2,1)", "PSA(1,2)", "with rbar 0"])
+def test_a_pair_past_the_float_range_contracts_as_its_exact_terms(spec, past, monkeypatch):
+    pairs = ((0, 0), (1, 1), (300, 300))
+    k0, top = states._lowest_power(spec.op), spec.op.p + spec.op.q
+    assert states._past_range(spec, pairs, k0, top).tolist() == past
+    shortcut = states._contract(spec, pairs)
+    monkeypatch.setattr(states, "_past_range", _no_pair_past)
+    exact = states._contract(spec, pairs)
+    assert np.array_equal(shortcut.view(np.uint64), exact.view(np.uint64))
+    assert not np.isfinite(shortcut[2][spec.parameter > 0]).any()
+
+
+def test_a_pair_near_the_float_range_keeps_its_exact_terms():
+    # 171! 1.02^171, about e^715: past the largest float, e^709.8, but not by
+    # the margin, so c M! is built and the exact terms overflow
+    spec = StateSpec.thermal(np.array([1.02]))
+    assert states._past_range(spec, ((171, 171),), 0, 0).tolist() == [False]
+    with pytest.raises(OutOfRange, match=re.escape("<a'^171 a^171> of thermal(rbar=1.02)|bare")):
+        moment(StateSpec.thermal(1.02), 171, 171)
+

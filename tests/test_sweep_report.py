@@ -309,7 +309,10 @@ class TestFigurePacks:
                     assert abs(q - expected) <= 1e-14 * expected, (figure_id, letter, re, im)
 
     def test_indeterminate_grid_point_becomes_gap(self):
-        # the determinant witness is 0/0 at the vacuum limit of the even cat
+        # A3 of the even cat is 0/0 at alpha = 0 itself; at alpha = 0.01 it is
+        # defined (about -0.2958), but its denominator, about 1.7e-21, is below
+        # agarwal_tara's singular floor, which is absolute (1e-12 times at
+        # least 1) when the moments are much smaller than 1, so the point is a gap
         table = sweep(
             "agarwal_tara",
             0,

@@ -78,6 +78,22 @@ def test_overtight_tolerance_fails_witnesses():
     assert result.checks == SUITE_SHAPE["witnesses"][1]
 
 
+def test_overtight_tolerance_fails_hosps_gate():
+    # the limit is tol at magnitude 1 and above, so a deviation of 1e-15
+    # there fails; at the default tolerance every check passes
+    result = verify.run_suites(["hosps_gate"], tol=1e-16, report=None)[0]
+    assert not result.passed
+    assert result.checks == SUITE_SHAPE["hosps_gate"][1]
+    assert result.notes[0].startswith("thermal(rbar=1.0)|bare hosps(2): dev ")
+    assert verify.suite_hosps_gate().passed
+
+
+def test_the_hosps_gate_limit_is_the_witness_limit():
+    reference = np.array([[-3.0, 1.0, 0.5, 1e-4, 0.0]])
+    assert verify._witness_limit(reference, 1e-8).tolist() == [1e-8, 1e-8, 5e-9, 1e-10, 1e-10]
+    assert verify._witness_limit(reference, 1e-16).tolist() == [1e-16, 1e-16, 1e-10, 1e-10, 1e-10]
+
+
 # outcome and check count of every suite: a restructuring that drops checks
 # shows here
 SUITE_SHAPE = {
@@ -102,8 +118,9 @@ def test_suite_outcomes_and_check_counts():
 
 
 def test_oracle_states_are_built_once_and_read_only(monkeypatch):
-    # one growth per (op, family) grid in a run_suites call, whose states
-    # every suite that reads the oracle shares, and a fresh one in the next
+    # one growth per family in a run_suites call, over every (op, point) of
+    # its grids, whose states every suite that reads the oracle shares, and
+    # a fresh one in the next
     grown = []
     original = oracle._grow
 
@@ -115,7 +132,7 @@ def test_oracle_states_are_built_once_and_read_only(monkeypatch):
     monkeypatch.setattr(oracle, "_grow", counting)
     suites = ["moments", "witnesses", "normalization", "hosps_gate"]
     verify.run_suites(suites, report=None)
-    assert len(grown) == len(list(verify._grid_series())) == 66
+    assert len(grown) == len(verify._GRID_VALUES) == 2
     states = [state for grid in grown for state in grid]
     assert len(states) == 297 and None not in states
     for state in states:
@@ -123,7 +140,7 @@ def test_oracle_states_are_built_once_and_read_only(monkeypatch):
             state.data[0] = 0.0
     # the next call grows its own
     verify.run_suites(suites, report=None)
-    assert len(grown) == 2 * 66
+    assert len(grown) == 2 * 2
 
 
 def test_the_grid_records_are_released_when_run_suites_returns(monkeypatch):
@@ -222,11 +239,21 @@ def _bits(values):
     return floats.view(np.uint64)
 
 
+def _own_table(record, engine):
+    """A record's own table on the engine, and its own oracle states: its
+    analytic table, or an oracle table over a growth of its grid alone."""
+    if engine == "analytic":
+        return record.analytic, None
+    states = oracle.truncated_states(record.grid, verify.ORACLE_TAIL_TOL)
+    return oracle.moment_table_from_state(states, verify._grid_pairs(record.grid.op, record.grid.family)), states
+
+
 @pytest.mark.parametrize("engine", ["analytic", "oracle"])
 @pytest.mark.parametrize("family", list(verify._GRID_VALUES), ids=lambda family: family.name)
 def test_a_stack_equals_its_records_bit_for_bit(family, engine):
     # column k of every stacked read is the value of its record's own read,
-    # records in _grid_series() order, then points
+    # records in _grid_series() order, then points; on the oracle, the
+    # record's own read grows and fills its grid alone
     grids = verify._Grids()
     for ops, reads in ((None, [("hosps", l) for l in verify._HOSPS_ORDERS]),
                        (verify._WITNESS_OPS, verify._WITNESS_READS)):
@@ -235,16 +262,26 @@ def test_a_stack_equals_its_records_bit_for_bit(family, engine):
                    if f == family and (ops is None or op in ops)]
         assert stack.records == records
         assert stack.specs == [spec for record in records for spec in record.specs]
-        assert all(a is b for a, b in zip(stack.states, [s for record in records for s in record.states]))
+        family_oracle = grids.oracle(family)
+        assert all(any(a is b for b in family_oracle.states) for a in stack.states)
+        assert [record for record, _ in stack.by_record] == records
+        assert all(len(states) == len(record.values) for record, states in stack.by_record)
+        assert all(a is b for a, b in zip([s for _, states in stack.by_record for s in states], stack.states))
+        own = [_own_table(record, engine) for record in records]
+        if engine == "oracle":
+            each = [state for _, states in own for state in states]
+            assert [(s.cutoff, s.kind, s.tail_mass) for s in stack.states] == [
+                (s.cutoff, s.kind, s.tail_mass) for s in each]
+            assert all(np.array_equal(_bits(a.data), _bits(b.data)) for a, b in zip(stack.states, each))
         table = getattr(stack, engine)
         assert table.provenance == engine
         for name, l in reads:
             stacked = witnesses._table_witness(table, name, l)
-            each = np.concatenate([witnesses._table_witness(getattr(r, engine), name, l) for r in records])
+            each = np.concatenate([witnesses._table_witness(t, name, l) for t, _ in own])
             assert stacked.shape == (len(stack.specs),)
             assert np.array_equal(_bits(stacked), _bits(each)), (name, l)
         for pair in verify._moment_suite_pairs(family):
-            each = np.concatenate([getattr(r, engine).get(*pair) for r in records])
+            each = np.concatenate([t.get(*pair) for t, _ in own])
             assert np.array_equal(_bits(table.get(*pair)), _bits(each)), pair
 
 
