@@ -615,6 +615,22 @@ def test_the_grouped_fill_equals_one_state_calls_bit_for_bit(family, chunk, monk
         assert np.array_equal(_bits(table.get(m, n)), _bits([oracle.oracle_moment(s, m, n) for s in states]))
 
 
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda f: f.name)
+def test_the_grouped_fill_sums_the_ladder_products_bit_for_bit(family):
+    # each value sums a^m psi against a^n psi as _ladder lowers them (on a
+    # diagonal state, the diagonal of a^n rho a'^n), in level order
+    states = [state for grid in oracle.truncated_states(_family_stack(family), verify.ORACLE_TAIL_TOL)
+              for state in grid]
+    ms, ns = (a.ravel() for a in np.indices((6, 6)))
+    gathered = oracle._gathered_moments(states, ms, ns)
+    for j, state in enumerate(states):
+        diagonal = state.kind == oracle.KIND_DIAGONAL
+        lowered = [oracle._ladder(state.data, k, creation=False, diagonal=diagonal) for k in range(6)]
+        reference = [np.sum(lowered[m].conj() * lowered[n]) if not diagonal else np.sum(lowered[n]) if m == n
+                     else 0.0 for m, n in zip(ms.tolist(), ns.tolist())]
+        assert np.array_equal(_bits(gathered[:, j]), _bits(reference)), j
+
+
 @pytest.mark.parametrize("spec", [StateSpec.even_coherent(np.array([1.5, 2.0, 2.5])),
                                   StateSpec.thermal(np.array([0.5, 1.0]), EngineeringOp.psa(2, 1))],
                          ids=["ecs", "thermal PSA(2,1)"])
