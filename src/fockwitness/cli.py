@@ -180,7 +180,7 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("analytic", "oracle", "both"))
-    parser.add_argument("--tol", type=float)
+    parser.add_argument("--tol", type=verify.tolerance)
     parser.add_argument("--config")
 
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", action="append", choices=verify.SUITE_NAMES)
-    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--tol", type=verify.tolerance)
     p_verify.add_argument("--config")
     p_verify.set_defaults(func=_cmd_verify)
     return parser

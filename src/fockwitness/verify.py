@@ -7,15 +7,14 @@ only be overridden explicitly (e.g. `verify --tol 1e-15` to demonstrate the
 gate is live). The suites of TOL_SUITES read that override; a tolerance
 given to a selection with none of them is a ValueError, not ignored.
 
-The suites of GRID_SUITES in one run_suites call share one analytic
-record per (operation, family) of the spec grid (_Grid), its table filled
-once, and one oracle record per family (_Oracle): the states of every
-(operation, point) of the family from one growth, with one oracle table
-filled by one gather per cutoff. The records are released when the call
-returns. The suites read them one family at a time, side by side (_Stack),
-so each witness body, deviation and tally runs once per family, the oracle
-grows and fills once per family, and the analytic engine runs once per
-record.
+The suites of GRID_SUITES in one run_suites call share one record per
+family (_Family), built at the first of them and released when the call
+returns: the family's spec grid on both engines, in columns ordered by
+operation, then by point, with one analytic table, the oracle states of one
+growth and one oracle table filled by one gather per cutoff. Each witness
+body, deviation and tally runs once per family over every column, the
+oracle grows and fills once per family, and the analytic engine fills once
+per grid spec.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ ALPHA_GRID = (0.3, 0.7, 1.2, 2.0)
 
 # the suites that take a tolerance, which run_suites' tol overrides
 TOL_SUITES = ("moments", "witnesses", "hosps_gate", "coherent", "fixtures")
-# the suites that read the grid records, which one run_suites call shares
+# the suites that read the _Family records, which one run_suites call shares
 GRID_SUITES = ("moments", "witnesses", "normalization", "hosps_gate")
 
 
@@ -103,13 +102,6 @@ def _engineering_ops() -> list[EngineeringOp]:
 _GRID_VALUES = {states_mod.FAMILY_THERMAL: RBAR_GRID, states_mod.FAMILY_EVEN_COHERENT: ALPHA_GRID}
 
 
-def _grid_series():
-    """(op, family, values): the spec grid, one grid spec per (op, family)."""
-    for op in _engineering_ops():
-        for family, values in _GRID_VALUES.items():
-            yield op, family, values
-
-
 def _moment_suite_pairs(family) -> list[tuple[int, int]]:
     """The pairs suite_moments checks: <a'^n a^n>, n <= 5, and off the
     diagonal m, n <= 4 where the family is not Fock-diagonal."""
@@ -145,7 +137,7 @@ _PARITY_PAIRS = ((1, 0), (2, 1), (3, 2), (3, 0))
 
 def _grid_pairs(op: EngineeringOp, family) -> list[tuple[int, int]]:
     """The union of the pairs that moments, witnesses, normalization and
-    hosps_gate read of one (op, family) of _grid_series()."""
+    hosps_gate read of the grid spec of one (op, family) of a _Family."""
     reads = [("hosps", l) for l in _HOSPS_ORDERS]
     if op in _WITNESS_OPS:
         reads += _WITNESS_READS
@@ -153,101 +145,43 @@ def _grid_pairs(op: EngineeringOp, family) -> list[tuple[int, int]]:
     return sorted(pairs.union(_moment_suite_pairs(family), _PARITY_PAIRS))
 
 
-class _Grid:
-    """One (op, family) of _grid_series() as the analytic engine reads it:
-    the specs of its points and their one grid spec, whose norm and
-    constants every analytic read shares, and one analytic table, filled
-    once with _grid_pairs. The suites read it side by side with the other
-    records of its family (_Stack)."""
+class _Family:
+    """One family's spec grid on both engines, in columns ordered by
+    operation (as _engineering_ops() orders them), then by point: the specs
+    of the columns; one analytic table over the union of the grid specs'
+    _grid_pairs, whose fill concatenates one `moment` call per grid spec
+    (a moment's bits do not depend on the pairs it is asked with); the
+    states of one truncated_states call over the grid specs (arrays
+    read-only) and one oracle table over them. A witness body, a deviation
+    and a tally then run once over every column. Each grid spec's
+    photon_prob call and hosps_gate Poisson references stay its own
+    (by_grid): taken over a family at once, the references' temporaries,
+    sized orders x states x support, raise the peak memory of a verify run
+    by about 15%."""
 
-    def __init__(self, op: EngineeringOp, family):
-        self.values = _GRID_VALUES[family]
-        self.specs = [StateSpec.of(family, value, op) for value in self.values]
-        self.grid = StateSpec.of(family, np.array(self.values), op)
-        self.analytic = MomentTable.analytic(self.grid, _grid_pairs(op, family))
-
-
-class _Oracle:
-    """The oracle side of one family: the states of every (op, point) of
-    _grid_series(), by operation and then by point, from one
-    truncated_states call over the family's grid specs (arrays read-only),
-    and one oracle table over them, filled with the union of their
-    _grid_pairs by one gather per cutoff."""
-
-    def __init__(self, records: list[_Grid]):
-        self.ops = [record.grid.op for record in records]
-        grown = oracle_mod.truncated_states([record.grid for record in records], ORACLE_TAIL_TOL)
+    def __init__(self, family):
+        values = _GRID_VALUES[family]
+        ops = _engineering_ops()
+        grids = [StateSpec.of(family, np.array(values), op) for op in ops]
+        pairs = sorted(set().union(*(_grid_pairs(op, family) for op in ops)))
+        self.family = family
+        self.specs = [StateSpec.of(family, value, op) for op in ops for value in values]
+        # the fill closes over grids, not self: a cycle through self would
+        # keep every oracle state alive until the cyclic collector runs
+        self.analytic = MomentTable(
+            lambda ms, ns: np.concatenate([states_mod.moment(grid, ms, ns) for grid in grids], axis=1),
+            "analytic", pairs)
+        grown = oracle_mod.truncated_states(grids, ORACLE_TAIL_TOL)
+        self.by_grid = list(zip(grids, grown))
         self.states = [state for states in grown for state in states]
         for state in self.states:
             state.data.flags.writeable = False
-        family = records[0].grid.family
-        pairs = set().union(*(_grid_pairs(op, family) for op in self.ops))
-        self.table = oracle_mod.moment_table_from_state(self.states, sorted(pairs))
+        self.oracle = oracle_mod.moment_table_from_state(self.states, pairs)
 
 
-def _stacked(tables, columns=None) -> MomentTable:
-    """One table over the states of every table, side by side, with their
-    provenance: an entry is the tables' entries of its pair, concatenated,
-    and taken at the given columns (all by default)."""
-    def fill(ms, ns):
-        entries = np.array([np.concatenate([table.get(m, n) for table in tables])
-                            for m, n in zip(ms.tolist(), ns.tolist())])
-        return entries if columns is None else entries[:, columns]
-
-    return MomentTable(fill, tables[0].provenance)
-
-
-class _Stack:
-    """The records of one family side by side, in columns ordered by
-    operation (as _grid_series() orders them), then by point: their values
-    and specs, their analytic tables stacked into one table, and the
-    family's oracle states and table (_Oracle) at the same columns. A
-    witness body, a deviation and a tally then run once over every column.
-    Each record's photon_prob call and hosps_gate Poisson references stay
-    its own (by_record): taken over a family at once, the references'
-    temporaries, sized orders x states x support, raise the peak memory of
-    a verify run by about 15%."""
-
-    def __init__(self, records: list[_Grid], oracle: _Oracle):
-        self.family = records[0].grid.family
-        self.records = records
-        self.values = [value for record in records for value in record.values]
-        self.specs = [spec for record in records for spec in record.specs]
-        size, ops = len(records[0].values), {record.grid.op for record in records}
-        columns = [i * size + k for i, op in enumerate(oracle.ops) if op in ops for k in range(size)]
-        self.states = [oracle.states[k] for k in columns]
-        self.by_record = [(record, self.states[i * size:(i + 1) * size]) for i, record in enumerate(records)]
-        self.analytic = _stacked([record.analytic for record in records])
-        self.oracle = oracle.table if len(columns) == len(oracle.states) else _stacked([oracle.table], columns)
-
-
-class _Grids:
-    """The records of _grid_series(), each built at its first read, and
-    one _Oracle per family, built at its family's first stack; read through
-    stacks(), one _Stack per family: one run_suites call shares one _Grids
-    between its suites, and a suite run on its own makes its own."""
-
-    def __init__(self):
-        self._records: dict = {}
-        self._oracles: dict = {}
-
-    def __call__(self, op: EngineeringOp, family) -> _Grid:
-        if (op, family) not in self._records:
-            self._records[op, family] = _Grid(op, family)
-        return self._records[op, family]
-
-    def oracle(self, family) -> _Oracle:
-        """The family's _Oracle, over every operation of _grid_series()."""
-        if family not in self._oracles:
-            self._oracles[family] = _Oracle([self(op, f) for op, f, _ in _grid_series() if f == family])
-        return self._oracles[family]
-
-    def stacks(self, ops=None) -> list[_Stack]:
-        """One stack per family over its records of ops (every operation
-        of _grid_series() by default)."""
-        return [_Stack([self(op, f) for op, f, _ in _grid_series()
-                        if f == family and (ops is None or op in ops)], self.oracle(family))
-                for family in _GRID_VALUES]
+def _families() -> list[_Family]:
+    """One _Family per family of _GRID_VALUES."""
+    return [_Family(family) for family in _GRID_VALUES]
 
 
 def _entries(table: MomentTable, pairs) -> np.ndarray:
@@ -261,15 +195,15 @@ def _note(specs, labels):
     return lambda i, value: f"{specs[i % len(specs)].canonical()} {labels[i // len(specs)]} {value:.3e}"
 
 
-def suite_moments(tol: float = MOMENT_TOL, grids: _Grids | None = None) -> SuiteResult:
+def suite_moments(tol: float = MOMENT_TOL, families: list[_Family] | None = None) -> SuiteResult:
     """Analytic moments against oracle moments over the full spec grid:
-    <a'^m a^n>, m, n <= 5, from the two stacked tables of each family."""
+    <a'^m a^n>, m, n <= 5, from the two tables of each family."""
     tally = _Tally()
-    for stack in (grids or _Grids()).stacks():
-        pairs = _moment_suite_pairs(stack.family)
-        analytic, oracle = _entries(stack.analytic, pairs), _entries(stack.oracle, pairs)
+    for record in families or _families():
+        pairs = _moment_suite_pairs(record.family)
+        analytic, oracle = _entries(record.analytic, pairs), _entries(record.oracle, pairs)
         tally.add(oracle_mod.deviation(analytic, oracle, oracle_mod.RELATIVE_FLOOR), tol,
-                  _note(stack.specs, [f"moment({m},{n}): dev" for m, n in pairs]))
+                  _note(record.specs, [f"moment({m},{n}): dev" for m, n in pairs]))
     return tally.result("moments")
 
 
@@ -281,29 +215,31 @@ def _witness_limit(reference, tol: float) -> np.ndarray:
     return np.where(magnitude >= 1.0, tol, np.fmax(WITNESS_ABS_TOL, tol * magnitude)).ravel()
 
 
-def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -> SuiteResult:
+def suite_witnesses(tol: float = WITNESS_REL_TOL, families: list[_Family] | None = None) -> SuiteResult:
     """Every witness from analytic moments against the same witness from oracle moments.
 
-    Each family reads the stack of its records of _WITNESS_OPS and checks
-    the columns at its values of _WITNESS_VALUES: the witnesses over the
-    two stacked tables, p_0 .. p_6 from one photon_prob call per record
-    and from the oracle states, and Husimi Q, which takes one state. A
-    witness that is NaN (indeterminate) on both engines is one passing
-    check; NaN on one engine only fails its check.
+    Each family checks its columns of _WITNESS_OPS at its values of
+    _WITNESS_VALUES: the witnesses over the family's two tables, p_0 .. p_6
+    from one photon_prob call per grid spec of _WITNESS_OPS and from the
+    oracle states, and Husimi Q, which takes one state. A witness that is
+    NaN (indeterminate) on both engines is one passing check; NaN on one
+    engine only fails its check.
     """
     tally = _Tally()
-    for stack in (grids or _Grids()).stacks(_WITNESS_OPS):
-        columns = [k for k, value in enumerate(stack.values) if value in _WITNESS_VALUES[stack.family]]
-        specs = [stack.specs[k] for k in columns]
-        oracle_states = [stack.states[k] for k in columns]
-        tables = (stack.analytic, stack.oracle)
+    for record in families or _families():
+        values = _WITNESS_VALUES[record.family]
+        columns = [k for k, spec in enumerate(record.specs)
+                   if spec.op in _WITNESS_OPS and spec.parameter in values]
+        specs = [record.specs[k] for k in columns]
+        oracle_states = [record.states[k] for k in columns]
+        tables = (record.analytic, record.oracle)
         # (label, analytic values, oracle values), each over the checked states
         rows = [(f"{name}({l})" if l else name,
                  *(witnesses_mod._table_witness(table, name, l)[columns] for table in tables))
                 for name, l in _WITNESS_READS]
-        # p_0 .. p_6 from one photon_prob call per record, and from the oracle states
-        probs = np.concatenate([states_mod.photon_prob(r.grid, np.arange(7)) for r in stack.records], axis=1)
-        probs = (probs[:, columns],
+        # p_0 .. p_6 from one photon_prob call per grid spec, and from the oracle states
+        probs = (np.concatenate([states_mod.photon_prob(grid, np.arange(7))[:, np.isin(grid.parameter, values)]
+                                 for grid, _ in record.by_grid if grid.op in _WITNESS_OPS], axis=1),
                  np.array([oracle_mod.oracle_photon_prob(state, np.arange(7)) for state in oracle_states]).T)
         rows += [(f"klyshko({m})", *(witnesses_mod.klyshko_from_probs(m, *p[m:m + 3]) for p in probs))
                  for m in (0, 2, 4)]
@@ -318,29 +254,28 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -
     return tally.result("witnesses")
 
 
-def _probability_sums(record: _Grid, states) -> np.ndarray:
+def _probability_sums(grid: StateSpec, states) -> np.ndarray:
     """Each state's p_m summed to the cutoff of its oracle state, from one photon_prob call."""
     cutoffs = np.array([state.cutoff for state in states])
-    probs = states_mod.photon_prob(record.grid, np.arange(cutoffs.max()))
+    probs = states_mod.photon_prob(grid, np.arange(cutoffs.max()))
     return np.where(np.arange(len(probs))[:, None] < cutoffs, probs, 0.0).sum(axis=0)
 
 
-def suite_normalization(grids: _Grids | None = None) -> SuiteResult:
+def suite_normalization(families: list[_Family] | None = None) -> SuiteResult:
     """Traces, probability sums, and parity zeros.
 
-    Each family reads the stack of its records: the traces of the oracle
-    states, the probability sums of _probability_sums, and the parity zeros
-    from the stacked analytic table.
+    Each family gives the traces of its oracle states, the probability sums
+    of _probability_sums, and the parity zeros from its analytic table.
     """
     tally = _Tally()
-    for stack in (grids or _Grids()).stacks():
-        traces = np.array([state.probabilities().sum() for state in stack.states])
-        tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL, _note(stack.specs, ["oracle trace: dev"]))
-        totals = np.concatenate([_probability_sums(*part) for part in stack.by_record])
-        tally.add(np.abs(totals - 1.0), PROB_SUM_TOL, _note(stack.specs, ["sum p_m: dev"]))
-        if not stack.family.diagonal:
-            tally.add(np.abs(_entries(stack.analytic, _PARITY_PAIRS)), PARITY_TOL,
-                      _note(stack.specs, [f"parity moment({m},{n}):" for m, n in _PARITY_PAIRS]))
+    for record in families or _families():
+        traces = np.array([state.probabilities().sum() for state in record.states])
+        tally.add(np.abs(traces - 1.0), NORMALIZATION_TOL, _note(record.specs, ["oracle trace: dev"]))
+        totals = np.concatenate([_probability_sums(*part) for part in record.by_grid])
+        tally.add(np.abs(totals - 1.0), PROB_SUM_TOL, _note(record.specs, ["sum p_m: dev"]))
+        if not record.family.diagonal:
+            tally.add(np.abs(_entries(record.analytic, _PARITY_PAIRS)), PARITY_TOL,
+                      _note(record.specs, [f"parity moment({m},{n}):" for m, n in _PARITY_PAIRS]))
     return tally.result("normalization")
 
 
@@ -446,26 +381,25 @@ def _oracle_hosps_direct(states, orders) -> np.ndarray:
     return references[:, 0] if one else references
 
 
-def suite_hosps_gate(tol: float = WITNESS_REL_TOL, grids: _Grids | None = None) -> SuiteResult:
+def suite_hosps_gate(tol: float = WITNESS_REL_TOL, families: list[_Family] | None = None) -> SuiteResult:
     """Arbitrate the combinatorial HOSPS form against the direct definition.
 
     The direct reference is the oracle's central number moment minus the
     same-mean Poissonian central moment. The shipped hosps() must match it;
     the paper's printed (-1)^e sign, (-1)^l times hosps(), is ruled out at
-    odd l. Each family reads the stack of its records: hosps of every order
-    over its stacked analytic table, and the references of each record's
-    oracle states, taken record by record; each deviation is held to the
-    limit of suite_witnesses (_witness_limit).
+    odd l. Each family gives hosps of every order over its analytic table,
+    and the references of its oracle states, taken grid spec by grid spec;
+    each deviation is held to the limit of suite_witnesses (_witness_limit).
     """
     tally = _Tally()
     orders = _HOSPS_ORDERS
-    for stack in (grids or _Grids()).stacks():
+    for record in families or _families():
         # one row per order, one column per state
-        direct = np.array([witnesses_mod.hosps(stack.analytic, l) for l in orders])
-        references = np.concatenate([_oracle_hosps_direct(states, orders) for _, states in stack.by_record],
+        direct = np.array([witnesses_mod.hosps(record.analytic, l) for l in orders])
+        references = np.concatenate([_oracle_hosps_direct(states, orders) for _, states in record.by_grid],
                                     axis=1)
         tally.add(oracle_mod.deviation(direct, references), _witness_limit(references, tol),
-                  _note(stack.specs, [f"hosps({l}): dev" for l in orders]))
+                  _note(record.specs, [f"hosps({l}): dev" for l in orders]))
     result = tally.result("hosps_gate")
     # a fixed note: the printed sign flips hosps' (-1)^(l-e) by (-1)^l term by
     # term, so the relation holds by construction and needs no check
@@ -584,12 +518,22 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def tolerance(value) -> float:
+    """value as a tolerance: a finite number >= 0, else ValueError (a NaN
+    or negative tolerance would fail every check, and inf pass every one)."""
+    tol = float(value)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance {value!r} is not a finite number >= 0")
+    return tol
+
+
 def run_suites(names=None, tol: float | None = None, report=print) -> list[SuiteResult]:
     """Run the requested suites (all by default) and report one line each;
     an unknown suite, or one named twice, raises ValueError before any
-    runs. tol overrides the tolerance of the selected suites of TOL_SUITES,
-    and raises ValueError where none is selected. The suites of GRID_SUITES
-    in one call share one record per (op, family) of _grid_series()."""
+    runs. tol overrides the tolerance of the selected suites of TOL_SUITES;
+    it raises ValueError where none is selected, or where it is not a
+    tolerance(). The suites of GRID_SUITES in one call share one _Family
+    per family, built at the first of them."""
     selected = list(names) if names else list(SUITE_NAMES)
     for name in selected:
         if name not in _SUITES:
@@ -598,12 +542,18 @@ def run_suites(names=None, tol: float | None = None, report=print) -> list[Suite
             raise ValueError(f"suite {name!r} is selected twice")
     if tol is not None and not set(selected) & set(TOL_SUITES):
         raise ValueError(f"no selected suite reads a tolerance (those that do: {', '.join(TOL_SUITES)})")
-    # the grid records of this call, released when it returns
-    grids = _Grids()
+    if tol is not None:
+        tol = tolerance(tol)
+    # the families of this call, released when it returns
+    families = None
     results = []
     for name in selected:
         args = (tol,) if tol is not None and name in TOL_SUITES else ()
-        result = _SUITES[name](*args, grids=grids) if name in GRID_SUITES else _SUITES[name](*args)
+        if name in GRID_SUITES:
+            families = families or _families()
+            result = _SUITES[name](*args, families=families)
+        else:
+            result = _SUITES[name](*args)
         results.append(result)
         if report:
             report(result.line())

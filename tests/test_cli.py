@@ -503,6 +503,43 @@ class TestVerifyCommand:
         assert proc.returncode == 2
 
 
+class TestRefusedTolerance:
+    """A --tol that is not a finite number >= 0 exits 2, as a flag or as a
+    config value: a NaN or negative tolerance would fail every check, and
+    inf pass every one."""
+
+    @pytest.mark.parametrize("argv, value", [
+        (("verify",), "nan"),
+        (("verify",), "-1"),
+        (("verify", "--suite", "fixtures"), "inf"),
+        (("witness", "--name", "hoa", "--family", "thermal", "--rbar", "1", "--engine", "both"), "nan"),
+        (("figure", "fig1", "--steps", "2", "--engine", "both", "--out", "out"), "-0.5"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_flag(self, argv, value, run_main, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        proc = run_main(*argv, "--tol", value)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.rstrip().endswith(f"argument --tol: invalid tolerance value: '{value}'")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text, argv", [
+        ("tol=nan\n", ("verify", "--suite", "fixtures")),
+        ("engine=both\ntol=-1\n", ("witness", "--name", "hoa", "--family", "thermal", "--rbar", "1")),
+    ], ids=lambda v: v.strip().replace("\n", " ") if isinstance(v, str) else None)
+    def test_config(self, text, argv, run_main, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        proc = run_main(*argv, "--config", str(cfg))
+        value = text.split("tol=")[1].strip()
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"configuration error: config value tol={value!r} is not a valid tolerance\n"
+
+    def test_zero_is_a_tolerance(self, run_main):
+        proc = run_main("verify", "--suite", "fixtures", "--tol", "0")
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("FAIL fixtures: 25 checks")
+
+
 class TestRepeatedFlags:
     """Every value flag of every command may be given once; a repeat exits 2
     and names the flag, however the command would have read it."""

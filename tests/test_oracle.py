@@ -454,7 +454,8 @@ def _assert_grid_equals_its_points(grid, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwa
     return states
 
 
-@pytest.mark.parametrize("op, family, values", list(verify._grid_series()),
+@pytest.mark.parametrize("op, family, values", [(op, family, values) for op in verify._engineering_ops()
+                                                for family, values in verify._GRID_VALUES.items()],
                          ids=lambda v: v.label() if isinstance(v, EngineeringOp) else None)
 def test_every_verify_grid_equals_its_point_builds(op, family, values):
     _assert_grid_equals_its_points(StateSpec.of(family, np.array(values), op), verify.ORACLE_TAIL_TOL)
@@ -508,10 +509,9 @@ def test_a_basis_asked_to_hold_a_level_past_the_hard_limit_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _family_stack(family, ops=None):
-    """verify's grid specs of one family, one per operation of _grid_series()."""
+    """verify's grid specs of one family, one per operation of _engineering_ops()."""
     values = np.array(verify._GRID_VALUES[family])
-    return [StateSpec.of(family, values, op) for op, f, _ in verify._grid_series()
-            if f == family and (ops is None or op in ops)]
+    return [StateSpec.of(family, values, op) for op in verify._engineering_ops() if ops is None or op in ops]
 
 
 def _assert_stack_equals_its_grids(stack, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwargs):

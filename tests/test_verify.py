@@ -144,18 +144,34 @@ def test_oracle_states_are_built_once_and_read_only(monkeypatch):
 
 
 def test_the_grid_records_are_released_when_run_suites_returns(monkeypatch):
+    # with the cyclic collector off, the records die as the call returns: a
+    # reference cycle through one would keep its oracle states alive until
+    # the collector runs
     made = []
-    original = verify._Grids
+    original = verify._Family
 
-    def tracked():
-        grids = original()
-        made.append(weakref.ref(grids))
-        return grids
+    def tracked(family):
+        record = original(family)
+        made.append(weakref.ref(record))
+        return record
 
-    monkeypatch.setattr(verify, "_Grids", tracked)
-    verify.run_suites(["normalization", "determinism"], report=None)
-    gc.collect()
-    assert len(made) == 1 and made[0]() is None
+    monkeypatch.setattr(verify, "_Family", tracked)
+    gc.disable()
+    try:
+        verify.run_suites(["normalization", "determinism"], report=None)
+        alive = [ref for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(made) == len(verify._GRID_VALUES) == 2
+    assert alive == []
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+def test_run_suites_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    lines = []
+    with pytest.raises(ValueError, match="is not a finite number >= 0"):
+        verify.run_suites(["coherent", "fixtures"], tol=tol, report=lines.append)
+    assert lines == []
 
 
 def _nan_at(values, index):
@@ -181,10 +197,11 @@ def _poison_first(monkeypatch, owner, name, index=0):
     return calls
 
 
-# a grid record's one moment fill holds every pair its suites read, one row
-# each, so the poison of states.moment there goes to the second state of
-# every pair; an exact fixture's first moment is a one-pair block, poisoned
-# at its one element; elsewhere to element 1 of the first result
+# a family's analytic fill calls states.moment once per grid spec, with
+# every pair the family's suites read, one row each, so the poison of the
+# first call goes to the second state of every pair; an exact fixture's
+# first moment is a one-pair block, poisoned at its one element; elsewhere
+# to element 1 of the first result
 _POISON_INDEX = {("moments", "moment"): (..., 1), ("normalization", "moment"): (..., 1),
                  ("fixtures", "moment"): 0}
 
@@ -211,7 +228,7 @@ def test_a_nan_value_fails_its_suite(monkeypatch, suite, owner, name):
 
 
 def test_the_hosps_gate_stacks_its_orders(monkeypatch):
-    # one deviation call per family, over the stack of its records, and a
+    # one deviation call per family, over every column of it, and a
     # failed element still names its state and order
     deviations = []
     deviation, hosps = oracle.deviation, witnesses.hosps
@@ -221,7 +238,7 @@ def test_the_hosps_gate_stacks_its_orders(monkeypatch):
     def poisoned(table, l):
         orders.append(l)
         value = hosps(table, l)
-        # the thermal stack's order-3 row, at its third column: the bare
+        # the thermal family's order-3 row, at its third column: the bare
         # state's third point
         return _nan_at(value, 2) if len(orders) == 2 else value
     monkeypatch.setattr(witnesses, "hosps", poisoned)
@@ -239,58 +256,61 @@ def _bits(values):
     return floats.view(np.uint64)
 
 
-def _own_table(record, engine):
-    """A record's own table on the engine, and its own oracle states: its
-    analytic table, or an oracle table over a growth of its grid alone."""
+def _own_read(op, family, engine):
+    """A grid spec's own table on the engine, and its own oracle states: a
+    fresh grid spec's analytic table over its _grid_pairs, or an oracle
+    table over a growth of its grid alone."""
+    grid = StateSpec.of(family, np.array(verify._GRID_VALUES[family]), op)
+    pairs = verify._grid_pairs(op, family)
     if engine == "analytic":
-        return record.analytic, None
-    states = oracle.truncated_states(record.grid, verify.ORACLE_TAIL_TOL)
-    return oracle.moment_table_from_state(states, verify._grid_pairs(record.grid.op, record.grid.family)), states
+        return states.MomentTable.analytic(grid, pairs), None
+    own = oracle.truncated_states(grid, verify.ORACLE_TAIL_TOL)
+    return oracle.moment_table_from_state(own, pairs), own
 
 
 @pytest.mark.parametrize("engine", ["analytic", "oracle"])
 @pytest.mark.parametrize("family", list(verify._GRID_VALUES), ids=lambda family: family.name)
-def test_a_stack_equals_its_records_bit_for_bit(family, engine):
-    # column k of every stacked read is the value of its record's own read,
-    # records in _grid_series() order, then points; on the oracle, the
-    # record's own read grows and fills its grid alone
-    grids = verify._Grids()
-    for ops, reads in ((None, [("hosps", l) for l in verify._HOSPS_ORDERS]),
-                       (verify._WITNESS_OPS, verify._WITNESS_READS)):
-        stack = next(stack for stack in grids.stacks(ops) if stack.family == family)
-        records = [grids(op, family) for op, f, _ in verify._grid_series()
-                   if f == family and (ops is None or op in ops)]
-        assert stack.records == records
-        assert stack.specs == [spec for record in records for spec in record.specs]
-        family_oracle = grids.oracle(family)
-        assert all(any(a is b for b in family_oracle.states) for a in stack.states)
-        assert [record for record, _ in stack.by_record] == records
-        assert all(len(states) == len(record.values) for record, states in stack.by_record)
-        assert all(a is b for a, b in zip([s for _, states in stack.by_record for s in states], stack.states))
-        own = [_own_table(record, engine) for record in records]
-        if engine == "oracle":
-            each = [state for _, states in own for state in states]
-            assert [(s.cutoff, s.kind, s.tail_mass) for s in stack.states] == [
-                (s.cutoff, s.kind, s.tail_mass) for s in each]
-            assert all(np.array_equal(_bits(a.data), _bits(b.data)) for a, b in zip(stack.states, each))
-        table = getattr(stack, engine)
-        assert table.provenance == engine
+def test_a_family_equals_its_grids_bit_for_bit(family, engine):
+    # column k of every read of a _Family is the value of its grid spec's
+    # own read, grid specs in _engineering_ops() order, then points; on the
+    # oracle, the grid spec's own read grows and fills its grid alone
+    record = verify._Family(family)
+    ops, values = verify._engineering_ops(), verify._GRID_VALUES[family]
+    assert record.family == family
+    assert record.specs == [StateSpec.of(family, value, op) for op in ops for value in values]
+    assert [grid.op for grid, _ in record.by_grid] == ops
+    assert all(np.array_equal(grid.parameter, values) for grid, _ in record.by_grid)
+    assert [len(grown) for _, grown in record.by_grid] == [len(values)] * len(ops)
+    each = [state for _, grown in record.by_grid for state in grown]
+    assert len(each) == len(record.states) and all(a is b for a, b in zip(each, record.states))
+    own = [_own_read(op, family, engine) for op in ops]
+    if engine == "oracle":
+        each = [state for _, grown in own for state in grown]
+        assert [(s.cutoff, s.kind, s.tail_mass) for s in record.states] == [
+            (s.cutoff, s.kind, s.tail_mass) for s in each]
+        assert all(np.array_equal(_bits(a.data), _bits(b.data)) for a, b in zip(record.states, each))
+    table = getattr(record, engine)
+    assert table.provenance == engine
+    witness = [k for k, spec in enumerate(record.specs) if spec.op in verify._WITNESS_OPS]
+    for reads, columns, tables in (
+            ([("hosps", l) for l in verify._HOSPS_ORDERS], slice(None), [t for t, _ in own]),
+            (verify._WITNESS_READS, witness, [t for op, (t, _) in zip(ops, own) if op in verify._WITNESS_OPS])):
         for name, l in reads:
-            stacked = witnesses._table_witness(table, name, l)
-            each = np.concatenate([witnesses._table_witness(t, name, l) for t, _ in own])
-            assert stacked.shape == (len(stack.specs),)
-            assert np.array_equal(_bits(stacked), _bits(each)), (name, l)
-        for pair in verify._moment_suite_pairs(family):
-            each = np.concatenate([t.get(*pair) for t, _ in own])
-            assert np.array_equal(_bits(table.get(*pair)), _bits(each)), pair
+            read = witnesses._table_witness(table, name, l)
+            each = np.concatenate([witnesses._table_witness(t, name, l) for t in tables])
+            assert read.shape == (len(record.specs),)
+            assert np.array_equal(_bits(read[columns]), _bits(each)), (name, l)
+    for pair in verify._moment_suite_pairs(family):
+        each = np.concatenate([t.get(*pair) for t, _ in own])
+        assert np.array_equal(_bits(table.get(*pair)), _bits(each)), pair
 
 
 def _labels(pair):
     return [f"{w}({l})" if l else w for w, l in verify._WITNESS_READS if pair in witnesses._moment_pairs(w, l)]
 
 
-# the last record of each stack, at its last point: PSA(3,3) for every
-# operation, PSA(2,1) for the witness operations
+# the last grid spec of each family's checked columns, at its last point:
+# PSA(3,3) for every operation, PSA(2,1) for the witness operations
 @pytest.mark.parametrize("suite, op, pair, labels", [
     ("moments", EngineeringOp.psa(3, 3), (2, 3), ["moment(2,3): dev"]),
     ("hosps_gate", EngineeringOp.psa(3, 3), (2, 2), [f"hosps({l}): dev" for l in (2, 3, 4)]),
@@ -302,7 +322,7 @@ def test_a_failed_element_deep_in_a_stack_names_its_state(monkeypatch, suite, op
     family = states.FAMILY_EVEN_COHERENT
 
     def poisoned(spec, ms, ns):
-        # NaN at one pair of the record's one fill, at its alpha = 2.0 point
+        # NaN at one pair of the grid spec's moment call, at its alpha = 2.0 point
         values = original(spec, ms, ns)
         if spec.family == family and spec.op == op:
             row = [*zip(np.ravel(ms).tolist(), np.ravel(ns).tolist())].index(pair)
