@@ -371,12 +371,12 @@ def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> Tr
     return _one(states, name)
 
 
-def over_states(states, quantity, rows: int, dtype=float) -> np.ndarray:
+def over_states(states, quantity, rows: int) -> np.ndarray:
     """quantity(state), `rows` values, of one state, or stacked as columns
     over a list of states, NaN where a state is None (annihilated)."""
     if isinstance(states, TruncatedState):
         return quantity(states)
-    out = np.full((rows, len(states)), math.nan, dtype=dtype)
+    out = np.full((rows, len(states)), math.nan)
     for i, state in enumerate(states):
         if state is not None:
             out[:, i] = quantity(state)

@@ -326,63 +326,58 @@ def _same_parity(m: int, n: int) -> bool:
     return (m - n) % 2 == 0
 
 
-def _tables(op: EngineeringOp, pairs, keep: Callable) -> list:
-    """Each pair's _contraction_table where keep(m, n) holds, else no terms.
-    Every term of a table has M - N = m - n, so a family that drops terms by
-    the parity or the difference of M and N drops whole tables."""
-    return [_contraction_table(op, m, n) if keep(m, n) else () for m, n in pairs]
-
-
 class _Terms(NamedTuple):
     """The terms of a pair set, padded and term-major: entry [t, i] of each
     (T, P) array is term t of pair i. dags and plains are the distinct M
     and N of the set, ascending; dag and plain index them, and a pair with
-    fewer terms points one past the end of each, with weight 0."""
+    fewer terms pads with the term (-1, -1, 0): its M and N index one past
+    the end of each, and its weight is 0."""
 
     dags: tuple
     plains: tuple
     dag: np.ndarray  # the index of M in dags
     plain: np.ndarray  # the index of N in plains
-    weight: np.ndarray  # the exact weight as a float, inf past the float range
-    exact: tuple  # the exact weights, term-major
-    log_top: float  # the logarithm of the largest, 0 with no terms
+    weight: np.ndarray  # the term's weight as a float, inf past the float range
+    rows: tuple  # the padded terms (M, N, c), term-major
+    log_top: float  # log(max c) + lgamma(max M + 1), at least every log c M!
 
 
 @lru_cache(maxsize=None)
 def _padded(op: EngineeringOp, pairs: tuple, keep: Callable, weigh: Callable) -> _Terms:
-    """The _tables terms (M, N, c) of a pair set as _Terms, with the exact
-    weights weigh(Ms, cs); cached, as every state of a family and operation
-    that reads the same pairs shares them, so its arrays are read-only."""
-    tables = _tables(op, pairs, keep)
+    """Each pair's _contraction_table where keep(m, n) holds, else no terms,
+    as _Terms with the weights weigh(rows) of the padded terms. Every term
+    of a table has M - N = m - n, so a family that drops terms by the
+    parity or the difference of M and N drops whole tables. Cached, as
+    every state of a family and operation that reads the same pairs shares
+    them, so its arrays are read-only."""
+    tables = [_contraction_table(op, m, n) if keep(m, n) else () for m, n in pairs]
     dags, plains = (tuple(sorted({term[i] for table in tables for term in table})) for i in (0, 1))
     depth = max(map(len, tables), default=0)
-    # None pads: its M and N index one past the end, and it weighs M = 0 with c = 0
-    rows = [table[t] if t < len(table) else None for t in range(depth) for table in tables]
-    dag_index, plain_index = ({power: i for i, power in enumerate(powers)} for powers in (dags, plains))
-    dag = [dag_index[row[0]] if row else len(dags) for row in rows]
-    plain = [plain_index[row[1]] if row else len(plains) for row in rows]
-    exact = weigh([row[0] if row else 0 for row in rows], [row[2] if row else 0 for row in rows])
-    try:
-        weight = np.array(exact, dtype=float)
-    except OverflowError:
-        weight = np.array([_float(w) for w in exact])
+    rows = [table[t] if t < len(table) else (-1, -1, 0) for t in range(depth) for table in tables]
+    dag_index, plain_index = ({power: i for i, power in enumerate(powers + (-1,))}
+                              for powers in (dags, plains))
+    dag = [dag_index[M] for M, _, _ in rows]
+    plain = [plain_index[N] for _, N, _ in rows]
+    weight = np.array(weigh(rows), dtype=float)
     shape = (depth, len(pairs))
     arrays = [np.array(dag, dtype=np.intp).reshape(shape), np.array(plain, dtype=np.intp).reshape(shape),
               weight.reshape(shape)]
     for array in arrays:
         array.flags.writeable = False
-    return _Terms(dags, plains, *arrays, tuple(exact), math.log(max(exact, default=1)))
+    c_top = max(map(operator.itemgetter(2), rows), default=1)
+    log_top = math.log(c_top) + math.lgamma(dags[-1] + 1 if dags else 1)
+    return _Terms(dags, plains, *arrays, tuple(rows), log_top)
 
 
-def _float(weight: int) -> float:
-    try:
-        return float(weight)
-    except OverflowError:
-        return math.inf
+# the factorials that are floats, 0! to 170!, and the least integer that
+# float() rounds past the largest float
+_FACTORIALS = [math.factorial(k) for k in range(171)]
+_FLOAT_END = 2 ** 1024 - 2 ** 970
 
 
-def _thermal_weights(dags, cs) -> list:
-    return [c * math.factorial(dag) for dag, c in zip(dags, cs)]
+def _thermal_weights(terms) -> list:
+    """c M!, inf where it passes the largest float; no M! past 170! is built."""
+    return [w if M <= 170 and (w := c * _FACTORIALS[M]) < _FLOAT_END else math.inf for M, _, c in terms]
 
 
 def _log(value) -> float:
@@ -391,30 +386,6 @@ def _log(value) -> float:
 
 # exp(-690) and exp(690) are normal floats, the latter 2e11 times below the largest
 _LOG_RANGE = 690.0
-# a term whose logarithm is above this is past the largest float, e^709.8, by far
-# more than the rounding of that logarithm
-_LOG_PAST = 720.0
-
-
-def _past_range(spec: StateSpec, pairs, k0: int, top: int) -> np.ndarray:
-    """Whether each pair has a term (M, M, c) clearly past the float range
-    at every point, from its logarithm log c + lgamma(M + 1) + (M - k0) log x
-    + (p + q - M) log y above _LOG_PAST, without building c M!. Every thermal
-    term is positive, so such a pair's contraction is inf, as its exact
-    terms give it. A set is scanned only where some M, at most m + p + q,
-    can pass 170, where c M! leaves the float range."""
-    past = np.zeros(len(pairs), dtype=bool)
-    if max((m for m, _ in pairs), default=0) + top <= 170:
-        return past
-    tables = _tables(spec.op, pairs, operator.eq)
-    x, y = spec._constants
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # 0 log 0 is NaN, which is never past
-        log_x, log_y = np.log(x), np.log(y)
-        for i, table in enumerate(tables):
-            logs = [math.log(c) + math.lgamma(M + 1) + (M - k0) * log_x + (top - M) * log_y for M, _, c in table]
-            past[i] = bool(logs) and bool(np.all(np.max(logs, axis=0) > _LOG_PAST))
-    return past
 
 
 def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
@@ -423,21 +394,17 @@ def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
     M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is.
 
     A term is the product (c M!) x^a y^b, in that order. Where c M!, a
-    power or the product leaves the normal float range (c M! past 170!, x^a
-    underflowing at small rbar), the term is instead the exponential of its
-    logarithm, which is 0 or inf only where the term itself is out of range.
+    power or the product leaves the normal float range (c M! past the
+    largest float, x^a underflowing at small rbar), the term is instead the
+    exponential of its logarithm, which is 0 or inf only where the term
+    itself is out of range, so a pair with a term past the range is inf.
+    Past 170! that logarithm is log c + lgamma(M + 1), and no M! is built.
     The powers of x and y are taken once per M that a term holds, and one
     bound on the logarithms of all terms skips that test where no term can
-    leave the range. A pair that _past_range finds past it at every point
-    is inf there, and its terms are not built.
+    leave the range.
     """
     x, y = spec._constants
     k0, top = _lowest_power(spec.op), spec.op.p + spec.op.q
-    past = _past_range(spec, pairs, k0, top)
-    if past.any():
-        total = np.full((len(pairs), len(x)), math.inf)
-        total[~past] = _thermal_contraction(spec, tuple(pair for pair, out in zip(pairs, past) if not out))
-        return total
     terms = _padded(spec.op, pairs, operator.eq, _thermal_weights)
     a = [dag - k0 for dag in terms.dags]
     b = [top - dag for dag in terms.dags]
@@ -454,7 +421,9 @@ def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
         # y > 0, so 0 * log y is the 0 of x^0 at every point
         logs = np.array([(i * log_x if i else 0.0 * log_y) + j * log_y for i, j in zip(a, b)]
                         + [0.0 * log_y])
-        log_weight = np.array([_log(w) for w in terms.exact]).reshape(terms.weight.shape)[..., None]
+        # log c M! of the exact integer where M! is a float; the padding's is -inf
+        log_weight = np.array([_log(c * _FACTORIALS[M]) if M <= 170 else math.log(c) + math.lgamma(M + 1)
+                               for M, _, c in terms.rows]).reshape(terms.weight.shape)[..., None]
     weight = terms.weight[..., None]
     total = np.zeros((len(pairs), len(x)))
     # in place, one (P, G) term at a time; w x^a is x^a w, bit for bit
@@ -470,8 +439,8 @@ def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
     return total
 
 
-def _ecs_weights(dags, cs):
-    return cs
+def _ecs_weights(terms) -> list:
+    return [c for _, _, c in terms]
 
 
 def _ecs_contraction(spec: StateSpec, pairs) -> np.ndarray:

@@ -135,12 +135,10 @@ _HOSPS_ORDERS = (2, 3, 4)
 _PARITY_PAIRS = ((1, 0), (2, 1), (3, 2), (3, 0))
 
 
-def _grid_pairs(op: EngineeringOp, family) -> list[tuple[int, int]]:
+def _grid_pairs(family) -> list[tuple[int, int]]:
     """The union of the pairs that moments, witnesses, normalization and
-    hosps_gate read of the grid spec of one (op, family) of a _Family."""
-    reads = [("hosps", l) for l in _HOSPS_ORDERS]
-    if op in _WITNESS_OPS:
-        reads += _WITNESS_READS
+    hosps_gate read of the grid specs of a _Family."""
+    reads = [("hosps", l) for l in _HOSPS_ORDERS] + _WITNESS_READS
     pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
     return sorted(pairs.union(_moment_suite_pairs(family), _PARITY_PAIRS))
 
@@ -148,22 +146,21 @@ def _grid_pairs(op: EngineeringOp, family) -> list[tuple[int, int]]:
 class _Family:
     """One family's spec grid on both engines, in columns ordered by
     operation (as _engineering_ops() orders them), then by point: the specs
-    of the columns; one analytic table over the union of the grid specs'
-    _grid_pairs, whose fill concatenates one `moment` call per grid spec
-    (a moment's bits do not depend on the pairs it is asked with); the
-    states of one truncated_states call over the grid specs (arrays
-    read-only) and one oracle table over them. A witness body, a deviation
-    and a tally then run once over every column. Each grid spec's
-    photon_prob call and hosps_gate Poisson references stay its own
-    (by_grid): taken over a family at once, the references' temporaries,
-    sized orders x states x support, raise the peak memory of a verify run
-    by about 15%."""
+    of the columns; one analytic table over the family's _grid_pairs,
+    whose fill concatenates one `moment` call per grid spec (a moment's
+    bits do not depend on the pairs it is asked with); the states of one
+    truncated_states call over the grid specs (arrays read-only) and one
+    oracle table over them. A witness body, a deviation and a tally then
+    run once over every column. Each grid spec's photon_prob call and
+    hosps_gate Poisson references stay its own (by_grid): taken over a
+    family at once, the references' temporaries, sized orders x states x
+    support, raise the peak memory of a verify run by about 15%."""
 
     def __init__(self, family):
         values = _GRID_VALUES[family]
         ops = _engineering_ops()
         grids = [StateSpec.of(family, np.array(values), op) for op in ops]
-        pairs = sorted(set().union(*(_grid_pairs(op, family) for op in ops)))
+        pairs = _grid_pairs(family)
         self.family = family
         self.specs = [StateSpec.of(family, value, op) for op in ops for value in values]
         # the fill closes over grids, not self: a cycle through self would

@@ -540,6 +540,34 @@ class TestRefusedTolerance:
         assert proc.stdout.startswith("FAIL fixtures: 25 checks")
 
 
+class TestNegativeValues:
+    """A negative value written with an exponent is a value, not a flag: it
+    reads as its decimal form and reaches its flag's type and domain checks."""
+
+    _ECS = ("witness", "--name", "hoa", "--family", "ecs", "--alpha", "1")
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1e-03", "-0.1e-2", "-.1e-2", "-1.0E-3"])
+    def test_a_value_with_an_exponent_reads_as_its_decimal_form(self, value, run_main):
+        proc = run_main(*self._ECS, "--alpha-im", value)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_main(*self._ECS, "--alpha-im=-1e-3").stdout == "hoa,2,0.4199745418621521,false\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (("witness", "--name", "hoa", "--family", "thermal", "--rbar", "-1e-3"),
+         "configuration error: mean photon number must be finite and >= 0\n"),
+        (("sweep", "--name", "hoa", "--family", "thermal", "--param-min", "-1E+2"),
+         "configuration error: parameter range must be finite, non-negative and increasing\n"),
+        (("moment", "--family", "thermal", "--rbar", "1", "--m", "-1e3", "--n", "1"),
+         "argument --m: invalid int value: '-1e3'\n"),
+        (("verify", "--tol", "-1e-3"), "argument --tol: invalid tolerance value: '-1e-3'\n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_a_value_with_an_exponent_meets_its_checks(self, argv, err, run_main):
+        proc = run_main(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(err), proc.stderr
+        assert "expected one argument" not in proc.stderr
+
+
 class TestRepeatedFlags:
     """Every value flag of every command may be given once; a repeat exits 2
     and names the flag, however the command would have read it."""

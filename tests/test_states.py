@@ -914,6 +914,26 @@ class TestHighOrderThermal:
             assert block[1, i].real == pytest.approx(self._exact(op, rbar, 170), rel=1e-11)
             assert block[0, i] == moment(StateSpec.thermal(rbar, op), 1, 1)
 
+    @pytest.mark.parametrize("op, rbar, order", [
+        *((EngineeringOp.bare(), rbar, 171) for rbar in (0.001, 0.01, 0.1, 0.5)),
+        (EngineeringOp.pas(2, 1), 0.01, 200),
+        (EngineeringOp.psa(1, 2), 0.001, 300),
+    ], ids=lambda v: v.label() if isinstance(v, EngineeringOp) else str(v))
+    def test_a_term_past_170_factorial_against_mpmath(self, op, rbar, order):
+        # c M! of the top term is past the largest float, so it is taken
+        # from log c + lgamma(M + 1)
+        value = moment(StateSpec.thermal(rbar, op), order, order)
+        assert value.real == pytest.approx(self._exact(op, rbar, order), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("op", [EngineeringOp.bare(), EngineeringOp.pas(2, 1)], ids=EngineeringOp.label)
+    @pytest.mark.parametrize("order", [171, 200])
+    def test_a_grid_column_past_170_factorial_is_its_state(self, op, order):
+        rbars = np.array([0.001, 0.01, 0.1, 0.3])
+        column = moment(StateSpec.thermal(rbars, op), order, order)
+        for i, rbar in enumerate(rbars):
+            value = moment(StateSpec.thermal(rbar, op), order, order)
+            assert np.array_equal(column[i:i + 1].view(np.uint64), np.array([value]).view(np.uint64))
+
     def test_past_the_float_range_still_raises(self):
         # 171! rbar^171 with rbar = 1 is about 1.2e309
         with pytest.raises(OutOfRange):
@@ -1077,33 +1097,43 @@ class TestCatPhotonProbLargeAmplitude:
 # A thermal pair far past the float range
 # ---------------------------------------------------------------------------
 
-def _no_pair_past(spec, pairs, k0, top):
-    return np.zeros(len(pairs), dtype=bool)
-
-
-@pytest.mark.parametrize("spec, past", [
-    # 300! 0.5^300 is about 1e524, 300! 0.1^300 about 3e314, 200! 0.5^200 (1.5)^3 about 1e315
-    (StateSpec.thermal(np.array([0.5, 0.1]), EngineeringOp.pas(2, 1)), [False, False, True]),
-    (StateSpec.thermal(np.array([0.5]), EngineeringOp.psa(1, 2)), [False, False, True]),
-    # at rbar = 0 the term of M = 300 is 0, so the pair keeps its exact terms
-    (StateSpec.thermal(np.array([0.0, 0.5])), [False, False, False]),
+@pytest.mark.parametrize("spec", [
+    # 300! 0.5^300 is about 1e524, 300! 0.1^300 about 3e314
+    StateSpec.thermal(np.array([0.5, 0.1]), EngineeringOp.pas(2, 1)),
+    StateSpec.thermal(np.array([0.5]), EngineeringOp.psa(1, 2)),
+    # at rbar = 0 the term of M = 300 is 0
+    StateSpec.thermal(np.array([0.0, 0.5])),
 ], ids=["PAS(2,1)", "PSA(1,2)", "with rbar 0"])
-def test_a_pair_past_the_float_range_contracts_as_its_exact_terms(spec, past, monkeypatch):
+def test_a_pair_past_the_float_range_contracts_as_its_exact_terms(spec):
+    # the pair's terms are taken from their logarithms: inf where rbar > 0
+    # and 0 at rbar = 0, while the pairs beside it keep the bits they have alone
     pairs = ((0, 0), (1, 1), (300, 300))
-    k0, top = states._lowest_power(spec.op), spec.op.p + spec.op.q
-    assert states._past_range(spec, pairs, k0, top).tolist() == past
-    shortcut = states._contract(spec, pairs)
-    monkeypatch.setattr(states, "_past_range", _no_pair_past)
-    exact = states._contract(spec, pairs)
-    assert np.array_equal(shortcut.view(np.uint64), exact.view(np.uint64))
-    assert not np.isfinite(shortcut[2][spec.parameter > 0]).any()
+    total = states._contract(spec, pairs)
+    alone = states._contract(spec, pairs[:2])
+    assert np.array_equal(total[:2].view(np.uint64), alone.view(np.uint64))
+    assert total[2].tolist() == [math.inf if rbar > 0 else 0.0 for rbar in spec.parameter]
 
 
 def test_a_pair_near_the_float_range_keeps_its_exact_terms():
-    # 171! 1.02^171, about e^715: past the largest float, e^709.8, but not by
-    # the margin, so c M! is built and the exact terms overflow
-    spec = StateSpec.thermal(np.array([1.02]))
-    assert states._past_range(spec, ((171, 171),), 0, 0).tolist() == [False]
+    # 171! 1.02^171, about e^715: past the largest float, e^709.8, by less
+    # than a factor e^6, and the term taken from its logarithm overflows
     with pytest.raises(OutOfRange, match=re.escape("<a'^171 a^171> of thermal(rbar=1.02)|bare")):
         moment(StateSpec.thermal(1.02), 171, 171)
+
+
+@pytest.mark.parametrize("op", [EngineeringOp.bare(), EngineeringOp.pas(2, 1)], ids=EngineeringOp.label)
+def test_a_moment_far_past_the_float_range_builds_no_factorial_past_170(op, monkeypatch):
+    factorial = math.factorial
+
+    def guarded(n):
+        if n > 170:
+            raise AssertionError(f"{n}! built")
+        return factorial(n)
+
+    # the terms of <a'^l a^l> are padded afresh, so their weights are built here
+    states._padded.cache_clear()
+    monkeypatch.setattr(math, "factorial", guarded)
+    spec = StateSpec.thermal(0.5, op)
+    with pytest.raises(OutOfRange, match=re.escape(f"<a'^1000000 a^1000000> of {spec.canonical()} exceeds")):
+        witnesses.evaluate_witness(spec, "hoa", 10 ** 6)
 

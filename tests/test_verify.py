@@ -258,10 +258,11 @@ def _bits(values):
 
 def _own_read(op, family, engine):
     """A grid spec's own table on the engine, and its own oracle states: a
-    fresh grid spec's analytic table over its _grid_pairs, or an oracle
+    fresh grid spec's analytic table over its family's _grid_pairs (a
+    moment's bits do not depend on the pairs it is asked with), or an oracle
     table over a growth of its grid alone."""
     grid = StateSpec.of(family, np.array(verify._GRID_VALUES[family]), op)
-    pairs = verify._grid_pairs(op, family)
+    pairs = verify._grid_pairs(family)
     if engine == "analytic":
         return states.MomentTable.analytic(grid, pairs), None
     own = oracle.truncated_states(grid, verify.ORACLE_TAIL_TOL)
