@@ -76,9 +76,11 @@ def _parser(**kwargs) -> argparse.ArgumentParser:
     """An argument parser whose value flags are _StoreOnce."""
     parser = argparse.ArgumentParser(**kwargs)
     parser.register("action", None, _StoreOnce)
-    # argparse reads -1e-3 as a flag, as its pattern has no exponent; no
-    # option string of this CLI looks like a number
-    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    # argparse reads -1e-3, -inf and -nan as flags, as its pattern has no
+    # exponent and no float() word; no option string of this CLI looks
+    # like a number
+    parser._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$",
+                                                 re.IGNORECASE)
     return parser
 
 

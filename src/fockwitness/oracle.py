@@ -39,6 +39,7 @@ from .states import (
     EngineeringOp,
     MomentTable,
     StateSpec,
+    as_stack,
 )
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -324,17 +325,14 @@ def truncated_states(spec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0, m
     """The states of a spec's points, or of a stack of grid specs, from one
     _grow over them, each at the cutoff its own build converges to, for
     moments of that order and from at least min_cutoff levels. A stack is a
-    sequence of grid specs of one family over one parameter array, whose
-    rows are its (operation, point) pairs, and gives one list per spec; a
-    grid spec is a stack of one, and gives a list over its points, with
-    None where a state is annihilated; a one-state spec is a grid of one,
-    and gives its state. For one state DegenerateState propagates, as
+    sequence of grid specs of one family over one parameter array
+    (states.as_stack), whose rows are its (operation, point) pairs, and
+    gives one list per spec; a grid spec is a stack of one, and gives a
+    list over its points, with None where a state is annihilated; a
+    one-state spec is a grid of one, and gives its state. For one state DegenerateState propagates, as
     CutoffExceeded does on any, naming the first row past the hard limit."""
-    stack = [spec] if isinstance(spec, StateSpec) else list(spec)
+    stack = as_stack(spec)
     family, parameter = stack[0].family, stack[0].parameter
-    if len(stack) > 1 and not all(isinstance(one.parameter, np.ndarray) and one.family == family
-                                  and np.array_equal(one.parameter, parameter) for one in stack):
-        raise ValueError("a stack of specs takes grid specs of one family over one parameter array")
     points = np.atleast_1d(parameter)
 
     def name(r):

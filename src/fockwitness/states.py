@@ -45,6 +45,14 @@ result at their boundary (_unwrap): a Python number, or an array without
 the grid axis. Where the operation annihilates a state the norm is NaN:
 over a grid the values are NaN at those points, and one state raises
 DegenerateState instead.
+
+A grid spec is in turn a stack of one: moment takes a stack, a sequence of
+grid specs of one family over one parameter array (as_stack), and
+contracts all of it in the same one call, one row per (pair, spec) of the
+padded arrays, so the operations of a sweep panel or of a verify family
+cost one term loop. Its columns run spec by spec, then point by point, and
+each is the value of its spec's own call, bit for bit. Each spec keeps its
+own norm, from its own (0,0) row.
 """
 
 from __future__ import annotations
@@ -189,9 +197,10 @@ class Family:
     Records compare and hash by identity. Each body takes the spec, whose
     `_points` hold its parameters as a 1-d array (one point for one state)
     and whose `_constants` keep what `constants` derives from them. Every
-    body but `husimi` computes over those points: a contraction gives one
-    row per pair and a level weight one row per photon number, with one
-    column per point.
+    body but `husimi` computes over those points: a contraction takes a
+    stack of specs (as_stack) and gives one row per pair, with one column
+    per spec and point; a level weight gives one row per photon number,
+    with one column per point.
     """
 
     name: str  # the CLI --family choice and the head of canonical()
@@ -202,7 +211,7 @@ class Family:
     window: tuple[float, float]  # the plotted sweep window
     diagonal: bool  # Fock-diagonal, as both engineering orders keep it
     constants: Callable  # parameters -> what the bodies read, once per spec over its points
-    contraction: Callable  # (spec, pairs) -> each pair's unnormalized <a'^m a^n>, (P, G)
+    contraction: Callable  # (stack, pairs) -> each pair's unnormalized <a'^m a^n>, (P, S G)
     annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated, (G,)
     level_weight: Callable  # (spec, photon numbers m, their W(m)) -> photon_prob times the norm, (M, G)
     husimi: Callable  # (one-state spec, beta) -> husimi times pi and the norm
@@ -327,46 +336,73 @@ def _same_parity(m: int, n: int) -> bool:
 
 
 class _Terms(NamedTuple):
-    """The terms of a pair set, padded and term-major: entry [t, i] of each
-    (T, P) array is term t of pair i. dags and plains are the distinct M
-    and N of the set, ascending; dag and plain index them, and a pair with
-    fewer terms pads with the term (-1, -1, 0): its M and N index one past
-    the end of each, and its weight is 0."""
+    """The terms of a stack's pair set, padded and term-major. Row
+    r = i S + s is pair i of the stack's operation s; `rows` lists the rows
+    that have terms, and entry [t, j] of each (T, R) array is term t of row
+    rows[j]. Every other row sums to 0. For each key function of the family
+    (a term's power of one factor), `distinct` holds the distinct keys of
+    the terms, ascending, and `index` each term's place in them; a row with
+    fewer terms pads with terms whose index is one past the end of each and
+    whose weight is 0."""
 
-    dags: tuple
-    plains: tuple
-    dag: np.ndarray  # the index of M in dags
-    plain: np.ndarray  # the index of N in plains
+    rows: np.ndarray  # the rows that have terms, ascending
+    distinct: tuple  # per key function, the distinct keys, ascending
+    index: tuple  # per key function, the (T, R) places of the terms' keys in them
     weight: np.ndarray  # the term's weight as a float, inf past the float range
-    rows: tuple  # the padded terms (M, N, c), term-major
+    terms: tuple  # the terms (M, N, c) of the rows, row by row, unpadded
+    places: tuple  # their places [t, j] in the padded arrays, two index arrays
     log_top: float  # log(max c) + lgamma(max M + 1), at least every log c M!
+    diagonal: np.ndarray  # the indices i of the pairs with m = n
 
 
 @lru_cache(maxsize=None)
-def _padded(op: EngineeringOp, pairs: tuple, keep: Callable, weigh: Callable) -> _Terms:
-    """Each pair's _contraction_table where keep(m, n) holds, else no terms,
-    as _Terms with the weights weigh(rows) of the padded terms. Every term
-    of a table has M - N = m - n, so a family that drops terms by the
-    parity or the difference of M and N drops whole tables. Cached, as
-    every state of a family and operation that reads the same pairs shares
-    them, so its arrays are read-only."""
-    tables = [_contraction_table(op, m, n) if keep(m, n) else () for m, n in pairs]
-    dags, plains = (tuple(sorted({term[i] for table in tables for term in table})) for i in (0, 1))
-    depth = max(map(len, tables), default=0)
-    rows = [table[t] if t < len(table) else (-1, -1, 0) for t in range(depth) for table in tables]
-    dag_index, plain_index = ({power: i for i, power in enumerate(powers + (-1,))}
-                              for powers in (dags, plains))
-    dag = [dag_index[M] for M, _, _ in rows]
-    plain = [plain_index[N] for _, N, _ in rows]
-    weight = np.array(weigh(rows), dtype=float)
-    shape = (depth, len(pairs))
-    arrays = [np.array(dag, dtype=np.intp).reshape(shape), np.array(plain, dtype=np.intp).reshape(shape),
-              weight.reshape(shape)]
-    for array in arrays:
+def _padded(ops: tuple, pairs: tuple, keep: Callable, weigh: Callable, keys: tuple) -> _Terms:
+    """Each row's _contraction_table where keep(m, n) holds, else no terms,
+    as _Terms with the weights weigh(terms) and, for each function of
+    keys, the key(op, M, N) of each term. The rows run pair by pair, then
+    operation by operation; the rows with terms are kept, each in its
+    table's order. Every term of a table has M - N = m - n, so a family
+    that drops terms by the parity or the difference of M and N drops whole
+    tables. Cached, as every stack of a family and operations that reads
+    the same pairs shares them, so its arrays are read-only."""
+    tables = [_contraction_table(op, m, n) if keep(m, n) else () for m, n in pairs for op in ops]
+    rows = [r for r, table in enumerate(tables) if table]
+    tables, row_ops = [tables[r] for r in rows], [ops[r % len(ops)] for r in rows]
+    terms = tuple(term for table in tables for term in table)
+    # each term's place: its position in its row's table, and its row
+    lengths = np.array(list(map(len, tables)), dtype=np.intp)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    places = (np.arange(len(terms)) - starts, np.repeat(np.arange(len(tables)), lengths))
+    shape = (int(lengths.max(initial=0)), len(tables))
+
+    def padded(values: np.ndarray, fill) -> np.ndarray:
+        array = np.full(shape, fill, dtype=values.dtype)
+        array[places] = values
         array.flags.writeable = False
-    c_top = max(map(operator.itemgetter(2), rows), default=1)
-    log_top = math.log(c_top) + math.lgamma(dags[-1] + 1 if dags else 1)
-    return _Terms(dags, plains, *arrays, tuple(rows), log_top)
+        return array
+
+    distinct, index = [], []
+    for key in keys:
+        values = [key(op, M, N) for table, op in zip(tables, row_ops) for M, N, _ in table]
+        distinct.append(tuple(sorted(set(values))))
+        position = {value: j for j, value in enumerate(distinct[-1])}
+        index.append(padded(np.array([position[value] for value in values], dtype=np.intp), len(position)))
+    weight = padded(np.array(weigh(terms), dtype=float), 0.0)
+    log_top = (math.log(max(map(operator.itemgetter(2), terms), default=1))
+               + math.lgamma(max(map(operator.itemgetter(0), terms), default=0) + 1))
+    diagonal = np.array([i for i, (m, n) in enumerate(pairs) if m == n], dtype=np.intp)
+    return _Terms(np.array(rows, dtype=np.intp), tuple(distinct), tuple(index), weight, terms, places, log_top,
+                  diagonal)
+
+
+def _spread(terms: _Terms, sums: np.ndarray, pairs: int, specs: int) -> np.ndarray:
+    """The sums of terms.rows as the contraction of every row, (P, S G): a
+    row with no terms is 0."""
+    if len(sums) < pairs * specs:
+        every = np.zeros((pairs * specs, sums.shape[1]), dtype=sums.dtype)
+        every[terms.rows] = sums
+        sums = every
+    return sums.reshape(pairs, specs * sums.shape[1])
 
 
 # the factorials that are floats, 0! to 170!, and the least integer that
@@ -388,10 +424,17 @@ def _log(value) -> float:
 _LOG_RANGE = 690.0
 
 
-def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
-    """delta_MN M! rbar^M per term, in units of rbar^k0 (1 + rbar)^(p+q):
-    with rbar = x/y, x = rbar/(1+rbar), y = 1/(1+rbar), each term is
-    M! x^(M-k0) y^(p+q-M), in the float range wherever the moment is.
+def _thermal_powers(op: EngineeringOp, M: int, N: int) -> tuple[int, int]:
+    """(a, b) = (M - k0, p + q - M): a term's powers of x and y. b is
+    negative past M = p + q, -M on a bare state."""
+    return M - _lowest_power(op), op.p + op.q - M
+
+
+def _thermal_contraction(stack: list, pairs) -> np.ndarray:
+    """delta_MN M! rbar^M per term, in units of rbar^k0 (1 + rbar)^(p+q)
+    of each row's operation: with rbar = x/y, x = rbar/(1+rbar),
+    y = 1/(1+rbar), each term is M! x^a y^b, (a, b) = (M-k0, p+q-M), in
+    the float range wherever the moment is.
 
     A term is the product (c M!) x^a y^b, in that order. Where c M!, a
     power or the product leaves the normal float range (c M! past the
@@ -399,97 +442,127 @@ def _thermal_contraction(spec: StateSpec, pairs) -> np.ndarray:
     exponential of its logarithm, which is 0 or inf only where the term
     itself is out of range, so a pair with a term past the range is inf.
     Past 170! that logarithm is log c + lgamma(M + 1), and no M! is built.
-    The powers of x and y are taken once per M that a term holds, and one
-    bound on the logarithms of all terms skips that test where no term can
-    leave the range.
+    The powers of x and y are taken once per pair (a, b) that a term of the
+    stack holds, and one bound on the logarithms of all the stack's terms
+    skips that test where no term can leave the range.
     """
-    x, y = spec._constants
-    k0, top = _lowest_power(spec.op), spec.op.p + spec.op.q
-    terms = _padded(spec.op, pairs, operator.eq, _thermal_weights)
-    a = [dag - k0 for dag in terms.dags]
-    b = [top - dag for dag in terms.dags]
+    x, y = stack[0]._constants
+    terms = _padded(tuple([one.op for one in stack]), pairs, operator.eq, _thermal_weights, (_thermal_powers,))
+    (powers,), (at,) = terms.distinct, terms.index
     # |log w x^a y^b| is at most this at every term and point, as
-    # w <= exp(log_top) and x, y <= 1
-    reach = max(a, default=0) * -_log(x.min()) + max(map(abs, b), default=0) * -_log(y.min())
+    # w <= exp(log_top) and x, y <= 1; powers ascend, so the last holds the
+    # largest a
+    a_top = powers[-1][0] if powers else 0
+    b_top = max((abs(b) for _, b in powers), default=0)
+    reach = a_top * -_log(x.min()) + b_top * -_log(y.min())
     direct = reach + terms.log_top < _LOG_RANGE
     # the last row is the padding's, 0
-    xs = np.array([x ** i for i in a] + [0.0 * x])
-    ys = np.array([y ** j for j in b] + [0.0 * x])
+    xs = np.array([x ** a for a, _ in powers] + [0.0 * x])
+    ys = np.array([y ** b for _, b in powers] + [0.0 * x])
     if not direct:
         slot = (xs >= _TINY) & (ys >= _TINY) & (ys <= _HUGE)
         log_x, log_y = np.log(x), np.log(y)
         # y > 0, so 0 * log y is the 0 of x^0 at every point
-        logs = np.array([(i * log_x if i else 0.0 * log_y) + j * log_y for i, j in zip(a, b)]
-                        + [0.0 * log_y])
+        logs = np.array([(a * log_x if a else 0.0 * log_y) + b * log_y for a, b in powers] + [0.0 * log_y])
         # log c M! of the exact integer where M! is a float; the padding's is -inf
-        log_weight = np.array([_log(c * _FACTORIALS[M]) if M <= 170 else math.log(c) + math.lgamma(M + 1)
-                               for M, _, c in terms.rows]).reshape(terms.weight.shape)[..., None]
+        log_weight = np.full(terms.weight.shape, -math.inf)
+        log_weight[terms.places] = [_log(c * _FACTORIALS[M]) if M <= 170 else math.log(c) + math.lgamma(M + 1)
+                                    for M, _, c in terms.terms]
+        log_weight = log_weight[..., None]
     weight = terms.weight[..., None]
-    total = np.zeros((len(pairs), len(x)))
-    # in place, one (P, G) term at a time; w x^a is x^a w, bit for bit
+    total = np.zeros((at.shape[1], len(x)))
+    # in place, one (R, G) term at a time; w x^a is x^a w, bit for bit
     for t in range(len(weight)):
-        at = terms.dag[t]
-        term = xs.take(at, 0)
+        k = at[t]
+        term = xs.take(k, 0)
         term *= weight[t]
-        term *= ys.take(at, 0)
+        term *= ys.take(k, 0)
         if not direct:
-            redo = (weight[t] > 0) & ~(slot.take(at, 0) & (term >= _TINY) & (term <= _HUGE))
-            term = np.where(redo, np.exp(log_weight[t] + logs.take(at, 0)), term)
+            redo = (weight[t] > 0) & ~(slot.take(k, 0) & (term >= _TINY) & (term <= _HUGE))
+            term = np.where(redo, np.exp(log_weight[t] + logs.take(k, 0)), term)
         total += term
-    return total
+    return _spread(terms, total, len(pairs), len(stack))
 
 
 def _ecs_weights(terms) -> list:
     return [c for _, _, c in terms]
 
 
-def _ecs_contraction(spec: StateSpec, pairs) -> np.ndarray:
+def _dag(op: EngineeringOp, M: int, N: int) -> int:
+    return M
+
+
+def _plain(op: EngineeringOp, M: int, N: int) -> int:
+    return N
+
+
+def _ecs_contraction(stack: list, pairs) -> np.ndarray:
     """<psi| a'^M a^N |psi> per term, for unnormalized |psi> = |alpha> + |-alpha>.
 
     The four coherent-state contractions cancel for mixed parity of M and N
     and otherwise give conj(alpha)^M alpha^N times the weight of M's parity
     (_ecs_pair_weights). Each term is c (conj(alpha)^M alpha^N w), in that
-    order, with the powers taken once per M and N. <a'^n a^n> is real, but
-    a complex product may leave a last-bit imaginary part in conj(alpha)^M
-    alpha^M, so the m = n rows are made real.
+    order, with the powers taken once per M and N of the stack, whatever
+    the operation. <a'^n a^n> is real, but a complex product may leave a
+    last-bit imaginary part in conj(alpha)^M alpha^M, so the m = n rows are
+    made real.
     """
-    alpha, weights = spec._points, spec._constants
+    alpha, weights = stack[0]._points, stack[0]._constants
     conj = alpha.conjugate()
-    terms = _padded(spec.op, pairs, _same_parity, _ecs_weights)
+    terms = _padded(tuple([one.op for one in stack]), pairs, _same_parity, _ecs_weights, (_dag, _plain))
+    (dags, plains), (dag, plain) = terms.distinct, terms.index
     # the last rows are the padding's, 0
-    conj = np.array([conj ** dag for dag in terms.dags] + [0j * alpha])
-    power = np.array([alpha ** plain for plain in terms.plains] + [0j * alpha])
-    parity = np.array([weights[dag % 2] for dag in terms.dags] + [weights[0]])
+    conj = np.array([conj ** M for M in dags] + [0j * alpha])
+    power = np.array([alpha ** N for N in plains] + [0j * alpha])
+    parity = np.array([weights[M % 2] for M in dags] + [weights[0]])
     weight = terms.weight[..., None]
-    total = np.zeros((len(pairs), len(alpha)), dtype=complex)
-    # in place, one (P, G) term at a time; c z is z c, bit for bit
+    total = np.zeros((dag.shape[1], len(alpha)), dtype=complex)
+    # in place, one (R, G) term at a time; c z is z c, bit for bit
     for t in range(len(weight)):
-        i = terms.dag[t]
+        i = dag[t]
         term = conj.take(i, 0)
-        term *= power.take(terms.plain[t], 0)
+        term *= power.take(plain[t], 0)
         term *= parity.take(i, 0)
         term *= weight[t]
         total += term
-    total.imag[[i for i, (m, n) in enumerate(pairs) if m == n]] = 0.0
+    total = _spread(terms, total, len(pairs), len(stack))
+    total.imag[terms.diagonal] = 0.0
     return total
 
 
-def _first(spec: StateSpec, where) -> StateSpec:
-    """The state at the first point of spec's grid where `where` holds, for
-    errors to name."""
-    return StateSpec.of(spec.family, spec._points[int(np.argmax(where))], spec.op)
+def as_stack(specs) -> list:
+    """A stack as a list of specs: a spec is a stack of one; any other
+    sequence must hold grid specs of one family over one parameter array,
+    else ValueError."""
+    if isinstance(specs, StateSpec):
+        return [specs]
+    stack = list(specs)
+    family, parameter = (stack[0].family, stack[0].parameter) if stack else (None, None)
+    if not stack or (len(stack) > 1 and not all(
+            isinstance(one.parameter, np.ndarray) and one.family == family
+            and np.array_equal(one.parameter, parameter) for one in stack)):
+        raise ValueError("a stack of specs takes grid specs of one family over one parameter array")
+    return stack
 
 
-def _contract(spec: StateSpec, pairs) -> np.ndarray:
-    """The family's contraction of the pairs, (P, G), computed with numpy's
-    overflow warnings off. A value past the float range is inf or nan, for
-    the caller to test."""
+def _first(stack: list, where) -> StateSpec:
+    """The state at the first column of a stack's result (spec by spec,
+    then point by point) where `where` holds, for errors to name."""
+    width = len(stack[0]._points)
+    column = int(np.argmax(where))
+    spec = stack[column // width]
+    return StateSpec.of(spec.family, spec._points[column % width], spec.op)
+
+
+def _contract(stack: list, pairs) -> np.ndarray:
+    """The family's contraction of the pairs over a stack, (P, S G). The
+    caller turns numpy's overflow warnings off (np.errstate): a value past
+    the float range is inf or nan, for the caller to test."""
     # numpy's in-place complex multiply of a one-element array skips the
     # fused multiply-add it uses on longer ones, so one pair of one state
     # is contracted twice, to round as in every other pair set and grid
-    rows = pairs if len(pairs) * len(spec._points) > 1 else pairs * 2
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return spec.family.contraction(spec, rows)[:len(pairs)]
+    rows = pairs if len(pairs) * len(stack) * len(stack[0]._points) > 1 else pairs * 2
+    return stack[0].family.contraction(stack, rows)[:len(pairs)]
 
 
 def _norm(spec: StateSpec, entry=None) -> np.ndarray:
@@ -499,10 +572,13 @@ def _norm(spec: StateSpec, entry=None) -> np.ndarray:
     NaN where the family's `annihilated` holds. A norm beyond the float
     range raises OutOfRange, naming the first such state.
     """
-    norm = (_contract(spec, ((0, 0),))[0] if entry is None else entry).real
+    if entry is None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            entry = _contract([spec], ((0, 0),))[0]
+    norm = entry.real
     finite = np.isfinite(norm)
     if not finite.all():
-        first = _first(spec, ~finite).canonical()
+        first = _first([spec], ~finite).canonical()
         raise OutOfRange(f"|{spec.family.parameter}|^2 of {first} exceeds the float range")
     return np.where(spec.family.annihilated(spec, norm), math.nan, norm)
 
@@ -521,29 +597,37 @@ def _pair_set(m, n) -> tuple[tuple[int, int], ...]:
     return tuple(zip(m, n))
 
 
-def moment(spec: StateSpec, m, n):
-    """Normalized <a'^m a^n> for any spec: its contraction over the (0,0) entry.
+def moment(spec, m, n):
+    """Normalized <a'^m a^n> for any spec, or a stack of them: the
+    contraction over the (0,0) entry.
 
     m and n are ints, or equal-length 1-d integer arrays of a pair set
     (m[i], n[i]), all evaluated in one contraction call. Ints give a
     complex for one state and an ndarray over a grid spec, with NaN at the
     annihilated points; arrays give the values stacked on axis 0, (P,) for
-    one state and (P, G) over a grid. Each value is the same, bit for bit,
-    whichever way it is asked for, and a state's value is its column of any
-    grid. A value beyond the float range (e.g. <a'^2 a^2> of thermal
-    PAS(2,2) at rbar = 1e200, about 3e401) raises OutOfRange, naming the
-    first such pair and state.
+    one state and (P, G) over a grid. A stack is a sequence of grid specs
+    of one family over one parameter array (as_stack), contracted in the
+    same one call: its columns run spec by spec, then point by point,
+    (P, S G) for arrays and (S G,) for ints. Each value is the same, bit
+    for bit, whichever way it is asked for, and a state's value is its
+    column of any grid or stack. A value beyond the float range (e.g.
+    <a'^2 a^2> of thermal PAS(2,2) at rbar = 1e200, about 3e401) raises
+    OutOfRange, naming the first such pair and state.
     """
+    stack = as_stack(spec)
     pairs = _pair_set(m, n)
-    if "_norm" in vars(spec):
-        norm, unnormalized = spec._norm, _contract(spec, pairs)
-    else:
-        # a spec's first moment call contracts its norm, the (0,0) entry, with
-        # its pairs, and keeps it as the cached property would
-        unnormalized = _contract(spec, ((0, 0),) + pairs)
-        norm = vars(spec).setdefault("_norm", _norm(spec, unnormalized[0]))
-        unnormalized = unnormalized[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if all("_norm" in vars(one) for one in stack):
+            unnormalized = _contract(stack, pairs)
+        else:
+            # a spec's first moment call contracts its norm, the (0,0) entry,
+            # with its pairs, and keeps it as the cached property would
+            unnormalized = _contract(stack, ((0, 0),) + pairs)
+            for one, entry in zip(stack, unnormalized[0].reshape(len(stack), -1)):
+                if "_norm" not in vars(one):
+                    vars(one)["_norm"] = _norm(one, entry)
+            unnormalized = unnormalized[1:]
+        norm = stack[0]._norm if len(stack) == 1 else np.concatenate([one._norm for one in stack])
         # the parts divided apart, as Python divides a complex by a float:
         # numpy's complex division multiplies by a reciprocal, a last-bit
         # change that cancellations in the witnesses amplify; the real part
@@ -552,14 +636,14 @@ def moment(spec: StateSpec, m, n):
         value += unnormalized.real / norm
     # a NaN gap of a grid (norm != norm) stays a gap; any other value that
     # is not finite is out of range
-    ok = np.isfinite(value) | (norm != norm)
-    if not ok.all():
+    finite = np.isfinite(value)
+    if not finite.all() and not (ok := finite | (norm != norm)).all():
         i = int(np.argmax(~ok.all(axis=1)))
         raise OutOfRange(f"<a'^{pairs[i][0]} a^{pairs[i][1]}> of "
-                         f"{_first(spec, ~ok[i]).canonical()} exceeds the float range")
+                         f"{_first(stack, ~ok[i]).canonical()} exceeds the float range")
     if not (isinstance(m, np.ndarray) or isinstance(n, np.ndarray)):
         value = value[0]
-    return _unwrap(spec, value, complex)
+    return _unwrap(spec, value, complex) if isinstance(spec, StateSpec) else value
 
 
 def _normalization_thermal(rbar: float, op: EngineeringOp) -> float:
@@ -854,14 +938,16 @@ class MomentTable:
     order arrays, stacked on axis 0: the first get fills all the pairs in
     one call, and a get of any other pair makes the same call with that one
     pair. A table keeps no spec: MomentTable.analytic(spec, pairs) fills
-    with `moment` of the spec, and oracle.moment_table_from_state(states,
-    pairs) with one oracle gather per cutoff over the truncated states.
+    with `moment` of the spec or stack, and
+    oracle.moment_table_from_state(states, pairs) with one oracle gather
+    per cutoff over the truncated states.
 
     For a grid spec (one operation over an array of parameters) the table
     is one table for the whole grid: get(m, n) is an ndarray over the grid,
     NaN where the operation annihilates the state, so a witness body run on
-    it gives the whole series at once. For one state an entry is a complex,
-    as the int call of `moment` gives it.
+    it gives the whole series at once; for a stack of grid specs, over the
+    stack's columns, spec by spec. For one state an entry is a complex, as
+    the int call of `moment` gives it.
 
     Immutable from the caller's point of view: entries are computed once and
     cached on first request.
@@ -883,6 +969,10 @@ class MomentTable:
         key = (m, n)
         if key not in self._cache:
             pairs = self.pairs if key in self.pairs else (key,)
-            values = self._fill(*(np.array(orders, dtype=np.intp) for orders in zip(*pairs)))
+            try:
+                orders = [np.array(orders, dtype=np.intp) for orders in zip(*pairs)]
+            except OverflowError:
+                raise ValueError("moment orders are limited to 2**63 - 1 = 9223372036854775807") from None
+            values = self._fill(*orders)
             self._cache.update(zip(pairs, values.tolist() if values.ndim == 1 else values))
         return self._cache[key]

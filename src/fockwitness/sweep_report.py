@@ -3,8 +3,8 @@
 A sweep scans one witness across a parameter grid (mean photon number for
 thermal states, amplitude for even coherent states) for a list of state
 variants and collects one value series per variant. Each engine computes
-each series in one call on a grid spec, so there is one moment table per
-(variant, grid); the guards that raise for one state are masks
+the panel in one call on the stack of the variants' grid specs, so there is
+one moment table per panel; the guards that raise for one state are masks
 there, and their points are NaN gaps. A figure pack reproduces the panel
 set of one reference figure, as the one table FIGURES lists it.
 
@@ -98,10 +98,8 @@ class FigurePack:
     panels: list[tuple[str, object]]  # (panel name, SweepTable | HusimiGrid)
 
 
-def _series(family: states_mod.Family, op: EngineeringOp, grid: np.ndarray,
-            witness_id: str, order: int, engine: str):
-    """The witness over the whole grid in one call on a grid spec, on either
-    engine, and its NaN gaps by cause.
+def _gaps(spec: StateSpec, values: np.ndarray, engine: str) -> dict[str, int]:
+    """The NaN gaps of one series, the grid spec's values, by cause.
 
     A gap at an annihilated state, where every table entry is NaN, is a
     DegenerateState: the analytic norm is NaN there, and the oracle's
@@ -109,19 +107,16 @@ def _series(family: states_mod.Family, op: EngineeringOp, grid: np.ndarray,
     agarwal_tara point (SingularDenominator), the one witness guard that
     masks.
     """
-    spec = StateSpec.of(family, grid, op)
-    values = witnesses_mod.evaluate_witness(spec, witness_id, order=order, engine=engine).value
     gaps = np.isnan(values)
     if engine == "analytic":
         annihilated = gaps & np.isnan(spec._norm)
     else:
         # the gaps' points built again; the annihilated are None
         annihilated = gaps.copy()
-        rebuilt = oracle_mod.truncated_states(StateSpec.of(family, spec.parameter[gaps], op))
+        rebuilt = oracle_mod.truncated_states(StateSpec.of(spec.family, spec.parameter[gaps], spec.op))
         annihilated[gaps] = [state is None for state in rebuilt]
     causes = {DegenerateState: annihilated, SingularDenominator: gaps & ~annihilated}
-    counts = {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
-    return values, counts
+    return {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
 
 
 def sweep(
@@ -140,10 +135,12 @@ def sweep(
     variants, each listed once. engine may be "analytic", "oracle", or "both"; "both"
     emits a paired `label@oracle` series per variant and records the maximum
     analytic/oracle deviation (oracle.deviation) in the metadata. Either engine
-    evaluates each variant as one grid spec, one moment table for the whole
-    grid (on the oracle, one truncated state per point). A DegenerateState or an
-    indeterminate determinant witness at a grid point records a NaN gap, not
-    a failure; metadata["nan_gaps"] counts them per series and cause.
+    evaluates the variants as one stack of grid specs (states.as_stack) in
+    one evaluate_witness call, one moment table for the whole panel (on the
+    oracle, one truncated state per point and variant, grown at once), and
+    each series is its variant's slice of the columns. A DegenerateState or
+    an indeterminate determinant witness at a grid point records a NaN gap,
+    not a failure; metadata["nan_gaps"] counts them per series and cause.
     """
     runs = witnesses_mod.engines(engine)
     if not isinstance(family, states_mod.Family):
@@ -166,12 +163,18 @@ def sweep(
     if include_bare and _BARE not in ops:
         ops.append(_BARE)
 
+    # the panel's variants as one stack: one witness call per engine, whose
+    # columns are each variant's series in turn
+    stack = [StateSpec.of(family, values, op) for op in ops]
+    panels = [witnesses_mod.evaluate_witness(stack, witness_id, order=order, engine=name).value
+              for name in runs]
     series: dict[str, np.ndarray] = {}
     gaps: dict[str, dict[str, int]] = {}
-    for op in ops:
+    for s, spec in enumerate(stack):
         # the first engine's series under the variant's label, the second's as label@oracle
-        for label, name in zip((op.label(), f"{op.label()}@oracle"), runs):
-            series[label], gaps[label] = _series(family, op, values, witness_id, order, name)
+        for label, name, panel in zip((spec.op.label(), f"{spec.op.label()}@oracle"), runs, panels):
+            series[label] = panel[s * steps:(s + 1) * steps]
+            gaps[label] = _gaps(spec, series[label], name)
 
     metadata = {
         "witness": witness_id,

@@ -12,9 +12,10 @@ family (_Family), built at the first of them and released when the call
 returns: the family's spec grid on both engines, in columns ordered by
 operation, then by point, with one analytic table, the oracle states of one
 growth and one oracle table filled by one gather per cutoff. Each witness
-body, deviation and tally runs once per family over every column, the
-oracle grows and fills once per family, and the analytic engine fills once
-per grid spec.
+body, deviation and tally runs once per family over every column, and each
+engine fills once per family: the analytic table with one states.moment
+call on the family's stack of grid specs, the oracle with one growth and
+one gather.
 """
 
 from __future__ import annotations
@@ -146,10 +147,10 @@ def _grid_pairs(family) -> list[tuple[int, int]]:
 class _Family:
     """One family's spec grid on both engines, in columns ordered by
     operation (as _engineering_ops() orders them), then by point: the specs
-    of the columns; one analytic table over the family's _grid_pairs,
-    whose fill concatenates one `moment` call per grid spec (a moment's
-    bits do not depend on the pairs it is asked with); the states of one
-    truncated_states call over the grid specs (arrays read-only) and one
+    of the columns; one analytic table over the family's _grid_pairs on
+    the stack of grid specs, filled by one `moment` call (a moment's bits
+    do not depend on the pairs or the stack it is asked with); the states
+    of one truncated_states call over the stack (arrays read-only) and one
     oracle table over them. A witness body, a deviation and a tally then
     run once over every column. Each grid spec's photon_prob call and
     hosps_gate Poisson references stay its own (by_grid): taken over a
@@ -163,11 +164,7 @@ class _Family:
         pairs = _grid_pairs(family)
         self.family = family
         self.specs = [StateSpec.of(family, value, op) for op in ops for value in values]
-        # the fill closes over grids, not self: a cycle through self would
-        # keep every oracle state alive until the cyclic collector runs
-        self.analytic = MomentTable(
-            lambda ms, ns: np.concatenate([states_mod.moment(grid, ms, ns) for grid in grids], axis=1),
-            "analytic", pairs)
+        self.analytic = MomentTable.analytic(grids, pairs)
         grown = oracle_mod.truncated_states(grids, ORACLE_TAIL_TOL)
         self.by_grid = list(zip(grids, grown))
         self.states = [state for states in grown for state in states]
@@ -301,18 +298,21 @@ def suite_signs() -> SuiteResult:
     somewhere on the window while the add-then-subtract (1,1) curve never
     does; Husimi of subtract-then-add thermal states with q > p vanishes at
     the origin; A3 of both (2,1) thermal variants never goes negative.
-    Each scanned series is one grid spec; a point where the state is
-    annihilated (NaN norm) fails its check, while a singular A3 denominator
-    is skipped.
+    Each scanned series is one grid spec, and each pair of them one stack
+    in one witness call; a point where the state is annihilated (NaN norm)
+    fails its check, while a singular A3 denominator is skipped.
     """
     notes = []
     checks = 0
     points = 60
     rbar_values = np.array(witnesses_mod._linspace(*states_mod.FAMILY_THERMAL.window, points))
 
+    # the Mandel pair in one call, each variant's series a slice of it
+    ops = (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1))
+    mandel = witnesses_mod.evaluate_witness([StateSpec.thermal(rbar_values, op) for op in ops], "mandel", 2).value
     minima = {}
-    for op in (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1)):
-        series = witnesses_mod.evaluate_witness(StateSpec.thermal(rbar_values, op), "mandel", 2).value
+    for k, op in enumerate(ops):
+        series = mandel[k * points:(k + 1) * points]
         checks += points
         # NaN only where the norm is (an annihilated state)
         for i in np.flatnonzero(np.isnan(series)):
@@ -332,9 +332,11 @@ def suite_signs() -> SuiteResult:
         if not q0 == 0.0:
             notes.append(f"{spec.canonical()} husimi(0) = {q0!r}, expected exact 0")
 
-    for op in (EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1)):
-        spec = StateSpec.thermal(rbar_values, op)
-        a3 = witnesses_mod.evaluate_witness(spec, "agarwal_tara").value
+    # the A3 pair in one call, likewise
+    stack = [StateSpec.thermal(rbar_values, op) for op in (EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1))]
+    a3_pair = witnesses_mod.evaluate_witness(stack, "agarwal_tara").value
+    for k, spec in enumerate(stack):
+        op, a3 = spec.op, a3_pair[k * points:(k + 1) * points]
         # a NaN where the norm is not is a singular denominator, skipped as
         # it compares False below
         for i in np.flatnonzero(np.isnan(spec._norm)):

@@ -15,15 +15,18 @@ The seventh, husimi_zero_scan, looks for zeros of the Husimi Q function on a
 grid; a nonempty zero set is the flag.
 
 The six scalar witnesses also take a grid spec (states.StateSpec over an
-array of parameters), on either engine, and then return the whole series as
-an ndarray. One state is a grid of one: every body computes on 1-d arrays
-over the table's states (a one-state table's entries become one-element
-arrays), so a state's value equals its column of any grid bit for bit, and
-each public function converts its result once, at return. A guard that
-raises for one state gives NaN at its points of a grid: DegenerateState
-(an annihilated state, whose moments are all NaN) and SingularDenominator
-(agarwal_tara). ZeroMeanPhoton still fails the whole grid, and OutOfRange
-and OddOrder still raise.
+array of parameters), or a stack of grid specs of one family over one
+parameter array (states.as_stack), on either engine, and then return the
+whole series as an ndarray: over a stack, its columns spec by spec, then
+point by point, from one moment table and one witness body for the whole
+stack. One state is a grid of one, and a grid spec a stack of one: every
+body computes on 1-d arrays over the table's states (a one-state table's
+entries become one-element arrays), so a state's value equals its column
+of any grid or stack bit for bit, and each public function converts its
+result once, at return. A guard that raises for one state gives NaN at its
+points of a grid: DegenerateState (an annihilated state, whose moments are
+all NaN) and SingularDenominator (agarwal_tara). ZeroMeanPhoton still fails
+the whole grid or stack, and OutOfRange and OddOrder still raise.
 """
 
 from __future__ import annotations
@@ -258,12 +261,15 @@ def _hankel3_det(moments) -> np.ndarray:
     )
 
 
-def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.ndarray:
+def _photon_probs(spec, numbers, engine: str, tail_tol: float) -> np.ndarray:
     """p_m for m in numbers over spec's states, one row per m: a column
-    per point of a grid spec, one column for one state. An oracle basis
-    holds more than m + p levels: every level m read, the bare level it
-    comes from (m + p - q) and the level a^p lowers it from (m + p), or
-    raises CutoffExceeded past the hard limit."""
+    per point of a grid spec, one column for one state, and a stack's
+    specs side by side, each read on its own. An oracle basis holds more
+    than m + p levels: every level m read, the bare level it comes from
+    (m + p - q) and the level a^p lowers it from (m + p), or raises
+    CutoffExceeded past the hard limit."""
+    if not isinstance(spec, StateSpec):
+        return np.hstack([_photon_probs(one, numbers, engine, tail_tol) for one in states_mod.as_stack(spec)])
     if _analytic(engine):
         probs = states_mod.photon_prob(spec, numbers)
     else:
@@ -275,16 +281,17 @@ def _photon_probs(spec: StateSpec, numbers, engine: str, tail_tol: float) -> np.
 
 
 def klyshko(
-    spec: StateSpec,
+    spec,
     m: int,
     engine: str = "analytic",
     tail_tol: float = oracle_mod.DEFAULT_TAIL_TOL,
 ):
-    """Klyshko indicator B(m) = (m+2) p_m p_{m+2} - (m+1) p_{m+1}^2."""
+    """Klyshko indicator B(m) = (m+2) p_m p_{m+2} - (m+1) p_{m+1}^2, of
+    one state, a grid spec or a stack of them."""
     if m < 0:
         raise ValueError("photon number must be non-negative")
-    probs = _photon_probs(spec, np.arange(m, m + 3), engine, tail_tol)
-    return _unwrap(klyshko_from_probs(m, *probs), spec.parameter)
+    values = klyshko_from_probs(m, *_photon_probs(spec, np.arange(m, m + 3), engine, tail_tol))
+    return _unwrap(values, spec.parameter if isinstance(spec, StateSpec) else values)
 
 
 def klyshko_from_probs(m: int, p_m: float, p_m1: float, p_m2: float) -> float:
@@ -416,14 +423,18 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, n) for n in range(first, last + 1))
 
 
-def _moment_table(spec: StateSpec, engine: str, tail_tol: float, pairs) -> MomentTable:
-    """spec's moment table on either engine, holding the given pairs. An
-    oracle basis admits them and holds the tail of <a'^n a^n> for the
-    largest n = (m + n) // 2 over them (l/2 for hos(l))."""
+def _moment_table(spec, engine: str, tail_tol: float, pairs) -> MomentTable:
+    """The moment table of a spec or a stack on either engine, holding the
+    given pairs. An oracle basis admits them and holds the tail of
+    <a'^n a^n> for the largest n = (m + n) // 2 over them (l/2 for
+    hos(l)); a stack's states, grown at once, are one list, spec by spec."""
     if _analytic(engine):
         return MomentTable.analytic(spec, pairs)
     order = max(((m + n) // 2 for m, n in pairs), default=0)
-    return oracle_mod.moment_table_from_state(oracle_mod.truncated_states(spec, tail_tol, order), pairs)
+    states = oracle_mod.truncated_states(spec, tail_tol, order)
+    if not isinstance(spec, StateSpec):
+        states = [state for grid in states for state in grid]
+    return oracle_mod.moment_table_from_state(states, pairs)
 
 
 def _table_witness(table: MomentTable, witness: str, order: int, variant: str | None = None):
@@ -436,7 +447,7 @@ def _table_witness(table: MomentTable, witness: str, order: int, variant: str | 
 
 
 def evaluate_witness(
-    spec: StateSpec,
+    spec,
     witness: str,
     order: int | None = None,
     variant: str | None = None,
@@ -451,7 +462,10 @@ def evaluate_witness(
     defaults. Any other argument given raises ValueError.
 
     For a grid spec, value and nonclassical are arrays over the grid, NaN
-    and False at its gaps (husimi_zero takes one state only).
+    and False at its gaps; for a stack of grid specs (states.as_stack),
+    arrays over its columns, spec by spec, from one moment table (one
+    contraction, or one oracle growth and gather, for the whole stack).
+    husimi_zero takes one state only, and raises ValueError for a stack.
     """
     order = witness_order(witness, order)
     reads = WITNESS_READS[witness]
@@ -459,6 +473,8 @@ def evaluate_witness(
         if given is not None and name != reads:
             raise ValueError(f"{witness} takes no {name}")
     if reads == "grid":
+        if not isinstance(spec, StateSpec):
+            raise ValueError("husimi_zero takes one state, not a stack of specs")
         # the husimi_zero_scan rule: some point lies below the threshold
         rel_min = float(_relative_husimi(spec, grid or ScanGrid(), engine, tail_tol).min())
         return WitnessResult(witness, order, rel_min, rel_min < ZERO_THRESHOLD, engine)

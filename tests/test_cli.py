@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from fockwitness import cli, oracle, states, sweep_report, witnesses
+from fockwitness import cli, oracle, states, witnesses
 
 PKG = [sys.executable, "-m", "fockwitness"]
 
@@ -447,15 +447,17 @@ class TestSweepNaNGaps:
 
     @staticmethod
     def _gap_at(monkeypatch, engines, point=2):
-        series = sweep_report._series
+        # the panel's one witness call per engine; its one variant's
+        # series is the whole result
+        evaluate = witnesses.evaluate_witness
 
-        def with_gap(family, op, grid, witness_id, order, engine):
-            values, counts = series(family, op, grid, witness_id, order, engine)
+        def with_gap(stack, witness_id, order=None, variant=None, engine="analytic", **kwargs):
+            result = evaluate(stack, witness_id, order, variant, engine, **kwargs)
             if engine in engines:
-                values[point] = math.nan
-            return values, counts
+                result.value[point] = math.nan
+            return result
 
-        monkeypatch.setattr(sweep_report, "_series", with_gap)
+        monkeypatch.setattr(witnesses, "evaluate_witness", with_gap)
 
     def test_a_gap_on_the_oracle_only_fails(self, monkeypatch, capsys):
         self._gap_at(monkeypatch, ("oracle",))
@@ -566,6 +568,48 @@ class TestNegativeValues:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.endswith(err), proc.stderr
         assert "expected one argument" not in proc.stderr
+
+    # float()'s words, in any case, reach the flag's domain check as the
+    # --flag=value form does
+    @pytest.mark.parametrize("flag, value, err", [
+        ("--alpha-im", "-inf", "amplitude must be finite"),
+        ("--alpha-im", "-Infinity", "amplitude must be finite"),
+        ("--alpha-im", "-INF", "amplitude must be finite"),
+        ("--alpha-im", "-nan", "amplitude must be finite"),
+        ("--rbar", "-nan", "mean photon number must be finite and >= 0"),
+        ("--rbar", "-NaN", "mean photon number must be finite and >= 0"),
+        ("--rbar", "-inf", "mean photon number must be finite and >= 0"),
+    ])
+    def test_a_negative_float_word_meets_its_checks(self, flag, value, err, run_main):
+        family = ("--family", "ecs", "--alpha", "1") if flag == "--alpha-im" else ("--family", "thermal")
+        for args in ((flag, value), (f"{flag}={value}",)):
+            proc = run_main("witness", "--name", "hoa", *family, *args)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"configuration error: {err}\n")
+
+
+class TestOrderLimit:
+    """An order past the int64 range is a configuration error on either
+    engine, not a traceback; the int64 maximum itself is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ("moment", "--family", "thermal", "--rbar", "0.5", "--m", str(10 ** 20), "--n", str(10 ** 20)),
+        ("moment", "--family", "ecs", "--alpha", "0.5", "--m", str(10 ** 20), "--n", str(10 ** 20)),
+        ("moment", "--family", "thermal", "--rbar", "0.5", "--m", str(2 ** 63), "--n", "1", "--engine", "both"),
+        ("witness", "--name", "hoa", "--l", str(10 ** 20), "--family", "thermal", "--rbar", "0.5"),
+        ("witness", "--name", "hoa", "--l", str(10 ** 20), "--family", "thermal", "--rbar", "0.5",
+         "--engine", "oracle"),
+    ], ids=lambda argv: " ".join(argv[:2] + argv[-2:]))
+    def test_an_order_past_int64_is_refused(self, argv, run_main):
+        proc = run_main(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "configuration error: moment orders are limited to 2**63 - 1 = 9223372036854775807\n"
+
+    def test_the_int64_maximum_is_read(self, run_main):
+        order = str(2 ** 63 - 1)
+        proc = run_main("moment", "--family", "thermal", "--rbar", "0.5", "--m", order, "--n", order)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"out of float range: <a'^{order} a^{order}> of thermal(rbar=0.5)|bare "
+                               "exceeds the float range\n")
 
 
 class TestRepeatedFlags:

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fockwitness import oracle, states, witnesses
+from fockwitness import oracle, states, verify, witnesses
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.states import (
@@ -1108,8 +1108,9 @@ def test_a_pair_past_the_float_range_contracts_as_its_exact_terms(spec):
     # the pair's terms are taken from their logarithms: inf where rbar > 0
     # and 0 at rbar = 0, while the pairs beside it keep the bits they have alone
     pairs = ((0, 0), (1, 1), (300, 300))
-    total = states._contract(spec, pairs)
-    alone = states._contract(spec, pairs[:2])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total = states._contract([spec], pairs)
+        alone = states._contract([spec], pairs[:2])
     assert np.array_equal(total[:2].view(np.uint64), alone.view(np.uint64))
     assert total[2].tolist() == [math.inf if rbar > 0 else 0.0 for rbar in spec.parameter]
 
@@ -1137,3 +1138,138 @@ def test_a_moment_far_past_the_float_range_builds_no_factorial_past_170(op, monk
     with pytest.raises(OutOfRange, match=re.escape(f"<a'^1000000 a^1000000> of {spec.canonical()} exceeds")):
         witnesses.evaluate_witness(spec, "hoa", 10 ** 6)
 
+
+
+# ---------------------------------------------------------------------------
+# A grid spec is a stack of one
+# ---------------------------------------------------------------------------
+
+def _stack_pairs(family):
+    """verify's pairs of the family plus pairs off the diagonal."""
+    return sorted(set(verify._grid_pairs(family)) | {(3, 1), (1, 3), (0, 2), (5, 4), (2, 0)})
+
+
+def _bits(values):
+    """The float bits of complex values, every NaN as one NaN."""
+    floats = np.array(values, dtype=complex).view(np.float64)
+    floats[np.isnan(floats)] = math.nan
+    return floats.view(np.uint64)
+
+
+STACK_GRIDS = [
+    (states.FAMILY_THERMAL, np.array([0.1, 0.5, 1.0, 2.0, 5.0])),
+    (states.FAMILY_EVEN_COHERENT, np.array([0.3, 0.7 - 0.2j, 1.2, 2.0])),
+]
+
+
+class TestMomentStacks:
+    """moment over a stack of grid specs: its columns, spec by spec, then
+    point by point, are each spec's own call and each state's one-state
+    call, bit for bit."""
+
+    @pytest.mark.parametrize("family, values", STACK_GRIDS, ids=["thermal", "ecs"])
+    def test_each_column_is_its_specs_own_call(self, family, values):
+        ops = verify._engineering_ops()
+        pairs = _stack_pairs(family)
+        ms, ns = (np.array(orders) for orders in zip(*pairs))
+        stack = [StateSpec.of(family, values, op) for op in ops]
+        block = moment(stack, ms, ns)
+        assert block.shape == (len(pairs), len(ops) * len(values))
+        for s, op in enumerate(ops):
+            columns = block[:, s * len(values):(s + 1) * len(values)]
+            own = moment(StateSpec.of(family, values, op), ms, ns)
+            np.testing.assert_array_equal(_bits(columns), _bits(own))
+            for g in (0, len(values) - 1):
+                one = moment(StateSpec.of(family, values[g], op), ms, ns)
+                np.testing.assert_array_equal(_bits(columns[:, g]), _bits(one))
+        # ints give one row over the stack's columns
+        np.testing.assert_array_equal(_bits(moment(stack, 2, 1)), _bits(block[pairs.index((2, 1))]))
+
+    @pytest.mark.parametrize("family, values", STACK_GRIDS, ids=["thermal", "ecs"])
+    def test_each_spec_keeps_its_own_norm(self, family, values):
+        ops = [EngineeringOp.pas(2, 1), EngineeringOp.psa(1, 2), EngineeringOp.bare()]
+        stack = [StateSpec.of(family, values, op) for op in ops]
+        moment(stack, 1, 1)
+        for spec in stack:
+            assert "_norm" in vars(spec)
+            own = StateSpec.of(family, values, spec.op)._norm
+            np.testing.assert_array_equal(spec._norm.view(np.uint64), own.view(np.uint64))
+
+    def test_a_stack_holding_rbar_zero_has_gaps_where_an_operation_annihilates(self):
+        values = np.array([0.0, 0.5, 2.0])
+        ops = [EngineeringOp.bare(), EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1), EngineeringOp.pas(1, 2)]
+        stack = [StateSpec.thermal(values, op) for op in ops]
+        block = moment(stack, np.array([0, 1, 2]), np.array([0, 1, 2]))
+        for s, op in enumerate(ops):
+            columns = block[:, s * len(values):(s + 1) * len(values)]
+            # k0 > 0: no bare constant term, so the state at rbar = 0 is gone
+            assert np.isnan(columns[:, 0]).all() == (states._lowest_power(op) > 0)
+            assert np.isfinite(columns[:, 1:]).all()
+            np.testing.assert_array_equal(_bits(columns),
+                                          _bits(moment(StateSpec.thermal(values, op), np.array([0, 1, 2]),
+                                                       np.array([0, 1, 2]))))
+
+    def test_a_member_that_needs_the_log_path_leaves_the_others_bits(self, monkeypatch):
+        # at rbar = 1e-300, x^a underflows for a > 0: the (0,0) terms of
+        # PAS(2,1) send the stack to the log-space redo path, while the bare
+        # state's one term, x^0 y^0, takes the direct path alone
+        values, pairs = np.array([1e-300, 0.5]), ((0, 0),)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bare = states._contract([StateSpec.thermal(values)], pairs)
+            logs = []
+            log = states._log
+            monkeypatch.setattr(states, "_log", lambda value: logs.append(value) or log(value))
+            mixed = states._contract([StateSpec.thermal(values), StateSpec.thermal(values, EngineeringOp.pas(2, 1))],
+                                     pairs)
+        # the bound's two logarithms, then the terms' log weights
+        assert len(logs) > 2
+        np.testing.assert_array_equal(mixed[:, :2].view(np.uint64), bare.view(np.uint64))
+
+    @pytest.mark.parametrize("stack", [
+        [StateSpec.thermal(np.array([0.5, 1.0])), StateSpec.even_coherent(np.array([0.5, 1.0]))],
+        [StateSpec.thermal(np.array([0.5, 1.0])), StateSpec.thermal(np.array([0.5, 2.0]))],
+        [StateSpec.thermal(np.array([0.5])), StateSpec.thermal(0.5, EngineeringOp.pas(1, 1))],
+        [],
+    ], ids=["families", "parameters", "one-state spec", "empty"])
+    def test_a_stack_of_mismatched_specs_is_refused(self, stack):
+        with pytest.raises(ValueError, match="one family over one parameter array"):
+            moment(stack, 1, 1)
+        with pytest.raises(ValueError, match="one family over one parameter array"):
+            MomentTable.analytic(stack, [(1, 1)]).get(1, 1)
+
+    def test_out_of_range_names_the_first_pair_and_state_of_the_stack(self):
+        values = np.array([1.0, 1e200])
+        stack = [StateSpec.thermal(values), StateSpec.thermal(values, EngineeringOp.pas(2, 2))]
+        # <a'^2 a^2> of PAS(2,2) at rbar = 1e200 is about 3e401; the bare
+        # state's <a'^2 a^2>, 2 rbar^2, is 2e400, past the range as well, and first
+        with pytest.raises(OutOfRange, match=re.escape("<a'^2 a^2> of thermal(rbar=1e+200)|bare exceeds")):
+            moment(stack, np.array([1, 2]), np.array([1, 2]))
+        with pytest.raises(OutOfRange, match=re.escape("<a'^2 a^2> of thermal(rbar=1e+200)|PAS(2,2) exceeds")):
+            moment(stack[1:], np.array([1, 2]), np.array([1, 2]))
+
+    def test_a_one_state_spec_is_a_stack_of_one(self):
+        spec = StateSpec.even_coherent(0.7 - 0.2j, EngineeringOp.psa(1, 2))
+        block = moment([StateSpec.even_coherent(spec.parameter, spec.op)], np.array([2, 1]), np.array([1, 1]))
+        assert block.shape == (2, 1)
+        _assert_same_bits(moment(spec, 2, 1), complex(block[0, 0]))
+
+
+class TestOrderLimit:
+    """A moment table takes orders up to the int64 maximum, on both engines,
+    and refuses a larger one with a ValueError that names the limit."""
+
+    @pytest.mark.parametrize("family, value", [(states.FAMILY_THERMAL, 0.5), (states.FAMILY_EVEN_COHERENT, 0.5)],
+                             ids=["thermal", "ecs"])
+    @pytest.mark.parametrize("order", [2 ** 63, 10 ** 20])
+    def test_an_order_past_int64_is_refused(self, family, value, order):
+        spec = StateSpec.of(family, value)
+        tables = [MomentTable.analytic(spec, [(1, 1)]),
+                  oracle.moment_table_from_state(oracle.build_truncated(spec), [(1, 1)])]
+        for table in tables:
+            with pytest.raises(ValueError, match=re.escape("limited to 2**63 - 1 = 9223372036854775807")):
+                table.get(order, order)
+
+    def test_the_int64_maximum_is_taken(self):
+        order = 2 ** 63 - 1
+        with pytest.raises(OutOfRange, match=re.escape(f"<a'^{order} a^{order}> of thermal(rbar=0.5)|bare")):
+            MomentTable.analytic(StateSpec.thermal(0.5)).get(order, order)

@@ -194,6 +194,32 @@ class TestArrayPath:
         assert table.metadata["nan_gaps"] == {op.label(): counts}
         assert _same_bits(table.series[op.label()], expected)
 
+    @pytest.mark.parametrize("witness, order", [("mandel", 2), ("hoa", 3), ("hosps", 3), ("hos", 4),
+                                                ("agarwal_tara", 0), ("klyshko", 1)])
+    @pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda family: family.name)
+    def test_a_panel_is_one_witness_call_per_engine(self, witness, order, family, monkeypatch):
+        # the variants' stack in one call per engine; each series, its gaps
+        # and its deviation are those of the variant's own sweep, bit for bit
+        ops = [EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1), EngineeringOp.pas(1, 2)]
+        window = {"param_min": 0.0, "param_max": 3.0, "steps": 13, "engine": "both"}
+        calls = []
+        evaluate = witnesses.evaluate_witness
+
+        def counting(stack, *args, **kwargs):
+            calls.append([spec.op for spec in stack])
+            return evaluate(stack, *args, **kwargs)
+
+        monkeypatch.setattr(witnesses, "evaluate_witness", counting)
+        table = sweep(witness, order, ops, family, **window)
+        assert calls == [ops, ops]
+        for op in ops:
+            alone = sweep(witness, order, [op], family, **window)
+            for label in (op.label(), f"{op.label()}@oracle"):
+                np.testing.assert_array_equal(table.series[label].view(np.uint64),
+                                              alone.series[label].view(np.uint64))
+                assert table.metadata["nan_gaps"][label] == alone.metadata["nan_gaps"][label]
+            assert table.metadata["max_deviation"][op.label()] == alone.metadata["max_deviation"][op.label()]
+
     def test_zero_mean_fails_the_whole_sweep(self):
         with pytest.raises(ZeroMeanPhoton):
             sweep("mandel", 2, [EngineeringOp.bare()], FAMILY_THERMAL,

@@ -143,6 +143,21 @@ def test_oracle_states_are_built_once_and_read_only(monkeypatch):
     assert len(grown) == 2 * 2
 
 
+def test_each_family_fills_its_analytic_table_in_one_moment_call(monkeypatch):
+    # one states.moment call per family, on its stack of grid specs, with
+    # every pair its suites read
+    calls = []
+    moment = states.moment
+
+    def counting(stack, ms, ns):
+        calls.append(([spec.op for spec in stack], len(ms)))
+        return moment(stack, ms, ns)
+
+    monkeypatch.setattr(states, "moment", counting)
+    verify.run_suites(["moments", "witnesses", "normalization", "hosps_gate"], report=None)
+    assert calls == [(verify._engineering_ops(), len(verify._grid_pairs(family))) for family in verify._GRID_VALUES]
+
+
 def test_the_grid_records_are_released_when_run_suites_returns(monkeypatch):
     # with the cyclic collector off, the records die as the call returns: a
     # reference cycle through one would keep its oracle states alive until
@@ -197,9 +212,9 @@ def _poison_first(monkeypatch, owner, name, index=0):
     return calls
 
 
-# a family's analytic fill calls states.moment once per grid spec, with
-# every pair the family's suites read, one row each, so the poison of the
-# first call goes to the second state of every pair; an exact fixture's
+# a family's analytic fill calls states.moment once, on its stack of grid
+# specs, with every pair the family's suites read, one row each, so the
+# poison of the first call goes to the second state of every pair; an exact fixture's
 # first moment is a one-pair block, poisoned at its one element; elsewhere
 # to element 1 of the first result
 _POISON_INDEX = {("moments", "moment"): (..., 1), ("normalization", "moment"): (..., 1),
@@ -322,12 +337,14 @@ def test_a_failed_element_deep_in_a_stack_names_its_state(monkeypatch, suite, op
     original = states.moment
     family = states.FAMILY_EVEN_COHERENT
 
-    def poisoned(spec, ms, ns):
-        # NaN at one pair of the grid spec's moment call, at its alpha = 2.0 point
-        values = original(spec, ms, ns)
-        if spec.family == family and spec.op == op:
+    def poisoned(stack, ms, ns):
+        # NaN at one pair of the family's one moment call on its stack of
+        # grid specs, at the column of (op, alpha = 2.0)
+        values = original(stack, ms, ns)
+        if stack[0].family == family:
             row = [*zip(np.ravel(ms).tolist(), np.ravel(ns).tolist())].index(pair)
-            values = _nan_at(values, (row, verify.ALPHA_GRID.index(2.0)))
+            spec = [one.op for one in stack].index(op)
+            values = _nan_at(values, (row, spec * len(verify.ALPHA_GRID) + verify.ALPHA_GRID.index(2.0)))
         return values
 
     monkeypatch.setattr(states, "moment", poisoned)
@@ -355,12 +372,27 @@ def test_an_annihilated_point_fails_the_signs_suite(monkeypatch):
     assert any(note.startswith("a3 PAS(2,1) rbar=0.010: annihilated") for note in result.notes), result.notes
 
 
+@pytest.mark.parametrize("sign, note", [
+    (1.0, "mandel(2) PSA(1,1) thermal never negative (min "),
+    (-1.0, "mandel(2) PAS(1,1) thermal goes negative (min "),
+])
+def test_the_signs_suite_checks_the_mandel_pair(monkeypatch, sign, note):
+    # every Mandel value made positive, or negative: the pair's sign
+    # structure fails on the one series that no longer holds it
+    original = witnesses.mandel_q
+    monkeypatch.setattr(witnesses, "mandel_q", lambda table, l: sign * abs(original(table, l)))
+    mandel_notes = [line for line in verify.suite_signs().notes if line.startswith("mandel(2)")]
+    assert len(mandel_notes) == 1 and mandel_notes[0].startswith(note), mandel_notes
+
+
 def test_a_singular_a3_point_stays_skipped(monkeypatch):
     original = witnesses.agarwal_tara
 
     def singular_at_first_point(table, *args, **kwargs):
-        # NaN from the singular-denominator mask, with a finite norm
-        return _nan_at(original(table, *args, **kwargs), 0)
+        # NaN from the singular-denominator mask, with a finite norm, at the
+        # first point of each series of the stack the A3 pair is read from
+        value = original(table, *args, **kwargs)
+        return _nan_at(value, slice(None, None, len(value) // 2))
 
     monkeypatch.setattr(witnesses, "agarwal_tara", singular_at_first_point)
     result = verify.suite_signs()

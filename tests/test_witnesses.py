@@ -356,10 +356,32 @@ class TestEvaluateWitness:
             else:
                 assert type(want) is float and got == want
 
+    # a stack of grid specs of one family, with an annihilated state
+    # (thermal PAS(2,1) and PSA(2,1) at rbar = 0) and indeterminate A3 points
+    # (the even cat near the vacuum)
+    @pytest.mark.parametrize("witness, order", [("mandel", 2), ("hoa", 3), ("hosps", 3), ("hos", 4),
+                                                ("agarwal_tara", 0), ("klyshko", 1)])
+    @pytest.mark.parametrize("family, values", [
+        (states.FAMILY_THERMAL, np.array([0.0, 0.4, 1.7])),
+        (states.FAMILY_EVEN_COHERENT, np.array([0.01, 0.6 + 0.3j, 1.3])),
+    ], ids=["thermal", "ecs"])
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_a_stack_equals_its_grid_specs(self, witness, order, family, values, engine):
+        ops = [EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 1), EngineeringOp.pas(1, 2)]
+        stack = [StateSpec.of(family, values, op) for op in ops]
+        result = evaluate_witness(stack, witness, order, engine=engine)
+        assert result.value.shape == result.nonclassical.shape == (len(ops) * len(values),)
+        own = [evaluate_witness(StateSpec.of(family, values, op), witness, order, engine=engine) for op in ops]
+        np.testing.assert_array_equal(result.value.view(np.uint64),
+                                      np.concatenate([one.value for one in own]).view(np.uint64))
+        np.testing.assert_array_equal(result.nonclassical, np.concatenate([one.nonclassical for one in own]))
+
     @pytest.mark.parametrize("engine", ["analytic", "oracle"])
     def test_husimi_zero_takes_one_state(self, engine):
         with pytest.raises(ValueError, match="one state"):
             evaluate_witness(StateSpec.thermal(np.array([0.5, 1.0])), "husimi_zero", engine=engine)
+        with pytest.raises(ValueError, match="one state"):
+            evaluate_witness([StateSpec.thermal(0.5)], "husimi_zero", engine=engine)
 
     def test_husimi_zero_result(self):
         grid = ScanGrid(-1.5, 1.5, -1.5, 1.5, steps=15)
