@@ -16,9 +16,10 @@ Exit codes are the machine-readable failure channel:
 All stdout records are single-line CSV. Floats print in their shortest
 round-trip form (17 significant digits at most).
 
---engine is read by witnesses.engines, and the first engine's value is
-printed. Under "both" each deviation from the oracle (oracle.deviation,
-plain relative for moment) above --tol, or NaN, is named on stderr.
+--engine is a name of the table witnesses.ENGINES or "both", as read by
+witnesses.engines, and the first engine's value is printed. Under "both"
+each deviation from the oracle (oracle.deviation, plain relative for
+moment) above --tol, or NaN, is named on stderr.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("analytic", "oracle", "both"))
+    parser.add_argument("--engine", choices=(*witnesses_mod.ENGINES, "both"))
     parser.add_argument("--tol", type=verify.tolerance)
     parser.add_argument("--config")
 
@@ -244,7 +245,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     # the witnesses' route, whose oracle basis holds this moment's tail
     pair = (args.m, args.n)
-    values = [witnesses_mod._moment_table(spec, engine, oracle_mod.DEFAULT_TAIL_TOL, (pair,)).get(*pair)
+    values = [engine.moment_table(spec, (pair,), oracle_mod.DEFAULT_TAIL_TOL).get(*pair)
               for engine in witnesses_mod.engines(args.engine or "analytic")]
     print(f"{args.m},{args.n},{_fmt(values[0].real)},{_fmt(values[0].imag)}")
     deviations = _compared(f"moment({args.m},{args.n})", values, oracle_mod.RELATIVE_FLOOR)
@@ -254,7 +255,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     witness, order = _witness_order(args)
     spec = _build_spec(args)
-    results = [witnesses_mod.evaluate_witness(spec, witness, order=order, variant=args.variant, engine=engine)
+    results = [witnesses_mod.evaluate_witness(spec, witness, order=order, variant=args.variant, engine=engine.name)
                for engine in witnesses_mod.engines(args.engine or "analytic")]
     first = results[0]
     flag = "true" if first.nonclassical else "false"

@@ -17,7 +17,7 @@ family at once (truncated_states); a grid spec is a stack of one, and one
 state a grid of one. Each quantity is one body over arrays, whose
 one-element case is the scalar call; the moments of many states are one
 gather per cutoff (_gathered_moments), of which oracle_moment is the group of
-one, and over_states stacks any other quantity over states.
+one.
 """
 
 from __future__ import annotations
@@ -367,18 +367,6 @@ def coherent_truncated(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> Tr
 
     states = _grow(name, np.array([alpha]), [EngineeringOp.bare()], coherent_amplitudes, False, tail_tol)
     return _one(states, name)
-
-
-def over_states(states, quantity, rows: int) -> np.ndarray:
-    """quantity(state), `rows` values, of one state, or stacked as columns
-    over a list of states, NaN where a state is None (annihilated)."""
-    if isinstance(states, TruncatedState):
-        return quantity(states)
-    out = np.full((rows, len(states)), math.nan)
-    for i, state in enumerate(states):
-        if state is not None:
-            out[:, i] = quantity(state)
-    return out
 
 
 def oracle_moment(state: TruncatedState, m, n):

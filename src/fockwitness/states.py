@@ -757,9 +757,9 @@ def _thermal_level_weight(spec: StateSpec, m: np.ndarray, weight) -> np.ndarray:
     power = np.where(np.asarray(weight) > 0, m.astype(float) + shift, 0.0)[:, None] + zeros
     # y x^k in the units of _norm; from rbar = 1 on, x^k goes through
     # log1p(1/rbar), since x itself rounds to 1.0 past rbar ~ 1e16 and
-    # would hide that x^k underflows
+    # would hide that x^k underflows; 1/rbar is taken at rbar >= 1 only
     with np.errstate(divide="ignore", invalid="ignore"):
-        bare = np.where(rbar < 1.0, np.power(x + zeros, power), np.exp(-power * np.log1p(1.0 / rbar)))
+        bare = np.where(rbar < 1.0, np.power(x + zeros, power), np.exp(-power * np.log1p(1.0 / np.fmax(rbar, 1.0))))
     if not bare.any():
         # before W(m) meets a float, which it may not fit
         return bare
@@ -933,7 +933,7 @@ def _family(name: str) -> Family:
 class MomentTable:
     """Memoized normalized moments <a'^m a^n> of one state spec.
 
-    A table holds the pairs its reader needs (witnesses._moment_pairs) and a
+    A table holds the pairs its reader needs (witnesses.moment_pairs) and a
     `fill(ms, ns)` that gives the moments of a pair set, as two equal-length
     order arrays, stacked on axis 0: the first get fills all the pairs in
     one call, and a get of any other pair makes the same call with that one

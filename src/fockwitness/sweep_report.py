@@ -98,23 +98,16 @@ class FigurePack:
     panels: list[tuple[str, object]]  # (panel name, SweepTable | HusimiGrid)
 
 
-def _gaps(spec: StateSpec, values: np.ndarray, engine: str) -> dict[str, int]:
+def _gaps(spec: StateSpec, values: np.ndarray, engine: witnesses_mod.Engine) -> dict[str, int]:
     """The NaN gaps of one series, the grid spec's values, by cause.
 
     A gap at an annihilated state, where every table entry is NaN, is a
-    DegenerateState: the analytic norm is NaN there, and the oracle's
-    build of the point raises it. Every other gap is an indeterminate
-    agarwal_tara point (SingularDenominator), the one witness guard that
-    masks.
+    DegenerateState, as the engine's `annihilated` finds it. Every other
+    gap is an indeterminate agarwal_tara point (SingularDenominator), the
+    one witness guard that masks.
     """
     gaps = np.isnan(values)
-    if engine == "analytic":
-        annihilated = gaps & np.isnan(spec._norm)
-    else:
-        # the gaps' points built again; the annihilated are None
-        annihilated = gaps.copy()
-        rebuilt = oracle_mod.truncated_states(StateSpec.of(spec.family, spec.parameter[gaps], spec.op))
-        annihilated[gaps] = [state is None for state in rebuilt]
+    annihilated = engine.annihilated(spec, gaps)
     causes = {DegenerateState: annihilated, SingularDenominator: gaps & ~annihilated}
     return {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
 
@@ -154,7 +147,7 @@ def sweep(
         raise ValueError("parameter range must be finite, non-negative and increasing")
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
-    values = np.array(witnesses_mod._linspace(lo, hi, steps))
+    values = np.array(witnesses_mod.linspace(lo, hi, steps))
 
     ops = list(variants)
     for index, op in enumerate(ops):
@@ -166,15 +159,15 @@ def sweep(
     # the panel's variants as one stack: one witness call per engine, whose
     # columns are each variant's series in turn
     stack = [StateSpec.of(family, values, op) for op in ops]
-    panels = [witnesses_mod.evaluate_witness(stack, witness_id, order=order, engine=name).value
-              for name in runs]
+    panels = [witnesses_mod.evaluate_witness(stack, witness_id, order=order, engine=run.name).value
+              for run in runs]
     series: dict[str, np.ndarray] = {}
     gaps: dict[str, dict[str, int]] = {}
     for s, spec in enumerate(stack):
         # the first engine's series under the variant's label, the second's as label@oracle
-        for label, name, panel in zip((spec.op.label(), f"{spec.op.label()}@oracle"), runs, panels):
+        for label, run, panel in zip((spec.op.label(), f"{spec.op.label()}@oracle"), runs, panels):
             series[label] = panel[s * steps:(s + 1) * steps]
-            gaps[label] = _gaps(spec, series[label], name)
+            gaps[label] = _gaps(spec, series[label], run)
 
     metadata = {
         "witness": witness_id,
@@ -201,13 +194,13 @@ def husimi_grid(
     the spec's variant; rows scan Im(beta), columns Re(beta).
 
     The values come from the husimi-zero scan's grid route on that window:
-    one call over the grid's beta array, to states.husimi for the
-    analytic engine and to oracle_husimi on one truncated basis for the
-    oracle (engine "oracle", and the second route of "both").
+    one call over the grid's beta array to the `husimi` of each engine the
+    choice runs (witnesses.ENGINES): states.husimi for the analytic engine,
+    oracle_husimi on one truncated basis for the oracle.
     """
     grid = witnesses_mod.ScanGrid(*BETA_WINDOW, *BETA_WINDOW, steps)
-    values = [witnesses_mod._husimi_grid_values(spec, grid, name, oracle_mod.DEFAULT_TAIL_TOL)
-              .reshape(steps, steps) for name in witnesses_mod.engines(engine)]
+    values = [run.husimi(spec, grid.betas(), oracle_mod.DEFAULT_TAIL_TOL)
+              for run in witnesses_mod.engines(engine)]
     metadata = {"spec": spec.canonical(), "engine": engine}
     if len(values) > 1:
         metadata["max_deviation"] = float(np.max(oracle_mod.deviation(*values)))

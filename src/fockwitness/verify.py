@@ -140,7 +140,7 @@ def _grid_pairs(family) -> list[tuple[int, int]]:
     """The union of the pairs that moments, witnesses, normalization and
     hosps_gate read of the grid specs of a _Family."""
     reads = [("hosps", l) for l in _HOSPS_ORDERS] + _WITNESS_READS
-    pairs = {pair for witness, order in reads for pair in witnesses_mod._moment_pairs(witness, order)}
+    pairs = {pair for witness, order in reads for pair in witnesses_mod.moment_pairs(witness, order)}
     return sorted(pairs.union(_moment_suite_pairs(family), _PARITY_PAIRS))
 
 
@@ -229,7 +229,7 @@ def suite_witnesses(tol: float = WITNESS_REL_TOL, families: list[_Family] | None
         tables = (record.analytic, record.oracle)
         # (label, analytic values, oracle values), each over the checked states
         rows = [(f"{name}({l})" if l else name,
-                 *(witnesses_mod._table_witness(table, name, l)[columns] for table in tables))
+                 *(witnesses_mod.table_witness(table, name, l)[columns] for table in tables))
                 for name, l in _WITNESS_READS]
         # p_0 .. p_6 from one photon_prob call per grid spec, and from the oracle states
         probs = (np.concatenate([states_mod.photon_prob(grid, np.arange(7))[:, np.isin(grid.parameter, values)]
@@ -305,7 +305,7 @@ def suite_signs() -> SuiteResult:
     notes = []
     checks = 0
     points = 60
-    rbar_values = np.array(witnesses_mod._linspace(*states_mod.FAMILY_THERMAL.window, points))
+    rbar_values = np.array(witnesses_mod.linspace(*states_mod.FAMILY_THERMAL.window, points))
 
     # the Mandel pair in one call, each variant's series a slice of it
     ops = (EngineeringOp.psa(1, 1), EngineeringOp.pas(1, 1))
@@ -364,20 +364,18 @@ def suite_signs() -> SuiteResult:
 
 
 def _oracle_hosps_direct(states, orders) -> np.ndarray:
-    """For each l of orders (rows) and each oracle state (columns), the
-    state's l-th central number moment minus that of the same-mean Poisson
-    distribution, every state's reference from one array call; one state
-    gives its one column. Each state's distribution and mean are read once."""
-    one = isinstance(states, oracle_mod.TruncatedState)
+    """For each l of orders (rows) and each oracle state of a list (columns),
+    the state's l-th central number moment minus that of the same-mean
+    Poisson distribution, every state's reference from one array call. Each
+    state's distribution and mean are read once."""
     central, means = [], []
-    for state in [states] if one else states:
+    for state in states:
         probs = state.probabilities()
         k = np.arange(len(probs), dtype=float)
         means.append(float(np.dot(probs, k)))
         central.append([float(np.dot(probs, (k - means[-1]) ** l)) for l in orders])
     poisson = oracle_mod.oracle_poissonian_central_moment(np.array(means), orders)
-    references = np.array(central).T - np.array(poisson)
-    return references[:, 0] if one else references
+    return np.array(central).T - np.array(poisson)
 
 
 def suite_hosps_gate(tol: float = WITNESS_REL_TOL, families: list[_Family] | None = None) -> SuiteResult:
@@ -447,22 +445,22 @@ _EXACT_FIXTURES = (
 )
 
 
-def _frozen_quantity(spec: StateSpec, quantity: str, engine: str) -> float:
-    """Evaluate a fixture quantity on either engine's route, as the
-    witnesses read it (an oracle basis is built fresh): a moment(m,n),
-    photon_prob(m), husimi(beta) or any witness of WITNESS_READS at its
-    order, such as mandel(2)."""
+def _frozen_quantity(spec: StateSpec, quantity: str, engine: witnesses_mod.Engine) -> float:
+    """Evaluate a fixture quantity on an engine's route (a record of
+    witnesses.ENGINES), as the witnesses read it (an oracle basis is built
+    fresh): a moment(m,n), photon_prob(m), husimi(beta) or any witness of
+    WITNESS_READS at its order, such as mandel(2)."""
     name, _, argument = quantity[:-1].partition("(")
     tail_tol = oracle_mod.DEFAULT_TAIL_TOL
     if name == "moment":
         pair = tuple(int(v) for v in argument.split(","))
-        return witnesses_mod._moment_table(spec, engine, tail_tol, (pair,)).get(*pair).real
+        return engine.moment_table(spec, (pair,), tail_tol).get(*pair).real
     if name == "photon_prob":
-        return float(witnesses_mod._photon_probs(spec, np.array([int(argument)]), engine, tail_tol)[0, 0])
+        return float(engine.photon_probs(spec, np.array([int(argument)]), tail_tol)[0])
     if name == "husimi":
-        return float(witnesses_mod._husimi(spec, np.array(complex(argument)), engine, tail_tol))
+        return float(engine.husimi(spec, np.array(complex(argument)), tail_tol))
     if name in witnesses_mod.WITNESS_READS:
-        return witnesses_mod.evaluate_witness(spec, name, int(argument), engine=engine,
+        return witnesses_mod.evaluate_witness(spec, name, int(argument), engine=engine.name,
                                               tail_tol=tail_tol).value
     raise ValueError(f"unknown fixture quantity {quantity!r}")
 
@@ -477,15 +475,15 @@ def suite_fixtures(tol: float = EXACT_FIXTURE_TOL) -> SuiteResult:
     the frozen oracle records of fixtures.txt on both engines at
     WITNESS_REL_TOL, every one read by _frozen_quantity."""
     tally = _Tally()
-    rows = [(*row, ("analytic",), tol) for row in _EXACT_FIXTURES]
-    rows += [(record.canonical, record.quantity, record.value, witnesses_mod.ENGINES, WITNESS_REL_TOL)
+    rows = [(*row, witnesses_mod.engines("analytic"), tol) for row in _EXACT_FIXTURES]
+    rows += [(record.canonical, record.quantity, record.value, witnesses_mod.engines("both"), WITNESS_REL_TOL)
              for record in load_packaged_fixtures()]
     for canonical, quantity, expected, engines, limit in rows:
         spec = StateSpec.from_canonical(canonical)
         for engine in engines:
             value = _frozen_quantity(spec, quantity, engine)
             tally.add(oracle_mod.deviation(value, expected, oracle_mod.RELATIVE_FLOOR), limit,
-                      lambda i, dev: f"{canonical} {quantity} [{engine}]: dev {dev:.3e}")
+                      lambda i, dev: f"{canonical} {quantity} [{engine.name}]: dev {dev:.3e}")
     return tally.result("fixtures")
 
 

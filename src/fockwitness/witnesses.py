@@ -14,6 +14,9 @@ value flags nonclassicality:
 The seventh, husimi_zero_scan, looks for zeros of the Husimi Q function on a
 grid; a nonempty zero set is the flag.
 
+Each engine is an Engine record in one table, ENGINES (by name), holding
+every fact that differs between engines: no other code tests its name.
+
 The six scalar witnesses also take a grid spec (states.StateSpec over an
 array of parameters), or a stack of grid specs of one family over one
 parameter array (states.as_stack), on either engine, and then return the
@@ -55,24 +58,83 @@ SINGULAR_EPSILON = 1e-12
 # a Husimi grid point whose Q is below this times the grid maximum is a zero
 ZERO_THRESHOLD = 1e-6
 
-ENGINES = ("analytic", "oracle")
+
+@dataclass(frozen=True)
+class Engine:
+    """One engine: every fact that differs from one engine to another. Each
+    field looks the module function it calls up at call time, so a patched
+    or traced one is the one called."""
+
+    name: str  # the CLI --engine choice and a WitnessResult's provenance
+    moment_table: Callable  # (spec or stack, pairs, tail_tol) -> a MomentTable holding the pairs
+    photon_probs: Callable  # (one-state or grid spec, photon numbers, tail_tol) -> p_m, (M,) or (M, G)
+    husimi: Callable  # (one-state spec, beta array, tail_tol) -> Q at each beta
+    annihilated: Callable  # (grid spec, its NaN gaps) -> those at annihilated states (NaN norm, or built as None)
 
 
-def engines(engine: str) -> tuple[str, ...]:
-    """The engines an engine choice runs, in order: "analytic", "oracle",
-    or "both" for the two. The first one's value is the one reported; under
-    "both" the oracle's is its reference (oracle.deviation)."""
-    if engine not in ENGINES + ("both",):
-        raise ValueError(f"unknown engine {engine!r}")
-    return ENGINES if engine == "both" else (engine,)
+def _oracle_moment_table(spec, pairs, tail_tol: float) -> MomentTable:
+    """An oracle basis admits the pairs and holds the tail of <a'^n a^n>
+    for the largest n = (m + n) // 2 over them (l/2 for hos(l)); a stack's
+    states, grown at once, are one list, spec by spec."""
+    order = max(((m + n) // 2 for m, n in pairs), default=0)
+    states = oracle_mod.truncated_states(spec, tail_tol, order)
+    if not isinstance(spec, StateSpec):
+        states = [state for grid in states for state in grid]
+    return oracle_mod.moment_table_from_state(states, pairs)
 
 
-def _analytic(engine: str) -> bool:
-    """Whether a route's engine is the analytic one rather than the
-    oracle; a name outside ENGINES ("both" too) raises."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine == "analytic"
+def _oracle_photon_probs(spec: StateSpec, numbers, tail_tol: float) -> np.ndarray:
+    """One state's p_m, or a grid's as columns, NaN where a state is None
+    (annihilated). The basis holds more than m + p levels: every level m
+    read, the bare level it comes from (m + p - q) and the level a^p lowers
+    it from (m + p), or raises CutoffExceeded past the hard limit."""
+    reach = int(np.max(numbers)) + spec.op.p + 1
+    states = oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach)
+    if isinstance(states, oracle_mod.TruncatedState):
+        return oracle_mod.oracle_photon_prob(states, numbers)
+    probs = np.full((len(numbers), len(states)), math.nan)
+    for i, state in enumerate(states):
+        if state is not None:
+            probs[:, i] = oracle_mod.oracle_photon_prob(state, numbers)
+    return probs
+
+
+def _oracle_husimi(spec: StateSpec, betas: np.ndarray, tail_tol: float) -> np.ndarray:
+    """An oracle basis holds every |beta|^2 well inside its cutoff."""
+    reach = int(4 * np.max(np.abs(betas) ** 2)) + 8
+    return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
+
+
+def _oracle_annihilated(spec: StateSpec, gaps: np.ndarray) -> np.ndarray:
+    """Which of a grid spec's NaN gaps are annihilated: rebuilt, those points give None."""
+    annihilated = gaps.copy()
+    rebuilt = oracle_mod.truncated_states(StateSpec.of(spec.family, spec.parameter[gaps], spec.op))
+    annihilated[gaps] = [state is None for state in rebuilt]
+    return annihilated
+
+
+ENGINES = {engine.name: engine for engine in (
+    Engine("analytic",
+           moment_table=lambda spec, pairs, tail_tol: MomentTable.analytic(spec, pairs),
+           photon_probs=lambda spec, numbers, tail_tol: states_mod.photon_prob(spec, numbers),
+           husimi=lambda spec, betas, tail_tol: states_mod.husimi(spec, betas),
+           annihilated=lambda spec, gaps: gaps & np.isnan(spec._norm)),
+    Engine("oracle", _oracle_moment_table, _oracle_photon_probs, _oracle_husimi, _oracle_annihilated),
+)}
+
+
+def engines(engine: str) -> tuple[Engine, ...]:
+    """The engines an engine choice runs, in order: one of ENGINES, or
+    "both" for the analytic then the oracle. The first one's value is the
+    one reported; under "both" the oracle's is its reference (oracle.deviation)."""
+    return tuple(ENGINES.values()) if engine == "both" else (_engine(engine),)
+
+
+def _engine(name: str) -> Engine:
+    """The record of a route's one engine; a name outside ENGINES, "both" too, raises."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}")
+    return ENGINES[name]
 
 
 @dataclass(frozen=True)
@@ -173,11 +235,11 @@ def hosps(table: MomentTable, l: int = 2):
 def _hos_terms(l: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
     """The terms of (a + a')^k for k = 0..l, k by k, each k's in the order
     quadrature_power_coeffs gives them: the index of each term's pair in
-    _moment_pairs("hos", l), its coefficient as the double it rounds to,
+    moment_pairs("hos", l), its coefficient as the double it rounds to,
     and where each k's terms end; then 2^(k/2) for each k. Coefficients
     and scales are complex, the type numpy converts them to against a
     complex moment, so that no call converts them again."""
-    index = {pair: i for i, pair in enumerate(_moment_pairs("hos", l))}
+    index = {pair: i for i, pair in enumerate(moment_pairs("hos", l))}
     rows, coeffs, ends = [], [], []
     for k in range(l + 1):
         terms = quadrature_power_coeffs(k)
@@ -204,7 +266,7 @@ def hos(table: MomentTable, l: int = 2):
     if l % 2:
         raise OddOrder("hos is defined for even order only")
     # each pair read once, as one row of a stack over the table's states
-    raw = {pair: table.get(*pair) for pair in _moment_pairs("hos", l)}
+    raw = {pair: table.get(*pair) for pair in moment_pairs("hos", l)}
     moments = np.array(list(raw.values()), dtype=complex).reshape(len(raw), -1)
     rows, coeffs, ends, scales = _hos_terms(l)
     # Each k's terms are stacked and added from 0 in expansion order, the
@@ -261,25 +323,6 @@ def _hankel3_det(moments) -> np.ndarray:
     )
 
 
-def _photon_probs(spec, numbers, engine: str, tail_tol: float) -> np.ndarray:
-    """p_m for m in numbers over spec's states, one row per m: a column
-    per point of a grid spec, one column for one state, and a stack's
-    specs side by side, each read on its own. An oracle basis holds more
-    than m + p levels: every level m read, the bare level it comes from
-    (m + p - q) and the level a^p lowers it from (m + p), or raises
-    CutoffExceeded past the hard limit."""
-    if not isinstance(spec, StateSpec):
-        return np.hstack([_photon_probs(one, numbers, engine, tail_tol) for one in states_mod.as_stack(spec)])
-    if _analytic(engine):
-        probs = states_mod.photon_prob(spec, numbers)
-    else:
-        reach = int(np.max(numbers)) + spec.op.p + 1
-        probs = oracle_mod.over_states(oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach),
-                                       lambda state: oracle_mod.oracle_photon_prob(state, numbers),
-                                       len(numbers))
-    return probs.reshape(len(numbers), -1)
-
-
 def klyshko(
     spec,
     m: int,
@@ -290,7 +333,11 @@ def klyshko(
     one state, a grid spec or a stack of them."""
     if m < 0:
         raise ValueError("photon number must be non-negative")
-    values = klyshko_from_probs(m, *_photon_probs(spec, np.arange(m, m + 3), engine, tail_tol))
+    run = _engine(engine)
+    numbers = np.arange(m, m + 3)
+    # rows p_m, p_(m+1), p_(m+2), columns the states: a stack's specs each read on its own
+    probs = [run.photon_probs(one, numbers, tail_tol).reshape(3, -1) for one in states_mod.as_stack(spec)]
+    values = klyshko_from_probs(m, *np.hstack(probs))
     return _unwrap(values, spec.parameter if isinstance(spec, StateSpec) else values)
 
 
@@ -299,7 +346,7 @@ def klyshko_from_probs(m: int, p_m: float, p_m1: float, p_m2: float) -> float:
     return (m + 2) * p_m * p_m2 - (m + 1) * p_m1 ** 2
 
 
-def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+def linspace(lo: float, hi: float, steps: int) -> list[float]:
     """lo + i (hi - lo) / (steps - 1) for i < steps: a sweep's parameter
     grid and a scan grid's axes."""
     h = (hi - lo) / (steps - 1)
@@ -323,40 +370,27 @@ class ScanGrid:
             raise ValueError("grid bounds must be well ordered")
 
     def axes(self) -> tuple[list[float], list[float]]:
-        """(re values, im values), each _linspace over its bounds."""
-        return (_linspace(self.re_min, self.re_max, self.steps),
-                _linspace(self.im_min, self.im_max, self.steps))
+        """(re values, im values), each linspace over its bounds."""
+        return (linspace(self.re_min, self.re_max, self.steps),
+                linspace(self.im_min, self.im_max, self.steps))
+
+    def betas(self) -> np.ndarray:
+        """The grid points as one array: rows scan Im(beta), columns Re(beta)."""
+        re_axis, im_axis = map(np.array, self.axes())
+        return re_axis[None, :] + 1j * im_axis[:, None]
 
     def points(self):
         """Row-major grid points (imaginary part varies slowest)."""
-        re_axis, im_axis = self.axes()
-        for im in im_axis:
-            for re in re_axis:
-                yield complex(re, im)
+        return iter(self.betas().ravel().tolist())
 
 
-def _husimi(spec: StateSpec, betas: np.ndarray, engine: str, tail_tol: float) -> np.ndarray:
-    """Q at an array of betas from one call on either engine; an oracle
-    basis holds every |beta|^2 well inside its cutoff."""
-    if _analytic(engine):
-        return states_mod.husimi(spec, betas)
-    reach = int(4 * np.max(np.abs(betas) ** 2)) + 8
-    return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
-
-
-def _husimi_grid_values(spec, grid, engine, tail_tol) -> np.ndarray:
-    """Q at grid.points(), in their row-major order."""
-    re_axis, im_axis = map(np.array, grid.axes())
-    return _husimi(spec, re_axis[None, :] + 1j * im_axis[:, None], engine, tail_tol).ravel()
-
-
-def _relative_husimi(spec, grid, engine, tail_tol) -> np.ndarray:
-    """Q over its grid maximum, row-major.
+def _relative_husimi(spec, grid, engine: Engine, tail_tol) -> np.ndarray:
+    """Q over its grid maximum, row-major, from one call on the engine.
 
     Raises EmptyWindow where Q is 0 at every point (a cat whose amplitude
     puts it outside the window): no point can then be told from a zero.
     """
-    values = _husimi_grid_values(spec, grid, engine, tail_tol)
+    values = engine.husimi(spec, grid.betas(), tail_tol).ravel()
     q_max = values.max()
     if not q_max > 0.0:
         raise EmptyWindow(
@@ -380,7 +414,7 @@ def husimi_zero_scan(
     A window on which Q is 0 everywhere raises EmptyWindow.
     """
     grid = grid or ScanGrid()
-    relative = _relative_husimi(spec, grid, engine, tail_tol)
+    relative = _relative_husimi(spec, grid, _engine(engine), tail_tol)
     return [beta for beta, r in zip(grid.points(), relative) if r < ZERO_THRESHOLD]
 
 
@@ -408,7 +442,7 @@ def witness_order(witness: str, order: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
+def moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
     this order: <a'^n a^n> for n <= l for mandel(l) (its <(a'a)^r>), n = 1
     and l for hoa(l), 1 <= n <= l for hosps(l) and n <= 4 for A3 (either
@@ -423,21 +457,7 @@ def _moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, n) for n in range(first, last + 1))
 
 
-def _moment_table(spec, engine: str, tail_tol: float, pairs) -> MomentTable:
-    """The moment table of a spec or a stack on either engine, holding the
-    given pairs. An oracle basis admits them and holds the tail of
-    <a'^n a^n> for the largest n = (m + n) // 2 over them (l/2 for
-    hos(l)); a stack's states, grown at once, are one list, spec by spec."""
-    if _analytic(engine):
-        return MomentTable.analytic(spec, pairs)
-    order = max(((m + n) // 2 for m, n in pairs), default=0)
-    states = oracle_mod.truncated_states(spec, tail_tol, order)
-    if not isinstance(spec, StateSpec):
-        states = [state for grid in states for state in grid]
-    return oracle_mod.moment_table_from_state(states, pairs)
-
-
-def _table_witness(table: MomentTable, witness: str, order: int, variant: str | None = None):
+def table_witness(table: MomentTable, witness: str, order: int, variant: str | None = None):
     """A moment witness over a table: agarwal_tara at its variant (its
     default where None), the others at their order. Each body is looked
     up at call time, so a patched or traced one is the one called."""
@@ -476,11 +496,11 @@ def evaluate_witness(
         if not isinstance(spec, StateSpec):
             raise ValueError("husimi_zero takes one state, not a stack of specs")
         # the husimi_zero_scan rule: some point lies below the threshold
-        rel_min = float(_relative_husimi(spec, grid or ScanGrid(), engine, tail_tol).min())
+        rel_min = float(_relative_husimi(spec, grid or ScanGrid(), _engine(engine), tail_tol).min())
         return WitnessResult(witness, order, rel_min, rel_min < ZERO_THRESHOLD, engine)
     if reads == "m":
         value = klyshko(spec, order, engine, tail_tol)
     else:
-        table = _moment_table(spec, engine, tail_tol, _moment_pairs(witness, order))
-        value = _table_witness(table, witness, order, variant)
+        table = _engine(engine).moment_table(spec, moment_pairs(witness, order), tail_tol)
+        value = table_witness(table, witness, order, variant)
     return WitnessResult(witness, order, value, value < 0.0, engine)

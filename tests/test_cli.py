@@ -311,6 +311,22 @@ class TestNumericDomain:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # An engineered thermal state at a subnormal rbar is, in double
+    # precision, the Fock state |k> its lowest bare level goes to: k = q - p
+    # under PAS (0 where p > q) and k = q under PSA. B(m) of |k> is -(m + 1)
+    # at k = m + 1 and 0 elsewhere. No RuntimeWarning may escape on the way,
+    # which pyproject's filterwarnings makes a failure here.
+    @pytest.mark.parametrize("rbar, m, op, p, q", [
+        ("1e-320", m, op, p, q) for m in (0, 2) for op in ("pas", "psa") for p in range(5) for q in range(5) if p or q
+    ] + [(rbar, m, "none", 0, 0) for rbar in ("1e-320", "5e-309") for m in (0, 2)], ids=str)
+    def test_klyshko_at_a_subnormal_rbar(self, run_main, rbar, m, op, p, q):
+        k = max(q - p, 0) if op == "pas" else q
+        value = -(m + 1.0) if k == m + 1 else 0.0
+        proc = run_main("witness", "--name", "klyshko", "--m", str(m), "--family", "thermal", "--rbar", rbar,
+                        "--op", op, "--p", str(p), "--q", str(q))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"klyshko,{m},{value!r},{str(value < 0).lower()}\n"
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -424,8 +440,8 @@ class TestBothEngineTolerance:
     def test_moment_deviation_above_tol_fails(self, capsys):
         # plain relative: 4.333333333333333 against the oracle's 4.3333333333333295
         spec = states.StateSpec.thermal(1.0, states.EngineeringOp.psa(1, 1))
-        values = [witnesses._moment_table(spec, engine, oracle.DEFAULT_TAIL_TOL, ((1, 1),)).get(1, 1)
-                  for engine in ("analytic", "oracle")]
+        values = [engine.moment_table(spec, ((1, 1),), oracle.DEFAULT_TAIL_TOL).get(1, 1)
+                  for engine in witnesses.engines("both")]
         dev = oracle.deviation(*values, oracle.RELATIVE_FLOOR)
         assert 1e-30 < dev < 1e-8
         argv = ["moment", "--family", "thermal", "--op", "psa", "--p", "1", "--q", "1", "--rbar", "1",

@@ -417,7 +417,7 @@ def test_a_witness_basis_admits_every_pair_it_reads(spec, witness, order):
 def test_a_moment_basis_holds_its_tail(spec, family, capsys):
     # the mass alone gives 32 levels (ecs), too few for <a'^20 a^20>, and
     # 128 (thermal), 5e-6 off it; the basis grows until its k^20 tail is held
-    table = witnesses._moment_table(spec, "oracle", 1e-12, ((20, 20),))
+    table = witnesses.ENGINES["oracle"].moment_table(spec, ((20, 20),), 1e-12)
     assert table.get(20, 20) == pytest.approx(states.moment(spec, 20, 20), rel=1e-13)
     # the CLI reads the same basis
     argv = ["moment", *family, "--m", "20", "--n", "20", "--engine", "both"]
@@ -428,7 +428,7 @@ def test_a_moment_basis_beyond_the_hard_limit_raises(monkeypatch):
     monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
     # <a'^20 a^20> needs a cutoff above 82
     with pytest.raises(CutoffExceeded, match="too close to cutoff 64"):
-        witnesses._moment_table(StateSpec.thermal(0.1), "oracle", 1e-12, ((20, 20),)).get(20, 20)
+        witnesses.ENGINES["oracle"].moment_table(StateSpec.thermal(0.1), ((20, 20),), 1e-12).get(20, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +722,7 @@ def test_a_high_order_thermal_moment_on_the_oracle(order):
     # <a'^n a^n> of a thermal state is n! rbar^n; k^n overflows the tail
     # weights from n = 114, and (j + n)!/j! the lowering from n = 118
     spec = StateSpec.thermal(0.1)
-    value = witnesses._moment_table(spec, "oracle", 1e-12, ((order, order),)).get(order, order)
+    value = witnesses.ENGINES["oracle"].moment_table(spec, ((order, order),), 1e-12).get(order, order)
     assert value.real == pytest.approx(math.exp(math.lgamma(order + 1) + order * math.log(0.1)), rel=1e-12)
     witness = witnesses.evaluate_witness(spec, "hoa", order, engine="oracle").value
     assert oracle.deviation(witness, witnesses.evaluate_witness(spec, "hoa", order).value) <= 1e-12
@@ -731,7 +731,7 @@ def test_a_high_order_thermal_moment_on_the_oracle(order):
 def test_a_lowered_vector_past_the_float_range_of_its_factorials():
     # the cat's rows from (j + n)!/j! > 1.8e308 are lowered one level at a time
     spec = StateSpec.even_coherent(2.0)
-    value = witnesses._moment_table(spec, "oracle", 1e-12, ((120, 120),)).get(120, 120)
+    value = witnesses.ENGINES["oracle"].moment_table(spec, ((120, 120),), 1e-12).get(120, 120)
     assert value.real == pytest.approx(4.0 ** 120, rel=1e-12)
 
 

@@ -737,7 +737,7 @@ class TestMomentTable:
     def test_provenance_labels(self):
         spec = StateSpec.thermal(1.0)
         assert MomentTable.analytic(spec).provenance == "analytic"
-        assert witnesses._moment_table(spec, "oracle", 1e-12, ((1, 1),)).provenance == "oracle"
+        assert witnesses.ENGINES["oracle"].moment_table(spec, ((1, 1),), 1e-12).provenance == "oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +985,7 @@ class TestMomentTableFill:
 def _sweep_grid(family, scale=1.0):
     """The 200-point grid a sweep of the family takes, times scale."""
     lo, hi = family.window
-    return np.array(witnesses._linspace(lo, hi, 200)) * scale
+    return np.array(witnesses.linspace(lo, hi, 200)) * scale
 
 
 COLUMN_GRIDS = [

@@ -157,7 +157,7 @@ class TestArrayPath:
         window = {"param_min": 0.0, "param_max": hi, "steps": 13}
         for op in ops:
             expected, counts, zero_mean = _point_by_point(
-                witness, order, family, op, witnesses._linspace(0.0, hi, 13), engine)
+                witness, order, family, op, witnesses.linspace(0.0, hi, 13), engine)
             if zero_mean:
                 with pytest.raises(ZeroMeanPhoton):
                     sweep(witness, order, [op], family, **window, engine=engine)

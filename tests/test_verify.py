@@ -44,7 +44,7 @@ def test_each_exact_fixture_reads_the_value_of_its_direct_call():
     ]
     assert len(direct) == len(verify._EXACT_FIXTURES)
     for (canonical, quantity, _), value in zip(verify._EXACT_FIXTURES, direct):
-        got = verify._frozen_quantity(StateSpec.from_canonical(canonical), quantity, "analytic")
+        got = verify._frozen_quantity(StateSpec.from_canonical(canonical), quantity, witnesses.ENGINES["analytic"])
         assert float(got).hex() == float(value).hex(), (canonical, quantity)
 
 
@@ -312,8 +312,8 @@ def test_a_family_equals_its_grids_bit_for_bit(family, engine):
             ([("hosps", l) for l in verify._HOSPS_ORDERS], slice(None), [t for t, _ in own]),
             (verify._WITNESS_READS, witness, [t for op, (t, _) in zip(ops, own) if op in verify._WITNESS_OPS])):
         for name, l in reads:
-            read = witnesses._table_witness(table, name, l)
-            each = np.concatenate([witnesses._table_witness(t, name, l) for t in tables])
+            read = witnesses.table_witness(table, name, l)
+            each = np.concatenate([witnesses.table_witness(t, name, l) for t in tables])
             assert read.shape == (len(record.specs),)
             assert np.array_equal(_bits(read[columns]), _bits(each)), (name, l)
     for pair in verify._moment_suite_pairs(family):
@@ -322,7 +322,7 @@ def test_a_family_equals_its_grids_bit_for_bit(family, engine):
 
 
 def _labels(pair):
-    return [f"{w}({l})" if l else w for w, l in verify._WITNESS_READS if pair in witnesses._moment_pairs(w, l)]
+    return [f"{w}({l})" if l else w for w, l in verify._WITNESS_READS if pair in witnesses.moment_pairs(w, l)]
 
 
 # the last grid spec of each family's checked columns, at its last point:

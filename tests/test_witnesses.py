@@ -1,10 +1,11 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
 import dense
-from fockwitness import oracle, states, sweep_report, witnesses
+from fockwitness import cli, oracle, states, sweep_report, witnesses
 from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
 from fockwitness.specfun import quadrature_power_coeffs
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
@@ -177,7 +178,7 @@ def _hos_per_term(table, l):
     """hos(table, l) with each quadrature moment summed one term at a time,
     in the order quadrature_power_coeffs gives the terms, each coefficient
     as the double it rounds to."""
-    entries = {pair: np.atleast_1d(table.get(*pair)) for pair in witnesses._moment_pairs("hos", l)}
+    entries = {pair: np.atleast_1d(table.get(*pair)) for pair in witnesses.moment_pairs("hos", l)}
 
     def quad_moment(k):
         total = 0j
@@ -204,7 +205,7 @@ class TestHosTermSums:
         StateSpec.of(states.FAMILY_EVEN_COHERENT, np.linspace(0.1, 2.0, 7), EngineeringOp.psa(2, 1)),
     ], ids=["thermal", "ecs", "thermal-grid", "ecs-grid"])
     def test_equals_per_term_loop(self, spec):
-        table = MomentTable.analytic(spec, witnesses._moment_pairs("hos", 40))
+        table = MomentTable.analytic(spec, witnesses.moment_pairs("hos", 40))
         for l in range(2, 41, 2):
             stacked = np.atleast_1d(np.asarray(hos(table, l), dtype=np.float64))
             per_term = np.asarray(_hos_per_term(table, l), dtype=np.float64)
@@ -213,7 +214,7 @@ class TestHosTermSums:
     def test_pairs_are_the_terms_read(self):
         for l in range(2, 41, 2):
             terms = {(j, m) for k in range(l + 1) for j, m, _ in quadrature_power_coeffs(k)}
-            assert witnesses._moment_pairs("hos", l) == tuple(sorted(terms)), l
+            assert witnesses.moment_pairs("hos", l) == tuple(sorted(terms)), l
 
 
 class TestAgarwalTara:
@@ -299,7 +300,7 @@ class TestHusimiZeroScan:
     def test_analytic_values_follow_points(self):
         grid = ScanGrid(-1.3, 2.1, -0.7, 3.3, steps=7)
         spec = StateSpec.even_coherent(1.1 - 0.4j, EngineeringOp.pas(2, 1))
-        values = witnesses._husimi_grid_values(spec, grid, "analytic", oracle.DEFAULT_TAIL_TOL)
+        values = witnesses.ENGINES["analytic"].husimi(spec, grid.betas(), oracle.DEFAULT_TAIL_TOL).ravel()
         expected = [states.husimi(spec, beta) for beta in grid.points()]
         assert len(values) == len(expected) == 49
         for value, reference in zip(values, expected):
@@ -451,7 +452,7 @@ class TestMomentPairs:
         """A table that raises on any pair its witness does not list."""
 
         def __init__(self, spec, witness, order):
-            allowed = set(witnesses._moment_pairs(witness, order))
+            allowed = set(witnesses.moment_pairs(witness, order))
 
             def fill(ms, ns):
                 for m, n in zip(ms.tolist(), ns.tolist()):
@@ -492,7 +493,7 @@ class TestMomentPairs:
         StateSpec.even_coherent(np.array([0.4, 1.1]), EngineeringOp.pas(1, 2)),
     ], ids=["thermal", "grid"])
     def test_hos_reads_each_pair_once(self, spec, order):
-        pairs = witnesses._moment_pairs("hos", order)
+        pairs = witnesses.moment_pairs("hos", order)
         table = self._Counting(spec, pairs)
         hos(table, order)
         assert table.reads == dict.fromkeys(pairs, 1)
@@ -500,10 +501,10 @@ class TestMomentPairs:
     @pytest.mark.parametrize("witness, order", _READS)
     def test_the_oracle_tail_order_is_unchanged(self, monkeypatch, witness, order):
         # the n of <a'^n a^n> whose tail the oracle basis holds, as
-        # _moment_table passes it to truncated_states
+        # the oracle engine's moment_table passes it to truncated_states
         passed = []
         monkeypatch.setattr(oracle, "truncated_states", lambda spec, tail_tol, n: passed.append(n))
-        witnesses._moment_table(PSAT11, "oracle", 1e-12, witnesses._moment_pairs(witness, order))
+        witnesses.ENGINES["oracle"].moment_table(PSAT11, witnesses.moment_pairs(witness, order), 1e-12)
         assert passed == [{"agarwal_tara": 4, "hos": order // 2}.get(witness, order)]
 
     @pytest.mark.parametrize("witness, order", _READS)
@@ -519,15 +520,56 @@ class TestMomentPairs:
         spec = StateSpec.even_coherent(np.array([0.4, 0.9, 1.7]), EngineeringOp.psa(1, 2))
         result = evaluate_witness(spec, witness, order)
         assert result.value.shape == (3,)
-        assert calls == [len(witnesses._moment_pairs(witness, order))]
+        assert calls == [len(witnesses.moment_pairs(witness, order))]
 
 
 def test_engines_reads_every_engine_choice():
-    assert witnesses.engines("analytic") == ("analytic",)
-    assert witnesses.engines("oracle") == ("oracle",)
-    assert witnesses.engines("both") == ("analytic", "oracle")
+    assert tuple(witnesses.ENGINES) == ("analytic", "oracle")
+    for name, engine in witnesses.ENGINES.items():
+        assert engine.name == name
+        assert witnesses.engines(name) == (engine,)
+    assert tuple(engine.name for engine in witnesses.engines("both")) == ("analytic", "oracle")
     with pytest.raises(ValueError, match="unknown engine 'quantum'"):
         witnesses.engines("quantum")
+    # the CLI's --engine choices are the table's names and "both", on every command that reads one
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("moment", "witness", "sweep", "figure"):
+        (action,) = [a for a in commands.choices[command]._actions if a.dest == "engine"]
+        assert tuple(action.choices) == (*witnesses.ENGINES, "both")
+
+
+def _counting(reached: set, name: str, original):
+    def counting(*args, **kwargs):
+        reached.add(name)
+        return original(*args, **kwargs)
+
+    return counting
+
+
+# Each engine field looks the module function it calls up at call time, so
+# a patched or traced one (bench/tracer.py counts layer calls this way) is
+# the one called: each route reaches its engine's functions and none of the
+# other engine's. An oracle Husimi basis is one build_truncated, which
+# grows through truncated_states.
+@pytest.mark.parametrize("evaluate, analytic, oracle_reads", [
+    (lambda engine: evaluate_witness(PSAT11, "hoa", 2, engine=engine),
+     {"moment"}, {"truncated_states"}),
+    (lambda engine: evaluate_witness(PSAT11, "klyshko", 1, engine=engine),
+     {"photon_prob"}, {"truncated_states"}),
+    (lambda engine: evaluate_witness(PSAT11, "husimi_zero", grid=ScanGrid(steps=3), engine=engine),
+     {"husimi"}, {"build_truncated", "truncated_states"}),
+    (lambda engine: sweep_report.husimi_grid(PSAT11, steps=3, engine=engine),
+     {"husimi"}, {"build_truncated", "truncated_states"}),
+], ids=["moment witness", "klyshko", "husimi_zero", "husimi_grid"])
+def test_each_engine_looks_its_functions_up_at_call_time(monkeypatch, evaluate, analytic, oracle_reads):
+    for engine, expected in (("analytic", analytic), ("oracle", oracle_reads)):
+        reached = set()
+        for module, name in ((states, "moment"), (states, "photon_prob"), (states, "husimi"),
+                             (oracle, "truncated_states"), (oracle, "build_truncated")):
+            monkeypatch.setattr(module, name, _counting(reached, name, getattr(module, name)))
+        evaluate(engine)
+        monkeypatch.undo()
+        assert reached == expected, engine
 
 
 # every route names one engine: "both" is the caller's choice of two routes,
@@ -550,8 +592,8 @@ def test_an_unknown_engine_name_raises_on_every_route(evaluate, engine):
     StateSpec.even_coherent(1.1 + 0.2j, EngineeringOp.psa(2, 1)),
 ], ids=lambda spec: spec.canonical())
 def test_the_analytic_moment_route_is_states_moment(spec):
-    # moment --engine analytic|both reads its value through _moment_table
+    # moment --engine analytic|both reads its value through the engine's moment_table
     for m, n in ((0, 0), (1, 1), (2, 0), (3, 2), (4, 4), (1, 5)):
-        value = witnesses._moment_table(spec, "analytic", oracle.DEFAULT_TAIL_TOL, ((m, n),)).get(m, n)
+        value = witnesses.ENGINES["analytic"].moment_table(spec, ((m, n),), oracle.DEFAULT_TAIL_TOL).get(m, n)
         assert type(value) is complex
         assert value == states.moment(spec, m, n)
