@@ -30,11 +30,13 @@ expectation, so normalization is exact by construction and is cross-checked
 against the brute-force oracle in the test suite.
 
 A set of pairs (m, n) is one contraction call (moment with two order
-arrays; MomentTable fills the pairs its witness reads that way): the family
-body takes each power of the parameter once, gathers the cached terms of
-every pair into padded arrays and sums them one term slice at a time. Each
-pair's terms are summed in table order, so each value is the one a call for
-that pair alone gives, bit for bit.
+arrays; MomentTable fills the pairs its witness reads that way), in one
+term loop for both families, _contract. A family's `factors` body gathers
+the cached terms of every pair into padded arrays and gives its factor
+tables, each power of the parameter taken once, in its own multiply order,
+and an optional per-term fallback (the thermal log-space redo). The loop
+sums one term slice at a time, each pair's terms in table order, so each
+value is the one a call for that pair alone gives, bit for bit.
 
 A spec may also hold a 1-d array of parameters: one operation over a grid
 of states. Inside this module one state is a grid of one point: the family
@@ -197,10 +199,10 @@ class Family:
     Records compare and hash by identity. Each body takes the spec, whose
     `_points` hold its parameters as a 1-d array (one point for one state)
     and whose `_constants` keep what `constants` derives from them. Every
-    body but `husimi` computes over those points: a contraction takes a
-    stack of specs (as_stack) and gives one row per pair, with one column
-    per spec and point; a level weight gives one row per photon number,
-    with one column per point.
+    body but `husimi` computes over those points: `factors` gives tables
+    with one column per point, which _contract sums into one row per pair
+    of a stack (as_stack), one column per spec and point; a level weight
+    gives one row per photon number, with one column per point.
     """
 
     name: str  # the CLI --family choice and the head of canonical()
@@ -211,7 +213,7 @@ class Family:
     window: tuple[float, float]  # the plotted sweep window
     diagonal: bool  # Fock-diagonal, as both engineering orders keep it
     constants: Callable  # parameters -> what the bodies read, once per spec over its points
-    contraction: Callable  # (stack, pairs) -> each pair's unnormalized <a'^m a^n>, (P, S G)
+    factors: Callable  # (stack, pairs) -> their _Terms, factor tables and fallback: see _contract
     annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated, (G,)
     level_weight: Callable  # (spec, photon numbers m, their W(m)) -> photon_prob times the norm, (M, G)
     husimi: Callable  # (one-state spec, beta) -> husimi times pi and the norm
@@ -315,7 +317,7 @@ def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, in
 
 def _ecs_pair_weights(alpha) -> tuple[np.ndarray, np.ndarray]:
     """2 (1 + e) and 2 (1 - e), e = <alpha|-alpha> = exp(-2|alpha|^2): the
-    weights of the even-M and odd-M terms of _ecs_contraction. 1 - e goes
+    weights of the even-M and odd-M terms of _ecs_factors. 1 - e goes
     through expm1, so that it keeps full precision at small |alpha|. Where
     |alpha|^2 leaves the float range (|alpha| > ~1.3e154) both are inf, so
     that the norm is out of range there."""
@@ -338,17 +340,17 @@ def _same_parity(m: int, n: int) -> bool:
 class _Terms(NamedTuple):
     """The terms of a stack's pair set, padded and term-major. Row
     r = i S + s is pair i of the stack's operation s; `rows` lists the rows
-    that have terms, and entry [t, j] of each (T, R) array is term t of row
+    that have terms, and entry [t, j] of each padded array is term t of row
     rows[j]. Every other row sums to 0. For each key function of the family
     (a term's power of one factor), `distinct` holds the distinct keys of
-    the terms, ascending, and `index` each term's place in them; a row with
-    fewer terms pads with terms whose index is one past the end of each and
-    whose weight is 0."""
+    the terms, ascending, and `index` each term's place in them, one (R,)
+    row per term slot t; a row with fewer terms pads with terms whose index
+    is one past the end of each and whose weight is 0."""
 
     rows: np.ndarray  # the rows that have terms, ascending
     distinct: tuple  # per key function, the distinct keys, ascending
-    index: tuple  # per key function, the (T, R) places of the terms' keys in them
-    weight: np.ndarray  # the term's weight as a float, inf past the float range
+    index: tuple  # per key function, the places of the terms' keys in them, T rows of (R,)
+    weight: np.ndarray  # the terms' weights as floats, inf past the float range, (T, R, 1)
     terms: tuple  # the terms (M, N, c) of the rows, row by row, unpadded
     places: tuple  # their places [t, j] in the padded arrays, two index arrays
     log_top: float  # log(max c) + lgamma(max M + 1), at least every log c M!
@@ -386,23 +388,13 @@ def _padded(ops: tuple, pairs: tuple, keep: Callable, weigh: Callable, keys: tup
         values = [key(op, M, N) for table, op in zip(tables, row_ops) for M, N, _ in table]
         distinct.append(tuple(sorted(set(values))))
         position = {value: j for j, value in enumerate(distinct[-1])}
-        index.append(padded(np.array([position[value] for value in values], dtype=np.intp), len(position)))
-    weight = padded(np.array(weigh(terms), dtype=float), 0.0)
+        index.append(tuple(padded(np.array([position[value] for value in values], dtype=np.intp), len(position))))
+    weight = padded(np.array(weigh(terms), dtype=float), 0.0)[..., None]
     log_top = (math.log(max(map(operator.itemgetter(2), terms), default=1))
                + math.lgamma(max(map(operator.itemgetter(0), terms), default=0) + 1))
     diagonal = np.array([i for i, (m, n) in enumerate(pairs) if m == n], dtype=np.intp)
     return _Terms(np.array(rows, dtype=np.intp), tuple(distinct), tuple(index), weight, terms, places, log_top,
                   diagonal)
-
-
-def _spread(terms: _Terms, sums: np.ndarray, pairs: int, specs: int) -> np.ndarray:
-    """The sums of terms.rows as the contraction of every row, (P, S G): a
-    row with no terms is 0."""
-    if len(sums) < pairs * specs:
-        every = np.zeros((pairs * specs, sums.shape[1]), dtype=sums.dtype)
-        every[terms.rows] = sums
-        sums = every
-    return sums.reshape(pairs, specs * sums.shape[1])
 
 
 # the factorials that are floats, 0! to 170!, and the least integer that
@@ -430,58 +422,50 @@ def _thermal_powers(op: EngineeringOp, M: int, N: int) -> tuple[int, int]:
     return M - _lowest_power(op), op.p + op.q - M
 
 
-def _thermal_contraction(stack: list, pairs) -> np.ndarray:
+def _thermal_factors(stack: list, pairs):
     """delta_MN M! rbar^M per term, in units of rbar^k0 (1 + rbar)^(p+q)
     of each row's operation: with rbar = x/y, x = rbar/(1+rbar),
     y = 1/(1+rbar), each term is M! x^a y^b, (a, b) = (M-k0, p+q-M), in
     the float range wherever the moment is.
 
-    A term is the product (c M!) x^a y^b, in that order. Where c M!, a
+    A term is the product x^a (c M!) y^b, in that order. Where c M!, a
     power or the product leaves the normal float range (c M! past the
-    largest float, x^a underflowing at small rbar), the term is instead the
-    exponential of its logarithm, which is 0 or inf only where the term
-    itself is out of range, so a pair with a term past the range is inf.
-    Past 170! that logarithm is log c + lgamma(M + 1), and no M! is built.
-    The powers of x and y are taken once per pair (a, b) that a term of the
-    stack holds, and one bound on the logarithms of all the stack's terms
-    skips that test where no term can leave the range.
+    largest float, x^a underflowing at small rbar), the fallback gives the
+    exponential of the term's logarithm, which is 0 or inf only where the
+    term itself is out of range. Past 170! that logarithm is log c +
+    lgamma(M + 1), and no M! is built. The powers of x and y are taken once
+    per pair (a, b) of the stack's terms, and where one bound on the
+    logarithms of all its terms says none can leave the range there is no
+    fallback.
     """
     x, y = stack[0]._constants
     terms = _padded(tuple([one.op for one in stack]), pairs, operator.eq, _thermal_weights, (_thermal_powers,))
     (powers,), (at,) = terms.distinct, terms.index
+    # the last row is the padding's, 0
+    xs = np.array([x ** a for a, _ in powers] + [0.0 * x])
+    ys = np.array([y ** b for _, b in powers] + [0.0 * x])
+    factors = ((xs, at), (terms.weight, range(len(at))), (ys, at))
     # |log w x^a y^b| is at most this at every term and point, as
     # w <= exp(log_top) and x, y <= 1; powers ascend, so the last holds the
     # largest a
     a_top = powers[-1][0] if powers else 0
     b_top = max((abs(b) for _, b in powers), default=0)
-    reach = a_top * -_log(x.min()) + b_top * -_log(y.min())
-    direct = reach + terms.log_top < _LOG_RANGE
-    # the last row is the padding's, 0
-    xs = np.array([x ** a for a, _ in powers] + [0.0 * x])
-    ys = np.array([y ** b for _, b in powers] + [0.0 * x])
-    if not direct:
-        slot = (xs >= _TINY) & (ys >= _TINY) & (ys <= _HUGE)
-        log_x, log_y = np.log(x), np.log(y)
-        # y > 0, so 0 * log y is the 0 of x^0 at every point
-        logs = np.array([(a * log_x if a else 0.0 * log_y) + b * log_y for a, b in powers] + [0.0 * log_y])
-        # log c M! of the exact integer where M! is a float; the padding's is -inf
-        log_weight = np.full(terms.weight.shape, -math.inf)
-        log_weight[terms.places] = [_log(c * _FACTORIALS[M]) if M <= 170 else math.log(c) + math.lgamma(M + 1)
-                                    for M, _, c in terms.terms]
-        log_weight = log_weight[..., None]
-    weight = terms.weight[..., None]
-    total = np.zeros((at.shape[1], len(x)))
-    # in place, one (R, G) term at a time; w x^a is x^a w, bit for bit
-    for t in range(len(weight)):
-        k = at[t]
-        term = xs.take(k, 0)
-        term *= weight[t]
-        term *= ys.take(k, 0)
-        if not direct:
-            redo = (weight[t] > 0) & ~(slot.take(k, 0) & (term >= _TINY) & (term <= _HUGE))
-            term = np.where(redo, np.exp(log_weight[t] + logs.take(k, 0)), term)
-        total += term
-    return _spread(terms, total, len(pairs), len(stack))
+    if a_top * -_log(x.min()) + b_top * -_log(y.min()) + terms.log_top < _LOG_RANGE:
+        return terms, factors, None
+    slot = (xs >= _TINY) & (ys >= _TINY) & (ys <= _HUGE)
+    log_x, log_y = np.log(x), np.log(y)
+    # y > 0, so 0 * log y is the 0 of x^0 at every point
+    logs = np.array([(a * log_x if a else 0.0 * log_y) + b * log_y for a, b in powers] + [0.0 * log_y])
+    # log c M! of the exact integer where M! is a float; the padding's is -inf
+    log_weight = np.full(terms.weight.shape, -math.inf)
+    log_weight[terms.places + (0,)] = [_log(c * _FACTORIALS[M]) if M <= 170 else math.log(c) + math.lgamma(M + 1)
+                                       for M, _, c in terms.terms]
+
+    def fallback(t: int, term: np.ndarray) -> np.ndarray:
+        redo = (terms.weight[t] > 0) & ~(slot.take(at[t], 0) & (term >= _TINY) & (term <= _HUGE))
+        return np.where(redo, np.exp(log_weight[t] + logs.take(at[t], 0)), term)
+
+    return terms, factors, fallback
 
 
 def _ecs_weights(terms) -> list:
@@ -496,16 +480,14 @@ def _plain(op: EngineeringOp, M: int, N: int) -> int:
     return N
 
 
-def _ecs_contraction(stack: list, pairs) -> np.ndarray:
+def _ecs_factors(stack: list, pairs):
     """<psi| a'^M a^N |psi> per term, for unnormalized |psi> = |alpha> + |-alpha>.
 
     The four coherent-state contractions cancel for mixed parity of M and N
     and otherwise give conj(alpha)^M alpha^N times the weight of M's parity
-    (_ecs_pair_weights). Each term is c (conj(alpha)^M alpha^N w), in that
+    (_ecs_pair_weights). Each term is conj(alpha)^M alpha^N w c, in that
     order, with the powers taken once per M and N of the stack, whatever
-    the operation. <a'^n a^n> is real, but a complex product may leave a
-    last-bit imaginary part in conj(alpha)^M alpha^M, so the m = n rows are
-    made real.
+    the operation.
     """
     alpha, weights = stack[0]._points, stack[0]._constants
     conj = alpha.conjugate()
@@ -515,19 +497,7 @@ def _ecs_contraction(stack: list, pairs) -> np.ndarray:
     conj = np.array([conj ** M for M in dags] + [0j * alpha])
     power = np.array([alpha ** N for N in plains] + [0j * alpha])
     parity = np.array([weights[M % 2] for M in dags] + [weights[0]])
-    weight = terms.weight[..., None]
-    total = np.zeros((dag.shape[1], len(alpha)), dtype=complex)
-    # in place, one (R, G) term at a time; c z is z c, bit for bit
-    for t in range(len(weight)):
-        i = dag[t]
-        term = conj.take(i, 0)
-        term *= power.take(plain[t], 0)
-        term *= parity.take(i, 0)
-        term *= weight[t]
-        total += term
-    total = _spread(terms, total, len(pairs), len(stack))
-    total.imag[terms.diagonal] = 0.0
-    return total
+    return terms, ((conj, dag), (power, plain), (parity, dag), (terms.weight, range(len(dag)))), None
 
 
 def as_stack(specs) -> list:
@@ -555,14 +525,37 @@ def _first(stack: list, where) -> StateSpec:
 
 
 def _contract(stack: list, pairs) -> np.ndarray:
-    """The family's contraction of the pairs over a stack, (P, S G). The
-    caller turns numpy's overflow warnings off (np.errstate): a value past
-    the float range is inf or nan, for the caller to test."""
+    """The contraction of the pairs over a stack, (P, S G): at each term
+    slot t, the product of the (table, index) factors of the family's
+    `factors` in its order, each table.take(index[t], 0), or fallback(t,
+    that product) where the family has one. The caller turns numpy's
+    overflow warnings off (np.errstate): a value past the float range is
+    inf or nan, for the caller to test."""
     # numpy's in-place complex multiply of a one-element array skips the
     # fused multiply-add it uses on longer ones, so one pair of one state
     # is contracted twice, to round as in every other pair set and grid
     rows = pairs if len(pairs) * len(stack) * len(stack[0]._points) > 1 else pairs * 2
-    return stack[0].family.contraction(stack, rows)[:len(pairs)]
+    terms, ((first, at), *factors), fallback = stack[0].family.factors(stack, rows)
+    total = np.zeros((len(terms.rows), len(stack[0]._points)), dtype=first.dtype)
+    # in place, one (R, G) term slot at a time
+    for t in range(len(at)):
+        term = first.take(at[t], 0)
+        for table, index in factors:
+            term *= table.take(index[t], 0)
+        if fallback is not None:
+            term = fallback(t, term)
+        total += term
+    if len(total) < len(rows) * len(stack):
+        # a row with no terms is 0
+        every = np.zeros((len(rows) * len(stack), total.shape[1]), dtype=total.dtype)
+        every[terms.rows] = total
+        total = every
+    total = total.reshape(len(rows), len(stack) * total.shape[1])
+    if total.dtype.kind == "c":
+        # <a'^n a^n> is real, but a complex product may leave a last-bit
+        # imaginary part in conj(alpha)^M alpha^M, so the m = n rows are made real
+        total.imag[terms.diagonal] = 0.0
+    return total[:len(pairs)]
 
 
 def _norm(spec: StateSpec, entry=None) -> np.ndarray:
@@ -901,7 +894,7 @@ FAMILY_THERMAL = Family(
     name="thermal", parameter="rbar", kind=float,
     valid=lambda rbar: _finite(rbar) & (rbar >= 0),
     domain="mean photon number must be finite and >= 0",
-    window=(0.01, 5.0), diagonal=True, contraction=_thermal_contraction,
+    window=(0.01, 5.0), diagonal=True, factors=_thermal_factors,
     # (x, y) = (rbar, 1) / (1 + rbar): the bare weight of Fock level k is y x^k
     constants=lambda rbar: (rbar / (1.0 + rbar), 1.0 / (1.0 + rbar)),
     # exactly where rbar = 0 and the norm has no constant term (k0 > 0),
@@ -914,7 +907,7 @@ FAMILY_THERMAL = Family(
 FAMILY_EVEN_COHERENT = Family(
     name="ecs", parameter="alpha", kind=complex,
     valid=_finite, domain="amplitude must be finite",
-    window=(0.01, 3.0), diagonal=False, constants=_ecs_pair_weights, contraction=_ecs_contraction,
+    window=(0.01, 3.0), diagonal=False, constants=_ecs_pair_weights, factors=_ecs_factors,
     annihilated=lambda spec, norm: norm <= DEGENERATE_NORM_FLOOR,
     level_weight=_ecs_level_weight, husimi=_husimi_ecs,
 )

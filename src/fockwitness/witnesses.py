@@ -43,7 +43,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import states as states_mod
-from .errors import EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
+from .errors import EmptyWindow, OddOrder, OutOfRange, SingularDenominator, ZeroMeanPhoton
 from .specfun import normal_order, quadrature_power_coeffs
 from .states import MomentTable, StateSpec
 
@@ -57,6 +57,12 @@ SINGULAR_EPSILON = 1e-12
 
 # a Husimi grid point whose Q is below this times the grid maximum is a zero
 ZERO_THRESHOLD = 1e-6
+
+# The largest order at which a witness's exact integer coefficients are all
+# floats: the Stirling numbers S2(r, n), r <= l, for mandel; S2(e, f) C(l, e)
+# for hosps; the coefficients of (a + a')^k, k <= l, for hos. Each grows
+# with l, so every order past it is refused from the order alone.
+LARGEST_ORDER = {"mandel": 219, "hosps": 218, "hos": 291}
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,7 @@ def mandel_q(table: MomentTable, l: int = 2):
     """Mandel function of order l; negative flags sub-Poissonian statistics."""
     if l < 2:
         raise ValueError("mandel_q requires l >= 2")
+    _check_order("mandel", l)
     mean = _mean_photon(table)
     # a zero-mean state anywhere on a grid fails the whole series
     if np.any(mean == 0.0):
@@ -220,6 +227,7 @@ def hosps(table: MomentTable, l: int = 2):
     """
     if l < 2:
         raise ValueError("hosps requires l >= 2")
+    _check_order("hosps", l)
     mean = _mean_photon(table)
     # mean^j and d_f = <a'^f a^f> - mean^f, each computed once
     powers = [mean ** j for j in range(l + 1)]
@@ -334,7 +342,9 @@ def klyshko(
     if m < 0:
         raise ValueError("photon number must be non-negative")
     run = _engine(engine)
-    numbers = np.arange(m, m + 3)
+    # exact integers, as Python ints past int64 (np.arange and np.array
+    # round some of them to floats there)
+    numbers = np.array([m, m + 1, m + 2], dtype=np.int64 if m + 2 < 2 ** 63 else object)
     # rows p_m, p_(m+1), p_(m+2), columns the states: a stack's specs each read on its own
     probs = [run.photon_probs(one, numbers, tail_tol).reshape(3, -1) for one in states_mod.as_stack(spec)]
     values = klyshko_from_probs(m, *np.hstack(probs))
@@ -441,6 +451,12 @@ def witness_order(witness: str, order: int | None = None) -> int:
     return 0
 
 
+def _check_order(witness: str, order: int) -> None:
+    if order > LARGEST_ORDER.get(witness, order):
+        raise OutOfRange(f"the coefficients of {witness} at order {order} exceed the float range "
+                         f"(its largest order is {LARGEST_ORDER[witness]})")
+
+
 @lru_cache(maxsize=None)
 def moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
@@ -448,7 +464,9 @@ def moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
     and l for hoa(l), 1 <= n <= l for hosps(l) and n <= 4 for A3 (either
     variant); for hos(l), every normal-ordered term of (a + a')^k, k <= l,
     which is every (m, n) with m + n <= l, as each has a positive
-    coefficient in (a + a')^(m + n)."""
+    coefficient in (a + a')^(m + n). An order past the witness's
+    LARGEST_ORDER raises OutOfRange before any pair is listed."""
+    _check_order(witness, order)
     if witness == "hos":
         return tuple((m, n) for m in range(order + 1) for n in range(order + 1 - m))
     if witness == "hoa":

@@ -129,13 +129,23 @@ class TestWitnessCommand:
         assert proc.returncode == 2
 
     def test_klyshko_at_huge_photon_number(self, run_main):
-        proc = run_main(
-            "witness", "--name", "klyshko", "--m", str(10 ** 200), "--family", "thermal",
-            "--op", "pas", "--p", "1", "--q", "1", "--rbar", "1",
-        )
-        assert proc.returncode == 0
-        name, order, value, flag = proc.stdout.strip().split(",")
-        assert (name, order, value, flag) == ("klyshko", str(10 ** 200), "0.0", "false")
+        # m, m + 1 and m + 2 stay exact integers across the int64 and
+        # uint64 limits, where np.arange gave floats
+        for m in (10 ** 200, 2 ** 63 - 3, 2 ** 63 - 2, 2 ** 63 - 1, 2 ** 64 - 4, 2 ** 64 - 2, 10 ** 20):
+            proc = run_main(
+                "witness", "--name", "klyshko", "--m", str(m), "--family", "thermal",
+                "--op", "pas", "--p", "1", "--q", "1", "--rbar", "1",
+            )
+            assert proc.returncode == 0, (m, proc.stderr)
+            name, order, value, flag = proc.stdout.strip().split(",")
+            assert (name, order, value, flag) == ("klyshko", str(m), "0.0", "false")
+
+    @pytest.mark.parametrize("m", [2 ** 63 - 3, 2 ** 64 - 4])
+    def test_klyshko_on_the_oracle_names_the_exact_level(self, m, run_main):
+        proc = run_main("witness", "--name", "klyshko", "--m", str(m), "--family", "thermal", "--rbar", "0.5",
+                        "--engine", "oracle")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(f" Fock levels to hold level {m + 2}\n")
 
     def test_husimi_zero_record(self, run_main):
         proc = run_main(
@@ -619,6 +629,18 @@ class TestOrderLimit:
         proc = run_main(*argv)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "configuration error: moment orders are limited to 2**63 - 1 = 9223372036854775807\n"
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    @pytest.mark.parametrize("witness, order", [
+        ("mandel", 220), ("hosps", 219), ("hos", 292), ("mandel", 10 ** 20), ("hosps", 10 ** 20), ("hos", 10 ** 20),
+    ])
+    def test_an_order_past_the_float_coefficients_is_refused(self, witness, order, engine, run_main):
+        # decided from the order, before any of its l + 1 (hos: O(l^2)) pairs is listed
+        proc = run_main("witness", "--name", witness, "--l", str(order), "--family", "thermal", "--rbar", "0.01",
+                        "--engine", engine)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"out of float range: the coefficients of {witness} at order {order} exceed the "
+                               f"float range (its largest order is {witnesses.LARGEST_ORDER[witness]})\n")
 
     def test_the_int64_maximum_is_read(self, run_main):
         order = str(2 ** 63 - 1)

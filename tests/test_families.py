@@ -3,6 +3,7 @@ passes for a family."""
 
 import argparse
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -84,3 +85,50 @@ def test_copied_or_pickled_spec_keeps_its_record(family):
     spec = StateSpec.of(family, 0.5, EngineeringOp.pas(1, 1))
     for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
         assert twin == spec and twin.family is family
+
+
+def _every_pair(m, n):
+    return True
+
+
+def _coherent_factors(stack, pairs):
+    """<alpha| a'^M a^N |alpha> = conj(alpha)^M alpha^N per term: the plain
+    coherent state, as factor tables alone, with no parity weight."""
+    alpha = stack[0]._points
+    terms = states._padded(tuple([one.op for one in stack]), pairs, _every_pair, states._ecs_weights,
+                           (states._dag, states._plain))
+    (dags, plains), (dag, plain) = terms.distinct, terms.index
+    conj = np.array([alpha.conjugate() ** M for M in dags] + [0j * alpha])
+    power = np.array([alpha ** N for N in plains] + [0j * alpha])
+    return terms, ((conj, dag), (power, plain), (terms.weight, range(len(dag)))), None
+
+
+# a family record defined by its factor tables; its other bodies are the
+# cat's, which these tests do not read
+COHERENT = dataclasses.replace(states.FAMILY_EVEN_COHERENT, name="coherent", factors=_coherent_factors)
+
+
+def _oracle_coherent_moments(alpha, op, pairs, dim=80):
+    """<a'^m a^n> of the engineered coherent state from its truncated
+    amplitudes: <a^m psi | a^n psi> / <psi | psi>."""
+    psi = oracle._engineer(oracle.coherent_amplitudes(alpha, dim), op, diagonal=False)
+
+    def lowered(k):
+        return oracle._ladder(psi, k, creation=False, diagonal=False)
+
+    return np.array([np.vdot(lowered(m), lowered(n)) for m, n in pairs]) / np.vdot(psi, psi)
+
+
+@pytest.mark.parametrize("op", [EngineeringOp.bare(), EngineeringOp.pas(1, 2), EngineeringOp.psa(2, 1)],
+                         ids=lambda op: op.label())
+def test_a_family_of_factor_tables_alone_runs_the_one_contraction(op):
+    alpha = 1.1 + 0.4j
+    pairs = [(m, n) for m in range(4) for n in range(4)]
+    ms, ns = (np.array(orders) for orders in zip(*pairs))
+    value = states.moment(StateSpec.of(COHERENT, alpha, op), ms, ns)
+    np.testing.assert_allclose(value, _oracle_coherent_moments(alpha, op, pairs), rtol=1e-14)
+    if op == EngineeringOp.bare():
+        np.testing.assert_allclose(value, [alpha.conjugate() ** m * alpha ** n for m, n in pairs], rtol=1e-15)
+    # a grid's columns are its states, bit for bit
+    grid = states.moment(StateSpec.of(COHERENT, np.array([0.3, alpha]), op), ms, ns)
+    assert np.array_equal(grid[:, 1], value)

@@ -6,7 +6,7 @@ import pytest
 
 import dense
 from fockwitness import cli, oracle, states, sweep_report, witnesses
-from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, SingularDenominator, ZeroMeanPhoton
+from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, OutOfRange, SingularDenominator, ZeroMeanPhoton
 from fockwitness.specfun import quadrature_power_coeffs
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
 from fockwitness.witnesses import (
@@ -521,6 +521,50 @@ class TestMomentPairs:
         result = evaluate_witness(spec, witness, order)
         assert result.value.shape == (3,)
         assert calls == [len(witnesses.moment_pairs(witness, order))]
+
+
+class TestLargestOrder:
+    """Past witnesses.LARGEST_ORDER a witness's exact coefficients leave
+    the float range; the order alone decides it, on either engine."""
+
+    @staticmethod
+    def _coefficients(witness, l):
+        """The integers the witness's body turns into floats at order l
+        that are not also read at order l - 1: the largest, as each grows
+        with l."""
+        if witness == "mandel":
+            return [c for _, _, c in witnesses._number_power(l)]
+        if witness == "hosps":
+            return [s2 * math.comb(l, e) for e in range(1, l + 1) for _, _, s2 in witnesses._number_power(e)]
+        return [c for _, _, c in quadrature_power_coeffs(l)]
+
+    @pytest.mark.parametrize("witness", witnesses.LARGEST_ORDER)
+    def test_the_largest_order_is_the_last_with_float_coefficients(self, witness):
+        def floats(l):
+            try:
+                [float(c) for c in self._coefficients(witness, l)]
+            except OverflowError:
+                return False
+            return True
+
+        largest = witnesses.LARGEST_ORDER[witness]
+        assert floats(largest) and not floats(largest + 1)
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    @pytest.mark.parametrize("witness", witnesses.LARGEST_ORDER)
+    def test_past_the_largest_order_raises(self, witness, engine):
+        order = witnesses.LARGEST_ORDER[witness] + 1
+        spec = StateSpec.thermal(0.01, EngineeringOp.pas(1, 1))
+        with pytest.raises(OutOfRange, match=f"coefficients of {witness} at order {order} "):
+            evaluate_witness(spec, witness, order, engine=engine)
+        table = MomentTable.analytic(spec)
+        with pytest.raises(OutOfRange, match=f"coefficients of {witness} at order {order} "):
+            {"mandel": mandel_q, "hosps": hosps, "hos": hos}[witness](table, order)
+
+    @pytest.mark.parametrize("witness", ["mandel", "hosps"])
+    def test_the_largest_order_gives_a_value(self, witness):
+        order = witnesses.LARGEST_ORDER[witness]
+        assert math.isfinite(evaluate_witness(StateSpec.thermal(0.01), witness, order).value)
 
 
 def test_engines_reads_every_engine_choice():
