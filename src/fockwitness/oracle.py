@@ -17,7 +17,8 @@ family at once (truncated_states); a grid spec is a stack of one, and one
 state a grid of one. Each quantity is one body over arrays, whose
 one-element case is the scalar call; the moments of many states are one
 gather per cutoff (_gathered_moments), of which oracle_moment is the group of
-one.
+one. From its own arithmetic, a row whose mass underflows while its basis
+holds the bare state's is annihilated at parameter 0, out of range elsewhere.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .states import (
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MAX_CUTOFF = 4096
 _INITIAL_CUTOFF = 32
-_NORM_FLOOR = 1e-300
 # Husimi points per chunk times the cutoff: a few MB of amplitudes
 _HUSIMI_CHUNK = 1 << 17
 # elements per temporary of a grouped moment gather, 128 KB of complex: at 2^16
@@ -201,11 +201,11 @@ def _engineer(components: np.ndarray, op: EngineeringOp, diagonal: bool) -> np.n
     return _ladder(raised, p, creation=False, diagonal=diagonal)
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a complex (G, D) array, formed as it
+def _row_masses(rows: np.ndarray) -> np.ndarray:
+    """Each row's squared norm of a complex (G, D) array, as np.linalg.norm
     forms one vector's: the dot products of the real and imaginary parts."""
     re, im = rows.real, rows.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    return (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
 
 
 def _tail_estimate(probs: np.ndarray, structural_zeros=0) -> np.ndarray:
@@ -255,11 +255,12 @@ def _grow(name, points: np.ndarray, ops, bare, diagonal: bool, tail_tol: float,
     guard admits every <a'^m a^n> with (m + n) // 2 <= order, and retires
     at the first cutoff where the mass near the top of its basis (its
     op.p structural zeros skipped), and that mass weighted by k^order, are
-    below tail_tol: the cutoff its one-state build converges to. A norm
-    below _NORM_FLOOR is an annihilated state (None) only where the bare
-    state's own mass is held; otherwise it is underflow, and the row grows.
-    The states come in row order; name(r) names row r, and is formatted
-    only for an error."""
+    below tail_tol: the cutoff its one-state build converges to. A row whose
+    mass (weights' sum, amplitudes' squared norm) is below the normal floats
+    while the basis holds its bare mass is annihilated (None) at parameter
+    0, the vacuum, and raises OutOfRange at any other; a row whose bare mass
+    is not held grows. The states come in row order; name(r) names row r,
+    and is formatted only for an error."""
     limit = max_cutoff()
     if min_cutoff > limit:
         raise CutoffExceeded(f"{name(0)} needs more than {limit} Fock levels to hold level {min_cutoff - 1}")
@@ -288,12 +289,12 @@ def _grow(name, points: np.ndarray, ops, bare, diagonal: bool, tail_tol: float,
             engineered = np.empty_like(components)
             for start, stop in zip(bounds, bounds[1:]):
                 engineered[start:stop] = _engineer(components[start:stop], ops[op[start]], diagonal)
-        # weights divide by their sum, the trace; amplitudes by their norm, its root
-        total = np.sum(engineered, axis=-1) if diagonal else _row_norms(engineered)
-        live = total > _NORM_FLOOR
+        # weights divide by their mass, the trace; amplitudes by its root, their norm
+        mass = np.sum(engineered, axis=-1) if diagonal else _row_masses(engineered)
+        live = mass >= np.finfo(float).tiny
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the rows below the floor are not read
-            data = engineered / total[:, None]
+            # the rows that are not live are not read
+            data = engineered / (mass if diagonal else np.sqrt(mass))[:, None]
         probs = data if diagonal else np.abs(data) ** 2
         tails = _tail_estimate(probs, zeros[pending])
         retired = live & (tails < tail_tol)
@@ -305,7 +306,10 @@ def _grow(name, points: np.ndarray, ops, bare, diagonal: bool, tail_tol: float,
             states[i] = TruncatedState(dim, kind, row, tail)
         if not live.all():
             bare_probs = components if diagonal else np.abs(components) ** 2
-            retired |= ~live & (_tail_estimate(bare_probs) < tail_tol * np.sum(bare_probs, axis=-1))
+            held = ~live & (_tail_estimate(bare_probs) < tail_tol * np.sum(bare_probs, axis=-1))
+            if (lost := held & (points[pending % size] != 0)).any():
+                raise OutOfRange(f"the oracle mass of {name(pending[np.argmax(lost)])} is not a normal float")
+            retired |= held
         pending = pending[~retired]
         if pending.size and dim >= limit:
             subject = f"{name(pending[0])} moments need" if order else f"{name(pending[0])} needs"
@@ -330,7 +334,7 @@ def truncated_states(spec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0, m
     gives one list per spec; a grid spec is a stack of one, and gives a
     list over its points, with None where a state is annihilated; a
     one-state spec is a grid of one, and gives its state. For one state DegenerateState propagates, as
-    CutoffExceeded does on any, naming the first row past the hard limit."""
+    CutoffExceeded and OutOfRange (_grow) do on any, naming the first such row."""
     stack = as_stack(spec)
     family, parameter = stack[0].family, stack[0].parameter
     points = np.atleast_1d(parameter)

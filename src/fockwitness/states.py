@@ -44,9 +44,11 @@ bodies, the contraction, the norm and the photon-number probabilities
 compute on parameter arrays only, so a state gives the same value, bit for
 bit, as its column of any grid. The public functions unwrap a one-state
 result at their boundary (_unwrap): a Python number, or an array without
-the grid axis. Where the operation annihilates a state the norm is NaN:
-over a grid the values are NaN at those points, and one state raises
-DegenerateState instead.
+the grid axis. The norm is NaN exactly where the state is annihilated
+(annihilated: parameter 0, an operation that removes the vacuum; the one
+rule of both engines), and raises OutOfRange below the normal floats
+anywhere else. Over a grid the values are NaN at the annihilated points,
+and one state raises DegenerateState instead.
 
 A grid spec is in turn a stack of one: moment takes a stack, a sequence of
 grid specs of one family over one parameter array (as_stack), and
@@ -75,9 +77,6 @@ from .errors import DegenerateState, OutOfRange
 
 # Engineering orders beyond this are rejected at construction time.
 MAX_ENGINEERING_ORDER = 8
-
-# Unnormalized norms at or below this are treated as an annihilated state.
-DEGENERATE_NORM_FLOOR = 1e-300
 
 # the normal float range
 _TINY = sys.float_info.min
@@ -214,7 +213,6 @@ class Family:
     diagonal: bool  # Fock-diagonal, as both engineering orders keep it
     constants: Callable  # parameters -> what the bodies read, once per spec over its points
     factors: Callable  # (stack, pairs) -> their _Terms, factor tables and fallback: see _contract
-    annihilated: Callable  # (spec, norm) -> where _norm counts the state annihilated, (G,)
     level_weight: Callable  # (spec, photon numbers m, their W(m)) -> photon_prob times the norm, (M, G)
     husimi: Callable  # (one-state spec, beta) -> husimi times pi and the norm
 
@@ -558,22 +556,31 @@ def _contract(stack: list, pairs) -> np.ndarray:
     return total[:len(pairs)]
 
 
+def annihilated(spec: StateSpec) -> np.ndarray:
+    """Where the operation annihilates the state, (G,): the one rule, for
+    both families and engines. Only the vacuum, at parameter 0, is taken to
+    0 (by an operation with k0 > 0); elsewhere the bare state has infinite
+    Fock support, which neither a^p a'^q nor a'^q a^p annihilates."""
+    return (spec._points == 0) & (_lowest_power(spec.op) > 0)
+
+
 def _norm(spec: StateSpec, entry=None) -> np.ndarray:
     """The (0,0) entry over the grid, (G,), in the units of the family's
     contraction: `entry`, where the caller has contracted it already.
 
-    NaN where the family's `annihilated` holds. A norm beyond the float
-    range raises OutOfRange, naming the first such state.
+    NaN where the state is annihilated. Anywhere else a norm outside the
+    normal float range raises OutOfRange, naming the first such state: a
+    norm below it (a cat's goes as |alpha|^(2 k0)) has lost its precision.
     """
     if entry is None:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             entry = _contract([spec], ((0, 0),))[0]
     norm = entry.real
-    finite = np.isfinite(norm)
-    if not finite.all():
-        first = _first([spec], ~finite).canonical()
-        raise OutOfRange(f"|{spec.family.parameter}|^2 of {first} exceeds the float range")
-    return np.where(spec.family.annihilated(spec, norm), math.nan, norm)
+    gone = annihilated(spec)
+    ok = gone | ((norm >= _TINY) & (norm <= _HUGE))
+    if not ok.all():
+        raise OutOfRange(f"the norm of {_first([spec], ~ok).canonical()} is not a normal float")
+    return np.where(gone, math.nan, norm)
 
 
 def _pair_set(m, n) -> tuple[tuple[int, int], ...]:
@@ -897,9 +904,6 @@ FAMILY_THERMAL = Family(
     window=(0.01, 5.0), diagonal=True, factors=_thermal_factors,
     # (x, y) = (rbar, 1) / (1 + rbar): the bare weight of Fock level k is y x^k
     constants=lambda rbar: (rbar / (1.0 + rbar), 1.0 / (1.0 + rbar)),
-    # exactly where rbar = 0 and the norm has no constant term (k0 > 0),
-    # never because a float underflowed
-    annihilated=lambda spec, norm: (_lowest_power(spec.op) > 0) & (spec._points == 0),
     level_weight=_thermal_level_weight, husimi=_husimi_thermal,
 )
 
@@ -908,7 +912,6 @@ FAMILY_EVEN_COHERENT = Family(
     name="ecs", parameter="alpha", kind=complex,
     valid=_finite, domain="amplitude must be finite",
     window=(0.01, 3.0), diagonal=False, constants=_ecs_pair_weights, factors=_ecs_factors,
-    annihilated=lambda spec, norm: norm <= DEGENERATE_NORM_FLOOR,
     level_weight=_ecs_level_weight, husimi=_husimi_ecs,
 )
 

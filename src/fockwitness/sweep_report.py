@@ -98,16 +98,16 @@ class FigurePack:
     panels: list[tuple[str, object]]  # (panel name, SweepTable | HusimiGrid)
 
 
-def _gaps(spec: StateSpec, values: np.ndarray, engine: witnesses_mod.Engine) -> dict[str, int]:
+def _gaps(spec: StateSpec, values: np.ndarray) -> dict[str, int]:
     """The NaN gaps of one series, the grid spec's values, by cause.
 
-    A gap at an annihilated state, where every table entry is NaN, is a
-    DegenerateState, as the engine's `annihilated` finds it. Every other
-    gap is an indeterminate agarwal_tara point (SingularDenominator), the
-    one witness guard that masks.
+    A gap at an annihilated state (states.annihilated), where every table
+    entry is NaN, is a DegenerateState on either engine. Every other gap is
+    an indeterminate agarwal_tara point (SingularDenominator), the one
+    witness guard that masks.
     """
     gaps = np.isnan(values)
-    annihilated = engine.annihilated(spec, gaps)
+    annihilated = gaps & states_mod.annihilated(spec) if gaps.any() else gaps
     causes = {DegenerateState: annihilated, SingularDenominator: gaps & ~annihilated}
     return {exc.__name__: int(mask.sum()) for exc, mask in causes.items() if mask.any()}
 
@@ -165,9 +165,9 @@ def sweep(
     gaps: dict[str, dict[str, int]] = {}
     for s, spec in enumerate(stack):
         # the first engine's series under the variant's label, the second's as label@oracle
-        for label, run, panel in zip((spec.op.label(), f"{spec.op.label()}@oracle"), runs, panels):
+        for label, panel in zip((spec.op.label(), f"{spec.op.label()}@oracle"), panels):
             series[label] = panel[s * steps:(s + 1) * steps]
-            gaps[label] = _gaps(spec, series[label], run)
+            gaps[label] = _gaps(spec, series[label])
 
     metadata = {
         "witness": witness_id,

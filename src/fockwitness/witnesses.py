@@ -27,9 +27,11 @@ body computes on 1-d arrays over the table's states (a one-state table's
 entries become one-element arrays), so a state's value equals its column
 of any grid or stack bit for bit, and each public function converts its
 result once, at return. A guard that raises for one state gives NaN at its
-points of a grid: DegenerateState (an annihilated state, whose moments are
-all NaN) and SingularDenominator (agarwal_tara). ZeroMeanPhoton still fails
-the whole grid or stack, and OutOfRange and OddOrder still raise.
+points of a grid: DegenerateState (an annihilated state, states.annihilated
+on either engine, whose moments are all NaN) and SingularDenominator
+(agarwal_tara). ZeroMeanPhoton still fails the whole grid or stack, and
+OutOfRange (a mandel_q mean below the normal floats too, or hos sums past
+the float range) and OddOrder still raise.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class Engine:
     moment_table: Callable  # (spec or stack, pairs, tail_tol) -> a MomentTable holding the pairs
     photon_probs: Callable  # (one-state or grid spec, photon numbers, tail_tol) -> p_m, (M,) or (M, G)
     husimi: Callable  # (one-state spec, beta array, tail_tol) -> Q at each beta
-    annihilated: Callable  # (grid spec, its NaN gaps) -> those at annihilated states (NaN norm, or built as None)
 
 
 def _oracle_moment_table(spec, pairs, tail_tol: float) -> MomentTable:
@@ -111,21 +112,12 @@ def _oracle_husimi(spec: StateSpec, betas: np.ndarray, tail_tol: float) -> np.nd
     return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
 
 
-def _oracle_annihilated(spec: StateSpec, gaps: np.ndarray) -> np.ndarray:
-    """Which of a grid spec's NaN gaps are annihilated: rebuilt, those points give None."""
-    annihilated = gaps.copy()
-    rebuilt = oracle_mod.truncated_states(StateSpec.of(spec.family, spec.parameter[gaps], spec.op))
-    annihilated[gaps] = [state is None for state in rebuilt]
-    return annihilated
-
-
 ENGINES = {engine.name: engine for engine in (
     Engine("analytic",
            moment_table=lambda spec, pairs, tail_tol: MomentTable.analytic(spec, pairs),
            photon_probs=lambda spec, numbers, tail_tol: states_mod.photon_prob(spec, numbers),
-           husimi=lambda spec, betas, tail_tol: states_mod.husimi(spec, betas),
-           annihilated=lambda spec, gaps: gaps & np.isnan(spec._norm)),
-    Engine("oracle", _oracle_moment_table, _oracle_photon_probs, _oracle_husimi, _oracle_annihilated),
+           husimi=lambda spec, betas, tail_tol: states_mod.husimi(spec, betas)),
+    Engine("oracle", _oracle_moment_table, _oracle_photon_probs, _oracle_husimi),
 )}
 
 
@@ -203,9 +195,12 @@ def mandel_q(table: MomentTable, l: int = 2):
         raise ValueError("mandel_q requires l >= 2")
     _check_order("mandel", l)
     mean = _mean_photon(table)
-    # a zero-mean state anywhere on a grid fails the whole series
+    # a zero-mean state anywhere on a grid fails the whole series, as does a
+    # positive mean below the normal floats, which has lost its precision
     if np.any(mean == 0.0):
         raise ZeroMeanPhoton("mandel_q is undefined for a zero-mean-photon state")
+    if np.any((mean > 0.0) & (mean < np.finfo(float).tiny)):
+        raise OutOfRange("mandel_q divides by a mean photon number below the float range")
     return _unwrap(_central_number_moment(table, l) / mean - 1.0, table.get(1, 1))
 
 
@@ -283,16 +278,22 @@ def hos(table: MomentTable, l: int = 2):
     # contiguous one, not even for one state, and a complex add is the add
     # of its real and imaginary parts.
     sums = []
-    for start, end in zip([0, *ends], ends):
-        terms = coeffs[start:end] * moments.take(rows[start:end], axis=0)
-        sums.append(np.add.reduce(terms.view(np.float64), axis=0, initial=0.0))
-    quad = (np.array(sums).view(complex) / scales).real
-    central = 0.0
-    for k in range(l + 1):
-        central += math.comb(l, k) * (-quad[1]) ** (l - k) * quad[k]
-    # the (0,0) term of (a + a')^l, (l-1)!!
-    reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
-    return _unwrap((central - reference) / reference, raw[1, 1])
+    # a sum past the float range is inf or nan, tested below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, end in zip([0, *ends], ends):
+            terms = coeffs[start:end] * moments.take(rows[start:end], axis=0)
+            sums.append(np.add.reduce(terms.view(np.float64), axis=0, initial=0.0))
+        quad = (np.array(sums).view(complex) / scales).real
+        central = 0.0
+        for k in range(l + 1):
+            central += math.comb(l, k) * (-quad[1]) ** (l - k) * quad[k]
+        # the (0,0) term of (a + a')^l, (l-1)!!
+        reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
+        value = (central - reference) / reference
+    # a NaN gap, whose moments are NaN, stays a gap
+    if not np.isfinite(value[np.isfinite(moments).all(axis=0)]).all():
+        raise OutOfRange(f"the quadrature sums of hos at order {l} exceed the float range")
+    return _unwrap(value, raw[1, 1])
 
 
 def agarwal_tara(table: MomentTable, variant: str = VARIANT_NUMBER_MOMENTS):

@@ -338,6 +338,38 @@ class TestNumericDomain:
         assert proc.stdout == f"klyshko,{m},{value!r},{str(value < 0).lower()}\n"
 
 
+_HOA_PSA = ("witness", "--name", "hoa", "--l", "2", "--op", "psa")
+
+
+class TestUnderflowIsNotAnnihilation:
+    # The operations annihilate a bare state only at the vacuum, parameter
+    # 0: at any other parameter a norm or an oracle mass that is a normal
+    # float is evaluated, and one below the normal floats is out of range
+    # (exit 2), never annihilated (exit 3).
+    def test_a_cat_norm_in_the_normal_floats_is_evaluated(self, run_main):
+        # the PSA(2,1) norm, about |alpha|^4, is 1e-304 here
+        proc = run_main(*_HOA_PSA, "--p", "2", "--q", "1", "--family", "ecs", "--alpha", "1e-76", "--engine", "both")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "hoa,2,-1.0,true\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "2", "--q", "1", "--family", "ecs", "--alpha", "1e-80", "--engine", "analytic"),
+        ("--p", "2", "--q", "1", "--family", "ecs", "--alpha", "1e-80", "--engine", "oracle"),
+        ("--p", "1", "--q", "1", "--family", "thermal", "--rbar", "1e-320", "--engine", "oracle"),
+        ("--p", "2", "--q", "1", "--family", "thermal", "--rbar", "1e-200", "--engine", "oracle"),
+    ], ids=" ".join)
+    def test_an_underflowing_norm_is_out_of_range(self, argv, run_main):
+        proc = run_main(*_HOA_PSA, *argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("out of float range: the "), proc.stderr
+        assert proc.stderr.endswith(" is not a normal float\n"), proc.stderr
+
+    @pytest.mark.parametrize("l", [270, 290])
+    def test_hos_sums_past_the_float_range(self, l, run_main):
+        proc = run_main("witness", "--name", "hos", "--l", str(l), "--family", "thermal", "--rbar", "0.5")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"out of float range: the quadrature sums of hos at order {l} exceed the float range\n"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, code, prefix",

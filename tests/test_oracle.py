@@ -431,6 +431,22 @@ def test_a_moment_basis_beyond_the_hard_limit_raises(monkeypatch):
         witnesses.ENGINES["oracle"].moment_table(StateSpec.thermal(0.1), ((20, 20),), 1e-12).get(20, 20)
 
 
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda family: family.name)
+def test_annihilation_at_parameter_0_is_one_rule(family):
+    # at parameter 0 the bare state is the vacuum, which a^p a'^q removes
+    # where p > q and a'^q a^p where p > 0: for every operation with
+    # p, q <= 8, the analytic norm is NaN, the oracle's state is None and
+    # states.annihilated holds exactly there
+    ops = [f(p, q) for f in (EngineeringOp.pas, EngineeringOp.psa) for p in range(9) for q in range(9)]
+    stack = [StateSpec.of(family, np.zeros(1), op) for op in ops]
+    for spec, (state,) in zip(stack, oracle.truncated_states(stack)):
+        op = spec.op
+        removed = op.p > (op.q if op.order == states.ORDER_ADD_THEN_SUBTRACT else 0)
+        assert math.isnan(spec._norm[0]) == (state is None) == states.annihilated(spec)[0] == removed, op.label()
+    # a nonzero parameter is never annihilated, however small
+    assert not any(states.annihilated(StateSpec.of(family, np.array([5e-324]), op))[0] for op in ops)
+
+
 # ---------------------------------------------------------------------------
 # A grid grows together
 # ---------------------------------------------------------------------------

@@ -769,15 +769,12 @@ def reference_contraction(spec, m, n):
 
 def reference_moment(spec, m, n):
     """reference_contraction over the (0,0) entry, NaN where the state is
-    annihilated: a thermal state at rbar = 0 whose operation removes the
-    vacuum, a cat whose norm is at most DEGENERATE_NORM_FLOOR."""
+    annihilated: on either family, at parameter 0 where the operation
+    removes the vacuum."""
     with np.errstate(all="ignore"):
         norm = reference_contraction(spec, 0, 0).real
-        if spec.family is states.FAMILY_THERMAL:
-            k0 = min(dag for dag, _, _ in states._contraction_table(spec.op, 0, 0))
-            annihilated = (spec.parameter == 0) & (k0 > 0)
-        else:
-            annihilated = norm <= states.DEGENERATE_NORM_FLOOR
+        k0 = min(dag for dag, _, _ in states._contraction_table(spec.op, 0, 0))
+        annihilated = (spec.parameter == 0) & (k0 > 0)
         norm = np.where(annihilated, math.nan, norm) if isinstance(norm, np.ndarray) else norm
         value = reference_contraction(spec, m, n)
         return value.real / norm + value.imag / norm * 1j

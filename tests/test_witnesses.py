@@ -51,6 +51,17 @@ class TestMandel:
         with pytest.raises(ZeroMeanPhoton):
             mandel_q(table, 2)
 
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_a_subnormal_mean_is_out_of_range(self, engine):
+        # the mean of this cat, about |alpha|^4, is positive but below the
+        # normal floats: divided by, it would give 0.0, where the true
+        # value is 1 (the oracle's, and the alpha = 1e-20 limit)
+        spec = StateSpec.even_coherent(1e-81, EngineeringOp.pas(1, 1))
+        with pytest.raises(OutOfRange, match="mean photon number below the float range"):
+            evaluate_witness(spec, "mandel", 2, engine=engine)
+        limit = evaluate_witness(StateSpec.even_coherent(1e-20, EngineeringOp.pas(1, 1)), "mandel", 2, engine=engine)
+        assert limit.value == pytest.approx(1.0, rel=1e-12)
+
     def test_single_photon_added_thermal_is_nonclassical(self):
         # the classic single-photon-added thermal state: strongly
         # sub-Poissonian at small mean photon number
@@ -124,6 +135,26 @@ class TestHos:
     def test_odd_order_rejected(self, bare_table):
         with pytest.raises(OddOrder):
             hos(bare_table, 3)
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_sums_past_the_float_range_raise(self, engine):
+        # every moment hos(270) reads is in range at rbar = 0.5, but its
+        # quadrature sums are not; 268 is the last finite even order there
+        spec = StateSpec.thermal(0.5)
+        for l in (270, 290):
+            with pytest.raises(OutOfRange, match=f"quadrature sums of hos at order {l}"):
+                evaluate_witness(spec, "hos", l, engine=engine)
+        if engine == "analytic":
+            assert evaluate_witness(spec, "hos", 268).value == 2.1778071482940052e+40
+
+    def test_a_grid_keeps_its_gaps_and_raises_past_the_float_range(self):
+        spec = StateSpec.thermal(np.array([0.0, 0.5]), EngineeringOp.psa(2, 1))
+        # PSA(2,1) is annihilated at rbar = 0, a gap, which is not out of range
+        values = evaluate_witness(spec, "hos", 260).value
+        assert math.isnan(values[0])
+        assert values[1] == evaluate_witness(StateSpec.thermal(0.5, EngineeringOp.psa(2, 1)), "hos", 260).value
+        with pytest.raises(OutOfRange):
+            evaluate_witness(spec, "hos", 268)
 
     @pytest.mark.parametrize("l", [2, 4, 6])
     @pytest.mark.parametrize(
@@ -641,3 +672,39 @@ def test_the_analytic_moment_route_is_states_moment(spec):
         value = witnesses.ENGINES["analytic"].moment_table(spec, ((m, n),), oracle.DEFAULT_TAIL_TOL).get(m, n)
         assert type(value) is complex
         assert value == states.moment(spec, m, n)
+
+
+# A seeded census of tiny nonzero parameters, log-uniform in [1e-160,
+# 1e-60], on both families: none is annihilated (only the vacuum is), so each
+# call gives its small-parameter limit, the value at parameter 1e-20 (whose
+# corrections are of order 1e-20 or below), or OutOfRange where a norm or a
+# mean underflows. A cat mean that underflows to exactly 0 still reads as a
+# zero-mean state (ZeroMeanPhoton), which mandel_q refuses.
+_CENSUS_OPS = [f(p, q) for f in (EngineeringOp.pas, EngineeringOp.psa) for p in range(5) for q in range(5)]
+_CENSUS_READS = (("hoa", 2), ("mandel", 2), ("hosps", 2), ("hoa", 3))
+
+
+def test_a_tiny_parameter_census_sees_no_annihilation():
+    rng = np.random.default_rng(20261020)
+    limits, outcomes = {}, {"value": 0, "OutOfRange": 0}
+    for _ in range(400):
+        family = (states.FAMILY_THERMAL, states.FAMILY_EVEN_COHERENT)[rng.integers(2)]
+        op = _CENSUS_OPS[rng.integers(len(_CENSUS_OPS))]
+        name, l = _CENSUS_READS[rng.integers(len(_CENSUS_READS))]
+        parameter = 10.0 ** rng.uniform(-160, -60)
+        key = (family, op, name, l)
+        if key not in limits:
+            limits[key] = evaluate_witness(StateSpec.of(family, 1e-20, op), name, l).value
+        spec = StateSpec.of(family, parameter, op)
+        try:
+            value = evaluate_witness(spec, name, l).value
+        except OutOfRange:
+            outcomes["OutOfRange"] += 1
+            continue
+        except ZeroMeanPhoton:
+            assert name == "mandel" and states.moment(spec, 1, 1) == 0, spec.canonical()
+            continue
+        outcomes["value"] += 1
+        assert abs(value - limits[key]) <= 1e-12 * max(1.0, abs(limits[key])), (spec.canonical(), name, l)
+    # both outcomes occur, so neither branch is vacuous
+    assert min(outcomes.values()) > 0, outcomes
