@@ -27,12 +27,12 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import CutoffExceeded, DegenerateState, OutOfRange
+from .records import FrozenRecord
 from .states import (
     FAMILY_EVEN_COHERENT,
     FAMILY_THERMAL,
@@ -87,8 +87,7 @@ def max_cutoff() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TruncatedState:
+class TruncatedState(FrozenRecord):
     """Finite Fock-basis state: pure vector or diagonal weights."""
 
     cutoff: int
@@ -538,26 +537,26 @@ def _log_factorials(count: int) -> np.ndarray:
     return _log_factorial_table(1 << max(count - 1, 1).bit_length())[:count]
 
 
-def moment_table_from_state(states, pairs=()) -> MomentTable:
+def moment_table_from_state(states, pairs=(), vacuum=None) -> MomentTable:
     """Moment cache (provenance 'oracle') of the given pairs over a list of
     truncated states, filled by one _gathered_moments call over them, one
     gather per cutoff: an entry is an array over them, NaN where a state is
-    None (annihilated); over one state, a complex."""
+    None (annihilated); over one state, a complex. `vacuum` is the table's
+    (see MomentTable)."""
     one = isinstance(states, TruncatedState)
 
     def fill(ms, ns):
         values = _gathered_moments([states] if one else states, ms, ns)
         return values[:, 0] if one else values
 
-    return MomentTable(fill, "oracle", pairs)
+    return MomentTable(fill, "oracle", pairs, vacuum)
 
 
 # ---------------------------------------------------------------------------
 # Golden fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixtureRecord:
+class FixtureRecord(FrozenRecord):
     """One frozen oracle value: spec identity, quantity id, cutoff, value."""
 
     canonical: str

@@ -66,7 +66,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -74,6 +73,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DegenerateState, OutOfRange
+from .records import FrozenRecord
 
 # Engineering orders beyond this are rejected at construction time.
 MAX_ENGINEERING_ORDER = 8
@@ -91,26 +91,42 @@ _LABEL = re.compile(r"(PAS|PSA)\(([0-9]+)[,:;]([0-9]+)\)", re.IGNORECASE)
 _CANONICAL = re.compile(r"(\w+)\((\w+)=([^|]*)\)\|(.*)")
 
 
-@dataclass(frozen=True)
-class EngineeringOp:
+class EngineeringOp(FrozenRecord):
     """Photon engineering operation: none, a^p a'^q, or a'^q a^p.
 
-    p counts subtracted photons, q added photons.
+    p counts subtracted photons, q added photons. An operation is a cache
+    key of every contraction table, so it computes its hash once.
     """
 
-    order: str = ORDER_NONE
-    p: int = 0
-    q: int = 0
+    order: str
+    p: int
+    q: int
 
-    def __post_init__(self):
-        if self.order not in (ORDER_NONE, ORDER_ADD_THEN_SUBTRACT, ORDER_SUBTRACT_THEN_ADD):
-            raise ValueError(f"unknown engineering order {self.order!r}")
-        if self.p < 0 or self.q < 0:
+    def __init__(self, order: str = ORDER_NONE, p: int = 0, q: int = 0):
+        if order not in (ORDER_NONE, ORDER_ADD_THEN_SUBTRACT, ORDER_SUBTRACT_THEN_ADD):
+            raise ValueError(f"unknown engineering order {order!r}")
+        if p < 0 or q < 0:
             raise ValueError("photon counts must be non-negative")
-        if self.order == ORDER_NONE and (self.p or self.q):
+        if order == ORDER_NONE and (p or q):
             raise ValueError("order 'none' requires p = q = 0")
-        if self.p > MAX_ENGINEERING_ORDER or self.q > MAX_ENGINEERING_ORDER:
+        if p > MAX_ENGINEERING_ORDER or q > MAX_ENGINEERING_ORDER:
             raise ValueError(f"p, q are capped at {MAX_ENGINEERING_ORDER}")
+        fields = self.__dict__
+        fields["order"], fields["p"], fields["q"] = order, p, q
+        fields["_hash"] = hash((order, p, q))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that a pickle from another process
+        # (another string hash) hashes as this one's does
+        return EngineeringOp, (self.order, self.p, self.q)
 
     @classmethod
     def bare(cls) -> "EngineeringOp":
@@ -191,8 +207,7 @@ def _fmt(z) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
 
-@dataclass(frozen=True, eq=False)
-class Family:
+class Family(FrozenRecord):
     """One state family: every fact that differs from one family to another.
 
     Records compare and hash by identity. Each body takes the spec, whose
@@ -216,6 +231,9 @@ class Family:
     level_weight: Callable  # (spec, photon numbers m, their W(m)) -> photon_prob times the norm, (M, G)
     husimi: Callable  # (one-state spec, beta) -> husimi times pi and the norm
 
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"<family {self.name}>"
 
@@ -224,26 +242,28 @@ class Family:
         return _family, (self.name,)
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(FrozenRecord):
     """Single input handle for every computation: family, parameter, operation.
 
     The family is a Family record. The parameter is its one parameter (rbar
     or alpha) as the family's kind: a number, or a 1-d array for a grid spec:
     the states of one operation over a parameter grid, which the moment
-    layer evaluates in one array call (see MomentTable).
+    layer evaluates in one array call (see MomentTable). A spec keeps what
+    it derives from them (its cached properties) in its __dict__.
     """
 
     family: Family
     parameter: object
-    op: EngineeringOp = EngineeringOp.bare()
+    op: EngineeringOp
 
-    def __post_init__(self):
-        if not isinstance(self.family, Family):
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "parameter", _parameter(self.parameter, self.family.kind))
-        if not _all(self.family.valid(self.parameter)):
-            raise ValueError(self.family.domain)
+    def __init__(self, family: Family, parameter, op: EngineeringOp = EngineeringOp.bare()):
+        if not isinstance(family, Family):
+            raise ValueError(f"unknown family {family!r}")
+        parameter = _parameter(parameter, family.kind)
+        if not _all(family.valid(parameter)):
+            raise ValueError(family.domain)
+        fields = self.__dict__
+        fields["family"], fields["parameter"], fields["op"] = family, parameter, op
 
     @classmethod
     def thermal(cls, rbar: float, op: EngineeringOp | None = None) -> "StateSpec":
@@ -562,6 +582,16 @@ def annihilated(spec: StateSpec) -> np.ndarray:
     0 (by an operation with k0 > 0); elsewhere the bare state has infinite
     Fock support, which neither a^p a'^q nor a'^q a^p annihilates."""
     return (spec._points == 0) & (_lowest_power(spec.op) > 0)
+
+
+def vacuum(spec) -> np.ndarray:
+    """Where the engineered state is the vacuum, over a spec's grid or a
+    stack's columns, spec by spec: the one state whose mean photon number is
+    0. The bare state is the vacuum at parameter 0 only, and an operation
+    that does not annihilate it keeps it the vacuum where it adds as many
+    photons as it subtracts (bare, PAS(p,p)), as level k goes to m = k - p + q."""
+    return np.concatenate([(one._points == 0) & (one.op.p == one.op.q) & (_lowest_power(one.op) == 0)
+                           for one in as_stack(spec)])
 
 
 def _norm(spec: StateSpec, entry=None) -> np.ndarray:
@@ -947,19 +977,25 @@ class MomentTable:
 
     Immutable from the caller's point of view: entries are computed once and
     cached on first request.
+
+    `vacuum()` gives where the table's states are the vacuum (`vacuum` of
+    the spec or stack a table is built for, which that table's caller
+    passes), a bool array over its states; for a table built from states
+    alone it is False: none is taken to be the vacuum.
     """
 
     def __init__(self, fill: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 provenance: str = "analytic", pairs=()):
+                 provenance: str = "analytic", pairs=(), vacuum: Callable[[], np.ndarray] | None = None):
         self.provenance = provenance
         self._fill = fill
         self.pairs = tuple(pairs)
+        self.vacuum = vacuum or (lambda: False)
         self._cache: dict[tuple[int, int], complex] = {}
 
     @classmethod
     def analytic(cls, spec: StateSpec, pairs=()) -> "MomentTable":
         # the module's moment, as looked up at call time
-        return cls(lambda ms, ns: moment(spec, ms, ns), "analytic", pairs)
+        return cls(lambda ms, ns: moment(spec, ms, ns), "analytic", pairs, lambda: vacuum(spec))
 
     def get(self, m: int, n: int) -> complex:
         key = (m, n)

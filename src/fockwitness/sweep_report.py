@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
@@ -26,6 +25,7 @@ from . import oracle as oracle_mod
 from . import states as states_mod
 from . import witnesses as witnesses_mod
 from .errors import DegenerateState, SingularDenominator
+from .records import Record
 from .states import EngineeringOp, StateSpec
 
 # Reconstructed from the plots' visual ranges (not ground truth).
@@ -71,29 +71,26 @@ FIGURES = {
 FIGURE_IDS = tuple(FIGURES)
 
 
-@dataclass
-class SweepTable:
+class SweepTable(Record):
     """One witness series per variant over a common parameter grid."""
 
     parameter_name: str
     parameter_values: np.ndarray  # float64, as the engines return it; a list is read too
     series: dict[str, np.ndarray]  # each float64, parameter_values' length; or a list
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}
 
 
-@dataclass
-class HusimiGrid:
+class HusimiGrid(Record):
     """Q values on a rectangular grid in the complex beta plane."""
 
     label: str
     re_values: list[float]
     im_values: list[float]
     q_values: np.ndarray  # float64 (len(im), len(re)), or a nested list; [i][j] at re[j] + 1j*im[i]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}
 
 
-@dataclass
-class FigurePack:
+class FigurePack(Record):
     figure_id: str
     panels: list[tuple[str, object]]  # (panel name, SweepTable | HusimiGrid)
 

@@ -21,8 +21,6 @@ one gather.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from . import oracle as oracle_mod
 from . import states as states_mod
 from . import sweep_report
 from . import witnesses as witnesses_mod
+from .records import Record
 from .states import EngineeringOp, MomentTable, StateSpec
 
 MOMENT_TOL = 1e-8
@@ -55,13 +54,12 @@ TOL_SUITES = ("moments", "witnesses", "hosps_gate", "coherent", "fixtures")
 GRID_SUITES = ("moments", "witnesses", "normalization", "hosps_gate")
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     passed: bool
     max_deviation: float
     checks: int
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = []
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -170,7 +168,7 @@ class _Family:
         self.states = [state for states in grown for state in states]
         for state in self.states:
             state.data.flags.writeable = False
-        self.oracle = oracle_mod.moment_table_from_state(self.states, pairs)
+        self.oracle = oracle_mod.moment_table_from_state(self.states, pairs, lambda: states_mod.vacuum(grids))
 
 
 def _families() -> list[_Family]:
@@ -466,6 +464,9 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: witnesses_mod.Engin
 
 
 def load_packaged_fixtures():
+    # imported here, as only a fixtures read needs it
+    from importlib import resources
+
     text = resources.files("fockwitness").joinpath("data/fixtures.txt").read_text()
     return oracle_mod.parse_fixtures(text)
 

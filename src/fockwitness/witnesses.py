@@ -29,15 +29,15 @@ of any grid or stack bit for bit, and each public function converts its
 result once, at return. A guard that raises for one state gives NaN at its
 points of a grid: DegenerateState (an annihilated state, states.annihilated
 on either engine, whose moments are all NaN) and SingularDenominator
-(agarwal_tara). ZeroMeanPhoton still fails the whole grid or stack, and
-OutOfRange (a mandel_q mean below the normal floats too, or hos sums past
-the float range) and OddOrder still raise.
+(agarwal_tara). ZeroMeanPhoton (mandel_q of the vacuum, states.vacuum on
+either engine) still fails the whole grid or stack, and OutOfRange (a
+mandel_q mean below the normal floats, 0 too where the state is not the
+vacuum, or hos sums past the float range) and OddOrder still raise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -46,6 +46,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import states as states_mod
 from .errors import EmptyWindow, OddOrder, OutOfRange, SingularDenominator, ZeroMeanPhoton
+from .records import FrozenRecord
 from .specfun import normal_order, quadrature_power_coeffs
 from .states import MomentTable, StateSpec
 
@@ -67,8 +68,7 @@ ZERO_THRESHOLD = 1e-6
 LARGEST_ORDER = {"mandel": 219, "hosps": 218, "hos": 291}
 
 
-@dataclass(frozen=True)
-class Engine:
+class Engine(FrozenRecord):
     """One engine: every fact that differs from one engine to another. Each
     field looks the module function it calls up at call time, so a patched
     or traced one is the one called."""
@@ -87,7 +87,7 @@ def _oracle_moment_table(spec, pairs, tail_tol: float) -> MomentTable:
     states = oracle_mod.truncated_states(spec, tail_tol, order)
     if not isinstance(spec, StateSpec):
         states = [state for grid in states for state in grid]
-    return oracle_mod.moment_table_from_state(states, pairs)
+    return oracle_mod.moment_table_from_state(states, pairs, lambda: states_mod.vacuum(spec))
 
 
 def _oracle_photon_probs(spec: StateSpec, numbers, tail_tol: float) -> np.ndarray:
@@ -135,8 +135,7 @@ def _engine(name: str) -> Engine:
     return ENGINES[name]
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(FrozenRecord):
     witness: str
     order: int
     value: float
@@ -195,11 +194,13 @@ def mandel_q(table: MomentTable, l: int = 2):
         raise ValueError("mandel_q requires l >= 2")
     _check_order("mandel", l)
     mean = _mean_photon(table)
-    # a zero-mean state anywhere on a grid fails the whole series, as does a
-    # positive mean below the normal floats, which has lost its precision
-    if np.any(mean == 0.0):
+    # the vacuum anywhere on a grid fails the whole series, as does any
+    # other state whose mean is below the normal floats (0 too, where it
+    # underflows): it has lost its precision
+    zero = mean == 0.0
+    if zero.any() and np.any(zero & table.vacuum()):
         raise ZeroMeanPhoton("mandel_q is undefined for a zero-mean-photon state")
-    if np.any((mean > 0.0) & (mean < np.finfo(float).tiny)):
+    if np.any((mean >= 0.0) & (mean < np.finfo(float).tiny)):
         raise OutOfRange("mandel_q divides by a mean photon number below the float range")
     return _unwrap(_central_number_moment(table, l) / mean - 1.0, table.get(1, 1))
 
@@ -364,8 +365,7 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * h for i in range(steps)]
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(FrozenRecord):
     """Rectangular grid in the complex beta plane, steps points per axis."""
 
     re_min: float = -4.0
@@ -374,7 +374,7 @@ class ScanGrid:
     im_max: float = 4.0
     steps: int = 81
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps per axis")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):

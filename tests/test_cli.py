@@ -376,8 +376,17 @@ class TestExitCodes:
         [
             (("witness", "--name", "hos", "--l", "3", "--family", "thermal", "--rbar", "1"),
              2, "configuration error: hos is defined for even order only"),
+            # only the vacuum is a zero-mean state: a cat mean that underflows
+            # to exactly 0 is out of range on every engine
             (("witness", "--name", "mandel", "--family", "thermal", "--rbar", "0"),
              5, "undefined witness:"),
+            (("witness", "--name", "mandel", "--family", "ecs", "--alpha", "0", "--engine", "oracle"),
+             5, "undefined witness: mandel_q is undefined for a zero-mean-photon state"),
+            (("witness", "--name", "mandel", "--family", "thermal", "--rbar", "0", "--op", "pas", "--p", "1", "--q", "1"),
+             5, "undefined witness: mandel_q is undefined for a zero-mean-photon state"),
+            *[(("witness", "--name", "mandel", "--family", "ecs", "--alpha", "1e-170", "--engine", engine),
+               2, "out of float range: mandel_q divides by a mean photon number below the float range")
+              for engine in ("analytic", "oracle", "both")],
             (("witness", "--name", "mandel", "--engine", "oracle", "--family", "thermal", "--rbar", "500"),
              2, "oracle basis too large:"),
             # the basis must hold the k^2-weighted tail of <a'^2 a^2>, not only the mass

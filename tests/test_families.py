@@ -3,7 +3,6 @@ passes for a family."""
 
 import argparse
 import copy
-import dataclasses
 import pickle
 
 import numpy as np
@@ -85,6 +84,9 @@ def test_copied_or_pickled_spec_keeps_its_record(family):
     spec = StateSpec.of(family, 0.5, EngineeringOp.pas(1, 1))
     for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
         assert twin == spec and twin.family is family
+        # the operation too: equal, hashed alike, and the same cache key
+        assert twin.op == spec.op and hash(twin.op) == hash(spec.op)
+        assert states._contraction_table(twin.op, 1, 1) is states._contraction_table(spec.op, 1, 1)
 
 
 def _every_pair(m, n):
@@ -105,7 +107,7 @@ def _coherent_factors(stack, pairs):
 
 # a family record defined by its factor tables; its other bodies are the
 # cat's, which these tests do not read
-COHERENT = dataclasses.replace(states.FAMILY_EVEN_COHERENT, name="coherent", factors=_coherent_factors)
+COHERENT = states.Family(**{**vars(states.FAMILY_EVEN_COHERENT), "name": "coherent", "factors": _coherent_factors})
 
 
 def _oracle_coherent_moments(alpha, op, pairs, dim=80):

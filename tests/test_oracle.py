@@ -447,6 +447,24 @@ def test_annihilation_at_parameter_0_is_one_rule(family):
     assert not any(states.annihilated(StateSpec.of(family, np.array([5e-324]), op))[0] for op in ops)
 
 
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda family: family.name)
+def test_the_vacuum_is_one_rule(family):
+    # at parameter 0 an operation that keeps the vacuum and adds as many
+    # photons as it subtracts (bare, PAS(p,p)) leaves the vacuum: for every
+    # operation with p, q <= 8, states.vacuum holds exactly where the
+    # oracle's state is |0>; over the stack it is one column per spec
+    ops = [f(p, q) for f in (EngineeringOp.pas, EngineeringOp.psa) for p in range(9) for q in range(9)]
+    stack = [StateSpec.of(family, np.zeros(1), op) for op in ops]
+    found = states.vacuum(stack)
+    assert found.shape == (len(ops),)
+    for spec, (state,), held in zip(stack, oracle.truncated_states(stack), found):
+        at_zero = state is not None and state.probabilities()[0] == 1.0
+        assert at_zero == held == states.vacuum(spec)[0], spec.op.label()
+    assert found.sum() == 10  # PAS(p,p) for p <= 8, and PSA(0,0)
+    # a nonzero parameter is never the vacuum, however small
+    assert not states.vacuum([StateSpec.of(family, np.array([5e-324]), op) for op in ops]).any()
+
+
 # ---------------------------------------------------------------------------
 # A grid grows together
 # ---------------------------------------------------------------------------

@@ -62,6 +62,23 @@ class TestMandel:
         limit = evaluate_witness(StateSpec.even_coherent(1e-20, EngineeringOp.pas(1, 1)), "mandel", 2, engine=engine)
         assert limit.value == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_a_mean_that_underflows_to_0_is_out_of_range(self, engine):
+        # the mean of this cat, about |alpha|^4 = 1e-680, is exactly 0.0 in
+        # floats, but the state is not the vacuum: its mandel is out of
+        # range, on a grid too, and only the vacuum is a zero-mean state
+        spec = StateSpec.even_coherent(1e-170)
+        assert states.moment(spec, 1, 1) == 0
+        with pytest.raises(OutOfRange, match="mean photon number below the float range"):
+            evaluate_witness(spec, "mandel", 2, engine=engine)
+        with pytest.raises(OutOfRange, match="mean photon number below the float range"):
+            evaluate_witness(StateSpec.even_coherent(np.array([1e-170, 1.0])), "mandel", 2, engine=engine)
+        with pytest.raises(ZeroMeanPhoton):
+            evaluate_witness(StateSpec.even_coherent(np.array([0.0, 1e-170])), "mandel", 2, engine=engine)
+        for op in (EngineeringOp.bare(), EngineeringOp.pas(1, 1), EngineeringOp.psa(0, 0)):
+            with pytest.raises(ZeroMeanPhoton):
+                evaluate_witness(StateSpec.even_coherent(0.0, op), "mandel", 2, engine=engine)
+
     def test_single_photon_added_thermal_is_nonclassical(self):
         # the classic single-photon-added thermal state: strongly
         # sub-Poissonian at small mean photon number
@@ -678,8 +695,7 @@ def test_the_analytic_moment_route_is_states_moment(spec):
 # 1e-60], on both families: none is annihilated (only the vacuum is), so each
 # call gives its small-parameter limit, the value at parameter 1e-20 (whose
 # corrections are of order 1e-20 or below), or OutOfRange where a norm or a
-# mean underflows. A cat mean that underflows to exactly 0 still reads as a
-# zero-mean state (ZeroMeanPhoton), which mandel_q refuses.
+# mean underflows (to exactly 0 too: only the vacuum is a zero-mean state).
 _CENSUS_OPS = [f(p, q) for f in (EngineeringOp.pas, EngineeringOp.psa) for p in range(5) for q in range(5)]
 _CENSUS_READS = (("hoa", 2), ("mandel", 2), ("hosps", 2), ("hoa", 3))
 
@@ -700,9 +716,6 @@ def test_a_tiny_parameter_census_sees_no_annihilation():
             value = evaluate_witness(spec, name, l).value
         except OutOfRange:
             outcomes["OutOfRange"] += 1
-            continue
-        except ZeroMeanPhoton:
-            assert name == "mandel" and states.moment(spec, 1, 1) == 0, spec.canonical()
             continue
         outcomes["value"] += 1
         assert abs(value - limits[key]) <= 1e-12 * max(1.0, abs(limits[key])), (spec.canonical(), name, l)
