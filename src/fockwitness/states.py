@@ -8,16 +8,20 @@ Two photon-number engineering operations act on a base state:
 Every normalized moment <a'^m a^n> of either family comes from one finite
 contraction: specfun.normal_order, the package's one normal-ordering
 route, gives O' a'^m a^n O as terms c a'^M a^N with exact integer c (cached
-per operation and (m, n)), and each term takes the bare state's normally
-ordered moment, delta_MN M! rbar^M for the thermal state and a four-term
-coherent-state contraction for the even coherent state (|alpha> + |-alpha>,
-normalized). Thermal moments are thus ratios of integer polynomials in
-rbar. Both orders send Fock level k = m + p - q to a multiple of |m>, so the
-photon-number probability p_m of either family is the bare state's weight
-of level k times one integer polynomial W(m); this makes the thermal Husimi
-Q a Gaussian times a finite polynomial. The cat Husimi Q sums the
-coherent-state matrix elements of O over its normal form, from the same
-kernel. No infinite series is summed.
+per operation and (m, n)). Each such product is one sandwich
+S(q, A, B) = a^q a'^A a^B a'^q: S(q, p + m, p + n) for a^p a'^q, and
+a'^p S(q, m, n) a^p for a'^q a^p; S(q, B, A) is S(q, A, B) with M and N
+swapped, so each sandwich and its adjoint are normal-ordered once for
+every operation and pair that reduce to them. Each term takes the bare
+state's normally ordered moment, delta_MN M! rbar^M for the thermal state
+and a four-term coherent-state contraction for the even coherent state
+(|alpha> + |-alpha>, normalized). Thermal moments are thus ratios of
+integer polynomials in rbar. Both orders send Fock level k = m + p - q to a
+multiple of |m>, so the photon-number probability p_m of either family is
+the bare state's weight of level k times one integer polynomial W(m); this
+makes the thermal Husimi Q a Gaussian times a finite polynomial. The cat
+Husimi Q sums the coherent-state matrix elements of O over its normal form,
+from the same kernel. No infinite series is summed.
 
 Each family is one Family record, FAMILY_THERMAL or FAMILY_EVEN_COHERENT
 (FAMILIES, by name), which holds every fact that differs between families;
@@ -324,13 +328,33 @@ def _word(op: EngineeringOp) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _sandwich(q: int, A: int, B: int) -> tuple[tuple[int, int, int], ...]:
+    """S(q, A, B): the exact terms (M, N, c) of a^q a'^A a^B a'^q =
+    sum c a'^M a^N, M ascending, the normal form of that word. Every term
+    has M - N = A - B."""
+    return specfun.normal_order((((0, q, 1),), ((A, B, 1),), ((q, 0, 1),)))
+
+
+@lru_cache(maxsize=None)
 def _contraction_table(op: EngineeringOp, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """Exact terms (M, N, c) of O' a'^m a^n O = sum c a'^M a^N, for O = op:
-    the normal form of that word, M ascending. Every term has
-    M - N = m - n."""
-    word = _word(op)
-    adjoint = tuple(tuple((plain, dag, c) for dag, plain, c in factor) for factor in reversed(word))
-    return specfun.normal_order(adjoint + (((m, n, 1),),) + word)
+    """Exact terms (M, N, c) of O' a'^m a^n O = sum c a'^M a^N, for O = op,
+    M ascending. Every term has M - N = m - n.
+
+    Each is one sandwich S(q, A, B) = a^q a'^A a^B a'^q (_sandwich): for
+    a^p a'^q it is S(q, p + m, p + n), and for a'^q a^p it is
+    a'^p S(q, m, n) a^p, S's terms with M and N each raised by p.
+    S(q, B, A) is the adjoint of S(q, A, B), its terms with M and N
+    swapped, so only A <= B is normal-ordered; as M - N is fixed, a swap
+    or a shift keeps M ascending."""
+    if op.order == ORDER_SUBTRACT_THEN_ADD:
+        A, B, shift = m, n, op.p
+    else:
+        A, B, shift = op.p + m, op.p + n, 0
+    if A > B:
+        return tuple([(N + shift, M + shift, c) for M, N, c in _sandwich(op.q, B, A)])
+    if shift:
+        return tuple([(M + shift, N + shift, c) for M, N, c in _sandwich(op.q, A, B)])
+    return _sandwich(op.q, A, B)
 
 
 def _ecs_pair_weights(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -379,21 +403,21 @@ class _Terms(NamedTuple):
 def _padded(ops: tuple, pairs: tuple, keep: Callable, weigh: Callable, keys: tuple) -> _Terms:
     """Each row's _contraction_table where keep(m, n) holds, else no terms,
     as _Terms with the weights weigh(terms) and, for each function of
-    keys, the key(op, M, N) of each term. The rows run pair by pair, then
-    operation by operation; the rows with terms are kept, each in its
-    table's order. Every term of a table has M - N = m - n, so a family
-    that drops terms by the parity or the difference of M and N drops whole
-    tables. Cached, as every stack of a family and operations that reads
-    the same pairs shares them, so its arrays are read-only."""
+    keys, the key of each term, key(op, table) giving those of one row's.
+    The rows run pair by pair, then operation by operation; the rows with
+    terms are kept, each in its table's order. Every term of a table has
+    M - N = m - n, so a family that drops terms by the parity or the
+    difference of M and N drops whole tables. Cached, as every stack of a
+    family and operations that reads the same pairs shares them, so its
+    arrays are read-only."""
     tables = [_contraction_table(op, m, n) if keep(m, n) else () for m, n in pairs for op in ops]
     rows = [r for r, table in enumerate(tables) if table]
     tables, row_ops = [tables[r] for r in rows], [ops[r % len(ops)] for r in rows]
     terms = tuple(term for table in tables for term in table)
     # each term's place: its position in its row's table, and its row
-    lengths = np.array(list(map(len, tables)), dtype=np.intp)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    places = (np.arange(len(terms)) - starts, np.repeat(np.arange(len(tables)), lengths))
-    shape = (int(lengths.max(initial=0)), len(tables))
+    places = (np.array([t for table in tables for t in range(len(table))], dtype=np.intp),
+              np.array([j for j, table in enumerate(tables) for _ in table], dtype=np.intp))
+    shape = (max(map(len, tables), default=0), len(tables))
 
     def padded(values: np.ndarray, fill) -> np.ndarray:
         array = np.full(shape, fill, dtype=values.dtype)
@@ -403,7 +427,7 @@ def _padded(ops: tuple, pairs: tuple, keep: Callable, weigh: Callable, keys: tup
 
     distinct, index = [], []
     for key in keys:
-        values = [key(op, M, N) for table, op in zip(tables, row_ops) for M, N, _ in table]
+        values = [value for table, op in zip(tables, row_ops) for value in key(op, table)]
         distinct.append(tuple(sorted(set(values))))
         position = {value: j for j, value in enumerate(distinct[-1])}
         index.append(tuple(padded(np.array([position[value] for value in values], dtype=np.intp), len(position))))
@@ -434,10 +458,11 @@ def _log(value) -> float:
 _LOG_RANGE = 690.0
 
 
-def _thermal_powers(op: EngineeringOp, M: int, N: int) -> tuple[int, int]:
-    """(a, b) = (M - k0, p + q - M): a term's powers of x and y. b is
+def _thermal_powers(op: EngineeringOp, table) -> list[tuple[int, int]]:
+    """(a, b) = (M - k0, p + q - M) per term: its powers of x and y. b is
     negative past M = p + q, -M on a bare state."""
-    return M - _lowest_power(op), op.p + op.q - M
+    k0, top = _lowest_power(op), op.p + op.q
+    return [(M - k0, top - M) for M, _, _ in table]
 
 
 def _thermal_factors(stack: list, pairs):
@@ -490,12 +515,12 @@ def _ecs_weights(terms) -> list:
     return [c for _, _, c in terms]
 
 
-def _dag(op: EngineeringOp, M: int, N: int) -> int:
-    return M
+def _dag(op: EngineeringOp, table) -> list[int]:
+    return [M for M, _, _ in table]
 
 
-def _plain(op: EngineeringOp, M: int, N: int) -> int:
-    return N
+def _plain(op: EngineeringOp, table) -> list[int]:
+    return [N for _, N, _ in table]
 
 
 def _ecs_factors(stack: list, pairs):

@@ -110,7 +110,8 @@ def _moment_suite_pairs(family) -> list[tuple[int, int]]:
     return pairs
 
 
-_WITNESS_OPS = (
+# read for membership only
+_WITNESS_OPS = frozenset((
     EngineeringOp.bare(),
     EngineeringOp.pas(1, 1),
     EngineeringOp.pas(1, 2),
@@ -118,7 +119,7 @@ _WITNESS_OPS = (
     EngineeringOp.psa(1, 1),
     EngineeringOp.psa(1, 2),
     EngineeringOp.psa(2, 1),
-)
+))
 
 
 _WITNESS_VALUES = {states_mod.FAMILY_THERMAL: (0.5, 1.0, 2.0),

@@ -1,11 +1,12 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from fockwitness import oracle, states, verify, witnesses
+from fockwitness import cli, oracle, specfun, states, verify, witnesses
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.states import (
@@ -360,6 +361,54 @@ class TestContractionTable:
                     assert all(dag - plain == m - n and plain <= lowerings for dag, plain, _ in table)
                     for k in range(lowerings + 1):
                         assert self._table_on_fock(table, k) == self._word_on_fock(runs, k), (op, m, n, k)
+
+    @staticmethod
+    def _full_word_table(op, m, n):
+        """O' a'^m a^n O normal-ordered as one word, O' the reversed word
+        of O with each factor's M and N swapped."""
+        word = states._word(op)
+        adjoint = tuple(tuple((plain, dag, c) for dag, plain, c in factor) for factor in reversed(word))
+        return specfun.normal_order(adjoint + (((m, n, 1),),) + word)
+
+    def test_table_equals_the_normal_form_of_the_full_word(self):
+        # the sandwich S(q, p + m, p + n) of a^p a'^q, and a'^p S(q, m, n) a^p
+        # of a'^q a^p, term for term and in the same order
+        for op in [EngineeringOp.bare(), *_pas_psa_up_to(6)]:
+            for m in range(9):
+                for n in range(9):
+                    assert states._contraction_table(op, m, n) == self._full_word_table(op, m, n), (op, m, n)
+
+    def test_a_swapped_sandwich_is_the_adjoint(self):
+        # S(q, B, A) is S(q, A, B) with M and N swapped, M still ascending
+        for q in range(7):
+            for a in range(15):
+                for b in range(15):
+                    swapped = tuple((plain, dag, c) for dag, plain, c in states._sandwich(q, a, b))
+                    assert states._sandwich(q, b, a) == swapped, (q, a, b)
+
+    def test_a_cold_verify_orders_each_sandwich_once(self, monkeypatch, capsys):
+        # every cache of the package emptied, as in a fresh process; a form
+        # and its swap (the adjoint) count as one
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("fockwitness."):
+                for obj in vars(module).values():
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
+        normal_order, calls = specfun.normal_order, []
+
+        def counting(word):
+            calls.append((word, normal_order(word)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(specfun, "normal_order", counting)
+        assert cli.main(["verify"]) == 1
+        capsys.readouterr()
+        operator_words = {states._word(op) for op in _pas_psa_up_to(states.MAX_ENGINEERING_ORDER)}
+        operator = [word for word, _ in calls if word in operator_words]
+        forms = [form for word, form in calls if word not in operator_words]
+        distinct = {min(form, tuple((plain, dag, c) for dag, plain, c in form)) for form in forms}
+        assert len(operator) == states._operator_terms.cache_info().misses == 8
+        assert len(forms) == len(distinct) <= 81
 
 
 class TestPhotonProb:

@@ -1,5 +1,7 @@
 import gc
+import importlib.util
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -25,6 +27,22 @@ def test_packaged_fixture_canonicals_parse():
     canonicals += [canonical for canonical, _, _ in verify._EXACT_FIXTURES]
     for canonical in canonicals:
         assert StateSpec.from_canonical(canonical).canonical() == canonical
+
+
+def test_the_freeze_plan_regenerates_the_committed_fixtures():
+    # every row of scripts/freeze_fixtures.py, evaluated without writing
+    # fixtures.txt: the committed record's spec, quantity and cutoff, and its
+    # value within the tolerance the fixtures suite reads the file at
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "freeze_fixtures.py"
+    spec = importlib.util.spec_from_file_location("freeze_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    committed = verify.load_packaged_fixtures()
+    assert len(script.PLAN) == len(committed)
+    for (state_spec, quantity, evaluate), record in zip(script.PLAN, committed):
+        fresh = oracle.stable_oracle_value(evaluate, state_spec, quantity)
+        assert (fresh.canonical, fresh.quantity, fresh.cutoff) == (record.canonical, record.quantity, record.cutoff)
+        assert oracle.deviation(fresh.value, record.value, oracle.RELATIVE_FLOOR) <= verify.WITNESS_REL_TOL, quantity
 
 
 def test_each_exact_fixture_reads_the_value_of_its_direct_call():
