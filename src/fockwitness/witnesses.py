@@ -170,8 +170,11 @@ def _mean_photon(table: MomentTable) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _number_power(r: int) -> tuple[tuple[int, int, int], ...]:
     """(a'a)^r = sum_n S2(r, n) a'^n a^n as terms (n, n, S2(r, n)), n
-    ascending: the Stirling numbers of the second kind."""
-    return normal_order((((1, 1, 1),),) * r)
+    ascending: the Stirling numbers of the second kind, each power the
+    previous one times a'a."""
+    if r == 0:
+        return normal_order(())
+    return normal_order((_number_power(r - 1), ((1, 1, 1),)))
 
 
 def _number_moment(table: MomentTable, r: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 import dense
 from fockwitness import cli, oracle, states, sweep_report, witnesses
 from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, OutOfRange, SingularDenominator, ZeroMeanPhoton
-from fockwitness.specfun import quadrature_power_coeffs
+from fockwitness.specfun import normal_order, quadrature_power_coeffs
 from fockwitness.states import EngineeringOp, MomentTable, StateSpec
 from fockwitness.witnesses import (
     ScanGrid,
@@ -585,6 +585,12 @@ class TestLargestOrder:
         if witness == "hosps":
             return [s2 * math.comb(l, e) for e in range(1, l + 1) for _, _, s2 in witnesses._number_power(e)]
         return [c for _, _, c in quadrature_power_coeffs(l)]
+
+    def test_each_number_power_extends_the_last_as_from_scratch(self):
+        # (a'a)^r built as (a'a)^(r - 1) times a'a: the same terms as the
+        # normal form of the word of r factors a'a
+        for r in range(41):
+            assert witnesses._number_power(r) == normal_order((((1, 1, 1),),) * r), r
 
     @pytest.mark.parametrize("witness", witnesses.LARGEST_ORDER)
     def test_the_largest_order_is_the_last_with_float_coefficients(self, witness):
