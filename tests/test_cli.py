@@ -99,6 +99,15 @@ def _columns(text):
     return {label: [row[i] for row in rows[1:]] for i, label in enumerate(rows[0])}
 
 
+class TestFigureCommand:
+    def test_byte_identical_reruns(self, tmp_path):
+        rows = [contracts.Row(None, f"figure fig1 --steps 9 --out {out}") for out in "ab"]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            assert [run[0] for run in pool.map(contracts.run_fresh, rows, [tmp_path] * 2)] == [0, 0]
+        for name in ("fig1_a.csv", "fig1_b.csv", "fig1_c.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestSweepCommand:
     def test_header_labels_accepted(self, run_main):
         colon = run_main(*_SWEEP, "--steps", "3", "--variants", "PAS(1:1),PSA(1:1)")
@@ -225,11 +234,15 @@ class TestOneParserPerProcess:
         bare = run_main(*argv, "--rbar", "2")
         assert bare.returncode == 0 and bare.stdout != configured.stdout
 
-    # each default pack written twice in this process, as a new process per
-    # pack writes it; every row of every CSV parses at its header's width (a
-    # sweep header quotes its labels, PAS(1,1), as RFC 4180 asks)
-    def test_figures_in_one_process_equal_a_new_process(self, run_main, tmp_path, monkeypatch):
-        rows = [row for row in contracts.ROWS if row.test == "TestFigureCommand::test_default_packs"]
+    # each pack written twice in this process, as a new process per pack
+    # writes it; every row of every CSV parses at its header's width (a sweep
+    # header quotes its labels, PAS(1,1), as RFC 4180 asks)
+    @pytest.mark.parametrize("rows", [
+        [contracts.Row(None, "figure fig1 --steps 5 --out process")],
+        [contracts.Row(None, "figure fig8 --grid-steps 5 --out process")],
+        [row for row in contracts.ROWS if row.test == "TestFigureCommand::test_default_packs"],
+    ], ids=["fig1 --steps 5", "fig8 --grid-steps 5", "default packs"])
+    def test_figures_in_one_process_equal_a_new_process(self, rows, run_main, tmp_path, monkeypatch):
         dirs = [tmp_path / row.argv[1] for row in rows]
         for path in dirs:
             path.mkdir()
