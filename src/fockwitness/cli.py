@@ -405,7 +405,3 @@ def main(argv=None) -> int:
         code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

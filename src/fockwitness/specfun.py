@@ -5,7 +5,8 @@ a product of ladder operators (the contraction tables and the operator
 normal forms in `states`, the powers (a'a)^r the witnesses read) is a call
 to it, in exact integer arithmetic, and leaves it only at the caller's
 boundary. The powers (a + a')^l have a closed form,
-quadrature_power_coeffs, which the tests hold to normal_order.
+quadrature_power_coeffs, which the tests hold to normal_order. It is not
+cached: hos reads each power once, into the float row it caches.
 
 hypergeometric_pfq and factorial_ratio have no caller in the package; the
 benchmark's tracer binds them by name, so they stay until the benchmark
@@ -17,7 +18,6 @@ final value.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import NonConvergent, PoleInDenominatorParams
 
@@ -145,7 +145,6 @@ def normal_order(word: tuple) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((dag, plain, c) for (dag, plain), c in terms.items() if c))
 
 
-@lru_cache(maxsize=None)
 def quadrature_power_coeffs(l: int) -> tuple[tuple[int, int, int], ...]:
     """Normal form of (a + a')^l, (M, N) ascending as normal_order gives it,
     in closed form:

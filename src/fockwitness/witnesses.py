@@ -67,6 +67,10 @@ ZERO_THRESHOLD = 1e-6
 # with l, so every order past it is refused from the order alone.
 LARGEST_ORDER = {"mandel": 219, "hosps": 218, "hos": 291}
 
+# 2^(k/2), k <= hos's largest order, complex as numpy converts it against a
+# quadrature sum: <X^k> is <(a + a')^k> over it
+_QUADRATURE_SCALES = np.array([[2 ** (k / 2.0)] for k in range(LARGEST_ORDER["hos"] + 1)], dtype=complex)
+
 
 class Engine(FrozenRecord):
     """One engine: every fact that differs from one engine to another. Each
@@ -239,26 +243,19 @@ def hosps(table: MomentTable, l: int = 2):
 
 
 @lru_cache(maxsize=None)
-def _hos_terms(l: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
-    """The terms of (a + a')^k for k = 0..l, k by k, each k's in the order
-    quadrature_power_coeffs gives them: the index of each term's pair in
-    moment_pairs("hos", l), its coefficient as the double it rounds to,
-    and where each k's terms end; then 2^(k/2) for each k. Coefficients
-    and scales are complex, the type numpy converts them to against a
-    complex moment, so that no call converts them again."""
-    index = {pair: i for i, pair in enumerate(moment_pairs("hos", l))}
-    rows, coeffs, ends = [], [], []
-    for k in range(l + 1):
-        terms = quadrature_power_coeffs(k)
-        rows += [index[j, m] for j, m, _ in terms]
-        coeffs += [float(c) for _, _, c in terms]
-        ends.append(len(rows))
-    rows = np.array(rows)
-    coeffs = np.array(coeffs, dtype=complex)[:, None]
-    scales = np.array([[2 ** (k / 2.0)] for k in range(l + 1)], dtype=complex)
-    for array in (rows, coeffs, scales):
+def _quadrature_row(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of (a + a')^k, in the order quadrature_power_coeffs gives
+    them: the row of each term's pair (j, m) in hos's moment stack, whose
+    pairs run by degree d = j + m and then by j, so that the row,
+    d(d+1)/2 + j, is the same at every order; and its coefficient as the
+    complex double it rounds to, the type numpy converts it to against a
+    complex moment, so that no call converts it again."""
+    terms = quadrature_power_coeffs(k)
+    rows = np.array([(j + m) * (j + m + 1) // 2 + j for j, m, _ in terms])
+    coeffs = np.array([float(c) for _, _, c in terms], dtype=complex)[:, None]
+    for array in (rows, coeffs):
         array.flags.writeable = False  # every caller shares the cached arrays
-    return rows, coeffs, ends, scales
+    return rows, coeffs
 
 
 def hos(table: MomentTable, l: int = 2):
@@ -272,10 +269,10 @@ def hos(table: MomentTable, l: int = 2):
         raise ValueError("hos requires l >= 2")
     if l % 2:
         raise OddOrder("hos is defined for even order only")
-    # each pair read once, as one row of a stack over the table's states
-    raw = {pair: table.get(*pair) for pair in moment_pairs("hos", l)}
+    _check_order("hos", l)
+    # each pair read once, by degree, as one row of a stack over the table's states
+    raw = {(j, d - j): table.get(j, d - j) for d in range(l + 1) for j in range(d + 1)}
     moments = np.array(list(raw.values()), dtype=complex).reshape(len(raw), -1)
-    rows, coeffs, ends, scales = _hos_terms(l)
     # Each k's terms are stacked and added from 0 in expansion order, the
     # loop's sum bit for bit. numpy adds along the contiguous axis pairwise,
     # so the stack is read as floats: the term axis is then never the
@@ -284,15 +281,16 @@ def hos(table: MomentTable, l: int = 2):
     sums = []
     # a sum past the float range is inf or nan, tested below
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, end in zip([0, *ends], ends):
-            terms = coeffs[start:end] * moments.take(rows[start:end], axis=0)
-            sums.append(np.add.reduce(terms.view(np.float64), axis=0, initial=0.0))
-        quad = (np.array(sums).view(complex) / scales).real
+        for k in range(l + 1):
+            rows, coeffs = _quadrature_row(k)
+            sums.append(np.add.reduce((coeffs * moments.take(rows, axis=0)).view(np.float64),
+                                      axis=0, initial=0.0))
+        quad = (np.array(sums).view(complex) / _QUADRATURE_SCALES[:l + 1]).real
         central = 0.0
         for k in range(l + 1):
             central += math.comb(l, k) * (-quad[1]) ** (l - k) * quad[k]
         # the (0,0) term of (a + a')^l, (l-1)!!
-        reference = quadrature_power_coeffs(l)[0][2] / 2 ** (l / 2.0)
+        reference = math.prod(range(1, l, 2)) / 2 ** (l / 2.0)
         value = (central - reference) / reference
     # a NaN gap, whose moments are NaN, stays a gap
     if not np.isfinite(value[np.isfinite(moments).all(axis=0)]).all():

@@ -556,6 +556,19 @@ ROWS = [
           ("sweep --name hoa --family thermal --steps 3 --out folder", "folder", {"folder/": None}),
           ("figure fig7 --grid-steps 3 --out pack", "pack", {"pack/": None, "pack/fig7_c.csv/": None}))],
 
+    # the checks of each command's own arguments, each with its one line
+    *[Row("TestRefusedOptions::test_refused_by_the_command", argv, code=2, err=_CONFIG + message + "\n")
+      for argv, message in (
+          ("moment --rbar 1 --m 1 --n 1", "--family is required"),
+          ("moment --family thermal --rbar 1 --m -1 --n 1", "--m and --n must be non-negative"),
+          ("moment --family thermal --op none --p 1 --rbar 1 --m 1 --n 1", "--op none is incompatible with --p/--q"),
+          ("witness --family thermal --rbar 1", "witness requires --name"),
+          ("witness --name klyshko --family thermal --rbar 1", "klyshko requires --m"),
+          ("witness --name hoa --family thermal --rbar 1 --alpha 1", "thermal family takes no --alpha"),
+          ("sweep --name husimi-zero --family thermal", "husimi-zero has no scalar sweep; use the figure packs"),
+          ("sweep --name hoa", "sweep requires --family"),
+          ("sweep --name hoa --family thermal --variants ,", "no variants given"))],
+
     # -- config files --------------------------------------------------------------------
     # explicit flags beat config values; 13/3 to 1e-12
     Row("TestConfigFile::test_config_supplies_defaults_flags_win",
@@ -564,6 +577,13 @@ ROWS = [
     Row("TestConfigFile::test_config_supplies_defaults_flags_win",
         "moment --family thermal --op psa --p 1 --q 1 --config run.cfg --n 0", out=rx(rf"1,0,{F},{F}\n"),
         setup=config("m=1\nn=1\nrbar=1.0\n")),
+    # a line is key=value, a comment or blank; the file must be readable
+    Row("TestConfigFile::test_a_line_without_equals_is_rejected", f"{_MOMENT} --family thermal --config run.cfg",
+        code=2, err=_CONFIG + "config line 'noequals' is not key=value\n", setup=config("noequals\n")),
+    Row("TestConfigFile::test_comments_and_blank_lines_are_skipped", f"{_MOMENT} --family thermal --config run.cfg",
+        out="1,1,1.0,0\n", setup=config("# a comment\n\nrbar=1\n")),
+    Row("TestConfigFile::test_a_missing_file_is_config_error", f"{_MOMENT} --family thermal --config missing.cfg",
+        code=2, err=line(_CONFIG + "cannot read config file: ")),
     Row("TestConfigFile::test_unknown_key_rejected", "moment --family thermal --rbar 1 --m 0 --n 0 --config run.cfg",
         code=2, err=_CONFIG + "unknown config key 'wormhole' for moment\n", setup=config("wormhole=1\n")),
     # the --op choices are lower case: PAS is rejected, not read as psa

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dense
+from bits import float_bits
 from fockwitness import cli, oracle, states, verify, witnesses
 from fockwitness.errors import CutoffExceeded, DegenerateState, OutOfRange
 from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
@@ -132,6 +133,9 @@ def test_max_cutoff_env_override(monkeypatch):
     monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "banana")
     with pytest.raises(ValueError):
         oracle.max_cutoff()
+    monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "1")
+    with pytest.raises(ValueError, match="must be at least 2"):
+        oracle.max_cutoff()
 
 
 def test_cutoff_doubling_stability():
@@ -183,6 +187,10 @@ class TestPoissonCentralMoments:
         with pytest.raises(ValueError):
             oracle.oracle_poissonian_central_moment(1.0, (2, 0))
         assert oracle.oracle_poissonian_central_moment(1.0, ()) == []
+
+    def test_a_negative_mean_is_refused(self):
+        with pytest.raises(ValueError, match="mean must be non-negative"):
+            oracle.oracle_poissonian_central_moment(-1.0, 2)
 
 
 class TestCoherentBaseline:
@@ -615,13 +623,6 @@ def test_a_stack_of_mismatched_specs_is_refused(stack):
         oracle.truncated_states(stack)
 
 
-def _bits(values):
-    """The float bits of complex values, every NaN as one NaN."""
-    floats = np.array(values, dtype=complex).view(np.float64)
-    floats[np.isnan(floats)] = math.nan
-    return floats.view(np.uint64)
-
-
 def _assert_gather_equals_one_state_calls(states, ms, ns):
     gathered = oracle._gathered_moments(states, ms, ns)
     assert gathered.shape == (len(ms), len(states)) and gathered.flags.c_contiguous
@@ -629,7 +630,7 @@ def _assert_gather_equals_one_state_calls(states, ms, ns):
         if state is None:
             assert np.isnan(gathered[:, j]).all()
             continue
-        assert np.array_equal(_bits(gathered[:, j]), _bits(oracle.oracle_moment(state, ms, ns))), j
+        assert np.array_equal(float_bits(gathered[:, j]), float_bits(oracle.oracle_moment(state, ms, ns))), j
     return gathered
 
 
@@ -646,7 +647,7 @@ def test_the_grouped_fill_equals_one_state_calls_bit_for_bit(family, chunk, monk
     _assert_gather_equals_one_state_calls(states[:40] + [None] + states[40:], ms, ns)
     table = oracle.moment_table_from_state(states, pairs)
     for m, n in pairs:
-        assert np.array_equal(_bits(table.get(m, n)), _bits([oracle.oracle_moment(s, m, n) for s in states]))
+        assert np.array_equal(float_bits(table.get(m, n)), float_bits([oracle.oracle_moment(s, m, n) for s in states]))
 
 
 @pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda f: f.name)
@@ -660,9 +661,10 @@ def test_the_grouped_fill_sums_the_ladder_products_bit_for_bit(family):
     for j, state in enumerate(states):
         diagonal = state.kind == oracle.KIND_DIAGONAL
         lowered = [oracle._ladder(state.data, k, creation=False, diagonal=diagonal) for k in range(6)]
-        reference = [np.sum(lowered[m].conj() * lowered[n]) if not diagonal else np.sum(lowered[n]) if m == n
-                     else 0.0 for m, n in zip(ms.tolist(), ns.tolist())]
-        assert np.array_equal(_bits(gathered[:, j]), _bits(reference)), j
+        # complex, as the gathered values are, where the diagonal's are real
+        reference = np.array([np.sum(lowered[m].conj() * lowered[n]) if not diagonal else np.sum(lowered[n])
+                              if m == n else 0.0 for m, n in zip(ms.tolist(), ns.tolist())], dtype=complex)
+        assert np.array_equal(float_bits(gathered[:, j]), float_bits(reference)), j
 
 
 @pytest.mark.parametrize("spec", [StateSpec.even_coherent(np.array([1.5, 2.0, 2.5])),

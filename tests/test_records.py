@@ -127,6 +127,10 @@ def test_a_record_keeps_its_contract(cls, fields, kind):
 def test_a_left_out_field_takes_its_default(cls, given, defaults):
     first, second = cls(**given), cls(**given)
     assert _fields_of(first, defaults) == tuple(defaults.values())
+    # a field with no default must be given
+    for name in given:
+        with pytest.raises(TypeError, match=f"missing .*{name!r}"):
+            cls(**{other: value for other, value in given.items() if other != name})
     # a list or dict default is one per record
     for name, default in defaults.items():
         if isinstance(default, (list, dict)):

@@ -1,12 +1,17 @@
+import ast
 import math
+import os
 import re
+import subprocess
 import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from fockwitness import cli, oracle, specfun, states, verify, witnesses
+import fockwitness
+from bits import float_bits
+from fockwitness import oracle, specfun, states, verify, witnesses
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.states import (
@@ -386,28 +391,30 @@ class TestContractionTable:
                     swapped = tuple((plain, dag, c) for dag, plain, c in states._sandwich(q, a, b))
                     assert states._sandwich(q, b, a) == swapped, (q, a, b)
 
-    def test_a_cold_verify_orders_each_sandwich_once(self, monkeypatch, capsys):
-        # every cache of the package emptied, as in a fresh process; a form
-        # and its swap (the adjoint) count as one
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("fockwitness."):
-                for obj in vars(module).values():
-                    if hasattr(obj, "cache_clear"):
-                        obj.cache_clear()
-        normal_order, calls = specfun.normal_order, []
-
-        def counting(word):
-            calls.append((word, normal_order(word)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(specfun, "normal_order", counting)
-        assert cli.main(["verify"]) == 1
-        capsys.readouterr()
+    def test_a_cold_verify_orders_each_sandwich_once(self):
+        # in a new process, whose caches are all empty, so that this one's
+        # stay warm; a form and its swap (the adjoint) count as one
+        source = "\n".join([
+            "import contextlib, io, sys",
+            f"sys.path[:0] = {[os.path.dirname(os.path.dirname(fockwitness.__file__))]!r}",
+            "from fockwitness import cli, specfun, states",
+            "normal_order, calls = specfun.normal_order, []",
+            "def counting(word):",
+            "    calls.append((word, normal_order(word)))",
+            "    return calls[-1][1]",
+            "specfun.normal_order = counting",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(['verify'])",
+            "print(repr((code, calls, states._operator_terms.cache_info().misses)))",
+        ])
+        out = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, check=True).stdout
+        code, calls, misses = ast.literal_eval(out)
+        assert code == 1
         operator_words = {states._word(op) for op in _pas_psa_up_to(states.MAX_ENGINEERING_ORDER)}
         operator = [word for word, _ in calls if word in operator_words]
         forms = [form for word, form in calls if word not in operator_words]
         distinct = {min(form, tuple((plain, dag, c) for dag, plain, c in form)) for form in forms}
-        assert len(operator) == states._operator_terms.cache_info().misses == 8
+        assert len(operator) == misses == 8
         assert len(forms) == len(distinct) <= 81
 
 
@@ -1195,13 +1202,6 @@ def _stack_pairs(family):
     return sorted(set(verify._grid_pairs(family)) | {(3, 1), (1, 3), (0, 2), (5, 4), (2, 0)})
 
 
-def _bits(values):
-    """The float bits of complex values, every NaN as one NaN."""
-    floats = np.array(values, dtype=complex).view(np.float64)
-    floats[np.isnan(floats)] = math.nan
-    return floats.view(np.uint64)
-
-
 STACK_GRIDS = [
     (states.FAMILY_THERMAL, np.array([0.1, 0.5, 1.0, 2.0, 5.0])),
     (states.FAMILY_EVEN_COHERENT, np.array([0.3, 0.7 - 0.2j, 1.2, 2.0])),
@@ -1224,12 +1224,12 @@ class TestMomentStacks:
         for s, op in enumerate(ops):
             columns = block[:, s * len(values):(s + 1) * len(values)]
             own = moment(StateSpec.of(family, values, op), ms, ns)
-            np.testing.assert_array_equal(_bits(columns), _bits(own))
+            np.testing.assert_array_equal(float_bits(columns), float_bits(own))
             for g in (0, len(values) - 1):
                 one = moment(StateSpec.of(family, values[g], op), ms, ns)
-                np.testing.assert_array_equal(_bits(columns[:, g]), _bits(one))
+                np.testing.assert_array_equal(float_bits(columns[:, g]), float_bits(one))
         # ints give one row over the stack's columns
-        np.testing.assert_array_equal(_bits(moment(stack, 2, 1)), _bits(block[pairs.index((2, 1))]))
+        np.testing.assert_array_equal(float_bits(moment(stack, 2, 1)), float_bits(block[pairs.index((2, 1))]))
 
     @pytest.mark.parametrize("family, values", STACK_GRIDS, ids=["thermal", "ecs"])
     def test_each_spec_keeps_its_own_norm(self, family, values):
@@ -1251,8 +1251,8 @@ class TestMomentStacks:
             # k0 > 0: no bare constant term, so the state at rbar = 0 is gone
             assert np.isnan(columns[:, 0]).all() == (states._lowest_power(op) > 0)
             assert np.isfinite(columns[:, 1:]).all()
-            np.testing.assert_array_equal(_bits(columns),
-                                          _bits(moment(StateSpec.thermal(values, op), np.array([0, 1, 2]),
+            np.testing.assert_array_equal(float_bits(columns),
+                                          float_bits(moment(StateSpec.thermal(values, op), np.array([0, 1, 2]),
                                                        np.array([0, 1, 2]))))
 
     def test_a_member_that_needs_the_log_path_leaves_the_others_bits(self, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bits import float_bits
 from fockwitness import states, sweep_report, witnesses
 from fockwitness.errors import DegenerateState, OutOfRange, SingularDenominator, ZeroMeanPhoton
 from fockwitness.states import FAMILY_EVEN_COHERENT, FAMILY_THERMAL, EngineeringOp, StateSpec
@@ -142,8 +143,8 @@ def _point_by_point(witness, order, family, op, grid, engine):
 
 
 def _same_bits(got, want) -> bool:
-    """Equal values, or NaN in both."""
-    return len(got) == len(want) and all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+    """The same values bit for bit, every NaN as one NaN."""
+    return len(got) == len(want) and np.array_equal(float_bits(got), float_bits(want))
 
 
 _RANGES = pytest.mark.parametrize("family, hi", [(FAMILY_THERMAL, 3.0), (FAMILY_EVEN_COHERENT, 2.0)],
@@ -252,6 +253,10 @@ class TestFigurePacks:
         assert FIGURE_IDS == tuple(f"fig{i}" for i in range(1, 13))
         with pytest.raises(ValueError):
             figure_pack("fig99")
+
+    def test_only_a_panel_is_serialized(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            sweep_report.panel_csv(object())
 
     def test_mandel_pack_layout(self):
         pack = figure_pack("fig1", steps=5)

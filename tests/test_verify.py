@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bits import float_bits
 from fockwitness import oracle, states, verify, witnesses
 from fockwitness.states import EngineeringOp, StateSpec
 
@@ -64,6 +65,8 @@ def test_each_exact_fixture_reads_the_value_of_its_direct_call():
     for (canonical, quantity, _), value in zip(verify._EXACT_FIXTURES, direct):
         got = verify._frozen_quantity(StateSpec.from_canonical(canonical), quantity, witnesses.ENGINES["analytic"])
         assert float(got).hex() == float(value).hex(), (canonical, quantity)
+    with pytest.raises(ValueError, match="unknown fixture quantity 'parity\\(2\\)'"):
+        verify._frozen_quantity(bare, "parity(2)", witnesses.ENGINES["analytic"])
 
 
 def test_run_suites_selection_and_reporting():
@@ -282,13 +285,6 @@ def test_the_hosps_gate_stacks_its_orders(monkeypatch):
     assert result.notes[0] == f"{StateSpec.thermal(verify.RBAR_GRID[2]).canonical()} hosps(3): dev nan"
 
 
-def _bits(values):
-    """The float bits of the values (complex as two floats), every NaN as one NaN."""
-    floats = np.array(values, dtype=complex if np.iscomplexobj(values) else float).view(np.float64)
-    floats[np.isnan(floats)] = math.nan
-    return floats.view(np.uint64)
-
-
 def _own_read(op, family, engine):
     """A grid spec's own table on the engine, and its own oracle states: a
     fresh grid spec's analytic table over its family's _grid_pairs (a
@@ -322,7 +318,7 @@ def test_a_family_equals_its_grids_bit_for_bit(family, engine):
         each = [state for _, grown in own for state in grown]
         assert [(s.cutoff, s.kind, s.tail_mass) for s in record.states] == [
             (s.cutoff, s.kind, s.tail_mass) for s in each]
-        assert all(np.array_equal(_bits(a.data), _bits(b.data)) for a, b in zip(record.states, each))
+        assert all(np.array_equal(float_bits(a.data), float_bits(b.data)) for a, b in zip(record.states, each))
     table = getattr(record, engine)
     assert table.provenance == engine
     witness = [k for k, spec in enumerate(record.specs) if spec.op in verify._WITNESS_OPS]
@@ -333,10 +329,10 @@ def test_a_family_equals_its_grids_bit_for_bit(family, engine):
             read = witnesses.table_witness(table, name, l)
             each = np.concatenate([witnesses.table_witness(t, name, l) for t in tables])
             assert read.shape == (len(record.specs),)
-            assert np.array_equal(_bits(read[columns]), _bits(each)), (name, l)
+            assert np.array_equal(float_bits(read[columns]), float_bits(each)), (name, l)
     for pair in verify._moment_suite_pairs(family):
         each = np.concatenate([t.get(*pair) for t, _ in own])
-        assert np.array_equal(_bits(table.get(*pair)), _bits(each)), pair
+        assert np.array_equal(float_bits(table.get(*pair)), float_bits(each)), pair
 
 
 def _labels(pair):

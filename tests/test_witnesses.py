@@ -1,10 +1,14 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import dense
+import fockwitness
 from fockwitness import cli, oracle, states, sweep_report, witnesses
 from fockwitness.errors import DegenerateState, EmptyWindow, OddOrder, OutOfRange, SingularDenominator, ZeroMeanPhoton
 from fockwitness.specfun import normal_order, quadrature_power_coeffs
@@ -136,6 +140,10 @@ class TestHosps:
         value = hosps(MomentTable.analytic(spec), l)
         assert value == pytest.approx(reference, rel=1e-9)
 
+    def test_order_below_two_rejected(self, bare_table):
+        with pytest.raises(ValueError, match="hosps requires l >= 2"):
+            hosps(bare_table, 1)
+
 
 class TestHos:
     def test_bare_thermal(self, bare_table):
@@ -163,6 +171,25 @@ class TestHos:
                 evaluate_witness(spec, "hos", l, engine=engine)
         if engine == "analytic":
             assert evaluate_witness(spec, "hos", 268).value == 2.1778071482940052e+40
+
+    def test_the_highest_orders_stay_small_in_a_new_process(self):
+        # hos(290) reads every power (a + a')^k, k <= 290, about 2.1 million
+        # terms, before its sums overflow: held as Python integers they took
+        # the process to about 500 MB. The child reads its own peak, VmHWM,
+        # in kB: its ru_maxrss would start from this process's at exec.
+        source = "\n".join([
+            "import re, sys",
+            f"sys.path[:0] = {[os.path.dirname(os.path.dirname(fockwitness.__file__))]!r}",
+            "from fockwitness.errors import OutOfRange",
+            "from fockwitness.states import StateSpec",
+            "from fockwitness.witnesses import evaluate_witness",
+            "try:",
+            "    evaluate_witness(StateSpec.thermal(0.5), 'hos', 290)",
+            "except OutOfRange:",
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])",
+        ])
+        out = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, check=True).stdout
+        assert int(out) < 200 * 1024
 
     def test_a_grid_keeps_its_gaps_and_raises_past_the_float_range(self):
         spec = StateSpec.thermal(np.array([0.0, 0.5]), EngineeringOp.psa(2, 1))
