@@ -51,7 +51,7 @@ EXIT_DEGENERATE = 3
 EXIT_SINGULAR = 5
 
 # the --name spellings of two witnesses; every other --name is the witness's
-# own name in witnesses.WITNESS_READS
+# own name in witnesses.WITNESSES
 _SPELLINGS = {"a3": "agarwal_tara", "husimi-zero": "husimi_zero"}
 
 # --tol where none is given: the analytic/oracle deviation allowed under --engine both
@@ -221,18 +221,19 @@ def _build_spec(args: argparse.Namespace) -> StateSpec:
 def _witness_order(args: argparse.Namespace) -> tuple[str, int]:
     """The witness --name selects, and the order it reports
     (witnesses.witness_order); of --l, --m and --variant, a flag the
-    witness does not read (witnesses.WITNESS_READS) is refused."""
+    witness does not read (its record in witnesses.WITNESSES) is refused."""
     if args.name is None:
         raise ConfigError(f"{args.command} requires --name")
     name = args.name.lower()
     witness = _SPELLINGS.get(name, name)
-    if witness not in witnesses_mod.WITNESS_READS:
+    if witness not in witnesses_mod.WITNESSES:
         raise ConfigError(f"unknown witness name {args.name!r}")
+    reads = witnesses_mod.WITNESSES[witness].reads
     for flag in ("l", "m", "variant"):
-        if flag != witnesses_mod.WITNESS_READS[witness] and getattr(args, flag, None) is not None:
+        if flag != reads and getattr(args, flag, None) is not None:
             raise ConfigError(f"{witness} takes no --{flag}")
-    if witness == "klyshko" and args.m is None:
-        raise ConfigError("klyshko requires --m")
+    if reads == "m" and args.m is None:
+        raise ConfigError(f"{witness} requires --m")
     # at most the one of --l and --m that the witness reads is given
     return witness, witnesses_mod.witness_order(witness, args.m if args.l is None else args.l)
 
@@ -265,8 +266,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     witness, order = _witness_order(args)
-    if witness == "husimi_zero":
-        raise ConfigError("husimi-zero has no scalar sweep; use the figure packs")
+    if witnesses_mod.WITNESSES[witness].reads == "grid":
+        raise ConfigError(f"{args.name} has no scalar sweep; use the figure packs")
     if args.family is None:
         raise ConfigError("sweep requires --family")
     # split at the commas outside parentheses: PAS(1,1) as well as PAS(1:1),

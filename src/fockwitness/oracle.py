@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import warnings
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -400,6 +399,8 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     itself), so it equals the state's one-state value bit for bit. The
     errors are oracle_moment's, raised for the first state that has one.
     """
+    if ms.dtype.kind not in "iu" or ns.dtype.kind not in "iu":
+        raise ValueError("moment orders must be integers")
     if min(ms.min(initial=0), ns.min(initial=0)) < 0:
         raise ValueError("moment orders must be non-negative")
     reach = ms + ns
@@ -452,16 +453,15 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
 
 def oracle_photon_prob(state: TruncatedState, m):
-    """p_m = <m| sigma |m> for an int m or a 1-d array of them; 0 with a
-    warning beyond the cutoff."""
+    """p_m = <m| sigma |m> for an int m or a 1-d array of them; a photon
+    number beyond the cutoff raises CutoffExceeded, naming the first."""
     numbers = np.atleast_1d(m)
     if numbers.min(initial=0) < 0:
         raise ValueError("photon number must be non-negative")
     beyond = numbers >= state.cutoff
     if beyond.any():
-        warnings.warn(f"photon number {numbers[beyond][0]} is beyond the cutoff {state.cutoff}; returning 0",
-                      stacklevel=2)
-    values = np.where(beyond, 0.0, state.probabilities()[np.minimum(numbers, state.cutoff - 1)])
+        raise CutoffExceeded(f"photon number {numbers[beyond][0]} is beyond the cutoff {state.cutoff}")
+    values = state.probabilities()[numbers]
     return float(values[0]) if np.ndim(m) == 0 else values
 
 

@@ -95,6 +95,15 @@ _LABEL = re.compile(r"(PAS|PSA)\(([0-9]+)[,:;]([0-9]+)\)", re.IGNORECASE)
 _CANONICAL = re.compile(r"(\w+)\((\w+)=([^|]*)\)\|(.*)")
 
 
+def integer(value, what: str) -> int:
+    """value as an int (operator.index: an int or a numpy integer, never a
+    float); anything else raises ValueError naming what it is."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer (got {value!r})") from None
+
+
 class EngineeringOp(FrozenRecord):
     """Photon engineering operation: none, a^p a'^q, or a'^q a^p.
 
@@ -109,6 +118,7 @@ class EngineeringOp(FrozenRecord):
     def __init__(self, order: str = ORDER_NONE, p: int = 0, q: int = 0):
         if order not in (ORDER_NONE, ORDER_ADD_THEN_SUBTRACT, ORDER_SUBTRACT_THEN_ADD):
             raise ValueError(f"unknown engineering order {order!r}")
+        p, q = integer(p, "a photon count"), integer(q, "a photon count")
         if p < 0 or q < 0:
             raise ValueError("photon counts must be non-negative")
         if order == ORDER_NONE and (p or q):
@@ -646,7 +656,7 @@ def _pair_set(m, n) -> tuple[tuple[int, int], ...]:
             raise ValueError("moment orders must be two ints or two equal-length 1-d integer arrays")
         m, n = m.tolist(), n.tolist()
     else:
-        m, n = [m], [n]
+        m, n = [integer(m, "a moment order")], [integer(n, "a moment order")]
     if min(m + n, default=0) < 0:
         raise ValueError("moment orders must be non-negative")
     return tuple(zip(m, n))
@@ -784,7 +794,7 @@ def photon_prob(spec: StateSpec, m):
     """
     array = isinstance(m, np.ndarray)
     # an int past uint64 makes an array of Python ints
-    levels = m if array else np.array([operator.index(m)])
+    levels = m if array else np.array([integer(m, "a photon number")])
     if levels.ndim != 1 or not (levels.dtype.kind in "iu" or all(type(i) is int for i in levels.tolist())):
         raise ValueError("an array of photon numbers must be 1-d integers")
     if not (levels >= 0).all():
@@ -1025,6 +1035,7 @@ class MomentTable:
     def get(self, m: int, n: int) -> complex:
         key = (m, n)
         if key not in self._cache:
+            key = (integer(m, "a moment order"), integer(n, "a moment order"))
             pairs = self.pairs if key in self.pairs else (key,)
             try:
                 orders = [np.array(orders, dtype=np.intp) for orders in zip(*pairs)]

@@ -138,7 +138,7 @@ def sweep(
     # a given 0 is checked like any other value, not read as "default"
     lo = family.window[0] if param_min is None else float(param_min)
     hi = family.window[1] if param_max is None else float(param_max)
-    steps = SWEEP_STEPS if steps is None else int(steps)
+    steps = SWEEP_STEPS if steps is None else states_mod.integer(steps, "a sweep's steps")
     # NaN fails every comparison, so non-finite bounds fail this check too
     if not 0 <= lo < hi < math.inf:
         raise ValueError("parameter range must be finite, non-negative and increasing")
@@ -217,9 +217,9 @@ def figure_pack(
     family, panels = FIGURES[figure_id]
     # a given 0 is checked like any other count, not read as "default", and
     # both counts are checked whichever the figure reads
-    if steps is not None and steps < 2:
+    if steps is not None and states_mod.integer(steps, "a sweep's steps") < 2:
         raise ValueError("a sweep needs at least 2 steps")
-    if grid_steps is not None and grid_steps < 2:
+    if grid_steps is not None and states_mod.integer(grid_steps, "a grid's steps") < 2:
         raise ValueError("grid needs at least 2 steps per axis")
     husimi_steps = HUSIMI_STEPS if grid_steps is None else grid_steps
 

@@ -448,7 +448,7 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: witnesses_mod.Engin
     """Evaluate a fixture quantity on an engine's route (a record of
     witnesses.ENGINES), as the witnesses read it (an oracle basis is built
     fresh): a moment(m,n), photon_prob(m), husimi(beta) or any witness of
-    WITNESS_READS at its order, such as mandel(2)."""
+    WITNESSES at its order, such as mandel(2)."""
     name, _, argument = quantity[:-1].partition("(")
     tail_tol = oracle_mod.DEFAULT_TAIL_TOL
     if name == "moment":
@@ -458,7 +458,7 @@ def _frozen_quantity(spec: StateSpec, quantity: str, engine: witnesses_mod.Engin
         return float(engine.photon_probs(spec, np.array([int(argument)]), tail_tol)[0])
     if name == "husimi":
         return float(engine.husimi(spec, np.array(complex(argument)), tail_tol))
-    if name in witnesses_mod.WITNESS_READS:
+    if name in witnesses_mod.WITNESSES:
         return witnesses_mod.evaluate_witness(spec, name, int(argument), engine=engine.name,
                                               tail_tol=tail_tol).value
     raise ValueError(f"unknown fixture quantity {quantity!r}")

@@ -14,8 +14,8 @@ value flags nonclassicality:
 The seventh, husimi_zero_scan, looks for zeros of the Husimi Q function on a
 grid; a nonempty zero set is the flag.
 
-Each engine is an Engine record in one table, ENGINES (by name), holding
-every fact that differs between engines: no other code tests its name.
+Each engine and each witness is a record of one table, ENGINES and
+WITNESSES, holding all that differs between them: no code tests its name.
 
 The six scalar witnesses also take a grid spec (states.StateSpec over an
 array of parameters), or a stack of grid specs of one family over one
@@ -61,15 +61,35 @@ SINGULAR_EPSILON = 1e-12
 # a Husimi grid point whose Q is below this times the grid maximum is a zero
 ZERO_THRESHOLD = 1e-6
 
-# The largest order at which a witness's exact integer coefficients are all
-# floats: the Stirling numbers S2(r, n), r <= l, for mandel; S2(e, f) C(l, e)
-# for hosps; the coefficients of (a + a')^k, k <= l, for hos. Each grows
-# with l, so every order past it is refused from the order alone.
-LARGEST_ORDER = {"mandel": 219, "hosps": 218, "hos": 291}
+
+class Witness(FrozenRecord):
+    """One witness: all that differs between witnesses. pairs and body, a
+    moment witness's, look their function up at call time, as Engine's do."""
+
+    reads: str  # its one argument besides state and engine: order "l", photon number "m", "variant" or "grid"
+    largest_order: float = math.inf  # the last order whose exact coefficients are floats (_check_order)
+    pairs: Callable | None = None  # order -> the pairs (m, n) of the moments <a'^m a^n> it reads
+    body: Callable | None = None  # (table, order or variant) -> its value over the table's states
+
+
+# Coefficients that grow with l cap mandel (Stirling numbers S2(r, n), r <= l),
+# hosps (S2(e, f) C(l, e)) and hos (those of (a + a')^k, k <= l); hos reads every
+# (m, n) with m + n <= l, as each has a positive coefficient in (a + a')^(m + n).
+WITNESSES = {
+    "mandel": Witness("l", 219, lambda l: tuple((n, n) for n in range(l + 1)), lambda t, l: mandel_q(t, l)),
+    "hoa": Witness("l", math.inf, lambda l: ((1, 1), (l, l)), lambda t, l: hoa(t, l)),
+    "hosps": Witness("l", 218, lambda l: tuple((n, n) for n in range(1, l + 1)), lambda t, l: hosps(t, l)),
+    "hos": Witness("l", 291, lambda l: tuple((m, n) for m in range(l + 1) for n in range(l + 1 - m)),
+                   lambda t, l: hos(t, l)),
+    "klyshko": Witness("m"),
+    "agarwal_tara": Witness("variant", math.inf, lambda order: tuple((n, n) for n in range(5)),
+                            lambda t, variant: agarwal_tara(t, variant)),
+    "husimi_zero": Witness("grid"),
+}
 
 # 2^(k/2), k <= hos's largest order, complex as numpy converts it against a
 # quadrature sum: <X^k> is <(a + a')^k> over it
-_QUADRATURE_SCALES = np.array([[2 ** (k / 2.0)] for k in range(LARGEST_ORDER["hos"] + 1)], dtype=complex)
+_QUADRATURE_SCALES = np.array([[2 ** (k / 2.0)] for k in range(WITNESSES["hos"].largest_order + 1)], dtype=complex)
 
 
 class Engine(FrozenRecord):
@@ -197,8 +217,6 @@ def _central_number_moment(table: MomentTable, l: int) -> np.ndarray:
 
 def mandel_q(table: MomentTable, l: int = 2):
     """Mandel function of order l; negative flags sub-Poissonian statistics."""
-    if l < 2:
-        raise ValueError("mandel_q requires l >= 2")
     _check_order("mandel", l)
     mean = _mean_photon(table)
     # the vacuum anywhere on a grid fails the whole series, as does any
@@ -214,8 +232,7 @@ def mandel_q(table: MomentTable, l: int = 2):
 
 def hoa(table: MomentTable, l: int = 2):
     """Higher-order antibunching d^(l-1) = <a'^l a^l> - <a'a>^l."""
-    if l < 2:
-        raise ValueError("hoa requires l >= 2")
+    _check_order("hoa", l)
     return _unwrap(_entry(table, l, l).real - _mean_photon(table) ** l, table.get(1, 1))
 
 
@@ -228,8 +245,6 @@ def hosps(table: MomentTable, l: int = 2):
     paper's printed (-1)^e sign gives (-1)^l times this, which the oracle's
     direct definition rules out at odd l (verify's hosps_gate).
     """
-    if l < 2:
-        raise ValueError("hosps requires l >= 2")
     _check_order("hosps", l)
     mean = _mean_photon(table)
     # mean^j and d_f = <a'^f a^f> - mean^f, each computed once
@@ -265,11 +280,9 @@ def hos(table: MomentTable, l: int = 2):
     (l-1)!!/2^(l/2); coherent states saturate S^(l) = 0. Quadrature moments
     come from the exact normal-ordered expansion of (a + a')^k.
     """
-    if l < 2:
-        raise ValueError("hos requires l >= 2")
+    _check_order("hos", l)
     if l % 2:
         raise OddOrder("hos is defined for even order only")
-    _check_order("hos", l)
     # each pair read once, by degree, as one row of a stack over the table's states
     raw = {(j, d - j): table.get(j, d - j) for d in range(l + 1) for j in range(d + 1)}
     moments = np.array(list(raw.values()), dtype=complex).reshape(len(raw), -1)
@@ -298,22 +311,22 @@ def hos(table: MomentTable, l: int = 2):
     return _unwrap(value, raw[1, 1])
 
 
-def agarwal_tara(table: MomentTable, variant: str = VARIANT_NUMBER_MOMENTS):
+def agarwal_tara(table: MomentTable, variant: str | None = VARIANT_NUMBER_MOMENTS):
     """Determinant-ratio witness A3 = det(m) / (det(mu) - det(m)).
 
     m is the 3x3 Hankel matrix of factorial moments m_k = <a'^k a^k>. The
-    default variant takes mu_k = <(a'a)^k>; the power_of_mean variant takes
+    default variant (or None) takes mu_k = <(a'a)^k>; power_of_mean takes
     mu_k = m_1^k, which makes mu rank one and det(mu) = 0 for every state.
     Where the denominator vanishes against the moments' scale the witness
     is indeterminate: SingularDenominator for one state, NaN on a grid.
     """
-    if variant not in VARIANTS:
+    if variant not in (None, *VARIANTS):
         raise ValueError(f"unknown agarwal_tara variant {variant!r}")
     m = [1.0] + [_entry(table, k, k).real for k in range(1, 5)]
-    if variant == VARIANT_NUMBER_MOMENTS:
-        mu = [1.0] + [_number_moment(table, k) for k in range(1, 5)]
-    else:
+    if variant == VARIANT_POWER_OF_MEAN:
         mu = [m[1] ** k for k in range(5)]
+    else:
+        mu = [1.0] + [_number_moment(table, k) for k in range(1, 5)]
     det_m = _hankel3_det(m)
     det_mu = _hankel3_det(mu)
     denominator = det_mu - det_m
@@ -342,6 +355,7 @@ def klyshko(
 ):
     """Klyshko indicator B(m) = (m+2) p_m p_{m+2} - (m+1) p_{m+1}^2, of
     one state, a grid spec or a stack of them."""
+    m = states_mod.integer(m, "a photon number")
     if m < 0:
         raise ValueError("photon number must be non-negative")
     run = _engine(engine)
@@ -376,7 +390,7 @@ class ScanGrid(FrozenRecord):
     steps: int = 81
 
     def _check(self) -> None:
-        if self.steps < 2:
+        if states_mod.integer(self.steps, "a grid's steps") < 2:
             raise ValueError("grid needs at least 2 steps per axis")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid bounds must be well ordered")
@@ -434,56 +448,43 @@ def husimi_zero_scan(
 # Uniform entry point
 # ---------------------------------------------------------------------------
 
-# The one argument each witness reads besides its state and engine: its order
-# "l" or photon number "m", the A3 "variant", or the Husimi scan "grid".
-WITNESS_READS = {"mandel": "l", "hoa": "l", "hosps": "l", "hos": "l", "klyshko": "m",
-                 "agarwal_tara": "variant", "husimi_zero": "grid"}
-
-
 def witness_order(witness: str, order: int | None = None) -> int:
     """The order a witness reports: order, 2 where None, for a witness that
-    reads l or m (WITNESS_READS), and 0 for the others, which accept no
-    other. An unknown witness raises ValueError."""
-    if witness not in WITNESS_READS:
+    reads l or m (its record's reads), and 0 for the others, which accept
+    no other. An unknown witness or a non-integer order raises ValueError."""
+    if witness not in WITNESSES:
         raise ValueError(f"unknown witness {witness!r}")
-    if WITNESS_READS[witness] in ("l", "m"):
-        return 2 if order is None else order
+    if WITNESSES[witness].reads in ("l", "m"):
+        return 2 if order is None else states_mod.integer(order, f"the order of {witness}")
     if order not in (None, 0):
         raise ValueError(f"{witness} takes no order other than 0 (got {order!r})")
     return 0
 
 
-def _check_order(witness: str, order: int) -> None:
-    if order > LARGEST_ORDER.get(witness, order):
+def _check_order(witness: str, order: int) -> int:
+    """The order as an int; one that is not an integer or an l below 2
+    raises ValueError, and one past largest_order OutOfRange."""
+    record = WITNESSES[witness]
+    order = states_mod.integer(order, f"the order of {witness}")
+    if record.reads == "l" and order < 2:
+        raise ValueError(f"{witness} requires l >= 2")
+    if order > record.largest_order:
         raise OutOfRange(f"the coefficients of {witness} at order {order} exceed the float range "
-                         f"(its largest order is {LARGEST_ORDER[witness]})")
+                         f"(its largest order is {record.largest_order})")
+    return order
 
 
 @lru_cache(maxsize=None)
 def moment_pairs(witness: str, order: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (m, n) of the moments <a'^m a^n> a moment witness reads at
-    this order: <a'^n a^n> for n <= l for mandel(l) (its <(a'a)^r>), n = 1
-    and l for hoa(l), 1 <= n <= l for hosps(l) and n <= 4 for A3 (either
-    variant); for hos(l), every normal-ordered term of (a + a')^k, k <= l,
-    which is every (m, n) with m + n <= l, as each has a positive
-    coefficient in (a + a')^(m + n). An order past the witness's
-    LARGEST_ORDER raises OutOfRange before any pair is listed."""
-    _check_order(witness, order)
-    if witness == "hos":
-        return tuple((m, n) for m in range(order + 1) for n in range(order + 1 - m))
-    if witness == "hoa":
-        return ((1, 1), (order, order))
-    first, last = (1, order) if witness == "hosps" else (0, 4 if witness == "agarwal_tara" else order)
-    return tuple((n, n) for n in range(first, last + 1))
+    """A moment witness's pairs (m, n) of <a'^m a^n> at an order in its bounds (_check_order)."""
+    return WITNESSES[witness].pairs(_check_order(witness, order))
 
 
 def table_witness(table: MomentTable, witness: str, order: int, variant: str | None = None):
-    """A moment witness over a table: agarwal_tara at its variant (its
-    default where None), the others at their order. Each body is looked
-    up at call time, so a patched or traced one is the one called."""
-    if WITNESS_READS[witness] == "variant":
-        return agarwal_tara(table, VARIANT_NUMBER_MOMENTS if variant is None else variant)
-    return {"mandel": mandel_q, "hoa": hoa, "hosps": hosps, "hos": hos}[witness](table, order)
+    """A moment witness over a table: its record's body at its variant,
+    where it reads one (agarwal_tara's default where None), else at its order."""
+    record = WITNESSES[witness]
+    return record.body(table, variant if record.reads == "variant" else order)
 
 
 def evaluate_witness(
@@ -497,9 +498,9 @@ def evaluate_witness(
 ) -> WitnessResult:
     """Evaluate one witness for one state and wrap the outcome.
 
-    The witness reads its argument of WITNESS_READS: order as witness_order
-    gives it, variant and grid with agarwal_tara's and husimi_zero_scan's
-    defaults. Any other argument given raises ValueError.
+    The witness reads the one argument its record's reads names: order as
+    witness_order gives it, variant and grid with agarwal_tara's and
+    husimi_zero_scan's defaults. Any other argument given raises ValueError.
 
     For a grid spec, value and nonclassical are arrays over the grid, NaN
     and False at its gaps; for a stack of grid specs (states.as_stack),
@@ -508,13 +509,13 @@ def evaluate_witness(
     husimi_zero takes one state only, and raises ValueError for a stack.
     """
     order = witness_order(witness, order)
-    reads = WITNESS_READS[witness]
+    reads = WITNESSES[witness].reads
     for name, given in (("variant", variant), ("grid", grid)):
         if given is not None and name != reads:
             raise ValueError(f"{witness} takes no {name}")
     if reads == "grid":
         if not isinstance(spec, StateSpec):
-            raise ValueError("husimi_zero takes one state, not a stack of specs")
+            raise ValueError(f"{witness} takes one state, not a stack of specs")
         # the husimi_zero_scan rule: some point lies below the threshold
         rel_min = float(_relative_husimi(spec, grid or ScanGrid(), _engine(engine), tail_tol).min())
         return WitnessResult(witness, order, rel_min, rel_min < ZERO_THRESHOLD, engine)

@@ -72,18 +72,18 @@ def _contract_test(cases):
 
 
 class TestWitnessNames:
-    """--name and --variant take their values from witnesses.WITNESS_READS
+    """--name and --variant take their values from witnesses.WITNESSES
     and witnesses.VARIANTS; the CLI adds only the spellings a3 and
     husimi-zero."""
 
-    @pytest.mark.parametrize("name", [*cli._SPELLINGS, *witnesses.WITNESS_READS, "A3", "Husimi-Zero"])
+    @pytest.mark.parametrize("name", [*cli._SPELLINGS, *witnesses.WITNESSES, "A3", "Husimi-Zero"])
     def test_every_name_resolves_to_a_witness(self, name):
         # klyshko requires its --m, which every other witness refuses
         m = 3 if name == "klyshko" else None
         args = argparse.Namespace(command="witness", name=name, l=None, m=m, variant=None)
         witness, order = cli._witness_order(args)
-        assert witness in witnesses.WITNESS_READS
-        assert order == {"l": 2, "m": 3}.get(witnesses.WITNESS_READS[witness], 0)
+        assert witness in witnesses.WITNESSES
+        assert order == {"l": 2, "m": 3}.get(witnesses.WITNESSES[witness].reads, 0)
 
     def test_variant_choices_are_the_witness_variants(self):
         commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -282,8 +282,8 @@ class TestReadme:
             flag, names = re.split(r"\s+for\s+", clause, 1)
             for name in re.findall(r"`([\w-]+)`", names):
                 flags[cli._SPELLINGS.get(name, name)] = flag.strip("`").removeprefix("--")
-        assert flags == {witness: reads if reads in ("l", "m") else "none"
-                         for witness, reads in witnesses.WITNESS_READS.items()}
+        assert flags == {name: witness.reads if witness.reads in ("l", "m") else "none"
+                         for name, witness in witnesses.WITNESSES.items()}
 
     def test_each_shown_result_is_a_row(self):
         shown = re.findall(r"^fockwitness ((?:[^\n]*\\\n)*[^\n]*)\n# -> ([^\n]*?)(?:  |$)", README, re.MULTILINE)

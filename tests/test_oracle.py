@@ -105,10 +105,11 @@ def test_moment_requires_margin_below_cutoff():
         oracle.oracle_moment(state, state.cutoff // 2, state.cutoff // 2)
 
 
-def test_photon_prob_beyond_cutoff_warns_and_returns_zero():
+def test_photon_prob_beyond_cutoff_raises():
     state = oracle.build_truncated(StateSpec.thermal(0.5))
-    with pytest.warns(UserWarning):
-        assert oracle.oracle_photon_prob(state, state.cutoff + 3) == 0.0
+    with pytest.raises(CutoffExceeded, match=f"photon number {state.cutoff} is beyond the cutoff {state.cutoff}$"):
+        oracle.oracle_photon_prob(state, state.cutoff)
+    assert oracle.oracle_photon_prob(state, state.cutoff - 1) > 0.0
 
 
 def test_husimi_requires_margin():
@@ -298,11 +299,10 @@ def test_photon_prob_array_equals_its_int_calls(spec):
     assert probs.tolist() == singles
 
 
-def test_photon_prob_array_beyond_cutoff_warns_and_gives_zero_there():
+def test_photon_prob_array_beyond_cutoff_raises_naming_the_first():
     state = oracle.build_truncated(StateSpec.thermal(0.5))
-    with pytest.warns(UserWarning, match=f"photon number {state.cutoff + 2} is beyond"):
-        probs = oracle.oracle_photon_prob(state, np.array([1, state.cutoff + 2]))
-    assert probs.tolist() == [oracle.oracle_photon_prob(state, 1), 0.0]
+    with pytest.raises(CutoffExceeded, match=f"photon number {state.cutoff + 2} is beyond"):
+        oracle.oracle_photon_prob(state, np.array([1, state.cutoff + 2, state.cutoff + 5]))
     with pytest.raises(ValueError):
         oracle.oracle_photon_prob(state, np.array([1, -1]))
 

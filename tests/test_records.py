@@ -37,6 +37,7 @@ RECORDS = [
                             "value": 0.25}, "frozen"),
     (witnesses.Engine, {"name": "twin", "moment_table": _engine_body, "photon_probs": _engine_body,
                         "husimi": _engine_body}, "frozen"),
+    (witnesses.Witness, {"reads": "l", "largest_order": 7, "pairs": _engine_body, "body": _engine_body}, "frozen"),
     (witnesses.WitnessResult, {"witness": "hoa", "order": 2, "value": -0.25, "nonclassical": True,
                                "provenance": "analytic"}, "frozen"),
     (witnesses.ScanGrid, {"re_min": -1.0, "re_max": 1.0, "im_min": -2.0, "im_max": 2.0, "steps": 5}, "frozen"),
@@ -55,6 +56,7 @@ DEFAULTS = [
     (EngineeringOp, {}, {"order": states.ORDER_NONE, "p": 0, "q": 0}),
     (StateSpec, {"family": FAMILY_THERMAL, "parameter": 0.5}, {"op": EngineeringOp.bare()}),
     (witnesses.ScanGrid, {}, {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 4.0, "steps": 81}),
+    (witnesses.Witness, {"reads": "grid"}, {"largest_order": float("inf"), "pairs": None, "body": None}),
     (sweep_report.SweepTable, {"parameter_name": "rbar", "parameter_values": [0.5], "series": {}}, {"metadata": {}}),
     (sweep_report.HusimiGrid, {"label": "bare", "re_values": [0.0], "im_values": [0.0], "q_values": [[1.0]]},
      {"metadata": {}}),
@@ -67,9 +69,11 @@ REFUSED = [
     (EngineeringOp, {"order": states.ORDER_ADD_THEN_SUBTRACT, "p": -1}, "must be non-negative"),
     (EngineeringOp, {"order": states.ORDER_NONE, "q": 1}, "requires p = q = 0"),
     (EngineeringOp, {"order": states.ORDER_SUBTRACT_THEN_ADD, "p": 9}, "capped at 8"),
+    (EngineeringOp, {"order": states.ORDER_ADD_THEN_SUBTRACT, "p": 1.0, "q": 1}, "must be an integer"),
     (StateSpec, {"family": "thermal", "parameter": 0.5}, "unknown family"),
     (StateSpec, {"family": FAMILY_THERMAL, "parameter": -0.5}, "must be finite and >= 0"),
     (witnesses.ScanGrid, {"steps": 1}, "at least 2 steps"),
+    (witnesses.ScanGrid, {"steps": 2.5}, "must be an integer"),
     (witnesses.ScanGrid, {"re_min": 1.0, "re_max": 1.0}, "well ordered"),
 ]
 

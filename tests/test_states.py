@@ -11,7 +11,7 @@ import pytest
 
 import fockwitness
 from bits import float_bits
-from fockwitness import oracle, specfun, states, verify, witnesses
+from fockwitness import oracle, specfun, states, sweep_report, verify, witnesses
 from fockwitness.sweep_report import BETA_WINDOW
 from fockwitness.errors import DegenerateState, OutOfRange
 from fockwitness.states import (
@@ -1319,3 +1319,26 @@ class TestOrderLimit:
         order = 2 ** 63 - 1
         with pytest.raises(OutOfRange, match=re.escape(f"<a'^{order} a^{order}> of thermal(rbar=0.5)|bare")):
             MomentTable.analytic(StateSpec.thermal(0.5)).get(order, order)
+
+
+def test_a_count_that_is_not_an_integer_is_refused():
+    # each was truncated or read as 0 where it entered, a moment order or a
+    # step count, or raised a raw TypeError
+    spec = StateSpec.thermal(1.0)
+    calls = {
+        "moment": lambda: moment(spec, 1.5, 1),
+        "MomentTable.get": lambda: MomentTable.analytic(spec).get(1.5, 1),
+        "oracle_moment": lambda: oracle.oracle_moment(oracle.build_truncated(spec), 1.5, 1),
+        "sweep": lambda: sweep_report.sweep("hoa", 2, [EngineeringOp.pas(1, 1)], states.FAMILY_THERMAL, steps=2.5),
+        "figure_pack steps": lambda: sweep_report.figure_pack("fig1", steps=2.5),
+        "figure_pack grid_steps": lambda: sweep_report.figure_pack("fig7", grid_steps=2.5),
+        "photon_prob": lambda: photon_prob(spec, 1.5),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"must be (an integer \(got (1\.5|2\.5)\)|integers)$"):
+            call()
+            pytest.fail(name)
+    # a numpy integer is an integer
+    op = EngineeringOp.pas(np.int64(1), np.int64(2))
+    assert op == EngineeringOp.pas(1, 2) and op.label() == "PAS(1,2)"
+    assert MomentTable.analytic(spec).get(np.int64(1), 1) == moment(spec, 1, 1) == moment(spec, np.int64(1), 1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,7 +542,7 @@ class TestPackFormatting:
         manifest = write_figure_pack(pack, tmp_path)
         assert [panel for panel, _ in calls] == [panel for _, panel in pack.panels]
         assert [text for _, text in calls] == alone
-        written = b"".join(open(path, "rb").read() for _, path in manifest)
+        written = b"".join(Path(path).read_bytes() for _, path in manifest)
         assert len(written) == sum(len(text.encode()) for _, text in calls)
 
     def test_one_formatting_call_for_the_sweep_panels(self, tmp_path, monkeypatch):

@@ -471,7 +471,7 @@ class TestEvaluateWitness:
         with pytest.raises(ValueError):
             evaluate_witness(BARE_THERMAL, "parity")
 
-    # each witness reads one argument of WITNESS_READS; any other is refused
+    # each witness reads the one argument its record's reads names; any other is refused
     @pytest.mark.parametrize("witness, kwargs", [
         ("hoa", {"order": 2, "variant": "bogus"}),
         ("hoa", {"variant": witnesses.VARIANT_NUMBER_MOMENTS}),
@@ -598,8 +598,12 @@ class TestMomentPairs:
         assert calls == [len(witnesses.moment_pairs(witness, order))]
 
 
+# the witnesses whose coefficients leave the float range past some order
+_BOUNDED = [name for name, witness in witnesses.WITNESSES.items() if witness.largest_order < math.inf]
+
+
 class TestLargestOrder:
-    """Past witnesses.LARGEST_ORDER a witness's exact coefficients leave
+    """Past its record's largest_order a witness's exact coefficients leave
     the float range; the order alone decides it, on either engine."""
 
     @staticmethod
@@ -619,7 +623,7 @@ class TestLargestOrder:
         for r in range(41):
             assert witnesses._number_power(r) == normal_order((((1, 1, 1),),) * r), r
 
-    @pytest.mark.parametrize("witness", witnesses.LARGEST_ORDER)
+    @pytest.mark.parametrize("witness", _BOUNDED)
     def test_the_largest_order_is_the_last_with_float_coefficients(self, witness):
         def floats(l):
             try:
@@ -628,13 +632,13 @@ class TestLargestOrder:
                 return False
             return True
 
-        largest = witnesses.LARGEST_ORDER[witness]
+        largest = witnesses.WITNESSES[witness].largest_order
         assert floats(largest) and not floats(largest + 1)
 
     @pytest.mark.parametrize("engine", ["analytic", "oracle"])
-    @pytest.mark.parametrize("witness", witnesses.LARGEST_ORDER)
+    @pytest.mark.parametrize("witness", _BOUNDED)
     def test_past_the_largest_order_raises(self, witness, engine):
-        order = witnesses.LARGEST_ORDER[witness] + 1
+        order = witnesses.WITNESSES[witness].largest_order + 1
         spec = StateSpec.thermal(0.01, EngineeringOp.pas(1, 1))
         with pytest.raises(OutOfRange, match=f"coefficients of {witness} at order {order} "):
             evaluate_witness(spec, witness, order, engine=engine)
@@ -644,8 +648,60 @@ class TestLargestOrder:
 
     @pytest.mark.parametrize("witness", ["mandel", "hosps"])
     def test_the_largest_order_gives_a_value(self, witness):
-        order = witnesses.LARGEST_ORDER[witness]
+        order = witnesses.WITNESSES[witness].largest_order
         assert math.isfinite(evaluate_witness(StateSpec.thermal(0.01), witness, order).value)
+
+
+@pytest.mark.parametrize("witness", witnesses.WITNESSES)
+def test_an_order_that_is_not_an_integer_is_refused(witness):
+    # (2.5, 2.5) would read <a'^2 a^2> of a table, and <n>^2.5 a body
+    record = witnesses.WITNESSES[witness]
+    for order in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^(the order of {witness} must be an integer|{witness} takes no order)"):
+            evaluate_witness(PSAT11, witness, order)
+    if record.reads not in ("l", "m"):
+        return
+    with pytest.raises(ValueError, match=rf"^the order of {witness} must be an integer \(got 2.5\)$"):
+        witnesses._check_order(witness, 2.5)
+    # a numpy integer is an integer, reported as the int it is
+    result = evaluate_witness(PSAT11, witness, np.int64(2))
+    assert result == evaluate_witness(PSAT11, witness, 2) and type(result.order) is int
+    if record.body is not None:
+        with pytest.raises(ValueError, match=f"^the order of {witness} must be an integer"):
+            witnesses.table_witness(MomentTable.analytic(PSAT11), witness, 2.5)
+
+
+class TestANewWitnessIsOneRecord:
+    """A twin of hoa under a new name, added to WITNESSES alone, is read by
+    every route that reads a witness: the library entry points and the CLI."""
+
+    @pytest.fixture
+    def twin(self, monkeypatch):
+        hoa_record = witnesses.WITNESSES["hoa"]
+        monkeypatch.setitem(witnesses.WITNESSES, "hoa_twin",
+                            witnesses.Witness("l", math.inf, hoa_record.pairs, hoa_record.body))
+        yield "hoa_twin"
+        witnesses.moment_pairs.cache_clear()
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_its_values_are_hoas(self, twin, engine):
+        spec = StateSpec.even_coherent(np.array([0.4, 1.1]), EngineeringOp.psa(1, 2))
+        assert witnesses.moment_pairs(twin, 3) == witnesses.moment_pairs("hoa", 3)
+        result = evaluate_witness(spec, twin, 3, engine=engine)
+        reference = evaluate_witness(spec, "hoa", 3, engine=engine)
+        assert result.witness == twin and result.order == 3
+        assert np.array_equal(result.value, reference.value) and np.array_equal(result.nonclassical,
+                                                                                  reference.nonclassical)
+        table = MomentTable.analytic(PSAT11)
+        assert witnesses.table_witness(table, twin, 4) == hoa(table, 4)
+
+    def test_the_cli_prints_its_row_and_refuses_m(self, twin, capsys):
+        state = ["--family", "thermal", "--rbar", "1", "--op", "psa", "--p", "1", "--q", "1"]
+        assert cli.main(["witness", "--name", twin, "--l", "3", *state]) == cli.EXIT_OK
+        value = evaluate_witness(PSAT11, "hoa", 3).value
+        assert capsys.readouterr().out == f"{twin},3,{value!r},{str(value < 0).lower()}\n"
+        assert cli.main(["witness", "--name", twin, "--m", "3", *state]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {twin} takes no --m\n"
 
 
 def test_engines_reads_every_engine_choice():
