@@ -8,14 +8,14 @@ are the oracle's own, looked up by family record, of which it reads only the
 `states`, so agreement between the two is a real check.
 
 A Fock-diagonal family (thermal) stays diagonal through both engineering
-operations, so it is held as a weight vector (O(D) instead of O(D^2)), and
-any other family as a pure state vector.
+operations, so its states, which carry its `diagonal` flag, are weight
+vectors (O(D) instead of O(D^2)), and any other family's pure state vectors.
 
 Every basis grows in one loop over rows that each carry their own operation
 (_grow): all the (operation, point) pairs of a stack of grid specs of one
-family at once (truncated_states); a grid spec is a stack of one, and one
-state a grid of one. Each quantity is one body over arrays, whose
-one-element case is the scalar call; the moments of many states are one
+family at once (truncated_states), one list in states.moment's column order;
+a grid spec is a stack of one, and one state a grid of one. Each quantity is
+one body over arrays, whose one-element case is the scalar call; the moments of many states are one
 gather per cutoff (_gathered_moments), of which oracle_moment is the group of
 one. From its own arithmetic, a row whose mass underflows while its basis
 holds the bare state's is annihilated at parameter 0, out of range elsewhere.
@@ -40,6 +40,7 @@ from .states import (
     MomentTable,
     StateSpec,
     as_stack,
+    photon_numbers,
 )
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -54,9 +55,6 @@ _GATHER_CHUNK = 1 << 13
 RELATIVE_FLOOR = 1e-30
 # stable_oracle_value's bound on a value's deviation from it at twice the cutoff
 STABILITY_TOL = 1e-10
-
-KIND_VECTOR = "vector"
-KIND_DIAGONAL = "diagonal"
 
 
 def deviation(value, reference, floor: float = 1.0):
@@ -87,18 +85,18 @@ def max_cutoff() -> int:
 
 
 class TruncatedState(FrozenRecord):
-    """Finite Fock-basis state: pure vector or diagonal weights."""
+    """Finite Fock-basis state: weights where `diagonal` holds, else a pure vector."""
 
     cutoff: int
-    kind: str
+    diagonal: bool
     data: np.ndarray
     tail_mass: float
 
     def probabilities(self) -> np.ndarray:
         """Photon-number distribution p_0 .. p_{D-1}."""
-        if self.kind == KIND_VECTOR:
-            return np.abs(self.data) ** 2
-        return self.data.real.copy()
+        if self.diagonal:
+            return self.data.real.copy()
+        return np.abs(self.data) ** 2
 
 
 def coherent_amplitudes(z, dim: int) -> np.ndarray:
@@ -270,7 +268,6 @@ def _grow(name, points: np.ndarray, ops, bare, diagonal: bool, tail_tol: float,
     # each row's structural zeros, its operation's p
     zeros = np.repeat([op.p for op in ops], size)
     states = [None] * len(zeros)
-    kind = KIND_DIAGONAL if diagonal else KIND_VECTOR
     pending = np.arange(len(states))
     while pending.size:
         if len(ops) == 1:
@@ -301,7 +298,7 @@ def _grow(name, points: np.ndarray, ops, bare, diagonal: bool, tail_tol: float,
             retired[retired] = _moment_tail(probs[retired], zeros[pending[retired]], order) < tail_tol
         # the retired rows apart, so that no state holds the others' data
         for i, row, tail in zip(pending[retired], data[retired], tails[retired].tolist()):
-            states[i] = TruncatedState(dim, kind, row, tail)
+            states[i] = TruncatedState(dim, diagonal, row, tail)
         if not live.all():
             bare_probs = components if diagonal else np.abs(components) ** 2
             held = ~live & (_tail_estimate(bare_probs) < tail_tol * np.sum(bare_probs, axis=-1))
@@ -328,11 +325,12 @@ def truncated_states(spec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0, m
     _grow over them, each at the cutoff its own build converges to, for
     moments of that order and from at least min_cutoff levels. A stack is a
     sequence of grid specs of one family over one parameter array
-    (states.as_stack), whose rows are its (operation, point) pairs, and
-    gives one list per spec; a grid spec is a stack of one, and gives a
-    list over its points, with None where a state is annihilated; a
-    one-state spec is a grid of one, and gives its state. For one state DegenerateState propagates, as
-    CutoffExceeded and OutOfRange (_grow) do on any, naming the first such row."""
+    (states.as_stack), and gives one list of the states of its (operation,
+    point) pairs, spec by spec, then point by point (states.moment's
+    columns), None where a state is annihilated; a grid spec is a stack of
+    one, and a one-state spec a grid of one, which gives its state or raises
+    DegenerateState. CutoffExceeded and OutOfRange (_grow) name the first
+    such row."""
     stack = as_stack(spec)
     family, parameter = stack[0].family, stack[0].parameter
     points = np.atleast_1d(parameter)
@@ -342,9 +340,9 @@ def truncated_states(spec, tail_tol: float = DEFAULT_TAIL_TOL, order: int = 0, m
 
     states = _grow(name, points, [one.op for one in stack], _BARE_COMPONENTS[family], family.diagonal,
                    tail_tol, min_cutoff, order)
-    if not isinstance(spec, StateSpec):
-        return [states[i:i + len(points)] for i in range(0, len(states), len(points))]
-    return states if isinstance(parameter, np.ndarray) else _one(states, name)
+    if isinstance(spec, StateSpec) and not isinstance(parameter, np.ndarray):
+        return _one(states, name)
+    return states
 
 
 def build_truncated(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL,
@@ -391,7 +389,7 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """<a'^ms[i] a^ns[i]> (rows) on each of a list of truncated states
     (columns), NaN where a state is None (annihilated).
 
-    The states of one cutoff and kind are one group, gathered together in
+    The states of one cutoff and `diagonal` flag are one group, gathered in
     chunks whose temporaries hold about _GATHER_CHUNK elements: row k of
     the lowered stack is the stacked data shifted down k levels, times
     _lowering's scale, and each value sums one C-contiguous row of an
@@ -413,11 +411,10 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     groups: dict = {}
     for j, state in enumerate(states):
         if state is not None:
-            groups.setdefault((state.cutoff, state.kind), []).append(j)
+            groups.setdefault((state.cutoff, state.diagonal), []).append(j)
     top = int(max(ms.max(initial=0), ns.max(initial=0)))
     out = np.full((len(ms), len(states)), math.nan, dtype=complex)
-    for (cutoff, kind), columns in groups.items():
-        diagonal = kind == KIND_DIAGONAL
+    for (cutoff, diagonal), columns in groups.items():
         scale, rows = _lowering(cutoff, top, diagonal)
         step = max(1, _GATHER_CHUNK // (cutoff * max(top + 1, len(ms))))
         for chunk in (columns[i:i + step] for i in range(0, len(columns), step)):
@@ -453,16 +450,14 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
 
 def oracle_photon_prob(state: TruncatedState, m):
-    """p_m = <m| sigma |m> for an int m or a 1-d array of them; a photon
+    """p_m = <m| sigma |m> for m as states.photon_numbers takes it; a photon
     number beyond the cutoff raises CutoffExceeded, naming the first."""
-    numbers = np.atleast_1d(m)
-    if numbers.min(initial=0) < 0:
-        raise ValueError("photon number must be non-negative")
+    numbers = photon_numbers(m)
     beyond = numbers >= state.cutoff
     if beyond.any():
         raise CutoffExceeded(f"photon number {numbers[beyond][0]} is beyond the cutoff {state.cutoff}")
-    values = state.probabilities()[numbers]
-    return float(values[0]) if np.ndim(m) == 0 else values
+    values = state.probabilities()[numbers.astype(np.intp, copy=False)]
+    return values if isinstance(m, np.ndarray) else float(values[0])
 
 
 def oracle_husimi(state: TruncatedState, beta):
@@ -482,7 +477,7 @@ def oracle_husimi(state: TruncatedState, beta):
     def q(z):
         # one sum over the levels per point, the same in any chunk
         bras = coherent_amplitudes(z, state.cutoff)
-        if state.kind == KIND_DIAGONAL:
+        if state.diagonal:
             return np.sum(np.abs(bras) ** 2 * state.data, axis=-1)
         return np.abs(np.sum(bras.conj() * state.data, axis=-1)) ** 2
 

@@ -772,6 +772,18 @@ def _fock_weights(op: EngineeringOp, m: np.ndarray):
     return [_fock_weight(op, i) for i in m.tolist()]
 
 
+def photon_numbers(m) -> np.ndarray:
+    """m, both engines' photon numbers, as a 1-d array: an int (True is 1) or
+    a 1-d integer array (an int past uint64 makes one of Python ints), each
+    non-negative; anything else raises ValueError."""
+    levels = m if isinstance(m, np.ndarray) else np.array([integer(m, "a photon number")])
+    if levels.ndim != 1 or not (levels.dtype.kind in "iu" or all(type(i) is int for i in levels.tolist())):
+        raise ValueError("an array of photon numbers must be 1-d integers")
+    if not (levels >= 0).all():
+        raise ValueError("photon number must be non-negative")
+    return levels
+
+
 def photon_prob(spec: StateSpec, m):
     """Probability of detecting m photons in the engineered state.
 
@@ -793,12 +805,7 @@ def photon_prob(spec: StateSpec, m):
     float range (thermal, rbar > ~1e16 and m > ~1e19) raises OutOfRange.
     """
     array = isinstance(m, np.ndarray)
-    # an int past uint64 makes an array of Python ints
-    levels = m if array else np.array([integer(m, "a photon number")])
-    if levels.ndim != 1 or not (levels.dtype.kind in "iu" or all(type(i) is int for i in levels.tolist())):
-        raise ValueError("an array of photon numbers must be 1-d integers")
-    if not (levels >= 0).all():
-        raise ValueError("photon number must be non-negative")
+    levels = photon_numbers(m)
     norm = spec._norm
     try:
         weight = spec.family.level_weight(spec, levels, _fock_weights(spec.op, levels))

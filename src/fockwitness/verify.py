@@ -164,9 +164,8 @@ class _Family:
         self.family = family
         self.specs = [StateSpec.of(family, value, op) for op in ops for value in values]
         self.analytic = MomentTable.analytic(grids, pairs)
-        grown = oracle_mod.truncated_states(grids, ORACLE_TAIL_TOL)
-        self.by_grid = list(zip(grids, grown))
-        self.states = [state for states in grown for state in states]
+        self.states = oracle_mod.truncated_states(grids, ORACLE_TAIL_TOL)
+        self.by_grid = [(grid, self.states[k * len(values):(k + 1) * len(values)]) for k, grid in enumerate(grids)]
         for state in self.states:
             state.data.flags.writeable = False
         self.oracle = oracle_mod.moment_table_from_state(self.states, pairs, lambda: states_mod.vacuum(grids))

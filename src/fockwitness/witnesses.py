@@ -109,8 +109,6 @@ def _oracle_moment_table(spec, pairs, tail_tol: float) -> MomentTable:
     states, grown at once, are one list, spec by spec."""
     order = max(((m + n) // 2 for m, n in pairs), default=0)
     states = oracle_mod.truncated_states(spec, tail_tol, order)
-    if not isinstance(spec, StateSpec):
-        states = [state for grid in states for state in grid]
     return oracle_mod.moment_table_from_state(states, pairs, lambda: states_mod.vacuum(spec))
 
 

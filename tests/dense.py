@@ -37,9 +37,9 @@ def density_matrix(spec, dim):
 
 def of_state(state):
     """The density matrix of an oracle TruncatedState."""
-    if state.kind == oracle.KIND_VECTOR:
-        return np.outer(state.data, state.data.conj())
-    return np.diag(state.data.astype(complex))
+    if state.diagonal:
+        return np.diag(state.data.astype(complex))
+    return np.outer(state.data, state.data.conj())
 
 
 def probabilities(rho):

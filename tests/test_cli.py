@@ -294,6 +294,25 @@ class TestReadme:
             expected = row.out if isinstance(row.out, str) else row.out.pattern
             assert expected.startswith(result if isinstance(row.out, str) else re.escape(result) + r"\n"), command
 
+    def test_the_python_blocks_print_what_their_comments_state(self, tmp_path, monkeypatch, capsys):
+        # README's ```python blocks in order, in one namespace, in a temporary
+        # directory (the first writes ./out), with every warning an error
+        blocks = re.findall(r"^```python\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+        assert len(blocks) == 5
+        monkeypatch.chdir(tmp_path)
+        namespace, printed = {}, []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block in blocks:
+                exec(compile(block, "README.md", "exec"), namespace)
+                printed.append(capsys.readouterr().out.splitlines())
+        assert len(list((tmp_path / "out").iterdir())) == 9
+        value, flag = printed[1][0].split()
+        assert (float(value), flag) == (pytest.approx(17 / 39, rel=1e-12), "False")
+        assert [complex(line) for line in printed[1][1:3]] == [pytest.approx(13 / 3, rel=1e-12)] * 2
+        assert printed[1][-1] == "(121, 121)"
+        assert printed[2:] == [["(400,)"], ["(200,)", "(3, 200)", "(10, 200)"], ['param,"PSA(1,1)"']]
+
 
 # one test per name in contracts.ROWS, `Class::method` or `Class::method[case]`,
 # built in the class that name gives, so that each row keeps its test's id

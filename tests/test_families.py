@@ -37,7 +37,7 @@ class TestFamilyRecord:
 
     def test_oracle_representation_follows_diagonal(self, family):
         state = oracle.build_truncated(StateSpec.of(family, 0.75, EngineeringOp.pas(1, 2)))
-        assert (state.kind == oracle.KIND_DIAGONAL) == family.diagonal
+        assert state.diagonal is family.diagonal
 
     def test_sweep_reads_parameter_and_window(self, family):
         table = sweep_report.sweep("hoa", 2, [EngineeringOp.pas(1, 1)], family, steps=3)

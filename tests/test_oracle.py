@@ -34,7 +34,7 @@ def test_bare_thermal_weights_geometric():
     expected = np.array([2.0 ** -(k + 1) for k in range(state.cutoff)])
     expected /= expected.sum()
     assert np.allclose(probs, expected, atol=1e-13)
-    assert state.kind == oracle.KIND_DIAGONAL
+    assert state.diagonal is True
     assert state.tail_mass < 1e-12
 
 
@@ -207,6 +207,27 @@ class TestCoherentBaseline:
         state = oracle.coherent_truncated(1 + 1j, 1e-14)
         assert oracle.oracle_moment(state, 0, 1) == pytest.approx(1 + 1j, rel=1e-12)
 
+    def test_a_coherent_state_past_the_hard_limit_is_named(self, monkeypatch):
+        monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", "64")
+        with pytest.raises(CutoffExceeded, match=re.escape("coherent state |(10+0j)> needs more than 64 Fock levels")):
+            oracle.coherent_truncated(10.0)
+
+    @pytest.mark.parametrize("alpha, error, text", [
+        (0.0, DegenerateState, "coherent state |0j> is annihilated"),
+        (1.0, OutOfRange, "the oracle mass of coherent state |(1+0j)> is not a normal float"),
+    ], ids=["annihilated", "out of range"])
+    def test_a_coherent_state_whose_mass_underflows_is_named(self, monkeypatch, alpha, error, text):
+        # amplitudes whose squared norm, 1e-310, is below the normal floats
+        # while the basis holds all of it
+        def underflowing(z, dim):
+            out = np.zeros(np.shape(z) + (dim,), dtype=complex)
+            out[..., 0] = 1e-155
+            return out
+
+        monkeypatch.setattr(oracle, "coherent_amplitudes", underflowing)
+        with pytest.raises(error, match=re.escape(text)):
+            oracle.coherent_truncated(alpha)
+
 
 class TestFixtures:
     def test_round_trip(self):
@@ -225,6 +246,20 @@ class TestFixtures:
             "moment(1,1)",
         )
         assert record.value == pytest.approx(10 / 3, rel=1e-10)
+
+    def test_a_doubled_cutoff_past_the_hard_limit_is_refused(self, monkeypatch):
+        # a build that stops short of the doubled cutoff it is asked for, as
+        # one clamped at the hard limit would
+        build = oracle.build_truncated
+        monkeypatch.setattr(oracle, "build_truncated", lambda spec, min_cutoff=0: build(spec))
+        with pytest.raises(CutoffExceeded, match="^doubled cutoff 128 exceeds the hard limit$"):
+            oracle.stable_oracle_value(lambda st: 1.0, StateSpec.thermal(1.0), "moment(1,1)")
+
+    def test_a_value_that_moves_under_cutoff_doubling_is_refused(self):
+        # a value read off the cutoff itself, 64 at D and 128 at 2D
+        with pytest.raises(CutoffExceeded, match=re.escape(
+                "thermal(rbar=1.0)|bare cutoff: value not stable under cutoff doubling (64.0 vs 128.0)")):
+            oracle.stable_oracle_value(lambda st: st.cutoff, StateSpec.thermal(1.0), "cutoff")
 
     def test_packaged_fixtures_parse(self):
         from fockwitness.verify import load_packaged_fixtures
@@ -286,6 +321,34 @@ def test_moment_block_keeps_the_cutoff_guard():
 
 _BODY_SPECS = [StateSpec.thermal(1.3, EngineeringOp.psa(2, 1)),
                StateSpec.even_coherent(1.1 - 0.4j, EngineeringOp.pas(1, 2))]
+
+
+_PHOTON_PROB_ENGINES = {
+    "analytic": states.photon_prob,
+    "oracle": lambda spec, m: oracle.oracle_photon_prob(oracle.build_truncated(spec), m),
+}
+
+
+@pytest.mark.parametrize("engine", list(_PHOTON_PROB_ENGINES))
+@pytest.mark.parametrize("m, text", [
+    (1.5, "a photon number must be an integer (got 1.5)"),
+    (np.array([1.5]), "an array of photon numbers must be 1-d integers"),
+    (np.array([[1, 2]]), "an array of photon numbers must be 1-d integers"),
+    (np.array([True]), "an array of photon numbers must be 1-d integers"),
+    (-1, "photon number must be non-negative"),
+    (np.array([1, -1]), "photon number must be non-negative"),
+], ids=["float", "float array", "2-d array", "bool array", "negative", "negative in array"])
+def test_photon_prob_takes_its_photon_numbers_by_one_rule(engine, m, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        _PHOTON_PROB_ENGINES[engine](StateSpec.thermal(1.0), m)
+
+
+@pytest.mark.parametrize("engine", list(_PHOTON_PROB_ENGINES))
+def test_photon_prob_reads_true_as_one_and_python_ints_as_ints(engine):
+    spec, prob = StateSpec.thermal(1.0), _PHOTON_PROB_ENGINES[engine]
+    value = prob(spec, True)
+    assert type(value) is float and value == prob(spec, 1)
+    assert prob(spec, np.array([1, 2], dtype=object)).tolist() == prob(spec, np.array([1, 2])).tolist()
 
 
 @pytest.mark.parametrize("spec", _BODY_SPECS, ids=lambda s: s.canonical())
@@ -364,7 +427,7 @@ _EDGE_BETA = math.sqrt(1023.9) * cmath.exp(1j * math.pi / 7)
 
 def test_husimi_bras_at_the_guard_edge():
     state = oracle.build_truncated(StateSpec.even_coherent(31 * cmath.exp(1j * math.pi / 7)), min_cutoff=4096)
-    assert (state.cutoff, state.kind) == (4096, oracle.KIND_VECTOR)
+    assert (state.cutoff, state.diagonal) == (4096, False)
     bra = oracle.coherent_amplitudes(_EDGE_BETA, 4096)
     reference = _log_form(_EDGE_BETA, 4096)
     assert np.max(np.abs(bra - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -376,7 +439,7 @@ def test_husimi_bras_at_the_guard_edge():
 def test_husimi_weights_at_the_guard_edge():
     rbar = 50.0
     state = oracle.build_truncated(StateSpec.thermal(rbar), min_cutoff=4096)
-    assert (state.cutoff, state.kind) == (4096, oracle.KIND_DIAGONAL)
+    assert (state.cutoff, state.diagonal) == (4096, True)
     weights = np.abs(oracle.coherent_amplitudes(_EDGE_BETA, 4096)) ** 2
     reference = np.abs(_log_form(_EDGE_BETA, 4096)) ** 2
     assert np.max(np.abs(weights - reference)) <= 1e-12 * np.max(reference)
@@ -447,7 +510,7 @@ def test_annihilation_at_parameter_0_is_one_rule(family):
     # states.annihilated holds exactly there
     ops = [f(p, q) for f in (EngineeringOp.pas, EngineeringOp.psa) for p in range(9) for q in range(9)]
     stack = [StateSpec.of(family, np.zeros(1), op) for op in ops]
-    for spec, (state,) in zip(stack, oracle.truncated_states(stack)):
+    for spec, state in zip(stack, oracle.truncated_states(stack)):
         op = spec.op
         removed = op.p > (op.q if op.order == states.ORDER_ADD_THEN_SUBTRACT else 0)
         assert math.isnan(spec._norm[0]) == (state is None) == states.annihilated(spec)[0] == removed, op.label()
@@ -465,7 +528,7 @@ def test_the_vacuum_is_one_rule(family):
     stack = [StateSpec.of(family, np.zeros(1), op) for op in ops]
     found = states.vacuum(stack)
     assert found.shape == (len(ops),)
-    for spec, (state,), held in zip(stack, oracle.truncated_states(stack), found):
+    for spec, state, held in zip(stack, oracle.truncated_states(stack), found):
         at_zero = state is not None and state.probabilities()[0] == 1.0
         assert at_zero == held == states.vacuum(spec)[0], spec.op.label()
     assert found.sum() == 10  # PAS(p,p) for p <= 8, and PSA(0,0)
@@ -479,7 +542,7 @@ def test_the_vacuum_is_one_rule(family):
 
 def _assert_grid_equals_its_points(grid, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwargs):
     """truncated_states(grid) against one build per point: the same cutoff,
-    kind, tail mass and data, bit for bit, and None exactly where the
+    diagonal flag, tail mass and data, bit for bit, and None exactly where the
     point's own build raises DegenerateState."""
     states = oracle.truncated_states(grid, tail_tol, **kwargs)
     assert len(states) == len(grid.parameter)
@@ -490,7 +553,7 @@ def _assert_grid_equals_its_points(grid, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwa
                 oracle.truncated_states(spec, tail_tol, **kwargs)
             continue
         one = oracle.truncated_states(spec, tail_tol, **kwargs)
-        assert (state.cutoff, state.kind, state.tail_mass) == (one.cutoff, one.kind, one.tail_mass)
+        assert (state.cutoff, state.diagonal, state.tail_mass) == (one.cutoff, one.diagonal, one.tail_mass)
         assert state.data.dtype == one.data.dtype
         assert np.array_equal(state.data, one.data)
     return states
@@ -556,23 +619,31 @@ def _family_stack(family, ops=None):
     return [StateSpec.of(family, values, op) for op in verify._engineering_ops() if ops is None or op in ops]
 
 
+def _assert_same_states(states, expected):
+    """Two lists of oracle states, state by state: the same cutoff, diagonal
+    flag, tail mass, dtype, read-only flag and data bits, and None at the
+    same places."""
+    assert len(states) == len(expected)
+    for k, (state, one) in enumerate(zip(states, expected)):
+        assert (state is None) == (one is None), k
+        if one is None:
+            continue
+        assert (state.cutoff, state.diagonal, state.tail_mass) == (one.cutoff, one.diagonal, one.tail_mass), k
+        assert state.data.dtype == one.data.dtype
+        assert state.data.flags.writeable == one.data.flags.writeable
+        assert np.array_equal(state.data.view(np.uint64), one.data.view(np.uint64)), k
+
+
 def _assert_stack_equals_its_grids(stack, tail_tol=oracle.DEFAULT_TAIL_TOL, **kwargs):
-    """truncated_states(stack) against one truncated_states call per grid
-    spec: the same cutoff, kind, tail mass, dtype, read-only flag and data
-    bits, and None at the same rows."""
+    """truncated_states(stack), one list in states.moment's column order,
+    against the concatenation of one truncated_states call per grid spec,
+    each of which a stack of that grid spec alone gives too."""
     grown = oracle.truncated_states(stack, tail_tol, **kwargs)
-    assert len(grown) == len(stack)
-    for spec, states in zip(stack, grown):
-        own = oracle.truncated_states(spec, tail_tol, **kwargs)
-        assert len(states) == len(own) == len(spec.parameter)
-        for state, one in zip(states, own):
-            assert (state is None) == (one is None), spec.canonical()
-            if one is None:
-                continue
-            assert (state.cutoff, state.kind, state.tail_mass) == (one.cutoff, one.kind, one.tail_mass)
-            assert state.data.dtype == one.data.dtype
-            assert state.data.flags.writeable == one.data.flags.writeable
-            assert np.array_equal(state.data.view(np.uint64), one.data.view(np.uint64)), spec.canonical()
+    assert len(grown) == len(stack) * len(stack[0].parameter)
+    own = [oracle.truncated_states(spec, tail_tol, **kwargs) for spec in stack]
+    _assert_same_states(grown, [state for states in own for state in states])
+    for spec, states in zip(stack, own):
+        _assert_same_states(oracle.truncated_states([spec], tail_tol, **kwargs), states)
     return grown
 
 
@@ -586,7 +657,7 @@ def test_a_family_stack_equals_its_grids(family):
 def test_a_stack_equals_its_grids_with_an_order_or_a_floor(family, kwargs):
     grown = _assert_stack_equals_its_grids(_family_stack(family, verify._WITNESS_OPS), **kwargs)
     if "min_cutoff" in kwargs:
-        assert min(state.cutoff for states in grown for state in states) == 256
+        assert min(state.cutoff for state in grown) == 256
 
 
 def test_an_annihilated_row_of_a_stack_is_none():
@@ -594,8 +665,7 @@ def test_an_annihilated_row_of_a_stack_is_none():
     stack = [StateSpec.thermal(values, op) for op in (EngineeringOp.bare(), EngineeringOp.psa(1, 0),
                                                       EngineeringOp.pas(2, 1), EngineeringOp.psa(2, 2))]
     grown = _assert_stack_equals_its_grids(stack, order=2)
-    assert [[state is None for state in states] for states in grown] == [
-        [False] * 3, [False, True, False], [False, True, False], [False, True, False]]
+    assert [state is None for state in grown] == [False] * 3 + [False, True, False] * 3
 
 
 def test_a_stack_past_the_hard_limit_names_its_first_such_row(monkeypatch):
@@ -639,7 +709,7 @@ def _assert_gather_equals_one_state_calls(states, ms, ns):
 def test_the_grouped_fill_equals_one_state_calls_bit_for_bit(family, chunk, monkeypatch):
     monkeypatch.setattr(oracle, "_GATHER_CHUNK", chunk)
     stack = _family_stack(family)
-    states = [state for grid in oracle.truncated_states(stack, verify.ORACLE_TAIL_TOL) for state in grid]
+    states = oracle.truncated_states(stack, verify.ORACLE_TAIL_TOL)
     assert len({state.cutoff for state in states}) > 1
     pairs = verify._grid_pairs(family)
     ms, ns = (np.array(orders, dtype=np.intp) for orders in zip(*pairs))
@@ -654,12 +724,11 @@ def test_the_grouped_fill_equals_one_state_calls_bit_for_bit(family, chunk, monk
 def test_the_grouped_fill_sums_the_ladder_products_bit_for_bit(family):
     # each value sums a^m psi against a^n psi as _ladder lowers them (on a
     # diagonal state, the diagonal of a^n rho a'^n), in level order
-    states = [state for grid in oracle.truncated_states(_family_stack(family), verify.ORACLE_TAIL_TOL)
-              for state in grid]
+    states = oracle.truncated_states(_family_stack(family), verify.ORACLE_TAIL_TOL)
     ms, ns = (a.ravel() for a in np.indices((6, 6)))
     gathered = oracle._gathered_moments(states, ms, ns)
     for j, state in enumerate(states):
-        diagonal = state.kind == oracle.KIND_DIAGONAL
+        diagonal = state.diagonal
         lowered = [oracle._ladder(state.data, k, creation=False, diagonal=diagonal) for k in range(6)]
         # complex, as the gathered values are, where the diagonal's are real
         reference = np.array([np.sum(lowered[m].conj() * lowered[n]) if not diagonal else np.sum(lowered[n])

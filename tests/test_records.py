@@ -31,7 +31,7 @@ RECORDS = [
     (states.Family, {field: getattr(FAMILY_THERMAL, field) for field in _FAMILY_FIELDS} | {"name": "twin"},
      "identity"),
     (StateSpec, {"family": FAMILY_THERMAL, "parameter": 0.5, "op": EngineeringOp.pas(1, 1)}, "frozen"),
-    (oracle.TruncatedState, {"cutoff": 3, "kind": oracle.KIND_DIAGONAL, "data": np.array([1.0]), "tail_mass": 0.0},
+    (oracle.TruncatedState, {"cutoff": 3, "diagonal": True, "data": np.array([1.0]), "tail_mass": 0.0},
      "frozen"),
     (oracle.FixtureRecord, {"canonical": "thermal(rbar=0.5)|bare", "quantity": "hoa(2)", "cutoff": 64,
                             "value": 0.25}, "frozen"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bits import float_bits
-from fockwitness import oracle, states, verify, witnesses
+from fockwitness import oracle, states, sweep_report, verify, witnesses
 from fockwitness.states import EngineeringOp, StateSpec
 
 
@@ -316,8 +316,8 @@ def test_a_family_equals_its_grids_bit_for_bit(family, engine):
     own = [_own_read(op, family, engine) for op in ops]
     if engine == "oracle":
         each = [state for _, grown in own for state in grown]
-        assert [(s.cutoff, s.kind, s.tail_mass) for s in record.states] == [
-            (s.cutoff, s.kind, s.tail_mass) for s in each]
+        assert [(s.cutoff, s.diagonal, s.tail_mass) for s in record.states] == [
+            (s.cutoff, s.diagonal, s.tail_mass) for s in each]
         assert all(np.array_equal(float_bits(a.data), float_bits(b.data)) for a, b in zip(record.states, each))
     table = getattr(record, engine)
     assert table.provenance == engine
@@ -397,6 +397,31 @@ def test_the_signs_suite_checks_the_mandel_pair(monkeypatch, sign, note):
     monkeypatch.setattr(witnesses, "mandel_q", lambda table, l: sign * abs(original(table, l)))
     mandel_notes = [line for line in verify.suite_signs().notes if line.startswith("mandel(2)")]
     assert len(mandel_notes) == 1 and mandel_notes[0].startswith(note), mandel_notes
+
+
+def test_the_signs_suite_checks_the_husimi_origin(monkeypatch):
+    # a Husimi value off 0 at the origin fails the check of each spec
+    original = states.husimi
+    monkeypatch.setattr(states, "husimi", lambda spec, beta: original(spec, beta) + 5e-324)
+    husimi_notes = [line for line in verify.suite_signs().notes if "husimi(0)" in line]
+    assert husimi_notes == [f"{spec} husimi(0) = 5e-324, expected exact 0"
+                            for spec in ("thermal(rbar=2.0)|PSA(2,4)", "thermal(rbar=1.0)|PSA(1,2)")]
+
+
+def test_the_determinism_suite_notes_a_panel_that_differs(monkeypatch):
+    # every CSV text differs from the one before it
+    original, calls = sweep_report.panel_csv, []
+
+    def counted(panel):
+        calls.append(None)
+        return original(panel) + str(len(calls))
+
+    monkeypatch.setattr(sweep_report, "panel_csv", counted)
+    result = verify.suite_determinism()
+    assert not result.passed and result.checks == SUITE_SHAPE["determinism"][1]
+    assert len(result.notes) == result.checks
+    assert all(note.endswith(": output differs between runs") for note in result.notes), result.notes
+    assert result.notes[0].startswith("fig11 panel ") and result.notes[-1].startswith("fig7 panel ")
 
 
 def test_a_singular_a3_point_stays_skipped(monkeypatch):
