@@ -15,10 +15,13 @@ Every basis grows in one loop over rows that each carry their own operation
 (_grow): all the (operation, point) pairs of a stack of grid specs of one
 family at once (truncated_states), one list in states.moment's column order;
 a grid spec is a stack of one, and one state a grid of one. Each quantity is
-one body over arrays, whose one-element case is the scalar call; the moments of many states are one
-gather per cutoff (_gathered_moments), of which oracle_moment is the group of
-one. From its own arithmetic, a row whose mass underflows while its basis
-holds the bare state's is annihilated at parameter 0, out of range elsewhere.
+one body over arrays, whose one-element case is the scalar call. The reads
+over many states group them by cutoff and `diagonal` flag in one way
+(_chunks): their moments are one gather per group (_gathered_moments), of
+which oracle_moment is the group of one, and their photon probabilities,
+traces and Husimi values at one beta one read per group (_grouped). From
+its own arithmetic, a row whose mass underflows while its basis holds the
+bare state's is annihilated at parameter 0, out of range elsewhere.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .states import (
     EngineeringOp,
     MomentTable,
     StateSpec,
+    amplitudes,
     as_stack,
     photon_numbers,
 )
@@ -48,8 +52,8 @@ DEFAULT_MAX_CUTOFF = 4096
 _INITIAL_CUTOFF = 32
 # Husimi points per chunk times the cutoff: a few MB of amplitudes
 _HUSIMI_CHUNK = 1 << 17
-# elements per temporary of a grouped moment gather, 128 KB of complex: at 2^16
-# the gathers of a verify run raised its peak RSS by 7%
+# elements per temporary of a grouped read or moment gather (_chunks), 128 KB
+# of complex: at 2^16 the gathers of a verify run raised its peak RSS by 7%
 _GATHER_CHUNK = 1 << 13
 # deviation's floor for a plain relative deviation
 RELATIVE_FLOOR = 1e-30
@@ -94,9 +98,15 @@ class TruncatedState(FrozenRecord):
 
     def probabilities(self) -> np.ndarray:
         """Photon-number distribution p_0 .. p_{D-1}."""
-        if self.diagonal:
-            return self.data.real.copy()
-        return np.abs(self.data) ** 2
+        return _probabilities(self.data, self.diagonal)
+
+
+def _probabilities(data: np.ndarray, diagonal: bool) -> np.ndarray:
+    """The photon-number distributions of weights (diagonal) or amplitudes
+    along the last axis."""
+    if diagonal:
+        return data.real.copy()
+    return np.abs(data) ** 2
 
 
 def coherent_amplitudes(z, dim: int) -> np.ndarray:
@@ -390,8 +400,8 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     (columns), NaN where a state is None (annihilated).
 
     The states of one cutoff and `diagonal` flag are one group, gathered in
-    chunks whose temporaries hold about _GATHER_CHUNK elements: row k of
-    the lowered stack is the stacked data shifted down k levels, times
+    chunks whose temporaries hold about _GATHER_CHUNK elements (_chunks):
+    row k of the lowered stack is the stacked data shifted down k levels, times
     _lowering's scale, and each value sums one C-contiguous row of an
     elementwise product (on diagonal states, a row of the lowered stack
     itself), so it equals the state's one-state value bit for bit. The
@@ -408,38 +418,32 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     if close is not None:
         i = int(np.argmax(reach >= close.cutoff / 2))
         raise CutoffExceeded(f"moment order {ms[i]}+{ns[i]} too close to cutoff {close.cutoff}")
-    groups: dict = {}
-    for j, state in enumerate(states):
-        if state is not None:
-            groups.setdefault((state.cutoff, state.diagonal), []).append(j)
     top = int(max(ms.max(initial=0), ns.max(initial=0)))
     out = np.full((len(ms), len(states)), math.nan, dtype=complex)
-    for (cutoff, diagonal), columns in groups.items():
+    for cutoff, diagonal, chunk in _chunks(states, max(top + 1, len(ms))):
         scale, rows = _lowering(cutoff, top, diagonal)
-        step = max(1, _GATHER_CHUNK // (cutoff * max(top + 1, len(ms))))
-        for chunk in (columns[i:i + step] for i in range(0, len(columns), step)):
-            # each state's data, then top copies of its last level
-            padded = np.empty((len(chunk), cutoff + top), dtype=states[chunk[0]].data.dtype)
-            np.stack([states[j].data for j in chunk], out=padded[:, :cutoff])
-            padded[:, cutoff:] = padded[:, cutoff - 1:cutoff]
-            # a view: shifted[k, g, j] is level j + k of padded state g
-            level_bytes, state_bytes = padded.strides[1], padded.strides[0]
-            shifted = np.ndarray((top + 1, len(chunk), cutoff), padded.dtype, padded, 0,
-                                 (level_bytes, state_bytes, level_bytes))
-            lowered = np.empty(shifted.shape, dtype=padded.dtype)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(shifted, scale[:, None], out=lowered)
-                for k in range(rows, top + 1):
-                    # a^k from a^(k-1): level j takes level j + 1 times j + 1, or its root on a vector
-                    lowered[k, :, :-1] = lowered[k - 1, :, 1:] * np.arange(1.0, cutoff) ** (0.5 + 0.5 * diagonal)
-                if diagonal:
-                    # only m = n survives on a diagonal state
-                    out[:, chunk] = np.where((ms == ns)[:, None], np.sum(lowered, axis=-1)[ns], 0.0)
-                else:
-                    products = lowered[ms]
-                    np.conjugate(products, out=products)
-                    products *= lowered[ns]
-                    out[:, chunk] = np.sum(products, axis=-1)
+        # each state's data, then top copies of its last level
+        padded = np.empty((len(chunk), cutoff + top), dtype=states[chunk[0]].data.dtype)
+        np.stack([states[j].data for j in chunk], out=padded[:, :cutoff])
+        padded[:, cutoff:] = padded[:, cutoff - 1:cutoff]
+        # a view: shifted[k, g, j] is level j + k of padded state g
+        level_bytes, state_bytes = padded.strides[1], padded.strides[0]
+        shifted = np.ndarray((top + 1, len(chunk), cutoff), padded.dtype, padded, 0,
+                             (level_bytes, state_bytes, level_bytes))
+        lowered = np.empty(shifted.shape, dtype=padded.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(shifted, scale[:, None], out=lowered)
+            for k in range(rows, top + 1):
+                # a^k from a^(k-1): level j takes level j + 1 times j + 1, or its root on a vector
+                lowered[k, :, :-1] = lowered[k - 1, :, 1:] * np.arange(1.0, cutoff) ** (0.5 + 0.5 * diagonal)
+            if diagonal:
+                # only m = n survives on a diagonal state
+                out[:, chunk] = np.where((ms == ns)[:, None], np.sum(lowered, axis=-1)[ns], 0.0)
+            else:
+                products = lowered[ms]
+                np.conjugate(products, out=products)
+                products *= lowered[ns]
+                out[:, chunk] = np.sum(products, axis=-1)
     bad = ~np.isfinite(out) & np.array([state is not None for state in states])
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))
@@ -449,40 +453,98 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_photon_prob(state: TruncatedState, m):
-    """p_m = <m| sigma |m> for m as states.photon_numbers takes it; a photon
-    number beyond the cutoff raises CutoffExceeded, naming the first."""
+def _chunks(states, width: int = 1):
+    """The one grouping of the reads over a list of truncated states:
+    (cutoff, diagonal, columns) for the states of one cutoff and `diagonal`
+    flag, None (annihilated) left out, in column order and in chunks of at
+    most _GATHER_CHUNK // (cutoff width) states (at least one), so that a
+    temporary of width values per level of each holds about _GATHER_CHUNK."""
+    groups: dict = {}
+    for j, state in enumerate(states):
+        if state is not None:
+            groups.setdefault((state.cutoff, state.diagonal), []).append(j)
+    for (cutoff, diagonal), columns in groups.items():
+        step = max(1, _GATHER_CHUNK // (cutoff * width))
+        for i in range(0, len(columns), step):
+            yield cutoff, diagonal, columns[i:i + step]
+
+
+def _grouped(states, read, shape=()) -> np.ndarray:
+    """The values of a list of truncated states, (*shape, S), NaN where a
+    state is None: read(data, diagonal) of each chunk (_chunks), its states'
+    data stacked into one (G, D) array, gives (*shape, G). A value read from
+    its own row alone (an elementwise product, a sum over one C-contiguous
+    row) is its state's one-state value, bit for bit."""
+    out = np.full((*shape, len(states)), math.nan)
+    for _, diagonal, chunk in _chunks(states):
+        out[..., chunk] = read(np.stack([states[j].data for j in chunk]), diagonal)
+    return out
+
+
+def read_distributions(states, read, shape=()) -> np.ndarray:
+    """_grouped over the photon-number distributions p_0 .. p_{D-1}:
+    read(probs) of a (G, D) array of them gives (*shape, G). The traces are
+    read(probs) = probs.sum(axis=-1)."""
+    return _grouped(states, lambda data, diagonal: read(_probabilities(data, diagonal)), shape)
+
+
+def oracle_photon_prob(state, m):
+    """p_m = <m| sigma |m> for m as states.photon_numbers takes it, of one
+    truncated state or of a list of them (read_distributions): over a list,
+    an int gives (S,) and an array (M, S), NaN where a state is None. A
+    photon number beyond a cutoff raises CutoffExceeded, naming the first
+    such state's first."""
     numbers = photon_numbers(m)
-    beyond = numbers >= state.cutoff
-    if beyond.any():
-        raise CutoffExceeded(f"photon number {numbers[beyond][0]} is beyond the cutoff {state.cutoff}")
-    values = state.probabilities()[numbers.astype(np.intp, copy=False)]
-    return values if isinstance(m, np.ndarray) else float(values[0])
+    one = isinstance(state, TruncatedState)
+    states = [state] if one else state
+    top = max(numbers.tolist(), default=-1)
+    close = next((each for each in states if each is not None and top >= each.cutoff), None)
+    if close is not None:
+        raise CutoffExceeded(f"photon number {numbers[numbers >= close.cutoff][0]} "
+                             f"is beyond the cutoff {close.cutoff}")
+    index = numbers.astype(np.intp, copy=False)
+    values = read_distributions(states, lambda probs: probs[:, index].T, (len(index),))
+    if one:
+        values = values[:, 0]
+    return values if isinstance(m, np.ndarray) else (float(values[0]) if one else values[0])
 
 
-def oracle_husimi(state: TruncatedState, beta):
-    """Q(beta) = <beta| sigma |beta> / pi from the truncated state.
+def _husimi_sums(bras: np.ndarray, data: np.ndarray, diagonal: bool) -> np.ndarray:
+    """pi Q per row of bras against data, broadcast: one sum over the levels
+    per row, the same in any chunk or group."""
+    if diagonal:
+        return np.sum(np.abs(bras) ** 2 * data, axis=-1)
+    return np.abs(np.sum(bras.conj() * data, axis=-1)) ** 2
+
+
+def oracle_husimi(state, beta):
+    """Q(beta) = <beta| sigma |beta> / pi from a truncated state, or at one
+    beta from each of a list of them (_grouped), NaN where one is None.
 
     beta is one complex amplitude, which gives a float, or an array of any
-    shape. Every |beta|^2 must lie below a quarter of the cutoff, or
-    CutoffExceeded names the largest. The bras are coherent_amplitudes, and
-    a diagonal state's weights e^{-|beta|^2} |beta|^{2k} / k! their squared
+    shape, as states.amplitudes takes it. Every |beta|^2 must lie below a
+    quarter of each cutoff, or CutoffExceeded names the largest and the
+    first such state's cutoff. The bras are coherent_amplitudes, and a
+    diagonal state's weights e^{-|beta|^2} |beta|^{2k} / k! their squared
     moduli, so neither underflows where e^{-|beta|^2} does.
     """
-    beta = np.asarray(beta, dtype=complex)
-    r2 = np.abs(beta) ** 2
-    if np.any(r2 >= state.cutoff / 4):
-        raise CutoffExceeded(f"|beta|^2 = {r2.max():.3f} is not well inside cutoff {state.cutoff}")
-
-    def q(z):
-        # one sum over the levels per point, the same in any chunk
-        bras = coherent_amplitudes(z, state.cutoff)
-        if state.diagonal:
-            return np.sum(np.abs(bras) ** 2 * state.data, axis=-1)
-        return np.abs(np.sum(bras.conj() * state.data, axis=-1)) ** 2
-
+    beta = amplitudes(beta)
+    one = isinstance(state, TruncatedState)
+    states = [state] if one else state
+    if not one and beta.ndim:
+        raise ValueError(f"Husimi Q of a list of states takes one beta, not an array of shape {beta.shape}")
+    # a |beta|^2 past the largest float is inf, and refused as such
+    with np.errstate(over="ignore"):
+        top = float((np.abs(beta) ** 2).max(initial=0.0))
+    close = next((each for each in states if each is not None and top >= each.cutoff / 4), None)
+    if close is not None:
+        raise CutoffExceeded(f"|beta|^2 = {top:.3f} is not well inside cutoff {close.cutoff}")
+    if not one:
+        return _grouped(states, lambda data, diagonal: _husimi_sums(
+            coherent_amplitudes(beta, data.shape[-1]), data, diagonal)) / math.pi
     chunks = np.array_split(beta.ravel(), 1 + beta.size * state.cutoff // _HUSIMI_CHUNK)
-    values = np.concatenate([q(z) for z in chunks]).reshape(beta.shape) / math.pi
+    values = np.concatenate([_husimi_sums(coherent_amplitudes(z, state.cutoff), state.data, state.diagonal)
+                             for z in chunks]).reshape(beta.shape) / math.pi
     return float(values) if beta.ndim == 0 else values
 
 
@@ -586,12 +648,12 @@ def stable_oracle_value(evaluate, spec: StateSpec, quantity: str) -> FixtureReco
     """Freeze an oracle value only after the doubled-cutoff stability gate.
 
     `evaluate(state)` computes the quantity from a TruncatedState; the value
-    at the converged cutoff D must match the value at 2D to STABILITY_TOL.
+    at the converged cutoff D must match the value of a build from 2D levels
+    to STABILITY_TOL.
     """
     state = build_truncated(spec)
+    # past the hard limit _grow refuses the doubled build (CutoffExceeded)
     doubled = build_truncated(spec, min_cutoff=2 * state.cutoff)
-    if doubled.cutoff != 2 * state.cutoff:
-        raise CutoffExceeded(f"doubled cutoff {2 * state.cutoff} exceeds the hard limit")
     first = float(evaluate(state))
     second = float(evaluate(doubled))
     if not deviation(first, second, RELATIVE_FLOOR) <= STABILITY_TOL:

@@ -230,7 +230,8 @@ class Family(FrozenRecord):
     body but `husimi` computes over those points: `factors` gives tables
     with one column per point, which _contract sums into one row per pair
     of a stack (as_stack), one column per spec and point; a level weight
-    gives one row per photon number, with one column per point.
+    gives one row per photon number, with one column per point. `husimi`
+    takes one point's parameter, as a Python number, over an array of beta.
     """
 
     name: str  # the CLI --family choice and the head of canonical()
@@ -243,7 +244,7 @@ class Family(FrozenRecord):
     constants: Callable  # parameters -> what the bodies read, once per spec over its points
     factors: Callable  # (stack, pairs) -> their _Terms, factor tables and fallback: see _contract
     level_weight: Callable  # (spec, photon numbers m, their W(m)) -> photon_prob times the norm, (M, G)
-    husimi: Callable  # (one-state spec, beta) -> husimi times pi and the norm
+    husimi: Callable  # (one point's parameter, operation, beta) -> husimi times pi and the norm
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -784,7 +785,7 @@ def photon_numbers(m) -> np.ndarray:
     return levels
 
 
-def photon_prob(spec: StateSpec, m):
+def photon_prob(spec, m):
     """Probability of detecting m photons in the engineered state.
 
     One body over the photon numbers and the grid: the family's
@@ -793,28 +794,37 @@ def photon_prob(spec: StateSpec, m):
     (of an integer dtype, or Python ints in an object array past its
     range). An int gives a float for one state and an ndarray over a grid
     spec; an array gives p_m stacked on axis 0, (M,) for one state and
-    (M, G) over a grid. NaN at the annihilated points of a grid. Each value
-    is the same, bit for bit, whichever way it is asked for, and a state's
-    values are its column of any grid.
+    (M, G) over a grid. NaN at the annihilated points of a grid. A stack of
+    grid specs (as_stack) gives its columns spec by spec, then point by
+    point, each spec's block its own call's. Each value is the same, bit
+    for bit, whichever way it is asked for, and a state's values are its
+    column of any grid or stack.
 
     W(m) is one int64 array operation where W(max m) < 2^63 (exact, as
     every product stays below that bound) and exact Python integers above
     it, so m may be any int; no array is sized by m. Where the bare weight
     underflows at every photon number and point asked for, the
     probabilities are 0 however large W(m) is; otherwise a W(m) beyond the
-    float range (thermal, rbar > ~1e16 and m > ~1e19) raises OutOfRange.
+    float range (thermal, rbar > ~1e16 and m > ~1e19) raises OutOfRange,
+    naming the spec's first state.
     """
     array = isinstance(m, np.ndarray)
     levels = photon_numbers(m)
-    norm = spec._norm
-    try:
-        weight = spec.family.level_weight(spec, levels, _fock_weights(spec.op, levels))
-    except OverflowError:
-        raise OutOfRange(
-            f"W({'m' if array else m}) of {spec.canonical()} exceeds the float range"
-        ) from None
-    probs = weight / norm
-    return _unwrap(spec, probs if array else probs[0], float)
+    blocks = []
+    for each in as_stack(spec):
+        # OutOfRange first where the norm is
+        norm = each._norm
+        try:
+            weight = each.family.level_weight(each, levels, _fock_weights(each.op, levels))
+        except OverflowError:
+            raise OutOfRange(
+                f"W({'m' if array else m}) of {_first([each], True).canonical()} exceeds the float range"
+            ) from None
+        blocks.append(weight / norm)
+    probs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    if not array:
+        probs = probs[0]
+    return _unwrap(spec, probs, float) if isinstance(spec, StateSpec) else probs
 
 
 def _thermal_level_weight(spec: StateSpec, m: np.ndarray, weight) -> np.ndarray:
@@ -891,26 +901,50 @@ def _log_poisson(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
 # Husimi Q function
 # ---------------------------------------------------------------------------
 
-def husimi(spec: StateSpec, beta):
-    """Husimi Q(beta) = <beta| sigma |beta> / pi for one engineered state.
-
-    beta is a complex scalar or an array of any shape. The norm is computed
-    once per call and the family's closed form is evaluated over the whole
-    array, so a grid costs one call: a scalar gives a float, an array an
-    ndarray of the same shape. Where |beta|^(2(p+q)) leaves the float range
-    (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange. A grid spec
-    raises ValueError.
-    """
-    if isinstance(spec.parameter, np.ndarray):
-        raise ValueError(f"Husimi Q takes one state, not a grid spec of {len(spec.parameter)} points")
+def amplitudes(beta) -> np.ndarray:
+    """beta, both engines' Husimi amplitudes, as a complex array of its
+    shape; a NaN or infinite one raises ValueError."""
     beta = np.asarray(beta, dtype=complex)
-    norm = _unwrap(spec, spec._norm, float)
-    # a power of |beta| that leaves the float range shows up as inf or nan
+    if not np.isfinite(beta).all():
+        raise ValueError("a Husimi amplitude beta must be finite")
+    return beta
+
+
+def husimi(spec, beta):
+    """Husimi Q(beta) = <beta| sigma |beta> / pi of an engineered state.
+
+    beta is a complex scalar or an array of any shape (amplitudes). For one
+    state the family's closed form is evaluated over the whole array, so a
+    grid of beta costs one call: a scalar gives a float, an array an
+    ndarray of the same shape. A grid spec, or a stack of them (as_stack),
+    takes a scalar beta and gives one value per column, spec by spec, then
+    point by point, NaN at the annihilated points; each is its state's own
+    call, bit for bit, over the grid spec's norm, which a moment call on it
+    has already contracted. Where |beta|^(2(p+q)) leaves the float range
+    (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange, naming the
+    first such state.
+    """
+    beta = amplitudes(beta)
+    stack = as_stack(spec)
+    one = isinstance(spec, StateSpec) and not isinstance(spec.parameter, np.ndarray)
+    if one:
+        # DegenerateState where the state is annihilated
+        _unwrap(spec, spec._norm, float)
+    elif beta.ndim:
+        raise ValueError(f"Husimi Q over an array of beta {beta.shape} takes one state, not a grid spec or a stack")
+    norms = np.concatenate([each._norm for each in stack])
+    columns = [(each, point) for each in stack for point in each._points.tolist()]
+    # one body per point, on its parameter as a Python number, as one state
+    # holds it; a power of |beta| that leaves the float range shows up as inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        q = spec.family.husimi(spec, beta) / (math.pi * norm)
-    if not np.isfinite(q).all():
-        raise OutOfRange(f"Husimi Q of {spec.canonical()} leaves the float range at large |beta|")
-    return float(q) if beta.ndim == 0 else q
+        values = [each.family.husimi(point, each.op, beta) / (math.pi * norm) if norm == norm else math.nan
+                  for (each, point), norm in zip(columns, norms.tolist())]
+    q = values[0] if one else np.array(values)
+    # NaN stays a gap only where the norm is (an annihilated state)
+    if not (ok := np.isfinite(q) | (norms != norms)).all():
+        raise OutOfRange(f"Husimi Q of {(spec if one else _first(stack, ~ok)).canonical()} "
+                         "leaves the float range at large |beta|")
+    return float(q) if one and beta.ndim == 0 else q
 
 
 @lru_cache(maxsize=None)
@@ -931,15 +965,15 @@ def _newton_coeffs(op: EngineeringOp) -> tuple[tuple[int, float], ...]:
     return tuple(coeffs)
 
 
-def _husimi_thermal(spec: StateSpec, beta: np.ndarray) -> np.ndarray:
+def _husimi_thermal(rbar: float, op: EngineeringOp, beta: np.ndarray) -> np.ndarray:
     # Q = e^(-|beta|^2) / pi * sum_m P_m |beta|^(2m) / m! with P_m from
     # photon_prob; the sum is e^(x|beta|^2) times a polynomial
-    p, q = spec.op.p, spec.op.q
+    p, q = op.p, op.q
     # the one state's constants as numbers: here the grid is the beta array
-    x, y = spec.family.constants(spec.parameter)
+    x, y = FAMILY_THERMAL.constants(rbar)
     b2 = np.abs(beta) ** 2
-    shift = p - q - _lowest_power(spec.op)
-    series = sum(c * x ** (j + shift) * b2 ** j for j, c in _newton_coeffs(spec.op))
+    shift = p - q - _lowest_power(op)
+    series = sum(c * x ** (j + shift) * b2 ** j for j, c in _newton_coeffs(op))
     return np.exp(-b2 * y) * y ** (1 + p + q) * series
 
 
@@ -950,17 +984,16 @@ def _operator_terms(op: EngineeringOp) -> tuple[tuple[int, int, int], ...]:
     return specfun.normal_order(_word(op))[::-1]
 
 
-def _husimi_ecs(spec: StateSpec, beta: np.ndarray) -> np.ndarray:
+def _husimi_ecs(alpha: complex, op: EngineeringOp, beta: np.ndarray) -> np.ndarray:
     # <beta| a'^M a^N |+-alpha> = conj(beta)^M (+-alpha)^N <beta|+-alpha>, and
     # <beta|+-alpha> = exp(+-alpha conj(beta) - h) has real part
     # -|beta -+ alpha|^2 / 2 <= 0, so neither overlap can overflow
-    alpha = spec.parameter
     bc = np.conj(beta)
     h = 0.5 * (abs(alpha) ** 2 + np.abs(beta) ** 2)
     plus = np.exp(alpha * bc - h)
     minus = np.exp(-alpha * bc - h)
     amp = sum(c * bc ** dag * alpha ** plain * (plus - minus if plain % 2 else plus + minus)
-              for dag, plain, c in _operator_terms(spec.op))
+              for dag, plain, c in _operator_terms(op))
     return np.abs(amp) ** 2
 
 

@@ -118,19 +118,17 @@ def _oracle_photon_probs(spec: StateSpec, numbers, tail_tol: float) -> np.ndarra
     read, the bare level it comes from (m + p - q) and the level a^p lowers
     it from (m + p), or raises CutoffExceeded past the hard limit."""
     reach = int(np.max(numbers)) + spec.op.p + 1
-    states = oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach)
-    if isinstance(states, oracle_mod.TruncatedState):
-        return oracle_mod.oracle_photon_prob(states, numbers)
-    probs = np.full((len(numbers), len(states)), math.nan)
-    for i, state in enumerate(states):
-        if state is not None:
-            probs[:, i] = oracle_mod.oracle_photon_prob(state, numbers)
-    return probs
+    return oracle_mod.oracle_photon_prob(oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach), numbers)
 
 
-def _oracle_husimi(spec: StateSpec, betas: np.ndarray, tail_tol: float) -> np.ndarray:
-    """An oracle basis holds every |beta|^2 well inside its cutoff."""
-    reach = int(4 * np.max(np.abs(betas) ** 2)) + 8
+def _oracle_husimi(spec: StateSpec, betas, tail_tol: float) -> np.ndarray:
+    """An oracle basis holds every |beta|^2 well inside its cutoff; a reach
+    past the hard limit is refused by the build (CutoffExceeded)."""
+    betas = states_mod.amplitudes(betas)
+    # a |beta|^2 past the largest float is inf
+    with np.errstate(over="ignore"):
+        top = 4 * float(np.max(np.abs(betas) ** 2))
+    reach = int(min(top, oracle_mod.max_cutoff())) + 8
     return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
 
 

@@ -247,13 +247,18 @@ class TestFixtures:
         )
         assert record.value == pytest.approx(10 / 3, rel=1e-10)
 
-    def test_a_doubled_cutoff_past_the_hard_limit_is_refused(self, monkeypatch):
-        # a build that stops short of the doubled cutoff it is asked for, as
-        # one clamped at the hard limit would
-        build = oracle.build_truncated
-        monkeypatch.setattr(oracle, "build_truncated", lambda spec, min_cutoff=0: build(spec))
-        with pytest.raises(CutoffExceeded, match="^doubled cutoff 128 exceeds the hard limit$"):
-            oracle.stable_oracle_value(lambda st: 1.0, StateSpec.thermal(1.0), "moment(1,1)")
+    def test_a_doubled_build_past_the_hard_limit_is_refused_by_the_build(self, monkeypatch):
+        # each packaged fixture converges within a hard limit at its own
+        # cutoff, and the build of twice that cutoff is refused by _grow,
+        # whose error reaches the caller
+        for record in verify.load_packaged_fixtures():
+            monkeypatch.setenv("FOCKWITNESS_MAX_CUTOFF", str(record.cutoff))
+            spec = StateSpec.from_canonical(record.canonical)
+            assert oracle.build_truncated(spec).cutoff == record.cutoff
+            with pytest.raises(CutoffExceeded, match=re.escape(
+                    f"{record.canonical} needs more than {record.cutoff} Fock levels "
+                    f"to hold level {2 * record.cutoff - 1}")):
+                oracle.stable_oracle_value(lambda st: 1.0, spec, record.quantity)
 
     def test_a_value_that_moves_under_cutoff_doubling_is_refused(self):
         # a value read off the cutoff itself, 64 at D and 128 at 2D
@@ -761,6 +766,78 @@ def test_the_grouped_fill_raises_for_its_first_state():
         oracle._gathered_moments([fine, None, first, second], np.array([1, 300]), np.array([1, 300]))
     with pytest.raises(ValueError, match="non-negative"):
         oracle._gathered_moments([small], np.array([1, -1]), np.array([1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# Reads over many states: one read per group of one cutoff and diagonal flag
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [oracle._GATHER_CHUNK, 1], ids=["default chunks", "one state a chunk"])
+@pytest.mark.parametrize("family", [FAMILY_THERMAL, FAMILY_EVEN_COHERENT], ids=lambda f: f.name)
+def test_the_grouped_reads_equal_one_state_calls_bit_for_bit(family, chunk, monkeypatch):
+    # verify's grid specs with parameter 0 first: the vacuum (bare, PAS(p,p))
+    # and annihilated states (None) among them
+    monkeypatch.setattr(oracle, "_GATHER_CHUNK", chunk)
+    values = np.array([0.0, *verify._GRID_VALUES[family]])
+    stack = [StateSpec.of(family, values, op) for op in verify._engineering_ops()]
+    grown = oracle.truncated_states(stack, verify.ORACLE_TAIL_TOL)
+    vacuum = states.vacuum(stack)
+    assert None in grown and len({state.cutoff for state in grown if state is not None}) > 1
+    assert all(grown[j].probabilities()[0] == 1.0 for j in np.flatnonzero(vacuum))
+    numbers, beta = np.arange(7), 0.4 + 0.3j
+    probs = oracle.oracle_photon_prob(grown, numbers)
+    husimi = oracle.oracle_husimi(grown, beta)
+    traces = oracle.read_distributions(grown, lambda p: p.sum(axis=-1))
+    assert probs.shape == (len(numbers), len(grown)) and husimi.shape == traces.shape == (len(grown),)
+    assert np.array_equal(float_bits(oracle.oracle_photon_prob(grown, 2)), float_bits(probs[2]))
+    for j, state in enumerate(grown):
+        if state is None:
+            assert np.isnan(probs[:, j]).all() and np.isnan(husimi[j]) and np.isnan(traces[j])
+            continue
+        assert np.array_equal(float_bits(probs[:, j]), float_bits(oracle.oracle_photon_prob(state, numbers))), j
+        assert float_bits(husimi[j]) == float_bits(oracle.oracle_husimi(state, beta)), j
+        assert float_bits(traces[j]) == float_bits(state.probabilities().sum()), j
+    assert np.allclose(husimi[vacuum], math.exp(-abs(beta) ** 2) / math.pi, rtol=1e-14)
+
+
+def test_the_grouped_reads_raise_for_their_first_state():
+    small, large = (oracle.build_truncated(StateSpec.thermal(rbar)) for rbar in (0.5, 10.0))
+    assert (small.cutoff, large.cutoff) == (32, 512)
+    with pytest.raises(CutoffExceeded, match="^photon number 32 is beyond the cutoff 32$"):
+        oracle.oracle_photon_prob([large, None, small], np.array([3, 32, 40]))
+    with pytest.raises(CutoffExceeded, match=re.escape("|beta|^2 = 9.000 is not well inside cutoff 32")):
+        oracle.oracle_husimi([large, None, small], 3.0)
+    with pytest.raises(ValueError, match="takes one beta"):
+        oracle.oracle_husimi([large, small], np.array([0.5, 1.0]))
+    assert np.isnan(oracle.oracle_photon_prob([None], np.arange(3))).all()
+
+
+# the inputs a Husimi amplitude is refused for, on both engines
+_NOT_FINITE_BETAS = [complex("nan"), math.inf, complex(0.5, -math.inf), np.array([0.5, math.nan])]
+
+
+@pytest.mark.parametrize("beta", _NOT_FINITE_BETAS, ids=["nan", "inf", "imaginary -inf", "nan in an array"])
+@pytest.mark.parametrize("engine", list(witnesses.ENGINES))
+def test_a_beta_that_is_not_finite_is_refused_on_both_engines(engine, beta):
+    # one check, states.amplitudes, on each engine's own function and on its
+    # ENGINES record, with every warning an error
+    spec = StateSpec.thermal(1.0)
+    own = states.husimi if engine == "analytic" else (lambda one, b: oracle.oracle_husimi(oracle.build_truncated(one), b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (own, lambda one, b: witnesses.ENGINES[engine].husimi(one, np.asarray(b), oracle.DEFAULT_TAIL_TOL)):
+            with pytest.raises(ValueError, match="^a Husimi amplitude beta must be finite$"):
+                call(spec, beta)
+
+
+def test_a_beta_past_the_float_range_of_its_square_is_refused_without_a_warning():
+    state = oracle.build_truncated(StateSpec.thermal(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CutoffExceeded, match=re.escape(f"|beta|^2 = inf is not well inside cutoff {state.cutoff}")):
+            oracle.oracle_husimi(state, 1e200)
+        with pytest.raises(CutoffExceeded, match="needs more than 4096 Fock levels"):
+            witnesses.ENGINES["oracle"].husimi(StateSpec.thermal(1.0), np.array(1e200), oracle.DEFAULT_TAIL_TOL)
 
 
 @pytest.mark.parametrize("spec, m", [

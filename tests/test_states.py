@@ -673,9 +673,33 @@ class TestHusimiArray:
             assert type(husimi(spec, beta)) is float
 
     def test_grid_spec_is_rejected(self):
+        # a grid spec or a stack takes one beta, and gives one value per column
         grid = StateSpec.thermal(np.array([0.5, 1.0, 2.0]))
-        with pytest.raises(ValueError, match="one state"):
-            husimi(grid, 0.3)
+        for spec in (grid, [grid]):
+            with pytest.raises(ValueError, match="one state"):
+                husimi(spec, np.array([0.3, 0.5]))
+
+    def test_a_stack_reads_the_norms_its_moment_call_contracted(self, monkeypatch):
+        # no contraction after the moment call, which keeps each spec's norm
+        stack = [StateSpec.even_coherent(np.array([0.5, 1.5]), op) for op in (EngineeringOp.bare(),
+                                                                               EngineeringOp.psa(1, 2))]
+        states.moment(stack, 1, 1)
+        contract, calls = states._contract, []
+        monkeypatch.setattr(states, "_contract", lambda *args: calls.append(None) or contract(*args))
+        assert husimi(stack, 0.3).shape == photon_prob(stack, 2).shape == (4,)
+        assert calls == []
+
+    def test_a_stack_past_the_float_range_names_its_first_such_state(self):
+        # |beta|^32 overflows where the Gaussian has underflowed, at every
+        # point of PAS(8,8); the bare state's values are 0 there
+        values = np.array([0.5, 2.0])
+        stack = [StateSpec.thermal(values), StateSpec.thermal(values, EngineeringOp.pas(8, 8))]
+        with pytest.raises(OutOfRange) as stack_error:
+            husimi(stack, 1e10)
+        with pytest.raises(OutOfRange) as point_error:
+            husimi(StateSpec.thermal(0.5, EngineeringOp.pas(8, 8)), 1e10)
+        assert str(stack_error.value) == str(point_error.value)
+        assert (husimi(stack[0], 1e10) == 0.0).all()
 
     def test_array_call_computes_the_norm_once(self, monkeypatch):
         calls = []

@@ -1,14 +1,19 @@
 import gc
 import importlib.util
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import fockwitness
 from bits import float_bits
 from fockwitness import oracle, states, sweep_report, verify, witnesses
+from fockwitness.errors import DegenerateState
 from fockwitness.states import EngineeringOp, StateSpec
 
 
@@ -177,6 +182,97 @@ def test_each_family_fills_its_analytic_table_in_one_moment_call(monkeypatch):
     monkeypatch.setattr(states, "moment", counting)
     verify.run_suites(["moments", "witnesses", "normalization", "hosps_gate"], report=None)
     assert calls == [(verify._engineering_ops(), len(verify._grid_pairs(family))) for family in verify._GRID_VALUES]
+
+
+def test_the_witness_suite_reads_each_family_in_one_call_per_engine(monkeypatch):
+    # p_0 .. p_6 and Husimi Q: one call per family and engine, on the stack
+    # of the family's grid specs of _WITNESS_OPS (7 of them) and on the
+    # oracle states of its checked columns (7 operations at 3 values)
+    calls = []
+    for owner, name in ((states, "photon_prob"), (oracle, "oracle_photon_prob"),
+                        (states, "husimi"), (oracle, "oracle_husimi")):
+        def counting(subject, *args, _original=getattr(owner, name), _name=name):
+            calls.append((_name, len(subject)))
+            return _original(subject, *args)
+        monkeypatch.setattr(owner, name, counting)
+    result = verify.run_suites(["witnesses"], report=None)[0]
+    assert (result.passed, result.checks) == SUITE_SHAPE["witnesses"]
+    assert calls == [("photon_prob", 7), ("oracle_photon_prob", 21), ("husimi", 7), ("oracle_husimi", 21)] * 2
+
+
+def test_the_grid_suites_read_no_oracle_state_alone(monkeypatch):
+    # the oracle states' probabilities, traces and Husimi values come from
+    # the grouped reads, never from one state's own read
+    def alone(self):
+        raise AssertionError("an oracle state read alone")
+
+    monkeypatch.setattr(oracle.TruncatedState, "probabilities", alone)
+    grouped, reads = oracle._grouped, []
+    monkeypatch.setattr(oracle, "_grouped", lambda states, *args: reads.append(len(states)) or grouped(states, *args))
+    results = verify.run_suites(list(verify.GRID_SUITES), report=None)
+    assert [(r.passed, r.checks) for r in results] == [SUITE_SHAPE[name] for name in verify.GRID_SUITES]
+    # per family: the witnesses' probabilities and Husimi values, the traces
+    # and the hosps_gate moments
+    assert sorted(reads) == sorted([21, 21, 165, 165, 132, 132] + [21, 21])
+
+
+@pytest.mark.parametrize("family", list(verify._GRID_VALUES), ids=lambda family: family.name)
+def test_stacked_husimi_and_photon_prob_equal_their_one_state_calls(family):
+    # every verify point of the family and, at parameter 0, the vacuum (bare,
+    # PAS(p,p)) and annihilated states (NaN); the norms as the family's
+    # moment fill leaves them, and as husimi and photon_prob contract them
+    ops, values = verify._engineering_ops(), np.array([0.0, *verify._GRID_VALUES[family]])
+    beta, numbers = 0.4 + 0.3j, np.arange(7)
+    filled = [StateSpec.of(family, values, op) for op in ops]
+    states.MomentTable.analytic(filled, verify._grid_pairs(family)).get(0, 0)
+    assert all("_norm" in vars(grid) for grid in filled)
+    fresh = [StateSpec.of(family, values, op) for op in ops]
+    ones = [StateSpec.of(family, value, op) for op in ops for value in values]
+    for stack in (filled, fresh):
+        husimi, probs = states.husimi(stack, beta), states.photon_prob(stack, numbers)
+        assert husimi.shape == (len(ones),) and probs.shape == (len(numbers), len(ones))
+        for k, spec in enumerate(ones):
+            try:
+                one_husimi, one_probs = states.husimi(spec, beta), states.photon_prob(spec, numbers)
+            except DegenerateState:
+                assert np.isnan(husimi[k]) and np.isnan(probs[:, k]).all()
+                continue
+            assert float_bits(husimi[k]) == float_bits(one_husimi), spec.canonical()
+            assert np.array_equal(float_bits(probs[:, k]), float_bits(one_probs)), spec.canonical()
+        # a grid spec alone, and a stack of one, give its block
+        for s, grid in enumerate(stack):
+            block = slice(s * len(values), (s + 1) * len(values))
+            for spec in (grid, [grid]):
+                assert np.array_equal(float_bits(states.husimi(spec, beta)), float_bits(husimi[block]))
+                assert np.array_equal(float_bits(states.photon_prob(spec, numbers)), float_bits(probs[:, block]))
+    vacuum, annihilated = states.vacuum(filled), np.concatenate([states.annihilated(grid) for grid in filled])
+    assert vacuum.any() and annihilated.any()
+    assert np.array_equal(np.isnan(husimi), annihilated)
+    assert np.allclose(husimi[vacuum], math.exp(-abs(beta) ** 2) / math.pi, rtol=1e-14)
+
+
+def test_a_verify_run_stays_small_in_a_new_process():
+    # The rise of a child's peak RSS over its RSS once fockwitness.verify is
+    # imported, in kB; the child reads VmHWM itself, as its ru_maxrss would
+    # start from this process's at exec. With one grouped read per family
+    # and the Poisson references and probability sums one call per grid
+    # spec, a whole verify run measured 2.1 MB on a 2-vCPU Linux VM, and
+    # 3.5 MB on the same VM at another time (each stable to 0.01 MB over
+    # three runs; about 1.7 MB of the latter is library pages, RssFile).
+    # Taken over each family at once, the references alone raised it to 6.6
+    # and 8.2 MB.
+    source = "\n".join([
+        "import re, sys",
+        f"sys.path[:0] = {[os.path.dirname(os.path.dirname(fockwitness.__file__))]!r}",
+        "def status(key):",
+        "    return int(re.search(key + r':\\s*(\\d+) kB', open('/proc/self/status').read())[1])",
+        "import fockwitness.verify",
+        "before = status('VmRSS')",
+        "fockwitness.verify.run_suites(report=None)",
+        "print(status('VmHWM') - before)",
+    ])
+    out = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, check=True).stdout
+    assert int(out) < 5 * 1024
 
 
 def test_the_grid_records_are_released_when_run_suites_returns(monkeypatch):
