@@ -15,11 +15,11 @@ Every basis grows in one loop over rows that each carry their own operation
 (_grow): all the (operation, point) pairs of a stack of grid specs of one
 family at once (truncated_states), one list in states.moment's column order;
 a grid spec is a stack of one, and one state a grid of one. Each quantity is
-one body over arrays, whose one-element case is the scalar call. The reads
-over many states group them by cutoff and `diagonal` flag in one way
-(_chunks): their moments are one gather per group (_gathered_moments), of
-which oracle_moment is the group of one, and their photon probabilities,
-traces and Husimi values at one beta one read per group (_grouped). From
+one body over arrays, whose one-element case is the scalar call. Every
+read over states is one loop, _grouped, over chunks of the states of one
+cutoff and `diagonal` flag (_chunks), one state a list of one: their
+moments (_gathered_moments, of which oracle_moment is the group of one),
+photon probabilities, traces and Husimi values at betas of any shape. From
 its own arithmetic, a row whose mass underflows while its basis holds the
 bare state's is annihilated at parameter 0, out of range elsewhere.
 """
@@ -50,7 +50,7 @@ from .states import (
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MAX_CUTOFF = 4096
 _INITIAL_CUTOFF = 32
-# Husimi points per chunk times the cutoff: a few MB of amplitudes
+# elements per temporary of an oracle_husimi read, betas x states x cutoff
 _HUSIMI_CHUNK = 1 << 17
 # elements per temporary of a grouped read or moment gather (_chunks), 128 KB
 # of complex: at 2^16 the gathers of a verify run raised its peak RSS by 7%
@@ -397,15 +397,13 @@ def oracle_moment(state: TruncatedState, m, n):
 
 def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """<a'^ms[i] a^ns[i]> (rows) on each of a list of truncated states
-    (columns), NaN where a state is None (annihilated).
-
-    The states of one cutoff and `diagonal` flag are one group, gathered in
-    chunks whose temporaries hold about _GATHER_CHUNK elements (_chunks):
-    row k of the lowered stack is the stacked data shifted down k levels, times
-    _lowering's scale, and each value sums one C-contiguous row of an
-    elementwise product (on diagonal states, a row of the lowered stack
-    itself), so it equals the state's one-state value bit for bit. The
-    errors are oracle_moment's, raised for the first state that has one.
+    (columns), NaN where a state is None (annihilated): one _grouped read,
+    its temporaries about _GATHER_CHUNK elements. Row k of a chunk's lowered
+    stack is its stacked data shifted down k levels, times _lowering's
+    scale, and each value sums one C-contiguous row of an elementwise
+    product (on diagonal states, a row of the lowered stack itself), so it
+    equals the state's one-state value bit for bit. The errors are
+    oracle_moment's, raised for the first state that has one.
     """
     if ms.dtype.kind not in "iu" or ns.dtype.kind not in "iu":
         raise ValueError("moment orders must be integers")
@@ -419,16 +417,15 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
         i = int(np.argmax(reach >= close.cutoff / 2))
         raise CutoffExceeded(f"moment order {ms[i]}+{ns[i]} too close to cutoff {close.cutoff}")
     top = int(max(ms.max(initial=0), ns.max(initial=0)))
-    out = np.full((len(ms), len(states)), math.nan, dtype=complex)
-    for cutoff, diagonal, chunk in _chunks(states, max(top + 1, len(ms))):
+
+    def gather(data, diagonal):
+        cutoff = data.shape[-1]
         scale, rows = _lowering(cutoff, top, diagonal)
         # each state's data, then top copies of its last level
-        padded = np.empty((len(chunk), cutoff + top), dtype=states[chunk[0]].data.dtype)
-        np.stack([states[j].data for j in chunk], out=padded[:, :cutoff])
-        padded[:, cutoff:] = padded[:, cutoff - 1:cutoff]
+        padded = np.concatenate([data, np.repeat(data[:, -1:], top, axis=1)], axis=1)
         # a view: shifted[k, g, j] is level j + k of padded state g
         level_bytes, state_bytes = padded.strides[1], padded.strides[0]
-        shifted = np.ndarray((top + 1, len(chunk), cutoff), padded.dtype, padded, 0,
+        shifted = np.ndarray((top + 1, len(data), cutoff), padded.dtype, padded, 0,
                              (level_bytes, state_bytes, level_bytes))
         lowered = np.empty(shifted.shape, dtype=padded.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -438,12 +435,13 @@ def _gathered_moments(states, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
                 lowered[k, :, :-1] = lowered[k - 1, :, 1:] * np.arange(1.0, cutoff) ** (0.5 + 0.5 * diagonal)
             if diagonal:
                 # only m = n survives on a diagonal state
-                out[:, chunk] = np.where((ms == ns)[:, None], np.sum(lowered, axis=-1)[ns], 0.0)
-            else:
-                products = lowered[ms]
-                np.conjugate(products, out=products)
-                products *= lowered[ns]
-                out[:, chunk] = np.sum(products, axis=-1)
+                return np.where((ms == ns)[:, None], np.sum(lowered, axis=-1)[ns], 0.0)
+            products = lowered[ms]
+            np.conjugate(products, out=products)
+            products *= lowered[ns]
+            return np.sum(products, axis=-1)
+
+    out = _grouped(states, gather, (len(ms),), complex, max(top + 1, len(ms)))
     bad = ~np.isfinite(out) & np.array([state is not None for state in states])
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))
@@ -469,14 +467,15 @@ def _chunks(states, width: int = 1):
             yield cutoff, diagonal, columns[i:i + step]
 
 
-def _grouped(states, read, shape=()) -> np.ndarray:
-    """The values of a list of truncated states, (*shape, S), NaN where a
-    state is None: read(data, diagonal) of each chunk (_chunks), its states'
-    data stacked into one (G, D) array, gives (*shape, G). A value read from
-    its own row alone (an elementwise product, a sum over one C-contiguous
-    row) is its state's one-state value, bit for bit."""
-    out = np.full((*shape, len(states)), math.nan)
-    for _, diagonal, chunk in _chunks(states):
+def _grouped(states, read, shape=(), dtype=float, width: int = 1) -> np.ndarray:
+    """The values of a list of truncated states, (*shape, S) of dtype, NaN
+    where a state is None: the one loop over _chunks(states, width), whose
+    read(data, diagonal) of each chunk, its states' data stacked into one
+    (G, D) array, gives (*shape, G). A value read from its own row alone (an
+    elementwise product, a sum over one C-contiguous row) is its state's
+    one-state value, bit for bit."""
+    out = np.full((*shape, len(states)), math.nan, dtype=dtype)
+    for _, diagonal, chunk in _chunks(states, width):
         out[..., chunk] = read(np.stack([states[j].data for j in chunk]), diagonal)
     return out
 
@@ -510,42 +509,46 @@ def oracle_photon_prob(state, m):
 
 
 def _husimi_sums(bras: np.ndarray, data: np.ndarray, diagonal: bool) -> np.ndarray:
-    """pi Q per row of bras against data, broadcast: one sum over the levels
-    per row, the same in any chunk or group."""
+    """pi Q of each of B bras (B, D) against each of G states' data (G, D),
+    (B, G): one sum over the levels per pair, the same in any chunk or group."""
     if diagonal:
-        return np.sum(np.abs(bras) ** 2 * data, axis=-1)
-    return np.abs(np.sum(bras.conj() * data, axis=-1)) ** 2
+        return np.sum(np.abs(bras[:, None]) ** 2 * data, axis=-1)
+    return np.abs(np.sum(bras[:, None].conj() * data, axis=-1)) ** 2
 
 
 def oracle_husimi(state, beta):
-    """Q(beta) = <beta| sigma |beta> / pi from a truncated state, or at one
-    beta from each of a list of them (_grouped), NaN where one is None.
+    """Q(beta) = <beta| sigma |beta> / pi from a truncated state or from
+    each of a list of them, NaN where one is None: one _grouped read, whose
+    temporaries hold about _HUSIMI_CHUNK elements.
 
-    beta is one complex amplitude, which gives a float, or an array of any
-    shape, as states.amplitudes takes it. Every |beta|^2 must lie below a
-    quarter of each cutoff, or CutoffExceeded names the largest and the
-    first such state's cutoff. The bras are coherent_amplitudes, and a
+    beta is one complex amplitude or an array of any shape (amplitudes).
+    One state gives beta's shape (a float for one beta), a list (*beta.shape,
+    S), each value its one-state call bit for bit. Every |beta|^2 must lie
+    below a quarter of each cutoff, or CutoffExceeded names the largest and
+    the first such state's cutoff. The bras are coherent_amplitudes, and a
     diagonal state's weights e^{-|beta|^2} |beta|^{2k} / k! their squared
     moduli, so neither underflows where e^{-|beta|^2} does.
     """
     beta = amplitudes(beta)
     one = isinstance(state, TruncatedState)
     states = [state] if one else state
-    if not one and beta.ndim:
-        raise ValueError(f"Husimi Q of a list of states takes one beta, not an array of shape {beta.shape}")
     # a |beta|^2 past the largest float is inf, and refused as such
     with np.errstate(over="ignore"):
         top = float((np.abs(beta) ** 2).max(initial=0.0))
     close = next((each for each in states if each is not None and top >= each.cutoff / 4), None)
     if close is not None:
         raise CutoffExceeded(f"|beta|^2 = {top:.3f} is not well inside cutoff {close.cutoff}")
-    if not one:
-        return _grouped(states, lambda data, diagonal: _husimi_sums(
-            coherent_amplitudes(beta, data.shape[-1]), data, diagonal)) / math.pi
-    chunks = np.array_split(beta.ravel(), 1 + beta.size * state.cutoff // _HUSIMI_CHUNK)
-    values = np.concatenate([_husimi_sums(coherent_amplitudes(z, state.cutoff), state.data, state.diagonal)
-                             for z in chunks]).reshape(beta.shape) / math.pi
-    return float(values) if beta.ndim == 0 else values
+
+    def read(data, diagonal):
+        # parts of _HUSIMI_CHUNK // (G D) betas, at least one; one empty part where there are none
+        step = max(1, _HUSIMI_CHUNK // data.size)
+        sums = [_husimi_sums(coherent_amplitudes(beta.ravel()[i:i + step], data.shape[-1]), data, diagonal)
+                for i in range(0, max(1, beta.size), step)]
+        return np.concatenate(sums).reshape(*beta.shape, len(data))
+
+    values = _grouped(states, read, beta.shape) / math.pi
+    values = values[..., 0] if one else values
+    return float(values) if values.ndim == 0 else values
 
 
 def oracle_poissonian_central_moment(mean, l):

@@ -911,40 +911,34 @@ def amplitudes(beta) -> np.ndarray:
 
 
 def husimi(spec, beta):
-    """Husimi Q(beta) = <beta| sigma |beta> / pi of an engineered state.
+    """Husimi Q(beta) = <beta| sigma |beta> / pi of an engineered state, a
+    grid spec or a stack of them (as_stack).
 
-    beta is a complex scalar or an array of any shape (amplitudes). For one
-    state the family's closed form is evaluated over the whole array, so a
-    grid of beta costs one call: a scalar gives a float, an array an
-    ndarray of the same shape. A grid spec, or a stack of them (as_stack),
-    takes a scalar beta and gives one value per column, spec by spec, then
-    point by point, NaN at the annihilated points; each is its state's own
-    call, bit for bit, over the grid spec's norm, which a moment call on it
-    has already contracted. Where |beta|^(2(p+q)) leaves the float range
-    (|beta| > ~1e9 for p + q = 16) the call raises OutOfRange, naming the
-    first such state.
+    beta is a complex scalar or an array of any shape (amplitudes). One
+    state gives beta's shape (a float for a scalar beta); a grid spec or a
+    stack (*beta.shape, columns), spec by spec, then point by point, NaN at
+    the annihilated points. Each column is its state's own call bit for bit:
+    each point runs its family's one-point body over the whole beta array,
+    on its parameter as a Python number, over the grid spec's norm, which a
+    moment call on it has already contracted. Where |beta|^(2(p+q)) leaves
+    the float range (|beta| > ~1e9 for p + q = 16) the call raises
+    OutOfRange, naming the first such state.
     """
     beta = amplitudes(beta)
     stack = as_stack(spec)
-    one = isinstance(spec, StateSpec) and not isinstance(spec.parameter, np.ndarray)
-    if one:
-        # DegenerateState where the state is annihilated
-        _unwrap(spec, spec._norm, float)
-    elif beta.ndim:
-        raise ValueError(f"Husimi Q over an array of beta {beta.shape} takes one state, not a grid spec or a stack")
     norms = np.concatenate([each._norm for each in stack])
     columns = [(each, point) for each in stack for point in each._points.tolist()]
-    # one body per point, on its parameter as a Python number, as one state
-    # holds it; a power of |beta| that leaves the float range shows up as inf or nan
+    q = np.full((*beta.shape, len(columns)), math.nan)
+    # a power of |beta| that leaves the float range shows up as inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [each.family.husimi(point, each.op, beta) / (math.pi * norm) if norm == norm else math.nan
-                  for (each, point), norm in zip(columns, norms.tolist())]
-    q = values[0] if one else np.array(values)
+        for k, ((each, point), norm) in enumerate(zip(columns, norms.tolist())):
+            if norm == norm:
+                np.divide(each.family.husimi(point, each.op, beta), math.pi * norm, out=q[..., k])
     # NaN stays a gap only where the norm is (an annihilated state)
     if not (ok := np.isfinite(q) | (norms != norms)).all():
-        raise OutOfRange(f"Husimi Q of {(spec if one else _first(stack, ~ok)).canonical()} "
+        raise OutOfRange(f"Husimi Q of {_first(stack, ~ok.reshape(-1, len(norms)).all(axis=0)).canonical()} "
                          "leaves the float range at large |beta|")
-    return float(q) if one and beta.ndim == 0 else q
+    return _unwrap(spec, q, float) if isinstance(spec, StateSpec) else q
 
 
 @lru_cache(maxsize=None)

@@ -193,8 +193,10 @@ def husimi_grid(
     The values come from the husimi-zero scan's grid route on that window:
     one call over the grid's beta array to the `husimi` of each engine the
     choice runs (witnesses.ENGINES): states.husimi for the analytic engine,
-    oracle_husimi on one truncated basis for the oracle.
-    """
+    oracle_husimi on one truncated basis for the oracle. The CSV holds one
+    state: a grid spec or a stack raises ValueError."""
+    if not isinstance(spec, StateSpec) or isinstance(spec.parameter, np.ndarray):
+        raise ValueError("a Husimi grid takes one state, not a grid spec or a stack")
     grid = witnesses_mod.ScanGrid(*BETA_WINDOW, *BETA_WINDOW, steps)
     values = [run.husimi(spec, grid.betas(), oracle_mod.DEFAULT_TAIL_TOL)
               for run in witnesses_mod.engines(engine)]

@@ -99,8 +99,8 @@ class Engine(FrozenRecord):
 
     name: str  # the CLI --engine choice and a WitnessResult's provenance
     moment_table: Callable  # (spec or stack, pairs, tail_tol) -> a MomentTable holding the pairs
-    photon_probs: Callable  # (one-state or grid spec, photon numbers, tail_tol) -> p_m, (M,) or (M, G)
-    husimi: Callable  # (one-state spec, beta array, tail_tol) -> Q at each beta
+    photon_probs: Callable  # (spec or stack, photon numbers, tail_tol) -> p_m: (M,) for one state, else (M, columns)
+    husimi: Callable  # (spec or stack, betas, tail_tol) -> Q: betas' shape for one state, else (*shape, columns)
 
 
 def _oracle_moment_table(spec, pairs, tail_tol: float) -> MomentTable:
@@ -112,16 +112,16 @@ def _oracle_moment_table(spec, pairs, tail_tol: float) -> MomentTable:
     return oracle_mod.moment_table_from_state(states, pairs, lambda: states_mod.vacuum(spec))
 
 
-def _oracle_photon_probs(spec: StateSpec, numbers, tail_tol: float) -> np.ndarray:
-    """One state's p_m, or a grid's as columns, NaN where a state is None
-    (annihilated). The basis holds more than m + p levels: every level m
-    read, the bare level it comes from (m + p - q) and the level a^p lowers
-    it from (m + p), or raises CutoffExceeded past the hard limit."""
-    reach = int(np.max(numbers)) + spec.op.p + 1
+def _oracle_photon_probs(spec, numbers, tail_tol: float) -> np.ndarray:
+    """One state's p_m, or a grid's or stack's as columns, NaN where a state
+    is None (annihilated). The basis holds more than m + p levels, p the
+    stack's largest: every level m read, the bare level it comes from (m +
+    p - q) and the level a^p lowers it from (m + p), or CutoffExceeded."""
+    reach = int(np.max(numbers)) + max(one.op.p for one in states_mod.as_stack(spec)) + 1
     return oracle_mod.oracle_photon_prob(oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach), numbers)
 
 
-def _oracle_husimi(spec: StateSpec, betas, tail_tol: float) -> np.ndarray:
+def _oracle_husimi(spec, betas, tail_tol: float) -> np.ndarray:
     """An oracle basis holds every |beta|^2 well inside its cutoff; a reach
     past the hard limit is refused by the build (CutoffExceeded)."""
     betas = states_mod.amplitudes(betas)
@@ -129,7 +129,7 @@ def _oracle_husimi(spec: StateSpec, betas, tail_tol: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         top = 4 * float(np.max(np.abs(betas) ** 2))
     reach = int(min(top, oracle_mod.max_cutoff())) + 8
-    return oracle_mod.oracle_husimi(oracle_mod.build_truncated(spec, tail_tol, min_cutoff=reach), betas)
+    return oracle_mod.oracle_husimi(oracle_mod.truncated_states(spec, tail_tol, min_cutoff=reach), betas)
 
 
 ENGINES = {engine.name: engine for engine in (
@@ -358,9 +358,8 @@ def klyshko(
     # exact integers, as Python ints past int64 (np.arange and np.array
     # round some of them to floats there)
     numbers = np.array([m, m + 1, m + 2], dtype=np.int64 if m + 2 < 2 ** 63 else object)
-    # rows p_m, p_(m+1), p_(m+2), columns the states: a stack's specs each read on its own
-    probs = [run.photon_probs(one, numbers, tail_tol).reshape(3, -1) for one in states_mod.as_stack(spec)]
-    values = klyshko_from_probs(m, *np.hstack(probs))
+    # rows p_m, p_(m+1), p_(m+2), columns the states
+    values = klyshko_from_probs(m, *run.photon_probs(spec, numbers, tail_tol).reshape(3, -1))
     return _unwrap(values, spec.parameter if isinstance(spec, StateSpec) else values)
 
 
@@ -407,11 +406,14 @@ class ScanGrid(FrozenRecord):
 
 
 def _relative_husimi(spec, grid, engine: Engine, tail_tol) -> np.ndarray:
-    """Q over its grid maximum, row-major, from one call on the engine.
+    """Q of one state (a grid spec or a stack raises ValueError) over its
+    grid maximum, row-major, from one call on the engine.
 
     Raises EmptyWindow where Q is 0 at every point (a cat whose amplitude
     puts it outside the window): no point can then be told from a zero.
     """
+    if not isinstance(spec, StateSpec) or isinstance(spec.parameter, np.ndarray):
+        raise ValueError("a Husimi zero scan takes one state, not a grid spec or a stack")
     values = engine.husimi(spec, grid.betas(), tail_tol).ravel()
     q_max = values.max()
     if not q_max > 0.0:
@@ -502,7 +504,7 @@ def evaluate_witness(
     and False at its gaps; for a stack of grid specs (states.as_stack),
     arrays over its columns, spec by spec, from one moment table (one
     contraction, or one oracle growth and gather, for the whole stack).
-    husimi_zero takes one state only, and raises ValueError for a stack.
+    husimi_zero takes one state only (_relative_husimi).
     """
     order = witness_order(witness, order)
     reads = WITNESSES[witness].reads
@@ -510,8 +512,6 @@ def evaluate_witness(
         if given is not None and name != reads:
             raise ValueError(f"{witness} takes no {name}")
     if reads == "grid":
-        if not isinstance(spec, StateSpec):
-            raise ValueError(f"{witness} takes one state, not a stack of specs")
         # the husimi_zero_scan rule: some point lies below the threshold
         rel_min = float(_relative_husimi(spec, grid or ScanGrid(), _engine(engine), tail_tol).min())
         return WitnessResult(witness, order, rel_min, rel_min < ZERO_THRESHOLD, engine)

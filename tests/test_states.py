@@ -672,12 +672,18 @@ class TestHusimiArray:
         for beta in (0.5 - 1.0j, np.complex128(0.5 - 1.0j), np.array(0.5 - 1.0j), 2, 0.5):
             assert type(husimi(spec, beta)) is float
 
-    def test_grid_spec_is_rejected(self):
-        # a grid spec or a stack takes one beta, and gives one value per column
-        grid = StateSpec.thermal(np.array([0.5, 1.0, 2.0]))
-        for spec in (grid, [grid]):
-            with pytest.raises(ValueError, match="one state"):
-                husimi(spec, np.array([0.3, 0.5]))
+    def test_a_grid_spec_or_stack_gives_beta_shape_then_columns(self):
+        # a grid spec or a stack takes a beta array of any shape, and gives
+        # (*beta.shape, columns), each column its state's own call bit for bit
+        values = np.array([0.5, 1.0, 2.0])
+        grid = StateSpec.thermal(values)
+        stack = [grid, StateSpec.thermal(values, EngineeringOp.psa(2, 1))]
+        ones = [StateSpec.of(one.family, value, one.op) for one in stack for value in values]
+        for spec, count in ((grid, 3), ([grid], 3), (stack, 6)):
+            q = husimi(spec, _ARRAY_BETAS)
+            assert q.shape == (*_ARRAY_BETAS.shape, count)
+            for k, one in enumerate(ones[:count]):
+                assert np.array_equal(q[..., k].view(np.uint64), husimi(one, _ARRAY_BETAS).view(np.uint64))
 
     def test_a_stack_reads_the_norms_its_moment_call_contracted(self, monkeypatch):
         # no contraction after the moment call, which keeps each spec's norm

@@ -322,6 +322,15 @@ class TestFigurePacks:
         )
         assert grid.metadata["max_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("engine", ["analytic", "oracle", "both"])
+    def test_husimi_grid_takes_one_state(self, engine):
+        # one state's grid is one CSV: a grid spec or a stack, which the
+        # engines read, is refused before any of them runs
+        grid = StateSpec.thermal(np.array([0.5, 1.0]), EngineeringOp.pas(2, 4))
+        for spec in (grid, [grid], [StateSpec.thermal(0.5)]):
+            with pytest.raises(ValueError, match="^a Husimi grid takes one state, not a grid spec or a stack$"):
+                husimi_grid(spec, steps=3, engine=engine)
+
     @pytest.mark.parametrize("figure_id", ["fig7", "fig8"])
     def test_grid_equals_point_by_point_loop(self, figure_id):
         # every panel of the pack against one scalar states.husimi call per point

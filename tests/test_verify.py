@@ -201,28 +201,32 @@ def test_the_witness_suite_reads_each_family_in_one_call_per_engine(monkeypatch)
 
 
 def test_the_grid_suites_read_no_oracle_state_alone(monkeypatch):
-    # the oracle states' probabilities, traces and Husimi values come from
-    # the grouped reads, never from one state's own read
+    # the oracle states' moments, probabilities, traces and Husimi values
+    # come from the grouped reads over a family's states, never from one
+    # state's own read
     def alone(self):
         raise AssertionError("an oracle state read alone")
 
     monkeypatch.setattr(oracle.TruncatedState, "probabilities", alone)
     grouped, reads = oracle._grouped, []
-    monkeypatch.setattr(oracle, "_grouped", lambda states, *args: reads.append(len(states)) or grouped(states, *args))
+    monkeypatch.setattr(oracle, "_grouped", lambda states, *args, **kwargs: reads.append(len(states))
+                        or grouped(states, *args, **kwargs))
     results = verify.run_suites(list(verify.GRID_SUITES), report=None)
     assert [(r.passed, r.checks) for r in results] == [SUITE_SHAPE[name] for name in verify.GRID_SUITES]
-    # per family: the witnesses' probabilities and Husimi values, the traces
-    # and the hosps_gate moments
-    assert sorted(reads) == sorted([21, 21, 165, 165, 132, 132] + [21, 21])
+    # per family: the moment gather of its oracle table, the witnesses'
+    # probabilities and Husimi values, the traces and the hosps_gate moments
+    assert sorted(reads) == sorted([165, 132] + [21, 21] + [21, 21] + [165, 132] + [165, 132])
 
 
 @pytest.mark.parametrize("family", list(verify._GRID_VALUES), ids=lambda family: family.name)
 def test_stacked_husimi_and_photon_prob_equal_their_one_state_calls(family):
     # every verify point of the family and, at parameter 0, the vacuum (bare,
     # PAS(p,p)) and annihilated states (NaN); the norms as the family's
-    # moment fill leaves them, and as husimi and photon_prob contract them
+    # moment fill leaves them, and as husimi and photon_prob contract them;
+    # Husimi Q at one beta and at a 2-d beta array, on both engines
     ops, values = verify._engineering_ops(), np.array([0.0, *verify._GRID_VALUES[family]])
     beta, numbers = 0.4 + 0.3j, np.arange(7)
+    betas = np.array([[beta, 0j, -1.1 + 0.2j], [1.5 - 0.5j, 0.3j, -0.7]])
     filled = [StateSpec.of(family, values, op) for op in ops]
     states.MomentTable.analytic(filled, verify._grid_pairs(family)).get(0, 0)
     assert all("_norm" in vars(grid) for grid in filled)
@@ -230,49 +234,63 @@ def test_stacked_husimi_and_photon_prob_equal_their_one_state_calls(family):
     ones = [StateSpec.of(family, value, op) for op in ops for value in values]
     for stack in (filled, fresh):
         husimi, probs = states.husimi(stack, beta), states.photon_prob(stack, numbers)
+        grid_q = states.husimi(stack, betas)
         assert husimi.shape == (len(ones),) and probs.shape == (len(numbers), len(ones))
+        assert grid_q.shape == (*betas.shape, len(ones))
         for k, spec in enumerate(ones):
             try:
                 one_husimi, one_probs = states.husimi(spec, beta), states.photon_prob(spec, numbers)
             except DegenerateState:
-                assert np.isnan(husimi[k]) and np.isnan(probs[:, k]).all()
+                assert np.isnan(husimi[k]) and np.isnan(probs[:, k]).all() and np.isnan(grid_q[..., k]).all()
                 continue
             assert float_bits(husimi[k]) == float_bits(one_husimi), spec.canonical()
             assert np.array_equal(float_bits(probs[:, k]), float_bits(one_probs)), spec.canonical()
+            assert np.array_equal(float_bits(grid_q[..., k]), float_bits(states.husimi(spec, betas))), spec.canonical()
         # a grid spec alone, and a stack of one, give its block
         for s, grid in enumerate(stack):
             block = slice(s * len(values), (s + 1) * len(values))
             for spec in (grid, [grid]):
                 assert np.array_equal(float_bits(states.husimi(spec, beta)), float_bits(husimi[block]))
+                assert np.array_equal(float_bits(states.husimi(spec, betas)), float_bits(grid_q[..., block]))
                 assert np.array_equal(float_bits(states.photon_prob(spec, numbers)), float_bits(probs[:, block]))
     vacuum, annihilated = states.vacuum(filled), np.concatenate([states.annihilated(grid) for grid in filled])
     assert vacuum.any() and annihilated.any()
     assert np.array_equal(np.isnan(husimi), annihilated)
     assert np.allclose(husimi[vacuum], math.exp(-abs(beta) ** 2) / math.pi, rtol=1e-14)
+    # the oracle: one read over the stack's states, each grid spec's and each state's own
+    grown = oracle.truncated_states(filled, verify.ORACLE_TAIL_TOL)
+    oracle_q = oracle.oracle_husimi(grown, betas)
+    assert oracle_q.shape == (*betas.shape, len(ones))
+    for k, state in enumerate(grown):
+        if state is None:
+            assert np.isnan(oracle_q[..., k]).all()
+            continue
+        assert np.array_equal(float_bits(oracle_q[..., k]), float_bits(oracle.oracle_husimi(state, betas))), k
+    for s, grid in enumerate(filled):
+        block = slice(s * len(values), (s + 1) * len(values))
+        own = oracle.oracle_husimi(oracle.truncated_states(grid, verify.ORACLE_TAIL_TOL), betas)
+        assert np.array_equal(float_bits(own), float_bits(oracle_q[..., block]))
+    assert np.array_equal(np.isnan(oracle_q[0, 0]), annihilated)
+    assert np.allclose(oracle_q[..., vacuum], np.exp(-abs(betas) ** 2)[..., None] / math.pi, rtol=1e-14)
 
 
 def test_a_verify_run_stays_small_in_a_new_process():
-    # The rise of a child's peak RSS over its RSS once fockwitness.verify is
-    # imported, in kB; the child reads VmHWM itself, as its ru_maxrss would
-    # start from this process's at exec. With one grouped read per family
-    # and the Poisson references and probability sums one call per grid
-    # spec, a whole verify run measured 2.1 MB on a 2-vCPU Linux VM, and
-    # 3.5 MB on the same VM at another time (each stable to 0.01 MB over
-    # three runs; about 1.7 MB of the latter is library pages, RssFile).
-    # Taken over each family at once, the references alone raised it to 6.6
-    # and 8.2 MB.
+    # The peak of the memory a child traces (tracemalloc, started once
+    # fockwitness.verify is imported) over a whole verify run: the arrays
+    # and objects the run allocates, not the pages of the libraries it maps.
+    # With one grouped read per family and the Poisson references and
+    # probability sums one call per grid spec, it measured 1.551 MiB; taken
+    # over each family at once, the references and sums raised it to 6.21 MiB.
     source = "\n".join([
-        "import re, sys",
+        "import sys, tracemalloc",
         f"sys.path[:0] = {[os.path.dirname(os.path.dirname(fockwitness.__file__))]!r}",
-        "def status(key):",
-        "    return int(re.search(key + r':\\s*(\\d+) kB', open('/proc/self/status').read())[1])",
         "import fockwitness.verify",
-        "before = status('VmRSS')",
+        "tracemalloc.start()",
         "fockwitness.verify.run_suites(report=None)",
-        "print(status('VmHWM') - before)",
+        "print(tracemalloc.get_traced_memory()[1])",
     ])
     out = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, check=True).stdout
-    assert int(out) < 5 * 1024
+    assert int(out) < 3 * 2 ** 20
 
 
 def test_the_grid_records_are_released_when_run_suites_returns(monkeypatch):

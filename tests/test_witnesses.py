@@ -454,10 +454,13 @@ class TestEvaluateWitness:
 
     @pytest.mark.parametrize("engine", ["analytic", "oracle"])
     def test_husimi_zero_takes_one_state(self, engine):
-        with pytest.raises(ValueError, match="one state"):
-            evaluate_witness(StateSpec.thermal(np.array([0.5, 1.0])), "husimi_zero", engine=engine)
-        with pytest.raises(ValueError, match="one state"):
-            evaluate_witness([StateSpec.thermal(0.5)], "husimi_zero", engine=engine)
+        # the engines read a grid spec or a stack; the scan refuses them
+        grid = StateSpec.thermal(np.array([0.5, 1.0]))
+        for spec in (grid, [grid], [StateSpec.thermal(0.5)]):
+            for scan in (lambda: evaluate_witness(spec, "husimi_zero", engine=engine),
+                         lambda: husimi_zero_scan(spec, ScanGrid(steps=3), engine=engine)):
+                with pytest.raises(ValueError, match="^a Husimi zero scan takes one state, not a grid spec or a"):
+                    scan()
 
     def test_husimi_zero_result(self):
         grid = ScanGrid(-1.5, 1.5, -1.5, 1.5, steps=15)
@@ -730,17 +733,16 @@ def _counting(reached: set, name: str, original):
 # Each engine field looks the module function it calls up at call time, so
 # a patched or traced one (bench/tracer.py counts layer calls this way) is
 # the one called: each route reaches its engine's functions and none of the
-# other engine's. An oracle Husimi basis is one build_truncated, which
-# grows through truncated_states.
+# other engine's. Every oracle basis grows through truncated_states.
 @pytest.mark.parametrize("evaluate, analytic, oracle_reads", [
     (lambda engine: evaluate_witness(PSAT11, "hoa", 2, engine=engine),
      {"moment"}, {"truncated_states"}),
     (lambda engine: evaluate_witness(PSAT11, "klyshko", 1, engine=engine),
      {"photon_prob"}, {"truncated_states"}),
     (lambda engine: evaluate_witness(PSAT11, "husimi_zero", grid=ScanGrid(steps=3), engine=engine),
-     {"husimi"}, {"build_truncated", "truncated_states"}),
+     {"husimi"}, {"truncated_states"}),
     (lambda engine: sweep_report.husimi_grid(PSAT11, steps=3, engine=engine),
-     {"husimi"}, {"build_truncated", "truncated_states"}),
+     {"husimi"}, {"truncated_states"}),
 ], ids=["moment witness", "klyshko", "husimi_zero", "husimi_grid"])
 def test_each_engine_looks_its_functions_up_at_call_time(monkeypatch, evaluate, analytic, oracle_reads):
     for engine, expected in (("analytic", analytic), ("oracle", oracle_reads)):
@@ -751,6 +753,27 @@ def test_each_engine_looks_its_functions_up_at_call_time(monkeypatch, evaluate, 
         evaluate(engine)
         monkeypatch.undo()
         assert reached == expected, engine
+
+
+@pytest.mark.parametrize("family, values", [
+    (states.FAMILY_THERMAL, np.array([0.0, 0.4, 1.7])),
+    (states.FAMILY_EVEN_COHERENT, np.array([0.01, 0.6 + 0.3j, 1.3])),
+], ids=["thermal", "ecs"])
+def test_the_oracle_record_takes_what_the_analytic_record_takes(family, values):
+    # photon_probs and husimi of a grid spec and of a stack: (M, columns) and
+    # (*beta.shape, columns) on both records, NaN at the same (annihilated) points
+    ops = [EngineeringOp.pas(2, 1), EngineeringOp.psa(1, 2), EngineeringOp.bare()]
+    numbers, betas = np.arange(4), np.array([[0.3, 1j, 0j], [-0.5 + 0.2j, 1.2, -0.8j]])
+    for spec in (StateSpec.of(family, values, ops[1]), [StateSpec.of(family, values, op) for op in ops]):
+        columns = len(states.as_stack(spec)) * len(values)
+        for field, argument, shape in (("photon_probs", numbers, (len(numbers), columns)),
+                                       ("husimi", betas, (*betas.shape, columns))):
+            analytic, oracle_values = (getattr(witnesses.ENGINES[name], field)(spec, argument, oracle.DEFAULT_TAIL_TOL)
+                                       for name in ("analytic", "oracle"))
+            assert analytic.shape == oracle_values.shape == shape, field
+            assert np.array_equal(np.isnan(analytic), np.isnan(oracle_values)), field
+            assert np.isnan(analytic).any() == (family is states.FAMILY_THERMAL), field
+            np.testing.assert_allclose(oracle_values, analytic, rtol=1e-9, atol=1e-15, err_msg=field)
 
 
 # every route names one engine: "both" is the caller's choice of two routes,
